@@ -25,6 +25,8 @@ from .errors import BosonetError, StabilityError, ValidationError
 from .linalg import eigenvalues, is_stable
 from .network import (
     InputMoments,
+    _number,
+    _require_keys,
     build_state_space,
     check_physical_realizability,
     is_passive,
@@ -108,6 +110,14 @@ def _load_json(path: str):
         raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
 
 
+def finite_float(text: str) -> float:
+    """argparse type for numeric flags: NaN and infinities are rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _parse_grid(text: str) -> tuple[str, list[float]]:
     parts = text.split(":")
     if len(parts) not in (4, 5):
@@ -120,6 +130,8 @@ def _parse_grid(text: str) -> tuple[str, list[float]]:
         count = int(parts[3])
     except ValueError as exc:
         raise ValidationError(f"bad grid spec {text!r}: {exc}") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValidationError(f"bad grid spec {text!r}: endpoints must be finite")
     scale = parts[4] if len(parts) == 5 else "linear"
     if scale not in ("linear", "log"):
         raise ValidationError(f"grid scale must be linear or log, got {scale!r}")
@@ -132,12 +144,8 @@ def _parse_grid(text: str) -> tuple[str, list[float]]:
 
 
 def _moments_from_doc(doc, n_modes: int) -> InputMoments:
-    if not isinstance(doc, dict):
-        raise ValidationError("inputs: top level must be an object")
-    unknown = set(doc) - {"channels"}
-    if unknown:
-        raise ValidationError(f"inputs: unknown keys {sorted(unknown)}")
-    channels = doc.get("channels")
+    _require_keys(doc, ("channels",), "inputs")
+    channels = doc["channels"]
     if not isinstance(channels, list):
         raise ValidationError("inputs: 'channels' must be an array")
     if len(channels) != n_modes:
@@ -146,22 +154,12 @@ def _moments_from_doc(doc, n_modes: int) -> InputMoments:
         )
     occupancy, anomalous = [], []
     for k, channel in enumerate(channels):
-        if not isinstance(channel, dict):
-            raise ValidationError(f"inputs: channels[{k}] must be an object")
-        unknown = set(channel) - {"n", "m_re", "m_im"}
-        if unknown:
-            raise ValidationError(
-                f"inputs: channels[{k}]: unknown keys {sorted(unknown)}"
-            )
-        try:
-            occupancy.append(float(channel.get("n", 0.0)))
-            anomalous.append(
-                complex(float(channel.get("m_re", 0.0)), float(channel.get("m_im", 0.0)))
-            )
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(
-                f"inputs: channels[{k}]: values must be numbers"
-            ) from exc
+        where = f"inputs: channels[{k}]"
+        _require_keys(channel, ("n", "m_re", "m_im"), where)
+        occupancy.append(_number(channel, "n", where))
+        anomalous.append(
+            complex(_number(channel, "m_re", where), _number(channel, "m_im", where))
+        )
     return InputMoments(np.array(occupancy), np.array(anomalous))
 
 
@@ -435,17 +433,17 @@ def build_parser() -> _Parser:
     sweep.add_argument("--out", required=True, help="CSV path")
     sweep.add_argument("--workers", type=int, default=1, help="parallel workers")
     for flag in ("gamma1", "gamma2", "xi", "g-script", "g-minus", "g-plus", "n1", "n2"):
-        sweep.add_argument(f"--{flag}", type=float, default=None)
+        sweep.add_argument(f"--{flag}", type=finite_float, default=None)
     sweep.set_defaults(handler=cmd_sweep)
 
     boundary = sub.add_parser("boundary", help="separability line and Duan grid")
-    boundary.add_argument("--kappa", type=float, default=1.0)
-    boundary.add_argument("--omega", type=float, default=1.0)
-    boundary.add_argument("--gamma-m", type=float, default=0.01)
-    boundary.add_argument("--g-script", type=float, default=None)
-    boundary.add_argument("--xi", type=float, default=None)
-    boundary.add_argument("--g-plus", type=float, default=None)
-    boundary.add_argument("--g-minus", type=float, default=None)
+    boundary.add_argument("--kappa", type=finite_float, default=1.0)
+    boundary.add_argument("--omega", type=finite_float, default=1.0)
+    boundary.add_argument("--gamma-m", type=finite_float, default=0.01)
+    boundary.add_argument("--g-script", type=finite_float, default=None)
+    boundary.add_argument("--xi", type=finite_float, default=None)
+    boundary.add_argument("--g-plus", type=finite_float, default=None)
+    boundary.add_argument("--g-minus", type=finite_float, default=None)
     boundary.add_argument(
         "--grid",
         action="append",
@@ -458,7 +456,9 @@ def build_parser() -> _Parser:
 
     verify = sub.add_parser("verify", help="run the seeded verification suites")
     verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    verify.add_argument("--tol", type=float, default=None, help="override residual thresholds")
+    verify.add_argument(
+        "--tol", type=finite_float, default=None, help="override residual thresholds"
+    )
     verify.set_defaults(handler=cmd_verify)
     return parser
 

@@ -37,7 +37,11 @@ class StabilityError(BosonetError):
 
 
 class FrameError(BosonetError):
-    """No hyperbolic (Bogoliubov) frame exists for the requested couplings."""
+    """A requested frame does not exist.
+
+    Either no hyperbolic (Bogoliubov) frame exists for the couplings, or
+    a transformed drift has no one-bath-per-mode network form.
+    """
 
 
 class ApplicabilityError(BosonetError):

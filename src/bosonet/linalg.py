@@ -91,8 +91,9 @@ def solve_lyapunov(a, q, residual_tol: float | None = None) -> np.ndarray:
 
     Uses the Kronecker-vectorized linear system, which is exact up to
     roundoff at these dimensions. The result is symmetrized and the
-    residual is verified against ``residual_tol`` (relative to
-    max(1, ||q||_max)).
+    residual is verified against ``residual_tol`` relative to the size
+    of the terms it cancels, 2 ||a||_max ||W||_max + ||q||_max. Both
+    guards fail on NaN.
 
     Raises:
         StabilityError: if ``a`` has an eigenvalue with nonnegative
@@ -105,8 +106,8 @@ def solve_lyapunov(a, q, residual_tol: float | None = None) -> np.ndarray:
     qm = _as_square(q)
     if am.shape != qm.shape:
         raise DimensionError(f"shape mismatch: a is {am.shape}, q is {qm.shape}")
-    qscale = max(1.0, float(np.abs(qm).max(initial=0.0)))
-    if hermitian_defect(qm) > TOL.hermiticity * qscale:
+    qmax = float(np.abs(qm).max(initial=0.0))
+    if not hermitian_defect(qm) <= TOL.hermiticity * max(1.0, qmax):
         raise ValidationError("q must be Hermitian within tolerance")
     require_stable(am)
     n = am.shape[0]
@@ -120,9 +121,10 @@ def solve_lyapunov(a, q, residual_tol: float | None = None) -> np.ndarray:
     w = 0.5 * (w + w.conj().T)
     tol = TOL.lyapunov_residual if residual_tol is None else residual_tol
     residual = float(np.abs(am @ w + w @ am.conj().T + qm).max())
-    if residual > tol * qscale:
+    scale = 2.0 * float(np.abs(am).max()) * float(np.abs(w).max()) + qmax
+    if not residual <= tol * scale:
         raise NumericsError(
-            f"Lyapunov residual {residual:.3e} exceeds {tol:.1e} * {qscale:.3g}",
+            f"Lyapunov residual {residual:.3e} exceeds {tol:.1e} * {scale:.3g}",
             estimate=residual,
         )
     return w

@@ -8,8 +8,8 @@ diag(sqrt gamma) on both sectors, so preservation of the canonical
 commutators holds by construction and is re-checkable as a residual.
 
 Frame changes (hyperbolic mode mixing, mode rotations) are represented
-by exact symplectic transforms; input moments are mapped through the
-same congruence rather than through hand-written formulas.
+by exact symplectic transforms; the drift and the input moments are
+both mapped through them rather than through per-coupling formulas.
 """
 
 from __future__ import annotations
@@ -214,6 +214,8 @@ def _number(obj: dict, key: str, where: str) -> float:
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValidationError(f"{where}: {key} must be a number, got {v!r}")
+    if not math.isfinite(v):
+        raise ValidationError(f"{where}: {key} must be finite, got {v!r}")
     return float(v)
 
 
@@ -278,6 +280,15 @@ def metric(n_modes: int) -> np.ndarray:
     return np.diag(np.concatenate([np.ones(n_modes), -np.ones(n_modes)]))
 
 
+def _doubled(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The conjugation-symmetric doubled matrix [[p, q], [conj q, conj p]]."""
+    n = p.shape[0]
+    out = np.empty((2 * n, 2 * n), dtype=complex)
+    out[:n, :n], out[:n, n:] = p, q
+    out[n:, :n], out[n:, n:] = q.conj(), p.conj()
+    return out
+
+
 def build_state_space(spec: NetworkSpec) -> StateSpace:
     """Assemble the Heisenberg-Langevin drift and input matrices.
 
@@ -304,7 +315,7 @@ def build_state_space(spec: NetworkSpec) -> StateSpace:
         else:  # degenerate_parametric
             (i,) = c.modes
             mix[i, i] += -2j * c.amplitude.conjugate()
-    drift = np.block([[ann, mix], [mix.conj(), ann.conj()]])
+    drift = _doubled(ann, mix)
     root = np.sqrt(spec.gammas)
     inp = np.diag(np.concatenate([root, root])).astype(complex)
     return StateSpace(drift=drift, input=inp, sigma=metric(n), n_modes=n)
@@ -362,7 +373,7 @@ class InputMoments:
             raise DimensionError(
                 "occupancy and anomalous must be 1-d and the same length"
             )
-        if np.any(occ < -1e-9):
+        if not np.all(occ >= -1e-9):
             raise ValidationError("channel occupancies must be nonnegative")
         occ = np.maximum(occ, 0.0)
         object.__setattr__(self, "occupancy", occ)
@@ -375,14 +386,14 @@ class InputMoments:
             m = np.asarray(m, dtype=complex)
             if m.shape != (n, n):
                 raise DimensionError(f"{name} must be ({n}, {n})")
-            if np.abs(np.diag(m)).max(initial=0.0) > 1e-10:
+            if not np.abs(np.diag(m)).max(initial=0.0) <= 1e-10:
                 raise ValidationError(f"{name} must have zero diagonal")
             defect = (
                 hermitian_defect(m)
                 if name == "normal_cross"
                 else float(np.abs(m - m.T).max())
             )
-            if defect > 1e-10:
+            if not defect <= 1e-10:
                 kindname = "Hermitian" if name == "normal_cross" else "symmetric"
                 raise ValidationError(f"{name} must be {kindname}")
             object.__setattr__(self, name, m)
@@ -454,7 +465,9 @@ class InputMoments:
         cn = self.normal_matrix()
         cm = self.anomalous_matrix()
         half = 0.5 * np.eye(n)
-        return np.block([[half + cn.T, cm], [cm.conj(), half + cn]])
+        out = _doubled(half + cn.T, cm)
+        out[n:, n:] = half + cn
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -479,10 +492,10 @@ class MomentTransform:
             float(np.abs(m[n:, n:] - m[:n, :n].conj()).max(initial=0.0)),
             float(np.abs(m[n:, :n] - m[:n, n:].conj()).max(initial=0.0)),
         )
-        if structure > 1e-12:
+        if not structure <= 1e-12:
             raise ValidationError("transform breaks the doubled conjugation structure")
         sig = metric(n)
-        if float(np.abs(m @ sig @ m.conj().T - sig).max()) > 1e-10:
+        if not float(np.abs(m @ sig @ m.conj().T - sig).max()) <= 1e-10:
             raise ValidationError("transform does not preserve the commutator metric")
 
     @property
@@ -500,7 +513,7 @@ class MomentTransform:
         q = np.zeros((n_modes, n_modes), dtype=complex)
         p[mode, mode] = math.cosh(xi)
         q[mode, mode] = math.sinh(xi)
-        return cls(np.block([[p, q], [q.conj(), p.conj()]]))
+        return cls(_doubled(p, q))
 
     @classmethod
     def two_mode_bogoliubov(
@@ -515,7 +528,7 @@ class MomentTransform:
         p[mode_b, mode_b] = math.cosh(xi)
         q[mode_a, mode_b] = math.sinh(xi)
         q[mode_b, mode_a] = math.sinh(xi)
-        return cls(np.block([[p, q], [q.conj(), p.conj()]]))
+        return cls(_doubled(p, q))
 
     @classmethod
     def mixer(cls, n_modes: int, mode_a: int, mode_b: int) -> "MomentTransform":
@@ -529,7 +542,7 @@ class MomentTransform:
         p[mode_b, mode_a] = r
         p[mode_b, mode_b] = -r
         q = np.zeros((n_modes, n_modes), dtype=complex)
-        return cls(np.block([[p, q], [q, p.conj()]]))
+        return cls(_doubled(p, q))
 
     @classmethod
     def rotation(cls, n_modes: int, mode: int, phi: float) -> "MomentTransform":
@@ -537,7 +550,7 @@ class MomentTransform:
         p = np.eye(n_modes, dtype=complex)
         p[mode, mode] = cmath.exp(1j * phi)
         q = np.zeros((n_modes, n_modes), dtype=complex)
-        return cls(np.block([[p, q], [q, p.conj()]]))
+        return cls(_doubled(p, q))
 
     def compose(self, inner: "MomentTransform") -> "MomentTransform":
         """The transform applying ``inner`` first, then this one."""
@@ -548,7 +561,9 @@ class MomentTransform:
         return MomentTransform(sig @ self.matrix.conj().T @ sig)
 
     def apply_to_drift(self, drift: np.ndarray) -> np.ndarray:
-        return self.matrix @ drift @ self.inverse().matrix
+        # T is symplectic, so T^-1 = sigma T^H sigma exactly
+        sig = metric(self.n_modes)
+        return self.matrix @ drift @ (sig @ self.matrix.conj().T @ sig)
 
     def apply_to_covariance(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ v @ self.matrix.conj().T
@@ -571,7 +586,7 @@ class MomentTransform:
             float(np.abs(out[n:, :n] - cm.conj()).max()),
             float(np.abs(cm - cm.T).max()),
         )
-        if checks > 1e-10:
+        if not checks <= 1e-10:
             raise NumericsError(
                 "transformed noise matrix lost its doubled structure",
                 estimate=checks,
@@ -579,51 +594,68 @@ class MomentTransform:
         return InputMoments.from_correlators(cn, cm)
 
 
-def _canonical_coupling_key(kind: str, modes: tuple[int, ...]):
-    if kind in _TWO_MODE_KINDS and modes[0] > modes[1]:
-        return kind, (modes[1], modes[0]), True
-    return kind, modes, False
+def spec_from_state_space(
+    drift: np.ndarray, baths: Sequence[BathSpec], labels: Sequence[str] | None = None
+) -> NetworkSpec:
+    """Read the couplings back from a doubled-space drift.
 
-
-def _merge_couplings(raw: Iterable[CouplingTerm]) -> tuple[CouplingTerm, ...]:
-    """Accumulate amplitudes on canonical (kind, modes) slots, drop zeros."""
-    acc: dict = {}
-    scale = 0.0
-    for c in raw:
-        kind, modes, flipped = _canonical_coupling_key(c.kind, c.modes)
-        amp = c.amplitude
-        if flipped and kind == "beam_splitter":
-            amp = amp.conjugate()
-        acc[(kind, modes)] = acc.get((kind, modes), 0j) + amp
-        scale = max(scale, abs(acc[(kind, modes)]))
-    keep = []
-    cutoff = 1e-12 * max(1.0, scale)
-    for (kind, modes), amp in acc.items():
-        if abs(amp) <= cutoff:
-            continue
-        if kind == "detuning":
-            amp = complex(amp.real, 0.0)
-        keep.append(CouplingTerm(kind, amp, modes))
-    return tuple(keep)
-
-
-def _rewrite_for_mode_map(
-    spec: NetworkSpec, mode: int, on_self: dict
-) -> list[CouplingTerm]:
-    """Rewrite couplings under a_mode = sum of new-mode operators.
-
-    ``on_self`` gives the rewrite of each original term touching the
-    mode as a list of (kind, amplitude, modes) replacement terms; terms
-    not touching the mode pass through unchanged.
+    The inverse of build_state_space for the given baths: detuning and
+    parametric terms come from the diagonals of the P (a <- a) and
+    Q (a <- adag) blocks, beam-splitter and squeeze terms from their
+    i < j entries. Entries at or below 1e-12 max(1, ||drift||_max) are
+    dropped. The drift is rebuilt from the result, and a round-trip
+    defect above 1e-10 of that scale raises FrameError: the drift has
+    no one-bath-per-mode form with these dampings.
     """
-    out = []
-    for c in spec.couplings:
-        if mode not in c.modes:
-            out.append(c)
-            continue
-        for kind, amp, modes in on_self[c.kind](c):
-            out.append(CouplingTerm(kind, amp, modes))
-    return out
+    baths = tuple(baths)
+    n = len(baths)
+    d = np.asarray(drift, dtype=complex)
+    if d.shape != (2 * n, 2 * n):
+        raise DimensionError(f"drift of shape {d.shape} does not fit {n} baths")
+    scale = max(1.0, float(np.abs(d).max(initial=0.0)))
+    cutoff = 1e-12 * scale
+    ann, mix = d[:n, :n], d[:n, n:]
+    couplings = []
+    for i, j in zip(*np.triu_indices(n, 1)):
+        if abs(ann[i, j]) > cutoff:
+            couplings.append(beam_splitter(1j * ann[i, j], i, j))
+        if abs(mix[i, j]) > cutoff:
+            couplings.append(two_mode_squeeze(1j * mix[i, j], i, j))
+    for i in range(n):
+        if abs(ann[i, i].imag) > cutoff:
+            couplings.append(detuning(-ann[i, i].imag, i))
+        if abs(mix[i, i]) > cutoff:
+            couplings.append(degenerate_parametric((0.5j * mix[i, i]).conjugate(), i))
+    spec = NetworkSpec(n_modes=n, baths=baths, couplings=couplings, labels=labels)
+    defect = float(np.abs(build_state_space(spec).drift - d).max())
+    if not defect <= 1e-10 * scale:
+        raise FrameError(
+            f"drift has no one-bath-per-mode form (round-trip defect {defect:.3e})"
+        )
+    return spec
+
+
+def transform_network(spec: NetworkSpec, transform: MomentTransform) -> NetworkSpec:
+    """Re-express a network in the frame xi' = T xi of ``transform``.
+
+    The drift is conjugated, T A T^-1, and read back into couplings by
+    spec_from_state_space; the bath moments go through the same
+    congruence. The new frame keeps one bath per mode only when T mixes
+    channels of equal damping: otherwise the drift does not round-trip
+    and FrameError is raised, ahead of any cross-correlator refusal.
+    """
+    if transform.n_modes != spec.n_modes:
+        raise DimensionError("transform and network differ in their mode count")
+    drift = transform.apply_to_drift(build_state_space(spec).drift)
+    moments = transform.apply_to_inputs(InputMoments.from_baths(spec))
+    baths = tuple(
+        BathSpec(b.gamma, moments.occupancy[i], moments.anomalous[i])
+        for i, b in enumerate(spec.baths)
+    )
+    frame = spec_from_state_space(drift, baths, spec.labels)
+    if moments.normal_cross is not None or moments.anomalous_cross is not None:
+        raise NumericsError("frame change produced cross-channel correlators")
+    return frame
 
 
 def bogoliubov_frame(
@@ -637,66 +669,16 @@ def bogoliubov_frame(
     G_plus on the same partner turns into a pure beam splitter of
     amplitude sqrt(G_minus^2 - G_plus^2) at xi = arctanh(G_plus/G_minus).
 
-    Returns the rewritten spec (bath moments included, mapped through
-    the exact symplectic congruence) and the transform itself. The
-    frame composes additively in xi.
+    Returns the spec mapped through the exact symplectic transform
+    (transform_network) and the transform itself. The frame composes
+    additively in xi.
     """
     if not 0 <= mode < spec.n_modes:
         raise DimensionError(f"mode {mode} out of range for {spec.n_modes} modes")
     if xi is None:
         xi = _derive_frame_parameter(spec, mode)
-    c, s = math.cosh(xi), math.sinh(xi)
-
-    def _bs(term: CouplingTerm):
-        g = term.amplitude
-        i, j = term.modes
-        if j == mode and i != mode:
-            return [
-                ("beam_splitter", g * c, (i, mode)),
-                ("two_mode_squeeze", -g * s, (i, mode)),
-            ]
-        if i == mode and j != mode:
-            return [
-                ("beam_splitter", g * c, (mode, j)),
-                ("two_mode_squeeze", -g.conjugate() * s, (mode, j)),
-            ]
-        raise ValidationError("beam splitter cannot touch the same mode twice")
-
-    def _tms(term: CouplingTerm):
-        g = term.amplitude
-        i, j = term.modes
-        other = i if j == mode else j
-        return [
-            ("two_mode_squeeze", g * c, (other, mode)),
-            ("beam_splitter", -g * s, (other, mode)),
-        ]
-
-    def _det(term: CouplingTerm):
-        delta = term.amplitude.real
-        return [
-            ("detuning", delta * math.cosh(2 * xi), (mode,)),
-            ("degenerate_parametric", -delta * c * s, (mode,)),
-        ]
-
-    def _dp(term: CouplingTerm):
-        lam = term.amplitude
-        return [
-            ("degenerate_parametric", lam * c * c + lam.conjugate() * s * s, (mode,)),
-            ("detuning", -2.0 * math.sinh(2 * xi) * lam.real, (mode,)),
-        ]
-
-    rewritten = _rewrite_for_mode_map(
-        spec,
-        mode,
-        {
-            "beam_splitter": _bs,
-            "two_mode_squeeze": _tms,
-            "detuning": _det,
-            "degenerate_parametric": _dp,
-        },
-    )
     transform = MomentTransform.bogoliubov(spec.n_modes, mode, xi)
-    return _respec_with(spec, rewritten, transform), transform
+    return transform_network(spec, transform), transform
 
 
 def rotate_mode(
@@ -710,55 +692,8 @@ def rotate_mode(
     """
     if not 0 <= mode < spec.n_modes:
         raise DimensionError(f"mode {mode} out of range for {spec.n_modes} modes")
-    ph = cmath.exp(1j * phi)
-
-    def _bs(term: CouplingTerm):
-        g = term.amplitude
-        i, j = term.modes
-        if j == mode:
-            return [("beam_splitter", g * ph, (i, j))]
-        return [("beam_splitter", g * ph.conjugate(), (i, j))]
-
-    def _tms(term: CouplingTerm):
-        # G adag_i adag_mode picks up the conjugate phase from adag_mode
-        return [("two_mode_squeeze", term.amplitude * ph.conjugate(), term.modes)]
-
-    def _det(term: CouplingTerm):
-        return [("detuning", term.amplitude, term.modes)]
-
-    def _dp(term: CouplingTerm):
-        return [("degenerate_parametric", term.amplitude * ph * ph, term.modes)]
-
-    rewritten = _rewrite_for_mode_map(
-        spec,
-        mode,
-        {
-            "beam_splitter": _bs,
-            "two_mode_squeeze": _tms,
-            "detuning": _det,
-            "degenerate_parametric": _dp,
-        },
-    )
     transform = MomentTransform.rotation(spec.n_modes, mode, -phi)
-    return _respec_with(spec, rewritten, transform), transform
-
-
-def _respec_with(
-    spec: NetworkSpec, couplings: list[CouplingTerm], transform: MomentTransform
-) -> NetworkSpec:
-    moments = transform.apply_to_inputs(InputMoments.from_baths(spec))
-    if moments.normal_cross is not None or moments.anomalous_cross is not None:
-        raise NumericsError("single-mode frame change produced cross correlators")
-    baths = tuple(
-        BathSpec(b.gamma, moments.occupancy[i], moments.anomalous[i])
-        for i, b in enumerate(spec.baths)
-    )
-    return NetworkSpec(
-        n_modes=spec.n_modes,
-        baths=baths,
-        couplings=_merge_couplings(couplings),
-        labels=spec.labels,
-    )
+    return transform_network(spec, transform), transform
 
 
 def _derive_frame_parameter(spec: NetworkSpec, mode: int) -> float:

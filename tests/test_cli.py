@@ -415,3 +415,52 @@ class TestTopLevel:
     def test_unknown_command_exits_3(self):
         proc = run_cli("frobnicate")
         assert proc.returncode == 3
+
+
+class TestNonFiniteInputs:
+    def test_spec_nan_exits_3(self, tmp_path):
+        doc = json.loads(json.dumps(BS_NETWORK))
+        doc["baths"][0]["n"] = float("nan")
+        spec = write_json(tmp_path / "net.json", doc)
+        out = tmp_path / "r.json"
+        proc = run_cli("analyze", "--spec", spec, "--out", str(out))
+        assert proc.returncode == 3
+        assert "must be finite" in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            {"n": "1.5", "m_re": 0.0, "m_im": 0.0},
+            {"n": True, "m_re": 0.0, "m_im": 0.0},
+            {"n": 0.0, "m_re": float("inf"), "m_im": 0.0},
+            {"n": 0.0, "m_re": 0.0},
+        ],
+        ids=["string", "boolean", "infinite", "missing_key"],
+    )
+    def test_inputs_file_is_parsed_strictly(self, tmp_path, channel):
+        spec = write_json(tmp_path / "net.json", BS_NETWORK)
+        good = {"n": 0.0, "m_re": 0.0, "m_im": 0.0}
+        inputs = write_json(tmp_path / "inputs.json", {"channels": [good, channel]})
+        out = str(tmp_path / "r.json")
+        proc = run_cli("analyze", "--spec", spec, "--inputs", inputs, "--out", out)
+        assert proc.returncode == 3
+        assert "channels[1]" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sweep", "--scenario", "fig1", "--grid", "g_script:0:nan:3"],
+            ["sweep", "--scenario", "fig1", "--grid", "g_script:1:2:3", "--xi", "nan"],
+            [
+                "boundary", "--g-script", "1",
+                "--grid", "n_o:0:inf:3", "--grid", "n_m:0:1:2",
+            ],
+        ],
+        ids=["grid_endpoint", "numeric_flag", "boundary_grid"],
+    )
+    def test_command_line_numbers_must_be_finite(self, tmp_path, args):
+        out = tmp_path / "out.csv"
+        proc = run_cli(*args, "--out", str(out))
+        assert proc.returncode == 3
+        assert not out.exists()

@@ -106,6 +106,26 @@ class TestSolveLyapunov:
         with pytest.raises(ValidationError):
             solve_lyapunov(-np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_nan_q_rejected(self):
+        q = np.eye(2)
+        q[0, 0] = np.nan
+        with pytest.raises(ValidationError):
+            solve_lyapunov(-np.eye(2), q)
+
+    def test_residual_is_judged_against_operand_size(self):
+        # a strongly non-normal drift in a random basis: W reaches 1e6, so
+        # an accurate solve leaves a raw residual far above 1e-10
+        rng = np.random.default_rng(1)
+        u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        j = np.diag([-0.5, -0.5, -1.0, -1.0]).astype(complex)
+        j[0, 1] = j[2, 3] = 1e3
+        a = u @ j @ u.conj().T
+        q = np.eye(4)
+        w = solve_lyapunov(a, q)
+        residual = np.abs(a @ w + w @ a.conj().T + q).max()
+        assert residual > 1e-10
+        assert residual <= 1e-15 * 2.0 * np.abs(a).max() * np.abs(w).max()
+
     def test_residual_and_hermiticity_on_random_stable_matrices(self):
         rng = np.random.default_rng(42)
         for _ in range(100):

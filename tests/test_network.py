@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bosonet.errors import DimensionError, FrameError, ValidationError
+from bosonet.errors import DimensionError, FrameError, NumericsError, ValidationError
 from bosonet.network import (
     BathSpec,
     InputMoments,
@@ -22,6 +22,8 @@ from bosonet.network import (
     network_from_json,
     network_to_json,
     rotate_mode,
+    spec_from_state_space,
+    transform_network,
     two_mode_squeeze,
 )
 
@@ -231,6 +233,13 @@ class TestJsonRoundTrip:
         with pytest.raises(ValidationError, match="baths\\[0\\]"):
             network_from_json(doc)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_rejected(self, value):
+        doc = network_to_json(single_mode())
+        doc["baths"][0]["n"] = value
+        with pytest.raises(ValidationError, match="must be finite"):
+            network_from_json(doc)
+
     def test_unknown_coupling_kind_rejected(self):
         doc = network_to_json(bs_pair())
         doc["couplings"][0]["kind"] = "tritter"
@@ -353,3 +362,110 @@ class TestBogoliubovFrame:
         rotated, _ = rotate_mode(frame, 1, -math.pi / 2)
         drift = build_state_space(rotated).drift
         assert np.abs(drift.imag).max() < 1e-12
+
+
+class TestSpecFromStateSpace:
+    def test_reads_back_every_coupling_kind(self):
+        spec = NetworkSpec(
+            3,
+            [BathSpec(1.0), BathSpec(2.0), BathSpec(0.5)],
+            [
+                beam_splitter(0.4 - 0.2j, 0, 1),
+                two_mode_squeeze(0.1 + 0.3j, 1, 2),
+                detuning(-0.7, 2),
+                degenerate_parametric(0.05 - 0.02j, 0),
+            ],
+        )
+        drift = build_state_space(spec).drift
+        restored = spec_from_state_space(drift, spec.baths, ("a", "b", "c"))
+        assert sorted((c.kind, c.modes, c.amplitude) for c in restored.couplings) == (
+            sorted((c.kind, c.modes, c.amplitude) for c in spec.couplings)
+        )
+        assert restored.labels == ("a", "b", "c")
+        assert np.array_equal(build_state_space(restored).drift, drift)
+
+    def test_merges_terms_on_one_slot_and_drops_cancelled_ones(self):
+        spec = NetworkSpec(
+            2,
+            [BathSpec(1.0), BathSpec(1.0)],
+            [
+                beam_splitter(0.3, 0, 1),
+                beam_splitter(0.2j, 1, 0),
+                detuning(0.5, 1),
+                detuning(-0.5, 1),
+            ],
+        )
+        restored = spec_from_state_space(build_state_space(spec).drift, spec.baths)
+        assert [(c.kind, c.modes) for c in restored.couplings] == [
+            ("beam_splitter", (0, 1))
+        ]
+        assert abs(restored.couplings[0].amplitude - (0.3 - 0.2j)) < 1e-15
+
+    def test_damping_that_does_not_match_the_baths_is_refused(self):
+        drift = build_state_space(bs_pair(gamma1=1.0, gamma2=2.0)).drift
+        with pytest.raises(FrameError, match="round-trip defect"):
+            spec_from_state_space(drift, (BathSpec(1.0), BathSpec(1.0)))
+
+    def test_non_hamiltonian_mixing_is_refused(self):
+        drift = build_state_space(bs_pair()).drift
+        drift[0, 3] += 0.1  # antisymmetric a <- adag block has no coupling term
+        drift[1, 2] -= 0.1
+        drift[2, 1] += 0.1
+        drift[3, 0] -= 0.1
+        with pytest.raises(FrameError):
+            spec_from_state_space(drift, bs_pair().baths)
+
+    def test_nan_drift_is_refused(self):
+        drift = build_state_space(bs_pair()).drift
+        drift[0, 1] = np.nan
+        with pytest.raises(FrameError):
+            spec_from_state_space(drift, bs_pair().baths)
+
+    def test_shape_must_fit_the_baths(self):
+        with pytest.raises(DimensionError):
+            spec_from_state_space(np.eye(4), (BathSpec(1.0),))
+
+
+class TestTransformNetwork:
+    def test_mode_count_must_match(self):
+        with pytest.raises(DimensionError):
+            transform_network(bs_pair(), MomentTransform.identity(3))
+
+    def test_unequal_dampings_cannot_be_mixed(self):
+        spec = bs_pair(gamma1=1.0, gamma2=2.0)
+        with pytest.raises(FrameError):
+            transform_network(spec, MomentTransform.two_mode_bogoliubov(2, 0, 1, 0.3))
+        with pytest.raises(FrameError):
+            transform_network(spec, MomentTransform.mixer(2, 0, 1))
+
+    def test_cross_correlated_frame_inputs_are_refused(self):
+        # equal dampings, but hyperbolic mixing of two vacua correlates them
+        with pytest.raises(NumericsError, match="cross-channel"):
+            transform_network(
+                bs_pair(), MomentTransform.two_mode_bogoliubov(2, 0, 1, 0.3)
+            )
+
+    def test_composed_transform_equals_successive_frames(self):
+        spec = squeezer_pair(1.0, 0.5)
+        xi = math.atanh(0.5)
+        frame, _ = bogoliubov_frame(spec, 1)
+        stepwise, _ = rotate_mode(frame, 1, -math.pi / 2)
+        composed = transform_network(
+            spec,
+            MomentTransform.rotation(2, 1, math.pi / 2).compose(
+                MomentTransform.bogoliubov(2, 1, xi)
+            ),
+        )
+        assert np.abs(
+            build_state_space(composed).drift - build_state_space(stepwise).drift
+        ).max() < 1e-12
+        for a, b in zip(composed.baths, stepwise.baths):
+            assert abs(a.occupancy - b.occupancy) < 1e-12
+            assert abs(a.anomalous - b.anomalous) < 1e-12
+
+    def test_labels_survive(self):
+        spec = dataclasses.replace(bs_pair(), labels=("left", "right"))
+        assert transform_network(spec, MomentTransform.rotation(2, 0, 0.3)).labels == (
+            "left",
+            "right",
+        )

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from bosonet.errors import ApplicabilityError, FrameError, StabilityError
-from bosonet.network import build_state_space, is_passive
+from bosonet.linalg import solve_lyapunov
+from bosonet.network import (
+    BathSpec,
+    InputMoments,
+    NetworkSpec,
+    beam_splitter,
+    build_state_space,
+    is_passive,
+)
 from bosonet.scenarios import (
     FIG1_HEADER,
     FIG2_HEADER,
@@ -28,9 +36,11 @@ from bosonet.scenarios import (
     three_mode_budget,
     three_mode_frame_network,
     three_mode_physical_network,
+    three_mode_transform,
     two_mode_network,
     two_mode_squeezing_power,
 )
+from bosonet.steady import min_quadrature_variance, steady_covariance
 
 
 def squeeze_params(g_script, xi, gamma1=1.0, gamma2=1.0, n1=0.0, n2=0.0):
@@ -47,6 +57,29 @@ def squeeze_params(g_script, xi, gamma1=1.0, gamma2=1.0, n1=0.0, n2=0.0):
 THREE_MODE = ThreeModeParams(
     g_script=1.0, omega=1.0, kappa=1.0, gamma_m=0.01, xi=0.5
 )
+
+
+def equal_damping_sum(g_script, xi, gamma=1.0):
+    """Vacuum-input closed form of the squeezing sum at equal damping."""
+    g2, gg = 4.0 * g_script * g_script, gamma * gamma
+    return 1.0 + math.exp(-2.0 * xi) * g2 / (g2 + gg) + gg / (g2 + gg)
+
+
+def hand_written_frame_network(p):
+    """The collective frame written out by hand, as a reference.
+
+    The cavity exchanges with Sigma at g_script and the detuning split
+    becomes a Sigma/Delta exchange at omega / 2.
+    """
+    phys = three_mode_physical_network(p)
+    transform = three_mode_transform(p.xi)
+    moments = transform.apply_to_inputs(InputMoments.from_baths(phys))
+    baths = tuple(
+        BathSpec(gamma, moments.occupancy[i], moments.anomalous[i])
+        for i, gamma in enumerate((p.kappa, p.gamma_m, p.gamma_m))
+    )
+    couplings = [beam_splitter(p.g_script, 0, 1), beam_splitter(0.5 * p.omega, 1, 2)]
+    return NetworkSpec(3, baths, couplings, labels=("cavity", "sigma", "delta"))
 
 
 class TestTwoModeParams:
@@ -109,6 +142,18 @@ class TestSqueezingPower:
         ]
         assert all(s >= floor - 1e-12 for s in sums)
         assert all(a > b for a, b in zip(sums, sums[1:]))
+
+    def test_strong_coupling_large_xi_matches_closed_form(self):
+        # operands of order 1e3: the Lyapunov residual is checked
+        # relative to them, not to max(1, ||q||)
+        result = two_mode_squeezing_power(squeeze_params(50.0, 4.0))
+        assert abs(result.sum - equal_damping_sum(50.0, 4.0)) < 1e-9
+
+    def test_direct_route_holds_at_xi_five(self):
+        spec = two_mode_network(squeeze_params(50.0, 5.0))
+        cov = steady_covariance(build_state_space(spec), InputMoments.from_baths(spec))
+        total = sum(min_quadrature_variance(cov, k).value / 0.5 for k in (0, 1))
+        assert abs(total - equal_damping_sum(50.0, 5.0)) < 1e-9
 
     def test_bound_is_never_violated_for_thermal_inputs(self):
         result = two_mode_squeezing_power(
@@ -224,6 +269,31 @@ class TestParametricVarianceCheck:
         assert abs(second.drift[0, 0] - (-(1.0 + 0.0) / 2.0)) < 1e-14
         assert np.allclose(first.noise, np.diag([4.0, 1.0]) / 2.0)
 
+    def test_blocks_match_the_full_steady_covariance(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            gamma1, gamma2 = rng.uniform(0.2, 5.0, size=2)
+            g_minus = rng.uniform(0.0, 4.0)
+            p = ParametricParams(
+                g_plus=rng.uniform(0.0, 1.0) * g_minus,
+                g_minus=g_minus,
+                gamma1=gamma1,
+                gamma2=gamma2,
+                eta1=rng.uniform(-0.9, 0.9) * gamma1,
+                eta2=rng.uniform(-0.9, 0.9) * gamma2,
+                n1=rng.uniform(0.0, 3.0),
+                n2=rng.uniform(0.0, 3.0),
+            )
+            spec = parametric_network(p)
+            vq = steady_covariance(
+                build_state_space(spec), InputMoments.from_baths(spec)
+            ).quadrature_matrix()
+            # quadrature order (X1, X2, Y1, Y2)
+            for block, index in zip(parametric_blocks(p), ([0, 3], [1, 2])):
+                w = solve_lyapunov(block.drift, block.noise.astype(complex)).real
+                scale = max(1.0, float(np.abs(w).max()))
+                assert np.abs(w - vq[np.ix_(index, index)]).max() < 1e-10 * scale
+
 
 class TestThreeModeBudget:
     def test_no_coupling_leaves_optical_mode_alone(self):
@@ -245,6 +315,37 @@ class TestThreeModeBudget:
     def test_transfer_rows_sum_to_one(self):
         budget = three_mode_budget(THREE_MODE)
         assert np.abs(budget.transfer.sum(axis=1) - 1.0).max() < 1e-10
+
+    def test_derived_frame_is_two_plain_beam_splitters(self):
+        rng = np.random.default_rng(5)
+        cases = [THREE_MODE, replace(THREE_MODE, omega=-0.7, n_o=0.4, n_m=1.3)]
+        cases += [
+            ThreeModeParams(
+                g_script=rng.uniform(0.1, 3.0),
+                omega=rng.uniform(-3.0, 3.0),
+                kappa=rng.uniform(0.5, 5.0),
+                gamma_m=rng.uniform(0.005, 0.5),
+                xi=rng.uniform(0.0, 1.2),
+                n_o=rng.uniform(0.0, 2.0),
+                n_m=rng.uniform(0.0, 2.0),
+            )
+            for _ in range(20)
+        ]
+        for p in cases:
+            derived = three_mode_frame_network(p)
+            reference = hand_written_frame_network(p)
+            assert derived.labels == reference.labels
+            assert [(c.kind, c.modes) for c in derived.couplings] == [
+                ("beam_splitter", (0, 1)),
+                ("beam_splitter", (1, 2)),
+            ]
+            for got, want in zip(derived.couplings, reference.couplings):
+                gap = abs(got.amplitude - want.amplitude)
+                assert gap <= 1e-12 * abs(want.amplitude)
+            assert derived.baths == reference.baths
+            assert np.abs(
+                build_state_space(derived).drift - build_state_space(reference).drift
+            ).max() < 1e-12
 
     def test_frame_network_is_passive(self):
         assert is_passive(three_mode_frame_network(THREE_MODE))
