@@ -50,7 +50,7 @@ def _budget_from_kernels(ws: np.ndarray, gammas: np.ndarray, passive: bool) -> C
     for j in range(n):
         diag = np.diag(ks[j])
         leak = float(np.abs(diag.imag).max(initial=0.0))
-        if leak > _IMAG_LEAK_TOL:
+        if not leak <= _IMAG_LEAK_TOL:
             raise NumericsError(
                 "commutator shares picked up an imaginary part", estimate=leak
             )
@@ -69,16 +69,16 @@ def compute_budget(ss: StateSpace) -> CommutatorBudget:
 
     Channel i feeds the signed vacuum source gamma_i (e_i e_i^H -
     e_{N+i} e_{N+i}^H); the solution's annihilation block is that
-    channel's contribution to the commutator matrix.
+    channel's contribution to the commutator matrix. All N sources go
+    to ``solve_lyapunov`` as one stack, which checks stability once.
     """
     n = ss.n_modes
     gammas = ss.gammas
-    ws = np.empty((n, 2 * n, 2 * n), dtype=complex)
-    for i in range(n):
-        source = np.zeros((2 * n, 2 * n), dtype=complex)
-        source[i, i] = gammas[i]
-        source[n + i, n + i] = -gammas[i]
-        ws[i] = solve_lyapunov(ss.drift, source)
+    modes = np.arange(n)
+    sources = np.zeros((n, 2 * n, 2 * n), dtype=complex)
+    sources[modes, modes, modes] = gammas
+    sources[modes, n + modes, n + modes] = -gammas
+    ws = solve_lyapunov(ss.drift, sources)
     return _budget_from_kernels(ws, gammas, passive_state_space(ss))
 
 

@@ -118,6 +118,10 @@ def finite_float(text: str) -> float:
     return value
 
 
+# Largest grid COUNT accepted; checked before any grid is allocated.
+MAX_GRID_COUNT = 1_000_000
+
+
 def _parse_grid(text: str) -> tuple[str, list[float]]:
     parts = text.split(":")
     if len(parts) not in (4, 5):
@@ -137,6 +141,10 @@ def _parse_grid(text: str) -> tuple[str, list[float]]:
         raise ValidationError(f"grid scale must be linear or log, got {scale!r}")
     if count < 2:
         raise ValidationError(f"grid count must be at least 2, got {count}")
+    if count > MAX_GRID_COUNT:
+        raise ValidationError(
+            f"grid count must be at most {MAX_GRID_COUNT}, got {count}"
+        )
     if scale == "log" and (start <= 0.0 or stop <= 0.0):
         raise ValidationError("log grids require positive endpoints")
     space = np.geomspace if scale == "log" else np.linspace

@@ -1,11 +1,20 @@
 """Dense complex linear algebra for small stable systems.
 
 Everything operates on plain numpy arrays of dimension order ten:
-spectra for stability tests, Lyapunov solves via Kronecker
-vectorization, adaptive Gauss-Kronrod quadrature over the real
-frequency axis, and a golden-section scalar optimizer. Default
-tolerances live in a single constants record so the rest of the
-package never hard-codes them.
+spectra for stability tests, Lyapunov solves, adaptive Gauss-Kronrod
+quadrature over the real frequency axis, and a golden-section scalar
+optimizer. Default tolerances live in a single constants record so the
+rest of the package never hard-codes them.
+
+``solve_lyapunov`` takes one source or a stack of sources for the same
+drift. From dimension 8 (four modes) up it diagonalizes the drift once
+and solves every source by an O(n^3) congruence plus one refinement
+step with the same factors; the Kronecker-vectorized system, O(n^6),
+redoes any source that fails the residual check (near exceptional
+points) or a drift whose factorization fails. Below dimension 8 every
+solve is the Kronecker system, so the two- and three-mode results keep
+their exact bits: their printed outputs include the argmax of a flat
+maximum, which follows roundoff.
 """
 
 from __future__ import annotations
@@ -19,6 +28,9 @@ import numpy as np
 from .errors import DimensionError, NumericsError, StabilityError, ValidationError
 
 MAX_SPECTRUM_DIM = 64
+# Smallest drift dimension (four modes) that solve_lyapunov solves by
+# eigendecomposition; below it every source takes the Kronecker solve.
+_EIGEN_MIN_DIM = 8
 
 
 @dataclass(frozen=True)
@@ -62,8 +74,11 @@ def eigenvalues(m) -> np.ndarray:
         vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NumericsError(f"eigenvalue iteration did not converge: {exc}") from exc
-    order = np.lexsort((-vals.imag, -vals.real))
-    return vals[order]
+    return _sort_spectrum(vals)
+
+
+def _sort_spectrum(vals: np.ndarray) -> np.ndarray:
+    return vals[np.lexsort((-vals.imag, -vals.real))]
 
 
 def is_stable(m, margin: float = 0.0) -> bool:
@@ -76,21 +91,34 @@ def is_stable(m, margin: float = 0.0) -> bool:
 def require_stable(m, context: str = "drift") -> np.ndarray:
     """Return the spectrum of ``m``, raising if it is not strictly stable."""
     vals = eigenvalues(m)
-    top = vals[0]
+    _raise_if_unstable(vals[0], context)
+    return vals
+
+
+def _raise_if_unstable(top: complex, context: str) -> None:
     if top.real >= 0:
         raise StabilityError(
             f"{context} is not strictly stable: eigenvalue "
             f"{top.real:+.6g}{top.imag:+.6g}j has nonnegative real part",
             eigenvalue=complex(top),
         )
-    return vals
 
 
 def solve_lyapunov(a, q, residual_tol: float | None = None) -> np.ndarray:
     """Solve a W + W a^H + q = 0 for Hermitian q and strictly stable a.
 
-    Uses the Kronecker-vectorized linear system, which is exact up to
-    roundoff at these dimensions. The result is symmetrized and the
+    ``q`` is one source of shape (n, n) or a stack of k sources of
+    shape (k, n, n); the result has the shape of ``q``. Drifts of
+    dimension 8 and above (four or more modes) are solved from one
+    eigendecomposition a = V diag(lam) V^-1 shared by every source,
+    W = V [(-V^-1 q V^-H) / (lam_i + conj lam_j)] V^H, followed by one
+    refinement step that solves for the residual with the same factors.
+    Smaller drifts, and every source whose eigen solution fails the
+    residual check (near an exceptional point V is ill-conditioned) or
+    whose factorization fails, take the Kronecker-vectorized linear
+    system, which is exact up to roundoff at these dimensions. The
+    split at dimension 8 keeps the two- and three-mode scenarios on the
+    Kronecker solve bit for bit. Each result is symmetrized and its
     residual is verified against ``residual_tol`` relative to the size
     of the terms it cancels, 2 ||a||_max ||W||_max + ||q||_max. Both
     guards fail on NaN.
@@ -98,36 +126,92 @@ def solve_lyapunov(a, q, residual_tol: float | None = None) -> np.ndarray:
     Raises:
         StabilityError: if ``a`` has an eigenvalue with nonnegative
             real part (the offending eigenvalue is attached).
-        ValidationError: if ``q`` is not Hermitian within tolerance.
+        ValidationError: if a source is not Hermitian within tolerance.
         NumericsError: if the linear system is singular or the residual
             check fails.
     """
     am = _as_square(a)
-    qm = _as_square(q)
-    if am.shape != qm.shape:
-        raise DimensionError(f"shape mismatch: a is {am.shape}, q is {qm.shape}")
+    qs = np.asarray(q, dtype=complex)
+    if qs.ndim not in (2, 3) or qs.shape[-2:] != am.shape:
+        raise DimensionError(f"shape mismatch: a is {am.shape}, q is {qs.shape}")
+    sources = (qs,) if qs.ndim == 2 else tuple(qs)
+    qmaxes = [_hermitian_source_max(qm) for qm in sources]
+    tol = TOL.lyapunov_residual if residual_tol is None else residual_tol
+    eigen = None
+    if am.shape[0] >= _EIGEN_MIN_DIM:
+        eigen = _eigen_solve(am, qs.reshape((-1,) + am.shape), qmaxes, tol)
+    if eigen is None:
+        require_stable(am)
+        ws = _kronecker_solves(am, sources, qmaxes, tol)
+        return ws[0] if qs.ndim == 2 else np.array(ws).reshape(qs.shape)
+    ws, redo = eigen
+    if redo.size:
+        ws[redo] = _kronecker_solves(
+            am, [sources[i] for i in redo], [qmaxes[i] for i in redo], tol
+        )
+    return ws if qs.ndim == 3 else ws[0]
+
+
+def _hermitian_source_max(qm: np.ndarray) -> float:
+    """||q||_max of one source, which must be Hermitian within tolerance."""
     qmax = float(np.abs(qm).max(initial=0.0))
     if not hermitian_defect(qm) <= TOL.hermiticity * max(1.0, qmax):
         raise ValidationError("q must be Hermitian within tolerance")
-    require_stable(am)
+    return qmax
+
+
+def _eigen_solve(am, qs, qmaxes, tol):
+    """Eigen route for a stack of sources: (solutions, indices to redo).
+
+    The indices are the sources whose refined solution fails the
+    residual check. None if the factorization fails.
+    """
+    if am.shape[0] > MAX_SPECTRUM_DIM:
+        return None
+    try:
+        vals, v = np.linalg.eig(am)
+        vinv = np.linalg.inv(v)
+    except np.linalg.LinAlgError:
+        return None
+    _raise_if_unstable(_sort_spectrum(vals)[0], "drift")
+    vh, vinv_h, ah = v.conj().T, vinv.conj().T, am.conj().T
+    neg_denom = -(vals[:, None] + vals.conj()[None, :])
+    with np.errstate(all="ignore"):
+        ws = v @ ((vinv @ qs @ vinv_h) / neg_denom) @ vh
+        ws += v @ ((vinv @ (am @ ws + ws @ ah + qs) @ vinv_h) / neg_denom) @ vh
+        ws = 0.5 * (ws + ws.conj().transpose(0, 2, 1))
+        residual = np.abs(am @ ws + ws @ ah + qs).max(axis=(1, 2))
+        scale = 2.0 * float(np.abs(am).max()) * np.abs(ws).max(axis=(1, 2)) + qmaxes
+    return ws, np.flatnonzero(~(residual <= tol * scale))
+
+
+def _kronecker_solves(am, sources, qmaxes, tol) -> list[np.ndarray]:
+    """Each source through the Kronecker-vectorized system, residual-checked."""
     n = am.shape[0]
     eye = np.eye(n)
-    system = np.kron(eye, am) + np.kron(am.conj(), eye)
-    try:
-        vec = np.linalg.solve(system, -qm.reshape(-1, order="F"))
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"singular Lyapunov system: {exc}") from exc
-    w = vec.reshape((n, n), order="F")
-    w = 0.5 * (w + w.conj().T)
-    tol = TOL.lyapunov_residual if residual_tol is None else residual_tol
-    residual = float(np.abs(am @ w + w @ am.conj().T + qm).max())
-    scale = 2.0 * float(np.abs(am).max()) * float(np.abs(w).max()) + qmax
-    if not residual <= tol * scale:
-        raise NumericsError(
-            f"Lyapunov residual {residual:.3e} exceeds {tol:.1e} * {scale:.3g}",
-            estimate=residual,
-        )
-    return w
+    # kron(eye, a) + kron(conj a, eye), multiplied exactly as np.kron does
+    # (the same bits) without its per-call overhead
+    system = (
+        eye[:, None, :, None] * am[None, :, None, :]
+        + am.conj()[:, None, :, None] * eye[None, :, None, :]
+    ).reshape(n * n, n * n)
+    ws = []
+    for qm, qmax in zip(sources, qmaxes):
+        try:
+            vec = np.linalg.solve(system, -qm.reshape(-1, order="F"))
+        except np.linalg.LinAlgError as exc:
+            raise NumericsError(f"singular Lyapunov system: {exc}") from exc
+        w = vec.reshape((n, n), order="F")
+        w = 0.5 * (w + w.conj().T)
+        residual = float(np.abs(am @ w + w @ am.conj().T + qm).max())
+        scale = 2.0 * float(np.abs(am).max()) * float(np.abs(w).max()) + qmax
+        if not residual <= tol * scale:
+            raise NumericsError(
+                f"Lyapunov residual {residual:.3e} exceeds {tol:.1e} * {scale:.3g}",
+                estimate=residual,
+            )
+        ws.append(w)
+    return ws
 
 
 # 15-point Kronrod extension of the 7-point Gauss rule, nodes ascending.

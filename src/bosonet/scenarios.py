@@ -59,7 +59,7 @@ def _positive(name: str, value: float) -> float:
 
 def _nonnegative(name: str, value: float) -> float:
     value = float(value)
-    if value < 0:
+    if not value >= 0:
         raise ValidationError(f"{name} must be nonnegative, got {value}")
     return value
 
@@ -405,7 +405,7 @@ def parametric_optimum(gamma1: float, gamma2: float) -> ParametricOptimum:
 
     edge = s * (1.0 - 1e-9)
     numeric_x, numeric_value = golden_section_min(bound_at, -edge, edge, rel_tol=1e-12)
-    if abs(numeric_value - value) > 1e-9:
+    if not abs(numeric_value - value) <= 1e-9:
         raise NumericsError(
             "numeric minimization disagrees with the closed-form optimum",
             estimate=abs(numeric_value - value),
@@ -687,6 +687,9 @@ def optimal_coupling(
     approximation; the numeric route maximizes eta_e(g) by golden
     section (the frame network is passive, hence stable at every g, so
     the bracket is free to span several times the formula scale).
+    ``g_numeric`` is accurate only to the search's rel_tol of 1e-6: the
+    maximum is flat, so roundoff-level changes in eta_e move the argmax
+    by about that much, and its digits beyond the sixth carry no meaning.
     """
     kappa = _positive("kappa", kappa)
     omega = _positive("omega", omega)

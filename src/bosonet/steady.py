@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ApplicabilityError, DimensionError, NumericsError
-from .linalg import solve_lyapunov
+from .linalg import TOL, solve_lyapunov
 from .network import InputMoments, StateSpace, passive_state_space
 from .budget import CommutatorBudget
 
@@ -61,7 +61,7 @@ class CovarianceState:
         u = np.block([[eye, eye], [-1j * eye, 1j * eye]]) / math.sqrt(2.0)
         vq = u @ self.v @ u.conj().T
         leak = float(np.abs(vq.imag).max())
-        if leak > _HERMITICITY_LEAK:
+        if not leak <= _HERMITICITY_LEAK:
             raise NumericsError(
                 "quadrature covariance picked up an imaginary part", estimate=leak
             )
@@ -102,13 +102,17 @@ def min_quadrature_variance(state: CovarianceState, mode: int) -> QuadratureVari
 
     The variance over angle is nu + |mu| cos(2 theta + arg mu), so the
     minimum nu - |mu| sits where the cosine hits -1; the angle is
-    reported in [0, pi).
+    reported in [0, pi). A mode whose |mu| is at most
+    ``TOL.lyapunov_residual * nu`` is phase-insensitive to solver
+    accuracy, and its angle is reported as 0 rather than read from the
+    phase of roundoff.
     """
     nu = state.nu(mode)
     mu = state.mu(mode)
-    if mu == 0:
-        return QuadratureVariance(mode=mode, theta=0.0, value=float(nu))
-    theta = 0.5 * math.atan2(-mu.imag, -mu.real) % math.pi
+    if abs(mu) <= TOL.lyapunov_residual * nu:
+        theta = 0.0
+    else:
+        theta = 0.5 * math.atan2(-mu.imag, -mu.real) % math.pi
     return QuadratureVariance(mode=mode, theta=float(theta), value=float(nu - abs(mu)))
 
 

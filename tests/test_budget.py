@@ -1,6 +1,11 @@
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+from bosonet import budget as budget_module
 from bosonet.budget import (
     budget_report,
     budget_via_spectrum,
@@ -9,7 +14,7 @@ from bosonet.budget import (
     verify_reciprocity,
     verify_sum_rules,
 )
-from bosonet.errors import ApplicabilityError
+from bosonet.errors import ApplicabilityError, NumericsError, StabilityError
 from bosonet.network import (
     BathSpec,
     NetworkSpec,
@@ -102,6 +107,44 @@ class TestComputeBudget:
             np.linalg.eigvalsh(k).min() for k in budget.per_channel_k
         )
         assert min_eig < -0.1
+
+
+    def test_unstable_four_mode_network_raises(self):
+        spec = NetworkSpec(
+            4,
+            [BathSpec(1.0)] * 4,
+            [two_mode_squeeze(2.0, 0, 1), beam_splitter(0.3, 1, 2), beam_splitter(0.3, 2, 3)],
+        )
+        with pytest.raises(StabilityError) as err:
+            compute_budget(build_state_space(spec))
+        assert err.value.eigenvalue.real >= 0.0
+
+    def test_nan_share_rejected_by_imaginary_leak_guard(self):
+        ws = np.zeros((1, 2, 2), dtype=complex)
+        ws[0, 0, 0] = complex(1.0, np.nan)
+        with pytest.raises(NumericsError):
+            budget_module._budget_from_kernels(ws, np.array([1.0]), True)
+
+    def test_runtime_does_not_import_scipy(self):
+        # the package promises a numpy-only runtime; scipy is a test oracle
+        script = textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            from bosonet import BathSpec, NetworkSpec, beam_splitter, build_state_space, compute_budget
+            spec = NetworkSpec(
+                8, [BathSpec(1.0 + k) for k in range(8)],
+                [beam_splitter(0.5, k, k + 1) for k in range(7)],
+            )
+            budget = compute_budget(build_state_space(spec))
+            assert np.abs(budget.transfer.sum(axis=1) - 1.0).max() < 1e-12
+            assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSpectralRoute:

@@ -202,6 +202,19 @@ class TestSweep:
         )
         assert proc.returncode == 3
 
+    def test_grid_count_too_large_exits_3_before_allocating(self, tmp_path, monkeypatch):
+        from bosonet import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid allocated")
+
+        monkeypatch.setattr(cli.np, "linspace", refuse)
+        monkeypatch.setattr(cli.np, "geomspace", refuse)
+        for grid in ("g_script:1:2:1000000000000", "g_script:1:2:1000000000000:log"):
+            argv = ["sweep", "--scenario", "fig1", "--grid", grid, "--out", str(tmp_path / "x.csv")]
+            assert cli.main(argv) == 3
+        assert not (tmp_path / "x.csv").exists()
+
     def test_log_grid_needs_positive_endpoints(self, tmp_path):
         proc = run_cli(
             "sweep",

@@ -2,8 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from bosonet import linalg
+from bosonet.budget import compute_budget
 from bosonet.errors import DimensionError, NumericsError, StabilityError, ValidationError
+from bosonet.network import build_state_space
+from bosonet.suites import random_network
 from bosonet.linalg import (
     TOL,
     eigenvalues,
@@ -150,6 +156,129 @@ class TestSolveLyapunov:
         combined = solve_lyapunov(a, q1 + q2)
         separate = solve_lyapunov(a, q1) + solve_lyapunov(a, q2)
         assert np.abs(combined - separate).max() < 1e-10
+
+
+def kronecker_lyapunov(a, q):
+    """The Kronecker-vectorized solve, written out independently."""
+    n = a.shape[0]
+    eye = np.eye(n)
+    system = np.kron(eye, a) + np.kron(a.conj(), eye)
+    w = np.linalg.solve(system, -q.reshape(-1, order="F")).reshape((n, n), order="F")
+    return 0.5 * (w + w.conj().T)
+
+
+def embedded_exceptional_drift(g):
+    """Doubled drift of four modes: the gamma = (2, 1) pair with beam
+    splitter g (exceptional at g = 0.25) plus a decoupled damped pair."""
+    block = np.diag([-1.0, -0.5, -0.7, -0.3]).astype(complex)
+    block[0, 1] = block[1, 0] = -1j * g
+    drift = np.zeros((8, 8), dtype=complex)
+    drift[:4, :4] = block
+    drift[4:, 4:] = block.conj()
+    return drift
+
+
+EXCEPTIONAL_SOURCE = np.diag([2.0, 1.0, 1.4, 0.6, -2.0, -1.0, -1.4, -0.6]).astype(complex)
+
+
+def random_stable(rng, dim):
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return raw - (max(eigenvalues(raw).real.max(), 0.0) + 0.5) * np.eye(dim)
+
+
+def random_hermitian(rng, dim, k=None):
+    shape = (dim, dim) if k is None else (k, dim, dim)
+    h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return h + np.swapaxes(h, -1, -2).conj()
+
+
+class TestLyapunovEngine:
+    def spy_on_fallback(self, monkeypatch):
+        """Record the number of sources each Kronecker fallback solves."""
+        calls = []
+        kronecker = linalg._kronecker_solves
+
+        def spy(am, sources, qmaxes, tol):
+            calls.append(len(sources))
+            return kronecker(am, sources, qmaxes, tol)
+
+        monkeypatch.setattr(linalg, "_kronecker_solves", spy)
+        return calls
+
+    def test_exceptional_point_falls_back_to_kronecker(self, monkeypatch):
+        calls = self.spy_on_fallback(monkeypatch)
+        a = embedded_exceptional_drift(0.25)
+        w = solve_lyapunov(a, EXCEPTIONAL_SOURCE)
+        assert calls == [1]
+        assert np.abs(w - kronecker_lyapunov(a, EXCEPTIONAL_SOURCE)).max() <= 1e-12
+
+    def test_approach_to_exceptional_point(self):
+        # the refinement step is what holds the eigen route to 1e-12 here:
+        # unrefined, k = 8 passed the residual check with an error of 2.6e-10
+        for k in range(2, 15):
+            a = embedded_exceptional_drift(0.25 + 10.0**-k)
+            w = solve_lyapunov(a, EXCEPTIONAL_SOURCE)
+            ref = kronecker_lyapunov(a, EXCEPTIONAL_SOURCE)
+            assert np.abs(w - ref).max() <= 1e-12, k
+
+    def test_eigen_route_runs_away_from_exceptional_points(self, monkeypatch):
+        calls = self.spy_on_fallback(monkeypatch)
+        solve_lyapunov(embedded_exceptional_drift(0.5), EXCEPTIONAL_SOURCE)
+        assert calls == []
+
+    def test_stacked_sources_equal_per_source_calls(self):
+        rng = np.random.default_rng(8)
+        for dim in (4, 6, 8, 12):
+            a = random_stable(rng, dim)
+            qs = random_hermitian(rng, dim, k=3)
+            stacked = solve_lyapunov(a, qs)
+            assert stacked.shape == qs.shape
+            for q, w in zip(qs, stacked):
+                np.testing.assert_array_equal(w, solve_lyapunov(a, q))
+
+    def test_small_dimensions_are_the_kronecker_solve(self):
+        rng = np.random.default_rng(9)
+        for dim in (2, 4, 6):
+            for _ in range(5):
+                a = random_stable(rng, dim)
+                q = random_hermitian(rng, dim)
+                np.testing.assert_array_equal(solve_lyapunov(a, q), kronecker_lyapunov(a, q))
+
+    def test_unstable_drift_raises_on_eigen_route(self):
+        a = np.zeros((8, 8), dtype=complex)
+        a[:4, :4] = UNSTABLE_DRIFT
+        a[4:, 4:] = -np.eye(4)
+        with pytest.raises(StabilityError) as err:
+            solve_lyapunov(a, np.eye(8))
+        assert abs(err.value.eigenvalue - 0.5) < 1e-10
+
+    def test_one_non_hermitian_source_rejects_the_stack(self):
+        qs = np.stack([np.eye(8), np.eye(8)]).astype(complex)
+        qs[1, 0, 1] = 1.0
+        with pytest.raises(ValidationError):
+            solve_lyapunov(-np.eye(8), qs)
+
+    def test_stack_shape_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            solve_lyapunov(-np.eye(8), np.zeros((2, 6, 6)))
+        with pytest.raises(DimensionError):
+            solve_lyapunov(-np.eye(8), np.zeros((2, 2, 8, 8)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), nonpassive=st.booleans())
+def test_engine_matches_scipy_on_random_networks(seed, nonpassive):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    spec = random_network(np.random.default_rng(seed), max_modes=8, nonpassive=nonpassive)
+    assume(spec.n_modes >= 4)
+    ss = build_state_space(spec)
+    budget = compute_budget(ss)
+    n = spec.n_modes
+    for i, w in enumerate(budget.per_channel_w):
+        q = np.zeros((2 * n, 2 * n))
+        q[i, i], q[n + i, n + i] = ss.gammas[i], -ss.gammas[i]
+        ref = scipy_linalg.solve_continuous_lyapunov(ss.drift, -q)
+        assert np.abs(w - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
 
 
 class TestIntegrateSpectrum:

@@ -4,7 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bosonet.errors import ApplicabilityError, FrameError, StabilityError
+from bosonet import scenarios
+from bosonet.errors import (
+    ApplicabilityError,
+    FrameError,
+    NumericsError,
+    StabilityError,
+    ValidationError,
+)
 from bosonet.linalg import solve_lyapunov
 from bosonet.network import (
     BathSpec,
@@ -94,6 +101,10 @@ class TestTwoModeParams:
             p.g_script
         with pytest.raises(FrameError):
             two_mode_squeezing_power(p)
+
+    def test_nan_occupancy_rejected(self):
+        with pytest.raises(ValidationError):
+            TwoModeParams(g_plus=0.5, g_minus=1.0, gamma1=1.0, gamma2=1.0, n1=math.nan)
 
     def test_network_matches_params(self):
         p = TwoModeParams(g_plus=0.3, g_minus=0.8, gamma1=2.0, gamma2=0.5)
@@ -204,6 +215,13 @@ class TestParametricOptimum:
         assert abs(opt.delta_eta_star - 5.0 / 3.0) < 1e-12
         assert abs(opt.min_value - 0.9) < 1e-12
         assert abs(opt.numeric_min_value - 0.9) < 1e-9
+
+    def test_nan_numeric_minimum_rejected(self, monkeypatch):
+        monkeypatch.setattr(
+            scenarios, "golden_section_min", lambda *args, **kwargs: (0.0, math.nan)
+        )
+        with pytest.raises(NumericsError):
+            parametric_optimum(4.0, 1.0)
 
     def test_extreme_asymmetry_approaches_half(self):
         opt = parametric_optimum(1.0e4, 1.0)

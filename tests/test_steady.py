@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bosonet.budget import compute_budget
-from bosonet.errors import ApplicabilityError, StabilityError
+from bosonet.errors import ApplicabilityError, NumericsError, StabilityError
 from bosonet.network import (
     BathSpec,
     InputMoments,
@@ -84,6 +84,12 @@ class TestSteadyCovariance:
 
 
 class TestQuadratureExtraction:
+    def test_nan_covariance_rejected_by_hermiticity_guard(self):
+        v = np.array([[0.6, 0.0], [0.0, 0.6]], dtype=complex)
+        v[0, 1] = complex(0.0, np.nan)
+        with pytest.raises(NumericsError):
+            CovarianceState(v, 1).quadrature_matrix()
+
     def test_real_anomalous_moment(self):
         # mode block diag(0.3, 0.9): nu = 0.6, mu = -0.3
         state = CovarianceState(
@@ -104,6 +110,23 @@ class TestQuadratureExtraction:
         best = min_quadrature_variance(state, 0)
         assert abs(best.theta - 3.0 * math.pi / 4.0) < 1e-12
         assert abs(best.value - 0.3) < 1e-14
+
+    def test_roundoff_anomalous_moment_reports_angle_zero(self):
+        # a passive thermal mode: mu is roundoff, so it carries no angle
+        state = CovarianceState(
+            np.array([[0.7, -1e-30 + 1e-30j], [-1e-30 - 1e-30j, 0.7]], dtype=complex), 1
+        )
+        best = min_quadrature_variance(state, 0)
+        assert best.theta == 0.0
+        assert best.value == 0.7 - abs(complex(-1e-30, 1e-30))
+
+    def test_squeezed_mode_keeps_its_angle(self):
+        # |mu| = 1e-6 nu is far above solver accuracy
+        mu = 1e-6j
+        state = CovarianceState(np.array([[1.0, mu], [-mu, 1.0]]), 1)
+        best = min_quadrature_variance(state, 0)
+        assert abs(best.theta - 3.0 * math.pi / 4.0) < 1e-12
+        assert best.value == 1.0 - 1e-6
 
     def test_minimum_beats_angle_grid(self):
         rng = np.random.default_rng(11)
