@@ -17,12 +17,11 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from .errors import BosonetError, StabilityError, ValidationError
-from .linalg import eigenvalues, is_stable
+from .linalg import eigenvalues
 from .network import (
     InputMoments,
     _number,
@@ -41,7 +40,7 @@ from .scenarios import (
     ThreeModeParams,
     fig1_point,
     fig2_point,
-    fig3_point,
+    fig3_rows,
     optimal_coupling,
     separability_boundary,
 )
@@ -52,8 +51,6 @@ FRAME_CONVENTION = (
     "verdicts below the line are entangled, above separable"
 )
 
-_FIG1_FLAGS = {"gamma1", "gamma2", "xi", "g_script", "n1", "n2"}
-_FIG2_FLAGS = {"gamma1", "gamma2", "g_minus", "g_plus", "n1", "n2"}
 _FIG1_DEFAULTS = {
     "gamma1": 1.0,
     "gamma2": 1.0,
@@ -69,6 +66,11 @@ _FIG2_DEFAULTS = {
     "g_plus": 0.0,
     "n1": 0.0,
     "n2": 0.0,
+}
+# scenario: (point function, CSV header, parameter defaults, grid variables)
+_SCENARIOS = {
+    "fig1": (fig1_point, FIG1_HEADER, _FIG1_DEFAULTS, ("g_script", "xi")),
+    "fig2": (fig2_point, FIG2_HEADER, _FIG2_DEFAULTS, ("delta_eta",)),
 }
 
 
@@ -175,7 +177,7 @@ def cmd_analyze(args) -> int:
     spec = network_from_json(_load_json(args.spec))
     ss = build_state_space(spec)
     spectrum = eigenvalues(ss.drift)
-    stable = is_stable(ss.drift)
+    stable = bool(spectrum[0].real < 0)  # sorted by descending real part
     pr = check_physical_realizability(ss)
     report = {
         "network": {
@@ -197,7 +199,7 @@ def cmd_analyze(args) -> int:
     if spec.labels is not None:
         report["network"]["labels"] = list(spec.labels)
     if not stable:
-        worst = spectrum[0]  # sorted by descending real part
+        worst = spectrum[0]
         report["stability"]["positive_eigenvalue"] = {
             "re": worst.real,
             "im": worst.imag,
@@ -247,63 +249,24 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _fig1_task(task):
-    var, value, fixed = task
-    params = dict(fixed)
-    params[var] = value
+def _sweep_row(point, header: tuple, params: dict, var: str) -> tuple:
+    """One sweep row; a failing point keeps its parameter columns, the rest nan."""
     try:
-        row = fig1_point(
-            params["g_script"],
-            params["xi"],
-            params["gamma1"],
-            params["gamma2"],
-            params["n1"],
-            params["n2"],
-        )
-        return row, None
+        return point(**params)
     except BosonetError as exc:
-        row = (
-            params["g_script"],
-            params["xi"],
-            params["gamma1"],
-            params["gamma2"],
-            math.nan,
-            math.nan,
-            math.nan,
+        print(
+            f"warning: sweep point skipped: {var}={params[var]:.12g}: {exc}",
+            file=sys.stderr,
         )
-        return row, f"{var}={value:.12g}: {exc}"
-
-
-def _fig2_task(task):
-    var, value, fixed = task
-    params = dict(fixed)
-    params[var] = value
-    try:
-        row = fig2_point(
-            params["delta_eta"],
-            params["gamma1"],
-            params["gamma2"],
-            params["g_minus"],
-            params["g_plus"],
-            params["n1"],
-            params["n2"],
-        )
-        return row, None
-    except BosonetError as exc:
-        row = (params["delta_eta"], params["gamma1"], params["gamma2"], math.nan, math.nan)
-        return row, f"{var}={value:.12g}: {exc}"
+        return tuple(params.get(column, math.nan) for column in header)
 
 
 def cmd_sweep(args) -> int:
+    # --workers is validated but has no effect: every grid runs in process
     if args.workers < 1:
         raise ValidationError("--workers must be at least 1")
     var, values = _parse_grid(args.grid)
-    if args.scenario == "fig1":
-        allowed, defaults, task, header = _FIG1_FLAGS, _FIG1_DEFAULTS, _fig1_task, FIG1_HEADER
-        grid_vars = {"g_script", "xi"}
-    else:
-        allowed, defaults, task, header = _FIG2_FLAGS, _FIG2_DEFAULTS, _fig2_task, FIG2_HEADER
-        grid_vars = {"delta_eta"}
+    point, header, defaults, grid_vars = _SCENARIOS[args.scenario]
     if var not in grid_vars:
         raise ValidationError(
             f"scenario {args.scenario} can only sweep {sorted(grid_vars)}, got {var!r}"
@@ -312,7 +275,7 @@ def cmd_sweep(args) -> int:
         given = getattr(args, name)
         if given is None:
             continue
-        if name not in allowed:
+        if name not in defaults:
             raise ValidationError(f"--{name.replace('_', '-')} does not apply to {args.scenario}")
         if name == var:
             raise ValidationError(f"--{name.replace('_', '-')} conflicts with the grid variable")
@@ -321,17 +284,7 @@ def cmd_sweep(args) -> int:
         for key, default in defaults.items()
         if key != var
     }
-    tasks = [(var, value, fixed) for value in values]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            outcomes = list(pool.map(task, tasks))
-    else:
-        outcomes = [task(t) for t in tasks]
-    rows = []
-    for (row, warning) in outcomes:
-        rows.append(row)
-        if warning is not None:
-            print(f"warning: sweep point skipped: {warning}", file=sys.stderr)
+    rows = [_sweep_row(point, header, {**fixed, var: value}, var) for value in values]
     _write_csv(args.out, header, rows)
     return 0
 
@@ -396,11 +349,7 @@ def cmd_boundary(args) -> int:
         },
     }
     _write_json(args.out, payload)
-    rows = [
-        fig3_point(params, n_o, n_m)
-        for n_o in grids["n_o"]
-        for n_m in grids["n_m"]
-    ]
+    rows = fig3_rows(params, grids["n_o"], grids["n_m"])
     if args.out_csv is not None:
         csv_path = args.out_csv
     elif args.out.endswith(".json"):
@@ -439,7 +388,7 @@ def build_parser() -> _Parser:
     sweep.add_argument("--scenario", required=True, choices=("fig1", "fig2"))
     sweep.add_argument("--grid", required=True, help="VAR:START:STOP:COUNT[:log]")
     sweep.add_argument("--out", required=True, help="CSV path")
-    sweep.add_argument("--workers", type=int, default=1, help="parallel workers")
+    sweep.add_argument("--workers", type=int, default=1, help="accepted; no effect")
     for flag in ("gamma1", "gamma2", "xi", "g-script", "g-minus", "g-plus", "n1", "n2"):
         sweep.add_argument(f"--{flag}", type=finite_float, default=None)
     sweep.set_defaults(handler=cmd_sweep)

@@ -351,6 +351,14 @@ def check_physical_realizability(
     return RealizabilityReport(residual=residual, tol=tol, passed=residual <= tol)
 
 
+def _moment_scale(*moments: np.ndarray) -> float:
+    """max(1, largest |entry|) for relative guards; non-finite entries raise."""
+    tops = [float(np.abs(m).max(initial=0.0)) for m in moments]
+    if not all(math.isfinite(top) for top in tops):
+        raise ValidationError("input moments must be finite")
+    return max(1.0, *tops)
+
+
 @dataclass(frozen=True, eq=False)
 class InputMoments:
     """Stationary white-noise second moments, one set per input channel.
@@ -418,23 +426,31 @@ class InputMoments:
 
     @classmethod
     def from_correlators(cls, normal: np.ndarray, anomalous: np.ndarray) -> "InputMoments":
-        """Split full correlator matrices into per-channel and cross parts."""
+        """Split full correlator matrices into per-channel and cross parts.
+
+        The normal diagonal must be real to 1e-9, and cross terms at or
+        below 1e-14 are dropped, both relative to max(1, largest entry),
+        so large occupancies are judged by their own roundoff. A
+        non-finite entry raises ValidationError.
+        """
         cn = np.asarray(normal, dtype=complex)
         cm = np.asarray(anomalous, dtype=complex)
         if cn.shape != cm.shape or cn.ndim != 2 or cn.shape[0] != cn.shape[1]:
             raise DimensionError("correlator matrices must be square and matching")
+        scale = _moment_scale(cn, cm)
         diag_imag = float(np.abs(np.diag(cn).imag).max(initial=0.0))
-        if diag_imag > 1e-9:
+        if not diag_imag <= 1e-9 * scale:
             raise ValidationError("normal correlator diagonal must be real")
         occ = np.diag(cn).real
         ano = np.diag(cm)
         cn_off = cn - np.diag(np.diag(cn))
         cm_off = cm - np.diag(np.diag(cm))
+        cutoff = 1e-14 * scale
         return cls(
             occ,
             ano,
-            normal_cross=cn_off if np.abs(cn_off).max(initial=0.0) > 1e-14 else None,
-            anomalous_cross=cm_off if np.abs(cm_off).max(initial=0.0) > 1e-14 else None,
+            normal_cross=cn_off if np.abs(cn_off).max(initial=0.0) > cutoff else None,
+            anomalous_cross=cm_off if np.abs(cm_off).max(initial=0.0) > cutoff else None,
         )
 
     @property
@@ -573,7 +589,9 @@ class MomentTransform:
 
         Valid when the transform only mixes channels of equal damping
         (then the input matrix commutes with the transform and the new
-        frame keeps the standard one-bath-per-mode form).
+        frame keeps the standard one-bath-per-mode form). The doubled
+        structure of the result is checked to 1e-10 of max(1, its
+        largest entry), so thermal occupancies of 1e6 and more pass.
         """
         n = self.n_modes
         if inputs.n_channels != n:
@@ -586,7 +604,7 @@ class MomentTransform:
             float(np.abs(out[n:, :n] - cm.conj()).max()),
             float(np.abs(cm - cm.T).max()),
         )
-        if not checks <= 1e-10:
+        if not checks <= 1e-10 * _moment_scale(out):
             raise NumericsError(
                 "transformed noise matrix lost its doubled structure",
                 estimate=checks,

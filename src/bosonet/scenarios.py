@@ -30,7 +30,12 @@ from .errors import (
     StabilityError,
     ValidationError,
 )
-from .linalg import golden_section_max, golden_section_min, require_stable, solve_lyapunov
+from .linalg import (
+    _raise_if_unstable,
+    golden_section_max,
+    golden_section_min,
+    solve_lyapunov,
+)
 from .network import (
     BathSpec,
     InputMoments,
@@ -448,8 +453,11 @@ def parametric_variance_check(p: ParametricParams) -> PairedVarianceReport:
     blocks = parametric_blocks(p)
     variances = {}
     for block in blocks:
-        require_stable(block.drift, context=f"quadrature block {block.labels}")
-        w = solve_lyapunov(block.drift, block.noise.astype(complex))
+        try:
+            w = solve_lyapunov(block.drift, block.noise.astype(complex))
+        except StabilityError as exc:
+            _raise_if_unstable(exc.eigenvalue, f"quadrature block {block.labels}")
+            raise
         variances[block.labels[0]] = float(w[0, 0].real)
         variances[block.labels[1]] = float(w[1, 1].real)
     v1, v2 = p.n1 + 0.5, p.n2 + 0.5
@@ -590,6 +598,15 @@ def duan_quantity(p: ThreeModeParams) -> DuanResult:
     the mechanical and optical occupancies, with the optical term
     carrying exp(-2 xi). Values below 1 certify entanglement.
     """
+    return _duan(p, three_mode_budget(p).transfer)
+
+
+def _duan(p: ThreeModeParams, shares: np.ndarray) -> DuanResult:
+    """duan_quantity with the frame transfer matrix already computed.
+
+    The shares depend on the scheme only, never on (n_o, n_m), so one
+    matrix serves every occupancy of a grid.
+    """
     phys = three_mode_physical_network(p)
     pss = build_state_space(phys)
     cov = steady_covariance(pss, InputMoments.from_baths(phys))
@@ -607,7 +624,6 @@ def duan_quantity(p: ThreeModeParams) -> DuanResult:
     else:
         direct, pairing = second, "p_sigma_x_delta"
 
-    shares = three_mode_budget(p).transfer
     mechanical = float(shares[1, 1] + shares[1, 2] + shares[2, 1] + shares[2, 2])
     optical = float(shares[1, 0] + shares[2, 0])
     budget_value = mechanical * (p.n_m + 0.5) + optical * (
@@ -770,7 +786,21 @@ def fig2_point(
     return (delta_eta, gamma1, gamma2, parametric_bound(params), report.sum_y)
 
 
+def fig3_rows(p: ThreeModeParams, n_os, n_ms) -> list[tuple]:
+    """Duan-plane rows over the grid n_os x n_ms, n_o the outer loop.
+
+    The frame budget is computed once for the scheme and shared by
+    every row; each row still checks its direct route against it.
+    """
+    shares = three_mode_budget(p).transfer
+    rows = []
+    for n_o in n_os:
+        for n_m in n_ms:
+            result = _duan(replace(p, n_o=n_o, n_m=n_m), shares)
+            rows.append((n_o, n_m, result.direct, result.budget, result.entangled))
+    return rows
+
+
 def fig3_point(p: ThreeModeParams, n_o: float, n_m: float) -> tuple:
     """One Duan-plane row at the given occupancies."""
-    result = duan_quantity(replace(p, n_o=n_o, n_m=n_m))
-    return (n_o, n_m, result.direct, result.budget, result.entangled)
+    return fig3_rows(p, [n_o], [n_m])[0]

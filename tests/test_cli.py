@@ -190,6 +190,29 @@ class TestSweep:
         assert last[1] == "4"
         assert last[2] == "1"
 
+    def test_fig1_points_without_a_frame_become_nan_rows(self, tmp_path):
+        out = tmp_path / "fig1.csv"
+        proc = run_cli(
+            "sweep",
+            "--scenario",
+            "fig1",
+            "--grid",
+            "xi:0:1:3",
+            "--g-script",
+            "0",
+            "--out",
+            str(out),
+        )
+        assert proc.returncode == 0
+        assert proc.stderr.count("sweep point skipped") == 3
+        assert "xi=0.5: no hyperbolic frame" in proc.stderr
+        lines = out.read_text().splitlines()
+        assert lines[1:] == [
+            "0,0,1,1,nan,nan,nan",
+            "0,0.5,1,1,nan,nan,nan",
+            "0,1,1,1,nan,nan,nan",
+        ]
+
     def test_grid_count_too_small_exits_3(self, tmp_path):
         proc = run_cli(
             "sweep",
@@ -386,6 +409,25 @@ class TestBoundary:
         )
         assert proc.returncode == 3
 
+    def test_room_temperature_mechanical_bath(self, tmp_path):
+        proc = run_cli(
+            "boundary",
+            "--g-script",
+            "1",
+            "--xi",
+            "0.5",
+            "--grid",
+            "n_o:0:2:3",
+            "--grid",
+            "n_m:0:1e6:3",
+            "--out",
+            str(tmp_path / "b.json"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split(",") for line in (tmp_path / "b.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 9
+        assert all(row[4] == "false" for row in rows if float(row[1]) > 0)
+
     def test_explicit_csv_path(self, tmp_path):
         proc = self.common_args(
             tmp_path, "--out-csv", str(tmp_path / "elsewhere.csv")
@@ -428,6 +470,16 @@ class TestTopLevel:
     def test_unknown_command_exits_3(self):
         proc = run_cli("frobnicate")
         assert proc.returncode == 3
+
+    def test_cli_import_starts_no_process_pool(self):
+        # every grid runs in process; the pool machinery stays unimported
+        script = (
+            "import sys, bosonet.cli; "
+            "assert 'concurrent.futures' not in sys.modules, "
+            "sorted(m for m in sys.modules if m.startswith('concurrent'))"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestNonFiniteInputs:

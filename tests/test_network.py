@@ -271,6 +271,35 @@ class TestInputMoments:
         m = InputMoments(occupancy=np.array([1.0]), anomalous=np.array([0.0]))
         assert np.allclose(m.noise_matrix(), np.diag([1.5, 1.5]))
 
+    def test_cross_terms_are_judged_against_the_moment_scale(self):
+        # kept at unit scale, roundoff next to occupancies of 1e6
+        off = np.array([[0.0, 1e-9], [1e-9, 0.0]])
+        unit = InputMoments.from_correlators(np.eye(2) + off, np.zeros((2, 2)))
+        assert unit.normal_cross is not None
+        large = InputMoments.from_correlators(1e6 * np.eye(2) + off, np.zeros((2, 2)))
+        assert large.normal_cross is None
+        assert np.array_equal(large.occupancy, [1e6, 1e6])
+
+    def test_imaginary_diagonal_is_judged_against_the_moment_scale(self):
+        with pytest.raises(ValidationError, match="diagonal must be real"):
+            InputMoments.from_correlators(np.diag([1.0, 1.0 + 2e-9j]), np.zeros((2, 2)))
+        m = InputMoments.from_correlators(np.diag([1e6, 1e6 + 2e-9j]), np.zeros((2, 2)))
+        assert np.array_equal(m.occupancy, [1e6, 1e6])
+
+    @pytest.mark.parametrize(
+        "where", ["imag_diagonal", "normal_cross", "anomalous_cross"]
+    )
+    def test_nan_correlator_is_refused(self, where):
+        normal, anomalous = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
+        if where == "imag_diagonal":
+            normal[1, 1] = complex(1.0, math.nan)
+        elif where == "normal_cross":
+            normal[0, 1] = normal[1, 0] = math.nan
+        else:
+            anomalous[0, 1] = anomalous[1, 0] = math.nan
+        with pytest.raises(ValidationError, match="finite"):
+            InputMoments.from_correlators(normal, anomalous)
+
     def test_noise_matrix_anomalous_off_diagonal(self):
         m = InputMoments.from_baths(
             NetworkSpec(1, [BathSpec(1.0, occupancy=1.0, anomalous=0.4 + 0.3j)])
@@ -304,6 +333,19 @@ class TestMomentTransform:
         t = MomentTransform.two_mode_bogoliubov(3, 0, 2, 0.6)
         prod = t.compose(t.inverse())
         assert np.abs(prod.matrix - np.eye(6)).max() < 1e-12
+
+    def test_nan_input_moments_are_refused(self):
+        moments = InputMoments(np.ones(2), np.array([math.nan, 0.0]))
+        with pytest.raises(ValidationError, match="finite"):
+            MomentTransform.mixer(2, 0, 1).apply_to_inputs(moments)
+
+    @pytest.mark.parametrize("n", [1.0, 1e4, 1e6, 1e8])
+    def test_equal_occupancies_survive_a_mixer(self, n):
+        moments = MomentTransform.mixer(2, 0, 1).apply_to_inputs(
+            InputMoments.thermal([n, n])
+        )
+        assert moments.normal_cross is None and moments.anomalous_cross is None
+        assert np.abs(moments.occupancy - n).max() <= 1e-12 * n
 
     def test_rotation_acts_only_on_its_mode(self):
         t = MomentTransform.rotation(2, 0, 0.7)
@@ -444,6 +486,11 @@ class TestTransformNetwork:
             transform_network(
                 bs_pair(), MomentTransform.two_mode_bogoliubov(2, 0, 1, 0.3)
             )
+
+    def test_unequal_large_occupancies_are_refused(self):
+        spec = NetworkSpec(2, [BathSpec(1.0, 1e6), BathSpec(1.0, 2e6)])
+        with pytest.raises(NumericsError, match="cross-channel"):
+            transform_network(spec, MomentTransform.mixer(2, 0, 1))
 
     def test_composed_transform_equals_successive_frames(self):
         spec = squeezer_pair(1.0, 0.5)

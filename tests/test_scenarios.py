@@ -33,6 +33,7 @@ from bosonet.scenarios import (
     fig1_point,
     fig2_point,
     fig3_point,
+    fig3_rows,
     optimal_coupling,
     parametric_blocks,
     parametric_bound,
@@ -398,6 +399,16 @@ class TestDuanQuantity:
         assert not result.entangled
         assert abs(result.direct - result.budget) < 1e-8
 
+    @pytest.mark.parametrize("n", [1e4, 1e6])
+    def test_room_temperature_occupancies(self, n):
+        # the Duan sum is affine in the occupancies, so unit-scale
+        # points predict the value at n_o = n_m = n
+        cold = duan_quantity(THREE_MODE).direct
+        warm = duan_quantity(replace(THREE_MODE, n_o=1.0, n_m=1.0)).direct
+        result = duan_quantity(replace(THREE_MODE, n_o=n, n_m=n))
+        assert result.direct == pytest.approx(cold + n * (warm - cold), rel=1e-12)
+        assert not result.entangled
+
 
 class TestBoundary:
     def test_no_squeeze_is_degenerate(self):
@@ -510,3 +521,34 @@ class TestRowHelpers:
         assert len(row) == len(FIG3_HEADER)
         assert row[2] == pytest.approx(0.3862921656672832, abs=1e-12)
         assert row[4] is True
+
+    @pytest.mark.parametrize("n", [1e4, 1e6, 1e8])
+    def test_fig1_row_at_room_temperature(self, n):
+        # for n1 = n2 the normalized sum does not depend on the occupancy
+        row = fig1_point(2.0, 0.5, 1.0, 1.0, n1=n, n2=n)
+        assert abs(row[6] - equal_damping_sum(2.0, 0.5)) < 1e-9
+
+
+class TestFig3Rows:
+    N_OS = np.linspace(0.0, 2.0, 5)
+    N_MS = np.linspace(0.0, 0.5, 5)
+
+    def test_rows_equal_per_point_duan(self):
+        expected = []
+        for n_o in self.N_OS:
+            for n_m in self.N_MS:
+                r = duan_quantity(replace(THREE_MODE, n_o=n_o, n_m=n_m))
+                expected.append((n_o, n_m, r.direct, r.budget, r.entangled))
+        assert fig3_rows(THREE_MODE, self.N_OS, self.N_MS) == expected
+
+    def test_one_budget_per_grid(self, monkeypatch):
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return three_mode_budget(p)
+
+        monkeypatch.setattr(scenarios, "three_mode_budget", counting)
+        rows = fig3_rows(THREE_MODE, self.N_OS, self.N_MS)
+        assert len(rows) == 25
+        assert len(calls) == 1
