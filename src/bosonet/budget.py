@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ApplicabilityError, DimensionError, NumericsError
 from .linalg import TOL, integrate_spectrum, require_stable, solve_lyapunov
-from .network import StateSpace, passive_state_space
+from .network import StateSpace, metric, passive_state_space
 
 _IMAG_LEAK_TOL = 1e-10
 
@@ -99,11 +99,10 @@ def budget_via_spectrum(
     def kernel(omegas: np.ndarray) -> np.ndarray:
         shift = -1j * omegas[:, None, None] * eye - ss.drift
         t = np.linalg.solve(shift, np.broadcast_to(ss.input, shift.shape))
-        upper = t[:, :, :n]
-        lower = t[:, :, n:]
-        s1 = np.einsum("bij,bkj->bjik", upper, upper.conj())
-        s2 = np.einsum("bij,bkj->bjik", lower, lower.conj())
-        return s1 - s2
+        # channel j: outer products of T's columns j and N + j, subtracted
+        cols = t.transpose(0, 2, 1)
+        outer = cols[:, :, :, None] * cols[:, :, None, :].conj()
+        return outer[:, :n] - outer[:, n:]
 
     breakpoints = []
     for lam in spectrum:
@@ -142,8 +141,7 @@ def verify_sum_rules(
     k_sum = budget.per_channel_k.sum(axis=0)
     completeness = float(np.abs(k_sum - np.eye(n)).max())
     w_sum = budget.per_channel_w.sum(axis=0)
-    sigma = np.diag(np.concatenate([np.ones(n), -np.ones(n)]))
-    metric_residual = float(np.abs(w_sum - sigma).max())
+    metric_residual = float(np.abs(w_sum - metric(n)).max())
     gamma_rows: tuple[float, ...] | None = None
     min_eigs: tuple[float, ...] | None = None
     ok = completeness <= completeness_tol and metric_residual <= metric_tol

@@ -24,12 +24,11 @@ from .errors import BosonetError, StabilityError, ValidationError
 from .linalg import eigenvalues
 from .network import (
     InputMoments,
-    _number,
-    _require_keys,
     build_state_space,
     check_physical_realizability,
-    is_passive,
+    moments_from_json,
     network_from_json,
+    passive_state_space,
 )
 from .budget import budget_report, compute_budget
 from .steady import min_quadrature_variance, quadrature_variance, steady_covariance
@@ -153,26 +152,6 @@ def _parse_grid(text: str) -> tuple[str, list[float]]:
     return var, [float(v) for v in space(start, stop, count)]
 
 
-def _moments_from_doc(doc, n_modes: int) -> InputMoments:
-    _require_keys(doc, ("channels",), "inputs")
-    channels = doc["channels"]
-    if not isinstance(channels, list):
-        raise ValidationError("inputs: 'channels' must be an array")
-    if len(channels) != n_modes:
-        raise ValidationError(
-            f"inputs: expected {n_modes} channels, got {len(channels)}"
-        )
-    occupancy, anomalous = [], []
-    for k, channel in enumerate(channels):
-        where = f"inputs: channels[{k}]"
-        _require_keys(channel, ("n", "m_re", "m_im"), where)
-        occupancy.append(_number(channel, "n", where))
-        anomalous.append(
-            complex(_number(channel, "m_re", where), _number(channel, "m_im", where))
-        )
-    return InputMoments(np.array(occupancy), np.array(anomalous))
-
-
 def cmd_analyze(args) -> int:
     spec = network_from_json(_load_json(args.spec))
     ss = build_state_space(spec)
@@ -183,7 +162,7 @@ def cmd_analyze(args) -> int:
         "network": {
             "n_modes": spec.n_modes,
             "gammas": [b.gamma for b in spec.baths],
-            "passive": is_passive(spec),
+            "passive": passive_state_space(ss),
         },
         "convention": {
             "doubled_ordering": ss.ordering,
@@ -213,7 +192,7 @@ def cmd_analyze(args) -> int:
         return 2
     report["budget"] = budget_report(compute_budget(ss))
     if args.inputs is not None:
-        inputs = _moments_from_doc(_load_json(args.inputs), spec.n_modes)
+        inputs = moments_from_json(_load_json(args.inputs), spec.n_modes)
         source = "file"
     else:
         inputs = InputMoments.from_baths(spec)

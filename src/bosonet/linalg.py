@@ -3,18 +3,13 @@
 Everything operates on plain numpy arrays of dimension order ten:
 spectra for stability tests, Lyapunov solves, adaptive Gauss-Kronrod
 quadrature over the real frequency axis, and a golden-section scalar
-optimizer. Default tolerances live in a single constants record so the
-rest of the package never hard-codes them.
+optimizer. The solver defaults live in the record ``TOL``; guards on
+derived quantities (imaginary leaks, route agreement) keep their own
+constants in the modules that own them.
 
-``solve_lyapunov`` takes one source or a stack of sources for the same
-drift. From dimension 8 (four modes) up it diagonalizes the drift once
-and solves every source by an O(n^3) congruence plus one refinement
-step with the same factors; the Kronecker-vectorized system, O(n^6),
-redoes any source that fails the residual check (near exceptional
-points) or a drift whose factorization fails. Below dimension 8 every
-solve is the Kronecker system, so the two- and three-mode results keep
-their exact bits: their printed outputs include the argmax of a flat
-maximum, which follows roundoff.
+``solve_lyapunov`` documents its two routes: one eigendecomposition per
+drift from four modes up, the exact Kronecker system below and wherever
+the eigen route fails its residual check.
 """
 
 from __future__ import annotations
@@ -59,17 +54,23 @@ def hermitian_defect(m) -> float:
     return float(np.abs(a - a.conj().T).max(initial=0.0))
 
 
+def _as_drift(m) -> np.ndarray:
+    """A square matrix no larger than MAX_SPECTRUM_DIM."""
+    a = _as_square(m)
+    if a.shape[0] > MAX_SPECTRUM_DIM:
+        raise DimensionError(
+            f"spectrum limited to dimension {MAX_SPECTRUM_DIM}, got {a.shape[0]}"
+        )
+    return a
+
+
 def eigenvalues(m) -> np.ndarray:
     """Spectrum of a square matrix, sorted by real part, descending.
 
     Ties in the real part are broken by descending imaginary part so
     the ordering is deterministic. Multiplicities are preserved.
     """
-    a = _as_square(m)
-    if a.shape[0] > MAX_SPECTRUM_DIM:
-        raise DimensionError(
-            f"spectrum limited to dimension {MAX_SPECTRUM_DIM}, got {a.shape[0]}"
-        )
+    a = _as_drift(m)
     try:
         vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
@@ -104,7 +105,7 @@ def _raise_if_unstable(top: complex, context: str) -> None:
         )
 
 
-def solve_lyapunov(a, q, residual_tol: float | None = None) -> np.ndarray:
+def solve_lyapunov(a, q) -> np.ndarray:
     """Solve a W + W a^H + q = 0 for Hermitian q and strictly stable a.
 
     ``q`` is one source of shape (n, n) or a stack of k sources of
@@ -118,38 +119,42 @@ def solve_lyapunov(a, q, residual_tol: float | None = None) -> np.ndarray:
     whose factorization fails, take the Kronecker-vectorized linear
     system, which is exact up to roundoff at these dimensions. The
     split at dimension 8 keeps the two- and three-mode scenarios on the
-    Kronecker solve bit for bit. Each result is symmetrized and its
-    residual is verified against ``residual_tol`` relative to the size
-    of the terms it cancels, 2 ||a||_max ||W||_max + ||q||_max. Both
+    Kronecker solve bit for bit. Each result is symmetrized, and every
+    route passes the one residual check of ``_residual_error``. Both
     guards fail on NaN.
 
     Raises:
+        DimensionError: if ``a`` exceeds ``MAX_SPECTRUM_DIM`` or the
+            shapes do not match.
         StabilityError: if ``a`` has an eigenvalue with nonnegative
             real part (the offending eigenvalue is attached).
         ValidationError: if a source is not Hermitian within tolerance.
         NumericsError: if the linear system is singular or the residual
             check fails.
     """
-    am = _as_square(a)
+    am = _as_drift(a)
     qs = np.asarray(q, dtype=complex)
     if qs.ndim not in (2, 3) or qs.shape[-2:] != am.shape:
         raise DimensionError(f"shape mismatch: a is {am.shape}, q is {qs.shape}")
-    sources = (qs,) if qs.ndim == 2 else tuple(qs)
+    sources = (qs,) if qs.ndim == 2 else qs
     qmaxes = [_hermitian_source_max(qm) for qm in sources]
-    tol = TOL.lyapunov_residual if residual_tol is None else residual_tol
-    eigen = None
+    ws = None
     if am.shape[0] >= _EIGEN_MIN_DIM:
-        eigen = _eigen_solve(am, qs.reshape((-1,) + am.shape), qmaxes, tol)
-    if eigen is None:
+        ws = _eigen_solve(am, qs.reshape((-1,) + am.shape))
+    if ws is None:
         require_stable(am)
-        ws = _kronecker_solves(am, sources, qmaxes, tol)
-        return ws[0] if qs.ndim == 2 else np.array(ws).reshape(qs.shape)
-    ws, redo = eigen
-    if redo.size:
-        ws[redo] = _kronecker_solves(
-            am, [sources[i] for i in redo], [qmaxes[i] for i in redo], tol
-        )
-    return ws if qs.ndim == 3 else ws[0]
+        ws = _kronecker_solves(am, sources, qmaxes)
+    else:
+        with np.errstate(all="ignore"):
+            redo = [
+                k for k, (w, qm, qmax) in enumerate(zip(ws, sources, qmaxes))
+                if _residual_error(am, w, qm, qmax) is not None
+            ]
+        if redo:
+            ws[redo] = _kronecker_solves(
+                am, [sources[k] for k in redo], [qmaxes[k] for k in redo]
+            )
+    return ws[0] if qs.ndim == 2 else np.asarray(ws)
 
 
 def _hermitian_source_max(qm: np.ndarray) -> float:
@@ -160,14 +165,24 @@ def _hermitian_source_max(qm: np.ndarray) -> float:
     return qmax
 
 
-def _eigen_solve(am, qs, qmaxes, tol):
-    """Eigen route for a stack of sources: (solutions, indices to redo).
-
-    The indices are the sources whose refined solution fails the
-    residual check. None if the factorization fails.
-    """
-    if am.shape[0] > MAX_SPECTRUM_DIM:
+def _residual_error(am, w, qm, qmax: float) -> NumericsError | None:
+    """The accuracy check of every solve: None if a W + W a^H + q is within
+    TOL.lyapunov_residual of 2 ||a||_max ||W||_max + ||q||_max, the size of
+    the terms it cancels; else the error to raise. NaN fails."""
+    residual = float(np.abs(am @ w + w @ am.conj().T + qm).max())
+    scale = 2.0 * float(np.abs(am).max()) * float(np.abs(w).max()) + qmax
+    if residual <= TOL.lyapunov_residual * scale:
         return None
+    return NumericsError(
+        f"Lyapunov residual {residual:.3e} exceeds "
+        f"{TOL.lyapunov_residual:.1e} * {scale:.3g}",
+        estimate=residual,
+    )
+
+
+def _eigen_solve(am, qs):
+    """Refined eigen-route solutions for a stack of sources, or None if
+    the factorization fails; the spectrum it yields decides stability."""
     try:
         vals, v = np.linalg.eig(am)
         vinv = np.linalg.inv(v)
@@ -179,13 +194,10 @@ def _eigen_solve(am, qs, qmaxes, tol):
     with np.errstate(all="ignore"):
         ws = v @ ((vinv @ qs @ vinv_h) / neg_denom) @ vh
         ws += v @ ((vinv @ (am @ ws + ws @ ah + qs) @ vinv_h) / neg_denom) @ vh
-        ws = 0.5 * (ws + ws.conj().transpose(0, 2, 1))
-        residual = np.abs(am @ ws + ws @ ah + qs).max(axis=(1, 2))
-        scale = 2.0 * float(np.abs(am).max()) * np.abs(ws).max(axis=(1, 2)) + qmaxes
-    return ws, np.flatnonzero(~(residual <= tol * scale))
+        return 0.5 * (ws + ws.conj().transpose(0, 2, 1))
 
 
-def _kronecker_solves(am, sources, qmaxes, tol) -> list[np.ndarray]:
+def _kronecker_solves(am, sources, qmaxes) -> list[np.ndarray]:
     """Each source through the Kronecker-vectorized system, residual-checked."""
     n = am.shape[0]
     eye = np.eye(n)
@@ -203,13 +215,9 @@ def _kronecker_solves(am, sources, qmaxes, tol) -> list[np.ndarray]:
             raise NumericsError(f"singular Lyapunov system: {exc}") from exc
         w = vec.reshape((n, n), order="F")
         w = 0.5 * (w + w.conj().T)
-        residual = float(np.abs(am @ w + w @ am.conj().T + qm).max())
-        scale = 2.0 * float(np.abs(am).max()) * float(np.abs(w).max()) + qmax
-        if not residual <= tol * scale:
-            raise NumericsError(
-                f"Lyapunov residual {residual:.3e} exceeds {tol:.1e} * {scale:.3g}",
-                estimate=residual,
-            )
+        error = _residual_error(am, w, qm, qmax)
+        if error is not None:
+            raise error
         ws.append(w)
     return ws
 

@@ -162,18 +162,6 @@ class NetworkSpec:
         return np.array([b.gamma for b in self.baths])
 
 
-def is_passive(spec: NetworkSpec) -> bool:
-    """True iff the network conserves particle number.
-
-    Passive networks have no squeeze or parametric terms, hence no
-    annihilation/creation mixing in the drift.
-    """
-    return not any(
-        c.kind in ("two_mode_squeeze", "degenerate_parametric")
-        for c in spec.couplings
-    )
-
-
 def network_to_json(spec: NetworkSpec) -> dict:
     """Serialize to the documented JSON layout (0-based mode indices)."""
     return {
@@ -259,6 +247,25 @@ def network_from_json(doc: dict) -> NetworkSpec:
     return NetworkSpec(n_modes=modes, baths=tuple(baths), couplings=tuple(couplings))
 
 
+def moments_from_json(doc: dict, n_modes: int) -> InputMoments:
+    """Parse an inputs document (one channel per mode), naming the bad field."""
+    _require_keys(doc, ("channels",), "inputs")
+    channels = doc["channels"]
+    if not isinstance(channels, list):
+        raise ValidationError("inputs: 'channels' must be an array")
+    if len(channels) != n_modes:
+        raise ValidationError(f"inputs: expected {n_modes} channels, got {len(channels)}")
+    occupancy, anomalous = [], []
+    for k, channel in enumerate(channels):
+        where = f"inputs: channels[{k}]"
+        _require_keys(channel, ("n", "m_re", "m_im"), where)
+        occupancy.append(_number(channel, "n", where))
+        anomalous.append(
+            complex(_number(channel, "m_re", where), _number(channel, "m_im", where))
+        )
+    return InputMoments(np.array(occupancy), np.array(anomalous))
+
+
 @dataclass(frozen=True, eq=False)
 class StateSpace:
     """Doubled-space drift and input matrices plus index bookkeeping."""
@@ -322,9 +329,16 @@ def build_state_space(spec: NetworkSpec) -> StateSpace:
 
 
 def passive_state_space(ss: StateSpace) -> bool:
-    """True iff the drift has no annihilation/creation mixing block."""
+    """True iff the drift has no annihilation/creation mixing block (the
+    one definition of passivity)."""
     n = ss.n_modes
     return bool(np.all(ss.drift[:n, n:] == 0))
+
+
+def is_passive(spec: NetworkSpec) -> bool:
+    """``passive_state_space`` of the network's drift; squeeze or
+    parametric terms of zero amplitude leave it passive."""
+    return passive_state_space(build_state_space(spec))
 
 
 @dataclass(frozen=True)
@@ -684,8 +698,8 @@ def bogoliubov_frame(
     The new mode is alpha = cosh(xi) a + sinh(xi) adag. When ``xi`` is
     omitted it is derived from the couplings touching the mode: a
     beam-splitter amplitude G_minus paired with a squeeze amplitude
-    G_plus on the same partner turns into a pure beam splitter of
-    amplitude sqrt(G_minus^2 - G_plus^2) at xi = arctanh(G_plus/G_minus).
+    G_plus on the same partner turns into a pure beam splitter at the
+    xi of hyperbolic_frame(G_plus, G_minus).
 
     Returns the spec mapped through the exact symplectic transform
     (transform_network) and the transform itself. The frame composes
@@ -740,10 +754,17 @@ def _derive_frame_parameter(spec: NetworkSpec, mode: int) -> float:
             "cannot derive the frame parameter from complex amplitudes; "
             "pass xi explicitly"
         )
-    g_minus, g_plus = bs_amp.real, tms_amp.real
-    if abs(g_plus) >= abs(g_minus):
+    return hyperbolic_frame(tms_amp.real, bs_amp.real)[1]
+
+
+def hyperbolic_frame(g_plus: float, g_minus: float) -> tuple[float, float]:
+    """(g_script, xi) that make a beam splitter g_minus plus a squeeze
+    g_plus on one pair a pure beam splitter of rate g_script in the frame
+    alpha = cosh(xi) a + sinh(xi) adag. FrameError unless
+    |g_plus| < |g_minus| (NaN fails)."""
+    if not abs(g_plus) < abs(g_minus):
         raise FrameError(
-            f"no hyperbolic frame: |squeeze amplitude| = {abs(g_plus):.6g} is not "
-            f"below |beam-splitter amplitude| = {abs(g_minus):.6g}"
+            f"no hyperbolic frame: g_plus = {g_plus:g} must be below "
+            f"g_minus = {g_minus:g}"
         )
-    return math.atanh(g_plus / g_minus)
+    return math.sqrt(g_minus**2 - g_plus**2), math.atanh(g_plus / g_minus)

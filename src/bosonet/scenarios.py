@@ -25,15 +25,14 @@ import numpy as np
 
 from .errors import (
     ApplicabilityError,
-    FrameError,
     NumericsError,
     StabilityError,
     ValidationError,
 )
 from .linalg import (
-    _raise_if_unstable,
     golden_section_max,
     golden_section_min,
+    require_stable,
     solve_lyapunov,
 )
 from .network import (
@@ -45,6 +44,7 @@ from .network import (
     build_state_space,
     degenerate_parametric,
     detuning,
+    hyperbolic_frame,
     transform_network,
     two_mode_squeeze,
 )
@@ -88,24 +88,15 @@ class TwoModeParams:
         object.__setattr__(self, "n1", _nonnegative("n1", self.n1))
         object.__setattr__(self, "n2", _nonnegative("n2", self.n2))
 
-    def _require_frame(self) -> None:
-        if not self.g_plus < self.g_minus:
-            raise FrameError(
-                f"no hyperbolic frame: g_plus = {self.g_plus:g} must be below "
-                f"g_minus = {self.g_minus:g}"
-            )
-
     @property
     def g_script(self) -> float:
         """Effective beam-splitter rate sqrt(g_minus^2 - g_plus^2)."""
-        self._require_frame()
-        return math.sqrt(self.g_minus**2 - self.g_plus**2)
+        return hyperbolic_frame(self.g_plus, self.g_minus)[0]
 
     @property
     def xi(self) -> float:
         """Frame parameter arctanh(g_plus / g_minus)."""
-        self._require_frame()
-        return math.atanh(self.g_plus / self.g_minus)
+        return hyperbolic_frame(self.g_plus, self.g_minus)[1]
 
 
 @dataclass(frozen=True)
@@ -183,19 +174,15 @@ class ThreeModeParams:
         n_m: float = 0.0,
     ) -> "ThreeModeParams":
         """Build from the raw sideband rates of the coupling pair."""
-        g_plus = _nonnegative("g_plus", g_plus)
-        g_minus = _nonnegative("g_minus", g_minus)
-        if not g_plus < g_minus:
-            raise FrameError(
-                f"no hyperbolic frame: g_plus = {g_plus:g} must be below "
-                f"g_minus = {g_minus:g}"
-            )
+        g_script, xi = hyperbolic_frame(
+            _nonnegative("g_plus", g_plus), _nonnegative("g_minus", g_minus)
+        )
         return cls(
-            g_script=math.sqrt(g_minus**2 - g_plus**2),
+            g_script=g_script,
             omega=omega,
             kappa=kappa,
             gamma_m=gamma_m,
-            xi=math.atanh(g_plus / g_minus),
+            xi=xi,
             n_o=n_o,
             n_m=n_m,
         )
@@ -319,8 +306,7 @@ def two_mode_squeezing_power(p: TwoModeParams) -> SqueezingPowerResult:
     coupling and fixed xi, and approaches the bound 1 only as G / gamma
     and xi grow together.
     """
-    p._require_frame()
-    g_script, xi = p.g_script, p.xi
+    g_script, xi = hyperbolic_frame(p.g_plus, p.g_minus)
     spec = two_mode_network(p)
     ss = build_state_space(spec)
     cov = steady_covariance(ss, InputMoments.from_baths(spec))
@@ -455,8 +441,9 @@ def parametric_variance_check(p: ParametricParams) -> PairedVarianceReport:
     for block in blocks:
         try:
             w = solve_lyapunov(block.drift, block.noise.astype(complex))
-        except StabilityError as exc:
-            _raise_if_unstable(exc.eigenvalue, f"quadrature block {block.labels}")
+        except StabilityError:
+            # the same spectrum, raised again under the block's label
+            require_stable(block.drift, f"quadrature block {block.labels}")
             raise
         variances[block.labels[0]] = float(w[0, 0].real)
         variances[block.labels[1]] = float(w[1, 1].real)

@@ -30,7 +30,7 @@ from .network import (
     check_physical_realizability,
     degenerate_parametric,
     detuning,
-    is_passive,
+    passive_state_space,
     two_mode_squeeze,
 )
 from .linalg import is_stable
@@ -174,8 +174,8 @@ def suite_route_agreement(
     for k in range(count):
         nonpassive = k % 3 == 2
         spec = random_network(rng, nonpassive=nonpassive)
-        active += 0 if is_passive(spec) else 1
         ss = build_state_space(spec)
+        active += 0 if passive_state_space(ss) else 1
         direct = compute_budget(ss)
         spectral = budget_via_spectrum(ss, abs_tol=1e-7)
         worst = max(
@@ -429,7 +429,7 @@ def suite_steady_physics(
                 for t in np.linspace(0.0, math.pi, 64, endpoint=False)
             )
             max_minimality_gap = max(max_minimality_gap, best.value - grid_min)
-        if is_passive(spec):
+        if passive_state_space(ss):
             budget = compute_budget(ss)
             for theta in angles:
                 split = variance_decomposition(ss, budget, inputs, theta=theta)

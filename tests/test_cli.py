@@ -70,6 +70,18 @@ class TestAnalyze:
         assert report["budget"]["passive"] is True
         assert report["budget"]["gamma_rule_residuals"] is not None
 
+    def test_zero_amplitude_squeeze_is_passive_in_both_sections(self, tmp_path):
+        doc = json.loads(json.dumps(BS_NETWORK))
+        doc["couplings"].append(
+            {"kind": "two_mode_squeeze", "amp_re": 0.0, "amp_im": 0.0, "modes": [0, 1]}
+        )
+        spec = write_json(tmp_path / "net.json", doc)
+        out = tmp_path / "report.json"
+        assert run_cli("analyze", "--spec", spec, "--out", str(out)).returncode == 0
+        report = json.loads(out.read_text())
+        assert report["network"]["passive"] is True
+        assert report["budget"]["passive"] is True
+
     def test_inputs_file_overrides_baths(self, tmp_path):
         spec = write_json(tmp_path / "net.json", BS_NETWORK)
         inputs = write_json(
@@ -427,6 +439,24 @@ class TestBoundary:
         rows = [line.split(",") for line in (tmp_path / "b.csv").read_text().splitlines()[1:]]
         assert len(rows) == 9
         assert all(row[4] == "false" for row in rows if float(row[1]) > 0)
+
+    def test_room_temperature_optical_and_mechanical_baths(self, tmp_path):
+        # a 1 MHz mechanical mode at 300 K has n of about 6e6
+        proc = run_cli(
+            "boundary",
+            "--g-script",
+            "1",
+            "--xi",
+            "0.5",
+            "--grid",
+            "n_o:0:3e6:3",
+            "--grid",
+            "n_m:0:3e6:3",
+            "--out",
+            str(tmp_path / "b.json"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len((tmp_path / "b.csv").read_text().splitlines()) == 10
 
     def test_explicit_csv_path(self, tmp_path):
         proc = self.common_args(

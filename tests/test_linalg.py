@@ -198,9 +198,9 @@ class TestLyapunovEngine:
         calls = []
         kronecker = linalg._kronecker_solves
 
-        def spy(am, sources, qmaxes, tol):
+        def spy(am, sources, qmaxes):
             calls.append(len(sources))
-            return kronecker(am, sources, qmaxes, tol)
+            return kronecker(am, sources, qmaxes)
 
         monkeypatch.setattr(linalg, "_kronecker_solves", spy)
         return calls
@@ -220,6 +220,23 @@ class TestLyapunovEngine:
             w = solve_lyapunov(a, EXCEPTIONAL_SOURCE)
             ref = kronecker_lyapunov(a, EXCEPTIONAL_SOURCE)
             assert np.abs(w - ref).max() <= 1e-12, k
+
+    def test_inaccurate_eigen_route_sends_every_source_to_kronecker(self, monkeypatch):
+        calls = self.spy_on_fallback(monkeypatch)
+        eigen = linalg._eigen_solve
+        monkeypatch.setattr(linalg, "_eigen_solve", lambda am, qs: eigen(am, qs) + 1e-6)
+        rng = np.random.default_rng(10)
+        a = random_stable(rng, 8)
+        qs = random_hermitian(rng, 8, k=3)
+        ws = solve_lyapunov(a, qs)
+        assert calls == [3]
+        for q, w in zip(qs, ws):
+            assert np.abs(w - kronecker_lyapunov(a, q)).max() <= 1e-12
+
+    def test_drift_above_the_dimension_cap_rejected(self):
+        dim = linalg.MAX_SPECTRUM_DIM + 2
+        with pytest.raises(DimensionError, match="spectrum limited"):
+            solve_lyapunov(-np.eye(dim), np.eye(dim))
 
     def test_eigen_route_runs_away_from_exceptional_points(self, monkeypatch):
         calls = self.spy_on_fallback(monkeypatch)

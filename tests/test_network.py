@@ -205,6 +205,12 @@ class TestPassivity:
     def test_detuning_stays_passive(self):
         assert is_passive(NetworkSpec(1, [BathSpec(1.0)], [detuning(0.5, 0)]))
 
+    def test_zero_amplitude_squeezing_terms_are_passive(self):
+        assert is_passive(squeezer_pair(g_minus=1.0, g_plus=0.0))
+        assert is_passive(
+            NetworkSpec(1, [BathSpec(1.0)], [degenerate_parametric(0.0, 0)])
+        )
+
 
 class TestJsonRoundTrip:
     def test_round_trip_preserves_drift(self):

@@ -1,5 +1,7 @@
-"""Property tests of the frame-change path over random network draws."""
+"""Property tests of the frame-change path and of passivity over random
+network draws."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +15,9 @@ from bosonet.network import (
     MomentTransform,
     bogoliubov_frame,
     build_state_space,
+    degenerate_parametric,
+    is_passive,
+    passive_state_space,
     rotate_mode,
     spec_from_state_space,
     transform_network,
@@ -83,3 +88,18 @@ def test_hyperbolic_mixing_across_unequal_dampings_is_refused(seed, nonpassive, 
     transform = MomentTransform.two_mode_bogoliubov(spec.n_modes, 0, 1, xi)
     with pytest.raises(FrameError):
         transform_network(spec, transform)
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, nonpassive=st.booleans(), mode_pick=st.integers(min_value=0, max_value=3))
+def test_passivity_of_a_spec_is_passivity_of_its_drift(seed, nonpassive, mode_pick):
+    spec = draw_network(seed, nonpassive)
+    # a parametric term of zero amplitude leaves the drift unchanged
+    padded = dataclasses.replace(
+        spec,
+        couplings=spec.couplings
+        + (degenerate_parametric(0.0, mode_pick % spec.n_modes),),
+    )
+    for network in (spec, padded):
+        assert is_passive(network) == passive_state_space(build_state_space(network))
+    assert is_passive(padded) == is_passive(spec)

@@ -16,10 +16,14 @@ from bosonet.linalg import solve_lyapunov
 from bosonet.network import (
     BathSpec,
     InputMoments,
+    MomentTransform,
     NetworkSpec,
     beam_splitter,
+    bogoliubov_frame,
     build_state_space,
+    hyperbolic_frame,
     is_passive,
+    two_mode_squeeze,
 )
 from bosonet.scenarios import (
     FIG1_HEADER,
@@ -399,7 +403,7 @@ class TestDuanQuantity:
         assert not result.entangled
         assert abs(result.direct - result.budget) < 1e-8
 
-    @pytest.mark.parametrize("n", [1e4, 1e6])
+    @pytest.mark.parametrize("n", [1e4, 1e6, 3e6])
     def test_room_temperature_occupancies(self, n):
         # the Duan sum is affine in the occupancies, so unit-scale
         # points predict the value at n_o = n_m = n
@@ -488,6 +492,62 @@ class TestSidebandConstruction:
             ThreeModeParams.from_sidebands(
                 g_plus=1.0, g_minus=0.5, omega=1.0, kappa=1.0, gamma_m=0.01
             )
+
+
+class TestFrameRule:
+    """Every caller derives the hyperbolic frame from hyperbolic_frame."""
+
+    @pytest.mark.parametrize(
+        "g_plus, g_minus", [(0.0, 1.0), (0.5, 1.0), (0.3, 0.8), (1e-3, 2.5), (2.9, 3.0)]
+    )
+    def test_every_caller_gives_the_same_bits(self, g_plus, g_minus):
+        expected = hyperbolic_frame(g_plus, g_minus)
+        two = TwoModeParams(g_plus=g_plus, g_minus=g_minus, gamma1=1.0, gamma2=1.0)
+        three = ThreeModeParams.from_sidebands(
+            g_plus=g_plus, g_minus=g_minus, omega=1.0, kappa=1.0, gamma_m=0.01
+        )
+        assert (two.g_script, two.xi) == expected
+        assert (three.g_script, three.xi) == expected
+        _, derived = bogoliubov_frame(two_mode_network(two), 1)
+        assert np.array_equal(
+            derived.matrix, MomentTransform.bogoliubov(2, 1, expected[1]).matrix
+        )
+
+    @pytest.mark.parametrize(
+        "g_plus, g_minus", [(1.0, 1.0), (1.0, 0.5), (math.nan, 1.0), (0.5, math.nan)]
+    )
+    def test_every_caller_refuses_with_one_text(self, g_plus, g_minus):
+        text = (
+            f"no hyperbolic frame: g_plus = {g_plus:g} must be below "
+            f"g_minus = {g_minus:g}"
+        )
+        spec = NetworkSpec(
+            2,
+            [BathSpec(1.0), BathSpec(1.0)],
+            [beam_splitter(g_minus, 0, 1), two_mode_squeeze(g_plus, 0, 1)],
+        )
+        callers = [
+            lambda: hyperbolic_frame(g_plus, g_minus),
+            lambda: bogoliubov_frame(spec, 1),
+        ]
+        if math.isnan(g_plus) or math.isnan(g_minus):
+            # the parameter records refuse NaN before any frame is formed
+            with pytest.raises(ValidationError):
+                TwoModeParams(g_plus=g_plus, g_minus=g_minus, gamma1=1.0, gamma2=1.0)
+            with pytest.raises(ValidationError):
+                ThreeModeParams.from_sidebands(g_plus, g_minus, 1.0, 1.0, 0.01)
+        else:
+            two = TwoModeParams(g_plus=g_plus, g_minus=g_minus, gamma1=1.0, gamma2=1.0)
+            callers += [
+                lambda: two.g_script,
+                lambda: two.xi,
+                lambda: two_mode_squeezing_power(two),
+                lambda: ThreeModeParams.from_sidebands(g_plus, g_minus, 1.0, 1.0, 0.01),
+            ]
+        for call in callers:
+            with pytest.raises(FrameError) as err:
+                call()
+            assert str(err.value) == text
 
 
 class TestRowHelpers:

@@ -90,6 +90,12 @@ class TestQuadratureExtraction:
         with pytest.raises(NumericsError):
             CovarianceState(v, 1).quadrature_matrix()
 
+    def test_leak_at_unit_scale_rejected(self):
+        # the leak is judged against max(1, ||v||_max): 2e-9 at unit scale fails
+        v = np.array([[0.6, 2e-9j], [2e-9j, 0.6]])
+        with pytest.raises(NumericsError):
+            CovarianceState(v, 1).quadrature_matrix()
+
     def test_real_anomalous_moment(self):
         # mode block diag(0.3, 0.9): nu = 0.6, mu = -0.3
         state = CovarianceState(
