@@ -124,18 +124,19 @@ class SumRuleReport:
     passed: bool
 
 
-def verify_sum_rules(
-    budget: CommutatorBudget,
-    completeness_tol: float = 1e-9,
-    metric_tol: float = 1e-9,
-    gamma_tol: float = 1e-9,
-    positivity_floor: float = -1e-10,
-) -> SumRuleReport:
+SUM_RULE_TOL = 1e-9
+POSITIVITY_FLOOR = -1e-10
+RECIPROCITY_TOL = 1e-10
+
+
+def verify_sum_rules(budget: CommutatorBudget) -> SumRuleReport:
     """Check the exact identities the channel decomposition must satisfy.
 
     Completeness: sum_j K_j = I. Metric: sum_j W_j reproduces the full
     commutator metric. For passive networks two more hold: the damping
     rule sum_j gamma_j (K_i)_{jj} = gamma_i, and positivity of each K_i.
+    The residuals pass within SUM_RULE_TOL and the smallest eigenvalue
+    of each K_i at or above POSITIVITY_FLOOR.
     """
     n = budget.n_modes
     k_sum = budget.per_channel_k.sum(axis=0)
@@ -144,7 +145,7 @@ def verify_sum_rules(
     metric_residual = float(np.abs(w_sum - metric(n)).max())
     gamma_rows: tuple[float, ...] | None = None
     min_eigs: tuple[float, ...] | None = None
-    ok = completeness <= completeness_tol and metric_residual <= metric_tol
+    ok = completeness <= SUM_RULE_TOL and metric_residual <= SUM_RULE_TOL
     if budget.passive:
         # transfer[j, i] = (K_i)_{jj}, so channel i's rule reads along column i
         weighted = budget.gammas @ budget.transfer
@@ -152,7 +153,7 @@ def verify_sum_rules(
         min_eigs = tuple(
             float(np.linalg.eigvalsh(budget.per_channel_k[i]).min()) for i in range(n)
         )
-        ok = ok and max(gamma_rows) <= gamma_tol and min(min_eigs) >= positivity_floor
+        ok = ok and max(gamma_rows) <= SUM_RULE_TOL and min(min_eigs) >= POSITIVITY_FLOOR
     return SumRuleReport(
         completeness_residual=completeness,
         metric_residual=metric_residual,
@@ -169,8 +170,9 @@ class ReciprocityReport:
     passed: bool
 
 
-def verify_reciprocity(budget: CommutatorBudget, tol: float = 1e-10) -> ReciprocityReport:
-    """Check detailed balance of shares: gamma_j I_ji = gamma_i I_ij.
+def verify_reciprocity(budget: CommutatorBudget) -> ReciprocityReport:
+    """Check detailed balance of shares: gamma_j I_ji = gamma_i I_ij, to
+    RECIPROCITY_TOL.
 
     Holds for any two-mode passive network and for larger passive
     networks with real coupling amplitudes; with complex loops the flux
@@ -181,7 +183,9 @@ def verify_reciprocity(budget: CommutatorBudget, tol: float = 1e-10) -> Reciproc
     flux = g[:, None] * budget.transfer
     residuals = np.abs(flux - flux.T)
     worst = float(residuals.max())
-    return ReciprocityReport(residuals=residuals, max_residual=worst, passed=worst <= tol)
+    return ReciprocityReport(
+        residuals=residuals, max_residual=worst, passed=worst <= RECIPROCITY_TOL
+    )
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import BosonetError, StabilityError, ValidationError
 from .linalg import eigenvalues
 from .network import (
+    DOUBLED_ORDERING,
     InputMoments,
     build_state_space,
     check_physical_realizability,
@@ -165,7 +166,7 @@ def cmd_analyze(args) -> int:
             "passive": passive_state_space(ss),
         },
         "convention": {
-            "doubled_ordering": ss.ordering,
+            "doubled_ordering": DOUBLED_ORDERING,
             "vacuum_quadrature_variance": 0.5,
         },
         "stability": {

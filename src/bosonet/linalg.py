@@ -145,10 +145,11 @@ def solve_lyapunov(a, q) -> np.ndarray:
         require_stable(am)
         ws = _kronecker_solves(am, sources, qmaxes)
     else:
+        ah, amax = am.conj().T, float(np.abs(am).max())
         with np.errstate(all="ignore"):
             redo = [
                 k for k, (w, qm, qmax) in enumerate(zip(ws, sources, qmaxes))
-                if _residual_error(am, w, qm, qmax) is not None
+                if _residual_error(am, ah, amax, w, qm, qmax) is not None
             ]
         if redo:
             ws[redo] = _kronecker_solves(
@@ -165,12 +166,13 @@ def _hermitian_source_max(qm: np.ndarray) -> float:
     return qmax
 
 
-def _residual_error(am, w, qm, qmax: float) -> NumericsError | None:
+def _residual_error(am, ah, amax: float, w, qm, qmax: float) -> NumericsError | None:
     """The accuracy check of every solve: None if a W + W a^H + q is within
     TOL.lyapunov_residual of 2 ||a||_max ||W||_max + ||q||_max, the size of
-    the terms it cancels; else the error to raise. NaN fails."""
-    residual = float(np.abs(am @ w + w @ am.conj().T + qm).max())
-    scale = 2.0 * float(np.abs(am).max()) * float(np.abs(w).max()) + qmax
+    the terms it cancels; else the error to raise. ``ah`` and ``amax`` are
+    a^H and ||a||_max, computed once per solve. NaN fails."""
+    residual = float(np.abs(am @ w + w @ ah + qm).max())
+    scale = 2.0 * amax * float(np.abs(w).max()) + qmax
     if residual <= TOL.lyapunov_residual * scale:
         return None
     return NumericsError(
@@ -207,6 +209,7 @@ def _kronecker_solves(am, sources, qmaxes) -> list[np.ndarray]:
         eye[:, None, :, None] * am[None, :, None, :]
         + am.conj()[:, None, :, None] * eye[None, :, None, :]
     ).reshape(n * n, n * n)
+    ah, amax = am.conj().T, float(np.abs(am).max())
     ws = []
     for qm, qmax in zip(sources, qmaxes):
         try:
@@ -215,7 +218,7 @@ def _kronecker_solves(am, sources, qmaxes) -> list[np.ndarray]:
             raise NumericsError(f"singular Lyapunov system: {exc}") from exc
         w = vec.reshape((n, n), order="F")
         w = 0.5 * (w + w.conj().T)
-        error = _residual_error(am, w, qm, qmax)
+        error = _residual_error(am, ah, amax, w, qm, qmax)
         if error is not None:
             raise error
         ws.append(w)
@@ -348,6 +351,7 @@ def integrate_spectrum(
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_MAX_ITER = 400
 
 
 def golden_section_max(
@@ -355,12 +359,12 @@ def golden_section_max(
     lo: float,
     hi: float,
     rel_tol: float = 1e-6,
-    max_iter: int = 400,
 ) -> tuple[float, float]:
     """Bracketed golden-section maximization of a unimodal scalar function.
 
     Returns (argmax, max value). The bracket is shrunk until its width
-    falls below ``rel_tol`` relative to the bracket magnitude.
+    falls below ``rel_tol`` relative to the bracket magnitude, or for at
+    most _GOLDEN_MAX_ITER steps.
     """
     if not hi > lo:
         raise ValidationError("golden-section bracket must have hi > lo")
@@ -368,7 +372,7 @@ def golden_section_max(
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(max_iter):
+    for _ in range(_GOLDEN_MAX_ITER):
         if b - a <= rel_tol * max(1.0, abs(a), abs(b)):
             break
         if fc > fd:
@@ -388,7 +392,6 @@ def golden_section_min(
     lo: float,
     hi: float,
     rel_tol: float = 1e-6,
-    max_iter: int = 400,
 ) -> tuple[float, float]:
-    x, neg = golden_section_max(lambda t: -fn(t), lo, hi, rel_tol, max_iter)
+    x, neg = golden_section_max(lambda t: -fn(t), lo, hi, rel_tol)
     return x, -neg

@@ -17,13 +17,13 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, FrameError, NumericsError, ValidationError
-from .linalg import TOL, hermitian_defect
+from .linalg import TOL
 
 COUPLING_KINDS = (
     "beam_splitter",
@@ -67,6 +67,10 @@ class BathSpec:
         object.__setattr__(self, "gamma", float(self.gamma))
         object.__setattr__(self, "occupancy", float(self.occupancy))
         object.__setattr__(self, "anomalous", complex(self.anomalous))
+        for name in ("gamma", "occupancy", "anomalous"):
+            value = getattr(self, name)
+            if not cmath.isfinite(value):
+                raise ValidationError(f"bath {name} must be finite, got {value}")
         if not self.gamma > 0:
             raise ValidationError(f"bath gamma must be positive, got {self.gamma}")
         if self.occupancy < 0:
@@ -107,6 +111,10 @@ class CouplingTerm:
             raise ValidationError(f"{self.kind} needs two distinct modes")
         if any(i < 0 for i in self.modes):
             raise ValidationError(f"mode indices must be nonnegative: {self.modes}")
+        if not cmath.isfinite(self.amplitude):
+            raise ValidationError(
+                f"{self.kind} amplitude must be finite, got {self.amplitude}"
+            )
         if self.kind == "detuning" and self.amplitude.imag != 0.0:
             raise ValidationError("detuning amplitude must be real")
 
@@ -268,13 +276,12 @@ def moments_from_json(doc: dict, n_modes: int) -> InputMoments:
 
 @dataclass(frozen=True, eq=False)
 class StateSpace:
-    """Doubled-space drift and input matrices plus index bookkeeping."""
+    """Doubled-space drift and input matrices, ordered as DOUBLED_ORDERING;
+    the commutator metric is metric(n_modes)."""
 
     drift: np.ndarray
     input: np.ndarray
-    sigma: np.ndarray
     n_modes: int
-    ordering: str = DOUBLED_ORDERING
 
     @property
     def gammas(self) -> np.ndarray:
@@ -325,7 +332,7 @@ def build_state_space(spec: NetworkSpec) -> StateSpace:
     drift = _doubled(ann, mix)
     root = np.sqrt(spec.gammas)
     inp = np.diag(np.concatenate([root, root])).astype(complex)
-    return StateSpace(drift=drift, input=inp, sigma=metric(n), n_modes=n)
+    return StateSpace(drift=drift, input=inp, n_modes=n)
 
 
 def passive_state_space(ss: StateSpace) -> bool:
@@ -348,20 +355,17 @@ class RealizabilityReport:
     passed: bool
 
 
-def check_physical_realizability(
-    ss: StateSpace, tol: float = TOL.realizability
-) -> RealizabilityReport:
+def check_physical_realizability(ss: StateSpace) -> RealizabilityReport:
     """Residual of the commutator-preservation identity.
 
     Evaluates A sigma + sigma A^H + D sigma D^H, which vanishes exactly
-    when the dynamics preserves canonical commutation relations.
+    when the dynamics preserves canonical commutation relations; it
+    passes within TOL.realizability.
     """
-    r = (
-        ss.drift @ ss.sigma
-        + ss.sigma @ ss.drift.conj().T
-        + ss.input @ ss.sigma @ ss.input.conj().T
-    )
+    sig = metric(ss.n_modes)
+    r = ss.drift @ sig + sig @ ss.drift.conj().T + ss.input @ sig @ ss.input.conj().T
     residual = float(np.abs(r).max())
+    tol = TOL.realizability
     return RealizabilityReport(residual=residual, tol=tol, passed=residual <= tol)
 
 
@@ -378,15 +382,11 @@ class InputMoments:
     """Stationary white-noise second moments, one set per input channel.
 
     occupancy[j] is <adag_j,in a_j,in>, anomalous[j] is <a_j,in a_j,in>.
-    Optional cross-channel correlators carry the off-diagonal parts of
-    the full matrices (Hermitian normal part, symmetric anomalous part)
-    with zero diagonals.
+    Each mode has its own bath, so channels are uncorrelated.
     """
 
     occupancy: np.ndarray
     anomalous: np.ndarray
-    normal_cross: np.ndarray | None = None
-    anomalous_cross: np.ndarray | None = None
 
     def __post_init__(self):
         occ = np.atleast_1d(np.asarray(self.occupancy, dtype=float)).copy()
@@ -395,31 +395,15 @@ class InputMoments:
             raise DimensionError(
                 "occupancy and anomalous must be 1-d and the same length"
             )
+        for name, values in (("occupancy", occ), ("anomalous", ano)):
+            if not np.all(np.isfinite(values)):
+                raise ValidationError(f"input {name} must be finite")
         if not np.all(occ >= -1e-9):
             raise ValidationError("channel occupancies must be nonnegative")
         occ = np.maximum(occ, 0.0)
         object.__setattr__(self, "occupancy", occ)
         object.__setattr__(self, "anomalous", ano)
-        n = occ.shape[0]
-        for name in ("normal_cross", "anomalous_cross"):
-            m = getattr(self, name)
-            if m is None:
-                continue
-            m = np.asarray(m, dtype=complex)
-            if m.shape != (n, n):
-                raise DimensionError(f"{name} must be ({n}, {n})")
-            if not np.abs(np.diag(m)).max(initial=0.0) <= 1e-10:
-                raise ValidationError(f"{name} must have zero diagonal")
-            defect = (
-                hermitian_defect(m)
-                if name == "normal_cross"
-                else float(np.abs(m - m.T).max())
-            )
-            if not defect <= 1e-10:
-                kindname = "Hermitian" if name == "normal_cross" else "symmetric"
-                raise ValidationError(f"{name} must be {kindname}")
-            object.__setattr__(self, name, m)
-        for j in range(n):
+        for j in range(occ.shape[0]):
             _warn_if_unphysical(occ[j], ano[j], f"input channel {j}")
 
     @classmethod
@@ -438,52 +422,9 @@ class InputMoments:
             np.array([b.anomalous for b in spec.baths]),
         )
 
-    @classmethod
-    def from_correlators(cls, normal: np.ndarray, anomalous: np.ndarray) -> "InputMoments":
-        """Split full correlator matrices into per-channel and cross parts.
-
-        The normal diagonal must be real to 1e-9, and cross terms at or
-        below 1e-14 are dropped, both relative to max(1, largest entry),
-        so large occupancies are judged by their own roundoff. A
-        non-finite entry raises ValidationError.
-        """
-        cn = np.asarray(normal, dtype=complex)
-        cm = np.asarray(anomalous, dtype=complex)
-        if cn.shape != cm.shape or cn.ndim != 2 or cn.shape[0] != cn.shape[1]:
-            raise DimensionError("correlator matrices must be square and matching")
-        scale = _moment_scale(cn, cm)
-        diag_imag = float(np.abs(np.diag(cn).imag).max(initial=0.0))
-        if not diag_imag <= 1e-9 * scale:
-            raise ValidationError("normal correlator diagonal must be real")
-        occ = np.diag(cn).real
-        ano = np.diag(cm)
-        cn_off = cn - np.diag(np.diag(cn))
-        cm_off = cm - np.diag(np.diag(cm))
-        cutoff = 1e-14 * scale
-        return cls(
-            occ,
-            ano,
-            normal_cross=cn_off if np.abs(cn_off).max(initial=0.0) > cutoff else None,
-            anomalous_cross=cm_off if np.abs(cm_off).max(initial=0.0) > cutoff else None,
-        )
-
     @property
     def n_channels(self) -> int:
         return int(self.occupancy.shape[0])
-
-    def normal_matrix(self) -> np.ndarray:
-        """Full <adag_j,in a_k,in> matrix."""
-        m = np.diag(self.occupancy).astype(complex)
-        if self.normal_cross is not None:
-            m = m + self.normal_cross
-        return m
-
-    def anomalous_matrix(self) -> np.ndarray:
-        """Full <a_j,in a_k,in> matrix."""
-        m = np.diag(self.anomalous)
-        if self.anomalous_cross is not None:
-            m = m + self.anomalous_cross
-        return m
 
     def noise_matrix(self) -> np.ndarray:
         """Symmetrized doubled-basis noise moment matrix.
@@ -491,13 +432,8 @@ class InputMoments:
         The vacuum contribution is 1/2 per quadrature, so this feeds the
         steady-state Lyapunov equation directly.
         """
-        n = self.n_channels
-        cn = self.normal_matrix()
-        cm = self.anomalous_matrix()
-        half = 0.5 * np.eye(n)
-        out = _doubled(half + cn.T, cm)
-        out[n:, n:] = half + cn
-        return out
+        normal = 0.5 * np.eye(self.n_channels) + np.diag(self.occupancy)
+        return _doubled(normal, np.diag(self.anomalous))
 
 
 @dataclass(frozen=True, eq=False)
@@ -599,13 +535,17 @@ class MomentTransform:
         return self.matrix @ v @ self.matrix.conj().T
 
     def apply_to_inputs(self, inputs: InputMoments) -> InputMoments:
-        """Map input moments into the new frame.
+        """Map input moments into the new frame, one set per channel.
 
         Valid when the transform only mixes channels of equal damping
         (then the input matrix commutes with the transform and the new
         frame keeps the standard one-bath-per-mode form). The doubled
         structure of the result is checked to 1e-10 of max(1, its
         largest entry), so thermal occupancies of 1e6 and more pass.
+        Against max(1, largest correlator), the normal diagonal must be
+        real to 1e-9 (else ValidationError) and every cross-channel
+        correlator at most 1e-14 (else NumericsError). Non-finite
+        moments raise ValidationError.
         """
         n = self.n_modes
         if inputs.n_channels != n:
@@ -623,7 +563,19 @@ class MomentTransform:
                 "transformed noise matrix lost its doubled structure",
                 estimate=checks,
             )
-        return InputMoments.from_correlators(cn, cm)
+        scale = _moment_scale(cn, cm)
+        occ, ano = np.diag(cn), np.diag(cm)
+        if not float(np.abs(occ.imag).max(initial=0.0)) <= 1e-9 * scale:
+            raise ValidationError("normal correlator diagonal must be real")
+        cross = max(
+            float(np.abs(cn - np.diag(occ)).max(initial=0.0)),
+            float(np.abs(cm - np.diag(ano)).max(initial=0.0)),
+        )
+        if not cross <= 1e-14 * scale:
+            raise NumericsError(
+                "frame change produced cross-channel correlators", estimate=cross
+            )
+        return InputMoments(occ.real, ano)
 
 
 def spec_from_state_space(
@@ -672,22 +624,21 @@ def transform_network(spec: NetworkSpec, transform: MomentTransform) -> NetworkS
 
     The drift is conjugated, T A T^-1, and read back into couplings by
     spec_from_state_space; the bath moments go through the same
-    congruence. The new frame keeps one bath per mode only when T mixes
-    channels of equal damping: otherwise the drift does not round-trip
-    and FrameError is raised, ahead of any cross-correlator refusal.
+    congruence (apply_to_inputs). The new frame keeps one bath per mode
+    only when T mixes channels of equal damping: otherwise the drift
+    does not round-trip and FrameError is raised, ahead of any
+    cross-correlator refusal.
     """
     if transform.n_modes != spec.n_modes:
         raise DimensionError("transform and network differ in their mode count")
     drift = transform.apply_to_drift(build_state_space(spec).drift)
+    frame = spec_from_state_space(drift, spec.baths, spec.labels)
     moments = transform.apply_to_inputs(InputMoments.from_baths(spec))
     baths = tuple(
         BathSpec(b.gamma, moments.occupancy[i], moments.anomalous[i])
         for i, b in enumerate(spec.baths)
     )
-    frame = spec_from_state_space(drift, baths, spec.labels)
-    if moments.normal_cross is not None or moments.anomalous_cross is not None:
-        raise NumericsError("frame change produced cross-channel correlators")
-    return frame
+    return replace(frame, baths=baths)
 
 
 def bogoliubov_frame(
@@ -749,7 +700,7 @@ def _derive_frame_parameter(spec: NetworkSpec, mode: int) -> float:
             "one partner; pass xi explicitly"
         )
     scale = max(abs(bs_amp), abs(tms_amp), 1.0)
-    if abs(bs_amp.imag) > 1e-12 * scale or abs(tms_amp.imag) > 1e-12 * scale:
+    if not (abs(bs_amp.imag) <= 1e-12 * scale and abs(tms_amp.imag) <= 1e-12 * scale):
         raise ValidationError(
             "cannot derive the frame parameter from complex amplitudes; "
             "pass xi explicitly"

@@ -55,15 +55,22 @@ ROUTE_AGREEMENT_TOL = 1e-10
 DUAN_AGREEMENT_TOL = 1e-8
 
 
-def _positive(name: str, value: float) -> float:
+def _finite(name: str, value: float) -> float:
     value = float(value)
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _positive(name: str, value: float) -> float:
+    value = _finite(name, value)
     if not value > 0:
         raise ValidationError(f"{name} must be positive, got {value}")
     return value
 
 
 def _nonnegative(name: str, value: float) -> float:
-    value = float(value)
+    value = _finite(name, value)
     if not value >= 0:
         raise ValidationError(f"{name} must be nonnegative, got {value}")
     return value
@@ -117,8 +124,8 @@ class ParametricParams:
         object.__setattr__(self, "g_minus", _nonnegative("g_minus", self.g_minus))
         object.__setattr__(self, "gamma1", _positive("gamma1", self.gamma1))
         object.__setattr__(self, "gamma2", _positive("gamma2", self.gamma2))
-        object.__setattr__(self, "eta1", float(self.eta1))
-        object.__setattr__(self, "eta2", float(self.eta2))
+        object.__setattr__(self, "eta1", _finite("eta1", self.eta1))
+        object.__setattr__(self, "eta2", _finite("eta2", self.eta2))
         object.__setattr__(self, "n1", _nonnegative("n1", self.n1))
         object.__setattr__(self, "n2", _nonnegative("n2", self.n2))
 
@@ -155,7 +162,7 @@ class ThreeModeParams:
 
     def __post_init__(self):
         object.__setattr__(self, "g_script", _nonnegative("g_script", self.g_script))
-        object.__setattr__(self, "omega", float(self.omega))
+        object.__setattr__(self, "omega", _finite("omega", self.omega))
         object.__setattr__(self, "kappa", _positive("kappa", self.kappa))
         object.__setattr__(self, "gamma_m", _positive("gamma_m", self.gamma_m))
         object.__setattr__(self, "xi", _nonnegative("xi", self.xi))

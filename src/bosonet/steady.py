@@ -130,16 +130,11 @@ def variance_decomposition(
     sum_j I_ij (n_j + 1/2 + Re(m_j exp(-2 i theta))), which must match
     the covariance route when it applies.
 
-    Exactness requires uncorrelated channels and either a passive
-    network with thermal inputs, or a real doubled drift when anomalous
-    inputs are present.
+    Exactness requires either a passive network with thermal inputs, or
+    a real doubled drift when anomalous inputs are present.
     """
     if inputs.n_channels != ss.n_modes:
         raise DimensionError("input moments do not match the network size")
-    if inputs.normal_cross is not None or inputs.anomalous_cross is not None:
-        raise ApplicabilityError(
-            "the channel split assumes uncorrelated input channels"
-        )
     anomalous_present = bool(np.abs(inputs.anomalous).max(initial=0.0) > 1e-14)
     if not passive_state_space(ss):
         raise ApplicabilityError(

@@ -1,0 +1,50 @@
+"""Output drift against the committed benchmark references.
+
+Runs the commands of one reference pass through the benchmark's own
+runner and checker, so a refactor that moves any output by more than
+the checker's 1e-10 fails here as well as in the benchmark. Only
+``bench/`` is read; nothing is written there.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import bosonet.cli
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+capture = _bench_module("capture")
+check = _bench_module("check")
+workloads = _bench_module("workloads")
+
+
+def _cases():
+    # verify is left out: it alone takes longer than all the rest
+    for ref_name, keep in (
+        ("grids-0-full", lambda command: True),
+        ("ladder_verify-0-full", lambda command: command["argv"][0] == "analyze"),
+    ):
+        refs = capture.load(BENCH / "refs" / f"{ref_name}.json.gz")
+        for command in refs["commands"]:
+            if keep(command):
+                yield pytest.param(refs["files"], command, id=f"{ref_name}:{command['name']}")
+
+
+@pytest.mark.parametrize("files, command", list(_cases()))
+def test_command_matches_its_reference(tmp_path, files, command):
+    workloads.write_inputs({"files": files}, str(tmp_path))
+    got = workloads.run_command(bosonet.cli.main, command, str(tmp_path))
+    assert got["error"] is None
+    scored = check.check_command(got, command)
+    assert scored["attempted"] > 0
+    assert scored["failed"] == 0, scored

@@ -7,7 +7,10 @@ import pytest
 
 from bosonet.errors import DimensionError, FrameError, NumericsError, ValidationError
 from bosonet.network import (
+    COUPLING_KINDS,
+    DOUBLED_ORDERING,
     BathSpec,
+    CouplingTerm,
     InputMoments,
     MomentTransform,
     NetworkSpec,
@@ -75,6 +78,30 @@ class TestValidation:
         with pytest.raises(ValidationError):
             NetworkSpec(1, [BathSpec(1.0)], labels=["a", "b"])
 
+    def test_nan_amplitude_is_refused_before_a_frame_is_derived(self):
+        # the refusal names the amplitude, not a failed frame round trip
+        with pytest.raises(ValidationError, match="beam_splitter amplitude"):
+            spec = NetworkSpec(
+                2,
+                [BathSpec(1.0), BathSpec(1.0)],
+                [beam_splitter(complex(1.0, math.nan), 0, 1), two_mode_squeeze(0.5, 0, 1)],
+            )
+            bogoliubov_frame(spec, 1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["gamma", "occupancy", "anomalous"])
+    def test_non_finite_bath_field_is_named(self, field, value):
+        kwargs = {"gamma": 1.0, field: value}
+        with pytest.raises(ValidationError, match=f"bath {field} must be finite"):
+            BathSpec(**kwargs)
+
+    @pytest.mark.parametrize("amplitude", [complex(1.0, math.nan), math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", COUPLING_KINDS)
+    def test_non_finite_amplitude_is_named(self, kind, amplitude):
+        modes = (0, 1) if kind in ("beam_splitter", "two_mode_squeeze") else (0,)
+        with pytest.raises(ValidationError, match=f"{kind} amplitude must be finite"):
+            CouplingTerm(kind, amplitude, modes)
+
 
 class TestPhysicalityWarnings:
     def test_bath_anomalous_above_thermal_bound_warns(self):
@@ -102,7 +129,7 @@ class TestDrift:
         assert ss.drift.shape == (2, 2)
         assert np.allclose(ss.drift, -0.5 * np.eye(2))
         assert np.allclose(ss.input, np.eye(2))
-        assert ss.ordering == "a[0..N-1], adag[0..N-1]"
+        assert DOUBLED_ORDERING == "a[0..N-1], adag[0..N-1]"
 
     def test_beam_splitter_annihilation_block(self):
         ss = build_state_space(bs_pair(g=0.5))
@@ -166,7 +193,9 @@ class TestDrift:
 
     def test_metric(self):
         assert np.array_equal(metric(2), np.diag([1.0, 1.0, -1.0, -1.0]))
-        assert np.array_equal(build_state_space(bs_pair()).sigma, metric(2))
+        # the state space holds no constants: the metric comes from n_modes
+        ss = build_state_space(bs_pair())
+        assert [f.name for f in dataclasses.fields(ss)] == ["drift", "input", "n_modes"]
 
 
 class TestRealizability:
@@ -278,24 +307,38 @@ class TestInputMoments:
         assert np.allclose(m.noise_matrix(), np.diag([1.5, 1.5]))
 
     def test_cross_terms_are_judged_against_the_moment_scale(self):
-        # kept at unit scale, roundoff next to occupancies of 1e6
-        off = np.array([[0.0, 1e-9], [1e-9, 0.0]])
-        unit = InputMoments.from_correlators(np.eye(2) + off, np.zeros((2, 2)))
-        assert unit.normal_cross is not None
-        large = InputMoments.from_correlators(1e6 * np.eye(2) + off, np.zeros((2, 2)))
-        assert large.normal_cross is None
-        assert np.array_equal(large.occupancy, [1e6, 1e6])
+        # a mixer turns an occupancy gap of 2e-9 into cross correlators of
+        # 1e-9: refused at unit scale, roundoff next to occupancies of 1e6
+        mixer = MomentTransform.mixer(2, 0, 1)
+        with pytest.raises(NumericsError, match="cross-channel correlators"):
+            mixer.apply_to_inputs(InputMoments.thermal([1.0, 1.0 + 2e-9]))
+        large = mixer.apply_to_inputs(InputMoments.thermal([1e6, 1e6 + 2e-9]))
+        assert large.occupancy.shape == large.anomalous.shape == (2,)
+        assert np.abs(large.occupancy - 1e6).max() <= 2e-9
 
-    def test_imaginary_diagonal_is_judged_against_the_moment_scale(self):
+    @staticmethod
+    def _patched_noise(monkeypatch, normal, anomalous):
+        """Make every InputMoments report the doubled noise matrix of the
+        given correlators, which no symplectic frame change produces."""
+        n = normal.shape[0]
+        half = 0.5 * np.eye(n)
+        noise = np.block([[half + normal.T, anomalous], [anomalous.conj(), half + normal]])
+        monkeypatch.setattr(InputMoments, "noise_matrix", lambda self: noise)
+
+    def test_imaginary_diagonal_is_judged_against_the_moment_scale(self, monkeypatch):
+        identity = MomentTransform.identity(2)
+        zero = np.zeros((2, 2), dtype=complex)
+        self._patched_noise(monkeypatch, np.diag([1.0, 1.0 + 2e-9j]), zero)
         with pytest.raises(ValidationError, match="diagonal must be real"):
-            InputMoments.from_correlators(np.diag([1.0, 1.0 + 2e-9j]), np.zeros((2, 2)))
-        m = InputMoments.from_correlators(np.diag([1e6, 1e6 + 2e-9j]), np.zeros((2, 2)))
+            identity.apply_to_inputs(InputMoments.vacuum(2))
+        self._patched_noise(monkeypatch, np.diag([1e6, 1e6 + 2e-9j]), zero)
+        m = identity.apply_to_inputs(InputMoments.vacuum(2))
         assert np.array_equal(m.occupancy, [1e6, 1e6])
 
     @pytest.mark.parametrize(
         "where", ["imag_diagonal", "normal_cross", "anomalous_cross"]
     )
-    def test_nan_correlator_is_refused(self, where):
+    def test_nan_correlator_is_refused(self, monkeypatch, where):
         normal, anomalous = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
         if where == "imag_diagonal":
             normal[1, 1] = complex(1.0, math.nan)
@@ -303,8 +346,17 @@ class TestInputMoments:
             normal[0, 1] = normal[1, 0] = math.nan
         else:
             anomalous[0, 1] = anomalous[1, 0] = math.nan
+        self._patched_noise(monkeypatch, normal, anomalous)
         with pytest.raises(ValidationError, match="finite"):
-            InputMoments.from_correlators(normal, anomalous)
+            MomentTransform.identity(2).apply_to_inputs(InputMoments.vacuum(2))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["occupancy", "anomalous"])
+    def test_non_finite_moment_is_named(self, field, value):
+        moments = {"occupancy": np.ones(2), "anomalous": np.zeros(2, dtype=complex)}
+        moments[field][1] = value
+        with pytest.raises(ValidationError, match=f"input {field} must be finite"):
+            InputMoments(**moments)
 
     def test_noise_matrix_anomalous_off_diagonal(self):
         m = InputMoments.from_baths(
@@ -341,17 +393,23 @@ class TestMomentTransform:
         assert np.abs(prod.matrix - np.eye(6)).max() < 1e-12
 
     def test_nan_input_moments_are_refused(self):
-        moments = InputMoments(np.ones(2), np.array([math.nan, 0.0]))
         with pytest.raises(ValidationError, match="finite"):
-            MomentTransform.mixer(2, 0, 1).apply_to_inputs(moments)
+            InputMoments(np.ones(2), np.array([math.nan, 0.0]))
+        # finite moments that overflow in the new frame are refused there
+        with np.errstate(all="ignore"), pytest.raises(
+            ValidationError, match="input moments must be finite"
+        ):
+            MomentTransform.bogoliubov(2, 0, 1.0).apply_to_inputs(
+                InputMoments.thermal([1e308, 1e308])
+            )
 
     @pytest.mark.parametrize("n", [1.0, 1e4, 1e6, 1e8])
     def test_equal_occupancies_survive_a_mixer(self, n):
         moments = MomentTransform.mixer(2, 0, 1).apply_to_inputs(
             InputMoments.thermal([n, n])
         )
-        assert moments.normal_cross is None and moments.anomalous_cross is None
         assert np.abs(moments.occupancy - n).max() <= 1e-12 * n
+        assert np.array_equal(moments.anomalous, np.zeros(2))
 
     def test_rotation_acts_only_on_its_mode(self):
         t = MomentTransform.rotation(2, 0, 0.7)

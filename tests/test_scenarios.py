@@ -120,6 +120,24 @@ class TestTwoModeParams:
         assert kinds == ["beam_splitter", "two_mode_squeeze"]
 
 
+class TestNonFiniteParams:
+    """Parameter records name the field that holds a NaN or Inf."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["eta1", "eta2", "gamma1", "n2"])
+    def test_parametric_params(self, field, value):
+        kwargs = {"g_plus": 0.3, "g_minus": 1.0, "gamma1": 1.0, "gamma2": 1.0}
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            ParametricParams(**{**kwargs, field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["omega", "kappa", "xi", "n_m"])
+    def test_three_mode_params(self, field, value):
+        kwargs = {"g_script": 1.0, "omega": 1.0, "kappa": 1.0, "gamma_m": 0.01}
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            ThreeModeParams(**{**kwargs, field: value})
+
+
 class TestSqueezingPower:
     def test_no_squeeze_gives_vacuum_noise(self):
         result = two_mode_squeezing_power(
@@ -521,24 +539,24 @@ class TestFrameRule:
             f"no hyperbolic frame: g_plus = {g_plus:g} must be below "
             f"g_minus = {g_minus:g}"
         )
-        spec = NetworkSpec(
-            2,
-            [BathSpec(1.0), BathSpec(1.0)],
-            [beam_splitter(g_minus, 0, 1), two_mode_squeeze(g_plus, 0, 1)],
-        )
-        callers = [
-            lambda: hyperbolic_frame(g_plus, g_minus),
-            lambda: bogoliubov_frame(spec, 1),
-        ]
+        callers = [lambda: hyperbolic_frame(g_plus, g_minus)]
         if math.isnan(g_plus) or math.isnan(g_minus):
-            # the parameter records refuse NaN before any frame is formed
+            # the library records refuse NaN before any frame is formed
             with pytest.raises(ValidationError):
                 TwoModeParams(g_plus=g_plus, g_minus=g_minus, gamma1=1.0, gamma2=1.0)
             with pytest.raises(ValidationError):
                 ThreeModeParams.from_sidebands(g_plus, g_minus, 1.0, 1.0, 0.01)
+            with pytest.raises(ValidationError, match="amplitude must be finite"):
+                beam_splitter(g_minus, 0, 1), two_mode_squeeze(g_plus, 0, 1)
         else:
+            spec = NetworkSpec(
+                2,
+                [BathSpec(1.0), BathSpec(1.0)],
+                [beam_splitter(g_minus, 0, 1), two_mode_squeeze(g_plus, 0, 1)],
+            )
             two = TwoModeParams(g_plus=g_plus, g_minus=g_minus, gamma1=1.0, gamma2=1.0)
             callers += [
+                lambda: bogoliubov_frame(spec, 1),
                 lambda: two.g_script,
                 lambda: two.xi,
                 lambda: two_mode_squeezing_power(two),

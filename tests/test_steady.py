@@ -225,13 +225,3 @@ class TestVarianceDecomposition:
             variance_decomposition(
                 ss, compute_budget(ss), InputMoments.vacuum(2)
             )
-
-    def test_rejects_cross_correlated_inputs(self):
-        ss, _ = bs_system()
-        inputs = InputMoments(
-            occupancy=np.zeros(2),
-            anomalous=np.zeros(2),
-            normal_cross=np.array([[0.0, 0.1], [0.1, 0.0]]),
-        )
-        with pytest.raises(ApplicabilityError):
-            variance_decomposition(ss, compute_budget(ss), inputs)
