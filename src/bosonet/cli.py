@@ -176,8 +176,6 @@ def cmd_analyze(args) -> int:
         },
         "pr": {"residual": pr.residual, "tol": pr.tol, "passed": pr.passed},
     }
-    if spec.labels is not None:
-        report["network"]["labels"] = list(spec.labels)
     if not stable:
         worst = spectrum[0]
         report["stability"]["positive_eigenvalue"] = {
@@ -213,8 +211,6 @@ def cmd_analyze(args) -> int:
             "min_variance": best.value,
             "min_theta": best.theta,
         }
-        if spec.labels is not None:
-            entry["label"] = spec.labels[mode]
         modes.append(entry)
     report["steady"] = {
         "inputs": {

@@ -41,7 +41,8 @@ _PHYSICALITY_SLACK = 1e-9
 
 
 def _warn_if_unphysical(occupancy: float, anomalous: complex, context: str) -> None:
-    bound = math.sqrt(occupancy * (occupancy + 1.0))
+    # the product of roots cannot overflow where n (n+1) would
+    bound = math.sqrt(occupancy) * math.sqrt(occupancy + 1.0)
     if abs(anomalous) > bound + _PHYSICALITY_SLACK:
         warnings.warn(
             f"{context}: |m| = {abs(anomalous):.6g} exceeds the thermal "
@@ -142,13 +143,10 @@ class NetworkSpec:
     n_modes: int
     baths: tuple[BathSpec, ...]
     couplings: tuple[CouplingTerm, ...] = ()
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "baths", tuple(self.baths))
         object.__setattr__(self, "couplings", tuple(self.couplings))
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
         if self.n_modes < 1:
             raise ValidationError("a network needs at least one mode")
         if len(self.baths) != self.n_modes:
@@ -162,8 +160,6 @@ class NetworkSpec:
                     f"coupling {c.kind} references mode {max(c.modes)} but the "
                     f"network has {self.n_modes} modes"
                 )
-        if self.labels is not None and len(self.labels) != self.n_modes:
-            raise ValidationError("labels, when given, must name every mode")
 
     @property
     def gammas(self) -> np.ndarray:
@@ -359,14 +355,20 @@ def check_physical_realizability(ss: StateSpace) -> RealizabilityReport:
     """Residual of the commutator-preservation identity.
 
     Evaluates A sigma + sigma A^H + D sigma D^H, which vanishes exactly
-    when the dynamics preserves canonical commutation relations; it
-    passes within TOL.realizability.
+    when the dynamics preserves canonical commutation relations. The
+    residual is roundoff of the operands, so it passes within
+    TOL.realizability * max(1, ||A||_max, ||D||_max^2); the report's tol
+    is TOL.realizability. A NaN residual fails.
     """
     sig = metric(ss.n_modes)
     r = ss.drift @ sig + sig @ ss.drift.conj().T + ss.input @ sig @ ss.input.conj().T
     residual = float(np.abs(r).max())
     tol = TOL.realizability
-    return RealizabilityReport(residual=residual, tol=tol, passed=residual <= tol)
+    d_max = float(np.abs(ss.input).max())
+    scale = max(1.0, float(np.abs(ss.drift).max()), d_max * d_max)
+    return RealizabilityReport(
+        residual=residual, tol=tol, passed=residual <= tol * scale
+    )
 
 
 def _moment_scale(*moments: np.ndarray) -> float:
@@ -436,6 +438,13 @@ class InputMoments:
         return _doubled(normal, np.diag(self.anomalous))
 
 
+def _frame_blocks(n_modes: int, *modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Identity P and zero Q blocks for a transform acting on ``modes``."""
+    if not all(0 <= m < n_modes for m in modes):
+        raise DimensionError(f"mode(s) {modes} out of range for {n_modes} modes")
+    return np.eye(n_modes, dtype=complex), np.zeros((n_modes, n_modes), dtype=complex)
+
+
 @dataclass(frozen=True, eq=False)
 class MomentTransform:
     """A change of frame xi' = matrix @ xi in the doubled basis.
@@ -469,14 +478,9 @@ class MomentTransform:
         return self.matrix.shape[0] // 2
 
     @classmethod
-    def identity(cls, n_modes: int) -> "MomentTransform":
-        return cls(np.eye(2 * n_modes, dtype=complex))
-
-    @classmethod
     def bogoliubov(cls, n_modes: int, mode: int, xi: float) -> "MomentTransform":
         """alpha = cosh(xi) a + sinh(xi) adag on one mode."""
-        p = np.eye(n_modes, dtype=complex)
-        q = np.zeros((n_modes, n_modes), dtype=complex)
+        p, q = _frame_blocks(n_modes, mode)
         p[mode, mode] = math.cosh(xi)
         q[mode, mode] = math.sinh(xi)
         return cls(_doubled(p, q))
@@ -488,8 +492,7 @@ class MomentTransform:
         """alpha_a = cosh(xi) a_a + sinh(xi) adag_b, and b <-> a."""
         if mode_a == mode_b:
             raise ValidationError("two-mode hyperbolic mixing needs distinct modes")
-        p = np.eye(n_modes, dtype=complex)
-        q = np.zeros((n_modes, n_modes), dtype=complex)
+        p, q = _frame_blocks(n_modes, mode_a, mode_b)
         p[mode_a, mode_a] = math.cosh(xi)
         p[mode_b, mode_b] = math.cosh(xi)
         q[mode_a, mode_b] = math.sinh(xi)
@@ -501,38 +504,29 @@ class MomentTransform:
         """Sum/difference mixing: a' = (a+b)/sqrt2, b' = (a-b)/sqrt2."""
         if mode_a == mode_b:
             raise ValidationError("mixing needs distinct modes")
-        p = np.eye(n_modes, dtype=complex)
+        p, q = _frame_blocks(n_modes, mode_a, mode_b)
         r = 1.0 / math.sqrt(2.0)
         p[mode_a, mode_a] = r
         p[mode_a, mode_b] = r
         p[mode_b, mode_a] = r
         p[mode_b, mode_b] = -r
-        q = np.zeros((n_modes, n_modes), dtype=complex)
         return cls(_doubled(p, q))
 
     @classmethod
     def rotation(cls, n_modes: int, mode: int, phi: float) -> "MomentTransform":
         """xi'_mode = exp(i phi) xi_mode."""
-        p = np.eye(n_modes, dtype=complex)
+        p, q = _frame_blocks(n_modes, mode)
         p[mode, mode] = cmath.exp(1j * phi)
-        q = np.zeros((n_modes, n_modes), dtype=complex)
         return cls(_doubled(p, q))
 
     def compose(self, inner: "MomentTransform") -> "MomentTransform":
         """The transform applying ``inner`` first, then this one."""
         return MomentTransform(self.matrix @ inner.matrix)
 
-    def inverse(self) -> "MomentTransform":
-        sig = metric(self.n_modes)
-        return MomentTransform(sig @ self.matrix.conj().T @ sig)
-
     def apply_to_drift(self, drift: np.ndarray) -> np.ndarray:
         # T is symplectic, so T^-1 = sigma T^H sigma exactly
         sig = metric(self.n_modes)
         return self.matrix @ drift @ (sig @ self.matrix.conj().T @ sig)
-
-    def apply_to_covariance(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v @ self.matrix.conj().T
 
     def apply_to_inputs(self, inputs: InputMoments) -> InputMoments:
         """Map input moments into the new frame, one set per channel.
@@ -550,7 +544,9 @@ class MomentTransform:
         n = self.n_modes
         if inputs.n_channels != n:
             raise DimensionError("input moments do not match the transform size")
-        out = self.matrix @ inputs.noise_matrix() @ self.matrix.conj().T
+        with np.errstate(all="ignore"):  # overflow is refused just below
+            out = self.matrix @ inputs.noise_matrix() @ self.matrix.conj().T
+        out_scale = _moment_scale(out)
         cn = out[n:, n:] - 0.5 * np.eye(n)
         cm = out[:n, n:]
         checks = max(
@@ -558,7 +554,7 @@ class MomentTransform:
             float(np.abs(out[n:, :n] - cm.conj()).max()),
             float(np.abs(cm - cm.T).max()),
         )
-        if not checks <= 1e-10 * _moment_scale(out):
+        if not checks <= 1e-10 * out_scale:
             raise NumericsError(
                 "transformed noise matrix lost its doubled structure",
                 estimate=checks,
@@ -578,9 +574,7 @@ class MomentTransform:
         return InputMoments(occ.real, ano)
 
 
-def spec_from_state_space(
-    drift: np.ndarray, baths: Sequence[BathSpec], labels: Sequence[str] | None = None
-) -> NetworkSpec:
+def spec_from_state_space(drift: np.ndarray, baths: Sequence[BathSpec]) -> NetworkSpec:
     """Read the couplings back from a doubled-space drift.
 
     The inverse of build_state_space for the given baths: detuning and
@@ -610,7 +604,7 @@ def spec_from_state_space(
             couplings.append(detuning(-ann[i, i].imag, i))
         if abs(mix[i, i]) > cutoff:
             couplings.append(degenerate_parametric((0.5j * mix[i, i]).conjugate(), i))
-    spec = NetworkSpec(n_modes=n, baths=baths, couplings=couplings, labels=labels)
+    spec = NetworkSpec(n_modes=n, baths=baths, couplings=couplings)
     defect = float(np.abs(build_state_space(spec).drift - d).max())
     if not defect <= 1e-10 * scale:
         raise FrameError(
@@ -632,80 +626,13 @@ def transform_network(spec: NetworkSpec, transform: MomentTransform) -> NetworkS
     if transform.n_modes != spec.n_modes:
         raise DimensionError("transform and network differ in their mode count")
     drift = transform.apply_to_drift(build_state_space(spec).drift)
-    frame = spec_from_state_space(drift, spec.baths, spec.labels)
+    frame = spec_from_state_space(drift, spec.baths)
     moments = transform.apply_to_inputs(InputMoments.from_baths(spec))
     baths = tuple(
         BathSpec(b.gamma, moments.occupancy[i], moments.anomalous[i])
         for i, b in enumerate(spec.baths)
     )
     return replace(frame, baths=baths)
-
-
-def bogoliubov_frame(
-    spec: NetworkSpec, mode: int, xi: float | None = None
-) -> tuple[NetworkSpec, MomentTransform]:
-    """Re-express the network in a hyperbolic frame on one mode.
-
-    The new mode is alpha = cosh(xi) a + sinh(xi) adag. When ``xi`` is
-    omitted it is derived from the couplings touching the mode: a
-    beam-splitter amplitude G_minus paired with a squeeze amplitude
-    G_plus on the same partner turns into a pure beam splitter at the
-    xi of hyperbolic_frame(G_plus, G_minus).
-
-    Returns the spec mapped through the exact symplectic transform
-    (transform_network) and the transform itself. The frame composes
-    additively in xi.
-    """
-    if not 0 <= mode < spec.n_modes:
-        raise DimensionError(f"mode {mode} out of range for {spec.n_modes} modes")
-    if xi is None:
-        xi = _derive_frame_parameter(spec, mode)
-    transform = MomentTransform.bogoliubov(spec.n_modes, mode, xi)
-    return transform_network(spec, transform), transform
-
-
-def rotate_mode(
-    spec: NetworkSpec, mode: int, phi: float
-) -> tuple[NetworkSpec, MomentTransform]:
-    """Re-express the network with a_mode = exp(i phi) b_mode.
-
-    A quarter turn (phi = -pi/2) turns a real beam-splitter amplitude
-    into a real drift block, the gauge in which quadrature families
-    close on themselves.
-    """
-    if not 0 <= mode < spec.n_modes:
-        raise DimensionError(f"mode {mode} out of range for {spec.n_modes} modes")
-    transform = MomentTransform.rotation(spec.n_modes, mode, -phi)
-    return transform_network(spec, transform), transform
-
-
-def _derive_frame_parameter(spec: NetworkSpec, mode: int) -> float:
-    bs_amp = 0j
-    tms_amp = 0j
-    partners = set()
-    for c in spec.couplings:
-        if mode not in c.modes or c.kind not in _TWO_MODE_KINDS:
-            continue
-        other = c.modes[0] if c.modes[1] == mode else c.modes[1]
-        partners.add(other)
-        if c.kind == "beam_splitter":
-            # orient as (partner, mode): g adag_partner a_mode
-            amp = c.amplitude if c.modes[1] == mode else c.amplitude.conjugate()
-            bs_amp += amp
-        else:
-            tms_amp += c.amplitude
-    if len(partners) != 1:
-        raise ValidationError(
-            "cannot derive the frame parameter: the mode must couple to exactly "
-            "one partner; pass xi explicitly"
-        )
-    scale = max(abs(bs_amp), abs(tms_amp), 1.0)
-    if not (abs(bs_amp.imag) <= 1e-12 * scale and abs(tms_amp.imag) <= 1e-12 * scale):
-        raise ValidationError(
-            "cannot derive the frame parameter from complex amplitudes; "
-            "pass xi explicitly"
-        )
-    return hyperbolic_frame(tms_amp.real, bs_amp.real)[1]
 
 
 def hyperbolic_frame(g_plus: float, g_minus: float) -> tuple[float, float]:

@@ -538,8 +538,7 @@ def three_mode_frame_network(p: ThreeModeParams) -> NetworkSpec:
     symplectic transform of the physical network.
     """
     phys = three_mode_physical_network(p)
-    frame = transform_network(phys, three_mode_transform(p.xi))
-    return replace(frame, labels=("cavity", "sigma", "delta"))
+    return transform_network(phys, three_mode_transform(p.xi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -793,8 +792,3 @@ def fig3_rows(p: ThreeModeParams, n_os, n_ms) -> list[tuple]:
             result = _duan(replace(p, n_o=n_o, n_m=n_m), shares)
             rows.append((n_o, n_m, result.direct, result.budget, result.entangled))
     return rows
-
-
-def fig3_point(p: ThreeModeParams, n_o: float, n_m: float) -> tuple:
-    """One Duan-plane row at the given occupancies."""
-    return fig3_rows(p, [n_o], [n_m])[0]

@@ -15,16 +15,15 @@ from bosonet.network import (
     MomentTransform,
     NetworkSpec,
     beam_splitter,
-    bogoliubov_frame,
     build_state_space,
     check_physical_realizability,
     degenerate_parametric,
     detuning,
+    hyperbolic_frame,
     is_passive,
     metric,
     network_from_json,
     network_to_json,
-    rotate_mode,
     spec_from_state_space,
     transform_network,
     two_mode_squeeze,
@@ -47,6 +46,17 @@ def squeezer_pair(g_minus=1.0, g_plus=0.5, gamma1=1.0, gamma2=1.0):
         [BathSpec(gamma1), BathSpec(gamma2)],
         [beam_splitter(g_minus, 0, 1), two_mode_squeeze(g_plus, 0, 1)],
     )
+
+
+def hyperbolic(spec, mode, xi):
+    """The network in the frame alpha = cosh(xi) a + sinh(xi) adag on one mode."""
+    return transform_network(spec, MomentTransform.bogoliubov(spec.n_modes, mode, xi))
+
+
+def squeezer_frame(g_minus=1.0, g_plus=0.5):
+    """squeezer_pair in the hyperbolic frame of mode 1 that makes it passive."""
+    xi = hyperbolic_frame(g_plus, g_minus)[1]
+    return hyperbolic(squeezer_pair(g_minus, g_plus), 1, xi)
 
 
 class TestValidation:
@@ -74,9 +84,12 @@ class TestValidation:
         with pytest.raises(ValidationError):
             detuning(1.0 + 0.5j, 0)
 
-    def test_label_count(self):
-        with pytest.raises(ValidationError):
-            NetworkSpec(1, [BathSpec(1.0)], labels=["a", "b"])
+    def test_spec_holds_modes_baths_and_couplings_only(self):
+        assert [f.name for f in dataclasses.fields(NetworkSpec)] == [
+            "n_modes",
+            "baths",
+            "couplings",
+        ]
 
     def test_nan_amplitude_is_refused_before_a_frame_is_derived(self):
         # the refusal names the amplitude, not a failed frame round trip
@@ -86,7 +99,7 @@ class TestValidation:
                 [BathSpec(1.0), BathSpec(1.0)],
                 [beam_splitter(complex(1.0, math.nan), 0, 1), two_mode_squeeze(0.5, 0, 1)],
             )
-            bogoliubov_frame(spec, 1)
+            hyperbolic(spec, 1, hyperbolic_frame(0.5, 1.0)[1])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["gamma", "occupancy", "anomalous"])
@@ -121,6 +134,16 @@ class TestPhysicalityWarnings:
             InputMoments(
                 occupancy=np.array([0.0, 0.0]), anomalous=np.array([0.0, 0.3j])
             )
+
+    @pytest.mark.parametrize("n", [1e200, 1e306])
+    def test_large_occupancies_emit_no_warning(self, n):
+        # the bound sqrt(n (n+1)) must not overflow on the way
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            InputMoments.thermal([n, n])
+            BathSpec(1.0, occupancy=n)
 
 
 class TestDrift:
@@ -219,6 +242,30 @@ class TestRealizability:
         report = check_physical_realizability(dataclasses.replace(ss, input=bad))
         assert not report.passed
         assert abs(report.residual - 0.21) < 1e-12
+
+    @pytest.mark.parametrize("gammas", [(1e5, 1.37e5), (7e6, 9.6e6)])
+    def test_large_rates_are_judged_against_the_operands(self, gammas):
+        # the residual is roundoff of sqrt(gamma)^2 - gamma, so it grows
+        # with the rates; the limit grows with them
+        spec = bs_pair(g=0.5, gamma1=gammas[0], gamma2=gammas[1])
+        report = check_physical_realizability(build_state_space(spec))
+        assert report.residual > report.tol
+        assert report.passed
+        assert report.tol == 1e-12
+
+    def test_small_defect_at_unit_scale_fails(self):
+        ss = build_state_space(bs_pair())
+        drift = ss.drift.copy()
+        drift[0, 0] += 1e-11
+        report = check_physical_realizability(dataclasses.replace(ss, drift=drift))
+        assert not report.passed
+        assert abs(report.residual - 2e-11) < 1e-15
+
+    def test_nan_drift_fails(self):
+        ss = build_state_space(bs_pair())
+        drift = ss.drift.copy()
+        drift[0, 1] = math.nan
+        assert not check_physical_realizability(dataclasses.replace(ss, drift=drift)).passed
 
 
 class TestPassivity:
@@ -326,7 +373,7 @@ class TestInputMoments:
         monkeypatch.setattr(InputMoments, "noise_matrix", lambda self: noise)
 
     def test_imaginary_diagonal_is_judged_against_the_moment_scale(self, monkeypatch):
-        identity = MomentTransform.identity(2)
+        identity = MomentTransform(np.eye(4))
         zero = np.zeros((2, 2), dtype=complex)
         self._patched_noise(monkeypatch, np.diag([1.0, 1.0 + 2e-9j]), zero)
         with pytest.raises(ValidationError, match="diagonal must be real"):
@@ -348,7 +395,7 @@ class TestInputMoments:
             anomalous[0, 1] = anomalous[1, 0] = math.nan
         self._patched_noise(monkeypatch, normal, anomalous)
         with pytest.raises(ValidationError, match="finite"):
-            MomentTransform.identity(2).apply_to_inputs(InputMoments.vacuum(2))
+            MomentTransform(np.eye(4)).apply_to_inputs(InputMoments.vacuum(2))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["occupancy", "anomalous"])
@@ -368,10 +415,6 @@ class TestInputMoments:
 
 
 class TestMomentTransform:
-    def test_identity(self):
-        t = MomentTransform.identity(2)
-        assert np.array_equal(t.matrix, np.eye(4))
-
     def test_metric_preservation_enforced(self):
         with pytest.raises(ValidationError):
             MomentTransform(2.0 * np.eye(2))
@@ -388,17 +431,29 @@ class TestMomentTransform:
         assert np.abs(t.matrix @ sig @ t.matrix.conj().T - sig).max() < 1e-12
 
     def test_compose_with_inverse_is_identity(self):
+        # apply_to_drift forms T A T^-1 with T^-1 = sigma T^H sigma
         t = MomentTransform.two_mode_bogoliubov(3, 0, 2, 0.6)
-        prod = t.compose(t.inverse())
-        assert np.abs(prod.matrix - np.eye(6)).max() < 1e-12
+        assert np.abs(t.apply_to_drift(np.eye(6)) - np.eye(6)).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: MomentTransform.bogoliubov(2, 2, 0.3),
+            lambda: MomentTransform.rotation(2, -1, 0.3),
+            lambda: MomentTransform.two_mode_bogoliubov(2, 0, 2, 0.3),
+            lambda: MomentTransform.mixer(2, -1, 0),
+        ],
+    )
+    def test_mode_out_of_range_is_refused(self, build):
+        with pytest.raises(DimensionError, match="out of range"):
+            build()
 
     def test_nan_input_moments_are_refused(self):
         with pytest.raises(ValidationError, match="finite"):
             InputMoments(np.ones(2), np.array([math.nan, 0.0]))
-        # finite moments that overflow in the new frame are refused there
-        with np.errstate(all="ignore"), pytest.raises(
-            ValidationError, match="input moments must be finite"
-        ):
+        # finite moments that overflow in the new frame are refused there,
+        # and no floating-point warning escapes on the way
+        with pytest.raises(ValidationError, match="input moments must be finite"):
             MomentTransform.bogoliubov(2, 0, 1.0).apply_to_inputs(
                 InputMoments.thermal([1e308, 1e308])
             )
@@ -420,22 +475,24 @@ class TestMomentTransform:
 class TestBogoliubovFrame:
     def test_no_squeeze_is_identity_frame(self):
         spec = bs_pair(g=0.8)
-        frame, t = bogoliubov_frame(spec, 1)
+        xi = hyperbolic_frame(0.0, 0.8)[1]
+        assert xi == 0.0
+        t = MomentTransform.bogoliubov(2, 1, xi)
         assert np.abs(t.matrix - np.eye(4)).max() < 1e-12
         assert np.array_equal(
-            build_state_space(frame).drift, build_state_space(spec).drift
+            build_state_space(transform_network(spec, t)).drift,
+            build_state_space(spec).drift,
         )
 
     def test_hyperbolic_rotation_of_squeezer(self):
-        frame, t = bogoliubov_frame(squeezer_pair(1.0, 0.5), 1)
+        frame = squeezer_frame(1.0, 0.5)
         assert is_passive(frame)
         amps = [c.amplitude for c in frame.couplings if c.kind == "beam_splitter"]
         assert len(amps) == 1
         assert abs(abs(amps[0]) - math.sqrt(0.75)) < 1e-12
 
     def test_vacuum_bath_gains_moments(self):
-        frame, _ = bogoliubov_frame(squeezer_pair(1.0, 0.5), 1)
-        b = frame.baths[1]
+        b = squeezer_frame(1.0, 0.5).baths[1]
         xi = math.atanh(0.5)
         assert abs(b.gamma - 1.0) < 1e-15
         assert abs(b.occupancy - math.sinh(xi) ** 2) < 1e-12
@@ -444,28 +501,29 @@ class TestBogoliubovFrame:
         assert abs(b.anomalous - 2.0 / 3.0) < 1e-12
 
     def test_untouched_bath_unchanged(self):
-        frame, _ = bogoliubov_frame(squeezer_pair(1.0, 0.5), 1)
+        frame = squeezer_frame(1.0, 0.5)
         assert frame.baths[0].occupancy == 0.0
         assert frame.baths[0].anomalous == 0.0
 
     def test_equal_amplitudes_have_no_frame(self):
         with pytest.raises(FrameError):
-            bogoliubov_frame(squeezer_pair(g_minus=0.5, g_plus=0.5), 1)
+            squeezer_frame(g_minus=0.5, g_plus=0.5)
         with pytest.raises(FrameError):
-            bogoliubov_frame(squeezer_pair(g_minus=0.5, g_plus=1.0), 1)
+            squeezer_frame(g_minus=0.5, g_plus=1.0)
 
     def test_explicit_xi_composes_additively(self):
         spec = squeezer_pair(1.0, 0.5)
-        one, _ = bogoliubov_frame(spec, 1, xi=0.2)
-        two, _ = bogoliubov_frame(one, 1, xi=0.3)
-        direct, _ = bogoliubov_frame(spec, 1, xi=0.5)
+        two = hyperbolic(hyperbolic(spec, 1, 0.2), 1, 0.3)
+        direct = hyperbolic(spec, 1, 0.5)
         d_two = build_state_space(two).drift
         d_direct = build_state_space(direct).drift
         assert np.abs(d_two - d_direct).max() < 1e-12
 
     def test_rotation_makes_frame_drift_real(self):
-        frame, _ = bogoliubov_frame(squeezer_pair(1.0, 0.5), 1)
-        rotated, _ = rotate_mode(frame, 1, -math.pi / 2)
+        # a quarter turn of the frame mode makes the beam-splitter block real
+        rotated = transform_network(
+            squeezer_frame(1.0, 0.5), MomentTransform.rotation(2, 1, math.pi / 2)
+        )
         drift = build_state_space(rotated).drift
         assert np.abs(drift.imag).max() < 1e-12
 
@@ -483,11 +541,10 @@ class TestSpecFromStateSpace:
             ],
         )
         drift = build_state_space(spec).drift
-        restored = spec_from_state_space(drift, spec.baths, ("a", "b", "c"))
+        restored = spec_from_state_space(drift, spec.baths)
         assert sorted((c.kind, c.modes, c.amplitude) for c in restored.couplings) == (
             sorted((c.kind, c.modes, c.amplitude) for c in spec.couplings)
         )
-        assert restored.labels == ("a", "b", "c")
         assert np.array_equal(build_state_space(restored).drift, drift)
 
     def test_merges_terms_on_one_slot_and_drops_cancelled_ones(self):
@@ -535,7 +592,7 @@ class TestSpecFromStateSpace:
 class TestTransformNetwork:
     def test_mode_count_must_match(self):
         with pytest.raises(DimensionError):
-            transform_network(bs_pair(), MomentTransform.identity(3))
+            transform_network(bs_pair(), MomentTransform(np.eye(6)))
 
     def test_unequal_dampings_cannot_be_mixed(self):
         spec = bs_pair(gamma1=1.0, gamma2=2.0)
@@ -559,8 +616,9 @@ class TestTransformNetwork:
     def test_composed_transform_equals_successive_frames(self):
         spec = squeezer_pair(1.0, 0.5)
         xi = math.atanh(0.5)
-        frame, _ = bogoliubov_frame(spec, 1)
-        stepwise, _ = rotate_mode(frame, 1, -math.pi / 2)
+        stepwise = transform_network(
+            hyperbolic(spec, 1, xi), MomentTransform.rotation(2, 1, math.pi / 2)
+        )
         composed = transform_network(
             spec,
             MomentTransform.rotation(2, 1, math.pi / 2).compose(
@@ -573,10 +631,3 @@ class TestTransformNetwork:
         for a, b in zip(composed.baths, stepwise.baths):
             assert abs(a.occupancy - b.occupancy) < 1e-12
             assert abs(a.anomalous - b.anomalous) < 1e-12
-
-    def test_labels_survive(self):
-        spec = dataclasses.replace(bs_pair(), labels=("left", "right"))
-        assert transform_network(spec, MomentTransform.rotation(2, 0, 0.3)).labels == (
-            "left",
-            "right",
-        )

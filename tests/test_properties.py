@@ -13,12 +13,10 @@ from bosonet.errors import FrameError
 from bosonet.network import (
     InputMoments,
     MomentTransform,
-    bogoliubov_frame,
     build_state_space,
     degenerate_parametric,
     is_passive,
     passive_state_space,
-    rotate_mode,
     spec_from_state_space,
     transform_network,
 )
@@ -66,9 +64,11 @@ def test_frame_covariance_is_the_congruence_of_the_physical_one(
     spec = draw_network(seed, nonpassive)
     mode = mode_pick % spec.n_modes
     v = physical_covariance(spec)
-    frame, t_frame = bogoliubov_frame(spec, mode, xi=xi)
-    rotated, t_rot = rotate_mode(frame, mode, phi)
-    expected = t_rot.compose(t_frame).apply_to_covariance(v)
+    t_frame = MomentTransform.bogoliubov(spec.n_modes, mode, xi)
+    t_rot = MomentTransform.rotation(spec.n_modes, mode, phi)
+    rotated = transform_network(transform_network(spec, t_frame), t_rot)
+    t = t_rot.compose(t_frame).matrix
+    expected = t @ v @ t.conj().T
     got = physical_covariance(rotated)
     scale = max(1.0, float(np.abs(expected).max()))
     assert np.abs(got - expected).max() <= 1e-9 * scale

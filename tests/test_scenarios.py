@@ -16,10 +16,8 @@ from bosonet.linalg import solve_lyapunov
 from bosonet.network import (
     BathSpec,
     InputMoments,
-    MomentTransform,
     NetworkSpec,
     beam_splitter,
-    bogoliubov_frame,
     build_state_space,
     hyperbolic_frame,
     is_passive,
@@ -36,7 +34,6 @@ from bosonet.scenarios import (
     duan_quantity,
     fig1_point,
     fig2_point,
-    fig3_point,
     fig3_rows,
     optimal_coupling,
     parametric_blocks,
@@ -91,7 +88,7 @@ def hand_written_frame_network(p):
         for i, gamma in enumerate((p.kappa, p.gamma_m, p.gamma_m))
     )
     couplings = [beam_splitter(p.g_script, 0, 1), beam_splitter(0.5 * p.omega, 1, 2)]
-    return NetworkSpec(3, baths, couplings, labels=("cavity", "sigma", "delta"))
+    return NetworkSpec(3, baths, couplings)
 
 
 class TestTwoModeParams:
@@ -375,7 +372,6 @@ class TestThreeModeBudget:
         for p in cases:
             derived = three_mode_frame_network(p)
             reference = hand_written_frame_network(p)
-            assert derived.labels == reference.labels
             assert [(c.kind, c.modes) for c in derived.couplings] == [
                 ("beam_splitter", (0, 1)),
                 ("beam_splitter", (1, 2)),
@@ -526,10 +522,6 @@ class TestFrameRule:
         )
         assert (two.g_script, two.xi) == expected
         assert (three.g_script, three.xi) == expected
-        _, derived = bogoliubov_frame(two_mode_network(two), 1)
-        assert np.array_equal(
-            derived.matrix, MomentTransform.bogoliubov(2, 1, expected[1]).matrix
-        )
 
     @pytest.mark.parametrize(
         "g_plus, g_minus", [(1.0, 1.0), (1.0, 0.5), (math.nan, 1.0), (0.5, math.nan)]
@@ -549,14 +541,8 @@ class TestFrameRule:
             with pytest.raises(ValidationError, match="amplitude must be finite"):
                 beam_splitter(g_minus, 0, 1), two_mode_squeeze(g_plus, 0, 1)
         else:
-            spec = NetworkSpec(
-                2,
-                [BathSpec(1.0), BathSpec(1.0)],
-                [beam_splitter(g_minus, 0, 1), two_mode_squeeze(g_plus, 0, 1)],
-            )
             two = TwoModeParams(g_plus=g_plus, g_minus=g_minus, gamma1=1.0, gamma2=1.0)
             callers += [
-                lambda: bogoliubov_frame(spec, 1),
                 lambda: two.g_script,
                 lambda: two.xi,
                 lambda: two_mode_squeezing_power(two),
@@ -595,7 +581,7 @@ class TestRowHelpers:
         assert row[4] >= row[3] - 1e-9
 
     def test_fig3_row(self):
-        row = fig3_point(THREE_MODE, 0.0, 0.0)
+        (row,) = fig3_rows(THREE_MODE, [0.0], [0.0])
         assert len(row) == len(FIG3_HEADER)
         assert row[2] == pytest.approx(0.3862921656672832, abs=1e-12)
         assert row[4] is True

@@ -8,12 +8,13 @@ from bosonet.errors import ApplicabilityError, NumericsError, StabilityError
 from bosonet.network import (
     BathSpec,
     InputMoments,
+    MomentTransform,
     NetworkSpec,
     beam_splitter,
-    bogoliubov_frame,
     build_state_space,
     degenerate_parametric,
-    rotate_mode,
+    hyperbolic_frame,
+    transform_network,
     two_mode_squeeze,
 )
 from bosonet.steady import (
@@ -191,8 +192,13 @@ class TestVarianceDecomposition:
         ss = build_state_space(spec)
         state = steady_covariance(ss, InputMoments.vacuum(2))
 
-        frame, _ = bogoliubov_frame(spec, 1)
-        rotated, _ = rotate_mode(frame, 1, -math.pi / 2)
+        xi = hyperbolic_frame(0.5, 1.0)[1]
+        rotated = transform_network(
+            spec,
+            MomentTransform.rotation(2, 1, math.pi / 2).compose(
+                MomentTransform.bogoliubov(2, 1, xi)
+            ),
+        )
         ss_rot = build_state_space(rotated)
         inputs = InputMoments.from_baths(rotated)
         budget = compute_budget(ss_rot)
@@ -207,7 +213,8 @@ class TestVarianceDecomposition:
             [BathSpec(1.0), BathSpec(1.0)],
             [beam_splitter(1.0, 0, 1), two_mode_squeeze(0.5, 0, 1)],
         )
-        frame, _ = bogoliubov_frame(spec, 1)
+        xi = hyperbolic_frame(0.5, 1.0)[1]
+        frame = transform_network(spec, MomentTransform.bogoliubov(2, 1, xi))
         ss = build_state_space(frame)
         with pytest.raises(ApplicabilityError):
             variance_decomposition(
