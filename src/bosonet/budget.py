@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ApplicabilityError, DimensionError, NumericsError
-from .linalg import TOL, integrate_spectrum, require_stable, solve_lyapunov
+from .linalg import QUADRATURE_ABS_TOL, integrate_spectrum, require_stable, solve_lyapunov
 from .network import StateSpace, metric, passive_state_space
 
 _IMAG_LEAK_TOL = 1e-10
@@ -83,7 +83,7 @@ def compute_budget(ss: StateSpace) -> CommutatorBudget:
 
 
 def budget_via_spectrum(
-    ss: StateSpace, abs_tol: float = TOL.quadrature_abs
+    ss: StateSpace, abs_tol: float = QUADRATURE_ABS_TOL
 ) -> CommutatorBudget:
     """Frequency-domain route: integrate the resolvent over the line.
 

@@ -226,9 +226,13 @@ def cmd_analyze(args) -> int:
 
 
 def _sweep_row(point, header: tuple, params: dict, var: str) -> tuple:
-    """One sweep row; a failing point keeps its parameter columns, the rest nan."""
+    """One sweep row; a point that fails for stability, frame or numerics
+    reasons keeps its parameter columns, the rest nan. Invalid parameters
+    raise (exit code 3)."""
     try:
         return point(**params)
+    except ValidationError:
+        raise
     except BosonetError as exc:
         print(
             f"warning: sweep point skipped: {var}={params[var]:.12g}: {exc}",

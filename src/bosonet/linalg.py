@@ -3,8 +3,8 @@
 Everything operates on plain numpy arrays of dimension order ten:
 spectra for stability tests, Lyapunov solves, adaptive Gauss-Kronrod
 quadrature over the real frequency axis, and a golden-section scalar
-optimizer. The solver defaults live in the record ``TOL``; guards on
-derived quantities (imaginary leaks, route agreement) keep their own
+optimizer. The solver defaults are the module constants below; guards
+on derived quantities (imaginary leaks, route agreement) keep their own
 constants in the modules that own them.
 
 ``solve_lyapunov`` documents its two routes: one eigendecomposition per
@@ -15,7 +15,6 @@ the eigen route fails its residual check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -26,19 +25,13 @@ MAX_SPECTRUM_DIM = 64
 # Smallest drift dimension (four modes) that solve_lyapunov solves by
 # eigendecomposition; below it every source takes the Kronecker solve.
 _EIGEN_MIN_DIM = 8
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Default numerical tolerances used across the package."""
-
-    lyapunov_residual: float = 1e-10
-    quadrature_abs: float = 1e-8
-    hermiticity: float = 1e-12
-    realizability: float = 1e-12
-
-
-TOL = Tolerances()
+# Relative residual every Lyapunov solve must reach (see _residual_error).
+LYAPUNOV_RESIDUAL_TOL = 1e-10
+# Relative anti-Hermitian part a Lyapunov source may carry.
+HERMITICITY_TOL = 1e-12
+# Default absolute error per entry of integrate_spectrum, and its panel cap.
+QUADRATURE_ABS_TOL = 1e-8
+QUADRATURE_MAX_PANELS = 8192
 
 
 def _as_square(m) -> np.ndarray:
@@ -161,23 +154,23 @@ def solve_lyapunov(a, q) -> np.ndarray:
 def _hermitian_source_max(qm: np.ndarray) -> float:
     """||q||_max of one source, which must be Hermitian within tolerance."""
     qmax = float(np.abs(qm).max(initial=0.0))
-    if not hermitian_defect(qm) <= TOL.hermiticity * max(1.0, qmax):
+    if not hermitian_defect(qm) <= HERMITICITY_TOL * max(1.0, qmax):
         raise ValidationError("q must be Hermitian within tolerance")
     return qmax
 
 
 def _residual_error(am, ah, amax: float, w, qm, qmax: float) -> NumericsError | None:
     """The accuracy check of every solve: None if a W + W a^H + q is within
-    TOL.lyapunov_residual of 2 ||a||_max ||W||_max + ||q||_max, the size of
+    LYAPUNOV_RESIDUAL_TOL of 2 ||a||_max ||W||_max + ||q||_max, the size of
     the terms it cancels; else the error to raise. ``ah`` and ``amax`` are
     a^H and ||a||_max, computed once per solve. NaN fails."""
     residual = float(np.abs(am @ w + w @ ah + qm).max())
     scale = 2.0 * amax * float(np.abs(w).max()) + qmax
-    if residual <= TOL.lyapunov_residual * scale:
+    if residual <= LYAPUNOV_RESIDUAL_TOL * scale:
         return None
     return NumericsError(
         f"Lyapunov residual {residual:.3e} exceeds "
-        f"{TOL.lyapunov_residual:.1e} * {scale:.3g}",
+        f"{LYAPUNOV_RESIDUAL_TOL:.1e} * {scale:.3g}",
         estimate=residual,
     )
 
@@ -284,9 +277,8 @@ def _gk_panels(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.nda
 
 def integrate_spectrum(
     f: Callable[[np.ndarray], np.ndarray],
-    abs_tol: float = TOL.quadrature_abs,
+    abs_tol: float = QUADRATURE_ABS_TOL,
     breakpoints: Iterable[float] | None = None,
-    max_panels: int = 8192,
 ) -> np.ndarray:
     """Adaptive quadrature of (1/2pi) * integral of f over the real line.
 
@@ -295,7 +287,8 @@ def integrate_spectrum(
     integrated entrywise. The real line is mapped to (-1, 1) through
     omega = t/(1-t^2), so Lorentzian tails need no manual cutoff, and
     a Gauss-Kronrod 7/15 pair is refined until the estimated absolute
-    error is at most ``abs_tol`` per entry.
+    error is at most ``abs_tol`` per entry, over at most
+    ``QUADRATURE_MAX_PANELS`` panels.
 
     ``breakpoints`` (frequencies, not mapped coordinates) seed panel
     edges near known narrow features such as resonances; without them
@@ -307,45 +300,36 @@ def integrate_spectrum(
         for omega in breakpoints:
             t = _omega_to_t(float(omega))
             edges.add(min(max(t, -1.0 + 1e-12), 1.0 - 1e-12))
-    grid = sorted(edges)
-    lo = np.array(grid[:-1])
-    hi = np.array(grid[1:])
-    keep = hi - lo > 1e-15
-    panels_lo = list(lo[keep])
-    panels_hi = list(hi[keep])
-    vals, errs = _gk_panels(f, np.array(panels_lo), np.array(panels_hi))
-    vals = list(vals)
-    errs = list(errs)
+    grid = np.array(sorted(edges))
+    keep = np.diff(grid) > 1e-15
+    lo, hi = grid[:-1][keep], grid[1:][keep]
+    vals, errs = _gk_panels(f, lo, hi)
 
     raw_tol = abs_tol * 2.0 * math.pi
     while True:
+        # Python's sum adds the panels left to right, as the result does
         total_err = float(np.max(sum(errs)))
         if total_err <= raw_tol:
             break
-        threshold = raw_tol / (2.0 * len(panels_lo))
-        offenders = [
-            i for i in range(len(panels_lo)) if float(np.max(errs[i])) > threshold
-        ]
-        if not offenders:
-            offenders = [int(np.argmax([float(np.max(e)) for e in errs]))]
-        if len(panels_lo) + len(offenders) > max_panels:
+        worst = errs.reshape(len(lo), -1).max(axis=1)
+        split = worst > raw_tol / (2.0 * len(lo))
+        if not split.any():
+            split[np.argmax(worst)] = True
+        if len(lo) + int(split.sum()) > QUADRATURE_MAX_PANELS:
             raise NumericsError(
                 f"quadrature did not converge below {abs_tol:.1e} within "
-                f"{max_panels} panels",
+                f"{QUADRATURE_MAX_PANELS} panels",
                 estimate=total_err / (2.0 * math.pi),
             )
-        new_lo, new_hi = [], []
-        for i in offenders:
-            mid = 0.5 * (panels_lo[i] + panels_hi[i])
-            new_lo.extend([panels_lo[i], mid])
-            new_hi.extend([mid, panels_hi[i]])
-        new_vals, new_errs = _gk_panels(f, np.array(new_lo), np.array(new_hi))
-        for i in sorted(offenders, reverse=True):
-            del panels_lo[i], panels_hi[i], vals[i], errs[i]
-        panels_lo.extend(new_lo)
-        panels_hi.extend(new_hi)
-        vals.extend(new_vals)
-        errs.extend(new_errs)
+        # each split panel becomes (lo, mid), (mid, hi), after the kept ones
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.stack([lo[split], mid], axis=1).reshape(-1)
+        new_hi = np.stack([mid, hi[split]], axis=1).reshape(-1)
+        new_vals, new_errs = _gk_panels(f, new_lo, new_hi)
+        lo = np.concatenate([lo[~split], new_lo])
+        hi = np.concatenate([hi[~split], new_hi])
+        vals = np.concatenate([vals[~split], new_vals])
+        errs = np.concatenate([errs[~split], new_errs])
 
     return sum(vals) / (2.0 * math.pi)
 

@@ -23,7 +23,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionError, FrameError, NumericsError, ValidationError
-from .linalg import TOL
 
 COUPLING_KINDS = (
     "beam_splitter",
@@ -38,6 +37,7 @@ DOUBLED_ORDERING = "a[0..N-1], adag[0..N-1]"
 # |m| <= sqrt(n (n+1)) for a stationary physical bath; engineered frame
 # inputs may exceed it, so violations only warn.
 _PHYSICALITY_SLACK = 1e-9
+REALIZABILITY_TOL = 1e-12
 
 
 def _warn_if_unphysical(occupancy: float, anomalous: complex, context: str) -> None:
@@ -357,13 +357,13 @@ def check_physical_realizability(ss: StateSpace) -> RealizabilityReport:
     Evaluates A sigma + sigma A^H + D sigma D^H, which vanishes exactly
     when the dynamics preserves canonical commutation relations. The
     residual is roundoff of the operands, so it passes within
-    TOL.realizability * max(1, ||A||_max, ||D||_max^2); the report's tol
-    is TOL.realizability. A NaN residual fails.
+    REALIZABILITY_TOL * max(1, ||A||_max, ||D||_max^2); the report's tol
+    is REALIZABILITY_TOL. A NaN residual fails.
     """
     sig = metric(ss.n_modes)
     r = ss.drift @ sig + sig @ ss.drift.conj().T + ss.input @ sig @ ss.input.conj().T
     residual = float(np.abs(r).max())
-    tol = TOL.realizability
+    tol = REALIZABILITY_TOL
     d_max = float(np.abs(ss.input).max())
     scale = max(1.0, float(np.abs(ss.drift).max()), d_max * d_max)
     return RealizabilityReport(
@@ -469,8 +469,11 @@ class MomentTransform:
         )
         if not structure <= 1e-12:
             raise ValidationError("transform breaks the doubled conjugation structure")
+        # the residual is roundoff of products of entries, so it is judged
+        # against the transform's size; NaN fails
         sig = metric(n)
-        if not float(np.abs(m @ sig @ m.conj().T - sig).max()) <= 1e-10:
+        residual = float(np.abs(m @ sig @ m.conj().T - sig).max())
+        if not residual <= 1e-10 * max(1.0, float(np.abs(m).max()) ** 2):
             raise ValidationError("transform does not preserve the commutator metric")
 
     @property

@@ -29,12 +29,7 @@ from .errors import (
     StabilityError,
     ValidationError,
 )
-from .linalg import (
-    golden_section_max,
-    golden_section_min,
-    require_stable,
-    solve_lyapunov,
-)
+from .linalg import golden_section_max, golden_section_min, solve_lyapunov
 from .network import (
     BathSpec,
     InputMoments,
@@ -76,6 +71,12 @@ def _nonnegative(name: str, value: float) -> float:
     return value
 
 
+def _check_fields(record, **checks) -> None:
+    """Replace each named field of a frozen record by ``check(name, value)``."""
+    for name, check in checks.items():
+        object.__setattr__(record, name, check(name, getattr(record, name)))
+
+
 @dataclass(frozen=True)
 class TwoModeParams:
     """Beam-splitter/squeeze pair between two thermally driven modes."""
@@ -88,12 +89,10 @@ class TwoModeParams:
     n2: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "g_plus", _nonnegative("g_plus", self.g_plus))
-        object.__setattr__(self, "g_minus", _nonnegative("g_minus", self.g_minus))
-        object.__setattr__(self, "gamma1", _positive("gamma1", self.gamma1))
-        object.__setattr__(self, "gamma2", _positive("gamma2", self.gamma2))
-        object.__setattr__(self, "n1", _nonnegative("n1", self.n1))
-        object.__setattr__(self, "n2", _nonnegative("n2", self.n2))
+        _check_fields(
+            self, g_plus=_nonnegative, g_minus=_nonnegative, gamma1=_positive,
+            gamma2=_positive, n1=_nonnegative, n2=_nonnegative,
+        )
 
     @property
     def g_script(self) -> float:
@@ -120,14 +119,11 @@ class ParametricParams:
     n2: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "g_plus", _nonnegative("g_plus", self.g_plus))
-        object.__setattr__(self, "g_minus", _nonnegative("g_minus", self.g_minus))
-        object.__setattr__(self, "gamma1", _positive("gamma1", self.gamma1))
-        object.__setattr__(self, "gamma2", _positive("gamma2", self.gamma2))
-        object.__setattr__(self, "eta1", _finite("eta1", self.eta1))
-        object.__setattr__(self, "eta2", _finite("eta2", self.eta2))
-        object.__setattr__(self, "n1", _nonnegative("n1", self.n1))
-        object.__setattr__(self, "n2", _nonnegative("n2", self.n2))
+        _check_fields(
+            self, g_plus=_nonnegative, g_minus=_nonnegative, gamma1=_positive,
+            gamma2=_positive, eta1=_finite, eta2=_finite, n1=_nonnegative,
+            n2=_nonnegative,
+        )
 
     @property
     def delta_eta(self) -> float:
@@ -161,13 +157,10 @@ class ThreeModeParams:
     n_m: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "g_script", _nonnegative("g_script", self.g_script))
-        object.__setattr__(self, "omega", _finite("omega", self.omega))
-        object.__setattr__(self, "kappa", _positive("kappa", self.kappa))
-        object.__setattr__(self, "gamma_m", _positive("gamma_m", self.gamma_m))
-        object.__setattr__(self, "xi", _nonnegative("xi", self.xi))
-        object.__setattr__(self, "n_o", _nonnegative("n_o", self.n_o))
-        object.__setattr__(self, "n_m", _nonnegative("n_m", self.n_m))
+        _check_fields(
+            self, g_script=_nonnegative, omega=_finite, kappa=_positive,
+            gamma_m=_positive, xi=_nonnegative, n_o=_nonnegative, n_m=_nonnegative,
+        )
 
     @classmethod
     def from_sidebands(
@@ -291,10 +284,7 @@ class SqueezingPowerResult:
     norm_var1: float
     norm_var2: float
     sum: float
-    bound: float
     slack: float
-    g_script: float
-    xi: float
     alpha_normalized_variance: float
 
 
@@ -313,7 +303,7 @@ def two_mode_squeezing_power(p: TwoModeParams) -> SqueezingPowerResult:
     coupling and fixed xi, and approaches the bound 1 only as G / gamma
     and xi grow together.
     """
-    g_script, xi = hyperbolic_frame(p.g_plus, p.g_minus)
+    xi = p.xi
     spec = two_mode_network(p)
     ss = build_state_space(spec)
     cov = steady_covariance(ss, InputMoments.from_baths(spec))
@@ -345,12 +335,23 @@ def two_mode_squeezing_power(p: TwoModeParams) -> SqueezingPowerResult:
         norm_var1=norm_var1,
         norm_var2=norm_var2,
         sum=total,
-        bound=1.0,
         slack=total - 1.0,
-        g_script=g_script,
-        xi=xi,
         alpha_normalized_variance=alpha_ratio,
     )
+
+
+def _pair_bound(gamma1: float, gamma2: float, de: float) -> float:
+    """(S^2 - d*de) / (S^2 - de^2) with S = gamma1 + gamma2 and
+    d = gamma1 - gamma2; |de| >= S is the stability boundary."""
+    s = gamma1 + gamma2
+    d = gamma1 - gamma2
+    denominator = s * s - de * de
+    if denominator <= 0:
+        raise StabilityError(
+            f"|eta1 - eta2| = {abs(de):g} reaches the stability boundary "
+            f"gamma1 + gamma2 = {s:g}"
+        )
+    return (s * s - d * de) / denominator
 
 
 def parametric_bound(p: ParametricParams) -> float:
@@ -361,23 +362,13 @@ def parametric_bound(p: ParametricParams) -> float:
     per-quadrature floors of the {Y1, Y2} pair; the {X1, X2} pair obeys
     the same expression with de negated.
     """
-    s = p.gamma1 + p.gamma2
-    d = p.gamma1 - p.gamma2
-    de = p.delta_eta
-    denominator = s * s - de * de
-    if denominator <= 0:
-        raise StabilityError(
-            f"|eta1 - eta2| = {abs(de):g} reaches the stability boundary "
-            f"gamma1 + gamma2 = {s:g}"
-        )
-    return (s * s - d * de) / denominator
+    return _pair_bound(p.gamma1, p.gamma2, p.delta_eta)
 
 
 @dataclass(frozen=True)
 class ParametricOptimum:
     delta_eta_star: float
     min_value: float
-    numeric_delta_eta: float
     numeric_min_value: float
 
 
@@ -396,13 +387,10 @@ def parametric_optimum(gamma1: float, gamma2: float) -> ParametricOptimum:
     r1, r2 = math.sqrt(gamma1), math.sqrt(gamma2)
     star = s * (r1 - r2) / (r1 + r2)
     value = 0.5 + r1 * r2 / s
-
-    def bound_at(de: float) -> float:
-        d = gamma1 - gamma2
-        return (s * s - d * de) / (s * s - de * de)
-
     edge = s * (1.0 - 1e-9)
-    numeric_x, numeric_value = golden_section_min(bound_at, -edge, edge, rel_tol=1e-12)
+    _, numeric_value = golden_section_min(
+        lambda de: _pair_bound(gamma1, gamma2, de), -edge, edge, rel_tol=1e-12
+    )
     if not abs(numeric_value - value) <= 1e-9:
         raise NumericsError(
             "numeric minimization disagrees with the closed-form optimum",
@@ -411,23 +399,20 @@ def parametric_optimum(gamma1: float, gamma2: float) -> ParametricOptimum:
     return ParametricOptimum(
         delta_eta_star=star,
         min_value=value,
-        numeric_delta_eta=numeric_x,
         numeric_min_value=numeric_value,
     )
 
 
 @dataclass(frozen=True)
 class PairedVarianceReport:
-    """Steady quadrature ratios against their parametric floors."""
+    """Steady quadrature ratios against their parametric floors.
+
+    ratio_x1 and ratio_y1 are mode 1's variances over n1 + 1/2; min_slack
+    is the least margin over the four quadrature floors and two pair bounds.
+    """
 
     ratio_x1: float
     ratio_y1: float
-    ratio_x2: float
-    ratio_y2: float
-    bound_x1: float
-    bound_y1: float
-    bound_x2: float
-    bound_y2: float
     sum_x: float
     sum_y: float
     sum_x_bound: float
@@ -443,49 +428,35 @@ def parametric_variance_check(p: ParametricParams) -> PairedVarianceReport:
     gamma_i / (S -+ de) and the pair sums are bounded by the expression
     of parametric_bound at +-de.
     """
-    blocks = parametric_blocks(p)
     variances = {}
-    for block in blocks:
+    for block in parametric_blocks(p):
         try:
             w = solve_lyapunov(block.drift, block.noise.astype(complex))
-        except StabilityError:
-            # the same spectrum, raised again under the block's label
-            require_stable(block.drift, f"quadrature block {block.labels}")
-            raise
+        except StabilityError as exc:
+            raise StabilityError(
+                f"quadrature block {block.labels}: {exc}", eigenvalue=exc.eigenvalue
+            ) from exc
         variances[block.labels[0]] = float(w[0, 0].real)
         variances[block.labels[1]] = float(w[1, 1].real)
     v1, v2 = p.n1 + 0.5, p.n2 + 0.5
-    ratio_x1 = variances["X1"] / v1
-    ratio_y1 = variances["Y1"] / v1
-    ratio_x2 = variances["X2"] / v2
-    ratio_y2 = variances["Y2"] / v2
+    x1, y1 = variances["X1"] / v1, variances["Y1"] / v1
+    x2, y2 = variances["X2"] / v2, variances["Y2"] / v2
     s = p.gamma1 + p.gamma2
     de = p.delta_eta
-    bound_x1 = p.gamma1 / (s - de)
-    bound_y2 = p.gamma2 / (s - de)
-    bound_x2 = p.gamma2 / (s + de)
-    bound_y1 = p.gamma1 / (s + de)
-    sum_x = ratio_x1 + ratio_x2
-    sum_y = ratio_y1 + ratio_y2
-    sum_y_bound = parametric_bound(p)
-    sum_x_bound = parametric_bound(replace(p, eta1=p.eta2, eta2=p.eta1))
+    sum_x, sum_y = x1 + x2, y1 + y2
+    sum_x_bound = _pair_bound(p.gamma1, p.gamma2, -de)
+    sum_y_bound = _pair_bound(p.gamma1, p.gamma2, de)
     slacks = (
-        ratio_x1 - bound_x1,
-        ratio_y1 - bound_y1,
-        ratio_x2 - bound_x2,
-        ratio_y2 - bound_y2,
+        x1 - p.gamma1 / (s - de),
+        y1 - p.gamma1 / (s + de),
+        x2 - p.gamma2 / (s + de),
+        y2 - p.gamma2 / (s - de),
         sum_x - sum_x_bound,
         sum_y - sum_y_bound,
     )
     return PairedVarianceReport(
-        ratio_x1=ratio_x1,
-        ratio_y1=ratio_y1,
-        ratio_x2=ratio_x2,
-        ratio_y2=ratio_y2,
-        bound_x1=bound_x1,
-        bound_y1=bound_y1,
-        bound_x2=bound_x2,
-        bound_y2=bound_y2,
+        ratio_x1=x1,
+        ratio_y1=y1,
         sum_x=sum_x,
         sum_y=sum_y,
         sum_x_bound=sum_x_bound,
@@ -776,7 +747,7 @@ def fig2_point(
         n2=n2,
     )
     report = parametric_variance_check(params)
-    return (delta_eta, gamma1, gamma2, parametric_bound(params), report.sum_y)
+    return (delta_eta, gamma1, gamma2, report.sum_y_bound, report.sum_y)
 
 
 def fig3_rows(p: ThreeModeParams, n_os, n_ms) -> list[tuple]:

@@ -29,15 +29,10 @@ workloads = _bench_module("workloads")
 
 
 def _cases():
-    # verify is left out: it alone takes longer than all the rest
-    for ref_name, keep in (
-        ("grids-0-full", lambda command: True),
-        ("ladder_verify-0-full", lambda command: command["argv"][0] == "analyze"),
-    ):
+    for ref_name in ("grids-0-full", "ladder_verify-0-full"):
         refs = capture.load(BENCH / "refs" / f"{ref_name}.json.gz")
         for command in refs["commands"]:
-            if keep(command):
-                yield pytest.param(refs["files"], command, id=f"{ref_name}:{command['name']}")
+            yield pytest.param(refs["files"], command, id=f"{ref_name}:{command['name']}")
 
 
 @pytest.mark.parametrize("files, command", list(_cases()))

@@ -225,6 +225,24 @@ class TestSweep:
             "0,1,1,1,nan,nan,nan",
         ]
 
+    def test_invalid_fixed_flag_exits_3(self, tmp_path):
+        out = tmp_path / "x.csv"
+        proc = run_cli(
+            "sweep",
+            "--scenario",
+            "fig1",
+            "--grid",
+            "g_script:0.5:1:3",
+            "--gamma1",
+            "-1",
+            "--out",
+            str(out),
+        )
+        assert proc.returncode == 3
+        assert "gamma1 must be positive" in proc.stderr
+        assert "sweep point skipped" not in proc.stderr
+        assert not out.exists()
+
     def test_grid_count_too_small_exits_3(self, tmp_path):
         proc = run_cli(
             "sweep",

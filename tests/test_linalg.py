@@ -11,7 +11,7 @@ from bosonet.errors import DimensionError, NumericsError, StabilityError, Valida
 from bosonet.network import build_state_space
 from bosonet.suites import random_network
 from bosonet.linalg import (
-    TOL,
+    QUADRATURE_ABS_TOL,
     eigenvalues,
     golden_section_max,
     golden_section_min,
@@ -301,7 +301,7 @@ def test_engine_matches_scipy_on_random_networks(seed, nonpassive):
 class TestIntegrateSpectrum:
     def test_lorentzian_normalization(self):
         value = integrate_spectrum(lambda w: 1.0 / (0.25 + w * w))
-        assert abs(value - 1.0) < TOL.quadrature_abs
+        assert abs(value - 1.0) < QUADRATURE_ABS_TOL
 
     def test_zero_integrand(self):
         assert integrate_spectrum(lambda w: np.zeros_like(w)) == 0.0
@@ -327,11 +327,10 @@ class TestIntegrateSpectrum:
         )
         assert abs(value - 1.0 / (2.0 * h)) < 1e-6
 
-    def test_nonconvergence_carries_estimate(self):
+    def test_nonconvergence_carries_estimate(self, monkeypatch):
+        monkeypatch.setattr(linalg, "QUADRATURE_MAX_PANELS", 8)
         with pytest.raises(NumericsError) as err:
-            integrate_spectrum(
-                lambda w: 1.0 / (0.25 + w * w), abs_tol=1e-15, max_panels=8
-            )
+            integrate_spectrum(lambda w: 1.0 / (0.25 + w * w), abs_tol=1e-15)
         assert err.value.estimate is not None
 
 

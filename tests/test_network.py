@@ -430,6 +430,19 @@ class TestMomentTransform:
         sig = metric(2)
         assert np.abs(t.matrix @ sig @ t.matrix.conj().T - sig).max() < 1e-12
 
+    @pytest.mark.parametrize("xi", [8.0, 15.0])
+    def test_metric_roundoff_is_judged_against_the_transform_size(self, xi):
+        # the residual is ~eps cosh^2 xi, far above an absolute 1e-10
+        t = MomentTransform.bogoliubov(2, 1, xi)
+        assert t.matrix[1, 1] == math.cosh(xi)
+
+    def test_small_metric_defect_at_unit_scale_fails(self):
+        m = MomentTransform.bogoliubov(2, 1, 0.5).matrix.copy()
+        m[0, 0] += 1e-9
+        m[2, 2] += 1e-9
+        with pytest.raises(ValidationError, match="commutator metric"):
+            MomentTransform(m)
+
     def test_compose_with_inverse_is_identity(self):
         # apply_to_drift forms T A T^-1 with T^-1 = sigma T^H sigma
         t = MomentTransform.two_mode_bogoliubov(3, 0, 2, 0.6)

@@ -1,5 +1,5 @@
-"""Property tests of the frame-change path and of passivity over random
-network draws."""
+"""Property tests of the frame-change path, of passivity and of the
+commutator budget over random network draws."""
 
 import dataclasses
 import math
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bosonet.budget import budget_via_spectrum, compute_budget, verify_sum_rules
 from bosonet.errors import FrameError
 from bosonet.network import (
     InputMoments,
@@ -103,3 +104,19 @@ def test_passivity_of_a_spec_is_passivity_of_its_drift(seed, nonpassive, mode_pi
     for network in (spec, padded):
         assert is_passive(network) == passive_state_space(build_state_space(network))
     assert is_passive(padded) == is_passive(spec)
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, nonpassive=st.booleans())
+def test_budget_obeys_its_sum_rules(seed, nonpassive):
+    ss = build_state_space(draw_network(seed, nonpassive))
+    assert verify_sum_rules(compute_budget(ss)).passed
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, nonpassive=st.booleans())
+def test_time_and_frequency_domain_budgets_agree(seed, nonpassive):
+    ss = build_state_space(draw_network(seed, nonpassive))
+    direct = compute_budget(ss).per_channel_w
+    spectral = budget_via_spectrum(ss, abs_tol=1e-7).per_channel_w
+    assert np.abs(direct - spectral).max() <= 1e-6

@@ -191,7 +191,7 @@ class TestSqueezingPower:
             squeeze_params(2.0, 0.8, gamma1=0.3, gamma2=1.7, n1=0.3, n2=1.7)
         )
         assert result.slack >= -1e-12
-        assert result.sum >= result.bound - 1e-12
+        assert result.sum >= 1.0 - 1e-12
 
 
 class TestParametricBound:

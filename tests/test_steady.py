@@ -13,6 +13,7 @@ from bosonet.network import (
     beam_splitter,
     build_state_space,
     degenerate_parametric,
+    detuning,
     hyperbolic_frame,
     transform_network,
     two_mode_squeeze,
@@ -82,6 +83,35 @@ class TestSteadyCovariance:
     def test_quadrature_matrix_vacuum(self):
         state = single_mode_state()
         assert np.abs(state.quadrature_matrix() - 0.5 * np.eye(2)).max() < 1e-12
+
+
+class TestDoubledStructureGuard:
+    @staticmethod
+    def near_marginal(gamma):
+        """Two modes damped at gamma under couplings of size ~40: the solve's
+        forward error grows as ||A|| / min|Re lambda|, i.e. as 1 / gamma."""
+        spec = NetworkSpec(
+            2,
+            [BathSpec(gamma, 0.087), BathSpec(gamma, 0.0)],
+            [
+                beam_splitter(-25.5 + 29.3j, 0, 1),
+                two_mode_squeeze(9.37 + 36.6j, 0, 1),
+                detuning(-5.02, 0),
+                detuning(-0.204, 1),
+            ],
+        )
+        return build_state_space(spec), InputMoments.from_baths(spec)
+
+    def test_accurate_solve_is_accepted(self):
+        state = steady_covariance(*self.near_marginal(1e-6))
+        assert abs(min_quadrature_variance(state, 1).value - 0.13707) < 1e-4
+
+    @pytest.mark.parametrize("gamma", [1e-10, 1e-12])
+    def test_swamped_solve_is_refused(self, gamma):
+        # at 1e-12 the unguarded solve reports a negative variance (-0.069)
+        with pytest.raises(NumericsError, match="doubled structure") as err:
+            steady_covariance(*self.near_marginal(gamma))
+        assert err.value.estimate > 1e-6
 
 
 class TestQuadratureExtraction:
