@@ -303,7 +303,8 @@ def cmd_boundary(args) -> int:
     if set(grids) != {"n_o", "n_m"}:
         raise ValidationError("boundary needs one n_o grid and one n_m grid")
     line = separability_boundary(params)
-    opt = optimal_coupling(params.kappa, params.omega, params.gamma_m, params.xi)
+    # the scheme is mirror-symmetric in omega, so the search runs at |omega|
+    opt = optimal_coupling(params.kappa, abs(params.omega), params.gamma_m, params.xi)
     payload = {
         "boundary": {
             "slope": line.slope,

@@ -77,8 +77,8 @@ def _sort_spectrum(vals: np.ndarray) -> np.ndarray:
 
 def is_stable(m, margin: float = 0.0) -> bool:
     """True iff every eigenvalue of ``m`` has real part below ``-margin``."""
-    if margin < 0:
-        raise ValidationError("stability margin must be nonnegative")
+    if not margin >= 0:  # NaN fails
+        raise ValidationError(f"stability margin must be nonnegative, got {margin}")
     return bool(eigenvalues(m)[0].real < -margin)
 
 
@@ -293,8 +293,11 @@ def integrate_spectrum(
     ``breakpoints`` (frequencies, not mapped coordinates) seed panel
     edges near known narrow features such as resonances; without them
     a feature much narrower than the initial uniform panels can escape
-    the error estimate entirely.
+    the error estimate entirely. ``abs_tol`` must be positive and
+    finite (else ValidationError, before any panel is evaluated).
     """
+    if not 0.0 < abs_tol < math.inf:  # NaN fails
+        raise ValidationError(f"abs_tol must be positive and finite, got {abs_tol}")
     edges = set(np.linspace(-1.0, 1.0, 17))
     if breakpoints is not None:
         for omega in breakpoints:

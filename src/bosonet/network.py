@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -526,10 +526,44 @@ class MomentTransform:
         """The transform applying ``inner`` first, then this one."""
         return MomentTransform(self.matrix @ inner.matrix)
 
-    def apply_to_drift(self, drift: np.ndarray) -> np.ndarray:
-        # T is symplectic, so T^-1 = sigma T^H sigma exactly
-        sig = metric(self.n_modes)
-        return self.matrix @ drift @ (sig @ self.matrix.conj().T @ sig)
+    def apply_to_state_space(self, ss: StateSpace) -> StateSpace:
+        """Re-express the dynamics in the frame xi' = T xi of this transform.
+
+        Forms T A T^-1 (T^-1 = sigma T^H sigma, as T is symplectic) and
+        projects it onto the one-bath-per-mode form of build_state_space:
+        entries at or below 1e-12 of the scale are set to zero, the upper
+        triangle of the a <- a block P sets its lower triangle to -conj of
+        it, the a <- adag block Q is made symmetric from its upper
+        triangle, and the real diagonal stays the -gamma/2 of ``ss``. The
+        scale is max(1, ||T A T^-1||_max) max(1, ||T||_max^2), since the
+        roundoff of the product grows with the transform's size. A
+        projection defect above 1e-10 of the scale (NaN included) raises
+        FrameError: the new drift has no form with these dampings, as
+        after mixing channels of unequal damping. The input matrix is
+        kept, which that same condition makes exact.
+        """
+        n = self.n_modes
+        if ss.n_modes != n:
+            raise DimensionError("transform and state space differ in their mode count")
+        t = self.matrix
+        sig = metric(n)
+        drift = t @ ss.drift @ (sig @ t.conj().T @ sig)
+        size = max(1.0, float(np.abs(t).max()) ** 2)
+        scale = max(1.0, float(np.abs(drift).max())) * size
+        cutoff = 1e-12 * scale
+        kept = np.where(np.abs(drift[:n]) > cutoff, drift[:n], 0.0)
+        shifts = drift.diagonal()[:n].imag
+        shifts = np.where(np.abs(shifts) > cutoff, shifts, 0.0)
+        upper, mix = np.triu(kept[:, :n], 1), np.triu(kept[:, n:])
+        p = upper - upper.conj().T
+        p[np.diag_indices(n)] = ss.drift.diagonal()[:n].real + 1j * shifts
+        frame = _doubled(p, mix + np.triu(mix, 1).T)
+        defect = float(np.abs(frame - drift).max())
+        if not defect <= 1e-10 * scale:
+            raise FrameError(
+                f"drift has no one-bath-per-mode form (round-trip defect {defect:.3e})"
+            )
+        return StateSpace(drift=frame, input=ss.input, n_modes=n)
 
     def apply_to_inputs(self, inputs: InputMoments) -> InputMoments:
         """Map input moments into the new frame, one set per channel.
@@ -577,72 +611,14 @@ class MomentTransform:
         return InputMoments(occ.real, ano)
 
 
-def spec_from_state_space(drift: np.ndarray, baths: Sequence[BathSpec]) -> NetworkSpec:
-    """Read the couplings back from a doubled-space drift.
-
-    The inverse of build_state_space for the given baths: detuning and
-    parametric terms come from the diagonals of the P (a <- a) and
-    Q (a <- adag) blocks, beam-splitter and squeeze terms from their
-    i < j entries. Entries at or below 1e-12 max(1, ||drift||_max) are
-    dropped. The drift is rebuilt from the result, and a round-trip
-    defect above 1e-10 of that scale raises FrameError: the drift has
-    no one-bath-per-mode form with these dampings.
-    """
-    baths = tuple(baths)
-    n = len(baths)
-    d = np.asarray(drift, dtype=complex)
-    if d.shape != (2 * n, 2 * n):
-        raise DimensionError(f"drift of shape {d.shape} does not fit {n} baths")
-    scale = max(1.0, float(np.abs(d).max(initial=0.0)))
-    cutoff = 1e-12 * scale
-    ann, mix = d[:n, :n], d[:n, n:]
-    couplings = []
-    for i, j in zip(*np.triu_indices(n, 1)):
-        if abs(ann[i, j]) > cutoff:
-            couplings.append(beam_splitter(1j * ann[i, j], i, j))
-        if abs(mix[i, j]) > cutoff:
-            couplings.append(two_mode_squeeze(1j * mix[i, j], i, j))
-    for i in range(n):
-        if abs(ann[i, i].imag) > cutoff:
-            couplings.append(detuning(-ann[i, i].imag, i))
-        if abs(mix[i, i]) > cutoff:
-            couplings.append(degenerate_parametric((0.5j * mix[i, i]).conjugate(), i))
-    spec = NetworkSpec(n_modes=n, baths=baths, couplings=couplings)
-    defect = float(np.abs(build_state_space(spec).drift - d).max())
-    if not defect <= 1e-10 * scale:
-        raise FrameError(
-            f"drift has no one-bath-per-mode form (round-trip defect {defect:.3e})"
-        )
-    return spec
-
-
-def transform_network(spec: NetworkSpec, transform: MomentTransform) -> NetworkSpec:
-    """Re-express a network in the frame xi' = T xi of ``transform``.
-
-    The drift is conjugated, T A T^-1, and read back into couplings by
-    spec_from_state_space; the bath moments go through the same
-    congruence (apply_to_inputs). The new frame keeps one bath per mode
-    only when T mixes channels of equal damping: otherwise the drift
-    does not round-trip and FrameError is raised, ahead of any
-    cross-correlator refusal.
-    """
-    if transform.n_modes != spec.n_modes:
-        raise DimensionError("transform and network differ in their mode count")
-    drift = transform.apply_to_drift(build_state_space(spec).drift)
-    frame = spec_from_state_space(drift, spec.baths)
-    moments = transform.apply_to_inputs(InputMoments.from_baths(spec))
-    baths = tuple(
-        BathSpec(b.gamma, moments.occupancy[i], moments.anomalous[i])
-        for i, b in enumerate(spec.baths)
-    )
-    return replace(frame, baths=baths)
-
-
 def hyperbolic_frame(g_plus: float, g_minus: float) -> tuple[float, float]:
     """(g_script, xi) that make a beam splitter g_minus plus a squeeze
     g_plus on one pair a pure beam splitter of rate g_script in the frame
-    alpha = cosh(xi) a + sinh(xi) adag. FrameError unless
+    alpha = cosh(xi) a + sinh(xi) adag. A decoupled pair (both zero) has
+    the identity frame (0, 0); otherwise FrameError unless
     |g_plus| < |g_minus| (NaN fails)."""
+    if g_plus == 0 and g_minus == 0:
+        return 0.0, 0.0
     if not abs(g_plus) < abs(g_minus):
         raise FrameError(
             f"no hyperbolic frame: g_plus = {g_plus:g} must be below "

@@ -40,7 +40,6 @@ from .network import (
     degenerate_parametric,
     detuning,
     hyperbolic_frame,
-    transform_network,
     two_mode_squeeze,
 )
 from .budget import compute_budget, verify_sum_rules
@@ -306,7 +305,8 @@ def two_mode_squeezing_power(p: TwoModeParams) -> SqueezingPowerResult:
     xi = p.xi
     spec = two_mode_network(p)
     ss = build_state_space(spec)
-    cov = steady_covariance(ss, InputMoments.from_baths(spec))
+    inputs = InputMoments.from_baths(spec)
+    cov = steady_covariance(ss, inputs)
     v1, v2 = p.n1 + 0.5, p.n2 + 0.5
     norm_var1 = min_quadrature_variance(cov, 0).value / v1
     norm_var2 = min_quadrature_variance(cov, 1).value / v2
@@ -315,10 +315,9 @@ def two_mode_squeezing_power(p: TwoModeParams) -> SqueezingPowerResult:
     gauge = MomentTransform.rotation(2, 1, math.pi / 2.0).compose(
         MomentTransform.bogoliubov(2, 1, xi)
     )
-    gauge_spec = transform_network(spec, gauge)
-    gss = build_state_space(gauge_spec)
+    gss = gauge.apply_to_state_space(ss)
     gbudget = compute_budget(gss)
-    ginputs = InputMoments.from_baths(gauge_spec)
+    ginputs = gauge.apply_to_inputs(inputs)
     # the frame channel's anomalous part is negative real in this gauge,
     # so theta = 0 is the quiet angle for both modes
     split = variance_decomposition(gss, gbudget, ginputs, theta=0.0)
@@ -500,18 +499,6 @@ def three_mode_transform(xi: float) -> MomentTransform:
     )
 
 
-def three_mode_frame_network(p: ThreeModeParams) -> NetworkSpec:
-    """The collective-frame network: two plain beam splitters.
-
-    The cavity couples only to the Sigma mode with rate g_script, and
-    the detuning split becomes a Sigma/Delta beam splitter of rate
-    omega / 2. Couplings and input moments both come from the exact
-    symplectic transform of the physical network.
-    """
-    phys = three_mode_physical_network(p)
-    return transform_network(phys, three_mode_transform(p.xi))
-
-
 @dataclass(frozen=True, eq=False)
 class ThreeModeBudget:
     """Frame-channel transfer matrix, ordered (cavity, Sigma, Delta)."""
@@ -523,11 +510,15 @@ class ThreeModeBudget:
 def three_mode_budget(p: ThreeModeParams) -> ThreeModeBudget:
     """Commutator shares in the collective frame, plus eta_e.
 
-    eta_e = (kappa / gamma_m)(1 - I_11) measures how much of the cavity
-    commutator leaks into the mechanical pair; the damping sum rule
-    keeps it below 2.
+    The frame drift is the exact symplectic transform of the physical
+    one: two plain beam splitters, the cavity exchanging with Sigma at
+    g_script and Sigma with Delta at omega / 2. The shares need no bath
+    moments, so none are mapped. eta_e = (kappa / gamma_m)(1 - I_11)
+    measures how much of the cavity commutator leaks into the mechanical
+    pair; the damping sum rule keeps it below 2.
     """
-    ss = build_state_space(three_mode_frame_network(p))
+    phys = build_state_space(three_mode_physical_network(p))
+    ss = three_mode_transform(p.xi).apply_to_state_space(phys)
     budget = compute_budget(ss)
     rules = verify_sum_rules(budget)
     if not rules.passed:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ApplicabilityError, DimensionError, NumericsError
 from .linalg import LYAPUNOV_RESIDUAL_TOL, solve_lyapunov
-from .network import InputMoments, StateSpace, passive_state_space
+from .network import InputMoments, StateSpace, metric, passive_state_space
 from .budget import CommutatorBudget
 
 _HERMITICITY_LEAK = 1e-9
@@ -32,6 +32,10 @@ _HERMITICITY_LEAK = 1e-9
 # xi = 5, G = 50) and 1.2e-13 in the benchmark, against 2e-4 for a
 # near-marginal two-mode drift at damping 1e-10 whose variances are 1.3% off.
 _STRUCTURE_LIMIT = 1e-6
+# Largest violation of the uncertainty relation V + sigma/2 >= 0, relative
+# to max(1, ||V||_max), that a steady covariance may show as roundoff.
+# Measured: at most 6.8e-16 in the tests and 1.2e-16 in the benchmark.
+_BONA_FIDE_LIMIT = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,6 +92,13 @@ def steady_covariance(ss: StateSpace, inputs: InputMoments) -> CovarianceState:
     error of an ill-conditioned drift has swamped the answer, and raises
     NumericsError with the relative defect as estimate (NaN fails). V is
     never symmetrized to hide it.
+
+    A physical state also obeys the uncertainty relation: <xi xi^H> =
+    V + sigma/2 is positive semidefinite (its least eigenvalue is 0 for
+    vacuum and for pure squeezed states). A least eigenvalue below
+    -``_BONA_FIDE_LIMIT`` max(1, ||V||_max) raises NumericsError with that
+    eigenvalue as estimate: the inputs break the thermal bound
+    |m|^2 <= n (n+1), or the solve lost the answer.
     """
     if inputs.n_channels != ss.n_modes:
         raise DimensionError(
@@ -98,12 +109,20 @@ def steady_covariance(ss: StateSpace, inputs: InputMoments) -> CovarianceState:
     n = ss.n_modes
     # the exact V[n:] is conj V[:n] with its two column blocks swapped
     swapped = np.concatenate((v[:n, n:], v[:n, :n]), axis=1).conj()
-    defect = float(np.abs(v[n:] - swapped).max()) / max(1.0, float(np.abs(v).max()))
+    scale = max(1.0, float(np.abs(v).max()))
+    defect = float(np.abs(v[n:] - swapped).max()) / scale
     if not defect <= _STRUCTURE_LIMIT:
         raise NumericsError(
             f"steady covariance breaks the doubled structure by {defect:.3e} "
             f"(limit {_STRUCTURE_LIMIT:.0e}); the drift is too ill-conditioned",
             estimate=defect,
+        )
+    lowest = float(np.linalg.eigvalsh(v + 0.5 * metric(n))[0])
+    if not lowest >= -_BONA_FIDE_LIMIT * scale:
+        raise NumericsError(
+            f"steady covariance violates the uncertainty relation: least "
+            f"eigenvalue of V + sigma/2 is {lowest:.3e}",
+            estimate=lowest,
         )
     return CovarianceState(v=v, n_modes=ss.n_modes)
 

@@ -14,7 +14,12 @@ from bosonet.budget import (
     verify_reciprocity,
     verify_sum_rules,
 )
-from bosonet.errors import ApplicabilityError, NumericsError, StabilityError
+from bosonet.errors import (
+    ApplicabilityError,
+    NumericsError,
+    StabilityError,
+    ValidationError,
+)
 from bosonet.network import (
     BathSpec,
     NetworkSpec,
@@ -166,6 +171,11 @@ class TestSpectralRoute:
         assert np.abs(direct.per_channel_w - spectral.per_channel_w).max() < 1e-6
         total = spectral.per_channel_k.sum(axis=0)
         assert np.abs(total - np.eye(2)).max() < 1e-6
+
+    @pytest.mark.parametrize("abs_tol", [float("nan"), 0.0, -1e-8])
+    def test_tolerance_is_checked_up_front(self, abs_tol):
+        with pytest.raises(ValidationError, match="abs_tol"):
+            budget_via_spectrum(exchange_pair(0.7, 2.0, 0.3), abs_tol=abs_tol)
 
     def test_detuned_network_needs_displaced_panels(self):
         ss = build_state_space(

@@ -203,27 +203,39 @@ class TestSweep:
         assert last[2] == "1"
 
     def test_fig1_points_without_a_frame_become_nan_rows(self, tmp_path):
+        # from xi = 20 on, sinh(xi) and cosh(xi) round to one double, so the
+        # sideband amplitudes are equal and no hyperbolic frame exists
         out = tmp_path / "fig1.csv"
         proc = run_cli(
             "sweep",
             "--scenario",
             "fig1",
             "--grid",
-            "xi:0:1:3",
+            "xi:20:22:3",
             "--g-script",
-            "0",
+            "1",
             "--out",
             str(out),
         )
         assert proc.returncode == 0
         assert proc.stderr.count("sweep point skipped") == 3
-        assert "xi=0.5: no hyperbolic frame" in proc.stderr
+        assert "xi=21: no hyperbolic frame" in proc.stderr
         lines = out.read_text().splitlines()
         assert lines[1:] == [
-            "0,0,1,1,nan,nan,nan",
-            "0,0.5,1,1,nan,nan,nan",
-            "0,1,1,1,nan,nan,nan",
+            "1,20,1,1,nan,nan,nan",
+            "1,21,1,1,nan,nan,nan",
+            "1,22,1,1,nan,nan,nan",
         ]
+
+    def test_decoupled_fig1_point_is_the_closed_form(self, tmp_path):
+        # at g_script = 0 the modes keep their inputs: each ratio is 1
+        out = tmp_path / "fig1.csv"
+        proc = run_cli(
+            "sweep", "--scenario", "fig1", "--grid", "g_script:0:2:3", "--out", str(out)
+        )
+        assert proc.returncode == 0
+        assert "skipped" not in proc.stderr
+        assert out.read_text().splitlines()[1] == "0,0.5,1,1,1,1,2"
 
     def test_invalid_fixed_flag_exits_3(self, tmp_path):
         out = tmp_path / "x.csv"
@@ -386,6 +398,20 @@ class TestBoundary:
         verdicts = {line.split(",")[4] for line in csv_lines[1:]}
         assert verdicts <= {"true", "false"}
         assert len(verdicts) == 2
+
+    def test_negative_omega_is_the_mirror_image(self, tmp_path):
+        reports = {}
+        for omega in ("1", "-1"):
+            out = tmp_path / f"b{omega}.json"
+            proc = run_cli(
+                "boundary", "--omega", omega, "--g-script", "0.8", "--grid", "n_o:0:1:2",
+                "--grid", "n_m:0:0.4:2", "--out", str(out),
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports[omega] = json.loads(out.read_text())
+        assert reports["-1"]["g_opt"] == reports["1"]["g_opt"]
+        assert reports["-1"]["boundary"] == reports["1"]["boundary"]
+        assert reports["-1"]["parameters"]["omega"] == -1.0
 
     def test_sideband_flags_take_the_same_route(self, tmp_path):
         proc = run_cli(

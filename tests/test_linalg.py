@@ -80,6 +80,11 @@ class TestIsStable:
         assert is_stable(-0.5 * np.eye(2), margin=0.4)
         assert not is_stable(-0.5 * np.eye(2), margin=0.6)
 
+    @pytest.mark.parametrize("margin", [math.nan, -0.1])
+    def test_margin_must_be_a_nonnegative_number(self, margin):
+        with pytest.raises(ValidationError, match="stability margin"):
+            is_stable(-0.5 * np.eye(2), margin=margin)
+
     def test_require_stable_names_eigenvalue(self):
         with pytest.raises(StabilityError) as err:
             require_stable(UNSTABLE_DRIFT, context="test drift")
@@ -326,6 +331,18 @@ class TestIntegrateSpectrum:
             breakpoints=[40.0 - 3 * h, 40.0 - h, 40.0, 40.0 + h, 40.0 + 3 * h],
         )
         assert abs(value - 1.0 / (2.0 * h)) < 1e-6
+
+    @pytest.mark.parametrize("abs_tol", [math.nan, 0.0, -1e-8, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, abs_tol):
+        calls = []
+
+        def f(w):
+            calls.append(w.size)
+            return 1.0 / (0.25 + w * w)
+
+        with pytest.raises(ValidationError, match="abs_tol"):
+            integrate_spectrum(f, abs_tol=abs_tol)
+        assert calls == []  # refused before any panel is evaluated
 
     def test_nonconvergence_carries_estimate(self, monkeypatch):
         monkeypatch.setattr(linalg, "QUADRATURE_MAX_PANELS", 8)

@@ -14,6 +14,7 @@ from bosonet.network import (
     InputMoments,
     MomentTransform,
     NetworkSpec,
+    StateSpace,
     beam_splitter,
     build_state_space,
     check_physical_realizability,
@@ -24,8 +25,7 @@ from bosonet.network import (
     metric,
     network_from_json,
     network_to_json,
-    spec_from_state_space,
-    transform_network,
+    passive_state_space,
     two_mode_squeeze,
 )
 
@@ -48,15 +48,21 @@ def squeezer_pair(g_minus=1.0, g_plus=0.5, gamma1=1.0, gamma2=1.0):
     )
 
 
-def hyperbolic(spec, mode, xi):
-    """The network in the frame alpha = cosh(xi) a + sinh(xi) adag on one mode."""
-    return transform_network(spec, MomentTransform.bogoliubov(spec.n_modes, mode, xi))
+def hyperbolic(ss, mode, xi):
+    """The dynamics in the frame alpha = cosh(xi) a + sinh(xi) adag on one mode."""
+    return MomentTransform.bogoliubov(ss.n_modes, mode, xi).apply_to_state_space(ss)
 
 
 def squeezer_frame(g_minus=1.0, g_plus=0.5):
     """squeezer_pair in the hyperbolic frame of mode 1 that makes it passive."""
     xi = hyperbolic_frame(g_plus, g_minus)[1]
-    return hyperbolic(squeezer_pair(g_minus, g_plus), 1, xi)
+    return hyperbolic(build_state_space(squeezer_pair(g_minus, g_plus)), 1, xi)
+
+
+def vacuum_in_squeezer_frame(g_minus=1.0, g_plus=0.5):
+    """Vacuum inputs of squeezer_pair mapped into the frame of squeezer_frame."""
+    xi = hyperbolic_frame(g_plus, g_minus)[1]
+    return MomentTransform.bogoliubov(2, 1, xi).apply_to_inputs(InputMoments.vacuum(2))
 
 
 class TestValidation:
@@ -99,7 +105,7 @@ class TestValidation:
                 [BathSpec(1.0), BathSpec(1.0)],
                 [beam_splitter(complex(1.0, math.nan), 0, 1), two_mode_squeeze(0.5, 0, 1)],
             )
-            hyperbolic(spec, 1, hyperbolic_frame(0.5, 1.0)[1])
+            hyperbolic(build_state_space(spec), 1, hyperbolic_frame(0.5, 1.0)[1])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["gamma", "occupancy", "anomalous"])
@@ -444,9 +450,11 @@ class TestMomentTransform:
             MomentTransform(m)
 
     def test_compose_with_inverse_is_identity(self):
-        # apply_to_drift forms T A T^-1 with T^-1 = sigma T^H sigma
+        # apply_to_state_space forms T A T^-1 with T^-1 = sigma T^H sigma, so
+        # equal damping on every mode, A = -gamma/2, is left as it is
         t = MomentTransform.two_mode_bogoliubov(3, 0, 2, 0.6)
-        assert np.abs(t.apply_to_drift(np.eye(6)) - np.eye(6)).max() < 1e-12
+        ss = build_state_space(NetworkSpec(3, [BathSpec(2.0)] * 3))
+        assert np.abs(t.apply_to_state_space(ss).drift + np.eye(6)).max() < 1e-12
 
     @pytest.mark.parametrize(
         "build",
@@ -487,36 +495,33 @@ class TestMomentTransform:
 
 class TestBogoliubovFrame:
     def test_no_squeeze_is_identity_frame(self):
-        spec = bs_pair(g=0.8)
+        ss = build_state_space(bs_pair(g=0.8))
         xi = hyperbolic_frame(0.0, 0.8)[1]
         assert xi == 0.0
         t = MomentTransform.bogoliubov(2, 1, xi)
         assert np.abs(t.matrix - np.eye(4)).max() < 1e-12
-        assert np.array_equal(
-            build_state_space(transform_network(spec, t)).drift,
-            build_state_space(spec).drift,
-        )
+        assert np.array_equal(t.apply_to_state_space(ss).drift, ss.drift)
 
     def test_hyperbolic_rotation_of_squeezer(self):
         frame = squeezer_frame(1.0, 0.5)
-        assert is_passive(frame)
-        amps = [c.amplitude for c in frame.couplings if c.kind == "beam_splitter"]
-        assert len(amps) == 1
-        assert abs(abs(amps[0]) - math.sqrt(0.75)) < 1e-12
+        assert passive_state_space(frame)
+        # the one coupling left is a beam splitter of rate sqrt(0.75)
+        assert abs(abs(frame.drift[0, 1]) - math.sqrt(0.75)) < 1e-12
+        assert np.array_equal(frame.drift[:2, 2:], np.zeros((2, 2)))
 
     def test_vacuum_bath_gains_moments(self):
-        b = squeezer_frame(1.0, 0.5).baths[1]
+        moments = vacuum_in_squeezer_frame(1.0, 0.5)
         xi = math.atanh(0.5)
-        assert abs(b.gamma - 1.0) < 1e-15
-        assert abs(b.occupancy - math.sinh(xi) ** 2) < 1e-12
-        assert abs(b.occupancy - 1.0 / 3.0) < 1e-12
-        assert abs(b.anomalous - math.sinh(xi) * math.cosh(xi)) < 1e-12
-        assert abs(b.anomalous - 2.0 / 3.0) < 1e-12
+        assert np.array_equal(squeezer_frame(1.0, 0.5).gammas, [1.0, 1.0])
+        assert abs(moments.occupancy[1] - math.sinh(xi) ** 2) < 1e-12
+        assert abs(moments.occupancy[1] - 1.0 / 3.0) < 1e-12
+        assert abs(moments.anomalous[1] - math.sinh(xi) * math.cosh(xi)) < 1e-12
+        assert abs(moments.anomalous[1] - 2.0 / 3.0) < 1e-12
 
     def test_untouched_bath_unchanged(self):
-        frame = squeezer_frame(1.0, 0.5)
-        assert frame.baths[0].occupancy == 0.0
-        assert frame.baths[0].anomalous == 0.0
+        moments = vacuum_in_squeezer_frame(1.0, 0.5)
+        assert moments.occupancy[0] == 0.0
+        assert moments.anomalous[0] == 0.0
 
     def test_equal_amplitudes_have_no_frame(self):
         with pytest.raises(FrameError):
@@ -524,24 +529,40 @@ class TestBogoliubovFrame:
         with pytest.raises(FrameError):
             squeezer_frame(g_minus=0.5, g_plus=1.0)
 
+    def test_decoupled_pair_has_the_identity_frame(self):
+        assert hyperbolic_frame(0.0, 0.0) == (0.0, 0.0)
+        assert hyperbolic_frame(-0.0, 0.0) == (0.0, 0.0)
+        with pytest.raises(FrameError):
+            hyperbolic_frame(math.nan, 0.0)
+
     def test_explicit_xi_composes_additively(self):
-        spec = squeezer_pair(1.0, 0.5)
-        two = hyperbolic(hyperbolic(spec, 1, 0.2), 1, 0.3)
-        direct = hyperbolic(spec, 1, 0.5)
-        d_two = build_state_space(two).drift
-        d_direct = build_state_space(direct).drift
-        assert np.abs(d_two - d_direct).max() < 1e-12
+        ss = build_state_space(squeezer_pair(1.0, 0.5))
+        two = hyperbolic(hyperbolic(ss, 1, 0.2), 1, 0.3)
+        direct = hyperbolic(ss, 1, 0.5)
+        assert np.abs(two.drift - direct.drift).max() < 1e-12
 
     def test_rotation_makes_frame_drift_real(self):
         # a quarter turn of the frame mode makes the beam-splitter block real
-        rotated = transform_network(
-            squeezer_frame(1.0, 0.5), MomentTransform.rotation(2, 1, math.pi / 2)
+        rotated = MomentTransform.rotation(2, 1, math.pi / 2).apply_to_state_space(
+            squeezer_frame(1.0, 0.5)
         )
-        drift = build_state_space(rotated).drift
-        assert np.abs(drift.imag).max() < 1e-12
+        assert np.abs(rotated.drift.imag).max() < 1e-12
+
+    @pytest.mark.parametrize("g_script", [0.5, 1.0, 5.0, 50.0])
+    def test_strong_squeezing_frame_is_passive(self, g_script):
+        # at xi = 6, T A T^-1 carries roundoff mixing terms of about
+        # cosh^2(xi) eps, which the cutoff, scaled by ||T||_max^2, drops
+        xi = 6.0
+        ss = build_state_space(
+            squeezer_pair(g_script * math.cosh(xi), g_script * math.sinh(xi))
+        )
+        assert passive_state_space(hyperbolic(ss, 1, xi))
 
 
 class TestSpecFromStateSpace:
+    """The projection of apply_to_state_space onto the one-bath-per-mode
+    form that build_state_space writes."""
+
     def test_reads_back_every_coupling_kind(self):
         spec = NetworkSpec(
             3,
@@ -553,17 +574,16 @@ class TestSpecFromStateSpace:
                 degenerate_parametric(0.05 - 0.02j, 0),
             ],
         )
-        drift = build_state_space(spec).drift
-        restored = spec_from_state_space(drift, spec.baths)
-        assert sorted((c.kind, c.modes, c.amplitude) for c in restored.couplings) == (
-            sorted((c.kind, c.modes, c.amplitude) for c in spec.couplings)
-        )
-        assert np.array_equal(build_state_space(restored).drift, drift)
+        ss = build_state_space(spec)
+        frame = MomentTransform(np.eye(6)).apply_to_state_space(ss)
+        assert np.array_equal(frame.drift, ss.drift)
+        assert frame.input is ss.input
 
     def test_merges_terms_on_one_slot_and_drops_cancelled_ones(self):
+        baths = [BathSpec(1.0), BathSpec(1.0)]
         spec = NetworkSpec(
             2,
-            [BathSpec(1.0), BathSpec(1.0)],
+            baths,
             [
                 beam_splitter(0.3, 0, 1),
                 beam_splitter(0.2j, 1, 0),
@@ -571,76 +591,88 @@ class TestSpecFromStateSpace:
                 detuning(-0.5, 1),
             ],
         )
-        restored = spec_from_state_space(build_state_space(spec).drift, spec.baths)
-        assert [(c.kind, c.modes) for c in restored.couplings] == [
-            ("beam_splitter", (0, 1))
-        ]
-        assert abs(restored.couplings[0].amplitude - (0.3 - 0.2j)) < 1e-15
+        ss = build_state_space(spec)
+        noisy = ss.drift.copy()
+        noisy[0, 0] += 1e-13j  # detuning roundoff below the cutoff
+        noisy[0, 3] += 1e-13  # and mixing roundoff
+        ss = StateSpace(drift=noisy, input=ss.input, n_modes=2)
+        frame = MomentTransform(np.eye(4)).apply_to_state_space(ss)
+        merged = build_state_space(NetworkSpec(2, baths, [beam_splitter(0.3 - 0.2j, 0, 1)]))
+        assert np.abs(frame.drift - merged.drift).max() < 1e-15
+        assert passive_state_space(frame)
 
     def test_damping_that_does_not_match_the_baths_is_refused(self):
-        drift = build_state_space(bs_pair(gamma1=1.0, gamma2=2.0)).drift
+        ss = build_state_space(bs_pair(gamma1=1.0, gamma2=2.0))
         with pytest.raises(FrameError, match="round-trip defect"):
-            spec_from_state_space(drift, (BathSpec(1.0), BathSpec(1.0)))
+            MomentTransform.mixer(2, 0, 1).apply_to_state_space(ss)
 
     def test_non_hamiltonian_mixing_is_refused(self):
-        drift = build_state_space(bs_pair()).drift
+        ss = build_state_space(bs_pair())
+        drift = ss.drift.copy()
         drift[0, 3] += 0.1  # antisymmetric a <- adag block has no coupling term
         drift[1, 2] -= 0.1
         drift[2, 1] += 0.1
         drift[3, 0] -= 0.1
         with pytest.raises(FrameError):
-            spec_from_state_space(drift, bs_pair().baths)
+            MomentTransform(np.eye(4)).apply_to_state_space(
+                StateSpace(drift=drift, input=ss.input, n_modes=2)
+            )
 
     def test_nan_drift_is_refused(self):
-        drift = build_state_space(bs_pair()).drift
+        ss = build_state_space(bs_pair())
+        drift = ss.drift.copy()
         drift[0, 1] = np.nan
         with pytest.raises(FrameError):
-            spec_from_state_space(drift, bs_pair().baths)
+            MomentTransform(np.eye(4)).apply_to_state_space(
+                StateSpace(drift=drift, input=ss.input, n_modes=2)
+            )
 
     def test_shape_must_fit_the_baths(self):
         with pytest.raises(DimensionError):
-            spec_from_state_space(np.eye(4), (BathSpec(1.0),))
+            MomentTransform(np.eye(4)).apply_to_state_space(
+                build_state_space(single_mode())
+            )
 
 
 class TestTransformNetwork:
+    """A frame change maps the state space and the input moments apart."""
+
     def test_mode_count_must_match(self):
         with pytest.raises(DimensionError):
-            transform_network(bs_pair(), MomentTransform(np.eye(6)))
+            MomentTransform(np.eye(6)).apply_to_state_space(build_state_space(bs_pair()))
 
     def test_unequal_dampings_cannot_be_mixed(self):
-        spec = bs_pair(gamma1=1.0, gamma2=2.0)
+        ss = build_state_space(bs_pair(gamma1=1.0, gamma2=2.0))
         with pytest.raises(FrameError):
-            transform_network(spec, MomentTransform.two_mode_bogoliubov(2, 0, 1, 0.3))
+            MomentTransform.two_mode_bogoliubov(2, 0, 1, 0.3).apply_to_state_space(ss)
         with pytest.raises(FrameError):
-            transform_network(spec, MomentTransform.mixer(2, 0, 1))
+            MomentTransform.mixer(2, 0, 1).apply_to_state_space(ss)
 
     def test_cross_correlated_frame_inputs_are_refused(self):
         # equal dampings, but hyperbolic mixing of two vacua correlates them
+        t = MomentTransform.two_mode_bogoliubov(2, 0, 1, 0.3)
+        t.apply_to_state_space(build_state_space(bs_pair()))
         with pytest.raises(NumericsError, match="cross-channel"):
-            transform_network(
-                bs_pair(), MomentTransform.two_mode_bogoliubov(2, 0, 1, 0.3)
-            )
+            t.apply_to_inputs(InputMoments.vacuum(2))
 
     def test_unequal_large_occupancies_are_refused(self):
-        spec = NetworkSpec(2, [BathSpec(1.0, 1e6), BathSpec(1.0, 2e6)])
         with pytest.raises(NumericsError, match="cross-channel"):
-            transform_network(spec, MomentTransform.mixer(2, 0, 1))
+            MomentTransform.mixer(2, 0, 1).apply_to_inputs(
+                InputMoments.thermal([1e6, 2e6])
+            )
 
     def test_composed_transform_equals_successive_frames(self):
-        spec = squeezer_pair(1.0, 0.5)
+        ss = build_state_space(squeezer_pair(1.0, 0.5))
+        vacuum = InputMoments.vacuum(2)
         xi = math.atanh(0.5)
-        stepwise = transform_network(
-            hyperbolic(spec, 1, xi), MomentTransform.rotation(2, 1, math.pi / 2)
-        )
-        composed = transform_network(
-            spec,
-            MomentTransform.rotation(2, 1, math.pi / 2).compose(
-                MomentTransform.bogoliubov(2, 1, xi)
-            ),
-        )
+        frame = MomentTransform.bogoliubov(2, 1, xi)
+        turn = MomentTransform.rotation(2, 1, math.pi / 2)
+        composed = turn.compose(frame)
+        stepwise = turn.apply_to_state_space(frame.apply_to_state_space(ss))
         assert np.abs(
-            build_state_space(composed).drift - build_state_space(stepwise).drift
+            composed.apply_to_state_space(ss).drift - stepwise.drift
         ).max() < 1e-12
-        for a, b in zip(composed.baths, stepwise.baths):
-            assert abs(a.occupancy - b.occupancy) < 1e-12
-            assert abs(a.anomalous - b.anomalous) < 1e-12
+        a = composed.apply_to_inputs(vacuum)
+        b = turn.apply_to_inputs(frame.apply_to_inputs(vacuum))
+        assert np.abs(a.occupancy - b.occupancy).max() < 1e-12
+        assert np.abs(a.anomalous - b.anomalous).max() < 1e-12

@@ -21,6 +21,7 @@ from bosonet.network import (
     build_state_space,
     hyperbolic_frame,
     is_passive,
+    passive_state_space,
     two_mode_squeeze,
 )
 from bosonet.scenarios import (
@@ -43,7 +44,6 @@ from bosonet.scenarios import (
     parametric_variance_check,
     separability_boundary,
     three_mode_budget,
-    three_mode_frame_network,
     three_mode_physical_network,
     three_mode_transform,
     two_mode_network,
@@ -89,6 +89,12 @@ def hand_written_frame_network(p):
     )
     couplings = [beam_splitter(p.g_script, 0, 1), beam_splitter(0.5 * p.omega, 1, 2)]
     return NetworkSpec(3, baths, couplings)
+
+
+def frame_state_space(p):
+    """The physical three-mode dynamics in the collective frame."""
+    phys = build_state_space(three_mode_physical_network(p))
+    return three_mode_transform(p.xi).apply_to_state_space(phys)
 
 
 class TestTwoModeParams:
@@ -185,6 +191,17 @@ class TestSqueezingPower:
         cov = steady_covariance(build_state_space(spec), InputMoments.from_baths(spec))
         total = sum(min_quadrature_variance(cov, k).value / 0.5 for k in (0, 1))
         assert abs(total - equal_damping_sum(50.0, 5.0)) < 1e-9
+
+    def test_decoupled_pair_keeps_its_inputs(self):
+        # g_script = 0 has the identity frame: the closed form at G = 0
+        assert fig1_point(0.0, 0.5, 1.0, 1.0) == (0.0, 0.5, 1.0, 1.0, 1.0, 1.0, 2.0)
+
+    @pytest.mark.parametrize("g_script, xi", [(0.5, 6.0), (1.0, 6.0), (5.0, 6.0), (5.0, 5.0)])
+    def test_strong_squeezing_fails_on_route_agreement(self, g_script, xi):
+        # the frame drift is passive here; what fails is the fixed route
+        # tolerance against the accuracy of the physical-frame solve
+        with pytest.raises(NumericsError, match="routes disagree"):
+            fig1_point(g_script, xi, 1.0, 1.0)
 
     def test_bound_is_never_violated_for_thermal_inputs(self):
         result = two_mode_squeezing_power(
@@ -370,22 +387,23 @@ class TestThreeModeBudget:
             for _ in range(20)
         ]
         for p in cases:
-            derived = three_mode_frame_network(p)
-            reference = hand_written_frame_network(p)
-            assert [(c.kind, c.modes) for c in derived.couplings] == [
-                ("beam_splitter", (0, 1)),
-                ("beam_splitter", (1, 2)),
-            ]
-            for got, want in zip(derived.couplings, reference.couplings):
-                gap = abs(got.amplitude - want.amplitude)
-                assert gap <= 1e-12 * abs(want.amplitude)
-            assert derived.baths == reference.baths
-            assert np.abs(
-                build_state_space(derived).drift - build_state_space(reference).drift
-            ).max() < 1e-12
+            derived = frame_state_space(p)
+            reference = build_state_space(hand_written_frame_network(p))
+            assert np.abs(derived.drift - reference.drift).max() < 1e-12
+            # the slots the hand-written network leaves empty are exactly zero
+            assert np.array_equal(derived.drift == 0, reference.drift == 0)
+            assert np.array_equal(derived.input, reference.input)
+
+    def test_unequal_damping_mixer_is_refused(self):
+        # the Sigma/Delta mixer needs the two mechanical dampings equal
+        phys = build_state_space(
+            NetworkSpec(3, [BathSpec(1.0), BathSpec(0.01), BathSpec(0.02)])
+        )
+        with pytest.raises(FrameError, match="round-trip defect"):
+            three_mode_transform(0.5).apply_to_state_space(phys)
 
     def test_frame_network_is_passive(self):
-        assert is_passive(three_mode_frame_network(THREE_MODE))
+        assert passive_state_space(frame_state_space(THREE_MODE))
         assert not is_passive(three_mode_physical_network(THREE_MODE))
 
 
@@ -487,6 +505,12 @@ class TestOptimalCoupling:
         ratio = opt.eta_e_formula / opt.eta_e_numeric
         assert ratio >= 0.99
         assert opt.eta_e_numeric <= 2.0
+
+    @pytest.mark.parametrize("omega", [0.3, 1.0, 2.5])
+    def test_eta_e_is_even_in_omega(self, omega):
+        plus = three_mode_budget(replace(THREE_MODE, omega=omega))
+        minus = three_mode_budget(replace(THREE_MODE, omega=-omega))
+        assert minus.eta_e == plus.eta_e
 
     def test_weak_exchange_limit(self):
         opt = optimal_coupling(1.0, 0.001, 0.01)

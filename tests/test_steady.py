@@ -15,7 +15,6 @@ from bosonet.network import (
     degenerate_parametric,
     detuning,
     hyperbolic_frame,
-    transform_network,
     two_mode_squeeze,
 )
 from bosonet.steady import (
@@ -112,6 +111,52 @@ class TestDoubledStructureGuard:
         with pytest.raises(NumericsError, match="doubled structure") as err:
             steady_covariance(*self.near_marginal(gamma))
         assert err.value.estimate > 1e-6
+
+
+class TestBonaFideGuard:
+    """V + sigma/2 = <xi xi^H> is positive semidefinite for a physical state."""
+
+    @staticmethod
+    def least_eigenvalue(state):
+        n = state.n_modes
+        sig = np.diag(np.concatenate([np.ones(n), -np.ones(n)]))
+        return float(np.linalg.eigvalsh(state.v + 0.5 * sig)[0])
+
+    def test_vacuum_sits_on_the_edge(self):
+        # V = 1/2: V + sigma/2 = diag(1, 0), V - sigma/2 would be diag(0, 1)
+        state = single_mode_state()
+        assert self.least_eigenvalue(state) == 0.0
+        assert np.array_equal(state.v + 0.5 * np.diag([1.0, -1.0]), np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize("r", [0.3, 1.0, 2.0])
+    def test_pure_squeezed_state_sits_on_the_edge(self, r):
+        # a squeezed-vacuum input n = sinh^2 r, m = sinh r cosh r passes
+        # to the output of a lone damped mode unchanged
+        n, m = math.sinh(r) ** 2, math.sinh(r) * math.cosh(r)
+        ss = build_state_space(NetworkSpec(1, [BathSpec(1.0)]))
+        state = steady_covariance(ss, InputMoments(np.array([n]), np.array([m])))
+        assert min_quadrature_variance(state, 0).value == pytest.approx(
+            0.5 * math.exp(-2.0 * r), rel=1e-9
+        )
+        assert abs(self.least_eigenvalue(state)) <= 1e-12 * max(1.0, n)
+
+    def test_squeezed_pair_output_is_bona_fide(self):
+        spec = NetworkSpec(
+            2,
+            [BathSpec(1.0), BathSpec(1.0)],
+            [beam_splitter(1.0, 0, 1), two_mode_squeeze(0.5, 0, 1)],
+        )
+        state = steady_covariance(build_state_space(spec), InputMoments.vacuum(2))
+        assert self.least_eigenvalue(state) > 0.0
+
+    def test_input_beyond_the_thermal_bound_is_refused(self):
+        ss = build_state_space(NetworkSpec(1, [BathSpec(1.0)]))
+        with pytest.warns(UserWarning, match="physicality bound"):
+            inputs = InputMoments(np.array([0.0]), np.array([0.3]))
+        with pytest.raises(NumericsError, match="uncertainty relation") as err:
+            steady_covariance(ss, inputs)
+        # V + sigma/2 = [[1, 0.3], [0.3, 0]]: least eigenvalue 1/2 - sqrt(0.34)
+        assert err.value.estimate == pytest.approx(0.5 - math.sqrt(0.34), abs=1e-12)
 
 
 class TestQuadratureExtraction:
@@ -223,14 +268,11 @@ class TestVarianceDecomposition:
         state = steady_covariance(ss, InputMoments.vacuum(2))
 
         xi = hyperbolic_frame(0.5, 1.0)[1]
-        rotated = transform_network(
-            spec,
-            MomentTransform.rotation(2, 1, math.pi / 2).compose(
-                MomentTransform.bogoliubov(2, 1, xi)
-            ),
+        gauge = MomentTransform.rotation(2, 1, math.pi / 2).compose(
+            MomentTransform.bogoliubov(2, 1, xi)
         )
-        ss_rot = build_state_space(rotated)
-        inputs = InputMoments.from_baths(rotated)
+        ss_rot = gauge.apply_to_state_space(ss)
+        inputs = gauge.apply_to_inputs(InputMoments.vacuum(2))
         budget = compute_budget(ss_rot)
         for theta in (0.0, 0.4, 1.1):
             parts = variance_decomposition(ss_rot, budget, inputs, theta=theta)
@@ -244,11 +286,11 @@ class TestVarianceDecomposition:
             [beam_splitter(1.0, 0, 1), two_mode_squeeze(0.5, 0, 1)],
         )
         xi = hyperbolic_frame(0.5, 1.0)[1]
-        frame = transform_network(spec, MomentTransform.bogoliubov(2, 1, xi))
-        ss = build_state_space(frame)
+        frame = MomentTransform.bogoliubov(2, 1, xi)
+        ss = frame.apply_to_state_space(build_state_space(spec))
         with pytest.raises(ApplicabilityError):
             variance_decomposition(
-                ss, compute_budget(ss), InputMoments.from_baths(frame)
+                ss, compute_budget(ss), frame.apply_to_inputs(InputMoments.vacuum(2))
             )
 
     def test_rejects_nonpassive_network(self):
