@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -43,6 +44,7 @@ from .scenarios import (
     fig3_rows,
     optimal_coupling,
     separability_boundary,
+    three_mode_budget,
 )
 from .suites import DEFAULT_SEED, run_all
 
@@ -118,6 +120,14 @@ def finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(text)
     return value
+
+
+def _seed(text: str) -> int:
+    """argparse type for ``verify --seed``: numpy seeds are nonnegative
+    integers."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 # Largest grid COUNT accepted; checked before any grid is allocated.
@@ -302,9 +312,13 @@ def cmd_boundary(args) -> int:
         grids[var] = values
     if set(grids) != {"n_o", "n_m"}:
         raise ValidationError("boundary needs one n_o grid and one n_m grid")
-    line = separability_boundary(params)
+    # one frame budget serves the line and every row; nothing is written
+    # until all of them, and the coupling search, have succeeded
+    budget = three_mode_budget(params)
+    line = separability_boundary(params, budget)
     # the scheme is mirror-symmetric in omega, so the search runs at |omega|
     opt = optimal_coupling(params.kappa, abs(params.omega), params.gamma_m, params.xi)
+    rows = fig3_rows(params, budget, grids["n_o"], grids["n_m"])
     payload = {
         "boundary": {
             "slope": line.slope,
@@ -329,15 +343,18 @@ def cmd_boundary(args) -> int:
             "xi": params.xi,
         },
     }
-    _write_json(args.out, payload)
-    rows = fig3_rows(params, grids["n_o"], grids["n_m"])
     if args.out_csv is not None:
         csv_path = args.out_csv
     elif args.out.endswith(".json"):
         csv_path = args.out[: -len(".json")] + ".csv"
     else:
         csv_path = args.out + ".csv"
-    _write_csv(csv_path, FIG3_HEADER, rows)
+    _write_json(args.out, payload)
+    try:
+        _write_csv(csv_path, FIG3_HEADER, rows)
+    except OSError:
+        os.remove(args.out)  # a report without its grid is not written either
+        raise
     return 0
 
 
@@ -393,7 +410,7 @@ def build_parser() -> _Parser:
     boundary.set_defaults(handler=cmd_boundary)
 
     verify = sub.add_parser("verify", help="run the seeded verification suites")
-    verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    verify.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     verify.add_argument(
         "--tol", type=finite_float, default=None, help="override residual thresholds"
     )

@@ -239,9 +239,11 @@ def network_from_json(doc: dict) -> NetworkSpec:
             isinstance(i, int) and not isinstance(i, bool) for i in idx
         ):
             raise ValidationError(f"{where}: modes must be an array of integers")
+        if not isinstance(c["kind"], str):
+            raise ValidationError(f"{where}: kind must be a string, got {c['kind']!r}")
         couplings.append(
             CouplingTerm(
-                kind=c["kind"] if isinstance(c["kind"], str) else "",
+                kind=c["kind"],
                 amplitude=complex(
                     _number(c, "amp_re", where), _number(c, "amp_im", where)
                 ),

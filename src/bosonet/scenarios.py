@@ -35,6 +35,7 @@ from .network import (
     InputMoments,
     MomentTransform,
     NetworkSpec,
+    StateSpace,
     beam_splitter,
     build_state_space,
     degenerate_parametric,
@@ -501,31 +502,52 @@ def three_mode_transform(xi: float) -> MomentTransform:
 
 @dataclass(frozen=True, eq=False)
 class ThreeModeBudget:
-    """Frame-channel transfer matrix, ordered (cavity, Sigma, Delta)."""
+    """The occupancy-independent part of the three-mode scheme.
+
+    transfer is the frame-channel transfer matrix I, ordered (cavity,
+    Sigma, Delta); eta_e and mechanical are its two figures of merit
+    (see three_mode_budget); physical is the physical-frame state space
+    the frame was derived from.
+    """
 
     transfer: np.ndarray
     eta_e: float
+    mechanical: float
+    physical: StateSpace
 
 
 def three_mode_budget(p: ThreeModeParams) -> ThreeModeBudget:
-    """Commutator shares in the collective frame, plus eta_e.
+    """Commutator shares in the collective frame, plus eta_e and its complement.
 
     The frame drift is the exact symplectic transform of the physical
     one: two plain beam splitters, the cavity exchanging with Sigma at
     g_script and Sigma with Delta at omega / 2. The shares need no bath
-    moments, so none are mapped. eta_e = (kappa / gamma_m)(1 - I_11)
-    measures how much of the cavity commutator leaks into the mechanical
-    pair; the damping sum rule keeps it below 2.
+    moments, so none are mapped.
+
+    eta_e = I[1,0] + I[2,0] is the part of the cavity channel's
+    commutator that reaches the mechanical pair, and mechanical =
+    I[1,1] + I[1,2] + I[2,1] + I[2,2] is what the mechanical channels
+    keep there. The frame network is passive, so the damping rule makes
+    eta_e equal to (kappa / gamma_m)(1 - I[0,0]) and completeness of rows
+    1 and 2 makes mechanical equal to 2 - eta_e. Both are formed as plain
+    sums of shares, without those cancellations, so they keep full
+    relative accuracy at high mechanical Q (checked down to
+    gamma_m / kappa = 1e-12).
     """
-    phys = build_state_space(three_mode_physical_network(p))
-    ss = three_mode_transform(p.xi).apply_to_state_space(phys)
+    physical = build_state_space(three_mode_physical_network(p))
+    ss = three_mode_transform(p.xi).apply_to_state_space(physical)
     budget = compute_budget(ss)
     rules = verify_sum_rules(budget)
     if not rules.passed:
         worst = max(rules.completeness_residual, rules.metric_residual)
         raise NumericsError("budget sum rules failed in the frame", estimate=worst)
-    eta_e = (p.kappa / p.gamma_m) * (1.0 - float(budget.transfer[0, 0]))
-    return ThreeModeBudget(transfer=budget.transfer, eta_e=eta_e)
+    shares = budget.transfer
+    return ThreeModeBudget(
+        transfer=shares,
+        eta_e=float(shares[1, 0] + shares[2, 0]),
+        mechanical=float(shares[1, 1] + shares[1, 2] + shares[2, 1] + shares[2, 2]),
+        physical=physical,
+    )
 
 
 @dataclass(frozen=True)
@@ -553,18 +575,18 @@ def duan_quantity(p: ThreeModeParams) -> DuanResult:
     the mechanical and optical occupancies, with the optical term
     carrying exp(-2 xi). Values below 1 certify entanglement.
     """
-    return _duan(p, three_mode_budget(p).transfer)
+    return _duan(p, three_mode_budget(p))
 
 
-def _duan(p: ThreeModeParams, shares: np.ndarray) -> DuanResult:
-    """duan_quantity with the frame transfer matrix already computed.
+def _duan(p: ThreeModeParams, budget: ThreeModeBudget) -> DuanResult:
+    """duan_quantity with the scheme's budget already computed.
 
-    The shares depend on the scheme only, never on (n_o, n_m), so one
-    matrix serves every occupancy of a grid.
+    The budget and the physical state space it carries depend on the
+    scheme only, never on (n_o, n_m), so one budget serves every
+    occupancy of a grid; each point builds only its thermal inputs.
     """
-    phys = three_mode_physical_network(p)
-    pss = build_state_space(phys)
-    cov = steady_covariance(pss, InputMoments.from_baths(phys))
+    inputs = InputMoments.thermal((p.n_o, p.n_m, p.n_m))
+    cov = steady_covariance(budget.physical, inputs)
     vq = cov.quadrature_matrix()
     r = 1.0 / math.sqrt(2.0)
     # quadrature ordering (X1, X2, X3, Y1, Y2, Y3)
@@ -579,9 +601,7 @@ def _duan(p: ThreeModeParams, shares: np.ndarray) -> DuanResult:
     else:
         direct, pairing = second, "p_sigma_x_delta"
 
-    mechanical = float(shares[1, 1] + shares[1, 2] + shares[2, 1] + shares[2, 2])
-    optical = float(shares[1, 0] + shares[2, 0])
-    budget_value = mechanical * (p.n_m + 0.5) + optical * (
+    budget_value = budget.mechanical * (p.n_m + 0.5) + budget.eta_e * (
         p.n_o + 0.5
     ) * math.exp(-2.0 * p.xi)
     if not abs(budget_value - direct) <= DUAN_AGREEMENT_TOL:
@@ -612,20 +632,20 @@ class BoundaryLine:
         return self.slope * (n_o - self.n_o_intercept)
 
 
-def boundary_line(eta_e: float, xi: float) -> BoundaryLine:
-    """Closed-form boundary in the (n_o, n_m) occupancy plane.
-
-    Valid for eta_e in [0, 2); at xi = 0 both intercepts vanish and the
-    boundary degenerates to the origin.
+def _line(eta_e: float, mechanical: float, xi: float) -> BoundaryLine:
+    """The boundary in the (n_o, n_m) plane from the cavity share eta_e
+    and the mechanical share sum: the Duan budget
+    mechanical (n_m + 1/2) + eta_e (n_o + 1/2) e^(-2 xi) equals 1 on it.
     """
     xi = _nonnegative("xi", xi)
-    if not 0.0 <= eta_e < 2.0:
+    if not (0.0 <= eta_e < math.inf and 0.0 < mechanical < math.inf):
         raise ApplicabilityError(
-            f"the boundary line needs eta_e in [0, 2), got {eta_e:g}"
+            "the boundary line needs eta_e >= 0 and a positive mechanical "
+            f"share sum, got eta_e = {eta_e:g} and {mechanical:g}"
         )
-    slope = -eta_e * math.exp(-2.0 * xi) / (2.0 - eta_e)
+    slope = -eta_e * math.exp(-2.0 * xi) / mechanical
     n_o_intercept = 0.5 * (math.exp(2.0 * xi) - 1.0)
-    n_m_intercept = eta_e * (1.0 - math.exp(-2.0 * xi)) / (2.0 * (2.0 - eta_e))
+    n_m_intercept = eta_e * (1.0 - math.exp(-2.0 * xi)) / (2.0 * mechanical)
     return BoundaryLine(
         slope=slope,
         n_o_intercept=n_o_intercept,
@@ -636,9 +656,22 @@ def boundary_line(eta_e: float, xi: float) -> BoundaryLine:
     )
 
 
-def separability_boundary(p: ThreeModeParams) -> BoundaryLine:
-    """Boundary line for the given scheme (occupancies ignored)."""
-    return boundary_line(three_mode_budget(p).eta_e, p.xi)
+def boundary_line(eta_e: float, xi: float) -> BoundaryLine:
+    """Closed-form boundary in the (n_o, n_m) occupancy plane.
+
+    The case mechanical = 2 - eta_e of a passive scheme, so valid for
+    eta_e in [0, 2); at xi = 0 both intercepts vanish and the boundary
+    degenerates to the origin. The scheme's own line,
+    separability_boundary, takes the mechanical share sum from the
+    budget instead, because 2 - eta_e cancels at high mechanical Q.
+    """
+    return _line(eta_e, 2.0 - eta_e, xi)
+
+
+def separability_boundary(p: ThreeModeParams, budget: ThreeModeBudget) -> BoundaryLine:
+    """Boundary line of the scheme from its budget, three_mode_budget(p)
+    (occupancies ignored)."""
+    return _line(budget.eta_e, budget.mechanical, p.xi)
 
 
 @dataclass(frozen=True)
@@ -741,16 +774,18 @@ def fig2_point(
     return (delta_eta, gamma1, gamma2, report.sum_y_bound, report.sum_y)
 
 
-def fig3_rows(p: ThreeModeParams, n_os, n_ms) -> list[tuple]:
+def fig3_rows(
+    p: ThreeModeParams, budget: ThreeModeBudget, n_os, n_ms
+) -> list[tuple]:
     """Duan-plane rows over the grid n_os x n_ms, n_o the outer loop.
 
-    The frame budget is computed once for the scheme and shared by
-    every row; each row still checks its direct route against it.
+    ``budget`` is three_mode_budget(p). Its shares and physical state
+    space serve every row; each row builds its thermal inputs, solves
+    its steady state and checks its direct route against the budget.
     """
-    shares = three_mode_budget(p).transfer
     rows = []
     for n_o in n_os:
         for n_m in n_ms:
-            result = _duan(replace(p, n_o=n_o, n_m=n_m), shares)
+            result = _duan(replace(p, n_o=n_o, n_m=n_m), budget)
             rows.append((n_o, n_m, result.direct, result.budget, result.entangled))
     return rows

@@ -58,6 +58,7 @@ from .scenarios import (
     parametric_optimum,
     parametric_variance_check,
     separability_boundary,
+    three_mode_budget,
     two_mode_squeezing_power,
 )
 
@@ -358,7 +359,7 @@ def suite_boundary_flip(
             gamma_m=float(rng.uniform(0.005, 0.1)),
             xi=float(rng.uniform(0.2, 1.0)),
         )
-        line = separability_boundary(params)
+        line = separability_boundary(params, three_mode_budget(params))
         if line.eta_e < 0.1:
             continue
         done += 1

@@ -375,11 +375,14 @@ class TestBoundary:
         assert proc.returncode == 0
         report = json.loads((tmp_path / "b.json").read_text())
         assert set(report) == {"boundary", "g_opt", "frame_convention", "parameters"}
-        from bosonet.scenarios import ThreeModeParams, separability_boundary
-
-        line = separability_boundary(
-            ThreeModeParams(g_script=0.8, omega=1.0, kappa=1.0, gamma_m=0.01, xi=0.5)
+        from bosonet.scenarios import (
+            ThreeModeParams,
+            separability_boundary,
+            three_mode_budget,
         )
+
+        params = ThreeModeParams(g_script=0.8, omega=1.0, kappa=1.0, gamma_m=0.01, xi=0.5)
+        line = separability_boundary(params, three_mode_budget(params))
         assert report["boundary"]["eta_e"] == pytest.approx(line.eta_e, abs=1e-12)
         assert report["boundary"]["n_o_intercept"] == pytest.approx(
             line.n_o_intercept, abs=1e-12
@@ -502,6 +505,73 @@ class TestBoundary:
         assert proc.returncode == 0, proc.stderr
         assert len((tmp_path / "b.csv").read_text().splitlines()) == 10
 
+    @pytest.mark.parametrize("gamma_m", ["1e-8", "1e-12"])
+    def test_high_q_mechanics(self, tmp_path, gamma_m):
+        from bosonet.scenarios import (
+            ThreeModeParams,
+            separability_boundary,
+            three_mode_budget,
+        )
+
+        proc = run_cli(
+            "boundary", "--g-script", "1", "--xi", "0.5", "--gamma-m", gamma_m,
+            "--grid", "n_o:0:1:2", "--grid", "n_m:0:1:2", "--out", str(tmp_path / "b.json"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((tmp_path / "b.json").read_text())
+        params = ThreeModeParams(1.0, 1.0, 1.0, float(gamma_m), 0.5)
+        line = separability_boundary(params, three_mode_budget(params))
+        assert report["boundary"]["n_m_intercept"] == line.n_m_intercept
+        if gamma_m == "1e-8":
+            # the value of a 50-digit solve of the frame budget
+            assert line.n_m_intercept == pytest.approx(1.0535342647e7, rel=1e-10)
+
+    def test_one_frame_budget_per_command(self, tmp_path, monkeypatch):
+        from bosonet import cli, scenarios
+
+        real_budget = scenarios.three_mode_budget
+        real_search = cli.optimal_coupling
+        calls = []
+        searching = []
+
+        def counting(p):
+            calls.append(bool(searching))
+            return real_budget(p)
+
+        def search(*args):
+            searching.append(True)
+            try:
+                return real_search(*args)
+            finally:
+                searching.pop()
+
+        monkeypatch.setattr(scenarios, "three_mode_budget", counting)
+        monkeypatch.setattr(cli, "three_mode_budget", counting)
+        monkeypatch.setattr(cli, "optimal_coupling", search)
+        code = cli.main([
+            "boundary", "--g-script", "0.8", "--grid", "n_o:0:1:4",
+            "--grid", "n_m:0:0.4:4", "--out", str(tmp_path / "b.json"),
+        ])
+        assert code == 0
+        assert calls.count(False) == 1
+        assert calls.count(True) > 0
+
+    def test_refused_row_writes_nothing(self, tmp_path):
+        # the 1e-8 Duan route check refuses n_o = n_m = 1e8
+        proc = run_cli(
+            "boundary", "--g-script", "1", "--xi", "0.5", "--grid", "n_o:0:1e8:2",
+            "--grid", "n_m:0:1e8:2", "--out", str(tmp_path / "b.json"),
+        )
+        assert proc.returncode == 3
+        assert "disagree on the Duan quantity" in proc.stderr
+        assert not (tmp_path / "b.json").exists()
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_unwritable_csv_leaves_no_report(self, tmp_path):
+        proc = self.common_args(tmp_path, "--out-csv", str(tmp_path / "missing" / "b.csv"))
+        assert proc.returncode == 3
+        assert not (tmp_path / "b.json").exists()
+
     def test_explicit_csv_path(self, tmp_path):
         proc = self.common_args(
             tmp_path, "--out-csv", str(tmp_path / "elsewhere.csv")
@@ -523,6 +593,13 @@ class TestVerify:
     def test_other_seed_passes(self):
         proc = run_cli("verify", "--seed", "7")
         assert proc.returncode == 0
+
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "seven"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        proc = run_cli("verify", "--seed", seed)
+        assert proc.returncode == 3
+        assert "must be a nonnegative integer" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_unreachable_tolerance_fails_cleanly(self):
         proc = run_cli("verify", "--tol", "1e-15")

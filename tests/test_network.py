@@ -328,6 +328,14 @@ class TestJsonRoundTrip:
         with pytest.raises(ValidationError, match="must be finite"):
             network_from_json(doc)
 
+    def test_non_string_coupling_kind_is_named(self):
+        doc = network_to_json(bs_pair())
+        doc["couplings"][0]["kind"] = 5
+        with pytest.raises(
+            ValidationError, match=r"^couplings\[0\]: kind must be a string, got 5$"
+        ):
+            network_from_json(doc)
+
     def test_unknown_coupling_kind_rejected(self):
         doc = network_to_json(bs_pair())
         doc["couplings"][0]["kind"] = "tritter"

@@ -407,6 +407,62 @@ class TestThreeModeBudget:
         assert not is_passive(three_mode_physical_network(THREE_MODE))
 
 
+def mp_frame_figures(p):
+    """eta_e, the mechanical share sum, the slope and the n_m intercept of
+    the scheme from a 50-digit Kronecker solve of the frame's annihilation
+    block (the cavity exchanging with Sigma at g_script, Sigma with Delta
+    at omega / 2)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        g, w = mpmath.mpf(p.g_script), mpmath.mpf(p.omega) / 2
+        gammas = [mpmath.mpf(p.kappa), mpmath.mpf(p.gamma_m), mpmath.mpf(p.gamma_m)]
+        h = [[0, g, 0], [g, 0, w], [0, w, 0]]
+        a = [[-gammas[i] / 2 * (i == j) - 1j * h[i][j] for j in range(3)] for i in range(3)]
+        # A K + K A^H = -gamma_c e_c e_c^T, K flattened row-major
+        m = mpmath.matrix(9, 9)
+        for i in range(3):
+            for j in range(3):
+                for k in range(3):
+                    m[3 * i + j, 3 * k + j] += a[i][k]
+                    m[3 * i + j, 3 * i + k] += mpmath.conj(a[j][k])
+        shares = []
+        for c in range(3):
+            q = mpmath.matrix(9, 1)
+            q[4 * c] = -gammas[c]
+            k = mpmath.lu_solve(m, q)
+            shares.append([mpmath.re(k[4 * i]) for i in range(3)])
+        # shares[c][i] is transfer[i, c]
+        eta_e = shares[0][1] + shares[0][2]
+        mechanical = shares[1][1] + shares[1][2] + shares[2][1] + shares[2][2]
+        decay = mpmath.exp(-2 * mpmath.mpf(p.xi))
+        slope = -eta_e * decay / mechanical
+        n_m_intercept = eta_e * (1 - decay) / (2 * mechanical)
+        return tuple(float(x) for x in (eta_e, mechanical, slope, n_m_intercept))
+
+
+class TestHighQ:
+    """eta_e and its complement are share sums, so they stay accurate at
+    mechanical damping far below the cavity's."""
+
+    @pytest.mark.parametrize(
+        "p", [THREE_MODE, replace(THREE_MODE, g_script=1.4, omega=0.7, kappa=2.3, xi=0.9)]
+    )
+    def test_share_sums_equal_the_sum_rule_forms(self, p):
+        budget = three_mode_budget(p)
+        i00 = float(budget.transfer[0, 0])
+        assert abs(budget.eta_e - (p.kappa / p.gamma_m) * (1.0 - i00)) < 1e-13
+        assert abs(budget.mechanical - (2.0 - budget.eta_e)) < 1e-13
+
+    @pytest.mark.parametrize("gamma_m", [1e-6, 1e-8, 1e-10, 1e-12])
+    def test_figures_match_a_50_digit_solve(self, gamma_m):
+        p = replace(THREE_MODE, gamma_m=gamma_m)
+        budget = three_mode_budget(p)
+        line = separability_boundary(p, budget)
+        got = (budget.eta_e, budget.mechanical, line.slope, line.n_m_intercept)
+        for value, exact in zip(got, mp_frame_figures(p)):
+            assert value == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
 class TestDuanQuantity:
     def test_uncoupled_vacuum_sits_on_the_classical_edge(self):
         # exactly on the boundary, so the verdict bit is left unchecked
@@ -478,13 +534,13 @@ class TestBoundary:
             boundary_line(-0.1, 0.5)
 
     def test_scheme_boundary_uses_its_own_efficiency(self):
-        line = separability_boundary(THREE_MODE)
         budget = three_mode_budget(THREE_MODE)
+        line = separability_boundary(THREE_MODE, budget)
         assert line.eta_e == budget.eta_e
         assert line.xi == THREE_MODE.xi
 
     def test_line_separates_duan_outcomes(self):
-        line = separability_boundary(THREE_MODE)
+        line = separability_boundary(THREE_MODE, three_mode_budget(THREE_MODE))
         n_o = 0.3
         edge = line.n_m_at(n_o)
         below = duan_quantity(replace(THREE_MODE, n_o=n_o, n_m=max(edge - 0.05, 0.0)))
@@ -605,7 +661,7 @@ class TestRowHelpers:
         assert row[4] >= row[3] - 1e-9
 
     def test_fig3_row(self):
-        (row,) = fig3_rows(THREE_MODE, [0.0], [0.0])
+        (row,) = fig3_rows(THREE_MODE, three_mode_budget(THREE_MODE), [0.0], [0.0])
         assert len(row) == len(FIG3_HEADER)
         assert row[2] == pytest.approx(0.3862921656672832, abs=1e-12)
         assert row[4] is True
@@ -627,9 +683,12 @@ class TestFig3Rows:
             for n_m in self.N_MS:
                 r = duan_quantity(replace(THREE_MODE, n_o=n_o, n_m=n_m))
                 expected.append((n_o, n_m, r.direct, r.budget, r.entangled))
-        assert fig3_rows(THREE_MODE, self.N_OS, self.N_MS) == expected
+        budget = three_mode_budget(THREE_MODE)
+        assert fig3_rows(THREE_MODE, budget, self.N_OS, self.N_MS) == expected
 
     def test_one_budget_per_grid(self, monkeypatch):
+        # the caller's one budget serves the grid; the rows compute none
+        budget = three_mode_budget(THREE_MODE)
         calls = []
 
         def counting(p):
@@ -637,6 +696,39 @@ class TestFig3Rows:
             return three_mode_budget(p)
 
         monkeypatch.setattr(scenarios, "three_mode_budget", counting)
-        rows = fig3_rows(THREE_MODE, self.N_OS, self.N_MS)
+        rows = fig3_rows(THREE_MODE, budget, self.N_OS, self.N_MS)
         assert len(rows) == 25
-        assert len(calls) == 1
+        assert len(calls) == 0
+
+    def test_rows_share_one_physical_state_space(self, monkeypatch):
+        builds, solved = [], []
+        real_build = scenarios.build_state_space
+        real_steady = scenarios.steady_covariance
+
+        def counting_build(spec):
+            builds.append(spec)
+            return real_build(spec)
+
+        def recording_steady(ss, inputs):
+            solved.append(ss)
+            return real_steady(ss, inputs)
+
+        budget = three_mode_budget(THREE_MODE)
+        monkeypatch.setattr(scenarios, "build_state_space", counting_build)
+        monkeypatch.setattr(scenarios, "steady_covariance", recording_steady)
+        counts = []
+        for side in (1, 5):
+            builds.clear()
+            solved.clear()
+            fig3_rows(THREE_MODE, budget, self.N_OS[:side], self.N_MS[:side])
+            counts.append(len(builds))
+            # every row still solves its own steady state, on the shared drift
+            assert len(solved) == side * side
+            assert all(ss is budget.physical for ss in solved)
+        assert counts[0] == counts[1]
+
+    def test_rows_check_the_direct_route_against_the_budget(self):
+        budget = three_mode_budget(THREE_MODE)
+        skewed = replace(budget, mechanical=budget.mechanical * (1.0 + 1e-6))
+        with pytest.raises(NumericsError, match="disagree on the Duan quantity"):
+            fig3_rows(THREE_MODE, skewed, [0.0], [0.0])
