@@ -16,7 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ApplicabilityError, DimensionError, NumericsError
-from .linalg import QUADRATURE_ABS_TOL, integrate_spectrum, require_stable, solve_lyapunov
+from .linalg import (
+    QUADRATURE_ABS_TOL,
+    first_failure,
+    integrate_spectrum,
+    require_stable,
+    solve_lyapunov,
+)
 from .network import StateSpace, metric, passive_state_space
 
 _IMAG_LEAK_TOL = 1e-10
@@ -29,7 +35,9 @@ class CommutatorBudget:
     per_channel_w[i] is the full doubled-space solution for channel i,
     per_channel_k[i] its annihilation block K_i, and transfer[i, j] =
     (K_j)_{ii} is the share of mode i's commutator supplied by channel
-    j. Rows of ``transfer`` sum to one for a stable network.
+    j. Rows of ``transfer`` sum to one for a stable network. A stack of
+    budgets (from a stacked state space) has a leading axis on every
+    array; the checks below take single budgets.
     """
 
     per_channel_w: np.ndarray
@@ -40,25 +48,25 @@ class CommutatorBudget:
 
     @property
     def n_modes(self) -> int:
-        return int(self.transfer.shape[0])
+        return int(self.transfer.shape[-1])
 
 
 def _budget_from_kernels(ws: np.ndarray, gammas: np.ndarray, passive: bool) -> CommutatorBudget:
-    n = gammas.shape[0]
-    ks = ws[:, :n, :n]
-    transfer = np.empty((n, n))
-    for j in range(n):
-        diag = np.diag(ks[j])
-        leak = float(np.abs(diag.imag).max(initial=0.0))
-        if not leak <= _IMAG_LEAK_TOL:
-            raise NumericsError(
-                "commutator shares picked up an imaginary part", estimate=leak
-            )
-        transfer[:, j] = diag.real
+    n = gammas.shape[-1]
+    ks = ws[..., :n, :n]
+    # diagonals[..., j, i] = (K_j)_{ii}
+    diagonals = np.diagonal(ks, axis1=-2, axis2=-1)
+    leaks = np.abs(diagonals.imag).max(axis=-1, initial=0.0)
+    failed = first_failure(leaks <= _IMAG_LEAK_TOL)
+    if failed is not None:
+        raise NumericsError(
+            "commutator shares picked up an imaginary part",
+            estimate=float(leaks.flat[failed]),
+        )
     return CommutatorBudget(
         per_channel_w=ws,
         per_channel_k=ks,
-        transfer=transfer,
+        transfer=np.ascontiguousarray(diagonals.real.swapaxes(-2, -1)),
         gammas=gammas,
         passive=passive,
     )
@@ -71,13 +79,16 @@ def compute_budget(ss: StateSpace) -> CommutatorBudget:
     e_{N+i} e_{N+i}^H); the solution's annihilation block is that
     channel's contribution to the commutator matrix. All N sources go
     to ``solve_lyapunov`` as one stack, which checks stability once.
+    A stacked state space (see ``network``) gives a stack of budgets in
+    one solve: every array gains the leading axis, and ``passive`` holds
+    for all of them.
     """
     n = ss.n_modes
-    gammas = ss.gammas
+    gammas = np.broadcast_to(ss.gammas, ss.drift.shape[:-2] + (n,))
     modes = np.arange(n)
-    sources = np.zeros((n, 2 * n, 2 * n), dtype=complex)
-    sources[modes, modes, modes] = gammas
-    sources[modes, n + modes, n + modes] = -gammas
+    sources = np.zeros(gammas.shape + (2 * n, 2 * n), dtype=complex)
+    sources[..., modes, modes, modes] = gammas
+    sources[..., modes, n + modes, n + modes] = -gammas
     ws = solve_lyapunov(ss.drift, sources)
     return _budget_from_kernels(ws, gammas, passive_state_space(ss))
 

@@ -9,6 +9,10 @@ runs the seeded suites and prints their statistics.
 Exit codes: 0 success, 2 instability, 3 validation or analysis error,
 4 verification-suite failure. All file output is deterministic: same
 arguments, same bytes. Numbers in CSV carry 12 significant digits.
+
+Grids run as batches of at most GRID_CHUNK points through the array
+forms of the scenarios, with every per-point check kept; a row is the
+same whichever batch it falls in.
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ from .scenarios import (
     FIG2_HEADER,
     FIG3_HEADER,
     ThreeModeParams,
-    fig1_point,
-    fig2_point,
+    fig1_rows,
+    fig2_rows,
     fig3_rows,
     optimal_coupling,
     separability_boundary,
@@ -69,10 +73,10 @@ _FIG2_DEFAULTS = {
     "n1": 0.0,
     "n2": 0.0,
 }
-# scenario: (point function, CSV header, parameter defaults, grid variables)
+# scenario: (rows function, CSV header, parameter defaults, grid variables)
 _SCENARIOS = {
-    "fig1": (fig1_point, FIG1_HEADER, _FIG1_DEFAULTS, ("g_script", "xi")),
-    "fig2": (fig2_point, FIG2_HEADER, _FIG2_DEFAULTS, ("delta_eta",)),
+    "fig1": (fig1_rows, FIG1_HEADER, _FIG1_DEFAULTS, ("g_script", "xi")),
+    "fig2": (fig2_rows, FIG2_HEADER, _FIG2_DEFAULTS, ("delta_eta",)),
 }
 
 
@@ -132,6 +136,9 @@ def _seed(text: str) -> int:
 
 # Largest grid COUNT accepted; checked before any grid is allocated.
 MAX_GRID_COUNT = 1_000_000
+# Most grid points evaluated as one batch; it bounds the stacked arrays of
+# a batch to a few MB whatever the grid size.
+GRID_CHUNK = 256
 
 
 def _parse_grid(text: str) -> tuple[str, list[float]]:
@@ -235,12 +242,21 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _sweep_row(point, header: tuple, params: dict, var: str) -> tuple:
-    """One sweep row; a point that fails for stability, frame or numerics
-    reasons keeps its parameter columns, the rest nan. Invalid parameters
-    raise (exit code 3)."""
+def _sweep_rows(rows_of, header: tuple, fixed: dict, var: str, values: list) -> list:
+    """The rows of one batch of a sweep. If the batch raises, it is re-run
+    one point at a time, so each failing point reports itself in grid
+    order: a point that fails for stability, frame or numerics reasons
+    keeps its parameter columns, the rest nan, with one warning line;
+    invalid parameters raise (exit code 3)."""
     try:
-        return point(**params)
+        return rows_of(**fixed, **{var: values})
+    except BosonetError:
+        return [_sweep_row(rows_of, header, {**fixed, var: value}, var) for value in values]
+
+
+def _sweep_row(rows_of, header: tuple, params: dict, var: str) -> tuple:
+    try:
+        return rows_of(**params)[0]
     except ValidationError:
         raise
     except BosonetError as exc:
@@ -256,7 +272,7 @@ def cmd_sweep(args) -> int:
     if args.workers < 1:
         raise ValidationError("--workers must be at least 1")
     var, values = _parse_grid(args.grid)
-    point, header, defaults, grid_vars = _SCENARIOS[args.scenario]
+    rows_of, header, defaults, grid_vars = _SCENARIOS[args.scenario]
     if var not in grid_vars:
         raise ValidationError(
             f"scenario {args.scenario} can only sweep {sorted(grid_vars)}, got {var!r}"
@@ -274,9 +290,25 @@ def cmd_sweep(args) -> int:
         for key, default in defaults.items()
         if key != var
     }
-    rows = [_sweep_row(point, header, {**fixed, var: value}, var) for value in values]
+    rows = []
+    for start in range(0, len(values), GRID_CHUNK):
+        chunk = values[start : start + GRID_CHUNK]
+        rows.extend(_sweep_rows(rows_of, header, fixed, var, chunk))
     _write_csv(args.out, header, rows)
     return 0
+
+
+def _boundary_chunks(n_os: list, n_ms: list):
+    """The (n_o values, n_m values) blocks of a boundary grid in row order
+    (n_o the outer loop), at most GRID_CHUNK points each."""
+    if len(n_ms) >= GRID_CHUNK:
+        for n_o in n_os:
+            for start in range(0, len(n_ms), GRID_CHUNK):
+                yield [n_o], n_ms[start : start + GRID_CHUNK]
+    else:
+        step = GRID_CHUNK // len(n_ms)
+        for start in range(0, len(n_os), step):
+            yield n_os[start : start + step], n_ms
 
 
 def cmd_boundary(args) -> int:
@@ -318,7 +350,11 @@ def cmd_boundary(args) -> int:
     line = separability_boundary(params, budget)
     # the scheme is mirror-symmetric in omega, so the search runs at |omega|
     opt = optimal_coupling(params.kappa, abs(params.omega), params.gamma_m, params.xi)
-    rows = fig3_rows(params, budget, grids["n_o"], grids["n_m"])
+    rows = [
+        row
+        for n_os, n_ms in _boundary_chunks(grids["n_o"], grids["n_m"])
+        for row in fig3_rows(params, budget, n_os, n_ms)
+    ]
     payload = {
         "boundary": {
             "slope": line.slope,
@@ -359,6 +395,8 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.tol is not None and not args.tol > 0:
+        raise ValidationError(f"--tol must be positive, got {args.tol:g}")
     results, passed = run_all(args.seed, args.tol)
     payload = {
         "seed": int(args.seed),

@@ -34,9 +34,17 @@ QUADRATURE_ABS_TOL = 1e-8
 QUADRATURE_MAX_PANELS = 8192
 
 
-def _as_square(m) -> np.ndarray:
+def first_failure(passed) -> int | None:
+    """Flat index of the first False verdict of a guard evaluated over a
+    stack (a NaN comparison is False, so NaN fails), or None if all pass."""
+    failed = np.flatnonzero(~np.asarray(passed))
+    return int(failed[0]) if failed.size else None
+
+
+def _as_square(m, stack: bool = False) -> np.ndarray:
+    """A square matrix, or with ``stack`` also a stack (P, n, n) of them."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in ((2, 3) if stack else (2,)) or a.shape[-2] != a.shape[-1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     return a
 
@@ -47,14 +55,23 @@ def hermitian_defect(m) -> float:
     return float(np.abs(a - a.conj().T).max(initial=0.0))
 
 
-def _as_drift(m) -> np.ndarray:
-    """A square matrix no larger than MAX_SPECTRUM_DIM."""
-    a = _as_square(m)
-    if a.shape[0] > MAX_SPECTRUM_DIM:
+def _as_drift(m, stack: bool = False) -> np.ndarray:
+    """A square matrix (or with ``stack`` a stack of them) no larger than
+    MAX_SPECTRUM_DIM."""
+    a = _as_square(m, stack)
+    if a.shape[-1] > MAX_SPECTRUM_DIM:
         raise DimensionError(
-            f"spectrum limited to dimension {MAX_SPECTRUM_DIM}, got {a.shape[0]}"
+            f"spectrum limited to dimension {MAX_SPECTRUM_DIM}, got {a.shape[-1]}"
         )
     return a
+
+
+def _spectra(a: np.ndarray) -> np.ndarray:
+    """Unsorted spectra of a matrix or a stack of matrices."""
+    try:
+        return np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"eigenvalue iteration did not converge: {exc}") from exc
 
 
 def eigenvalues(m) -> np.ndarray:
@@ -63,12 +80,7 @@ def eigenvalues(m) -> np.ndarray:
     Ties in the real part are broken by descending imaginary part so
     the ordering is deterministic. Multiplicities are preserved.
     """
-    a = _as_drift(m)
-    try:
-        vals = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"eigenvalue iteration did not converge: {exc}") from exc
-    return _sort_spectrum(vals)
+    return _sort_spectrum(_spectra(_as_drift(m)))
 
 
 def _sort_spectrum(vals: np.ndarray) -> np.ndarray:
@@ -98,23 +110,37 @@ def _raise_if_unstable(top: complex, context: str) -> None:
         )
 
 
+def _require_stable_drifts(drifts: np.ndarray) -> None:
+    """require_stable for every drift of a stack (P, n, n), from one
+    batched spectrum; the first unstable drift raises."""
+    spectra = _spectra(drifts)
+    unstable = first_failure(spectra.real.max(axis=-1) < 0)
+    if unstable is not None:
+        _raise_if_unstable(_sort_spectrum(spectra[unstable])[0], "drift")
+
+
 def solve_lyapunov(a, q) -> np.ndarray:
     """Solve a W + W a^H + q = 0 for Hermitian q and strictly stable a.
 
-    ``q`` is one source of shape (n, n) or a stack of k sources of
-    shape (k, n, n); the result has the shape of ``q``. Drifts of
-    dimension 8 and above (four or more modes) are solved from one
-    eigendecomposition a = V diag(lam) V^-1 shared by every source,
-    W = V [(-V^-1 q V^-H) / (lam_i + conj lam_j)] V^H, followed by one
-    refinement step that solves for the residual with the same factors.
-    Smaller drifts, and every source whose eigen solution fails the
-    residual check (near an exceptional point V is ill-conditioned) or
-    whose factorization fails, take the Kronecker-vectorized linear
-    system, which is exact up to roundoff at these dimensions. The
-    split at dimension 8 keeps the two- and three-mode scenarios on the
-    Kronecker solve bit for bit. Each result is symmetrized, and every
-    route passes the one residual check of ``_residual_error``. Both
-    guards fail on NaN.
+    ``a`` is one drift of shape (n, n) or a stack of P drifts (P, n, n).
+    One drift takes one source (n, n) or a stack of k sources (k, n, n);
+    a stack of drifts takes one source per drift (P, n, n) or k per
+    drift (P, k, n, n). The result has the shape of ``q``.
+
+    Drifts of dimension 8 and above (four or more modes) are solved from
+    one eigendecomposition a = V diag(lam) V^-1 shared by every source of
+    that drift, W = V [(-V^-1 q V^-H) / (lam_i + conj lam_j)] V^H,
+    followed by one refinement step that solves for the residual with
+    the same factors. Smaller drifts, and every source whose eigen
+    solution fails the residual check (near an exceptional point V is
+    ill-conditioned) or whose factorization fails, take the
+    Kronecker-vectorized linear system, which is exact up to roundoff at
+    these dimensions: one batched solve serves every drift of the stack
+    and all of its sources. The split at dimension 8 keeps the two- and
+    three-mode scenarios on the Kronecker solve. Each result is
+    symmetrized. Every drift is tested for stability and every solution
+    passes the residual check of ``_residual_check``; both guards fail on
+    NaN, and in a stack the first failing drift or source raises.
 
     Raises:
         DimensionError: if ``a`` exceeds ``MAX_SPECTRUM_DIM`` or the
@@ -125,54 +151,78 @@ def solve_lyapunov(a, q) -> np.ndarray:
         NumericsError: if the linear system is singular or the residual
             check fails.
     """
-    am = _as_drift(a)
+    am = _as_drift(a, stack=True)
     qs = np.asarray(q, dtype=complex)
-    if qs.ndim not in (2, 3) or qs.shape[-2:] != am.shape:
+    lead = am.shape[:-2]
+    if (
+        qs.ndim - len(lead) not in (2, 3)
+        or qs.shape[: len(lead)] != lead
+        or qs.shape[-2:] != am.shape[-2:]
+    ):
         raise DimensionError(f"shape mismatch: a is {am.shape}, q is {qs.shape}")
-    sources = (qs,) if qs.ndim == 2 else qs
-    qmaxes = [_hermitian_source_max(qm) for qm in sources]
-    ws = None
-    if am.shape[0] >= _EIGEN_MIN_DIM:
-        ws = _eigen_solve(am, qs.reshape((-1,) + am.shape))
-    if ws is None:
-        require_stable(am)
-        ws = _kronecker_solves(am, sources, qmaxes)
+    # canonical stacks: drifts (P, n, n), sources (P, k, n, n)
+    drifts = am.reshape((-1,) + am.shape[-2:])
+    sources = qs.reshape(drifts.shape[:1] + (-1,) + am.shape[-2:])
+    qmaxes = _hermitian_source_maxes(sources)
+    if am.shape[-1] >= _EIGEN_MIN_DIM:
+        ws = np.stack([_eigen_route(*args) for args in zip(drifts, sources, qmaxes)])
     else:
-        ah, amax = am.conj().T, float(np.abs(am).max())
-        with np.errstate(all="ignore"):
-            redo = [
-                k for k, (w, qm, qmax) in enumerate(zip(ws, sources, qmaxes))
-                if _residual_error(am, ah, amax, w, qm, qmax) is not None
-            ]
-        if redo:
-            ws[redo] = _kronecker_solves(
-                am, [sources[k] for k in redo], [qmaxes[k] for k in redo]
-            )
-    return ws[0] if qs.ndim == 2 else np.asarray(ws)
+        _require_stable_drifts(drifts)
+        ws = _kronecker_solves(drifts, sources, qmaxes)
+    return ws.reshape(qs.shape)
 
 
-def _hermitian_source_max(qm: np.ndarray) -> float:
-    """||q||_max of one source, which must be Hermitian within tolerance."""
-    qmax = float(np.abs(qm).max(initial=0.0))
-    if not hermitian_defect(qm) <= HERMITICITY_TOL * max(1.0, qmax):
-        raise ValidationError("q must be Hermitian within tolerance")
-    return qmax
-
-
-def _residual_error(am, ah, amax: float, w, qm, qmax: float) -> NumericsError | None:
-    """The accuracy check of every solve: None if a W + W a^H + q is within
-    LYAPUNOV_RESIDUAL_TOL of 2 ||a||_max ||W||_max + ||q||_max, the size of
-    the terms it cancels; else the error to raise. ``ah`` and ``amax`` are
-    a^H and ||a||_max, computed once per solve. NaN fails."""
-    residual = float(np.abs(am @ w + w @ ah + qm).max())
-    scale = 2.0 * amax * float(np.abs(w).max()) + qmax
-    if residual <= LYAPUNOV_RESIDUAL_TOL * scale:
-        return None
-    return NumericsError(
-        f"Lyapunov residual {residual:.3e} exceeds "
-        f"{LYAPUNOV_RESIDUAL_TOL:.1e} * {scale:.3g}",
-        estimate=residual,
+def _hermitian_source_maxes(sources: np.ndarray) -> np.ndarray:
+    """||q||_max of every source of a stack; each must be Hermitian within
+    tolerance."""
+    qmaxes = np.abs(sources).max(axis=(-2, -1), initial=0.0)
+    defects = np.abs(sources - sources.conj().swapaxes(-2, -1)).max(
+        axis=(-2, -1), initial=0.0
     )
+    if not np.all(defects <= HERMITICITY_TOL * np.maximum(1.0, qmaxes)):
+        raise ValidationError("q must be Hermitian within tolerance")
+    return qmaxes
+
+
+def _residual_check(am, ws, qs, qmaxes):
+    """The accuracy check of every solve: a W + W a^H + q must be within
+    LYAPUNOV_RESIDUAL_TOL of 2 ||a||_max ||W||_max + ||q||_max, the size of
+    the terms it cancels. ``am`` is (..., n, n), ``ws`` and ``qs`` are
+    (..., k, n, n) and ``qmaxes`` (..., k). Returns (passed, residual,
+    scale), each (..., k); NaN fails."""
+    drift = am[..., None, :, :]
+    residual = np.abs(drift @ ws + ws @ drift.conj().swapaxes(-2, -1) + qs).max(
+        axis=(-2, -1)
+    )
+    amax = np.abs(am).max(axis=(-2, -1))[..., None]
+    scale = 2.0 * amax * np.abs(ws).max(axis=(-2, -1)) + qmaxes
+    return residual <= LYAPUNOV_RESIDUAL_TOL * scale, residual, scale
+
+
+def _raise_first_residual_failure(passed, residual, scale) -> None:
+    failed = first_failure(passed)
+    if failed is not None:
+        worst, size = float(residual.flat[failed]), float(scale.flat[failed])
+        raise NumericsError(
+            f"Lyapunov residual {worst:.3e} exceeds "
+            f"{LYAPUNOV_RESIDUAL_TOL:.1e} * {size:.3g}",
+            estimate=worst,
+        )
+
+
+def _eigen_route(am, qs, qmaxes) -> np.ndarray:
+    """The sources (k, n, n) of one drift by the refined eigen route, each
+    failing source (or all of them, if the factorization fails) by the
+    Kronecker solve."""
+    ws = _eigen_solve(am, qs)
+    if ws is None:
+        _require_stable_drifts(am[None])
+        return _kronecker_solves(am, qs, qmaxes)
+    with np.errstate(all="ignore"):
+        redo = np.flatnonzero(~_residual_check(am, ws, qs, qmaxes)[0])
+    if redo.size:
+        ws[redo] = _kronecker_solves(am, qs[redo], qmaxes[redo])
+    return ws
 
 
 def _eigen_solve(am, qs):
@@ -192,29 +242,28 @@ def _eigen_solve(am, qs):
         return 0.5 * (ws + ws.conj().transpose(0, 2, 1))
 
 
-def _kronecker_solves(am, sources, qmaxes) -> list[np.ndarray]:
-    """Each source through the Kronecker-vectorized system, residual-checked."""
-    n = am.shape[0]
+def _kronecker_solves(am, sources, qmaxes) -> np.ndarray:
+    """Every source through its drift's Kronecker-vectorized system,
+    residual-checked. ``am`` is one drift (n, n) or a stack (..., n, n),
+    ``sources`` (..., k, n, n) and ``qmaxes`` (..., k): one batched solve
+    factors each drift's system once for all of its sources."""
+    n = am.shape[-1]
     eye = np.eye(n)
     # kron(eye, a) + kron(conj a, eye), multiplied exactly as np.kron does
     # (the same bits) without its per-call overhead
     system = (
-        eye[:, None, :, None] * am[None, :, None, :]
-        + am.conj()[:, None, :, None] * eye[None, :, None, :]
-    ).reshape(n * n, n * n)
-    ah, amax = am.conj().T, float(np.abs(am).max())
-    ws = []
-    for qm, qmax in zip(sources, qmaxes):
-        try:
-            vec = np.linalg.solve(system, -qm.reshape(-1, order="F"))
-        except np.linalg.LinAlgError as exc:
-            raise NumericsError(f"singular Lyapunov system: {exc}") from exc
-        w = vec.reshape((n, n), order="F")
-        w = 0.5 * (w + w.conj().T)
-        error = _residual_error(am, ah, amax, w, qm, qmax)
-        if error is not None:
-            raise error
-        ws.append(w)
+        eye[:, None, :, None] * am[..., None, :, None, :]
+        + am.conj()[..., :, None, :, None] * eye[None, :, None, :]
+    ).reshape(am.shape[:-2] + (n * n, n * n))
+    # column k holds source k stacked column by column (Fortran order)
+    rhs = (-sources).swapaxes(-2, -1).reshape(sources.shape[:-2] + (n * n,))
+    try:
+        vecs = np.linalg.solve(system, rhs.swapaxes(-2, -1))
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"singular Lyapunov system: {exc}") from exc
+    ws = vecs.swapaxes(-2, -1).reshape(sources.shape).swapaxes(-2, -1)
+    ws = 0.5 * (ws + ws.conj().swapaxes(-2, -1))
+    _raise_first_residual_failure(*_residual_check(am, ws, sources, qmaxes))
     return ws
 
 

@@ -10,6 +10,11 @@ commutators holds by construction and is re-checkable as a residual.
 Frame changes (hyperbolic mode mixing, mode rotations) are represented
 by exact symplectic transforms; the drift and the input moments are
 both mapped through them rather than through per-coupling formulas.
+
+Grids are evaluated as stacks: a ``StateSpace`` may hold P drifts and
+input matrices of shape (P, 2N, 2N), ``InputMoments`` P channel sets of
+shape (P, N), and a ``MomentTransform`` P matrices. Every check then
+runs for every member of the stack, and the first failing one raises.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionError, FrameError, NumericsError, ValidationError
+from .linalg import first_failure
 
 COUPLING_KINDS = (
     "beam_splitter",
@@ -275,7 +281,8 @@ def moments_from_json(doc: dict, n_modes: int) -> InputMoments:
 @dataclass(frozen=True, eq=False)
 class StateSpace:
     """Doubled-space drift and input matrices, ordered as DOUBLED_ORDERING;
-    the commutator metric is metric(n_modes)."""
+    the commutator metric is metric(n_modes). Either matrix may be a
+    stack (P, 2N, 2N); gammas then has shape (P, N)."""
 
     drift: np.ndarray
     input: np.ndarray
@@ -283,7 +290,7 @@ class StateSpace:
 
     @property
     def gammas(self) -> np.ndarray:
-        d = np.diag(self.input).real[: self.n_modes]
+        d = np.diagonal(self.input, axis1=-2, axis2=-1).real[..., : self.n_modes]
         return d * d
 
 
@@ -293,11 +300,13 @@ def metric(n_modes: int) -> np.ndarray:
 
 
 def _doubled(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The conjugation-symmetric doubled matrix [[p, q], [conj q, conj p]]."""
-    n = p.shape[0]
-    out = np.empty((2 * n, 2 * n), dtype=complex)
-    out[:n, :n], out[:n, n:] = p, q
-    out[n:, :n], out[n:, n:] = q.conj(), p.conj()
+    """The conjugation-symmetric doubled matrix [[p, q], [conj q, conj p]]
+    (of each pair of blocks, for stacks)."""
+    n = p.shape[-1]
+    lead = np.broadcast_shapes(p.shape, q.shape)[:-2]
+    out = np.empty(lead + (2 * n, 2 * n), dtype=complex)
+    out[..., :n, :n], out[..., :n, n:] = p, q
+    out[..., n:, :n], out[..., n:, n:] = q.conj(), p.conj()
     return out
 
 
@@ -306,38 +315,50 @@ def build_state_space(spec: NetworkSpec) -> StateSpace:
 
     Hamiltonian terms enter the annihilation sector as -i times their
     coefficient; the creation sector follows from conjugation symmetry.
+    This is the one-spec call of build_state_spaces.
     """
-    n = spec.n_modes
-    ann = np.zeros((n, n), dtype=complex)  # a <- a
-    mix = np.zeros((n, n), dtype=complex)  # a <- adag
-    for i, b in enumerate(spec.baths):
-        ann[i, i] -= 0.5 * b.gamma
-    for c in spec.couplings:
-        if c.kind == "beam_splitter":
-            i, j = c.modes
-            ann[i, j] += -1j * c.amplitude
-            ann[j, i] += -1j * c.amplitude.conjugate()
-        elif c.kind == "two_mode_squeeze":
-            i, j = c.modes
-            mix[i, j] += -1j * c.amplitude
-            mix[j, i] += -1j * c.amplitude
-        elif c.kind == "detuning":
-            (i,) = c.modes
-            ann[i, i] += -1j * c.amplitude.real
-        else:  # degenerate_parametric
-            (i,) = c.modes
-            mix[i, i] += -2j * c.amplitude.conjugate()
-    drift = _doubled(ann, mix)
-    root = np.sqrt(spec.gammas)
-    inp = np.diag(np.concatenate([root, root])).astype(complex)
-    return StateSpace(drift=drift, input=inp, n_modes=n)
+    ss = build_state_spaces([spec])
+    return StateSpace(drift=ss.drift[0], input=ss.input[0], n_modes=ss.n_modes)
+
+
+def build_state_spaces(specs: Sequence[NetworkSpec]) -> StateSpace:
+    """build_state_space of every spec of a grid (one mode count), as one
+    stacked state space of P drifts and input matrices."""
+    counts = {spec.n_modes for spec in specs}
+    if len(counts) != 1:
+        raise DimensionError(f"cannot stack networks of mode counts {sorted(counts)}")
+    n = counts.pop()
+    ann = np.zeros((len(specs), n, n), dtype=complex)  # a <- a
+    mix = np.zeros((len(specs), n, n), dtype=complex)  # a <- adag
+    for spec, a, m in zip(specs, ann, mix):
+        for i, b in enumerate(spec.baths):
+            a[i, i] -= 0.5 * b.gamma
+        for c in spec.couplings:
+            if c.kind == "beam_splitter":
+                i, j = c.modes
+                a[i, j] += -1j * c.amplitude
+                a[j, i] += -1j * c.amplitude.conjugate()
+            elif c.kind == "two_mode_squeeze":
+                i, j = c.modes
+                m[i, j] += -1j * c.amplitude
+                m[j, i] += -1j * c.amplitude
+            elif c.kind == "detuning":
+                (i,) = c.modes
+                a[i, i] += -1j * c.amplitude.real
+            else:  # degenerate_parametric
+                (i,) = c.modes
+                m[i, i] += -2j * c.amplitude.conjugate()
+    root = np.sqrt([spec.gammas for spec in specs])
+    inp = np.zeros((len(specs), 2 * n, 2 * n), dtype=complex)
+    inp[:, np.eye(2 * n, dtype=bool)] = np.concatenate([root, root], axis=1)
+    return StateSpace(drift=_doubled(ann, mix), input=inp, n_modes=n)
 
 
 def passive_state_space(ss: StateSpace) -> bool:
     """True iff the drift has no annihilation/creation mixing block (the
-    one definition of passivity)."""
+    one definition of passivity); for a stack, iff no drift has one."""
     n = ss.n_modes
-    return bool(np.all(ss.drift[:n, n:] == 0))
+    return bool(np.all(ss.drift[..., :n, n:] == 0))
 
 
 def is_passive(spec: NetworkSpec) -> bool:
@@ -373,12 +394,13 @@ def check_physical_realizability(ss: StateSpace) -> RealizabilityReport:
     )
 
 
-def _moment_scale(*moments: np.ndarray) -> float:
-    """max(1, largest |entry|) for relative guards; non-finite entries raise."""
-    tops = [float(np.abs(m).max(initial=0.0)) for m in moments]
-    if not all(math.isfinite(top) for top in tops):
+def _moment_scale(*moments: np.ndarray) -> np.ndarray:
+    """max(1, largest |entry|) of the matrices (..., n, n) of each member
+    of a stack, for relative guards; non-finite entries raise."""
+    tops = [np.abs(m).max(axis=(-2, -1), initial=0.0) for m in moments]
+    if not all(np.all(np.isfinite(top)) for top in tops):
         raise ValidationError("input moments must be finite")
-    return max(1.0, *tops)
+    return np.maximum(1.0, np.maximum.reduce(tops))
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,7 +408,8 @@ class InputMoments:
     """Stationary white-noise second moments, one set per input channel.
 
     occupancy[j] is <adag_j,in a_j,in>, anomalous[j] is <a_j,in a_j,in>.
-    Each mode has its own bath, so channels are uncorrelated.
+    Each mode has its own bath, so channels are uncorrelated. A stack of
+    P channel sets has arrays of shape (P, N).
     """
 
     occupancy: np.ndarray
@@ -395,9 +418,10 @@ class InputMoments:
     def __post_init__(self):
         occ = np.atleast_1d(np.asarray(self.occupancy, dtype=float)).copy()
         ano = np.atleast_1d(np.asarray(self.anomalous, dtype=complex)).copy()
-        if occ.shape != ano.shape or occ.ndim != 1:
+        if occ.shape != ano.shape or occ.ndim not in (1, 2):
             raise DimensionError(
-                "occupancy and anomalous must be 1-d and the same length"
+                "occupancy and anomalous must be 1-d (or a 2-d stack) and the "
+                "same shape"
             )
         for name, values in (("occupancy", occ), ("anomalous", ano)):
             if not np.all(np.isfinite(values)):
@@ -407,8 +431,13 @@ class InputMoments:
         occ = np.maximum(occ, 0.0)
         object.__setattr__(self, "occupancy", occ)
         object.__setattr__(self, "anomalous", ano)
-        for j in range(occ.shape[0]):
-            _warn_if_unphysical(occ[j], ano[j], f"input channel {j}")
+        # the test of _warn_if_unphysical, vectorized (np.hypot is abs)
+        bound = np.sqrt(occ) * np.sqrt(occ + 1.0)
+        beyond = np.hypot(ano.real, ano.imag) > bound + _PHYSICALITY_SLACK
+        for index in zip(*np.nonzero(beyond)):
+            _warn_if_unphysical(
+                float(occ[index]), complex(ano[index]), f"input channel {index[-1]}"
+            )
 
     @classmethod
     def vacuum(cls, n_channels: int) -> "InputMoments":
@@ -428,23 +457,45 @@ class InputMoments:
 
     @property
     def n_channels(self) -> int:
-        return int(self.occupancy.shape[0])
+        return int(self.occupancy.shape[-1])
 
     def noise_matrix(self) -> np.ndarray:
-        """Symmetrized doubled-basis noise moment matrix.
+        """Symmetrized doubled-basis noise moment matrix (one per member
+        of a stack).
 
         The vacuum contribution is 1/2 per quadrature, so this feeds the
         steady-state Lyapunov equation directly.
         """
-        normal = 0.5 * np.eye(self.n_channels) + np.diag(self.occupancy)
-        return _doubled(normal, np.diag(self.anomalous))
+        diagonal = np.eye(self.n_channels, dtype=bool)
+        lead = self.occupancy.shape[:-1]
+        normal = np.zeros(lead + diagonal.shape)
+        normal[..., diagonal] = 0.5 + self.occupancy
+        anomalous = np.zeros(lead + diagonal.shape, dtype=complex)
+        anomalous[..., diagonal] = self.anomalous
+        return _doubled(normal, anomalous)
 
 
-def _frame_blocks(n_modes: int, *modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Identity P and zero Q blocks for a transform acting on ``modes``."""
+def _frame_blocks(
+    n_modes: int, *modes: int, parameter=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Identity P and zero Q blocks for a transform acting on ``modes``,
+    one pair per value when ``parameter`` is a sequence."""
     if not all(0 <= m < n_modes for m in modes):
         raise DimensionError(f"mode(s) {modes} out of range for {n_modes} modes")
-    return np.eye(n_modes, dtype=complex), np.zeros((n_modes, n_modes), dtype=complex)
+    shape = np.shape(parameter) + (n_modes, n_modes)
+    return (
+        np.broadcast_to(np.eye(n_modes, dtype=complex), shape).copy(),
+        np.zeros(shape, dtype=complex),
+    )
+
+
+def _each(fn, parameter):
+    """fn of one parameter, or the array of fn over a sequence of them;
+    the math module evaluates every value, so a stack member has the bits
+    of the single transform."""
+    if np.ndim(parameter) == 0:
+        return fn(parameter)
+    return np.array([fn(value) for value in parameter])
 
 
 @dataclass(frozen=True, eq=False)
@@ -454,54 +505,59 @@ class MomentTransform:
     The matrix must respect the doubled conjugation structure and
     preserve the commutator metric (symplectic condition), which is
     validated at construction. Input moments are mapped through the
-    matrix congruence, never through per-case formulas.
+    matrix congruence, never through per-case formulas. A stack of
+    matrices (P, 2N, 2N) is P transforms, each validated; the
+    constructors with a parameter build one from a sequence of values,
+    and ``compose`` broadcasts a single transform against a stack.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
+        if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1] or m.shape[-1] % 2:
             raise DimensionError("transform matrix must be square of even dimension")
         object.__setattr__(self, "matrix", m)
-        n = m.shape[0] // 2
-        structure = max(
-            float(np.abs(m[n:, n:] - m[:n, :n].conj()).max(initial=0.0)),
-            float(np.abs(m[n:, :n] - m[:n, n:].conj()).max(initial=0.0)),
+        n = m.shape[-1] // 2
+        structure = np.maximum(
+            np.abs(m[..., n:, n:] - m[..., :n, :n].conj()).max(axis=(-2, -1), initial=0.0),
+            np.abs(m[..., n:, :n] - m[..., :n, n:].conj()).max(axis=(-2, -1), initial=0.0),
         )
-        if not structure <= 1e-12:
+        if not np.all(structure <= 1e-12):
             raise ValidationError("transform breaks the doubled conjugation structure")
         # the residual is roundoff of products of entries, so it is judged
         # against the transform's size; NaN fails
         sig = metric(n)
-        residual = float(np.abs(m @ sig @ m.conj().T - sig).max())
-        if not residual <= 1e-10 * max(1.0, float(np.abs(m).max()) ** 2):
+        residual = np.abs(m @ sig @ m.conj().swapaxes(-2, -1) - sig).max(axis=(-2, -1))
+        size = np.maximum(1.0, np.abs(m).max(axis=(-2, -1))) ** 2
+        if not np.all(residual <= 1e-10 * size):
             raise ValidationError("transform does not preserve the commutator metric")
 
     @property
     def n_modes(self) -> int:
-        return self.matrix.shape[0] // 2
+        return self.matrix.shape[-1] // 2
 
     @classmethod
-    def bogoliubov(cls, n_modes: int, mode: int, xi: float) -> "MomentTransform":
+    def bogoliubov(cls, n_modes: int, mode: int, xi) -> "MomentTransform":
         """alpha = cosh(xi) a + sinh(xi) adag on one mode."""
-        p, q = _frame_blocks(n_modes, mode)
-        p[mode, mode] = math.cosh(xi)
-        q[mode, mode] = math.sinh(xi)
+        p, q = _frame_blocks(n_modes, mode, parameter=xi)
+        p[..., mode, mode] = _each(math.cosh, xi)
+        q[..., mode, mode] = _each(math.sinh, xi)
         return cls(_doubled(p, q))
 
     @classmethod
     def two_mode_bogoliubov(
-        cls, n_modes: int, mode_a: int, mode_b: int, xi: float
+        cls, n_modes: int, mode_a: int, mode_b: int, xi
     ) -> "MomentTransform":
         """alpha_a = cosh(xi) a_a + sinh(xi) adag_b, and b <-> a."""
         if mode_a == mode_b:
             raise ValidationError("two-mode hyperbolic mixing needs distinct modes")
-        p, q = _frame_blocks(n_modes, mode_a, mode_b)
-        p[mode_a, mode_a] = math.cosh(xi)
-        p[mode_b, mode_b] = math.cosh(xi)
-        q[mode_a, mode_b] = math.sinh(xi)
-        q[mode_b, mode_a] = math.sinh(xi)
+        p, q = _frame_blocks(n_modes, mode_a, mode_b, parameter=xi)
+        cosh, sinh = _each(math.cosh, xi), _each(math.sinh, xi)
+        p[..., mode_a, mode_a] = cosh
+        p[..., mode_b, mode_b] = cosh
+        q[..., mode_a, mode_b] = sinh
+        q[..., mode_b, mode_a] = sinh
         return cls(_doubled(p, q))
 
     @classmethod
@@ -518,10 +574,10 @@ class MomentTransform:
         return cls(_doubled(p, q))
 
     @classmethod
-    def rotation(cls, n_modes: int, mode: int, phi: float) -> "MomentTransform":
+    def rotation(cls, n_modes: int, mode: int, phi) -> "MomentTransform":
         """xi'_mode = exp(i phi) xi_mode."""
-        p, q = _frame_blocks(n_modes, mode)
-        p[mode, mode] = cmath.exp(1j * phi)
+        p, q = _frame_blocks(n_modes, mode, parameter=phi)
+        p[..., mode, mode] = _each(lambda angle: cmath.exp(1j * angle), phi)
         return cls(_doubled(p, q))
 
     def compose(self, inner: "MomentTransform") -> "MomentTransform":
@@ -549,21 +605,26 @@ class MomentTransform:
             raise DimensionError("transform and state space differ in their mode count")
         t = self.matrix
         sig = metric(n)
-        drift = t @ ss.drift @ (sig @ t.conj().T @ sig)
-        size = max(1.0, float(np.abs(t).max()) ** 2)
-        scale = max(1.0, float(np.abs(drift).max())) * size
-        cutoff = 1e-12 * scale
-        kept = np.where(np.abs(drift[:n]) > cutoff, drift[:n], 0.0)
-        shifts = drift.diagonal()[:n].imag
-        shifts = np.where(np.abs(shifts) > cutoff, shifts, 0.0)
-        upper, mix = np.triu(kept[:, :n], 1), np.triu(kept[:, n:])
-        p = upper - upper.conj().T
-        p[np.diag_indices(n)] = ss.drift.diagonal()[:n].real + 1j * shifts
-        frame = _doubled(p, mix + np.triu(mix, 1).T)
-        defect = float(np.abs(frame - drift).max())
-        if not defect <= 1e-10 * scale:
+        drift = t @ ss.drift @ (sig @ t.conj().swapaxes(-2, -1) @ sig)
+        size = np.maximum(1.0, np.abs(t).max(axis=(-2, -1))) ** 2
+        scale = np.maximum(1.0, np.abs(drift).max(axis=(-2, -1))) * size
+        cutoff = 1e-12 * scale[..., None, None]
+        kept = np.where(np.abs(drift[..., :n, :]) > cutoff, drift[..., :n, :], 0.0)
+        shifts = np.diagonal(drift, axis1=-2, axis2=-1)[..., :n].imag
+        shifts = np.where(np.abs(shifts) > cutoff[..., 0], shifts, 0.0)
+        upper, mix = np.triu(kept[..., :n], 1), np.triu(kept[..., n:])
+        p = upper - upper.conj().swapaxes(-2, -1)
+        diagonal = np.diag_indices(n)
+        p[(...,) + diagonal] = (
+            np.diagonal(ss.drift, axis1=-2, axis2=-1)[..., :n].real + 1j * shifts
+        )
+        frame = _doubled(p, mix + np.triu(mix, 1).swapaxes(-2, -1))
+        defect = np.abs(frame - drift).max(axis=(-2, -1))
+        failed = first_failure(defect <= 1e-10 * scale)
+        if failed is not None:
             raise FrameError(
-                f"drift has no one-bath-per-mode form (round-trip defect {defect:.3e})"
+                "drift has no one-bath-per-mode form (round-trip defect "
+                f"{defect.flat[failed]:.3e})"
             )
         return StateSpace(drift=frame, input=ss.input, n_modes=n)
 
@@ -584,31 +645,37 @@ class MomentTransform:
         if inputs.n_channels != n:
             raise DimensionError("input moments do not match the transform size")
         with np.errstate(all="ignore"):  # overflow is refused just below
-            out = self.matrix @ inputs.noise_matrix() @ self.matrix.conj().T
+            out = self.matrix @ inputs.noise_matrix() @ self.matrix.conj().swapaxes(-2, -1)
         out_scale = _moment_scale(out)
-        cn = out[n:, n:] - 0.5 * np.eye(n)
-        cm = out[:n, n:]
-        checks = max(
-            float(np.abs(out[:n, :n] - (0.5 * np.eye(n) + cn.T)).max()),
-            float(np.abs(out[n:, :n] - cm.conj()).max()),
-            float(np.abs(cm - cm.T).max()),
-        )
-        if not checks <= 1e-10 * out_scale:
+        eye = np.eye(n)
+        cn = out[..., n:, n:] - 0.5 * eye
+        cm = out[..., :n, n:]
+        checks = np.maximum.reduce([
+            np.abs(out[..., :n, :n] - (0.5 * eye + cn.swapaxes(-2, -1))).max(axis=(-2, -1)),
+            np.abs(out[..., n:, :n] - cm.conj()).max(axis=(-2, -1)),
+            np.abs(cm - cm.swapaxes(-2, -1)).max(axis=(-2, -1)),
+        ])
+        failed = first_failure(checks <= 1e-10 * out_scale)
+        if failed is not None:
             raise NumericsError(
                 "transformed noise matrix lost its doubled structure",
-                estimate=checks,
+                estimate=float(checks.flat[failed]),
             )
         scale = _moment_scale(cn, cm)
-        occ, ano = np.diag(cn), np.diag(cm)
-        if not float(np.abs(occ.imag).max(initial=0.0)) <= 1e-9 * scale:
+        occ = np.diagonal(cn, axis1=-2, axis2=-1)
+        ano = np.diagonal(cm, axis1=-2, axis2=-1)
+        if not np.all(np.abs(occ.imag).max(axis=-1, initial=0.0) <= 1e-9 * scale):
             raise ValidationError("normal correlator diagonal must be real")
-        cross = max(
-            float(np.abs(cn - np.diag(occ)).max(initial=0.0)),
-            float(np.abs(cm - np.diag(ano)).max(initial=0.0)),
+        off = ~np.eye(n, dtype=bool)
+        cross = np.maximum(
+            np.abs(cn[..., off]).max(axis=-1, initial=0.0),
+            np.abs(cm[..., off]).max(axis=-1, initial=0.0),
         )
-        if not cross <= 1e-14 * scale:
+        failed = first_failure(cross <= 1e-14 * scale)
+        if failed is not None:
             raise NumericsError(
-                "frame change produced cross-channel correlators", estimate=cross
+                "frame change produced cross-channel correlators",
+                estimate=float(cross.flat[failed]),
             )
         return InputMoments(occ.real, ano)
 

@@ -14,12 +14,21 @@ modes through matched beam-splitter/squeeze pairs with opposite
 detunings; in the collective hyperbolic frame the cavity talks only to
 the Sigma mode, and the commutator budget yields the Duan quantity and
 the separability boundary in the (n_o, n_m) plane.
+
+Grids are batches. squeezing_powers, parametric_variance_checks,
+fig1_rows, fig2_rows and fig3_rows evaluate every point of a grid with
+stacked arrays through one Lyapunov solve per stage, and every check
+runs at every point; the first failing point raises. Each per-point
+function (two_mode_squeezing_power, parametric_variance_check,
+fig1_point, fig2_point, duan_quantity) is the one-point call of its
+array form, so a grid row has the bits of its point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +38,7 @@ from .errors import (
     StabilityError,
     ValidationError,
 )
-from .linalg import golden_section_max, golden_section_min, solve_lyapunov
+from .linalg import first_failure, golden_section_max, golden_section_min, solve_lyapunov
 from .network import (
     BathSpec,
     InputMoments,
@@ -38,13 +47,14 @@ from .network import (
     StateSpace,
     beam_splitter,
     build_state_space,
+    build_state_spaces,
     degenerate_parametric,
     detuning,
     hyperbolic_frame,
     two_mode_squeeze,
 )
 from .budget import compute_budget, verify_sum_rules
-from .steady import min_quadrature_variance, steady_covariance, variance_decomposition
+from .steady import min_variances, steady_covariance, variance_decomposition
 
 ROUTE_AGREEMENT_TOL = 1e-10
 DUAN_AGREEMENT_TOL = 1e-8
@@ -69,6 +79,13 @@ def _nonnegative(name: str, value: float) -> float:
     if not value >= 0:
         raise ValidationError(f"{name} must be nonnegative, got {value}")
     return value
+
+
+def _grid_points(*columns) -> list[tuple]:
+    """The points of a grid given per parameter as a number or a sequence:
+    sequences broadcast against each other and numbers repeat."""
+    arrays = np.broadcast_arrays(*(np.asarray(column) for column in columns))
+    return list(zip(*(array.ravel().tolist() for array in arrays)))
 
 
 def _check_fields(record, **checks) -> None:
@@ -227,7 +244,7 @@ class QuadratureBlock:
     labels: tuple[str, str]
 
 
-def parametric_blocks(p: ParametricParams) -> tuple[QuadratureBlock, QuadratureBlock]:
+def parametric_blocks(p) -> tuple[QuadratureBlock, QuadratureBlock]:
     """The two commuting quadrature pairs (X1, Y2) and (X2, Y1).
 
     Each pair evolves independently: the parametric terms shift the
@@ -235,26 +252,35 @@ def parametric_blocks(p: ParametricParams) -> tuple[QuadratureBlock, QuadratureB
     while the couplings enter as g_diff and -g_sum off-diagonals. The
     noise powers keep the physical gamma_i (the parametric term is
     Hamiltonian and does not touch the input ports).
+
+    ``p`` is one ParametricParams, or a sequence of them for stacked
+    blocks of shape (P, 2, 2).
     """
-    gs, gd = p.g_sum, p.g_diff
-    v1, v2 = p.n1 + 0.5, p.n2 + 0.5
-    a1 = np.array(
-        [
-            [-(p.gamma1 - p.eta1) / 2.0, gd],
-            [-gs, -(p.gamma2 + p.eta2) / 2.0],
-        ]
-    )
-    q1 = np.diag([p.gamma1 * v1, p.gamma2 * v2])
-    a2 = np.array(
-        [
-            [-(p.gamma2 - p.eta2) / 2.0, gd],
-            [-gs, -(p.gamma1 + p.eta1) / 2.0],
-        ]
-    )
-    q2 = np.diag([p.gamma2 * v2, p.gamma1 * v1])
+    single = isinstance(p, ParametricParams)
+    points = [p] if single else list(p)
+
+    def column(name: str) -> np.ndarray:
+        return np.array([getattr(point, name) for point in points])
+
+    gamma1, gamma2 = column("gamma1"), column("gamma2")
+    eta1, eta2 = column("eta1"), column("eta2")
+    g_minus, g_plus = column("g_minus"), column("g_plus")
+    gs, gd = g_minus + g_plus, g_minus - g_plus
+    v1, v2 = column("n1") + 0.5, column("n2") + 0.5
+
+    def block(decay_x, decay_y, noise_x, noise_y, labels) -> QuadratureBlock:
+        drift = np.empty((len(points), 2, 2))
+        drift[:, 0, 0], drift[:, 0, 1] = -decay_x / 2.0, gd
+        drift[:, 1, 0], drift[:, 1, 1] = -gs, -decay_y / 2.0
+        noise = np.zeros((len(points), 2, 2))
+        noise[:, 0, 0], noise[:, 1, 1] = noise_x, noise_y
+        if single:
+            drift, noise = drift[0], noise[0]
+        return QuadratureBlock(drift=drift, noise=noise, labels=labels)
+
     return (
-        QuadratureBlock(drift=a1, noise=q1, labels=("X1", "Y2")),
-        QuadratureBlock(drift=a2, noise=q2, labels=("X2", "Y1")),
+        block(gamma1 - eta1, gamma2 + eta2, gamma1 * v1, gamma2 * v2, ("X1", "Y2")),
+        block(gamma2 - eta2, gamma1 + eta1, gamma2 * v2, gamma1 * v1, ("X2", "Y1")),
     )
 
 
@@ -301,20 +327,33 @@ def two_mode_squeezing_power(p: TwoModeParams) -> SqueezingPowerResult:
     For equal damping the result matches the closed form stated on
     SqueezingPowerResult: the sum tends to 1 + e^(-2 xi) at strong
     coupling and fixed xi, and approaches the bound 1 only as G / gamma
-    and xi grow together.
+    and xi grow together. This is the one-point call of squeezing_powers.
     """
-    xi = p.xi
-    spec = two_mode_network(p)
-    ss = build_state_space(spec)
-    inputs = InputMoments.from_baths(spec)
+    return squeezing_powers([p])[0]
+
+
+def squeezing_powers(ps: Sequence[TwoModeParams]) -> list[SqueezingPowerResult]:
+    """two_mode_squeezing_power at every point of a grid, as one batch.
+
+    The physical drifts, their frames T A T^-1 (one T per point, as xi
+    varies) and the frame budgets are stacks, each solved in one call;
+    both routes and their agreement check run at every point, and the
+    first failing point raises.
+    """
+    if not ps:
+        return []
+    xis = [p.xi for p in ps]
+    ss = build_state_spaces([two_mode_network(p) for p in ps])
+    inputs = InputMoments.thermal([(p.n1, p.n2) for p in ps])
     cov = steady_covariance(ss, inputs)
-    v1, v2 = p.n1 + 0.5, p.n2 + 0.5
-    norm_var1 = min_quadrature_variance(cov, 0).value / v1
-    norm_var2 = min_quadrature_variance(cov, 1).value / v2
+    v1 = np.array([p.n1 for p in ps]) + 0.5
+    v2 = np.array([p.n2 for p in ps]) + 0.5
+    norm_var1 = min_variances(cov, 0) / v1
+    norm_var2 = min_variances(cov, 1) / v2
 
     # hyperbolic frame on mode 1, then a quarter turn to the real gauge
     gauge = MomentTransform.rotation(2, 1, math.pi / 2.0).compose(
-        MomentTransform.bogoliubov(2, 1, xi)
+        MomentTransform.bogoliubov(2, 1, xis)
     )
     gss = gauge.apply_to_state_space(ss)
     gbudget = compute_budget(gss)
@@ -322,34 +361,39 @@ def two_mode_squeezing_power(p: TwoModeParams) -> SqueezingPowerResult:
     # the frame channel's anomalous part is negative real in this gauge,
     # so theta = 0 is the quiet angle for both modes
     split = variance_decomposition(gss, gbudget, ginputs, theta=0.0)
-    frame_var1 = float(split[0]) / v1
-    if not abs(frame_var1 - norm_var1) <= ROUTE_AGREEMENT_TOL:
+    gap = np.abs(split[:, 0] / v1 - norm_var1)
+    failed = first_failure(gap <= ROUTE_AGREEMENT_TOL)
+    if failed is not None:
         raise NumericsError(
             "direct and frame routes disagree on the mode-1 variance",
-            estimate=abs(frame_var1 - norm_var1),
+            estimate=float(gap[failed]),
         )
-    alpha_ratio = float(split[1]) / (v2 * math.exp(-2.0 * xi))
+    alpha_ratio = split[:, 1] / (v2 * np.array([math.exp(-2.0 * xi) for xi in xis]))
 
     total = norm_var1 + norm_var2
-    return SqueezingPowerResult(
-        norm_var1=norm_var1,
-        norm_var2=norm_var2,
-        sum=total,
-        slack=total - 1.0,
-        alpha_normalized_variance=alpha_ratio,
-    )
+    return [
+        SqueezingPowerResult(
+            norm_var1=a, norm_var2=b, sum=t, slack=slack, alpha_normalized_variance=r
+        )
+        for a, b, t, slack, r in zip(
+            norm_var1.tolist(), norm_var2.tolist(), total.tolist(),
+            (total - 1.0).tolist(), alpha_ratio.tolist(),
+        )
+    ]
 
 
-def _pair_bound(gamma1: float, gamma2: float, de: float) -> float:
+def _pair_bound(gamma1, gamma2, de):
     """(S^2 - d*de) / (S^2 - de^2) with S = gamma1 + gamma2 and
-    d = gamma1 - gamma2; |de| >= S is the stability boundary."""
+    d = gamma1 - gamma2; |de| >= S is the stability boundary. Numbers or
+    arrays of one shape; the first point on or past the boundary raises."""
     s = gamma1 + gamma2
     d = gamma1 - gamma2
     denominator = s * s - de * de
-    if denominator <= 0:
+    k = first_failure(np.asarray(denominator) > 0)
+    if k is not None:
         raise StabilityError(
-            f"|eta1 - eta2| = {abs(de):g} reaches the stability boundary "
-            f"gamma1 + gamma2 = {s:g}"
+            f"|eta1 - eta2| = {abs(np.ravel(de)[k]):g} reaches the stability "
+            f"boundary gamma1 + gamma2 = {np.ravel(s)[k]:g}"
         )
     return (s * s - d * de) / denominator
 
@@ -426,43 +470,55 @@ def parametric_variance_check(p: ParametricParams) -> PairedVarianceReport:
     The (X1, Y2) pair shares the shifted total damping S - de and the
     (X2, Y1) pair shares S + de, so the per-quadrature floors read
     gamma_i / (S -+ de) and the pair sums are bounded by the expression
-    of parametric_bound at +-de.
+    of parametric_bound at +-de. This is the one-point call of
+    parametric_variance_checks.
     """
+    return parametric_variance_checks([p])[0]
+
+
+def parametric_variance_checks(
+    ps: Sequence[ParametricParams],
+) -> list[PairedVarianceReport]:
+    """parametric_variance_check at every point of a grid: each quadrature
+    pair is one stacked solve, and the first unstable point raises."""
+    if not ps:
+        return []
     variances = {}
-    for block in parametric_blocks(p):
+    for block in parametric_blocks(ps):
         try:
             w = solve_lyapunov(block.drift, block.noise.astype(complex))
         except StabilityError as exc:
             raise StabilityError(
                 f"quadrature block {block.labels}: {exc}", eigenvalue=exc.eigenvalue
             ) from exc
-        variances[block.labels[0]] = float(w[0, 0].real)
-        variances[block.labels[1]] = float(w[1, 1].real)
-    v1, v2 = p.n1 + 0.5, p.n2 + 0.5
+        variances[block.labels[0]] = w[:, 0, 0].real
+        variances[block.labels[1]] = w[:, 1, 1].real
+    gamma1 = np.array([p.gamma1 for p in ps])
+    gamma2 = np.array([p.gamma2 for p in ps])
+    v1 = np.array([p.n1 for p in ps]) + 0.5
+    v2 = np.array([p.n2 for p in ps]) + 0.5
     x1, y1 = variances["X1"] / v1, variances["Y1"] / v1
     x2, y2 = variances["X2"] / v2, variances["Y2"] / v2
-    s = p.gamma1 + p.gamma2
-    de = p.delta_eta
+    s = gamma1 + gamma2
+    de = np.array([p.delta_eta for p in ps])
     sum_x, sum_y = x1 + x2, y1 + y2
-    sum_x_bound = _pair_bound(p.gamma1, p.gamma2, -de)
-    sum_y_bound = _pair_bound(p.gamma1, p.gamma2, de)
-    slacks = (
-        x1 - p.gamma1 / (s - de),
-        y1 - p.gamma1 / (s + de),
-        x2 - p.gamma2 / (s + de),
-        y2 - p.gamma2 / (s - de),
+    sum_x_bound = _pair_bound(gamma1, gamma2, -de)
+    sum_y_bound = _pair_bound(gamma1, gamma2, de)
+    min_slack = np.min([
+        x1 - gamma1 / (s - de),
+        y1 - gamma1 / (s + de),
+        x2 - gamma2 / (s + de),
+        y2 - gamma2 / (s - de),
         sum_x - sum_x_bound,
         sum_y - sum_y_bound,
-    )
-    return PairedVarianceReport(
-        ratio_x1=x1,
-        ratio_y1=y1,
-        sum_x=sum_x,
-        sum_y=sum_y,
-        sum_x_bound=sum_x_bound,
-        sum_y_bound=sum_y_bound,
-        min_slack=float(min(slacks)),
-    )
+    ], axis=0)
+    return [
+        PairedVarianceReport(*row)
+        for row in zip(
+            x1.tolist(), y1.tolist(), sum_x.tolist(), sum_y.tolist(),
+            sum_x_bound.tolist(), sum_y_bound.tolist(), min_slack.tolist(),
+        )
+    ]
 
 
 def three_mode_physical_network(p: ThreeModeParams) -> NetworkSpec:
@@ -558,11 +614,15 @@ class DuanResult:
     pairing: str
 
 
-def _collective_variance(vq: np.ndarray, weights: dict[int, float]) -> float:
-    vec = np.zeros(vq.shape[0])
+def _collective_variances(vq: np.ndarray, weights: dict[int, float]) -> np.ndarray:
+    """vec^T vq vec for each quadrature covariance of a stack (P, 2N, 2N)."""
+    vec = np.zeros(vq.shape[-1])
     for index, weight in weights.items():
         vec[index] = weight
-    return float(vec @ vq @ vec)
+    # each slice a (1, 2N) by (2N, 1) product: numpy takes the dot product
+    # of vec @ vq @ vec there, so a stack member has the bits of one point
+    rows = (vec @ vq)[..., None, :]
+    return (rows @ vec[:, None])[..., 0, 0]
 
 
 def duan_quantity(p: ThreeModeParams) -> DuanResult:
@@ -573,48 +633,60 @@ def duan_quantity(p: ThreeModeParams) -> DuanResult:
     (or the conjugate pairing, whichever is quieter) are read off the
     quadrature covariance. Budget: the frame transfer matrix weights
     the mechanical and optical occupancies, with the optical term
-    carrying exp(-2 xi). Values below 1 certify entanglement.
+    carrying exp(-2 xi). Values below 1 certify entanglement. This is
+    the one-point grid of fig3_rows.
     """
-    return _duan(p, three_mode_budget(p))
+    return _duan_grid(p, three_mode_budget(p), [p.n_o], [p.n_m])[0]
 
 
-def _duan(p: ThreeModeParams, budget: ThreeModeBudget) -> DuanResult:
-    """duan_quantity with the scheme's budget already computed.
+def _duan_grid(p: ThreeModeParams, budget: ThreeModeBudget, n_os, n_ms) -> list[DuanResult]:
+    """duan_quantity over the grid n_os x n_ms (n_o the outer loop), with
+    the scheme's budget already computed, as one batch.
 
     The budget and the physical state space it carries depend on the
-    scheme only, never on (n_o, n_m), so one budget serves every
-    occupancy of a grid; each point builds only its thermal inputs.
+    scheme only, never on (n_o, n_m), so one drift serves the grid: its
+    steady states are one solve with a thermal source per point. Every
+    point keeps its checks, the 1e-8 agreement of the direct route with
+    the budget included; the first failing point raises.
     """
-    inputs = InputMoments.thermal((p.n_o, p.n_m, p.n_m))
-    cov = steady_covariance(budget.physical, inputs)
-    vq = cov.quadrature_matrix()
+    points = [replace(p, n_o=n_o, n_m=n_m) for n_o in n_os for n_m in n_ms]
+    if not points:
+        return []
+    inputs = InputMoments.thermal([(q.n_o, q.n_m, q.n_m) for q in points])
+    vq = steady_covariance(budget.physical, inputs).quadrature_matrix()
     r = 1.0 / math.sqrt(2.0)
     # quadrature ordering (X1, X2, X3, Y1, Y2, Y3)
-    x_sigma = _collective_variance(vq, {1: r, 2: r})
-    p_delta = _collective_variance(vq, {4: r, 5: -r})
-    p_sigma = _collective_variance(vq, {4: r, 5: r})
-    x_delta = _collective_variance(vq, {1: r, 2: -r})
+    x_sigma = _collective_variances(vq, {1: r, 2: r})
+    p_delta = _collective_variances(vq, {4: r, 5: -r})
+    p_sigma = _collective_variances(vq, {4: r, 5: r})
+    x_delta = _collective_variances(vq, {1: r, 2: -r})
     first = x_sigma + p_delta
     second = p_sigma + x_delta
-    if first <= second:
-        direct, pairing = first, "x_sigma_p_delta"
-    else:
-        direct, pairing = second, "p_sigma_x_delta"
-
-    budget_value = budget.mechanical * (p.n_m + 0.5) + budget.eta_e * (
-        p.n_o + 0.5
+    quiet = first <= second
+    direct = np.where(quiet, first, second)
+    n_o = np.array([q.n_o for q in points])
+    n_m = np.array([q.n_m for q in points])
+    budget_value = budget.mechanical * (n_m + 0.5) + budget.eta_e * (
+        n_o + 0.5
     ) * math.exp(-2.0 * p.xi)
-    if not abs(budget_value - direct) <= DUAN_AGREEMENT_TOL:
+    gap = np.abs(budget_value - direct)
+    failed = first_failure(gap <= DUAN_AGREEMENT_TOL)
+    if failed is not None:
         raise NumericsError(
             "direct and budget routes disagree on the Duan quantity",
-            estimate=abs(budget_value - direct),
+            estimate=float(gap[failed]),
         )
-    return DuanResult(
-        direct=direct,
-        budget=budget_value,
-        entangled=direct < 1.0,
-        pairing=pairing,
-    )
+    return [
+        DuanResult(
+            direct=value,
+            budget=total,
+            entangled=value < 1.0,
+            pairing="x_sigma_p_delta" if quiet else "p_sigma_x_delta",
+        )
+        for value, total, quiet in zip(
+            direct.tolist(), budget_value.tolist(), quiet.tolist()
+        )
+    ]
 
 
 @dataclass(frozen=True)
@@ -729,25 +801,32 @@ def fig1_point(
     n1: float = 0.0,
     n2: float = 0.0,
 ) -> tuple:
-    """One squeezing-power row keyed by (g_script, xi)."""
-    params = TwoModeParams(
-        g_plus=g_script * math.sinh(xi),
-        g_minus=g_script * math.cosh(xi),
-        gamma1=gamma1,
-        gamma2=gamma2,
-        n1=n1,
-        n2=n2,
-    )
-    result = two_mode_squeezing_power(params)
-    return (
-        g_script,
-        xi,
-        gamma1,
-        gamma2,
-        result.norm_var1,
-        result.norm_var2,
-        result.sum,
-    )
+    """One squeezing-power row keyed by (g_script, xi); the one-point call
+    of fig1_rows."""
+    return fig1_rows(g_script, xi, gamma1, gamma2, n1, n2)[0]
+
+
+def fig1_rows(g_script, xi, gamma1, gamma2, n1=0.0, n2=0.0) -> list[tuple]:
+    """fig1_point over a grid, as one batch (squeezing_powers). Each
+    argument is a number or a sequence; sequences broadcast against each
+    other and numbers repeat, so one swept parameter gives its rows in
+    order."""
+    points = _grid_points(g_script, xi, gamma1, gamma2, n1, n2)
+    results = squeezing_powers([
+        TwoModeParams(
+            g_plus=g * math.sinh(x),
+            g_minus=g * math.cosh(x),
+            gamma1=a,
+            gamma2=b,
+            n1=c,
+            n2=d,
+        )
+        for g, x, a, b, c, d in points
+    ])
+    return [
+        (g, x, a, b, result.norm_var1, result.norm_var2, result.sum)
+        for (g, x, a, b, _, _), result in zip(points, results)
+    ]
 
 
 def fig2_point(
@@ -759,19 +838,34 @@ def fig2_point(
     n1: float = 0.0,
     n2: float = 0.0,
 ) -> tuple:
-    """One parametric-bound row; the rate split is symmetric, +-de/2."""
-    params = ParametricParams(
-        g_plus=g_plus,
-        g_minus=g_minus,
-        gamma1=gamma1,
-        gamma2=gamma2,
-        eta1=+0.5 * delta_eta,
-        eta2=-0.5 * delta_eta,
-        n1=n1,
-        n2=n2,
-    )
-    report = parametric_variance_check(params)
-    return (delta_eta, gamma1, gamma2, report.sum_y_bound, report.sum_y)
+    """One parametric-bound row; the rate split is symmetric, +-de/2. The
+    one-point call of fig2_rows."""
+    return fig2_rows(delta_eta, gamma1, gamma2, g_minus, g_plus, n1, n2)[0]
+
+
+def fig2_rows(
+    delta_eta, gamma1, gamma2, g_minus, g_plus=0.0, n1=0.0, n2=0.0
+) -> list[tuple]:
+    """fig2_point over a grid, as one batch (parametric_variance_checks);
+    arguments broadcast as in fig1_rows."""
+    points = _grid_points(delta_eta, gamma1, gamma2, g_minus, g_plus, n1, n2)
+    reports = parametric_variance_checks([
+        ParametricParams(
+            g_plus=gp,
+            g_minus=gm,
+            gamma1=a,
+            gamma2=b,
+            eta1=+0.5 * de,
+            eta2=-0.5 * de,
+            n1=c,
+            n2=d,
+        )
+        for de, a, b, gm, gp, c, d in points
+    ])
+    return [
+        (de, a, b, report.sum_y_bound, report.sum_y)
+        for (de, a, b, _, _, _, _), report in zip(points, reports)
+    ]
 
 
 def fig3_rows(
@@ -780,12 +874,13 @@ def fig3_rows(
     """Duan-plane rows over the grid n_os x n_ms, n_o the outer loop.
 
     ``budget`` is three_mode_budget(p). Its shares and physical state
-    space serve every row; each row builds its thermal inputs, solves
-    its steady state and checks its direct route against the budget.
+    space serve every row, and the rows are one batch: one drift with a
+    thermal source per row, each row checked against the budget.
     """
-    rows = []
-    for n_o in n_os:
-        for n_m in n_ms:
-            result = _duan(replace(p, n_o=n_o, n_m=n_m), budget)
-            rows.append((n_o, n_m, result.direct, result.budget, result.entangled))
-    return rows
+    return [
+        (n_o, n_m, result.direct, result.budget, result.entangled)
+        for (n_o, n_m), result in zip(
+            [(n_o, n_m) for n_o in n_os for n_m in n_ms],
+            _duan_grid(p, budget, n_os, n_ms),
+        )
+    ]

@@ -12,6 +12,10 @@ inputs into passive networks, and for anomalous inputs only when the
 doubled drift is real (then the phase-sensitive transfer collapses onto
 the same shares); outside those regimes it refuses rather than
 approximates.
+
+steady_covariance, min_variances, CovarianceState.quadrature_matrix and
+variance_decomposition also take stacks (see ``network``): every guard
+runs for every member, and the first failing one raises.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ApplicabilityError, DimensionError, NumericsError
-from .linalg import LYAPUNOV_RESIDUAL_TOL, solve_lyapunov
+from .linalg import LYAPUNOV_RESIDUAL_TOL, first_failure, solve_lyapunov
 from .network import InputMoments, StateSpace, metric, passive_state_space
 from .budget import CommutatorBudget
 
@@ -40,7 +44,8 @@ _BONA_FIDE_LIMIT = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class CovarianceState:
-    """Stationary symmetrized covariance in the doubled basis."""
+    """Stationary symmetrized covariance in the doubled basis; ``v`` may be
+    a stack (P, 2N, 2N), which nu, mu and mode_block do not take."""
 
     v: np.ndarray
     n_modes: int
@@ -71,10 +76,13 @@ class CovarianceState:
         eye = np.eye(n)
         u = np.block([[eye, eye], [-1j * eye, 1j * eye]]) / math.sqrt(2.0)
         vq = u @ self.v @ u.conj().T
-        leak = float(np.abs(vq.imag).max())
-        if not leak <= _HERMITICITY_LEAK * max(1.0, float(np.abs(self.v).max())):
+        leak = np.abs(vq.imag).max(axis=(-2, -1))
+        scale = np.maximum(1.0, np.abs(self.v).max(axis=(-2, -1)))
+        failed = first_failure(leak <= _HERMITICITY_LEAK * scale)
+        if failed is not None:
             raise NumericsError(
-                "quadrature covariance picked up an imaginary part", estimate=leak
+                "quadrature covariance picked up an imaginary part",
+                estimate=float(leak.flat[failed]),
             )
         return vq.real
 
@@ -104,25 +112,31 @@ def steady_covariance(ss: StateSpace, inputs: InputMoments) -> CovarianceState:
         raise DimensionError(
             f"{inputs.n_channels} input channels for {ss.n_modes} modes"
         )
-    q = ss.input @ inputs.noise_matrix() @ ss.input.conj().T
+    q = ss.input @ inputs.noise_matrix() @ ss.input.conj().swapaxes(-2, -1)
+    if ss.drift.ndim == 3:  # a stack of drifts takes one source each
+        q = np.broadcast_to(q, ss.drift.shape)
     v = solve_lyapunov(ss.drift, q)
     n = ss.n_modes
     # the exact V[n:] is conj V[:n] with its two column blocks swapped
-    swapped = np.concatenate((v[:n, n:], v[:n, :n]), axis=1).conj()
-    scale = max(1.0, float(np.abs(v).max()))
-    defect = float(np.abs(v[n:] - swapped).max()) / scale
-    if not defect <= _STRUCTURE_LIMIT:
+    swapped = np.concatenate((v[..., :n, n:], v[..., :n, :n]), axis=-1).conj()
+    scale = np.maximum(1.0, np.abs(v).max(axis=(-2, -1)))
+    defect = np.abs(v[..., n:, :] - swapped).max(axis=(-2, -1)) / scale
+    failed = first_failure(defect <= _STRUCTURE_LIMIT)
+    if failed is not None:
+        worst = float(defect.flat[failed])
         raise NumericsError(
-            f"steady covariance breaks the doubled structure by {defect:.3e} "
+            f"steady covariance breaks the doubled structure by {worst:.3e} "
             f"(limit {_STRUCTURE_LIMIT:.0e}); the drift is too ill-conditioned",
-            estimate=defect,
+            estimate=worst,
         )
-    lowest = float(np.linalg.eigvalsh(v + 0.5 * metric(n))[0])
-    if not lowest >= -_BONA_FIDE_LIMIT * scale:
+    lowest = np.linalg.eigvalsh(v + 0.5 * metric(n))[..., 0]
+    failed = first_failure(lowest >= -_BONA_FIDE_LIMIT * scale)
+    if failed is not None:
+        worst = float(lowest.flat[failed])
         raise NumericsError(
             f"steady covariance violates the uncertainty relation: least "
-            f"eigenvalue of V + sigma/2 is {lowest:.3e}",
-            estimate=lowest,
+            f"eigenvalue of V + sigma/2 is {worst:.3e}",
+            estimate=worst,
         )
     return CovarianceState(v=v, n_modes=ss.n_modes)
 
@@ -141,6 +155,15 @@ def quadrature_variance(state: CovarianceState, mode: int, theta: float) -> floa
     return float(c * c * block[0, 0] + s * s * block[1, 1] + 2 * s * c * block[0, 1])
 
 
+def min_variances(state: CovarianceState, mode: int) -> np.ndarray:
+    """nu - |mu|, the least variance over angle of one mode's quadrature
+    (see min_quadrature_variance), for a state or each state of a stack."""
+    state._check(mode)
+    mu = state.v[..., mode, state.n_modes + mode]
+    # np.hypot has the bits of abs() of a Python complex
+    return state.v[..., mode, mode].real - np.hypot(mu.real, mu.imag)
+
+
 def min_quadrature_variance(state: CovarianceState, mode: int) -> QuadratureVariance:
     """The quietest quadrature of one mode.
 
@@ -157,7 +180,9 @@ def min_quadrature_variance(state: CovarianceState, mode: int) -> QuadratureVari
         theta = 0.0
     else:
         theta = 0.5 * math.atan2(-mu.imag, -mu.real) % math.pi
-    return QuadratureVariance(mode=mode, theta=float(theta), value=float(nu - abs(mu)))
+    return QuadratureVariance(
+        mode=mode, theta=float(theta), value=float(min_variances(state, mode))
+    )
 
 
 def variance_decomposition(
@@ -170,21 +195,22 @@ def variance_decomposition(
 
     Returns the array of Delta X_i(theta)^2 computed as
     sum_j I_ij (n_j + 1/2 + Re(m_j exp(-2 i theta))), which must match
-    the covariance route when it applies.
+    the covariance route when it applies (one row per member of a stack).
 
     Exactness requires either a passive network with thermal inputs, or
     a real doubled drift when anomalous inputs are present.
     """
     if inputs.n_channels != ss.n_modes:
         raise DimensionError("input moments do not match the network size")
-    anomalous_present = bool(np.abs(inputs.anomalous).max(initial=0.0) > 1e-14)
+    anomalous_present = np.abs(inputs.anomalous).max(axis=-1, initial=0.0) > 1e-14
     if not passive_state_space(ss):
         raise ApplicabilityError(
             "the channel split holds for passive networks only; re-express the "
             "dynamics in a frame where the drift is passive first"
         )
-    drift_imag = float(np.abs(ss.drift.imag).max())
-    if anomalous_present and drift_imag > 1e-12 * max(1.0, float(np.abs(ss.drift).max())):
+    drift_imag = np.abs(ss.drift.imag).max(axis=(-2, -1))
+    drift_scale = np.maximum(1.0, np.abs(ss.drift).max(axis=(-2, -1)))
+    if np.any(anomalous_present & (drift_imag > 1e-12 * drift_scale)):
         raise ApplicabilityError(
             "anomalous inputs split exactly only when the drift is real; "
             "rotate the mode phases into that gauge first"
@@ -194,4 +220,4 @@ def variance_decomposition(
         + 0.5
         + (inputs.anomalous * np.exp(-2j * theta)).real
     )
-    return budget.transfer @ noise
+    return (budget.transfer @ noise[..., None])[..., 0]

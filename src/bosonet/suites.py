@@ -16,7 +16,7 @@ determinism) ignore the override.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,12 +54,13 @@ from .scenarios import (
     duan_quantity,
     fig1_point,
     fig2_point,
+    fig3_rows,
     optimal_coupling,
     parametric_optimum,
-    parametric_variance_check,
+    parametric_variance_checks,
     separability_boundary,
+    squeezing_powers,
     three_mode_budget,
-    two_mode_squeezing_power,
 )
 
 DEFAULT_SEED = 20260815
@@ -67,9 +68,15 @@ DEFAULT_SEED = 20260815
 
 @dataclass(frozen=True)
 class SuiteResult:
+    """One suite's verdict (a Python bool, whatever the checks return)
+    and its statistics."""
+
     name: str
     passed: bool
     stats: dict
+
+    def __post_init__(self):
+        object.__setattr__(self, "passed", bool(self.passed))
 
 
 def random_network(
@@ -257,25 +264,28 @@ def suite_ix_bound(rng: np.random.Generator, tol: float | None = None) -> SuiteR
 def suite_two_mode_bound(
     rng: np.random.Generator, tol: float | None = None
 ) -> SuiteResult:
-    """Normalized minimal-variance sums stay above 1 on a (g, xi) grid."""
+    """Normalized minimal-variance sums stay above 1 on a (g, xi) grid,
+    one batch per occupancy pair."""
     tol = 1e-9 if tol is None else tol
     min_slack = math.inf
     count = 0
     for thermal in (False, True):
         n1, n2 = (0.3, 1.7) if thermal else (0.0, 0.0)
-        for g_script in np.geomspace(0.1, 50.0, 20):
-            for xi in np.linspace(0.0, 1.5, 20):
-                params = TwoModeParams(
-                    g_plus=g_script * math.sinh(xi),
-                    g_minus=g_script * math.cosh(xi),
-                    gamma1=1.0,
-                    gamma2=1.0,
-                    n1=n1,
-                    n2=n2,
-                )
-                result = two_mode_squeezing_power(params)
-                min_slack = min(min_slack, result.slack)
-                count += 1
+        grid = [
+            TwoModeParams(
+                g_plus=g_script * math.sinh(xi),
+                g_minus=g_script * math.cosh(xi),
+                gamma1=1.0,
+                gamma2=1.0,
+                n1=n1,
+                n2=n2,
+            )
+            for g_script in np.geomspace(0.1, 50.0, 20)
+            for xi in np.linspace(0.0, 1.5, 20)
+        ]
+        for result in squeezing_powers(grid):
+            min_slack = min(min_slack, result.slack)
+            count += 1
     return SuiteResult(
         name="two_mode_bound",
         passed=min_slack >= -tol,
@@ -296,8 +306,8 @@ def suite_parametric(
         opt = parametric_optimum(gamma1, gamma2)
         max_opt_gap = max(max_opt_gap, abs(opt.numeric_min_value - opt.min_value))
         total = gamma1 + gamma2
-        for de in np.linspace(-0.98 * total, 0.98 * total, 21):
-            params = ParametricParams(
+        grid = [
+            ParametricParams(
                 g_plus=0.0,
                 g_minus=3.0,
                 gamma1=gamma1,
@@ -305,7 +315,9 @@ def suite_parametric(
                 eta1=+0.5 * de,
                 eta2=-0.5 * de,
             )
-            report = parametric_variance_check(params)
+            for de in np.linspace(-0.98 * total, 0.98 * total, 21)
+        ]
+        for report in parametric_variance_checks(grid):
             min_slack = min(min_slack, report.min_slack)
             count += 1
     passed = min_slack >= -tol and max_opt_gap <= tol
@@ -345,7 +357,8 @@ def suite_duan_routes(
 def suite_boundary_flip(
     rng: np.random.Generator, tol: float | None = None
 ) -> SuiteResult:
-    """Entanglement verdict flips across the separability line."""
+    """Entanglement verdict flips across the separability line; one frame
+    budget per draw serves the line and both displaced points."""
     del tol  # boolean semantics
     count = 10
     flips = 0
@@ -359,7 +372,8 @@ def suite_boundary_flip(
             gamma_m=float(rng.uniform(0.005, 0.1)),
             xi=float(rng.uniform(0.2, 1.0)),
         )
-        line = separability_boundary(params, three_mode_budget(params))
+        budget = three_mode_budget(params)
+        line = separability_boundary(params, budget)
         if line.eta_e < 0.1:
             continue
         done += 1
@@ -373,15 +387,16 @@ def suite_boundary_flip(
             0.9 * n_m * norm,
             0.9 * n_o * norm / max(-line.slope, 1e-12),
         )
-        below = duan_quantity(
-            replace(params, n_o=n_o + offset * line.slope / norm, n_m=n_m - offset / norm)
+        # rows are (n_o, n_m, direct, budget, entangled)
+        (below,) = fig3_rows(
+            params, budget, [n_o + offset * line.slope / norm], [n_m - offset / norm]
         )
-        above = duan_quantity(
-            replace(params, n_o=n_o - offset * line.slope / norm, n_m=n_m + offset / norm)
+        (above,) = fig3_rows(
+            params, budget, [n_o - offset * line.slope / norm], [n_m + offset / norm]
         )
-        if below.entangled and not above.entangled:
+        if below[4] and not above[4]:
             flips += 1
-        min_margin = min(min_margin, 1.0 - below.direct, above.direct - 1.0)
+        min_margin = min(min_margin, 1.0 - below[2], above[2] - 1.0)
     return SuiteResult(
         name="boundary_flip",
         passed=flips == count,

@@ -29,15 +29,16 @@ workloads = _bench_module("workloads")
 
 
 def _cases():
-    # every command of seed 0, and the boundary command of the other nine
-    # grids seeds, whose eta_e, slope and intercept digits are the outputs
-    # most sensitive to how the frame shares are summed
+    # every command of seed 0, and every grids command of the other nine
+    # seeds: the boundary digits (eta_e, slope, intercept) are the outputs
+    # most sensitive to how the frame shares are summed, and the fig1 and
+    # fig2 sweeps pin the batched grids
     sets = [("grids-0-full", None), ("ladder_verify-0-full", None)]
-    sets += [(f"grids-{seed}-full", "boundary") for seed in range(1, 10)]
+    sets += [(f"grids-{seed}-full", ("fig1", "fig2", "boundary")) for seed in range(1, 10)]
     for ref_name, only in sets:
         refs = capture.load(BENCH / "refs" / f"{ref_name}.json.gz")
         for command in refs["commands"]:
-            if only in (None, command["name"]):
+            if only is None or command["name"] in only:
                 yield pytest.param(refs["files"], command, id=f"{ref_name}:{command['name']}")
 
 

@@ -25,6 +25,7 @@ from bosonet.network import (
     NetworkSpec,
     beam_splitter,
     build_state_space,
+    build_state_spaces,
     detuning,
     metric,
     two_mode_squeeze,
@@ -63,6 +64,20 @@ def exchange_transfer(g, gamma1, gamma2):
 
 
 class TestComputeBudget:
+    def test_stacked_state_spaces_give_their_budgets(self):
+        specs = [
+            NetworkSpec(2, [BathSpec(g1), BathSpec(1.0)], [beam_splitter(g, 0, 1)])
+            for g1, g in ((1.0, 0.2), (2.5, 0.7), (0.3, 1.5))
+        ]
+        stacked = compute_budget(build_state_spaces(specs))
+        assert stacked.transfer.shape == (3, 2, 2)
+        assert stacked.passive
+        for k, spec in enumerate(specs):
+            single = compute_budget(build_state_space(spec))
+            np.testing.assert_array_equal(stacked.per_channel_w[k], single.per_channel_w)
+            np.testing.assert_array_equal(stacked.transfer[k], single.transfer)
+            np.testing.assert_array_equal(stacked.gammas[k], single.gammas)
+
     def test_single_mode_owns_its_commutator(self):
         budget = compute_budget(
             build_state_space(NetworkSpec(1, [BathSpec(2.0)]))

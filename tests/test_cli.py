@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -347,6 +348,106 @@ class TestSweep:
         assert serial.read_bytes() == parallel.read_bytes()
 
 
+class TestSweepBatches:
+    """Sweeps run as batches of GRID_CHUNK points. A batch that raises is
+    re-run point by point, so failing points keep their nan rows and
+    warning lines, in grid order, whatever the batch size."""
+
+    # (scenario, grid flags, point function, fixed parameters)
+    GRIDS = [
+        # route-agreement failures between good points
+        ("fig1", ["--grid", "g_script:0.5:50:9:log", "--xi", "4.5"]),
+        # good points, numerics failures, then no frame from xi = 20 on
+        ("fig1", ["--grid", "xi:0:22:12"]),
+        # unstable at both ends, good in between
+        ("fig2", ["--grid", "delta_eta:-6:6:13"]),
+    ]
+
+    @staticmethod
+    def run(capsys, tmp_path, scenario, flags):
+        from bosonet import cli
+
+        out = tmp_path / "out.csv"
+        code = cli.main(["sweep", "--scenario", scenario, *flags, "--out", str(out)])
+        text = out.read_text() if out.exists() else None
+        if out.exists():
+            out.unlink()
+        return code, text, capsys.readouterr().err
+
+    @staticmethod
+    def per_point(scenario, flags):
+        """The CSV text, stderr and exit code of evaluating each grid point
+        alone with the scenario's point function."""
+        from bosonet import cli, scenarios
+        from bosonet.errors import BosonetError, ValidationError
+
+        point = {"fig1": scenarios.fig1_point, "fig2": scenarios.fig2_point}[scenario]
+        _, header, defaults, _ = cli._SCENARIOS[scenario]
+        var, values = cli._parse_grid(flags[1])
+        fixed = {k: v for k, v in defaults.items() if k != var}
+        for name, value in zip(flags[2::2], flags[3::2]):
+            fixed[name[2:].replace("-", "_")] = float(value)
+        rows, err = [], ""
+        for value in values:
+            params = {**fixed, var: value}
+            try:
+                rows.append(point(**params))
+            except ValidationError as exc:
+                return None, err + f"error: {exc}\n", 3
+            except BosonetError as exc:
+                err += f"warning: sweep point skipped: {var}={value:.12g}: {exc}\n"
+                rows.append(tuple(params.get(c, math.nan) for c in header))
+        lines = [",".join(header)] + [",".join(cli._fmt(v) for v in row) for row in rows]
+        return "\n".join(lines) + "\n", err, 0
+
+    @pytest.mark.parametrize("scenario, flags", GRIDS)
+    def test_mixed_grid_keeps_per_point_rows_and_warnings(self, capsys, tmp_path, scenario, flags):
+        code, text, err = self.run(capsys, tmp_path, scenario, flags)
+        expected_text, expected_err, expected_code = self.per_point(scenario, flags)
+        assert code == expected_code == 0
+        assert err == expected_err
+        assert err.count("sweep point skipped") >= 2
+        assert text == expected_text
+
+    def test_invalid_point_after_failing_points_exits_3(self, capsys, tmp_path):
+        # descending xi: points 22 and 20 lack a frame, the last xi is negative
+        flags = ["--grid", "xi:22:-1:12"]
+        code, text, err = self.run(capsys, tmp_path, "fig1", flags)
+        _, expected_err, expected_code = self.per_point("fig1", flags)
+        assert code == expected_code == 3
+        assert text is None
+        assert err == expected_err
+        assert "sweep point skipped: xi=22" in err
+
+    @pytest.mark.parametrize("scenario, flags", GRIDS + [
+        ("fig1", ["--grid", "g_script:0.5:50:20:log", "--xi", "0.7", "--n1", "0.3"]),
+        ("fig2", ["--grid", "delta_eta:-4:4:17", "--g-plus", "0.5"]),
+    ])
+    def test_batch_size_does_not_change_output(self, capsys, tmp_path, monkeypatch, scenario, flags):
+        from bosonet import cli
+
+        whole = self.run(capsys, tmp_path, scenario, flags)
+        monkeypatch.setattr(cli, "GRID_CHUNK", 3)
+        assert self.run(capsys, tmp_path, scenario, flags) == whole
+
+    def test_batch_size_does_not_change_boundary(self, tmp_path, monkeypatch):
+        from bosonet import cli
+
+        def boundary_bytes():
+            argv = [
+                "boundary", "--g-script", "0.9", "--xi", "0.4", "--grid", "n_o:0:2:5",
+                "--grid", "n_m:0:0.5:4", "--out", str(tmp_path / "b.json"),
+            ]
+            assert cli.main(argv) == 0
+            return (tmp_path / "b.json").read_bytes(), (tmp_path / "b.csv").read_bytes()
+
+        whole = boundary_bytes()
+        # blocks of several n_o rows, then n_m pieces of one row
+        for chunk in (9, 3):
+            monkeypatch.setattr(cli, "GRID_CHUNK", chunk)
+            assert boundary_bytes() == whole
+
+
 class TestBoundary:
     def common_args(self, tmp_path, *extra):
         return run_cli(
@@ -600,6 +701,14 @@ class TestVerify:
         assert proc.returncode == 3
         assert "must be a nonnegative integer" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "-0"])
+    def test_tolerance_must_be_positive(self, tol):
+        proc = run_cli("verify", "--tol", tol)
+        assert proc.returncode == 3
+        assert "--tol must be positive" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_unreachable_tolerance_fails_cleanly(self):
         proc = run_cli("verify", "--tol", "1e-15")

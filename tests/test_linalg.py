@@ -287,6 +287,87 @@ class TestLyapunovEngine:
             solve_lyapunov(-np.eye(8), np.zeros((2, 2, 8, 8)))
 
 
+class TestStackedDrifts:
+    """A stack of drifts is one call: every drift and source keeps its checks."""
+
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8])
+    def test_stack_equals_per_drift_calls(self, dim):
+        rng = np.random.default_rng(20 + dim)
+        drifts = np.stack([random_stable(rng, dim) for _ in range(5)])
+        one = random_hermitian(rng, dim, k=5)
+        several = np.stack([random_hermitian(rng, dim, k=3) for _ in range(5)])
+        stacked = solve_lyapunov(drifts, one)
+        assert stacked.shape == one.shape
+        for a, q, w in zip(drifts, one, stacked):
+            np.testing.assert_array_equal(w, solve_lyapunov(a, q))
+        stacked = solve_lyapunov(drifts, several)
+        assert stacked.shape == several.shape
+        for a, qs, ws in zip(drifts, several, stacked):
+            np.testing.assert_array_equal(ws, solve_lyapunov(a, qs))
+
+    def test_stack_is_one_solve_and_one_spectrum(self, monkeypatch):
+        calls = {"solve": 0, "eigvals": 0}
+        real_solve, real_eigvals = np.linalg.solve, np.linalg.eigvals
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        rng = np.random.default_rng(30)
+        drifts = np.stack([random_stable(rng, 4) for _ in range(6)])
+        one_each, seven = random_hermitian(rng, 4, k=6), random_hermitian(rng, 4, k=7)
+        monkeypatch.setattr(np.linalg, "solve", counting("solve", real_solve))
+        monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", real_eigvals))
+        solve_lyapunov(drifts, one_each)
+        assert calls == {"solve": 1, "eigvals": 1}
+        # one drift factors its Kronecker system once for all its sources
+        solve_lyapunov(drifts[0], seven)
+        assert calls == {"solve": 2, "eigvals": 2}
+
+    def test_first_unstable_drift_raises(self):
+        stable = -np.eye(4, dtype=complex)
+        drifts = np.stack([stable, UNSTABLE_DRIFT, stable])
+        with pytest.raises(StabilityError) as err:
+            solve_lyapunov(drifts, np.broadcast_to(np.eye(4), (3, 4, 4)))
+        assert abs(err.value.eigenvalue - 0.5) < 1e-10
+
+    def test_each_source_is_checked(self):
+        qs = np.stack([np.eye(2), np.eye(2)]).astype(complex)
+        qs[1, 0, 1] = 1.0
+        with pytest.raises(ValidationError):
+            solve_lyapunov(np.stack([-np.eye(2), -np.eye(2)]), qs)
+        qs[1, 0, 1] = 0.0
+        qs[1, 1, 1] = np.nan
+        with pytest.raises(ValidationError):
+            solve_lyapunov(np.stack([-np.eye(2), -np.eye(2)]), qs)
+
+    def test_stack_shapes_must_match(self):
+        drifts = np.stack([-np.eye(2), -np.eye(2)])
+        with pytest.raises(DimensionError):
+            solve_lyapunov(drifts, np.eye(2))
+        with pytest.raises(DimensionError):
+            solve_lyapunov(drifts, np.zeros((3, 2, 2)))
+        with pytest.raises(DimensionError):
+            solve_lyapunov(drifts, np.zeros((2, 1, 1, 2, 2)))
+        with pytest.raises(DimensionError):
+            solve_lyapunov(np.zeros((2, 2, 3)), np.zeros((2, 2, 3)))
+
+    def test_residual_is_checked_for_every_member(self, monkeypatch):
+        real_solve = np.linalg.solve
+
+        def corrupt_second(a, b):
+            x = real_solve(a, b)
+            x[1] += 1e-3
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", corrupt_second)
+        drifts = np.stack([-np.eye(2), -np.eye(2), -np.eye(2)]).astype(complex)
+        with pytest.raises(NumericsError, match="Lyapunov residual"):
+            solve_lyapunov(drifts, np.broadcast_to(np.eye(2), (3, 2, 2)))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1), nonpassive=st.booleans())
 def test_engine_matches_scipy_on_random_networks(seed, nonpassive):

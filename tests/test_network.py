@@ -17,6 +17,7 @@ from bosonet.network import (
     StateSpace,
     beam_splitter,
     build_state_space,
+    build_state_spaces,
     check_physical_realizability,
     degenerate_parametric,
     detuning,
@@ -684,3 +685,88 @@ class TestTransformNetwork:
         b = turn.apply_to_inputs(frame.apply_to_inputs(vacuum))
         assert np.abs(a.occupancy - b.occupancy).max() < 1e-12
         assert np.abs(a.anomalous - b.anomalous).max() < 1e-12
+
+
+class TestStacks:
+    """Stacked state spaces, channel sets and transforms equal their members."""
+
+    SPECS = [
+        squeezer_pair(1.0, 0.5),
+        bs_pair(0.3, gamma1=2.0),
+        NetworkSpec(
+            2,
+            [BathSpec(1.0), BathSpec(3.0)],
+            [detuning(0.4, 0), degenerate_parametric(0.1 + 0.2j, 1)],
+        ),
+    ]
+
+    def test_build_state_spaces_equals_per_spec_builds(self):
+        stacked = build_state_spaces(self.SPECS)
+        assert stacked.drift.shape == stacked.input.shape == (3, 4, 4)
+        for k, spec in enumerate(self.SPECS):
+            single = build_state_space(spec)
+            np.testing.assert_array_equal(stacked.drift[k], single.drift)
+            np.testing.assert_array_equal(stacked.input[k], single.input)
+            np.testing.assert_array_equal(stacked.gammas[k], single.gammas)
+        assert not passive_state_space(stacked)
+        assert passive_state_space(build_state_spaces([bs_pair(), bs_pair(0.7)]))
+
+    def test_mode_counts_must_agree(self):
+        with pytest.raises(DimensionError):
+            build_state_spaces([single_mode(), bs_pair()])
+
+    def test_stacked_channel_sets(self):
+        occupancy = [[0.0, 1.5], [2.0, 0.25]]
+        anomalous = [[0.0, 0.5j], [0.1, 0.0]]
+        stacked = InputMoments(occupancy, anomalous)
+        assert stacked.n_channels == 2
+        for k in range(2):
+            single = InputMoments(occupancy[k], anomalous[k])
+            np.testing.assert_array_equal(stacked.noise_matrix()[k], single.noise_matrix())
+        with pytest.raises(ValidationError):
+            InputMoments([[0.0, 1.0], [np.nan, 1.0]], np.zeros((2, 2)))
+        with pytest.raises(DimensionError):
+            InputMoments(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
+
+    def test_each_unphysical_channel_warns(self):
+        with pytest.warns(UserWarning, match="input channel 1") as record:
+            InputMoments([[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.5]])
+        assert len(record) == 1
+
+    def test_stacked_transform_equals_its_members(self):
+        xis = [0.0, 0.3, 1.1]
+        stacked = MomentTransform.rotation(2, 1, math.pi / 2).compose(
+            MomentTransform.bogoliubov(2, 1, xis)
+        )
+        ss = build_state_spaces([squeezer_pair(1.0, g_plus) for g_plus in (0.0, 0.2, 0.6)])
+        inputs = InputMoments([[0.0, 0.5], [1.0, 0.0], [0.2, 0.2]], np.zeros((3, 2)))
+        frames = stacked.apply_to_state_space(ss)
+        mapped = stacked.apply_to_inputs(inputs)
+        for k, xi in enumerate(xis):
+            single = MomentTransform.rotation(2, 1, math.pi / 2).compose(
+                MomentTransform.bogoliubov(2, 1, xi)
+            )
+            np.testing.assert_array_equal(stacked.matrix[k], single.matrix)
+            member = StateSpace(drift=ss.drift[k], input=ss.input[k], n_modes=2)
+            np.testing.assert_array_equal(
+                frames.drift[k], single.apply_to_state_space(member).drift
+            )
+            moments = single.apply_to_inputs(InputMoments(inputs.occupancy[k], inputs.anomalous[k]))
+            np.testing.assert_array_equal(mapped.occupancy[k], moments.occupancy)
+            np.testing.assert_array_equal(mapped.anomalous[k], moments.anomalous)
+        for xi in (0.2, [0.1, 0.5]):
+            two = MomentTransform.two_mode_bogoliubov(3, 1, 2, xi)
+            assert two.matrix.shape == np.shape(xi) + (6, 6)
+
+    def test_every_member_of_a_stacked_transform_is_validated(self):
+        good = MomentTransform.bogoliubov(1, 0, 0.5).matrix
+        bad = good.copy()
+        bad[0, 0] *= 1.01
+        with pytest.raises(ValidationError):
+            MomentTransform(np.stack([good, bad]))
+
+    def test_first_member_without_a_frame_raises(self):
+        # mixing channels of unequal damping leaves the second member no frame
+        ss = build_state_spaces([bs_pair(), bs_pair(gamma2=2.0)])
+        with pytest.raises(FrameError, match="round-trip defect"):
+            MomentTransform.mixer(2, 0, 1).apply_to_state_space(ss)

@@ -34,7 +34,9 @@ from bosonet.scenarios import (
     boundary_line,
     duan_quantity,
     fig1_point,
+    fig1_rows,
     fig2_point,
+    fig2_rows,
     fig3_rows,
     optimal_coupling,
     parametric_blocks,
@@ -42,7 +44,9 @@ from bosonet.scenarios import (
     parametric_network,
     parametric_optimum,
     parametric_variance_check,
+    parametric_variance_checks,
     separability_boundary,
+    squeezing_powers,
     three_mode_budget,
     three_mode_physical_network,
     three_mode_transform,
@@ -710,7 +714,7 @@ class TestFig3Rows:
             return real_build(spec)
 
         def recording_steady(ss, inputs):
-            solved.append(ss)
+            solved.append((ss, inputs.occupancy.shape))
             return real_steady(ss, inputs)
 
         budget = three_mode_budget(THREE_MODE)
@@ -722,9 +726,11 @@ class TestFig3Rows:
             solved.clear()
             fig3_rows(THREE_MODE, budget, self.N_OS[:side], self.N_MS[:side])
             counts.append(len(builds))
-            # every row still solves its own steady state, on the shared drift
-            assert len(solved) == side * side
-            assert all(ss is budget.physical for ss in solved)
+            # the grid is one steady-state solve on the shared drift, with a
+            # thermal source per row
+            assert len(solved) == 1
+            assert solved[0][0] is budget.physical
+            assert solved[0][1] == (side * side, 3)
         assert counts[0] == counts[1]
 
     def test_rows_check_the_direct_route_against_the_budget(self):
@@ -732,3 +738,67 @@ class TestFig3Rows:
         skewed = replace(budget, mechanical=budget.mechanical * (1.0 + 1e-6))
         with pytest.raises(NumericsError, match="disagree on the Duan quantity"):
             fig3_rows(THREE_MODE, skewed, [0.0], [0.0])
+
+
+class TestBatches:
+    """A grid is one batch whose rows equal the single points bit for bit."""
+
+    def test_fig1_sweep_over_g_script(self):
+        gs = np.geomspace(0.5, 50.0, 40)
+        rows = fig1_rows(gs, 0.6, 1.3, 0.8)
+        assert rows == [fig1_point(g, 0.6, 1.3, 0.8) for g in gs]
+
+    def test_fig1_sweep_over_xi(self):
+        xis = np.linspace(0.0, 3.0, 40)
+        rows = fig1_rows(2.0, xis, 1.0, 1.0, n1=0.3, n2=1.7)
+        assert rows == [fig1_point(2.0, xi, 1.0, 1.0, n1=0.3, n2=1.7) for xi in xis]
+
+    def test_fig2_sweep(self):
+        des = np.linspace(-4.9, 4.9, 41)
+        rows = fig2_rows(des, 4.0, 1.0, 3.0, g_plus=0.5, n1=0.2)
+        assert rows == [fig2_point(de, 4.0, 1.0, 3.0, g_plus=0.5, n1=0.2) for de in des]
+
+    def test_array_forms_equal_the_scalar_functions(self):
+        squeezers = [squeeze_params(g, 0.4 * g, n1=0.1 * g) for g in (0.2, 1.0, 3.0)]
+        assert squeezing_powers(squeezers) == [
+            two_mode_squeezing_power(p) for p in squeezers
+        ]
+        parametric = [
+            ParametricParams(0.2, 1.5, 2.0, 1.0, eta1=de, eta2=-de, n2=0.4)
+            for de in (-1.0, 0.0, 0.8)
+        ]
+        assert parametric_variance_checks(parametric) == [
+            parametric_variance_check(p) for p in parametric
+        ]
+        assert squeezing_powers([]) == parametric_variance_checks([]) == []
+        assert fig3_rows(THREE_MODE, three_mode_budget(THREE_MODE), [], [0.0]) == []
+
+    def test_first_bad_point_raises_its_own_error(self):
+        # xi = 21 has no frame; the batch raises what the point raises
+        with pytest.raises(FrameError) as point:
+            fig1_point(1.0, 21.0, 1.0, 1.0)
+        with pytest.raises(FrameError) as batch:
+            fig1_rows(1.0, [0.5, 21.0, 0.7, 20.0], 1.0, 1.0)
+        assert str(batch.value) == str(point.value)
+        # |delta_eta| >= gamma1 + gamma2 is unstable
+        with pytest.raises(StabilityError) as point:
+            fig2_point(6.0, 4.0, 1.0, 3.0)
+        with pytest.raises(StabilityError) as batch:
+            fig2_rows([0.0, 6.0, 1.0, 7.0], 4.0, 1.0, 3.0)
+        assert str(batch.value) == str(point.value)
+        assert "quadrature block ('X1', 'Y2')" in str(batch.value)
+
+    def test_route_checks_run_at_every_point(self):
+        # G = 0.889 at xi = 4.5 fails the 1e-10 route agreement between
+        # points that pass it
+        fig1_point(0.5, 4.5, 1.0, 1.0)
+        with pytest.raises(NumericsError, match="routes disagree"):
+            fig1_point(0.8891397050194614, 4.5, 1.0, 1.0)
+        with pytest.raises(NumericsError, match="routes disagree"):
+            fig1_rows([0.5, 0.8891397050194614, 1.5811388300841898], 4.5, 1.0, 1.0)
+
+    def test_invalid_parameter_raises_validation_error(self):
+        with pytest.raises(ValidationError, match="g_plus must be nonnegative"):
+            fig1_rows(1.0, [0.5, -0.1], 1.0, 1.0)
+        with pytest.raises(ValidationError):
+            fig2_rows([0.0, 1.0], [4.0, -1.0], 1.0, 3.0)

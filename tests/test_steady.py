@@ -12,6 +12,7 @@ from bosonet.network import (
     NetworkSpec,
     beam_splitter,
     build_state_space,
+    build_state_spaces,
     degenerate_parametric,
     detuning,
     hyperbolic_frame,
@@ -20,6 +21,7 @@ from bosonet.network import (
 from bosonet.steady import (
     CovarianceState,
     min_quadrature_variance,
+    min_variances,
     quadrature_variance,
     steady_covariance,
     variance_decomposition,
@@ -89,7 +91,12 @@ class TestDoubledStructureGuard:
     def near_marginal(gamma):
         """Two modes damped at gamma under couplings of size ~40: the solve's
         forward error grows as ||A|| / min|Re lambda|, i.e. as 1 / gamma."""
-        spec = NetworkSpec(
+        spec = TestDoubledStructureGuard.spec(gamma)
+        return build_state_space(spec), InputMoments.from_baths(spec)
+
+    @staticmethod
+    def spec(gamma):
+        return NetworkSpec(
             2,
             [BathSpec(gamma, 0.087), BathSpec(gamma, 0.0)],
             [
@@ -99,7 +106,6 @@ class TestDoubledStructureGuard:
                 detuning(-0.204, 1),
             ],
         )
-        return build_state_space(spec), InputMoments.from_baths(spec)
 
     def test_accurate_solve_is_accepted(self):
         state = steady_covariance(*self.near_marginal(1e-6))
@@ -304,3 +310,64 @@ class TestVarianceDecomposition:
             variance_decomposition(
                 ss, compute_budget(ss), InputMoments.vacuum(2)
             )
+
+
+class TestStackedStates:
+    """A stack of drifts, or one drift with many channel sets, is one solve
+    whose members equal the single-point states and pass the same guards."""
+
+    SPECS = [
+        NetworkSpec(2, [BathSpec(1.0), BathSpec(1.0)], [beam_splitter(g, 0, 1)])
+        for g in (0.1, 0.5, 2.0)
+    ]
+
+    def test_stack_of_drifts_equals_members(self):
+        ss = build_state_spaces(self.SPECS)
+        inputs = InputMoments.thermal([[0.0, 2.0], [1.0, 0.5], [3.0, 0.0]])
+        stacked = steady_covariance(ss, inputs)
+        for k, spec in enumerate(self.SPECS):
+            single = steady_covariance(
+                build_state_space(spec), InputMoments.thermal(inputs.occupancy[k])
+            )
+            np.testing.assert_array_equal(stacked.v[k], single.v)
+            for mode in (0, 1):
+                assert min_variances(stacked, mode)[k] == min_quadrature_variance(single, mode).value
+            np.testing.assert_array_equal(
+                stacked.quadrature_matrix()[k], single.quadrature_matrix()
+            )
+
+    def test_one_drift_with_many_channel_sets(self):
+        ss, _ = bs_system()
+        inputs = InputMoments.thermal([[0.0, 2.0], [1.0, 0.5]])
+        stacked = steady_covariance(ss, inputs)
+        assert stacked.v.shape == (2, 4, 4)
+        for k in range(2):
+            single = steady_covariance(ss, InputMoments.thermal(inputs.occupancy[k]))
+            np.testing.assert_array_equal(stacked.v[k], single.v)
+
+    def test_stack_of_drifts_shares_one_channel_set(self):
+        ss = build_state_spaces(self.SPECS)
+        stacked = steady_covariance(ss, InputMoments.thermal([0.5, 1.0]))
+        assert stacked.v.shape == (3, 4, 4)
+
+    def test_guard_sees_the_one_bad_member(self):
+        # the accurate member first, the swamped one second
+        bad, inputs = TestDoubledStructureGuard.near_marginal(1e-12)
+        ss = build_state_spaces([
+            TestDoubledStructureGuard.spec(1e-6), TestDoubledStructureGuard.spec(1e-12)
+        ])
+        np.testing.assert_array_equal(ss.drift[1], bad.drift)
+        with pytest.raises(NumericsError, match="doubled structure"):
+            steady_covariance(ss, inputs)
+
+    def test_stacked_variance_decomposition_equals_members(self):
+        ss = build_state_spaces(self.SPECS)
+        inputs = InputMoments.thermal([[0.0, 2.0], [1.0, 0.5], [3.0, 0.0]])
+        budgets = compute_budget(ss)
+        split = variance_decomposition(ss, budgets, inputs, theta=0.3)
+        for k, spec in enumerate(self.SPECS):
+            single = build_state_space(spec)
+            expected = variance_decomposition(
+                single, compute_budget(single), InputMoments.thermal(inputs.occupancy[k]), 0.3
+            )
+            np.testing.assert_array_equal(split[k], expected)
