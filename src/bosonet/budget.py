@@ -110,10 +110,10 @@ def budget_via_spectrum(
     def kernel(omegas: np.ndarray) -> np.ndarray:
         shift = -1j * omegas[:, None, None] * eye - ss.drift
         t = np.linalg.solve(shift, np.broadcast_to(ss.input, shift.shape))
-        # channel j: outer products of T's columns j and N + j, subtracted
-        cols = t.transpose(0, 2, 1)
-        outer = cols[:, :, :, None] * cols[:, :, None, :].conj()
-        return outer[:, :n] - outer[:, n:]
+        # channel j: x[:, j] holds T's columns j and N + j, and its kernel
+        # col_j col_j^H - col_{N+j} col_{N+j}^H is one signed product
+        x = t.reshape(len(omegas), 2 * n, 2, n).transpose(0, 3, 1, 2)
+        return (x * [1.0, -1.0]) @ x.conj().swapaxes(-2, -1)
 
     breakpoints = []
     for lam in spectrum:

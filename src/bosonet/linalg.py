@@ -291,6 +291,11 @@ _G7_WEIGHTS = np.array([
 ])
 
 
+# Rows: the Kronrod weights, and their difference from the embedded
+# Gauss weights, whose contraction is a panel's error estimate.
+_GK_RULES = np.stack([_GK_WEIGHTS, _GK_WEIGHTS - _G7_WEIGHTS])
+
+
 def _omega_to_t(omega: float) -> float:
     # inverse of omega = t / (1 - t^2) on (-1, 1)
     if omega == 0.0:
@@ -301,7 +306,10 @@ def _omega_to_t(omega: float) -> float:
 def _gk_panels(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
     """Evaluate the mapped integrand on a batch of panels.
 
-    Returns (kronrod values, per-panel entrywise error estimates).
+    Returns (kronrod values, per-panel entrywise error estimates). The
+    node axis is contracted once, by the rules scaled with each panel's
+    Jacobian, so no weighted copy of the values is made. A non-finite
+    integrand value raises NumericsError.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -313,15 +321,20 @@ def _gk_panels(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.nda
         raise NumericsError(
             "integrand must be vectorized over its frequency argument"
         )
-    tail = flat.shape[1:]
-    vals = flat.reshape(t.shape + tail) * jac.reshape(t.shape + (1,) * len(tail))
-    k15 = np.einsum("pk...,k->p...", vals, _GK_WEIGHTS) * half.reshape(
-        (-1,) + (1,) * len(tail)
-    )
-    g7 = np.einsum("pk...,k->p...", vals, _G7_WEIGHTS) * half.reshape(
-        (-1,) + (1,) * len(tail)
-    )
-    return k15, np.abs(k15 - g7)
+    rules = _GK_RULES * (jac * half[:, None])[:, None, :]
+    with np.errstate(all="ignore"):  # a non-finite value is refused below
+        sums = rules @ flat.reshape(t.shape + (-1,))
+    if not np.isfinite(sums).all():
+        values = flat.reshape(omega.size, -1)
+        bad = np.argwhere(~np.isfinite(values))
+        raise NumericsError(
+            f"integrand value {values[tuple(bad[0])]} at omega = "
+            f"{float(omega.flat[bad[0][0]])!r} is not finite"
+            if bad.size
+            else "a panel sum of finite integrand values overflows"
+        )
+    shape = (len(lo),) + flat.shape[1:]
+    return sums[:, 0].reshape(shape), np.abs(sums[:, 1]).reshape(shape)
 
 
 def integrate_spectrum(
@@ -343,14 +356,18 @@ def integrate_spectrum(
     edges near known narrow features such as resonances; without them
     a feature much narrower than the initial uniform panels can escape
     the error estimate entirely. ``abs_tol`` must be positive and
-    finite (else ValidationError, before any panel is evaluated).
+    finite, and so must every breakpoint (else ValidationError, before
+    any panel is evaluated). A non-finite integrand value raises
+    NumericsError at the first panel batch that holds one.
     """
     if not 0.0 < abs_tol < math.inf:  # NaN fails
         raise ValidationError(f"abs_tol must be positive and finite, got {abs_tol}")
     edges = set(np.linspace(-1.0, 1.0, 17))
     if breakpoints is not None:
-        for omega in breakpoints:
-            t = _omega_to_t(float(omega))
+        for omega in map(float, breakpoints):
+            if not math.isfinite(omega):
+                raise ValidationError(f"breakpoints must be finite, got {omega}")
+            t = _omega_to_t(omega)
             edges.add(min(max(t, -1.0 + 1e-12), 1.0 - 1e-12))
     grid = np.array(sorted(edges))
     keep = np.diff(grid) > 1e-15

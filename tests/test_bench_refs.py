@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import bosonet.cli
+from bosonet import budget, linalg
+from bosonet.network import BathSpec, NetworkSpec, beam_splitter, build_state_space, detuning
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -25,6 +27,7 @@ def _bench_module(name):
 
 capture = _bench_module("capture")
 check = _bench_module("check")
+tracer = _bench_module("tracer")
 workloads = _bench_module("workloads")
 
 
@@ -50,3 +53,34 @@ def test_command_matches_its_reference(tmp_path, files, command):
     scored = check.check_command(got, command)
     assert scored["attempted"] > 0
     assert scored["failed"] == 0, scored
+
+
+def test_tracer_counts_every_quadrature_node(monkeypatch):
+    # the traced benchmark run swaps integrate_spectrum's integrand for a
+    # counting one; a change to the quadrature's interface fails here
+    # rather than only in that run
+    batches = []
+    gk_panels = linalg._gk_panels
+
+    def recorded(f, lo, hi):
+        batches.append(len(lo))
+        return gk_panels(f, lo, hi)
+
+    monkeypatch.setattr(linalg, "_gk_panels", recorded)
+    ss = build_state_space(
+        NetworkSpec(
+            2,
+            [BathSpec(0.2), BathSpec(0.2)],
+            [beam_splitter(0.4, 0, 1), detuning(30.0, 0), detuning(30.0, 1)],
+        )
+    )
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        budget.budget_via_spectrum(ss)
+    finally:
+        traced.uninstall()
+    table, counters = traced.take()
+    assert table["linalg.integrate_spectrum"][0] == 1
+    assert len(batches) > 1  # the count spans refinement batches too
+    assert counters["linalg.integrate_spectrum.freq_evals"] == 15 * sum(batches)

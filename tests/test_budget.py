@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from bosonet.errors import (
     StabilityError,
     ValidationError,
 )
+from bosonet.linalg import integrate_spectrum
 from bosonet.network import (
     BathSpec,
     NetworkSpec,
@@ -30,6 +32,7 @@ from bosonet.network import (
     metric,
     two_mode_squeeze,
 )
+from bosonet.suites import random_network
 
 
 def exchange_pair(g=0.5, gamma1=1.0, gamma2=1.0):
@@ -48,6 +51,12 @@ def squeezer_pair(g_minus=1.0, g_plus=0.5, gamma1=1.0, gamma2=1.0):
             [beam_splitter(g_minus, 0, 1), two_mode_squeeze(g_plus, 0, 1)],
         )
     )
+
+
+def five_mode_draw():
+    ss = build_state_space(random_network(np.random.default_rng(0), nonpassive=True))
+    assert ss.n_modes == 5
+    return ss
 
 
 def exchange_transfer(g, gamma1, gamma2):
@@ -203,6 +212,61 @@ class TestSpectralRoute:
         direct = compute_budget(ss)
         spectral = budget_via_spectrum(ss)
         assert np.abs(direct.transfer - spectral.transfer).max() < 1e-6
+
+
+    def test_matches_lyapunov_route_at_exceptional_point(self):
+        # g = |gamma1 - gamma2| / 4: the two drift eigenvalues coalesce
+        ss = exchange_pair(0.25, 2.0, 1.0)
+        direct = compute_budget(ss)
+        spectral = budget_via_spectrum(ss)
+        assert np.abs(direct.per_channel_w - spectral.per_channel_w).max() < 1e-9
+
+    def test_kernel_is_the_signed_outer_products(self, monkeypatch):
+        ss = five_mode_draw()
+        n = ss.n_modes
+        kernels = []
+
+        def capture(f, **options):
+            kernels.append(f)
+            return integrate_spectrum(f, **options)
+
+        monkeypatch.setattr(budget_module, "integrate_spectrum", capture)
+        budget_via_spectrum(ss)
+        omegas = np.array([-12.0, -0.7, 0.0, 0.2, 3.0])
+        got = kernels[0](omegas)
+        assert got.shape == (omegas.size, n, 2 * n, 2 * n)
+        for k, omega in enumerate(omegas):
+            t = np.linalg.solve(-1j * omega * np.eye(2 * n) - ss.drift, ss.input)
+            scale = np.abs(t).max() ** 2
+            for j in range(n):
+                ref = np.outer(t[:, j], t[:, j].conj()) - np.outer(
+                    t[:, n + j], t[:, n + j].conj()
+                )
+                assert np.abs(got[k, j] - ref).max() <= 1e-14 * scale
+
+    def test_peak_memory_is_one_kernel_batch(self, monkeypatch):
+        # no (F, 2N, 2N, 2N) outer tensor and no weighted copy of the
+        # kernel values: the peak stays below two (F, N, 2N, 2N) arrays
+        ss = five_mode_draw()
+        n = ss.n_modes
+        evals = []
+
+        def counting(f, **options):
+            return integrate_spectrum(lambda w: evals.append(w.size) or f(w), **options)
+
+        monkeypatch.setattr(budget_module, "integrate_spectrum", counting)
+        budget_via_spectrum(ss)
+        evals.clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            budget_via_spectrum(ss)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        kernel_bytes = sum(evals) * n * (2 * n) ** 2 * 16
+        assert peak < 2 * kernel_bytes
 
 
 class TestSumRules:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -384,6 +385,55 @@ def test_engine_matches_scipy_on_random_networks(seed, nonpassive):
         assert np.abs(w - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
 
 
+def einsum_gk_panels(f, lo, hi):
+    """Reference panel evaluation: a Jacobian-weighted copy of the values,
+    then one einsum per rule and the estimate |K15 - G7|."""
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    t = mid[:, None] + half[:, None] * linalg._GK_NODES[None, :]
+    omega = t / (1.0 - t * t)
+    jac = (1.0 + t * t) / (1.0 - t * t) ** 2
+    flat = np.asarray(f(omega.reshape(-1)))
+    tail = flat.shape[1:]
+    vals = flat.reshape(t.shape + tail) * jac.reshape(t.shape + (1,) * len(tail))
+    scale = half.reshape((-1,) + (1,) * len(tail))
+    k15 = np.einsum("pk...,k->p...", vals, linalg._GK_WEIGHTS) * scale
+    g7 = np.einsum("pk...,k->p...", vals, linalg._G7_WEIGHTS) * scale
+    return k15, np.abs(k15 - g7)
+
+
+def two_lorentzians(w):
+    out = np.zeros((w.size, 2, 2))
+    out[:, 0, 0] = 1.0 / (0.25 + w * w)
+    out[:, 1, 1] = 1.0 / (4.0 + w * w)
+    return out
+
+
+def matrix_with_narrow_entry(w):
+    out = two_lorentzians(w).astype(complex)
+    out[:, 0, 1] = 1j / (1.0 + w * w)
+    out[:, 1, 1] = 1.0 / (0.01 + (w - 3.0) ** 2)
+    return out
+
+
+NARROW_H = 0.05
+
+
+def narrow_resonance(w):
+    return 1.0 / (NARROW_H * NARROW_H + (w - 40.0) ** 2)
+
+
+# integrands that refine past the first panel set, with their options
+REFINING = {
+    "narrow_with_breakpoints": (
+        narrow_resonance,
+        {"breakpoints": [40.0 + k * NARROW_H for k in (-3, -1, 0, 1, 3)]},
+    ),
+    "narrow_without_breakpoints": (narrow_resonance, {}),
+    "matrix_with_narrow_entry": (matrix_with_narrow_entry, {}),
+}
+
+
 class TestIntegrateSpectrum:
     def test_lorentzian_normalization(self):
         value = integrate_spectrum(lambda w: 1.0 / (0.25 + w * w))
@@ -393,25 +443,41 @@ class TestIntegrateSpectrum:
         assert integrate_spectrum(lambda w: np.zeros_like(w)) == 0.0
 
     def test_matrix_valued_entrywise(self):
-        def f(w):
-            out = np.zeros((w.size, 2, 2))
-            out[:, 0, 0] = 1.0 / (0.25 + w * w)
-            out[:, 1, 1] = 1.0 / (4.0 + w * w)
-            return out
-
-        value = integrate_spectrum(f)
+        value = integrate_spectrum(two_lorentzians)
         assert abs(value[0, 0] - 1.0) < 1e-8
         assert abs(value[1, 1] - 0.25) < 1e-8
         assert abs(value[0, 1]) < 1e-12
 
     def test_narrow_displaced_resonance_with_breakpoints(self):
         # half-width 0.05 centered at omega = 40; closed form 1/(2h)
-        h = 0.05
-        value = integrate_spectrum(
-            lambda w: 1.0 / (h * h + (w - 40.0) ** 2),
-            breakpoints=[40.0 - 3 * h, 40.0 - h, 40.0, 40.0 + h, 40.0 + 3 * h],
-        )
-        assert abs(value - 1.0 / (2.0 * h)) < 1e-6
+        f, options = REFINING["narrow_with_breakpoints"]
+        value = integrate_spectrum(f, **options)
+        assert abs(value - 1.0 / (2.0 * NARROW_H)) < 1e-6
+
+    @pytest.mark.parametrize("name", sorted(REFINING))
+    def test_contraction_matches_einsum_reference(self, name, monkeypatch):
+        f, options = REFINING[name]
+        lo = np.linspace(-1.0, 1.0, 65)[:-1]
+        hi = lo + 2.0 / 64
+        k15, errs = linalg._gk_panels(f, lo, hi)
+        ref_k15, ref_errs = einsum_gk_panels(f, lo, hi)
+        scale = np.abs(ref_k15).max()
+        assert np.abs(k15 - ref_k15).max() <= 1e-14 * scale
+        # the reference estimate is a difference of two sums, so its
+        # roundoff is relative to the sums, not to itself
+        assert np.abs(errs - ref_errs).max() <= 1e-14 * scale
+
+        def run(panels):
+            evals = []
+            monkeypatch.setattr(linalg, "_gk_panels", panels)
+            value = integrate_spectrum(lambda w: evals.append(w.size) or f(w), **options)
+            return value, evals
+
+        value, evals = run(linalg._gk_panels)
+        ref_value, ref_evals = run(einsum_gk_panels)
+        assert len(evals) > 1  # refined past the first panel set
+        assert evals == ref_evals  # the same panel plan
+        assert np.abs(value - ref_value).max() <= 1e-14 * np.abs(ref_value).max()
 
     @pytest.mark.parametrize("abs_tol", [math.nan, 0.0, -1e-8, math.inf])
     def test_tolerance_must_be_positive_and_finite(self, abs_tol):
@@ -424,6 +490,38 @@ class TestIntegrateSpectrum:
         with pytest.raises(ValidationError, match="abs_tol"):
             integrate_spectrum(f, abs_tol=abs_tol)
         assert calls == []  # refused before any panel is evaluated
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_breakpoints_must_be_finite(self, bad):
+        calls = []
+
+        def f(w):
+            calls.append(w.size)
+            return 1.0 / (0.25 + w * w)
+
+        with pytest.raises(ValidationError, match="breakpoints must be finite"):
+            integrate_spectrum(f, breakpoints=[0.0, bad, 1.0])
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_integrand_stops_at_first_batch(self, bad):
+        calls = []
+
+        def f(w):
+            calls.append(w.size)
+            out = (1.0 / (0.25 + w * w)).astype(complex)
+            out[w.size // 2] = bad
+            return out
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="is not finite"):
+                integrate_spectrum(f)
+        assert sum(calls) < 1000
+
+    def test_overflowing_panel_sum_is_refused(self):
+        with pytest.raises(NumericsError, match="overflows"):
+            integrate_spectrum(lambda w: np.full(w.shape, 1e307))
 
     def test_nonconvergence_carries_estimate(self, monkeypatch):
         monkeypatch.setattr(linalg, "QUADRATURE_MAX_PANELS", 8)
