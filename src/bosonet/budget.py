@@ -20,6 +20,7 @@ from .linalg import (
     QUADRATURE_ABS_TOL,
     first_failure,
     integrate_spectrum,
+    require_resolved_poles,
     require_stable,
     solve_lyapunov,
 )
@@ -93,6 +94,26 @@ def compute_budget(ss: StateSpace) -> CommutatorBudget:
     return _budget_from_kernels(ws, gammas, passive_state_space(ss))
 
 
+def compute_budgets(ss: StateSpace) -> list[CommutatorBudget]:
+    """compute_budget of every member of a stacked state space, from one
+    stacked solve. Member i has the bits of compute_budget of drift i
+    alone, and its ``passive`` is that of its own drift."""
+    stack = compute_budget(ss)
+    return [
+        CommutatorBudget(
+            per_channel_w=w,
+            per_channel_k=k,
+            transfer=t,
+            gammas=g,
+            passive=passive_state_space(member),
+        )
+        for w, k, t, g, member in zip(
+            stack.per_channel_w, stack.per_channel_k, stack.transfer,
+            stack.gammas, ss.members(),
+        )
+    ]
+
+
 def budget_via_spectrum(
     ss: StateSpace, abs_tol: float = QUADRATURE_ABS_TOL
 ) -> CommutatorBudget:
@@ -101,10 +122,12 @@ def budget_via_spectrum(
     Computes (1/2pi) int T(w) S_j T(w)^H dw with T = (-iw - A)^{-1} D
     and S_j the channel-j signed vacuum source, for every channel in one
     batched pass. Drift eigenvalues seed integration breakpoints so that
-    narrow resonances are not stepped over.
+    narrow resonances are not stepped over; a resonance too narrow for
+    the frequency map raises NumericsError (see require_resolved_poles).
     """
     n = ss.n_modes
     spectrum = require_stable(ss.drift)
+    require_resolved_poles(spectrum)
     eye = np.eye(2 * n, dtype=complex)
 
     def kernel(omegas: np.ndarray) -> np.ndarray:

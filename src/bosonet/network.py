@@ -293,6 +293,14 @@ class StateSpace:
         d = np.diagonal(self.input, axis1=-2, axis2=-1).real[..., : self.n_modes]
         return d * d
 
+    def members(self) -> list["StateSpace"]:
+        """The one-drift state spaces of a stack, in order."""
+        inputs = np.broadcast_to(self.input, self.drift.shape)
+        return [
+            StateSpace(drift=a, input=d, n_modes=self.n_modes)
+            for a, d in zip(self.drift, inputs)
+        ]
+
 
 def metric(n_modes: int) -> np.ndarray:
     """The commutator metric diag(I_N, -I_N)."""
@@ -498,6 +506,18 @@ def _each(fn, parameter):
     return np.array([fn(value) for value in parameter])
 
 
+def cosh_sinh(xi: float) -> tuple[float, float]:
+    """(cosh xi, sinh xi) from the math module. NumericsError where they
+    overflow a float (|xi| above about 710): no such frame is
+    representable."""
+    try:
+        return math.cosh(xi), math.sinh(xi)
+    except OverflowError:
+        raise NumericsError(
+            f"cosh and sinh of the frame parameter xi = {xi:g} overflow a float"
+        ) from None
+
+
 @dataclass(frozen=True, eq=False)
 class MomentTransform:
     """A change of frame xi' = matrix @ xi in the doubled basis.
@@ -541,8 +561,8 @@ class MomentTransform:
     def bogoliubov(cls, n_modes: int, mode: int, xi) -> "MomentTransform":
         """alpha = cosh(xi) a + sinh(xi) adag on one mode."""
         p, q = _frame_blocks(n_modes, mode, parameter=xi)
-        p[..., mode, mode] = _each(math.cosh, xi)
-        q[..., mode, mode] = _each(math.sinh, xi)
+        pairs = np.asarray(_each(cosh_sinh, xi))
+        p[..., mode, mode], q[..., mode, mode] = pairs[..., 0], pairs[..., 1]
         return cls(_doubled(p, q))
 
     @classmethod
@@ -553,7 +573,8 @@ class MomentTransform:
         if mode_a == mode_b:
             raise ValidationError("two-mode hyperbolic mixing needs distinct modes")
         p, q = _frame_blocks(n_modes, mode_a, mode_b, parameter=xi)
-        cosh, sinh = _each(math.cosh, xi), _each(math.sinh, xi)
+        pairs = np.asarray(_each(cosh_sinh, xi))
+        cosh, sinh = pairs[..., 0], pairs[..., 1]
         p[..., mode_a, mode_a] = cosh
         p[..., mode_b, mode_b] = cosh
         q[..., mode_a, mode_b] = sinh

@@ -16,12 +16,13 @@ the Sigma mode, and the commutator budget yields the Duan quantity and
 the separability boundary in the (n_o, n_m) plane.
 
 Grids are batches. squeezing_powers, parametric_variance_checks,
-fig1_rows, fig2_rows and fig3_rows evaluate every point of a grid with
-stacked arrays through one Lyapunov solve per stage, and every check
-runs at every point; the first failing point raises. Each per-point
-function (two_mode_squeezing_power, parametric_variance_check,
-fig1_point, fig2_point, duan_quantity) is the one-point call of its
-array form, so a grid row has the bits of its point.
+three_mode_budgets, duan_quantities, fig1_rows, fig2_rows and fig3_rows
+evaluate every point of a grid with stacked arrays through one Lyapunov
+solve per stage, and every check runs at every point; the first failing
+point raises. Each per-point function (two_mode_squeezing_power,
+parametric_variance_check, three_mode_budget, duan_quantity, fig1_point,
+fig2_point) is the one-point call of its array form, so a grid row has
+the bits of its point.
 """
 
 from __future__ import annotations
@@ -46,14 +47,14 @@ from .network import (
     NetworkSpec,
     StateSpace,
     beam_splitter,
-    build_state_space,
     build_state_spaces,
+    cosh_sinh,
     degenerate_parametric,
     detuning,
     hyperbolic_frame,
     two_mode_squeeze,
 )
-from .budget import compute_budget, verify_sum_rules
+from .budget import compute_budget, compute_budgets, verify_sum_rules
 from .steady import min_variances, steady_covariance, variance_decomposition
 
 ROUTE_AGREEMENT_TOL = 1e-10
@@ -385,17 +386,27 @@ def squeezing_powers(ps: Sequence[TwoModeParams]) -> list[SqueezingPowerResult]:
 def _pair_bound(gamma1, gamma2, de):
     """(S^2 - d*de) / (S^2 - de^2) with S = gamma1 + gamma2 and
     d = gamma1 - gamma2; |de| >= S is the stability boundary. Numbers or
-    arrays of one shape; the first point on or past the boundary raises."""
+    arrays of one shape. The first point on or past the boundary raises
+    StabilityError, and the first whose S^2 overflows NumericsError; if
+    none does, the first whose bound is not finite raises NumericsError."""
     s = gamma1 + gamma2
     d = gamma1 - gamma2
-    denominator = s * s - de * de
-    k = first_failure(np.asarray(denominator) > 0)
-    if k is not None:
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        s_squared = s * s
+        denominator = s_squared - de * de
+        k = first_failure(np.isfinite(s_squared) & (denominator > 0))
+        if k is None:
+            bound = (s_squared - d * de) / denominator
+            k = first_failure(np.isfinite(bound))
+            if k is None:
+                return bound
+    s_k = np.ravel(s)[k]
+    if np.isfinite(np.ravel(s_squared)[k]) and not np.ravel(denominator)[k] > 0:
         raise StabilityError(
             f"|eta1 - eta2| = {abs(np.ravel(de)[k]):g} reaches the stability "
-            f"boundary gamma1 + gamma2 = {np.ravel(s)[k]:g}"
+            f"boundary gamma1 + gamma2 = {s_k:g}"
         )
-    return (s * s - d * de) / denominator
+    raise NumericsError(f"the pair bound overflows a float at gamma1 + gamma2 = {s_k:g}")
 
 
 def parametric_bound(p: ParametricParams) -> float:
@@ -523,8 +534,9 @@ def parametric_variance_checks(
 
 def three_mode_physical_network(p: ThreeModeParams) -> NetworkSpec:
     """Cavity (mode 0) driving two detuned mechanical modes (1, 2)."""
-    g_minus = p.g_script * math.cosh(p.xi) / math.sqrt(2.0)
-    g_plus = p.g_script * math.sinh(p.xi) / math.sqrt(2.0)
+    cosh, sinh = cosh_sinh(p.xi)
+    g_minus = p.g_script * cosh / math.sqrt(2.0)
+    g_plus = p.g_script * sinh / math.sqrt(2.0)
     couplings = []
     for mech in (1, 2):
         if g_minus:
@@ -572,7 +584,9 @@ class ThreeModeBudget:
     physical: StateSpace
 
 
-def three_mode_budget(p: ThreeModeParams) -> ThreeModeBudget:
+def three_mode_budget(
+    p: ThreeModeParams, frame: MomentTransform | None = None
+) -> ThreeModeBudget:
     """Commutator shares in the collective frame, plus eta_e and its complement.
 
     The frame drift is the exact symplectic transform of the physical
@@ -589,21 +603,50 @@ def three_mode_budget(p: ThreeModeParams) -> ThreeModeBudget:
     sums of shares, without those cancellations, so they keep full
     relative accuracy at high mechanical Q (checked down to
     gamma_m / kappa = 1e-12).
+
+    ``frame`` is three_mode_transform(p.xi), for a caller that holds it
+    already; it is built when not given. This is the one-point call of
+    three_mode_budgets.
     """
-    physical = build_state_space(three_mode_physical_network(p))
-    ss = three_mode_transform(p.xi).apply_to_state_space(physical)
-    budget = compute_budget(ss)
-    rules = verify_sum_rules(budget)
-    if not rules.passed:
-        worst = max(rules.completeness_residual, rules.metric_residual)
-        raise NumericsError("budget sum rules failed in the frame", estimate=worst)
-    shares = budget.transfer
-    return ThreeModeBudget(
-        transfer=shares,
-        eta_e=float(shares[1, 0] + shares[2, 0]),
-        mechanical=float(shares[1, 1] + shares[1, 2] + shares[2, 1] + shares[2, 2]),
-        physical=physical,
-    )
+    return three_mode_budgets([p], frame)[0]
+
+
+def three_mode_budgets(
+    ps: Sequence[ThreeModeParams], frame: MomentTransform | None = None
+) -> list[ThreeModeBudget]:
+    """three_mode_budget at every point, as one batch.
+
+    The physical drifts, their frames and the frame budgets are stacks,
+    each solved in one call; the sum rules are checked at every point,
+    and the first failing point raises. ``frame`` is three_mode_transform
+    of the points' common xi, for a caller that holds it already (the
+    coupling search of optimal_coupling varies g at one xi); without it,
+    each point's own transform is built.
+    """
+    if not ps:
+        return []
+    physical = build_state_spaces([three_mode_physical_network(p) for p in ps])
+    if frame is None:
+        frame = three_mode_transform([p.xi for p in ps])
+    budgets = compute_budgets(frame.apply_to_state_space(physical))
+    results = []
+    for budget, member in zip(budgets, physical.members()):
+        rules = verify_sum_rules(budget)
+        if not rules.passed:
+            worst = max(rules.completeness_residual, rules.metric_residual)
+            raise NumericsError("budget sum rules failed in the frame", estimate=worst)
+        shares = budget.transfer
+        results.append(
+            ThreeModeBudget(
+                transfer=shares,
+                eta_e=float(shares[1, 0] + shares[2, 0]),
+                mechanical=float(
+                    shares[1, 1] + shares[1, 2] + shares[2, 1] + shares[2, 2]
+                ),
+                physical=member,
+            )
+        )
+    return results
 
 
 @dataclass(frozen=True)
@@ -634,26 +677,40 @@ def duan_quantity(p: ThreeModeParams) -> DuanResult:
     quadrature covariance. Budget: the frame transfer matrix weights
     the mechanical and optical occupancies, with the optical term
     carrying exp(-2 xi). Values below 1 certify entanglement. This is
-    the one-point grid of fig3_rows.
+    the one-point call of duan_quantities.
     """
-    return _duan_grid(p, three_mode_budget(p), [p.n_o], [p.n_m])[0]
+    return duan_quantities([p])[0]
 
 
-def _duan_grid(p: ThreeModeParams, budget: ThreeModeBudget, n_os, n_ms) -> list[DuanResult]:
-    """duan_quantity over the grid n_os x n_ms (n_o the outer loop), with
-    the scheme's budget already computed, as one batch.
+def duan_quantities(ps: Sequence[ThreeModeParams]) -> list[DuanResult]:
+    """duan_quantity at every point, as one batch: one stacked frame
+    budget (three_mode_budgets) and one stacked steady solve, with every
+    point checked against its own budget."""
+    if not ps:
+        return []
+    budgets = three_mode_budgets(ps)
+    physical = StateSpace(
+        drift=np.stack([b.physical.drift for b in budgets]),
+        input=np.stack([b.physical.input for b in budgets]),
+        n_modes=3,
+    )
+    return _duan_points(ps, budgets, physical)
 
-    The budget and the physical state space it carries depend on the
-    scheme only, never on (n_o, n_m), so one drift serves the grid: its
-    steady states are one solve with a thermal source per point. Every
-    point keeps its checks, the 1e-8 agreement of the direct route with
-    the budget included; the first failing point raises.
-    """
-    points = [replace(p, n_o=n_o, n_m=n_m) for n_o in n_os for n_m in n_ms]
+
+def _duan_points(
+    points: Sequence[ThreeModeParams],
+    budgets: Sequence[ThreeModeBudget],
+    physical: StateSpace,
+) -> list[DuanResult]:
+    """The Duan values of the points, point i with budget i. ``physical``
+    holds the points' drift (one for a grid of one scheme) or one drift
+    per point. Every point keeps its checks, the 1e-8 agreement of the
+    direct route with the budget included; the first failing point
+    raises."""
     if not points:
         return []
     inputs = InputMoments.thermal([(q.n_o, q.n_m, q.n_m) for q in points])
-    vq = steady_covariance(budget.physical, inputs).quadrature_matrix()
+    vq = steady_covariance(physical, inputs).quadrature_matrix()
     r = 1.0 / math.sqrt(2.0)
     # quadrature ordering (X1, X2, X3, Y1, Y2, Y3)
     x_sigma = _collective_variances(vq, {1: r, 2: r})
@@ -666,9 +723,10 @@ def _duan_grid(p: ThreeModeParams, budget: ThreeModeBudget, n_os, n_ms) -> list[
     direct = np.where(quiet, first, second)
     n_o = np.array([q.n_o for q in points])
     n_m = np.array([q.n_m for q in points])
-    budget_value = budget.mechanical * (n_m + 0.5) + budget.eta_e * (
-        n_o + 0.5
-    ) * math.exp(-2.0 * p.xi)
+    mechanical = np.array([b.mechanical for b in budgets])
+    eta_e = np.array([b.eta_e for b in budgets])
+    decay = np.array([math.exp(-2.0 * q.xi) for q in points])
+    budget_value = mechanical * (n_m + 0.5) + eta_e * (n_o + 0.5) * decay
     gap = np.abs(budget_value - direct)
     failed = first_failure(gap <= DUAN_AGREEMENT_TOL)
     if failed is not None:
@@ -770,13 +828,15 @@ def optimal_coupling(
     kappa = _positive("kappa", kappa)
     omega = _positive("omega", omega)
     gamma_m = _positive("gamma_m", gamma_m)
+    xi = _nonnegative("xi", xi)
     g_formula = math.sqrt(0.5 * omega * math.hypot(kappa, 2.0 * omega))
+    frame = three_mode_transform(xi)  # xi is fixed along the search
 
     def eta_at(g: float) -> float:
         params = ThreeModeParams(
             g_script=g, omega=omega, kappa=kappa, gamma_m=gamma_m, xi=xi
         )
-        return three_mode_budget(params).eta_e
+        return three_mode_budget(params, frame).eta_e
 
     hi = 8.0 * max(g_formula, omega, kappa)
     g_numeric, eta_numeric = golden_section_max(eta_at, 0.0, hi, rel_tol=1e-6)
@@ -812,17 +872,12 @@ def fig1_rows(g_script, xi, gamma1, gamma2, n1=0.0, n2=0.0) -> list[tuple]:
     other and numbers repeat, so one swept parameter gives its rows in
     order."""
     points = _grid_points(g_script, xi, gamma1, gamma2, n1, n2)
-    results = squeezing_powers([
-        TwoModeParams(
-            g_plus=g * math.sinh(x),
-            g_minus=g * math.cosh(x),
-            gamma1=a,
-            gamma2=b,
-            n1=c,
-            n2=d,
-        )
-        for g, x, a, b, c, d in points
-    ])
+
+    def params(g, x, a, b, c, d) -> TwoModeParams:
+        cosh, sinh = cosh_sinh(x)
+        return TwoModeParams(g_plus=g * sinh, g_minus=g * cosh, gamma1=a, gamma2=b, n1=c, n2=d)
+
+    results = squeezing_powers([params(*point) for point in points])
     return [
         (g, x, a, b, result.norm_var1, result.norm_var2, result.sum)
         for (g, x, a, b, _, _), result in zip(points, results)
@@ -874,13 +929,14 @@ def fig3_rows(
     """Duan-plane rows over the grid n_os x n_ms, n_o the outer loop.
 
     ``budget`` is three_mode_budget(p). Its shares and physical state
-    space serve every row, and the rows are one batch: one drift with a
-    thermal source per row, each row checked against the budget.
+    space depend on the scheme only, never on (n_o, n_m), so they serve
+    every row, and the rows are one batch: one drift with a thermal
+    source per row, each row checked against the budget.
     """
+    grid = [(n_o, n_m) for n_o in n_os for n_m in n_ms]
+    points = [replace(p, n_o=n_o, n_m=n_m) for n_o, n_m in grid]
+    results = _duan_points(points, [budget] * len(points), budget.physical)
     return [
         (n_o, n_m, result.direct, result.budget, result.entangled)
-        for (n_o, n_m), result in zip(
-            [(n_o, n_m) for n_o in n_os for n_m in n_ms],
-            _duan_grid(p, budget, n_os, n_ms),
-        )
+        for (n_o, n_m), result in zip(grid, results)
     ]

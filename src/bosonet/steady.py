@@ -13,7 +13,8 @@ doubled drift is real (then the phase-sensitive transfer collapses onto
 the same shares); outside those regimes it refuses rather than
 approximates.
 
-steady_covariance, min_variances, CovarianceState.quadrature_matrix and
+steady_covariance, min_variances, quadrature_variances,
+CovarianceState.mode_block, CovarianceState.quadrature_matrix and
 variance_decomposition also take stacks (see ``network``): every guard
 runs for every member, and the first failing one raises.
 """
@@ -45,7 +46,7 @@ _BONA_FIDE_LIMIT = 1e-9
 @dataclass(frozen=True, eq=False)
 class CovarianceState:
     """Stationary symmetrized covariance in the doubled basis; ``v`` may be
-    a stack (P, 2N, 2N), which nu, mu and mode_block do not take."""
+    a stack (P, 2N, 2N), which nu and mu do not take."""
 
     v: np.ndarray
     n_modes: int
@@ -61,12 +62,16 @@ class CovarianceState:
         return complex(self.v[mode, self.n_modes + mode])
 
     def mode_block(self, mode: int) -> np.ndarray:
-        """2x2 (X, Y) covariance of one mode at theta = 0."""
-        nu = self.nu(mode)
-        mu = self.mu(mode)
-        return np.array(
-            [[nu + mu.real, mu.imag], [mu.imag, nu - mu.real]]
-        )
+        """2x2 (X, Y) covariance of one mode at theta = 0 (of each member
+        of a stack, shape (P, 2, 2))."""
+        self._check(mode)
+        # [()] makes numpy scalars of a single state's 0-d entries
+        nu = self.v[..., mode, mode].real[()]
+        mu = self.v[..., mode, self.n_modes + mode][()]
+        block = np.empty(np.shape(nu) + (2, 2))
+        block[..., 0, 0], block[..., 1, 1] = nu + mu.real, nu - mu.real
+        block[..., 0, 1] = block[..., 1, 0] = mu.imag
+        return block
 
     def quadrature_matrix(self) -> np.ndarray:
         """Full 2N x 2N real covariance in the (X_1..X_N, Y_1..Y_N) basis;
@@ -153,6 +158,18 @@ def quadrature_variance(state: CovarianceState, mode: int, theta: float) -> floa
     block = state.mode_block(mode)
     c, s = math.cos(theta), math.sin(theta)
     return float(c * c * block[0, 0] + s * s * block[1, 1] + 2 * s * c * block[0, 1])
+
+
+def quadrature_variances(state: CovarianceState, mode: int, thetas) -> np.ndarray:
+    """quadrature_variance at each angle of ``thetas``, shape (...,
+    len(thetas)) for a state or a stack of them: the same products and
+    sums in the same order, with the cosines and sines from the math
+    module, so every entry has the bits of its quadrature_variance call
+    (which stays scalar, as ``analyze`` calls it per mode)."""
+    block = state.mode_block(mode)[..., None]
+    c = np.array([math.cos(theta) for theta in thetas])
+    s = np.array([math.sin(theta) for theta in thetas])
+    return c * c * block[..., 0, 0, :] + s * s * block[..., 1, 1, :] + 2 * s * c * block[..., 0, 1, :]
 
 
 def min_variances(state: CovarianceState, mode: int) -> np.ndarray:

@@ -11,6 +11,13 @@ Suites that check residuals accept a tolerance override; setting it
 below the achievable precision (say 1e-15) demonstrates the residual
 floors. Suites with boolean or ratio semantics (boundary_flip, g_opt,
 determinism) ignore the override.
+
+Suites draw all of their cases first, in the order of a per-draw loop,
+and then evaluate the draws in batches, one stack per mode count (see
+_batched); every per-draw check still runs on every draw, in draw
+order. boundary_flip draws as it goes (its rejection step needs each
+line before the next draw), and the route quadrature and the g_opt
+search are sequential, so those three stay per draw.
 """
 
 from __future__ import annotations
@@ -20,13 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BosonetError
 from .network import (
     BathSpec,
     CouplingTerm,
     InputMoments,
     NetworkSpec,
+    StateSpace,
     beam_splitter,
     build_state_space,
+    build_state_spaces,
     check_physical_realizability,
     degenerate_parametric,
     detuning,
@@ -37,13 +47,14 @@ from .linalg import is_stable
 from .budget import (
     budget_via_spectrum,
     compute_budget,
+    compute_budgets,
     two_mode_ix_bound,
     verify_reciprocity,
     verify_sum_rules,
 )
 from .steady import (
-    min_quadrature_variance,
-    quadrature_variance,
+    min_variances,
+    quadrature_variances,
     steady_covariance,
     variance_decomposition,
 )
@@ -51,6 +62,7 @@ from .scenarios import (
     ParametricParams,
     ThreeModeParams,
     TwoModeParams,
+    duan_quantities,
     duan_quantity,
     fig1_point,
     fig2_point,
@@ -138,6 +150,39 @@ def random_three_mode(rng: np.random.Generator) -> ThreeModeParams:
     )
 
 
+def _batched(draws, solve, size=lambda draw: draw.n_modes):
+    """(draw, result) for every draw, in draw order.
+
+    ``solve(group)`` evaluates a group of draws as one batch and returns
+    one result per draw; the draws are grouped by ``size`` (the mode
+    count, as a stack holds one shape). If a group raises, the draws are
+    evaluated one at a time, in draw order, as the caller consumes them:
+    the first failing draw then raises its own error, after the checks of
+    the draws before it, as in a per-draw loop.
+    """
+    groups: dict = {}
+    for index, draw in enumerate(draws):
+        groups.setdefault(size(draw), []).append(index)
+    results = [None] * len(draws)
+    try:
+        for indices in groups.values():
+            solved = solve([draws[i] for i in indices])
+            for index, result in zip(indices, solved):
+                results[index] = result
+    except BosonetError:
+        for draw in draws:
+            yield draw, solve([draw])[0]
+        return
+    yield from zip(draws, results)
+
+
+def _budgets(specs: list[NetworkSpec]) -> list:
+    """(state space, budget) of each network of one mode count, from one
+    stacked build and one stacked budget solve."""
+    ss = build_state_spaces(specs)
+    return list(zip(ss.members(), compute_budgets(ss)))
+
+
 def suite_sum_rules(rng: np.random.Generator, tol: float | None = None) -> SuiteResult:
     """Completeness and damping sum rules on random passive networks."""
     tol = 1e-9 if tol is None else tol
@@ -145,13 +190,12 @@ def suite_sum_rules(rng: np.random.Generator, tol: float | None = None) -> Suite
     max_completeness = max_pr = max_gamma = 0.0
     min_eig = math.inf
     pr_passed = True
-    for _ in range(count):
-        spec = random_network(rng)
-        ss = build_state_space(spec)
+    specs = [random_network(rng) for _ in range(count)]
+    for _, (ss, budget) in _batched(specs, _budgets):
         pr = check_physical_realizability(ss)
         max_pr = max(max_pr, pr.residual)
         pr_passed = pr_passed and pr.passed
-        rules = verify_sum_rules(compute_budget(ss))
+        rules = verify_sum_rules(budget)
         max_completeness = max(max_completeness, rules.completeness_residual)
         max_gamma = max(max_gamma, max(rules.gamma_rule_residuals))
         min_eig = min(min_eig, min(rules.positivity_min_eigs))
@@ -206,24 +250,25 @@ def suite_reciprocity(
     tol = 1e-10 if tol is None else tol
     worst = 0.0
     count = 0
+    specs = []
     for _ in range(40):
         g1, g2 = rng.uniform(0.1, 10.0, size=2)
         amp = rng.uniform(0.0, 2.0) * np.exp(2j * math.pi * rng.uniform())
-        spec = NetworkSpec(
-            n_modes=2,
-            baths=(BathSpec(float(g1)), BathSpec(float(g2))),
-            couplings=(beam_splitter(complex(amp), 0, 1),),
+        specs.append(
+            NetworkSpec(
+                n_modes=2,
+                baths=(BathSpec(float(g1)), BathSpec(float(g2))),
+                couplings=(beam_splitter(complex(amp), 0, 1),),
+            )
         )
-        report = verify_reciprocity(compute_budget(build_state_space(spec)))
-        worst = max(worst, report.max_residual)
-        count += 1
     for _ in range(40):
         spec = random_network(rng)
         real_couplings = tuple(
             CouplingTerm(c.kind, abs(c.amplitude), c.modes) for c in spec.couplings
         )
-        spec = NetworkSpec(spec.n_modes, spec.baths, real_couplings)
-        report = verify_reciprocity(compute_budget(build_state_space(spec)))
+        specs.append(NetworkSpec(spec.n_modes, spec.baths, real_couplings))
+    for _, (_, budget) in _batched(specs, _budgets):
+        report = verify_reciprocity(budget)
         worst = max(worst, report.max_residual)
         count += 1
     return SuiteResult(
@@ -240,19 +285,23 @@ def suite_ix_bound(rng: np.random.Generator, tol: float | None = None) -> SuiteR
     min_diag = math.inf
     count = 0
     couplings = np.concatenate([[0.0], np.geomspace(0.01, 100.0, 9)])
+    specs = []
     for gamma1 in np.geomspace(0.01, 100.0, 9):
         for g in couplings:
             phase = np.exp(2j * math.pi * rng.uniform())
             terms = (beam_splitter(g * phase, 0, 1),) if g else ()
-            spec = NetworkSpec(
-                n_modes=2,
-                baths=(BathSpec(float(gamma1)), BathSpec(1.0)),
-                couplings=terms,
+            specs.append(
+                NetworkSpec(
+                    n_modes=2,
+                    baths=(BathSpec(float(gamma1)), BathSpec(1.0)),
+                    couplings=terms,
+                )
             )
-            report = two_mode_ix_bound(compute_budget(build_state_space(spec)))
-            min_slack = min(min_slack, report.slack)
-            min_diag = min(min_diag, report.diagonal_sum)
-            count += 1
+    for _, (_, budget) in _batched(specs, _budgets):
+        report = two_mode_ix_bound(budget)
+        min_slack = min(min_slack, report.slack)
+        min_diag = min(min_diag, report.diagonal_sum)
+        count += 1
     passed = min_slack >= -tol and min_diag >= 1.0 - tol
     return SuiteResult(
         name="ix_bound",
@@ -335,12 +384,13 @@ def suite_parametric(
 def suite_duan_routes(
     rng: np.random.Generator, tol: float | None = None
 ) -> SuiteResult:
-    """Direct vs budget Duan values on random three-mode parameters."""
+    """Direct vs budget Duan values on random three-mode parameters, as
+    one batch."""
     tol = 1e-8 if tol is None else tol
     count = 50
     worst = 0.0
-    for _ in range(count):
-        result = duan_quantity(random_three_mode(rng))
+    params = [random_three_mode(rng) for _ in range(count)]
+    for _, result in _batched(params, duan_quantities, size=lambda p: 3):
         worst = max(worst, abs(result.direct - result.budget))
     decoupled = duan_quantity(
         ThreeModeParams(g_script=0.0, omega=1.0, kappa=1.0, gamma_m=0.01)
@@ -421,6 +471,53 @@ def suite_g_opt(rng: np.random.Generator, tol: float | None = None) -> SuiteResu
     )
 
 
+# Angles of the minimality scan and of the passive split check.
+_SCAN_ANGLES = np.linspace(0.0, math.pi, 64, endpoint=False)
+_SPLIT_ANGLES = np.linspace(0.0, math.pi, 8, endpoint=False)
+
+
+def _steady_checks(draws: list) -> list[tuple]:
+    """The checks of suite_steady_physics on draws (spec, occupancies) of
+    one mode count, as one batch: one stacked steady solve, and one
+    stacked budget solve for the passive draws. Per draw: the least
+    covariance eigenvalue, each mode's Heisenberg product and minimality
+    gap against the 64-angle scan, and for a passive draw the largest
+    split difference over the 8 angles (None otherwise)."""
+    ss = build_state_spaces([spec for spec, _ in draws])
+    inputs = InputMoments.thermal([occupancy for _, occupancy in draws])
+    cov = steady_covariance(ss, inputs)
+    cov_eigs = np.linalg.eigvalsh(cov.quadrature_matrix()).min(axis=-1)
+    modes = range(ss.n_modes)
+    heisenberg = np.stack([np.linalg.det(cov.mode_block(m)) for m in modes], axis=-1)
+    gaps = np.stack(
+        [
+            min_variances(cov, m) - quadrature_variances(cov, m, _SCAN_ANGLES).min(axis=-1)
+            for m in modes
+        ],
+        axis=-1,
+    )
+    splits = [None] * len(draws)
+    passive = np.array([passive_state_space(member) for member in ss.members()])
+    if passive.any():
+        sub = StateSpace(drift=ss.drift[passive], input=ss.input[passive], n_modes=ss.n_modes)
+        sub_inputs = InputMoments.thermal(inputs.occupancy[passive])
+        budget = compute_budget(sub)
+        split = np.stack(
+            [
+                variance_decomposition(sub, budget, sub_inputs, theta=theta)
+                for theta in _SPLIT_ANGLES
+            ],
+            axis=-1,
+        )
+        direct = np.stack(
+            [quadrature_variances(cov, m, _SPLIT_ANGLES)[passive] for m in modes], axis=-2
+        )
+        diffs = np.abs(split - direct).max(axis=(-2, -1))
+        for index, diff in zip(np.flatnonzero(passive), diffs.tolist()):
+            splits[index] = diff
+    return list(zip(cov_eigs.tolist(), heisenberg.tolist(), gaps.tolist(), splits))
+
+
 def suite_steady_physics(
     rng: np.random.Generator, tol: float | None = None
 ) -> SuiteResult:
@@ -431,36 +528,18 @@ def suite_steady_physics(
     min_heisenberg = math.inf
     max_split_diff = 0.0
     max_minimality_gap = 0.0
-    angles = np.linspace(0.0, math.pi, 8, endpoint=False)
+    draws = []
     for k in range(count):
         spec = random_network(rng, nonpassive=(k % 3 == 2))
-        ss = build_state_space(spec)
-        inputs = InputMoments.thermal(rng.uniform(0.0, 3.0, size=spec.n_modes))
-        cov = steady_covariance(ss, inputs)
-        vq = cov.quadrature_matrix()
-        min_cov_eig = min(min_cov_eig, float(np.linalg.eigvalsh(vq).min()))
-        for mode in range(spec.n_modes):
-            block = cov.mode_block(mode)
-            min_heisenberg = min(min_heisenberg, float(np.linalg.det(block)))
-            best = min_quadrature_variance(cov, mode)
-            grid_min = min(
-                quadrature_variance(cov, mode, t)
-                for t in np.linspace(0.0, math.pi, 64, endpoint=False)
-            )
-            max_minimality_gap = max(max_minimality_gap, best.value - grid_min)
-        if passive_state_space(ss):
-            budget = compute_budget(ss)
-            for theta in angles:
-                split = variance_decomposition(ss, budget, inputs, theta=theta)
-                direct = np.array(
-                    [
-                        quadrature_variance(cov, mode, theta)
-                        for mode in range(spec.n_modes)
-                    ]
-                )
-                max_split_diff = max(
-                    max_split_diff, float(np.abs(split - direct).max())
-                )
+        draws.append((spec, rng.uniform(0.0, 3.0, size=spec.n_modes)))
+    checks = _batched(draws, _steady_checks, size=lambda draw: draw[0].n_modes)
+    for _, (cov_eig, heisenberg, gaps, split) in checks:
+        min_cov_eig = min(min_cov_eig, cov_eig)
+        for product, gap in zip(heisenberg, gaps):
+            min_heisenberg = min(min_heisenberg, product)
+            max_minimality_gap = max(max_minimality_gap, gap)
+        if split is not None:
+            max_split_diff = max(max_split_diff, split)
     passed = (
         min_cov_eig >= -1e-10
         and min_heisenberg >= 0.25 - 1e-10

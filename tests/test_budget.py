@@ -73,6 +73,21 @@ def exchange_transfer(g, gamma1, gamma2):
 
 
 class TestComputeBudget:
+    def test_members_of_a_stack_have_their_own_budgets(self):
+        from bosonet.budget import compute_budgets
+
+        specs = [
+            NetworkSpec(2, [BathSpec(1.0), BathSpec(2.0)], [beam_splitter(0.3, 0, 1)]),
+            NetworkSpec(2, [BathSpec(1.0), BathSpec(2.0)], [two_mode_squeeze(0.2, 0, 1)]),
+        ]
+        members = compute_budgets(build_state_spaces(specs))
+        assert [m.passive for m in members] == [True, False]
+        for member, spec in zip(members, specs):
+            single = compute_budget(build_state_space(spec))
+            for name in ("per_channel_w", "per_channel_k", "transfer", "gammas"):
+                assert getattr(member, name).tobytes() == getattr(single, name).tobytes()
+            assert member.passive == single.passive
+
     def test_stacked_state_spaces_give_their_budgets(self):
         specs = [
             NetworkSpec(2, [BathSpec(g1), BathSpec(1.0)], [beam_splitter(g, 0, 1)])
@@ -213,6 +228,34 @@ class TestSpectralRoute:
         spectral = budget_via_spectrum(ss)
         assert np.abs(direct.transfer - spectral.transfer).max() < 1e-6
 
+
+    @pytest.mark.parametrize(
+        "gamma, detuned", [(1e-12, -123.4), (1e-12, 1000.0), (1e-10, 1000.0)]
+    )
+    def test_unresolvable_resonance_is_refused(self, gamma, detuned):
+        # the exact W00 is 1; the quadrature used to return 0.27, 0.029 and
+        # 1.51 here with no error, its panel around the pole one ulp wide
+        ss = build_state_space(NetworkSpec(1, [BathSpec(gamma)], [detuning(detuned, 0)]))
+        with pytest.raises(NumericsError, match="narrower than the frequency map"):
+            budget_via_spectrum(ss)
+
+    @pytest.mark.parametrize("gamma, detuned", [(1e-12, 0.0), (1e-6, 5.0), (1e-4, 31.0)])
+    def test_resolvable_narrow_resonance_converges(self, gamma, detuned):
+        ss = build_state_space(NetworkSpec(1, [BathSpec(gamma)], [detuning(detuned, 0)]))
+        assert abs(budget_via_spectrum(ss).per_channel_w[0][0, 0] - 1.0) < 1e-8
+
+    def test_high_q_three_mode_frame_is_not_refused(self):
+        from bosonet.scenarios import (
+            ThreeModeParams,
+            three_mode_physical_network,
+            three_mode_transform,
+        )
+
+        p = ThreeModeParams(g_script=1.0, omega=1.0, kappa=1.0, gamma_m=1e-6, xi=0.5)
+        physical = build_state_space(three_mode_physical_network(p))
+        ss = three_mode_transform(p.xi).apply_to_state_space(physical)
+        spectral = budget_via_spectrum(ss)
+        assert np.abs(spectral.per_channel_w - compute_budget(ss).per_channel_w).max() < 1e-12
 
     def test_matches_lyapunov_route_at_exceptional_point(self):
         # g = |gamma1 - gamma2| / 4: the two drift eigenvalues coalesce

@@ -635,9 +635,9 @@ class TestBoundary:
         calls = []
         searching = []
 
-        def counting(p):
+        def counting(p, *frame):
             calls.append(bool(searching))
-            return real_budget(p)
+            return real_budget(p, *frame)
 
         def search(*args):
             searching.append(True)
@@ -680,6 +680,63 @@ class TestBoundary:
         assert proc.returncode == 0
         assert (tmp_path / "elsewhere.csv").exists()
         assert not (tmp_path / "b.csv").exists()
+
+
+class TestOverflowingParameters:
+    """Parameters beyond the float range of cosh, sinh or S^2 fail like
+    any other numerics check: a nan row with a warning in a sweep, exit 3
+    in boundary, and never a traceback or a numpy warning."""
+
+    @staticmethod
+    def sweep(tmp_path, *flags):
+        out = tmp_path / "out.csv"
+        proc = run_cli("sweep", *flags, "--out", str(out))
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        return proc, out.read_text().splitlines()
+
+    def test_xi_grid_past_cosh_range(self, tmp_path):
+        proc, lines = self.sweep(tmp_path, "--scenario", "fig1", "--grid", "xi:0:800:3")
+        assert proc.returncode == 0
+        assert lines[1:] == ["1,0,1,1,1,1,2", "1,400,1,1,nan,nan,nan", "1,800,1,1,nan,nan,nan"]
+        warnings = proc.stderr.splitlines()
+        assert len(warnings) == 2
+        assert warnings[0].startswith("warning: sweep point skipped: xi=400: no hyperbolic frame")
+        assert warnings[1] == (
+            "warning: sweep point skipped: xi=800: cosh and sinh of the frame "
+            "parameter xi = 800 overflow a float"
+        )
+
+    def test_fixed_xi_past_cosh_range(self, tmp_path):
+        proc, lines = self.sweep(
+            tmp_path, "--scenario", "fig1", "--grid", "g_script:1:3:3", "--xi", "800"
+        )
+        assert proc.returncode == 0
+        assert lines[1:] == [f"{g},800,1,1,nan,nan,nan" for g in (1, 2, 3)]
+        assert proc.stderr.count("overflow a float") == 3
+
+    def test_boundary_past_cosh_range_exits_3(self, tmp_path):
+        proc = run_cli(
+            "boundary", "--g-script", "1", "--xi", "800", "--grid", "n_o:0:1:2",
+            "--grid", "n_m:0:1:2", "--out", str(tmp_path / "b.json"),
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "error: cosh and sinh of the frame parameter xi = 800 overflow a float\n"
+        )
+        assert not (tmp_path / "b.json").exists()
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_fig2_bound_past_float_range(self, tmp_path):
+        proc, lines = self.sweep(
+            tmp_path, "--scenario", "fig2", "--grid", "delta_eta:-1:1:3", "--gamma1", "1e308"
+        )
+        assert proc.returncode == 0
+        assert lines[1:] == [f"{de},1e+308,1,nan,nan" for de in (-1, 0, 1)]
+        assert proc.stderr.count(
+            "the pair bound overflows a float at gamma1 + gamma2 = 1e+308"
+        ) == 3
+        assert len(proc.stderr.splitlines()) == 3
 
 
 class TestVerify:

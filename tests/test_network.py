@@ -770,3 +770,37 @@ class TestStacks:
         ss = build_state_spaces([bs_pair(), bs_pair(gamma2=2.0)])
         with pytest.raises(FrameError, match="round-trip defect"):
             MomentTransform.mixer(2, 0, 1).apply_to_state_space(ss)
+
+
+class TestOverflowingFrames:
+    def test_bogoliubov_past_cosh_range(self):
+        from bosonet.errors import NumericsError
+        from bosonet.network import MomentTransform
+
+        for build in (
+            lambda xi: MomentTransform.bogoliubov(2, 1, xi),
+            lambda xi: MomentTransform.two_mode_bogoliubov(3, 1, 2, xi),
+        ):
+            with pytest.raises(NumericsError, match="xi = 711 overflow"):
+                build(711.0)
+            with pytest.raises(NumericsError, match="xi = 711 overflow"):
+                build([0.5, 711.0])
+            single, stack = build(0.7), build([0.3, 0.7])
+            assert single.matrix.tobytes() == stack.matrix[1].tobytes()
+
+
+class TestStateSpaceMembers:
+    def test_members_are_the_one_drift_state_spaces(self):
+        from bosonet.network import build_state_spaces
+
+        specs = [
+            NetworkSpec(2, (BathSpec(1.0), BathSpec(g)), (beam_splitter(0.5, 0, 1),))
+            for g in (0.5, 2.0)
+        ]
+        members = build_state_spaces(specs).members()
+        assert len(members) == 2
+        for member, spec in zip(members, specs):
+            single = build_state_space(spec)
+            assert member.n_modes == 2
+            assert member.drift.tobytes() == single.drift.tobytes()
+            assert member.input.tobytes() == single.input.tobytes()

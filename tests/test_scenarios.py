@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -45,9 +46,11 @@ from bosonet.scenarios import (
     parametric_optimum,
     parametric_variance_check,
     parametric_variance_checks,
+    duan_quantities,
     separability_boundary,
     squeezing_powers,
     three_mode_budget,
+    three_mode_budgets,
     three_mode_physical_network,
     three_mode_transform,
     two_mode_network,
@@ -706,19 +709,19 @@ class TestFig3Rows:
 
     def test_rows_share_one_physical_state_space(self, monkeypatch):
         builds, solved = [], []
-        real_build = scenarios.build_state_space
+        real_build = scenarios.build_state_spaces
         real_steady = scenarios.steady_covariance
 
-        def counting_build(spec):
-            builds.append(spec)
-            return real_build(spec)
+        def counting_build(specs):
+            builds.append(specs)
+            return real_build(specs)
 
         def recording_steady(ss, inputs):
             solved.append((ss, inputs.occupancy.shape))
             return real_steady(ss, inputs)
 
         budget = three_mode_budget(THREE_MODE)
-        monkeypatch.setattr(scenarios, "build_state_space", counting_build)
+        monkeypatch.setattr(scenarios, "build_state_spaces", counting_build)
         monkeypatch.setattr(scenarios, "steady_covariance", recording_steady)
         counts = []
         for side in (1, 5):
@@ -802,3 +805,107 @@ class TestBatches:
             fig1_rows(1.0, [0.5, -0.1], 1.0, 1.0)
         with pytest.raises(ValidationError):
             fig2_rows([0.0, 1.0], [4.0, -1.0], 1.0, 3.0)
+
+
+def random_three_mode_points(count, seed):
+    from bosonet.suites import random_three_mode
+
+    rng = np.random.default_rng(seed)
+    return [random_three_mode(rng) for _ in range(count)]
+
+
+def bits(x) -> bytes:
+    return np.ascontiguousarray(x).tobytes()
+
+
+class TestThreeModeBatches:
+    """three_mode_budgets and duan_quantities against their one-point calls."""
+
+    def test_members_have_the_bits_of_the_one_point_call(self):
+        points = random_three_mode_points(20, 5) + [
+            replace(THREE_MODE, xi=0.0), replace(THREE_MODE, gamma_m=1e-8, xi=1.1),
+        ]
+        for member, p in zip(three_mode_budgets(points), points):
+            single = three_mode_budget(p)
+            assert bits(member.transfer) == bits(single.transfer)
+            assert repr(member.eta_e) == repr(single.eta_e)
+            assert repr(member.mechanical) == repr(single.mechanical)
+            assert bits(member.physical.drift) == bits(single.physical.drift)
+        assert three_mode_budgets([]) == []
+
+    def test_one_point_call_has_the_bits_of_the_direct_solve(self):
+        # the per-point route: one drift, its own transform, one budget
+        for p in random_three_mode_points(10, 6):
+            transfer = scenarios.compute_budget(frame_state_space(p)).transfer
+            budget = three_mode_budget(p)
+            assert bits(budget.transfer) == bits(transfer)
+            assert repr(budget.eta_e) == repr(float(transfer[1, 0] + transfer[2, 0]))
+
+    def test_a_held_frame_gives_the_same_bits(self):
+        frame = three_mode_transform(THREE_MODE.xi)
+        for g in (0.1, 0.8, 2.5):
+            p = replace(THREE_MODE, g_script=g)
+            held, built = three_mode_budget(p, frame), three_mode_budget(p)
+            assert bits(held.transfer) == bits(built.transfer)
+
+    def test_duan_quantities_equal_the_points(self):
+        points = random_three_mode_points(15, 7)
+        assert duan_quantities(points) == [duan_quantity(p) for p in points]
+        assert duan_quantities([]) == []
+
+    def test_one_transform_per_coupling_search(self, monkeypatch):
+        builds = []
+        real = scenarios.three_mode_transform
+
+        def counting(xi):
+            builds.append(xi)
+            return real(xi)
+
+        monkeypatch.setattr(scenarios, "three_mode_transform", counting)
+        for xi in (0.0, 0.5):
+            builds.clear()
+            optimal_coupling(1.0, 1.0, 0.01, xi)
+            assert builds == [xi]
+
+    def test_coupling_search_validates_xi_first(self):
+        with pytest.raises(ValidationError, match="xi must be nonnegative"):
+            optimal_coupling(1.0, 1.0, 0.01, -0.5)
+        with pytest.raises(ValidationError, match="xi must be finite"):
+            optimal_coupling(1.0, 1.0, 0.01, math.nan)
+
+
+class TestOverflow:
+    """Frames and bounds beyond the float range raise package errors."""
+
+    def test_three_mode_network_at_huge_xi(self):
+        with pytest.raises(NumericsError, match="xi = 800 overflow"):
+            three_mode_budget(replace(THREE_MODE, xi=800.0))
+
+    def test_fig1_point_at_huge_xi(self):
+        with pytest.raises(NumericsError, match="xi = 800 overflow"):
+            fig1_point(1.0, 800.0, 1.0, 1.0)
+        with pytest.raises(NumericsError, match="xi = 800 overflow"):
+            fig1_rows(1.0, [0.5, 800.0], 1.0, 1.0)
+
+    def test_pair_bound_overflow_is_refused(self):
+        p = ParametricParams(g_plus=0.0, g_minus=3.0, gamma1=1e308, gamma2=1.0)
+        with pytest.raises(NumericsError, match="pair bound overflows"):
+            parametric_bound(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="pair bound overflows"):
+                fig2_rows([-1.0, 0.0], 1e308, 1.0, 3.0)
+
+    def test_finite_pair_bounds_keep_their_bits(self):
+        # S^2 of 1e154 is still a float
+        assert parametric_bound(
+            ParametricParams(g_plus=0.0, g_minus=3.0, gamma1=1e154, gamma2=1.0)
+        ) == 1.0
+        p = ParametricParams(g_plus=0.0, g_minus=1.0, gamma1=4.0, gamma2=1.0, eta1=1.0)
+        s, d, de = 5.0, 3.0, 1.0
+        assert parametric_bound(p) == (s * s - d * de) / (s * s - de * de)
+
+    def test_stability_edge_still_raises_stability_error(self):
+        p = ParametricParams(g_plus=0.0, g_minus=1.0, gamma1=4.0, gamma2=1.0, eta1=5.0)
+        with pytest.raises(StabilityError, match="reaches the stability"):
+            parametric_bound(p)

@@ -23,6 +23,7 @@ from bosonet.steady import (
     min_quadrature_variance,
     min_variances,
     quadrature_variance,
+    quadrature_variances,
     steady_covariance,
     variance_decomposition,
 )
@@ -371,3 +372,28 @@ class TestStackedStates:
                 single, compute_budget(single), InputMoments.thermal(inputs.occupancy[k]), 0.3
             )
             np.testing.assert_array_equal(split[k], expected)
+
+    def test_quadrature_variances_of_a_stack_equal_the_loop(self):
+        # the angle scan the steady_physics suite makes, on squeezed states
+        specs = [
+            NetworkSpec(2, [BathSpec(1.0), BathSpec(g1)], [beam_splitter(1.0, 0, 1),
+                        two_mode_squeeze(g, 0, 1)])
+            for g, g1 in ((0.2, 1.0), (0.4, 0.5), (0.1, 3.0))
+        ]
+        ss = build_state_spaces(specs)
+        stacked = steady_covariance(ss, InputMoments.thermal([[0.0, 2.0], [1.0, 0.5], [3.0, 0.0]]))
+        angles = np.linspace(0.0, math.pi, 64, endpoint=False)
+        for mode in (0, 1):
+            grid = quadrature_variances(stacked, mode, angles)
+            blocks = stacked.mode_block(mode)
+            assert grid.shape == (3, 64) and blocks.shape == (3, 2, 2)
+            for k in range(3):
+                single = CovarianceState(v=stacked.v[k], n_modes=2)
+                assert blocks[k].tobytes() == single.mode_block(mode).tobytes()
+                loop = [
+                    (c * c * b[0, 0] + s * s * b[1, 1] + 2 * s * c * b[0, 1])
+                    for b in [single.mode_block(mode)]
+                    for c, s in ((math.cos(t), math.sin(t)) for t in angles)
+                ]
+                assert grid[k].tolist() == [float(v) for v in loop]
+                assert grid[k].tolist() == [quadrature_variance(single, mode, t) for t in angles]
