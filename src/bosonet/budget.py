@@ -97,7 +97,9 @@ def compute_budget(ss: StateSpace) -> CommutatorBudget:
 def compute_budgets(ss: StateSpace) -> list[CommutatorBudget]:
     """compute_budget of every member of a stacked state space, from one
     stacked solve. Member i has the bits of compute_budget of drift i
-    alone, and its ``passive`` is that of its own drift."""
+    alone, and its ``passive`` is that of its own drift. DimensionError
+    for a single state space."""
+    members = ss.members()
     stack = compute_budget(ss)
     return [
         CommutatorBudget(
@@ -109,7 +111,7 @@ def compute_budgets(ss: StateSpace) -> list[CommutatorBudget]:
         )
         for w, k, t, g, member in zip(
             stack.per_channel_w, stack.per_channel_k, stack.transfer,
-            stack.gammas, ss.members(),
+            stack.gammas, members,
         )
     ]
 

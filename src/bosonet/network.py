@@ -295,6 +295,10 @@ class StateSpace:
 
     def members(self) -> list["StateSpace"]:
         """The one-drift state spaces of a stack, in order."""
+        if self.drift.ndim != 3:
+            raise DimensionError(
+                f"members() needs a stack of drifts (P, 2N, 2N), not shape {self.drift.shape}"
+            )
         inputs = np.broadcast_to(self.input, self.drift.shape)
         return [
             StateSpace(drift=a, input=d, n_modes=self.n_modes)

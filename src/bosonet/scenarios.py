@@ -584,9 +584,7 @@ class ThreeModeBudget:
     physical: StateSpace
 
 
-def three_mode_budget(
-    p: ThreeModeParams, frame: MomentTransform | None = None
-) -> ThreeModeBudget:
+def three_mode_budget(p: ThreeModeParams) -> ThreeModeBudget:
     """Commutator shares in the collective frame, plus eta_e and its complement.
 
     The frame drift is the exact symplectic transform of the physical
@@ -604,30 +602,30 @@ def three_mode_budget(
     relative accuracy at high mechanical Q (checked down to
     gamma_m / kappa = 1e-12).
 
-    ``frame`` is three_mode_transform(p.xi), for a caller that holds it
-    already; it is built when not given. This is the one-point call of
-    three_mode_budgets.
+    This is the one-point call of three_mode_budgets.
     """
-    return three_mode_budgets([p], frame)[0]
+    return three_mode_budgets([p])[0]
 
 
-def three_mode_budgets(
-    ps: Sequence[ThreeModeParams], frame: MomentTransform | None = None
-) -> list[ThreeModeBudget]:
+def three_mode_budgets(ps: Sequence[ThreeModeParams]) -> list[ThreeModeBudget]:
     """three_mode_budget at every point, as one batch.
 
     The physical drifts, their frames and the frame budgets are stacks,
     each solved in one call; the sum rules are checked at every point,
-    and the first failing point raises. ``frame`` is three_mode_transform
-    of the points' common xi, for a caller that holds it already (the
-    coupling search of optimal_coupling varies g at one xi); without it,
-    each point's own transform is built.
+    and the first failing point raises.
     """
     if not ps:
         return []
+    return _three_mode_budgets(ps, three_mode_transform([p.xi for p in ps]))
+
+
+def _three_mode_budgets(
+    ps: Sequence[ThreeModeParams], frame: MomentTransform
+) -> list[ThreeModeBudget]:
+    """three_mode_budgets with the frame transform of the points' xi
+    given, for the coupling search of optimal_coupling, which holds the
+    one transform of its fixed xi."""
     physical = build_state_spaces([three_mode_physical_network(p) for p in ps])
-    if frame is None:
-        frame = three_mode_transform([p.xi for p in ps])
     budgets = compute_budgets(frame.apply_to_state_space(physical))
     results = []
     for budget, member in zip(budgets, physical.members()):
@@ -832,18 +830,20 @@ def optimal_coupling(
     g_formula = math.sqrt(0.5 * omega * math.hypot(kappa, 2.0 * omega))
     frame = three_mode_transform(xi)  # xi is fixed along the search
 
-    def eta_at(g: float) -> float:
-        params = ThreeModeParams(
+    def params_at(g: float) -> ThreeModeParams:
+        return ThreeModeParams(
             g_script=g, omega=omega, kappa=kappa, gamma_m=gamma_m, xi=xi
         )
-        return three_mode_budget(params, frame).eta_e
+
+    def eta_at(g: float) -> float:
+        return _three_mode_budgets([params_at(g)], frame)[0].eta_e
 
     hi = 8.0 * max(g_formula, omega, kappa)
     g_numeric, eta_numeric = golden_section_max(eta_at, 0.0, hi, rel_tol=1e-6)
     return OptimalCoupling(
         g_formula=g_formula,
         g_numeric=g_numeric,
-        eta_e_formula=eta_at(g_formula),
+        eta_e_formula=three_mode_budget(params_at(g_formula)).eta_e,
         eta_e_numeric=eta_numeric,
     )
 

@@ -154,18 +154,15 @@ class QuadratureVariance:
 
 
 def quadrature_variance(state: CovarianceState, mode: int, theta: float) -> float:
-    """Variance of X_mode(theta) from the mode's 2x2 quadrature block."""
-    block = state.mode_block(mode)
-    c, s = math.cos(theta), math.sin(theta)
-    return float(c * c * block[0, 0] + s * s * block[1, 1] + 2 * s * c * block[0, 1])
+    """Variance of X_mode(theta) from the mode's 2x2 quadrature block:
+    the one-angle call of quadrature_variances."""
+    return float(quadrature_variances(state, mode, [theta])[0])
 
 
 def quadrature_variances(state: CovarianceState, mode: int, thetas) -> np.ndarray:
     """quadrature_variance at each angle of ``thetas``, shape (...,
-    len(thetas)) for a state or a stack of them: the same products and
-    sums in the same order, with the cosines and sines from the math
-    module, so every entry has the bits of its quadrature_variance call
-    (which stays scalar, as ``analyze`` calls it per mode)."""
+    len(thetas)) for a state or a stack of them, with the cosines and
+    sines from the math module."""
     block = state.mode_block(mode)[..., None]
     c = np.array([math.cos(theta) for theta in thetas])
     s = np.array([math.sin(theta) for theta in thetas])

@@ -88,6 +88,14 @@ class TestComputeBudget:
                 assert getattr(member, name).tobytes() == getattr(single, name).tobytes()
             assert member.passive == single.passive
 
+    def test_budgets_of_a_single_state_space_are_refused(self):
+        from bosonet.budget import compute_budgets
+        from bosonet.errors import DimensionError
+
+        spec = NetworkSpec(2, [BathSpec(1.0), BathSpec(2.0)], [beam_splitter(0.3, 0, 1)])
+        with pytest.raises(DimensionError, match="stack of drifts"):
+            compute_budgets(build_state_space(spec))
+
     def test_stacked_state_spaces_give_their_budgets(self):
         specs = [
             NetworkSpec(2, [BathSpec(g1), BathSpec(1.0)], [beam_splitter(g, 0, 1)])

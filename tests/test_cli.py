@@ -635,9 +635,9 @@ class TestBoundary:
         calls = []
         searching = []
 
-        def counting(p, *frame):
+        def counting(p):
             calls.append(bool(searching))
-            return real_budget(p, *frame)
+            return real_budget(p)
 
         def search(*args):
             searching.append(True)

@@ -804,3 +804,12 @@ class TestStateSpaceMembers:
             assert member.n_modes == 2
             assert member.drift.tobytes() == single.drift.tobytes()
             assert member.input.tobytes() == single.input.tobytes()
+
+    def test_a_single_state_space_has_no_members(self):
+        from bosonet.errors import DimensionError
+
+        single = build_state_space(
+            NetworkSpec(2, (BathSpec(1.0), BathSpec(0.5)), (beam_splitter(0.5, 0, 1),))
+        )
+        with pytest.raises(DimensionError, match="stack of drifts"):
+            single.members()

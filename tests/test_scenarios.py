@@ -842,11 +842,13 @@ class TestThreeModeBatches:
             assert repr(budget.eta_e) == repr(float(transfer[1, 0] + transfer[2, 0]))
 
     def test_a_held_frame_gives_the_same_bits(self):
+        # the coupling search holds one frame for its xi
         frame = three_mode_transform(THREE_MODE.xi)
         for g in (0.1, 0.8, 2.5):
             p = replace(THREE_MODE, g_script=g)
-            held, built = three_mode_budget(p, frame), three_mode_budget(p)
+            (held,), built = scenarios._three_mode_budgets([p], frame), three_mode_budget(p)
             assert bits(held.transfer) == bits(built.transfer)
+            assert repr(held.eta_e) == repr(built.eta_e)
 
     def test_duan_quantities_equal_the_points(self):
         points = random_three_mode_points(15, 7)
@@ -865,7 +867,9 @@ class TestThreeModeBatches:
         for xi in (0.0, 0.5):
             builds.clear()
             optimal_coupling(1.0, 1.0, 0.01, xi)
-            assert builds == [xi]
+            # one for the golden section's evaluations, one inside the
+            # three_mode_budget call at the formula coupling
+            assert builds == [xi, [xi]]
 
     def test_coupling_search_validates_xi_first(self):
         with pytest.raises(ValidationError, match="xi must be nonnegative"):
