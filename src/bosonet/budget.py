@@ -24,7 +24,7 @@ from .linalg import (
     require_stable,
     solve_lyapunov,
 )
-from .network import StateSpace, metric, passive_state_space
+from .network import StateSpace, metric, passive_drifts
 
 _IMAG_LEAK_TOL = 1e-10
 
@@ -38,21 +38,30 @@ class CommutatorBudget:
     (K_j)_{ii} is the share of mode i's commutator supplied by channel
     j. Rows of ``transfer`` sum to one for a stable network. A stack of
     budgets (from a stacked state space) has a leading axis on every
-    array; the checks below take single budgets.
+    array. member_passive says which members come from passive drifts
+    (0-d for a single budget), and ``passive`` holds iff all of them do.
+    verify_sum_rules takes a single budget or a stack; the other checks
+    below take single budgets.
     """
 
     per_channel_w: np.ndarray
     per_channel_k: np.ndarray
     transfer: np.ndarray
     gammas: np.ndarray
-    passive: bool
+    member_passive: np.ndarray
+
+    @property
+    def passive(self) -> bool:
+        return bool(np.all(self.member_passive))
 
     @property
     def n_modes(self) -> int:
         return int(self.transfer.shape[-1])
 
 
-def _budget_from_kernels(ws: np.ndarray, gammas: np.ndarray, passive: bool) -> CommutatorBudget:
+def _budget_from_kernels(
+    ws: np.ndarray, gammas: np.ndarray, member_passive: np.ndarray
+) -> CommutatorBudget:
     n = gammas.shape[-1]
     ks = ws[..., :n, :n]
     # diagonals[..., j, i] = (K_j)_{ii}
@@ -69,7 +78,7 @@ def _budget_from_kernels(ws: np.ndarray, gammas: np.ndarray, passive: bool) -> C
         per_channel_k=ks,
         transfer=np.ascontiguousarray(diagonals.real.swapaxes(-2, -1)),
         gammas=gammas,
-        passive=passive,
+        member_passive=member_passive,
     )
 
 
@@ -81,8 +90,8 @@ def compute_budget(ss: StateSpace) -> CommutatorBudget:
     channel's contribution to the commutator matrix. All N sources go
     to ``solve_lyapunov`` as one stack, which checks stability once.
     A stacked state space (see ``network``) gives a stack of budgets in
-    one solve: every array gains the leading axis, and ``passive`` holds
-    for all of them.
+    one solve: every array gains the leading axis, and member_passive
+    holds each drift's passivity.
     """
     n = ss.n_modes
     gammas = np.broadcast_to(ss.gammas, ss.drift.shape[:-2] + (n,))
@@ -91,7 +100,7 @@ def compute_budget(ss: StateSpace) -> CommutatorBudget:
     sources[..., modes, modes, modes] = gammas
     sources[..., modes, n + modes, n + modes] = -gammas
     ws = solve_lyapunov(ss.drift, sources)
-    return _budget_from_kernels(ws, gammas, passive_state_space(ss))
+    return _budget_from_kernels(ws, gammas, passive_drifts(ss))
 
 
 def compute_budgets(ss: StateSpace) -> list[CommutatorBudget]:
@@ -99,7 +108,7 @@ def compute_budgets(ss: StateSpace) -> list[CommutatorBudget]:
     stacked solve. Member i has the bits of compute_budget of drift i
     alone, and its ``passive`` is that of its own drift. DimensionError
     for a single state space."""
-    members = ss.members()
+    ss.members()  # refuses a single state space
     stack = compute_budget(ss)
     return [
         CommutatorBudget(
@@ -107,11 +116,11 @@ def compute_budgets(ss: StateSpace) -> list[CommutatorBudget]:
             per_channel_k=k,
             transfer=t,
             gammas=g,
-            passive=passive_state_space(member),
+            member_passive=np.asarray(passive),
         )
-        for w, k, t, g, member in zip(
+        for w, k, t, g, passive in zip(
             stack.per_channel_w, stack.per_channel_k, stack.transfer,
-            stack.gammas, members,
+            stack.gammas, stack.member_passive,
         )
     ]
 
@@ -148,7 +157,7 @@ def budget_via_spectrum(
             [center - 3 * width, center - width, center, center + width, center + 3 * width]
         )
     ws = integrate_spectrum(kernel, abs_tol=abs_tol, breakpoints=breakpoints)
-    return _budget_from_kernels(ws, ss.gammas, passive_state_space(ss))
+    return _budget_from_kernels(ws, ss.gammas, passive_drifts(ss))
 
 
 @dataclass(frozen=True)
@@ -165,38 +174,54 @@ POSITIVITY_FLOOR = -1e-10
 RECIPROCITY_TOL = 1e-10
 
 
-def verify_sum_rules(budget: CommutatorBudget) -> SumRuleReport:
+def verify_sum_rules(budget: CommutatorBudget) -> SumRuleReport | list[SumRuleReport]:
     """Check the exact identities the channel decomposition must satisfy.
 
     Completeness: sum_j K_j = I. Metric: sum_j W_j reproduces the full
     commutator metric. For passive networks two more hold: the damping
     rule sum_j gamma_j (K_i)_{jj} = gamma_i, and positivity of each K_i.
     The residuals pass within SUM_RULE_TOL and the smallest eigenvalue
-    of each K_i at or above POSITIVITY_FLOOR.
+    of each K_i at or above POSITIVITY_FLOOR; a NaN residual fails.
+
+    A stacked budget gives one report per member, in order, from one
+    vectorized pass; a member's damping rule and positivity are checked
+    iff that member is passive. A single budget's report is the
+    one-member case.
     """
     n = budget.n_modes
-    k_sum = budget.per_channel_k.sum(axis=0)
-    completeness = float(np.abs(k_sum - np.eye(n)).max())
-    w_sum = budget.per_channel_w.sum(axis=0)
-    metric_residual = float(np.abs(w_sum - metric(n)).max())
-    gamma_rows: tuple[float, ...] | None = None
-    min_eigs: tuple[float, ...] | None = None
-    ok = completeness <= SUM_RULE_TOL and metric_residual <= SUM_RULE_TOL
-    if budget.passive:
+    ks = budget.per_channel_k.reshape((-1, n) + budget.per_channel_k.shape[-2:])
+    ws = budget.per_channel_w.reshape((-1, n) + budget.per_channel_w.shape[-2:])
+    completeness = np.abs(ks.sum(axis=1) - np.eye(n)).max(axis=(-2, -1))
+    metric_residual = np.abs(ws.sum(axis=1) - metric(n)).max(axis=(-2, -1))
+    passed = (completeness <= SUM_RULE_TOL) & (metric_residual <= SUM_RULE_TOL)
+    gamma_rows = [None] * len(ks)
+    min_eigs = [None] * len(ks)
+    rows = np.flatnonzero(budget.member_passive)
+    if rows.size:
+        gammas = budget.gammas.reshape(-1, n)[rows]
+        transfer = budget.transfer.reshape(-1, n, n)[rows]
         # transfer[j, i] = (K_i)_{jj}, so channel i's rule reads along column i
-        weighted = budget.gammas @ budget.transfer
-        gamma_rows = tuple(float(abs(weighted[i] - budget.gammas[i])) for i in range(n))
-        min_eigs = tuple(
-            float(np.linalg.eigvalsh(budget.per_channel_k[i]).min()) for i in range(n)
+        residuals = np.abs((gammas[:, None, :] @ transfer)[:, 0] - gammas)
+        eigs = np.linalg.eigvalsh(ks[rows]).min(axis=-1)
+        passed[rows] &= np.all(residuals <= SUM_RULE_TOL, axis=-1) & np.all(
+            eigs >= POSITIVITY_FLOOR, axis=-1
         )
-        ok = ok and max(gamma_rows) <= SUM_RULE_TOL and min(min_eigs) >= POSITIVITY_FLOOR
-    return SumRuleReport(
-        completeness_residual=completeness,
-        metric_residual=metric_residual,
-        gamma_rule_residuals=gamma_rows,
-        positivity_min_eigs=min_eigs,
-        passed=ok,
-    )
+        for row, g, e in zip(rows.tolist(), residuals.tolist(), eigs.tolist()):
+            gamma_rows[row], min_eigs[row] = tuple(g), tuple(e)
+    reports = [
+        SumRuleReport(
+            completeness_residual=c,
+            metric_residual=m,
+            gamma_rule_residuals=g,
+            positivity_min_eigs=e,
+            passed=ok,
+        )
+        for c, m, g, e, ok in zip(
+            completeness.tolist(), metric_residual.tolist(), gamma_rows, min_eigs,
+            passed.tolist(),
+        )
+    ]
+    return reports if budget.transfer.ndim == 3 else reports[0]
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 Everything operates on plain numpy arrays of dimension order ten:
 spectra for stability tests, Lyapunov solves, adaptive Gauss-Kronrod
-quadrature over the real frequency axis, and a golden-section scalar
-optimizer. The solver defaults are the module constants below; guards
-on derived quantities (imaginary leaks, route agreement) keep their own
-constants in the modules that own them.
+quadrature over the real frequency axis, and a golden-section
+optimizer that runs bracketed searches in lockstep. The solver defaults
+are the module constants below; guards on derived quantities (imaginary
+leaks, route agreement) keep their own constants in the modules that
+own them.
 
 ``solve_lyapunov`` documents its two routes: one eigendecomposition per
 drift from four modes up, the exact Kronecker system below and wherever
@@ -436,6 +437,60 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_MAX_ITER = 400
 
 
+def golden_sections_max(
+    fn: Callable[[list[int], list[float]], Sequence[float]],
+    lo: Sequence[float],
+    hi: Sequence[float],
+    rel_tol: float = 1e-6,
+) -> tuple[list[float], list[float]]:
+    """Bracketed golden-section maximization of unimodal functions, one
+    search per bracket (lo[i], hi[i]), in lockstep.
+
+    ``fn(live, xs)`` gets the indices of the searches still running and
+    one point for each, and returns one value per point, so every step
+    is one call. Each search shrinks its bracket until the width falls
+    below ``rel_tol`` relative to the bracket magnitude, or for at most
+    _GOLDEN_MAX_ITER steps, and then stops. A search's bookkeeping is
+    plain float arithmetic, so it visits the points it would visit run
+    alone, in the same order, and its result has the same bits. Returns
+    the lists (argmax, max value). Every bracket must be finite with
+    hi > lo (else ValidationError).
+    """
+    a, b = [float(x) for x in lo], [float(x) for x in hi]
+    if len(a) != len(b) or not all(
+        x < y and math.isfinite(y - x) for x, y in zip(a, b)
+    ):  # NaN fails
+        raise ValidationError("golden-section brackets must be finite with hi > lo")
+    c = [y - _INV_PHI * (y - x) for x, y in zip(a, b)]
+    d = [x + _INV_PHI * (y - x) for x, y in zip(a, b)]
+    every = list(range(len(a)))
+    fc, fd = list(fn(every, c)), list(fn(every, d))
+    live = every
+    for _ in range(_GOLDEN_MAX_ITER):
+        live = [
+            i for i in live
+            if not b[i] - a[i] <= rel_tol * max(1.0, abs(a[i]), abs(b[i]))
+        ]
+        if not live:
+            break
+        lefts = [fc[i] > fd[i] for i in live]
+        for i, left in zip(live, lefts):
+            if left:
+                b[i], d[i], fd[i] = d[i], c[i], fc[i]
+                c[i] = b[i] - _INV_PHI * (b[i] - a[i])
+            else:
+                a[i], c[i], fc[i] = c[i], d[i], fd[i]
+                d[i] = a[i] + _INV_PHI * (b[i] - a[i])
+        values = fn(live, [c[i] if left else d[i] for i, left in zip(live, lefts)])
+        for i, left, value in zip(live, lefts, values):
+            if left:
+                fc[i] = value
+            else:
+                fd[i] = value
+    x = [0.5 * (p + q) for p, q in zip(a, b)]
+    return x, list(fn(every, x))
+
+
 def golden_section_max(
     fn: Callable[[float], float],
     lo: float,
@@ -444,29 +499,11 @@ def golden_section_max(
 ) -> tuple[float, float]:
     """Bracketed golden-section maximization of a unimodal scalar function.
 
-    Returns (argmax, max value). The bracket is shrunk until its width
-    falls below ``rel_tol`` relative to the bracket magnitude, or for at
-    most _GOLDEN_MAX_ITER steps.
+    Returns (argmax, max value). The one-search call of
+    golden_sections_max.
     """
-    if not hi > lo:
-        raise ValidationError("golden-section bracket must have hi > lo")
-    a, b = float(lo), float(hi)
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(_GOLDEN_MAX_ITER):
-        if b - a <= rel_tol * max(1.0, abs(a), abs(b)):
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
+    x, fx = golden_sections_max(lambda live, xs: [fn(xs[0])], [lo], [hi], rel_tol)
+    return x[0], fx[0]
 
 
 def golden_section_min(

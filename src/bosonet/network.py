@@ -366,11 +366,18 @@ def build_state_spaces(specs: Sequence[NetworkSpec]) -> StateSpace:
     return StateSpace(drift=_doubled(ann, mix), input=inp, n_modes=n)
 
 
-def passive_state_space(ss: StateSpace) -> bool:
-    """True iff the drift has no annihilation/creation mixing block (the
-    one definition of passivity); for a stack, iff no drift has one."""
+def passive_drifts(ss: StateSpace) -> np.ndarray:
+    """For each drift, whether it has no annihilation/creation mixing
+    block (the one definition of passivity): a boolean array of the
+    stack's leading shape, 0-d for a single drift."""
     n = ss.n_modes
-    return bool(np.all(ss.drift[..., :n, n:] == 0))
+    return np.all(ss.drift[..., :n, n:] == 0, axis=(-2, -1))
+
+
+def passive_state_space(ss: StateSpace) -> bool:
+    """True iff the drift is passive (see passive_drifts); for a stack,
+    iff every drift is."""
+    return bool(np.all(passive_drifts(ss)))
 
 
 def is_passive(spec: NetworkSpec) -> bool:
@@ -533,6 +540,9 @@ class MomentTransform:
     matrices (P, 2N, 2N) is P transforms, each validated; the
     constructors with a parameter build one from a sequence of values,
     and ``compose`` broadcasts a single transform against a stack.
+    Non-finite entries raise ValidationError; entries so large that the
+    metric check overflows (cosh xi above about 1.3e154) raise
+    NumericsError.
     """
 
     matrix: np.ndarray
@@ -543,17 +553,28 @@ class MomentTransform:
             raise DimensionError("transform matrix must be square of even dimension")
         object.__setattr__(self, "matrix", m)
         n = m.shape[-1] // 2
-        structure = np.maximum(
-            np.abs(m[..., n:, n:] - m[..., :n, :n].conj()).max(axis=(-2, -1), initial=0.0),
-            np.abs(m[..., n:, :n] - m[..., :n, n:].conj()).max(axis=(-2, -1), initial=0.0),
-        )
+        if not np.isfinite(m).all():
+            raise ValidationError("transform entries must be finite")
+        sig = metric(n)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            structure = np.maximum(
+                np.abs(m[..., n:, n:] - m[..., :n, :n].conj()).max(axis=(-2, -1), initial=0.0),
+                np.abs(m[..., n:, :n] - m[..., :n, n:].conj()).max(axis=(-2, -1), initial=0.0),
+            )
+            residual = np.abs(m @ sig @ m.conj().swapaxes(-2, -1) - sig).max(axis=(-2, -1))
+            size = np.maximum(1.0, np.abs(m).max(axis=(-2, -1))) ** 2
         if not np.all(structure <= 1e-12):
             raise ValidationError("transform breaks the doubled conjugation structure")
         # the residual is roundoff of products of entries, so it is judged
-        # against the transform's size; NaN fails
-        sig = metric(n)
-        residual = np.abs(m @ sig @ m.conj().swapaxes(-2, -1) - sig).max(axis=(-2, -1))
-        size = np.maximum(1.0, np.abs(m).max(axis=(-2, -1))) ** 2
+        # against the transform's size; NaN fails, and so does a residual or
+        # size that overflows, as inf <= 1e-10 * inf would pass
+        overflow = first_failure(np.isfinite(residual) & np.isfinite(size))
+        if overflow is not None:
+            raise NumericsError(
+                "transform entries up to "
+                f"{np.abs(m).max(axis=(-2, -1)).flat[overflow]:.3g} overflow the "
+                "commutator metric check"
+            )
         if not np.all(residual <= 1e-10 * size):
             raise ValidationError("transform does not preserve the commutator metric")
 
@@ -607,7 +628,9 @@ class MomentTransform:
 
     def compose(self, inner: "MomentTransform") -> "MomentTransform":
         """The transform applying ``inner`` first, then this one."""
-        return MomentTransform(self.matrix @ inner.matrix)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused on construction
+            product = self.matrix @ inner.matrix
+        return MomentTransform(product)
 
     def apply_to_state_space(self, ss: StateSpace) -> StateSpace:
         """Re-express the dynamics in the frame xi' = T xi of this transform.
@@ -622,17 +645,27 @@ class MomentTransform:
         roundoff of the product grows with the transform's size. A
         projection defect above 1e-10 of the scale (NaN included) raises
         FrameError: the new drift has no form with these dampings, as
-        after mixing channels of unequal damping. The input matrix is
-        kept, which that same condition makes exact.
+        after mixing channels of unequal damping. A finite drift whose
+        scale overflows raises NumericsError. The input matrix is kept,
+        which the defect condition makes exact.
         """
         n = self.n_modes
         if ss.n_modes != n:
             raise DimensionError("transform and state space differ in their mode count")
         t = self.matrix
         sig = metric(n)
-        drift = t @ ss.drift @ (sig @ t.conj().swapaxes(-2, -1) @ sig)
-        size = np.maximum(1.0, np.abs(t).max(axis=(-2, -1))) ** 2
-        scale = np.maximum(1.0, np.abs(drift).max(axis=(-2, -1))) * size
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            drift = t @ ss.drift @ (sig @ t.conj().swapaxes(-2, -1) @ sig)
+            size = np.maximum(1.0, np.abs(t).max(axis=(-2, -1))) ** 2
+            scale = np.maximum(1.0, np.abs(drift).max(axis=(-2, -1))) * size
+        # a finite drift whose product overflows is refused here; a
+        # non-finite drift fails the defect check below
+        finite_input = np.isfinite(ss.drift).all(axis=(-2, -1))
+        overflow = first_failure(np.isfinite(scale) | ~finite_input)
+        if overflow is not None:
+            raise NumericsError(
+                f"frame drift T A T^-1 overflows (scale {scale.flat[overflow]:.3g})"
+            )
         cutoff = 1e-12 * scale[..., None, None]
         kept = np.where(np.abs(drift[..., :n, :]) > cutoff, drift[..., :n, :], 0.0)
         shifts = np.diagonal(drift, axis1=-2, axis2=-1)[..., :n].imag

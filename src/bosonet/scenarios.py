@@ -22,7 +22,9 @@ solve per stage, and every check runs at every point; the first failing
 point raises. Each per-point function (two_mode_squeezing_power,
 parametric_variance_check, three_mode_budget, duan_quantity, fig1_point,
 fig2_point) is the one-point call of its array form, so a grid row has
-the bits of its point.
+the bits of its point. optimal_couplings runs its coupling searches in
+lockstep, one stacked frame budget per golden-section step, and
+optimal_coupling is its one-point call.
 """
 
 from __future__ import annotations
@@ -35,11 +37,12 @@ import numpy as np
 
 from .errors import (
     ApplicabilityError,
+    BosonetError,
     NumericsError,
     StabilityError,
     ValidationError,
 )
-from .linalg import first_failure, golden_section_max, golden_section_min, solve_lyapunov
+from .linalg import first_failure, golden_section_min, golden_sections_max, solve_lyapunov
 from .network import (
     BathSpec,
     InputMoments,
@@ -54,7 +57,7 @@ from .network import (
     hyperbolic_frame,
     two_mode_squeeze,
 )
-from .budget import compute_budget, compute_budgets, verify_sum_rules
+from .budget import compute_budget, verify_sum_rules
 from .steady import min_variances, steady_covariance, variance_decomposition
 
 ROUTE_AGREEMENT_TOL = 1e-10
@@ -623,17 +626,18 @@ def _three_mode_budgets(
     ps: Sequence[ThreeModeParams], frame: MomentTransform
 ) -> list[ThreeModeBudget]:
     """three_mode_budgets with the frame transform of the points' xi
-    given, for the coupling search of optimal_coupling, which holds the
-    one transform of its fixed xi."""
+    given, for the coupling searches of optimal_couplings, which hold the
+    transforms of their fixed xi. The sum rules of the whole stack are
+    checked in one call."""
     physical = build_state_spaces([three_mode_physical_network(p) for p in ps])
-    budgets = compute_budgets(frame.apply_to_state_space(physical))
+    stack = compute_budget(frame.apply_to_state_space(physical))
     results = []
-    for budget, member in zip(budgets, physical.members()):
-        rules = verify_sum_rules(budget)
+    for rules, shares, member in zip(
+        verify_sum_rules(stack), stack.transfer, physical.members()
+    ):
         if not rules.passed:
             worst = max(rules.completeness_residual, rules.metric_residual)
             raise NumericsError("budget sum rules failed in the frame", estimate=worst)
-        shares = budget.transfer
         results.append(
             ThreeModeBudget(
                 transfer=shares,
@@ -764,6 +768,8 @@ def _line(eta_e: float, mechanical: float, xi: float) -> BoundaryLine:
     """The boundary in the (n_o, n_m) plane from the cavity share eta_e
     and the mechanical share sum: the Duan budget
     mechanical (n_m + 1/2) + eta_e (n_o + 1/2) e^(-2 xi) equals 1 on it.
+    An xi whose e^(2 xi) overflows (above about 354.9) raises
+    NumericsError.
     """
     xi = _nonnegative("xi", xi)
     if not (0.0 <= eta_e < math.inf and 0.0 < mechanical < math.inf):
@@ -772,7 +778,10 @@ def _line(eta_e: float, mechanical: float, xi: float) -> BoundaryLine:
             f"share sum, got eta_e = {eta_e:g} and {mechanical:g}"
         )
     slope = -eta_e * math.exp(-2.0 * xi) / mechanical
-    n_o_intercept = 0.5 * (math.exp(2.0 * xi) - 1.0)
+    try:
+        n_o_intercept = 0.5 * (math.exp(2.0 * xi) - 1.0)
+    except OverflowError as exc:  # e^(2 xi) beyond the float range
+        raise NumericsError(f"xi = {xi:g} overflows the n_o intercept e^(2 xi)") from exc
     n_m_intercept = eta_e * (1.0 - math.exp(-2.0 * xi)) / (2.0 * mechanical)
     return BoundaryLine(
         slope=slope,
@@ -822,30 +831,77 @@ def optimal_coupling(
     ``g_numeric`` is accurate only to the search's rel_tol of 1e-6: the
     maximum is flat, so roundoff-level changes in eta_e move the argmax
     by about that much, and its digits beyond the sixth carry no meaning.
+    This is the one-point call of optimal_couplings.
     """
-    kappa = _positive("kappa", kappa)
-    omega = _positive("omega", omega)
-    gamma_m = _positive("gamma_m", gamma_m)
-    xi = _nonnegative("xi", xi)
-    g_formula = math.sqrt(0.5 * omega * math.hypot(kappa, 2.0 * omega))
-    frame = three_mode_transform(xi)  # xi is fixed along the search
+    return optimal_couplings([(kappa, omega, gamma_m, xi)])[0]
 
-    def params_at(g: float) -> ThreeModeParams:
-        return ThreeModeParams(
-            g_script=g, omega=omega, kappa=kappa, gamma_m=gamma_m, xi=xi
+
+def optimal_couplings(
+    points: Sequence[tuple[float, float, float, float]],
+) -> list[OptimalCoupling]:
+    """optimal_coupling at every point (kappa, omega, gamma_m, xi).
+
+    The golden sections run in lockstep (golden_sections_max): each step
+    evaluates the couplings of every search still running as one
+    stacked frame budget, with the frame transforms of the points' xi
+    built once, and the formula couplings take one more stacked budget.
+    Each search visits the points it would visit alone, so its result
+    has the same bits. If a step raises, the searches are re-run one at
+    a time, in order, so the first failing point raises its own error.
+    """
+    try:
+        return _coupling_searches(points)
+    except BosonetError:
+        if len(points) < 2:
+            raise
+        return [_coupling_searches([point])[0] for point in points]
+
+
+def _coupling_searches(points) -> list[OptimalCoupling]:
+    """optimal_couplings without the one-at-a-time retry."""
+    base = [
+        ThreeModeParams(
+            g_script=0.0,
+            kappa=_positive("kappa", kappa),
+            omega=_positive("omega", omega),
+            gamma_m=_positive("gamma_m", gamma_m),
+            xi=_nonnegative("xi", xi),
         )
+        for kappa, omega, gamma_m, xi in points
+    ]
+    if not base:
+        return []
+    every = list(range(len(base)))
+    transforms = three_mode_transform([p.xi for p in base])  # xi is fixed along a search
+    # the transforms of each set of running searches, validated once per set
+    stacks = {tuple(every): transforms}
 
-    def eta_at(g: float) -> float:
-        return _three_mode_budgets([params_at(g)], frame)[0].eta_e
+    def etas_at(live, gs) -> list[float]:
+        searches = [replace(base[i], g_script=g) for i, g in zip(live, gs)]
+        key = tuple(live)
+        if key not in stacks:
+            stacks[key] = MomentTransform(transforms.matrix[live])
+        return [b.eta_e for b in _three_mode_budgets(searches, stacks[key])]
 
-    hi = 8.0 * max(g_formula, omega, kappa)
-    g_numeric, eta_numeric = golden_section_max(eta_at, 0.0, hi, rel_tol=1e-6)
-    return OptimalCoupling(
-        g_formula=g_formula,
-        g_numeric=g_numeric,
-        eta_e_formula=three_mode_budget(params_at(g_formula)).eta_e,
-        eta_e_numeric=eta_numeric,
+    g_formulas = [
+        math.sqrt(0.5 * p.omega * math.hypot(p.kappa, 2.0 * p.omega)) for p in base
+    ]
+    his = [8.0 * max(g, p.omega, p.kappa) for g, p in zip(g_formulas, base)]
+    g_numerics, eta_numerics = golden_sections_max(
+        etas_at, [0.0] * len(base), his, rel_tol=1e-6
     )
+    eta_formulas = etas_at(every, g_formulas)
+    return [
+        OptimalCoupling(
+            g_formula=g_formula,
+            g_numeric=g_numeric,
+            eta_e_formula=eta_formula,
+            eta_e_numeric=eta_numeric,
+        )
+        for g_formula, g_numeric, eta_formula, eta_numeric in zip(
+            g_formulas, g_numerics, eta_formulas, eta_numerics
+        )
+    ]
 
 
 FIG1_HEADER = ("g_script", "xi", "gamma1", "gamma2", "norm_var1", "norm_var2", "sum")

@@ -11,6 +11,10 @@ from bosonet.budget import (
     budget_report,
     budget_via_spectrum,
     compute_budget,
+    compute_budgets,
+    POSITIVITY_FLOOR,
+    SUM_RULE_TOL,
+    SumRuleReport,
     two_mode_ix_bound,
     verify_reciprocity,
     verify_sum_rules,
@@ -348,6 +352,92 @@ class TestSumRules:
         report = verify_sum_rules(compute_budget(ss))
         assert report.metric_residual < 1e-10
         assert metric(ss.n_modes).shape == ss.drift.shape
+
+
+def scalar_sum_rules(budget):
+    """The single-budget sum-rule check that the stacked one replaced,
+    kept here as the reference for its bits."""
+    n = budget.n_modes
+    completeness = float(np.abs(budget.per_channel_k.sum(axis=0) - np.eye(n)).max())
+    metric_residual = float(np.abs(budget.per_channel_w.sum(axis=0) - metric(n)).max())
+    gamma_rows = min_eigs = None
+    ok = completeness <= SUM_RULE_TOL and metric_residual <= SUM_RULE_TOL
+    if budget.passive:
+        weighted = budget.gammas @ budget.transfer
+        gamma_rows = tuple(float(abs(weighted[i] - budget.gammas[i])) for i in range(n))
+        min_eigs = tuple(
+            float(np.linalg.eigvalsh(budget.per_channel_k[i]).min()) for i in range(n)
+        )
+        ok = ok and max(gamma_rows) <= SUM_RULE_TOL and min(min_eigs) >= POSITIVITY_FLOOR
+    return SumRuleReport(completeness, metric_residual, gamma_rows, min_eigs, ok)
+
+
+class TestStackedSumRules:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stack_reports_are_the_member_reports(self, seed):
+        rng = np.random.default_rng(seed)
+        groups = {}
+        for k in range(120):
+            spec = random_network(rng, nonpassive=(k % 2 == 1))
+            groups.setdefault(spec.n_modes, []).append(spec)
+        for specs in groups.values():
+            ss = build_state_spaces(specs)
+            stack = compute_budget(ss)
+            members = compute_budgets(ss)
+            flags = [m.passive for m in members]
+            assert any(flags) and not all(flags)  # a mixed stack
+            assert stack.passive is False
+            reports = verify_sum_rules(stack)
+            assert reports == [verify_sum_rules(m) for m in members]
+            assert reports == [scalar_sum_rules(m) for m in members]
+            for report, passive in zip(reports, flags):
+                assert (report.gamma_rule_residuals is None) == (not passive)
+                assert report.passed
+
+    def test_stack_of_passive_members_is_passive(self):
+        ss = build_state_spaces([
+            NetworkSpec(2, [BathSpec(1.0), BathSpec(g)], [beam_splitter(0.5, 0, 1)])
+            for g in (1.0, 2.0, 3.0)
+        ])
+        stack = compute_budget(ss)
+        assert stack.passive is True
+        assert stack.member_passive.tolist() == [True, True, True]
+        assert all(r.positivity_min_eigs is not None for r in verify_sum_rules(stack))
+
+    def test_each_member_is_judged_on_its_own(self):
+        baths = [BathSpec(1.0), BathSpec(1.0)]
+        ss = build_state_spaces([
+            NetworkSpec(2, baths, [beam_splitter(0.5, 0, 1)]),
+            NetworkSpec(2, baths, [beam_splitter(1.0, 0, 1), two_mode_squeeze(0.5, 0, 1)]),
+            NetworkSpec(2, baths, [beam_splitter(1.0, 0, 1)]),
+        ])
+        stack = compute_budget(ss)
+        assert stack.member_passive.tolist() == [True, False, True]
+        # push the last member's completeness off by 1e-6
+        k = stack.per_channel_k.copy()
+        k[2, 0, 0, 0] += 1e-6
+        broken = budget_module.CommutatorBudget(
+            per_channel_w=stack.per_channel_w, per_channel_k=k,
+            transfer=stack.transfer, gammas=stack.gammas,
+            member_passive=stack.member_passive,
+        )
+        assert [r.passed for r in verify_sum_rules(broken)] == [True, True, False]
+
+    def test_nan_gamma_residual_fails(self):
+        # a NaN in the last residual: max() over the old tuple returned the
+        # first entry and passed
+        budget = compute_budget(exchange_pair(0.5))
+        transfer = budget.transfer.copy()
+        transfer[0, 1] = np.nan
+        broken = budget_module.CommutatorBudget(
+            per_channel_w=budget.per_channel_w, per_channel_k=budget.per_channel_k,
+            transfer=transfer, gammas=budget.gammas,
+            member_passive=budget.member_passive,
+        )
+        report = verify_sum_rules(broken)
+        assert report.gamma_rule_residuals[0] < 1e-12
+        assert np.isnan(report.gamma_rule_residuals[1])
+        assert not report.passed
 
 
 class TestReciprocity:

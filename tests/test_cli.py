@@ -630,14 +630,15 @@ class TestBoundary:
     def test_one_frame_budget_per_command(self, tmp_path, monkeypatch):
         from bosonet import cli, scenarios
 
-        real_budget = scenarios.three_mode_budget
+        real_budgets = scenarios._three_mode_budgets
         real_search = cli.optimal_coupling
         calls = []
         searching = []
 
-        def counting(p):
+        # every frame budget, stacked or not, is one _three_mode_budgets call
+        def counting(ps, frame):
             calls.append(bool(searching))
-            return real_budget(p)
+            return real_budgets(ps, frame)
 
         def search(*args):
             searching.append(True)
@@ -646,8 +647,7 @@ class TestBoundary:
             finally:
                 searching.pop()
 
-        monkeypatch.setattr(scenarios, "three_mode_budget", counting)
-        monkeypatch.setattr(cli, "three_mode_budget", counting)
+        monkeypatch.setattr(scenarios, "_three_mode_budgets", counting)
         monkeypatch.setattr(cli, "optimal_coupling", search)
         code = cli.main([
             "boundary", "--g-script", "0.8", "--grid", "n_o:0:1:4",
@@ -726,6 +726,19 @@ class TestOverflowingParameters:
         )
         assert not (tmp_path / "b.json").exists()
         assert not (tmp_path / "b.csv").exists()
+
+    def test_boundary_past_metric_range_exits_3(self, tmp_path):
+        # cosh 400 is a float; the frame's metric check overflows instead
+        proc = run_cli(
+            "boundary", "--g-script", "1", "--xi", "400", "--grid", "n_o:0:1:2",
+            "--grid", "n_m:0:1:2", "--out", str(tmp_path / "b.json"),
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "error: transform entries up to 2.61e+173 overflow the commutator "
+            "metric check\n"
+        )
+        assert not (tmp_path / "b.json").exists()
 
     def test_fig2_bound_past_float_range(self, tmp_path):
         proc, lines = self.sweep(

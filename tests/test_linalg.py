@@ -16,6 +16,7 @@ from bosonet.linalg import (
     eigenvalues,
     golden_section_max,
     golden_section_min,
+    golden_sections_max,
     hermitian_defect,
     integrate_spectrum,
     is_stable,
@@ -540,3 +541,114 @@ class TestGoldenSection:
         x, fx = golden_section_min(lambda t: (t + 0.4) ** 2 - 1.0, -2.0, 2.0)
         assert abs(x + 0.4) < 1e-5
         assert abs(fx + 1.0) < 1e-10
+
+
+def scalar_golden_max(fn, lo, hi, rel_tol=1e-6):
+    """The scalar golden-section loop that golden_sections_max replaced,
+    kept here as the reference for its bits."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = float(lo), float(hi)
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(400):
+        if b - a <= rel_tol * max(1.0, abs(a), abs(b)):
+            break
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = fn(d)
+    x = 0.5 * (a + b)
+    return x, fn(x)
+
+
+class TestLockstepGoldenSection:
+    # brackets of widths 1e-4 to 1e4 stop after different step counts
+    BRACKETS = [(0.0, 3.0), (-2.0, 1e4), (0.5, 0.5001), (-7.0, -1.0), (10.0, 40.0)]
+    FNS = [
+        lambda t: -(t - 1.3) ** 2 + 2.0,
+        lambda t: -abs(t - 517.25),
+        lambda t: math.sin(1e4 * t),
+        lambda t: t * math.exp(t),
+        lambda t: -math.cosh(t - 31.0),
+    ]
+
+    def run_lockstep(self, fns, brackets, rel_tol=1e-6):
+        visits = [[] for _ in fns]
+        calls = []
+
+        def objective(live, xs):
+            calls.append(list(live))
+            values = []
+            for i, x in zip(live, xs):
+                visits[i].append(x)
+                values.append(fns[i](x))
+            return values
+
+        lo, hi = zip(*brackets)
+        return golden_sections_max(objective, lo, hi, rel_tol), visits, calls
+
+    def scalar_visits(self, fn, lo, hi, rel_tol=1e-6):
+        visits = []
+
+        def objective(x):
+            visits.append(x)
+            return fn(x)
+
+        return scalar_golden_max(objective, lo, hi, rel_tol), visits
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-12])
+    def test_each_search_has_the_bits_and_path_of_the_scalar_loop(self, rel_tol):
+        (xs, values), visits, calls = self.run_lockstep(self.FNS, self.BRACKETS, rel_tol)
+        steps = set()
+        for i, (fn, (lo, hi)) in enumerate(zip(self.FNS, self.BRACKETS)):
+            (x, fx), alone = self.scalar_visits(fn, lo, hi, rel_tol)
+            assert (xs[i], values[i]) == (x, fx)
+            assert visits[i] == alone
+            steps.add(len(alone))
+        assert len(steps) > 1  # the searches stop after different step counts
+        # one objective call per step: two probes, the steps, the midpoints
+        assert len(calls) == max(steps)
+        assert all(calls[k] == sorted(calls[k]) for k in range(len(calls)))
+
+    def test_flat_and_nan_objectives(self):
+        fns = [lambda t: 1.0, lambda t: math.nan, lambda t: 0.0 if t < 0.3 else math.nan]
+        brackets = [(0.0, 1.0), (-1.0, 2.0), (0.0, 1.0)]
+        (xs, values), visits, _ = self.run_lockstep(fns, brackets)
+        for i, (fn, (lo, hi)) in enumerate(zip(fns, brackets)):
+            (x, fx), alone = self.scalar_visits(fn, lo, hi)
+            assert xs[i] == x
+            assert values[i] == fx or (math.isnan(values[i]) and math.isnan(fx))
+            assert visits[i] == alone
+
+    def test_step_cap(self):
+        # a negative tolerance never stops a search, so the cap ends it
+        (xs, values), visits, _ = self.run_lockstep(self.FNS[:2], self.BRACKETS[:2], -1.0)
+        for i in range(2):
+            assert len(visits[i]) == 2 + 400 + 1
+            (x, fx), alone = self.scalar_visits(self.FNS[i], *self.BRACKETS[i], -1.0)
+            assert (xs[i], values[i]) == (x, fx)
+            assert visits[i] == alone
+
+    def test_one_search_calls_are_the_scalar_loop(self):
+        for fn, (lo, hi) in zip(self.FNS, self.BRACKETS):
+            assert golden_section_max(fn, lo, hi) == scalar_golden_max(fn, lo, hi)
+            neg = scalar_golden_max(lambda t: -fn(t), lo, hi, 1e-12)
+            assert golden_section_min(fn, lo, hi, 1e-12) == (neg[0], -neg[1])
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0), (0.0, math.inf), (-1e308, 1e308)],
+    )
+    def test_bad_brackets_are_refused(self, lo, hi):
+        with pytest.raises(ValidationError, match="brackets must be finite"):
+            golden_section_max(lambda t: t, lo, hi)
+        with pytest.raises(ValidationError, match="brackets must be finite"):
+            golden_sections_max(lambda live, xs: xs, [0.0, lo], [1.0, hi])
+
+    def test_no_searches(self):
+        assert golden_sections_max(lambda live, xs: [], [], []) == ([], [])

@@ -788,6 +788,36 @@ class TestOverflowingFrames:
             single, stack = build(0.7), build([0.3, 0.7])
             assert single.matrix.tobytes() == stack.matrix[1].tobytes()
 
+    def test_metric_check_past_float_range(self):
+        # cosh 400 is a float, but the metric check squares it: inf <= 1e-10
+        # inf would pass, so the overflow is refused (RuntimeWarnings are
+        # errors in this suite, so none may be printed on the way)
+        for build in (
+            lambda: MomentTransform.bogoliubov(2, 1, 400.0),
+            lambda: MomentTransform.two_mode_bogoliubov(3, 1, 2, [0.5, 400.0]),
+        ):
+            with pytest.raises(NumericsError, match="up to 2.61e\\+173 overflow the commutator"):
+                build()
+        # each factor passes at xi = 354, their product (xi = 708) does not
+        half = MomentTransform.bogoliubov(1, 0, 354.0)
+        with pytest.raises(NumericsError, match="overflow the commutator metric check"):
+            half.compose(half)
+
+    def test_non_finite_entries_are_refused(self):
+        for bad in (math.inf, math.nan):
+            m = np.eye(2, dtype=complex)
+            m[0, 0] = bad
+            with pytest.raises(ValidationError, match="entries must be finite"):
+                MomentTransform(m)
+
+    def test_frame_drift_past_float_range(self):
+        t = MomentTransform.two_mode_bogoliubov(2, 0, 1, 5.0)
+        huge = NetworkSpec(2, [BathSpec(1.0)] * 2, [beam_splitter(1e306, 0, 1)])
+        with pytest.raises(NumericsError, match="T A T\\^-1 overflows"):
+            t.apply_to_state_space(build_state_space(huge))
+        with pytest.raises(NumericsError, match="T A T\\^-1 overflows"):
+            t.apply_to_state_space(build_state_spaces([bs_pair(), huge]))
+
 
 class TestStateSpaceMembers:
     def test_members_are_the_one_drift_state_spaces(self):

@@ -39,7 +39,9 @@ from bosonet.scenarios import (
     fig2_point,
     fig2_rows,
     fig3_rows,
+    OptimalCoupling,
     optimal_coupling,
+    optimal_couplings,
     parametric_blocks,
     parametric_bound,
     parametric_network,
@@ -867,9 +869,12 @@ class TestThreeModeBatches:
         for xi in (0.0, 0.5):
             builds.clear()
             optimal_coupling(1.0, 1.0, 0.01, xi)
-            # one for the golden section's evaluations, one inside the
-            # three_mode_budget call at the formula coupling
-            assert builds == [xi, [xi]]
+            # one stack serves the golden section's evaluations and the
+            # formula coupling
+            assert builds == [[xi]]
+        builds.clear()
+        optimal_couplings([(1.0, 1.0, 0.01, 0.0), (3.0, 1.0, 0.03, 0.5)])
+        assert builds == [[0.0, 0.5]]
 
     def test_coupling_search_validates_xi_first(self):
         with pytest.raises(ValidationError, match="xi must be nonnegative"):
@@ -913,3 +918,82 @@ class TestOverflow:
         p = ParametricParams(g_plus=0.0, g_minus=1.0, gamma1=4.0, gamma2=1.0, eta1=5.0)
         with pytest.raises(StabilityError, match="reaches the stability"):
             parametric_bound(p)
+
+    def test_boundary_line_past_exp_range(self):
+        # e^(2 xi) overflows above xi of about 354.9; e^(-2 xi) only underflows
+        assert boundary_line(0.5, 354.0).n_o_intercept < math.inf
+        with pytest.raises(NumericsError, match="xi = 400 overflows the n_o intercept"):
+            boundary_line(0.5, 400.0)
+        budget = three_mode_budget(THREE_MODE)
+        with pytest.raises(NumericsError, match="xi = 400 overflows"):
+            separability_boundary(replace(THREE_MODE, xi=400.0), budget)
+
+    def test_three_mode_frame_past_metric_range(self):
+        # cosh 400 is a float, but its square in the metric check is not
+        with pytest.raises(NumericsError, match="overflow the commutator metric check"):
+            three_mode_budget(replace(THREE_MODE, xi=400.0))
+        with pytest.raises(NumericsError, match="overflow the commutator metric check"):
+            optimal_coupling(1.0, 1.0, 0.01, 400.0)
+
+
+def scalar_optimal_coupling(kappa, omega, gamma_m, xi):
+    """The per-search coupling search that optimal_couplings replaced: the
+    scalar golden-section loop over one-point frame budgets."""
+    from test_linalg import scalar_golden_max
+
+    def eta_at(g):
+        p = ThreeModeParams(g_script=g, omega=omega, kappa=kappa, gamma_m=gamma_m, xi=xi)
+        return three_mode_budget(p).eta_e
+
+    g_formula = math.sqrt(0.5 * omega * math.hypot(kappa, 2.0 * omega))
+    hi = 8.0 * max(g_formula, omega, kappa)
+    g_numeric, eta_numeric = scalar_golden_max(eta_at, 0.0, hi, rel_tol=1e-6)
+    return OptimalCoupling(g_formula, g_numeric, eta_at(g_formula), eta_numeric)
+
+
+class TestCouplingSearchLockstep:
+    """optimal_couplings runs its golden sections in lockstep."""
+
+    # the searches of verify's g_opt suite
+    G_OPT_POINTS = [
+        (kappa, 1.0, ratio * kappa, 0.0)
+        for kappa in (0.1, 0.3, 1.0, 3.0, 10.0)
+        for ratio in (1e-3, 1e-2)
+    ]
+
+    def test_lockstep_has_the_bits_of_each_search_alone(self):
+        points = self.G_OPT_POINTS + [
+            (kappa, 1.0, ratio * kappa, 0.5) for kappa in (0.3, 3.0) for ratio in (1e-3, 1e-2)
+        ]
+        assert optimal_couplings(points) == [optimal_coupling(*p) for p in points]
+
+    @pytest.mark.parametrize(
+        "point", [(1.0, 1.0, 0.01, 0.0), (1.0, 1.0, 0.01, 0.5), (0.1, 1.0, 1e-4, 0.0)]
+    )
+    def test_a_search_has_the_bits_of_the_scalar_search(self, point):
+        assert optimal_coupling(*point) == scalar_optimal_coupling(*point)
+
+    def test_first_failing_search_raises_its_own_error(self, monkeypatch):
+        real = scenarios.three_mode_physical_network
+        evaluations = {}
+
+        def failing(p):
+            count = evaluations[p.kappa] = evaluations.get(p.kappa, 0) + 1
+            # the search at kappa = 1 fails at its fifth point, the one at
+            # kappa = 3 at its first, which is in the first lockstep step
+            if (p.kappa == 1.0 and count == 5) or p.kappa == 3.0:
+                raise NumericsError(f"made to fail at kappa = {p.kappa:g}")
+            return real(p)
+
+        monkeypatch.setattr(scenarios, "three_mode_physical_network", failing)
+        points = [(0.5, 1.0, 0.01, 0.0), (1.0, 1.0, 0.01, 0.0), (3.0, 1.0, 0.03, 0.0)]
+        with pytest.raises(NumericsError, match="kappa = 1$"):
+            optimal_couplings(points)
+        assert evaluations[0.5] > 20  # the search before it ran to its end
+
+    def test_points_are_validated_in_order(self):
+        with pytest.raises(ValidationError, match="xi must be nonnegative"):
+            optimal_couplings([(1.0, 1.0, 0.01, 0.0), (1.0, 1.0, 0.01, -0.5)])
+        with pytest.raises(ValidationError, match="kappa must be positive"):
+            optimal_couplings([(0.0, 1.0, 0.01, 0.0), (1.0, 1.0, 0.01, -0.5)])
+        assert optimal_couplings([]) == []
