@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ApplicabilityError, DimensionError, NumericsError
+from .errors import ApplicabilityError, DimensionError, NumericsError, ValidationError
 from .linalg import (
     QUADRATURE_ABS_TOL,
     first_failure,
     integrate_spectrum,
+    require_abs_tol,
     require_resolved_poles,
     require_stable,
     solve_lyapunov,
@@ -125,17 +126,41 @@ def compute_budgets(ss: StateSpace) -> list[CommutatorBudget]:
     ]
 
 
+def _mirrored(m: np.ndarray) -> np.ndarray:
+    """Sigma_x conj(m) Sigma_x, with Sigma_x the swap of the a and a^dagger
+    blocks, of each doubled matrix (..., 2N, 2N)."""
+    half = m.shape[-1] // 2
+    return np.roll(m.conj(), (half, half), axis=(-2, -1))
+
+
 def budget_via_spectrum(
     ss: StateSpace, abs_tol: float = QUADRATURE_ABS_TOL
 ) -> CommutatorBudget:
-    """Frequency-domain route: integrate the resolvent over the line.
+    """Frequency-domain route: integrate the resolvent over the half-line.
 
     Computes (1/2pi) int T(w) S_j T(w)^H dw with T = (-iw - A)^{-1} D
     and S_j the channel-j signed vacuum source, for every channel in one
-    batched pass. Drift eigenvalues seed integration breakpoints so that
-    narrow resonances are not stepped over; a resonance too narrow for
-    the frequency map raises NumericsError (see require_resolved_poles).
+    batched pass. The doubled drift and input are conjugation-symmetric,
+    A = Sigma_x conj(A) Sigma_x and D = Sigma_x conj(D) Sigma_x, so the
+    kernel obeys K_j(-w) = -Sigma_x conj(K_j(w)) Sigma_x: the half-line
+    w >= 0 is integrated, at abs_tol / 2 per entry, and the result is
+    W_j = I_j - Sigma_x conj(I_j) Sigma_x, whose error per entry is the
+    sum of two such estimates (a quadrature that cannot converge raises
+    NumericsError naming abs_tol / 2). A state space that is not
+    exactly conjugation-symmetric (only a hand-made one can be) raises
+    ValidationError before any panel is evaluated. Drift eigenvalues
+    seed integration breakpoints so that narrow resonances are not
+    stepped over; a resonance too narrow for the frequency map raises
+    NumericsError (see require_resolved_poles).
     """
+    require_abs_tol(abs_tol)
+    for name, m in (("drift", ss.drift), ("input", ss.input)):
+        if not np.array_equal(m, _mirrored(m), equal_nan=True):
+            raise ValidationError(
+                f"the {name} matrix is not conjugation-symmetric "
+                "(Sigma_x conj(M) Sigma_x != M), so the spectral route cannot "
+                "mirror its half-line integral"
+            )
     n = ss.n_modes
     spectrum = require_stable(ss.drift)
     require_resolved_poles(spectrum)
@@ -156,7 +181,10 @@ def budget_via_spectrum(
         breakpoints.extend(
             [center - 3 * width, center - width, center, center + width, center + 3 * width]
         )
-    ws = integrate_spectrum(kernel, abs_tol=abs_tol, breakpoints=breakpoints)
+    half_line = integrate_spectrum(
+        kernel, abs_tol=0.5 * abs_tol, breakpoints=breakpoints
+    )
+    ws = half_line - _mirrored(half_line)
     return _budget_from_kernels(ws, ss.gammas, passive_drifts(ss))
 
 

@@ -2,7 +2,7 @@
 
 Everything operates on plain numpy arrays of dimension order ten:
 spectra for stability tests, Lyapunov solves, adaptive Gauss-Kronrod
-quadrature over the real frequency axis, and a golden-section
+quadrature over the nonnegative frequency axis, and a golden-section
 optimizer that runs bracketed searches in lockstep. The solver defaults
 are the module constants below; guards on derived quantities (imaginary
 leaks, route agreement) keep their own constants in the modules that
@@ -302,6 +302,12 @@ _G7_WEIGHTS = np.array([
 _GK_RULES = np.stack([_GK_WEIGHTS, _GK_WEIGHTS - _G7_WEIGHTS])
 
 
+def require_abs_tol(abs_tol: float) -> None:
+    """Refuse a quadrature tolerance that is not positive and finite."""
+    if not 0.0 < abs_tol < math.inf:  # NaN fails
+        raise ValidationError(f"abs_tol must be positive and finite, got {abs_tol}")
+
+
 def _omega_to_t(omega: float) -> float:
     # inverse of omega = t / (1 - t^2) on (-1, 1)
     if omega == 0.0:
@@ -372,33 +378,34 @@ def integrate_spectrum(
     abs_tol: float = QUADRATURE_ABS_TOL,
     breakpoints: Iterable[float] | None = None,
 ) -> np.ndarray:
-    """Adaptive quadrature of (1/2pi) * integral of f over the real line.
+    """Adaptive quadrature of (1/2pi) * integral of f over omega >= 0.
 
     ``f`` must accept a 1-d array of frequencies and return an array
     whose leading axis matches it; trailing axes (matrix entries) are
-    integrated entrywise. The real line is mapped to (-1, 1) through
-    omega = t/(1-t^2), so Lorentzian tails need no manual cutoff, and
-    a Gauss-Kronrod 7/15 pair is refined until the estimated absolute
+    integrated entrywise. Every frequency passed to ``f`` is positive.
+    The half-line is mapped to [0, 1) through omega = t/(1-t^2), so
+    Lorentzian tails need no manual cutoff, and a Gauss-Kronrod 7/15
+    pair is refined from 8 uniform panels until the estimated absolute
     error is at most ``abs_tol`` per entry, over at most
-    ``QUADRATURE_MAX_PANELS`` panels.
+    ``QUADRATURE_MAX_PANELS`` panels. A caller who wants the whole real
+    line integrates f(omega) + f(-omega).
 
     ``breakpoints`` (frequencies, not mapped coordinates) seed panel
-    edges near known narrow features such as resonances; without them
-    a feature much narrower than the initial uniform panels can escape
-    the error estimate entirely. ``abs_tol`` must be positive and
-    finite, and so must every breakpoint (else ValidationError, before
-    any panel is evaluated). A non-finite integrand value raises
+    edges near known narrow features such as resonances; a breakpoint
+    at a negative frequency seeds its mirror image |omega|. Without
+    them a feature much narrower than the initial uniform panels can
+    escape the error estimate entirely. ``abs_tol`` must be positive
+    and finite, and so must every breakpoint (else ValidationError,
+    before any panel is evaluated). A non-finite integrand value raises
     NumericsError at the first panel batch that holds one.
     """
-    if not 0.0 < abs_tol < math.inf:  # NaN fails
-        raise ValidationError(f"abs_tol must be positive and finite, got {abs_tol}")
-    edges = set(np.linspace(-1.0, 1.0, 17))
+    require_abs_tol(abs_tol)
+    edges = set(np.linspace(0.0, 1.0, 9))
     if breakpoints is not None:
         for omega in map(float, breakpoints):
             if not math.isfinite(omega):
                 raise ValidationError(f"breakpoints must be finite, got {omega}")
-            t = _omega_to_t(omega)
-            edges.add(min(max(t, -1.0 + 1e-12), 1.0 - 1e-12))
+            edges.add(min(_omega_to_t(abs(omega)), 1.0 - 1e-12))
     grid = np.array(sorted(edges))
     keep = np.diff(grid) > 1e-15
     lo, hi = grid[:-1][keep], grid[1:][keep]

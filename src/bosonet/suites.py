@@ -15,10 +15,12 @@ determinism) ignore the override.
 Suites draw all of their cases first, in the order of a per-draw loop,
 and then evaluate the draws in batches, one stack per mode count (see
 _batched); every per-draw check still runs on every draw, in draw
-order. boundary_flip draws as it goes (its rejection step needs each
-line before the next draw), and the route quadrature is adaptive per
-draw, so those two stay per draw; the g_opt searches run in lockstep
-(optimal_couplings).
+order. sum_rules checks each group's stacked budget in one
+verify_sum_rules call. route_agreement solves its time-domain budgets
+as such stacks, but its quadrature is adaptive per draw, so it runs
+one draw at a time; boundary_flip draws as it goes (its rejection step
+needs each line before the next draw), so it stays per draw. The g_opt
+searches run in lockstep (optimal_couplings).
 """
 
 from __future__ import annotations
@@ -184,6 +186,18 @@ def _budgets(specs: list[NetworkSpec]) -> list:
     return list(zip(ss.members(), compute_budgets(ss)))
 
 
+def _sum_rule_checks(specs: list[NetworkSpec]) -> list:
+    """(realizability report, sum-rule report) of each network of one mode
+    count, from one stacked build, one stacked budget solve and one
+    stacked sum-rule check."""
+    ss = build_state_spaces(specs)
+    reports = verify_sum_rules(compute_budget(ss))
+    return [
+        (check_physical_realizability(member), rules)
+        for member, rules in zip(ss.members(), reports)
+    ]
+
+
 def suite_sum_rules(rng: np.random.Generator, tol: float | None = None) -> SuiteResult:
     """Completeness and damping sum rules on random passive networks."""
     tol = 1e-9 if tol is None else tol
@@ -192,11 +206,9 @@ def suite_sum_rules(rng: np.random.Generator, tol: float | None = None) -> Suite
     min_eig = math.inf
     pr_passed = True
     specs = [random_network(rng) for _ in range(count)]
-    for _, (ss, budget) in _batched(specs, _budgets):
-        pr = check_physical_realizability(ss)
+    for _, (pr, rules) in _batched(specs, _sum_rule_checks):
         max_pr = max(max_pr, pr.residual)
         pr_passed = pr_passed and pr.passed
-        rules = verify_sum_rules(budget)
         max_completeness = max(max_completeness, rules.completeness_residual)
         max_gamma = max(max_gamma, max(rules.gamma_rule_residuals))
         min_eig = min(min_eig, min(rules.positivity_min_eigs))
@@ -222,17 +234,16 @@ def suite_sum_rules(rng: np.random.Generator, tol: float | None = None) -> Suite
 def suite_route_agreement(
     rng: np.random.Generator, tol: float | None = None
 ) -> SuiteResult:
-    """Time-domain vs frequency-domain budgets, every third draw active."""
+    """Time-domain vs frequency-domain budgets, every third draw active.
+    The time-domain budgets are one stacked solve per mode count; the
+    quadrature is adaptive, so it runs per draw."""
     tol = 1e-6 if tol is None else tol
     count = 100
     worst = 0.0
     active = 0
-    for k in range(count):
-        nonpassive = k % 3 == 2
-        spec = random_network(rng, nonpassive=nonpassive)
-        ss = build_state_space(spec)
+    specs = [random_network(rng, nonpassive=k % 3 == 2) for k in range(count)]
+    for _, (ss, direct) in _batched(specs, _budgets):
         active += 0 if passive_state_space(ss) else 1
-        direct = compute_budget(ss)
         spectral = budget_via_spectrum(ss, abs_tol=1e-7)
         worst = max(
             worst, float(np.abs(direct.per_channel_w - spectral.per_channel_w).max())

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 import textwrap
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from bosonet import budget as budget_module
+from bosonet import linalg
 from bosonet.budget import (
     budget_report,
     budget_via_spectrum,
@@ -21,6 +23,7 @@ from bosonet.budget import (
 )
 from bosonet.errors import (
     ApplicabilityError,
+    BosonetError,
     NumericsError,
     StabilityError,
     ValidationError,
@@ -34,6 +37,7 @@ from bosonet.network import (
     build_state_spaces,
     detuning,
     metric,
+    StateSpace,
     two_mode_squeeze,
 )
 from bosonet.suites import random_network
@@ -322,6 +326,192 @@ class TestSpectralRoute:
             tracemalloc.stop()
         kernel_bytes = sum(evals) * n * (2 * n) ** 2 * 16
         assert peak < 2 * kernel_bytes
+
+
+def swap_blocks(n_modes):
+    """Sigma_x, the permutation that swaps the a and a^dagger blocks."""
+    eye = np.eye(n_modes)
+    zero = np.zeros((n_modes, n_modes))
+    return np.block([[zero, eye], [eye, zero]])
+
+
+def capture_integrand(monkeypatch):
+    """Record every integrand budget_via_spectrum hands the quadrature,
+    with its options, and every frequency the quadrature passes it."""
+    seen = {"integrands": [], "nodes": []}
+
+    def capture(f, **options):
+        seen["integrands"].append((f, options))
+
+        def recorded(w):
+            seen["nodes"].append(w.copy())
+            return f(w)
+
+        return integrate_spectrum(recorded, **options)
+
+    monkeypatch.setattr(budget_module, "integrate_spectrum", capture)
+    return seen
+
+
+class TestHalfLineRoute:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_kernel_mirror_identity(self, seed, monkeypatch):
+        # K_j(-w) = -Sigma_x conj(K_j(w)) Sigma_x on non-passive draws
+        spec = random_network(np.random.default_rng(seed), nonpassive=True)
+        ss = build_state_space(spec)
+        seen = capture_integrand(monkeypatch)
+        budget_via_spectrum(ss)
+        kernel = seen["integrands"][0][0]
+        sx = swap_blocks(ss.n_modes)
+        omegas = np.array([1e-3, 0.05, 0.7, 3.0, 12.0, 400.0])
+        positive, negative = kernel(omegas), kernel(-omegas)
+        mirrored = -(sx @ positive.conj() @ sx)
+        scale = np.abs(positive).max(axis=(1, 2, 3))
+        assert np.all(
+            np.abs(negative - mirrored).max(axis=(1, 2, 3)) <= 1e-14 * scale
+        )
+
+    @pytest.mark.parametrize(
+        "ss", [five_mode_draw(), squeezer_pair(1.0, 0.5)], ids=["draw", "pair"]
+    )
+    def test_every_node_is_positive(self, ss, monkeypatch):
+        seen = capture_integrand(monkeypatch)
+        budget_via_spectrum(ss)
+        assert seen["nodes"]
+        assert min(float(w.min()) for w in seen["nodes"]) > 0.0
+
+    def test_half_line_is_integrated_at_half_the_tolerance(self, monkeypatch):
+        seen = capture_integrand(monkeypatch)
+        budget_via_spectrum(exchange_pair(0.7, 2.0, 0.3), abs_tol=1e-7)
+        assert seen["integrands"][0][1]["abs_tol"] == 0.5e-7
+
+    @pytest.mark.parametrize("which", ["drift", "input"])
+    def test_non_symmetric_state_space_is_refused_before_any_panel(
+        self, which, monkeypatch
+    ):
+        ss = squeezer_pair(1.0, 0.5)
+        drift, inp = ss.drift.copy(), ss.input.copy()
+        if which == "drift":
+            drift[0, 1] += 1e-3  # its mirror entry conj(drift[2, 3]) is unchanged
+        else:
+            inp[2, 2] *= 1.5  # the a^dagger rate of mode 0 differs from its a rate
+        seen = capture_integrand(monkeypatch)
+        broken = StateSpace(drift=drift, input=inp, n_modes=2)
+        with pytest.raises(ValidationError, match=f"{which} matrix is not conjugation"):
+            budget_via_spectrum(broken)
+        assert seen["integrands"] == []
+
+
+def two_sided_integrate(f, abs_tol, breakpoints):
+    """The whole-line quadrature that the half-line one replaced, kept
+    here as the reference: 16 initial panels on (-1, 1), unfolded
+    breakpoints, the same panels, refinement rule and panel cap."""
+    edges = set(np.linspace(-1.0, 1.0, 17))
+    for omega in map(float, breakpoints):
+        t = linalg._omega_to_t(omega)
+        edges.add(min(max(t, -1.0 + 1e-12), 1.0 - 1e-12))
+    grid = np.array(sorted(edges))
+    keep = np.diff(grid) > 1e-15
+    lo, hi = grid[:-1][keep], grid[1:][keep]
+    vals, errs = linalg._gk_panels(f, lo, hi)
+    raw_tol = abs_tol * 2.0 * math.pi
+    while True:
+        total_err = float(np.max(sum(errs)))
+        if total_err <= raw_tol:
+            break
+        worst = errs.reshape(len(lo), -1).max(axis=1)
+        split = worst > raw_tol / (2.0 * len(lo))
+        if not split.any():
+            split[np.argmax(worst)] = True
+        if len(lo) + int(split.sum()) > linalg.QUADRATURE_MAX_PANELS:
+            raise NumericsError("quadrature did not converge")
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.stack([lo[split], mid], axis=1).reshape(-1)
+        new_hi = np.stack([mid, hi[split]], axis=1).reshape(-1)
+        new_vals, new_errs = linalg._gk_panels(f, new_lo, new_hi)
+        lo = np.concatenate([lo[~split], new_lo])
+        hi = np.concatenate([hi[~split], new_hi])
+        vals = np.concatenate([vals[~split], new_vals])
+        errs = np.concatenate([errs[~split], new_errs])
+    return sum(vals) / (2.0 * math.pi)
+
+
+def route_errors(ss, abs_tol, monkeypatch):
+    """The entrywise error against compute_budget of the half-line route
+    and of the two-sided reference (on the same kernel and breakpoints),
+    or the error each raised."""
+    seen = capture_integrand(monkeypatch)
+    direct = compute_budget(ss).per_channel_w
+
+    def error(route):
+        try:
+            return float(np.abs(route() - direct).max())
+        except BosonetError as exc:
+            return exc
+
+    one = error(lambda: budget_via_spectrum(ss, abs_tol).per_channel_w)
+    if not seen["integrands"]:
+        return one, one  # refused before the quadrature, as the reference is
+    kernel, options = seen["integrands"][0]
+    two = error(lambda: two_sided_integrate(kernel, abs_tol, options["breakpoints"]))
+    return one, two
+
+
+def lorentzian(gamma, detuned):
+    couplings = [detuning(detuned, 0)] if detuned else []
+    return build_state_space(NetworkSpec(1, [BathSpec(gamma)], couplings))
+
+
+def frame_state_space(gamma_m):
+    from bosonet.scenarios import (
+        ThreeModeParams,
+        three_mode_physical_network,
+        three_mode_transform,
+    )
+
+    p = ThreeModeParams(g_script=1.0, omega=1.0, kappa=1.0, gamma_m=gamma_m, xi=0.5)
+    physical = build_state_space(three_mode_physical_network(p))
+    return three_mode_transform(p.xi).apply_to_state_space(physical)
+
+
+# the centres of three of the 8 initial panels in t, and detunings off them
+PANEL_CENTRES = [t / (1.0 - t * t) for t in (1 / 16, 7 / 16, 15 / 16)]
+STRESS = {
+    **{
+        f"lorentzian-{gamma:g}-{detuned:.4g}": (lorentzian, gamma, detuned)
+        for gamma in (1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
+        for detuned in [0.0, 0.07, 3.3, 123.4] + PANEL_CENTRES
+    },
+    "exceptional-point": (exchange_pair, 0.25, 2.0, 1.0),
+    "frame-1e-6": (frame_state_space, 1e-6),
+    "frame-1e-8": (frame_state_space, 1e-8),
+}
+
+
+# Poles 1.8e5 and 7.1e5 float spacings wide in t, where the two-sided
+# route was within abs_tol 1e-7 (errors 6.1e-8 and 6.9e-8) but the
+# half-line estimate, which must reach abs_tol / 2, hits the panel cap.
+NEW_REFUSALS = {"lorentzian-1e-09-3.3", "lorentzian-1e-11-0.06275"}
+
+
+@pytest.mark.parametrize("name", sorted(STRESS))
+def test_half_line_route_is_never_silently_worse(name, monkeypatch):
+    # Each route either refuses (NumericsError) or returns W. The
+    # half-line route must be within abs_tol where the two-sided one
+    # refused, and no worse than it where it returned. It refuses where
+    # the two-sided route refused or missed abs_tol, and on NEW_REFUSALS.
+    build, *args = STRESS[name]
+    abs_tol = 1e-7
+    one, two = route_errors(build(*args), abs_tol, monkeypatch)
+    if isinstance(one, BosonetError):
+        assert isinstance(one, NumericsError)
+        assert (
+            isinstance(two, BosonetError) or two > abs_tol or name in NEW_REFUSALS
+        )
+    elif isinstance(two, BosonetError):
+        assert one <= abs_tol
+    else:
+        assert one <= max(abs_tol, two + 1e-13)
 
 
 class TestSumRules:

@@ -424,27 +424,66 @@ def narrow_resonance(w):
     return 1.0 / (NARROW_H * NARROW_H + (w - 40.0) ** 2)
 
 
+def folded(f):
+    """The integrand f(omega) + f(-omega) whose half-line integral is the
+    whole-line integral of f."""
+    return lambda w: f(w) + f(-w)
+
+
 # integrands that refine past the first panel set, with their options
 REFINING = {
     "narrow_with_breakpoints": (
-        narrow_resonance,
+        folded(narrow_resonance),
         {"breakpoints": [40.0 + k * NARROW_H for k in (-3, -1, 0, 1, 3)]},
     ),
-    "narrow_without_breakpoints": (narrow_resonance, {}),
-    "matrix_with_narrow_entry": (matrix_with_narrow_entry, {}),
+    "narrow_without_breakpoints": (folded(narrow_resonance), {}),
+    "matrix_with_narrow_entry": (folded(matrix_with_narrow_entry), {}),
 }
 
 
 class TestIntegrateSpectrum:
     def test_lorentzian_normalization(self):
-        value = integrate_spectrum(lambda w: 1.0 / (0.25 + w * w))
+        value = integrate_spectrum(folded(lambda w: 1.0 / (0.25 + w * w)))
         assert abs(value - 1.0) < QUADRATURE_ABS_TOL
+
+    def test_half_line_of_a_lorentzian(self):
+        # (1/2pi) int_0^inf dw / (1/4 + w^2) = 1/2: the domain is omega >= 0
+        value = integrate_spectrum(lambda w: 1.0 / (0.25 + w * w))
+        assert abs(value - 0.5) < QUADRATURE_ABS_TOL
+
+    def test_every_node_is_positive(self):
+        nodes = []
+
+        def f(w):
+            nodes.append(w)
+            return narrow_resonance(w) + narrow_resonance(-w)
+
+        # breakpoints on both sides of zero and at zero itself
+        integrate_spectrum(f, breakpoints=[-40.0, -1e-9, 0.0, 1e-9, 40.0])
+        assert len(nodes) > 1
+        assert min(float(w.min()) for w in nodes) > 0.0
+
+    def test_breakpoints_fold_to_their_mirror_image(self):
+        def run(breakpoints):
+            evals = []
+            f = REFINING["narrow_with_breakpoints"][0]
+            value = integrate_spectrum(
+                lambda w: evals.append(w.copy()) or f(w), breakpoints=breakpoints
+            )
+            return value, evals
+
+        at = [40.0 + k * NARROW_H for k in (-3, -1, 0, 1, 3)]
+        value, evals = run(at)
+        mirror_value, mirror_evals = run([-omega for omega in at])
+        assert mirror_value == value
+        assert len(mirror_evals) == len(evals)
+        assert all(np.array_equal(a, b) for a, b in zip(evals, mirror_evals))
 
     def test_zero_integrand(self):
         assert integrate_spectrum(lambda w: np.zeros_like(w)) == 0.0
 
     def test_matrix_valued_entrywise(self):
-        value = integrate_spectrum(two_lorentzians)
+        value = integrate_spectrum(folded(two_lorentzians))
         assert abs(value[0, 0] - 1.0) < 1e-8
         assert abs(value[1, 1] - 0.25) < 1e-8
         assert abs(value[0, 1]) < 1e-12

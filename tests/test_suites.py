@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from bosonet import budget as budget_module
 from bosonet import suites
 from bosonet.budget import (
+    budget_via_spectrum,
     compute_budget,
     two_mode_ix_bound,
     verify_reciprocity,
@@ -40,6 +42,7 @@ from bosonet.suites import (
     suite_duan_routes,
     suite_ix_bound,
     suite_reciprocity,
+    suite_route_agreement,
     suite_steady_physics,
     suite_sum_rules,
 )
@@ -203,6 +206,41 @@ def test_batched_suite_has_the_bits_of_the_per_draw_loop(suite, per_draw, seed):
     assert repr(stats) == repr(expected)
 
 
+def per_draw_route_agreement(rng):
+    worst = 0.0
+    active = 0
+    for k in range(100):
+        ss = build_state_space(suites.random_network(rng, nonpassive=k % 3 == 2))
+        active += 0 if passive_state_space(ss) else 1
+        direct = compute_budget(ss)
+        spectral = budget_via_spectrum(ss, abs_tol=1e-7)
+        worst = max(
+            worst, float(np.abs(direct.per_channel_w - spectral.per_channel_w).max())
+        )
+    return {"count": 100, "nonpassive_count": active, "max_entry_diff": worst}
+
+
+def test_route_agreement_has_the_bits_of_the_per_draw_loop():
+    # the quadrature dominates this suite, so one seed, not three
+    stats = suite_route_agreement(suite_rng(suite_route_agreement)).stats
+    expected = per_draw_route_agreement(suite_rng(suite_route_agreement))
+    assert repr(stats) == repr(expected)
+
+
+def test_route_agreement_integrates_one_half_line(monkeypatch):
+    # the two-sided plan took 54,915 kernel frequencies at the default
+    # seed, the half-line plan 27,825
+    nodes = []
+    real = budget_module.integrate_spectrum
+
+    def counting(f, **options):
+        return real(lambda w: nodes.append(w.size) or f(w), **options)
+
+    monkeypatch.setattr(budget_module, "integrate_spectrum", counting)
+    suite_route_agreement(suite_rng(suite_route_agreement))
+    assert sum(nodes) <= 28_000
+
+
 def unstable(n_modes, amplitude):
     # a parametric drive well above the damping: eigenvalue -1/2 + 2|amplitude|
     return NetworkSpec(
@@ -212,7 +250,11 @@ def unstable(n_modes, amplitude):
 
 @pytest.mark.parametrize(
     "suite, per_draw",
-    [(suite_sum_rules, per_draw_sum_rules), (suite_steady_physics, per_draw_steady_physics)],
+    [
+        (suite_sum_rules, per_draw_sum_rules),
+        (suite_route_agreement, per_draw_route_agreement),
+        (suite_steady_physics, per_draw_steady_physics),
+    ],
     ids=lambda x: x.__name__,
 )
 def test_failing_draw_raises_as_in_the_per_draw_loop(monkeypatch, suite, per_draw):
