@@ -21,7 +21,6 @@ from .linalg import (
     first_failure,
     integrate_spectrum,
     require_abs_tol,
-    require_resolved_poles,
     require_stable,
     solve_lyapunov,
 )
@@ -148,10 +147,10 @@ def budget_via_spectrum(
     sum of two such estimates (a quadrature that cannot converge raises
     NumericsError naming abs_tol / 2). A state space that is not
     exactly conjugation-symmetric (only a hand-made one can be) raises
-    ValidationError before any panel is evaluated. Drift eigenvalues
-    seed integration breakpoints so that narrow resonances are not
-    stepped over; a resonance too narrow for the frequency map raises
-    NumericsError (see require_resolved_poles).
+    ValidationError before any panel is evaluated. The drift eigenvalues
+    are the kernel's poles, so they grade the starting panels and narrow
+    resonances are not stepped over; a resonance too narrow for the
+    frequency map raises NumericsError (see integrate_spectrum).
     """
     require_abs_tol(abs_tol)
     for name, m in (("drift", ss.drift), ("input", ss.input)):
@@ -163,7 +162,6 @@ def budget_via_spectrum(
             )
     n = ss.n_modes
     spectrum = require_stable(ss.drift)
-    require_resolved_poles(spectrum)
     eye = np.eye(2 * n, dtype=complex)
 
     def kernel(omegas: np.ndarray) -> np.ndarray:
@@ -174,16 +172,7 @@ def budget_via_spectrum(
         x = t.reshape(len(omegas), 2 * n, 2, n).transpose(0, 3, 1, 2)
         return (x * [1.0, -1.0]) @ x.conj().swapaxes(-2, -1)
 
-    breakpoints = []
-    for lam in spectrum:
-        center = -lam.imag
-        width = max(abs(lam.real), 1e-6)
-        breakpoints.extend(
-            [center - 3 * width, center - width, center, center + width, center + 3 * width]
-        )
-    half_line = integrate_spectrum(
-        kernel, abs_tol=0.5 * abs_tol, breakpoints=breakpoints
-    )
+    half_line = integrate_spectrum(kernel, abs_tol=0.5 * abs_tol, poles=spectrum)
     ws = half_line - _mirrored(half_line)
     return _budget_from_kernels(ws, ss.gammas, passive_drifts(ss))
 

@@ -248,12 +248,14 @@ class TestSpectralRoute:
     @pytest.mark.parametrize(
         "gamma, detuned", [(1e-12, -123.4), (1e-12, 1000.0), (1e-10, 1000.0)]
     )
-    def test_unresolvable_resonance_is_refused(self, gamma, detuned):
+    def test_unresolvable_resonance_is_refused(self, gamma, detuned, monkeypatch):
         # the exact W00 is 1; the quadrature used to return 0.27, 0.029 and
         # 1.51 here with no error, its panel around the pole one ulp wide
         ss = build_state_space(NetworkSpec(1, [BathSpec(gamma)], [detuning(detuned, 0)]))
+        seen = capture_integrand(monkeypatch)
         with pytest.raises(NumericsError, match="narrower than the frequency map"):
             budget_via_spectrum(ss)
+        assert seen["nodes"] == []  # refused before any panel
 
     @pytest.mark.parametrize("gamma, detuned", [(1e-12, 0.0), (1e-6, 5.0), (1e-4, 31.0)])
     def test_resolvable_narrow_resonance_converges(self, gamma, detuned):
@@ -380,6 +382,15 @@ class TestHalfLineRoute:
         assert seen["nodes"]
         assert min(float(w.min()) for w in seen["nodes"]) > 0.0
 
+    def test_drift_spectrum_is_passed_as_the_poles(self, monkeypatch):
+        ss = five_mode_draw()
+        seen = capture_integrand(monkeypatch)
+        budget_via_spectrum(ss)
+        poles = seen["integrands"][0][1]["poles"]
+        assert np.array_equal(
+            np.sort_complex(poles), np.sort_complex(np.linalg.eigvals(ss.drift))
+        )
+
     def test_half_line_is_integrated_at_half_the_tolerance(self, monkeypatch):
         seen = capture_integrand(monkeypatch)
         budget_via_spectrum(exchange_pair(0.7, 2.0, 0.3), abs_tol=1e-7)
@@ -402,14 +413,19 @@ class TestHalfLineRoute:
         assert seen["integrands"] == []
 
 
-def two_sided_integrate(f, abs_tol, breakpoints):
-    """The whole-line quadrature that the half-line one replaced, kept
-    here as the reference: 16 initial panels on (-1, 1), unfolded
-    breakpoints, the same panels, refinement rule and panel cap."""
-    edges = set(np.linspace(-1.0, 1.0, 17))
-    for omega in map(float, breakpoints):
-        t = linalg._omega_to_t(omega)
-        edges.add(min(max(t, -1.0 + 1e-12), 1.0 - 1e-12))
+def five_edge_integrate(f, abs_tol, spectrum):
+    """The half-line quadrature that the pole-graded plan replaced, kept
+    here as the reference: 8 uniform panels in t plus edges at the
+    centre, +-width and +-3 width of every eigenvalue (folded to
+    |omega|), the same panels, refinement rule and panel cap, after the
+    same up-front refusal of unresolvable poles."""
+    linalg.require_resolved_poles(spectrum)
+    edges = set(np.linspace(0.0, 1.0, 9))
+    for lam in spectrum:
+        center, width = -lam.imag, max(abs(lam.real), 1e-6)
+        for k in (-3, -1, 0, 1, 3):
+            t = linalg._omega_to_t(abs(center + k * width))
+            edges.add(min(t, 1.0 - 1e-12))
     grid = np.array(sorted(edges))
     keep = np.diff(grid) > 1e-15
     lo, hi = grid[:-1][keep], grid[1:][keep]
@@ -437,9 +453,9 @@ def two_sided_integrate(f, abs_tol, breakpoints):
 
 
 def route_errors(ss, abs_tol, monkeypatch):
-    """The entrywise error against compute_budget of the half-line route
-    and of the two-sided reference (on the same kernel and breakpoints),
-    or the error each raised."""
+    """The entrywise error against compute_budget of the pole-graded
+    route and of the five-edge reference (on the same kernel, at the
+    same abs_tol / 2 per half-line entry), or the error each raised."""
     seen = capture_integrand(monkeypatch)
     direct = compute_budget(ss).per_channel_w
 
@@ -449,12 +465,15 @@ def route_errors(ss, abs_tol, monkeypatch):
         except BosonetError as exc:
             return exc
 
+    def reference():
+        kernel, options = seen["integrands"][0]
+        half = five_edge_integrate(kernel, options["abs_tol"], options["poles"])
+        return half - budget_module._mirrored(half)
+
     one = error(lambda: budget_via_spectrum(ss, abs_tol).per_channel_w)
     if not seen["integrands"]:
         return one, one  # refused before the quadrature, as the reference is
-    kernel, options = seen["integrands"][0]
-    two = error(lambda: two_sided_integrate(kernel, abs_tol, options["breakpoints"]))
-    return one, two
+    return one, error(reference)
 
 
 def lorentzian(gamma, detuned):
@@ -482,36 +501,36 @@ STRESS = {
         for gamma in (1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
         for detuned in [0.0, 0.07, 3.3, 123.4] + PANEL_CENTRES
     },
+    # narrow off-centre poles: the five-edge plan missed abs_tol with no
+    # error at 3000 (by 5.1e-7) and 1388 (1.0e-6), the two-sided one at
+    # 700 (2.9e-7); "lorentzian-1e-12-0" above was also missed (1.04e-7)
+    **{
+        f"lorentzian-{gamma:g}-{detuned:.4g}": (lorentzian, gamma, detuned)
+        for gamma, detuned in (
+            (1e-5, 700.0), (3.2e-4, 3000.0), (2.6e-5, 1388.0), (1e-9, -2.047)
+        )
+    },
     "exceptional-point": (exchange_pair, 0.25, 2.0, 1.0),
+    "frame-1e-4": (frame_state_space, 1e-4),
     "frame-1e-6": (frame_state_space, 1e-6),
     "frame-1e-8": (frame_state_space, 1e-8),
 }
 
 
-# Poles 1.8e5 and 7.1e5 float spacings wide in t, where the two-sided
-# route was within abs_tol 1e-7 (errors 6.1e-8 and 6.9e-8) but the
-# half-line estimate, which must reach abs_tol / 2, hits the panel cap.
-NEW_REFUSALS = {"lorentzian-1e-09-3.3", "lorentzian-1e-11-0.06275"}
-
-
 @pytest.mark.parametrize("name", sorted(STRESS))
-def test_half_line_route_is_never_silently_worse(name, monkeypatch):
+def test_pole_graded_route_is_never_silently_worse(name, monkeypatch):
     # Each route either refuses (NumericsError) or returns W. The
-    # half-line route must be within abs_tol where the two-sided one
-    # refused, and no worse than it where it returned. It refuses where
-    # the two-sided route refused or missed abs_tol, and on NEW_REFUSALS.
+    # pole-graded route must be within abs_tol whenever it returns, and
+    # may refuse only where the five-edge reference refused or missed
+    # abs_tol.
     build, *args = STRESS[name]
     abs_tol = 1e-7
     one, two = route_errors(build(*args), abs_tol, monkeypatch)
     if isinstance(one, BosonetError):
         assert isinstance(one, NumericsError)
-        assert (
-            isinstance(two, BosonetError) or two > abs_tol or name in NEW_REFUSALS
-        )
-    elif isinstance(two, BosonetError):
-        assert one <= abs_tol
+        assert isinstance(two, BosonetError) or two > abs_tol
     else:
-        assert one <= max(abs_tol, two + 1e-13)
+        assert one <= abs_tol
 
 
 class TestSumRules:

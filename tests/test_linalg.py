@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -430,13 +431,14 @@ def folded(f):
     return lambda w: f(w) + f(-w)
 
 
+# the eigenvalue whose resonance narrow_resonance carries: peak at
+# omega = -Im lambda = 40, half-width |Re lambda| = NARROW_H
+NARROW_POLE = complex(-NARROW_H, -40.0)
+
 # integrands that refine past the first panel set, with their options
 REFINING = {
-    "narrow_with_breakpoints": (
-        folded(narrow_resonance),
-        {"breakpoints": [40.0 + k * NARROW_H for k in (-3, -1, 0, 1, 3)]},
-    ),
-    "narrow_without_breakpoints": (folded(narrow_resonance), {}),
+    "narrow_with_pole": (folded(narrow_resonance), {"poles": [NARROW_POLE]}),
+    "narrow_without_poles": (folded(narrow_resonance), {}),
     "matrix_with_narrow_entry": (folded(matrix_with_narrow_entry), {}),
 }
 
@@ -458,26 +460,11 @@ class TestIntegrateSpectrum:
             nodes.append(w)
             return narrow_resonance(w) + narrow_resonance(-w)
 
-        # breakpoints on both sides of zero and at zero itself
-        integrate_spectrum(f, breakpoints=[-40.0, -1e-9, 0.0, 1e-9, 40.0])
+        # poles on both sides of zero and at zero itself
+        poles = [NARROW_POLE, NARROW_POLE.conjugate(), -1e-9, complex(-0.5, 1e-9)]
+        integrate_spectrum(f, poles=poles)
         assert len(nodes) > 1
         assert min(float(w.min()) for w in nodes) > 0.0
-
-    def test_breakpoints_fold_to_their_mirror_image(self):
-        def run(breakpoints):
-            evals = []
-            f = REFINING["narrow_with_breakpoints"][0]
-            value = integrate_spectrum(
-                lambda w: evals.append(w.copy()) or f(w), breakpoints=breakpoints
-            )
-            return value, evals
-
-        at = [40.0 + k * NARROW_H for k in (-3, -1, 0, 1, 3)]
-        value, evals = run(at)
-        mirror_value, mirror_evals = run([-omega for omega in at])
-        assert mirror_value == value
-        assert len(mirror_evals) == len(evals)
-        assert all(np.array_equal(a, b) for a, b in zip(evals, mirror_evals))
 
     def test_zero_integrand(self):
         assert integrate_spectrum(lambda w: np.zeros_like(w)) == 0.0
@@ -488,9 +475,9 @@ class TestIntegrateSpectrum:
         assert abs(value[1, 1] - 0.25) < 1e-8
         assert abs(value[0, 1]) < 1e-12
 
-    def test_narrow_displaced_resonance_with_breakpoints(self):
+    def test_narrow_displaced_resonance_with_its_pole(self):
         # half-width 0.05 centered at omega = 40; closed form 1/(2h)
-        f, options = REFINING["narrow_with_breakpoints"]
+        f, options = REFINING["narrow_with_pole"]
         value = integrate_spectrum(f, **options)
         assert abs(value - 1.0 / (2.0 * NARROW_H)) < 1e-6
 
@@ -531,16 +518,30 @@ class TestIntegrateSpectrum:
             integrate_spectrum(f, abs_tol=abs_tol)
         assert calls == []  # refused before any panel is evaluated
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_breakpoints_must_be_finite(self, bad):
+    @pytest.mark.parametrize(
+        "bad",
+        [math.nan, math.inf, -math.inf, complex(-1.0, math.inf), complex(math.nan, 3.0)],
+    )
+    def test_poles_must_be_finite(self, bad):
         calls = []
 
         def f(w):
             calls.append(w.size)
             return 1.0 / (0.25 + w * w)
 
-        with pytest.raises(ValidationError, match="breakpoints must be finite"):
-            integrate_spectrum(f, breakpoints=[0.0, bad, 1.0])
+        with pytest.raises(ValidationError, match="poles must be finite"):
+            integrate_spectrum(f, poles=[NARROW_POLE, bad, -0.5])
+        assert calls == []  # refused before any panel is evaluated
+
+    def test_unresolvable_pole_is_refused_before_any_panel(self):
+        calls = []
+
+        def f(w):
+            calls.append(w.size)
+            return 1.0 / (0.25 + w * w)
+
+        with pytest.raises(NumericsError, match="narrower than the frequency map"):
+            integrate_spectrum(f, poles=[-0.5, complex(-1e-12, -1000.0)])
         assert calls == []
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
@@ -568,6 +569,154 @@ class TestIntegrateSpectrum:
         with pytest.raises(NumericsError) as err:
             integrate_spectrum(lambda w: 1.0 / (0.25 + w * w), abs_tol=1e-15)
         assert err.value.estimate is not None
+
+
+def exact_omega(t):
+    """omega = t/(1-t^2) of a float t, as an exact rational."""
+    t = Fraction(t)
+    return t / (1 - t * t)
+
+
+def preimages_by_roots(poles):
+    """Both roots of omega0 t^2 + t - omega0 = 0 for every pole, by
+    np.roots, independently of linalg._pole_preimages."""
+    roots = []
+    for pole in poles:
+        omega = complex(-pole.imag, abs(pole.real))
+        roots.extend(np.roots([omega, 1.0, -omega]))
+    return np.array(roots)
+
+
+def bernstein_rho(points, lo, hi):
+    """The Bernstein-ellipse parameter of every point (columns) about
+    every panel (rows): rho = |u + sqrt(u^2 - 1)| on the branch >= 1."""
+    u = (points[None, :] - 0.5 * (lo + hi)[:, None]) / (0.5 * (hi - lo))[:, None]
+    s = np.sqrt(u * u - 1.0)
+    return np.maximum(np.abs(u + s), np.abs(u - s))
+
+
+def lorentzian_pair(h, c):
+    """The eigenvalues of a single mode of half-width h detuned by c."""
+    return [complex(-h, -c), complex(-h, c)]
+
+
+PLAN_POLES = {
+    "none": [],
+    "narrow-40": [NARROW_POLE],
+    "wide": lorentzian_pair(1.0, 0.3),
+    "narrow-at-zero": lorentzian_pair(1e-12, 0.0),
+    "high-700": lorentzian_pair(5e-6, 700.0),
+    "high-3000": lorentzian_pair(1.6e-4, 3000.0),
+    "two-scales": lorentzian_pair(1e-6, 5.0) + lorentzian_pair(0.7, 0.0),
+    "draw": list(
+        eigenvalues(build_state_space(random_network(np.random.default_rng(3))).drift)
+    ),
+}
+
+
+class TestPanelPlan:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("exponent", range(-12, 13))
+    def test_omega_to_t_round_trips(self, exponent, sign):
+        # the exact image of t lies within 4 float spacings of t (the map
+        # is increasing); at |omega| <= 1 the float image is within 4 ulps
+        omega = sign * 10.0**exponent
+        t = linalg._omega_to_t(omega)
+        assert abs(t) < 1.0
+        step = 4 * np.spacing(abs(t))
+        assert exact_omega(t - step) <= Fraction(omega) <= exact_omega(t + step)
+        if abs(omega) <= 1.0:
+            assert abs(t / (1.0 - t * t) - omega) <= 4 * np.spacing(abs(omega))
+
+    def test_omega_to_t_at_zero_and_below_the_old_cancellation(self):
+        assert linalg._omega_to_t(0.0) == 0.0
+        # (-1 + sqrt(1 + 4 omega^2)) / (2 omega) gave 1.11e-8 and 0.0 here
+        assert linalg._omega_to_t(1e-8) == 1e-8
+        assert linalg._omega_to_t(1e-9) == 1e-9
+
+    @pytest.mark.parametrize("name", sorted(PLAN_POLES))
+    def test_preimages_are_both_roots_of_the_map(self, name):
+        poles = np.array(PLAN_POLES[name], dtype=complex)
+        got = linalg._pole_preimages(poles)
+        ref = preimages_by_roots(poles)
+        assert got.shape == ref.shape
+        for root in ref:
+            assert np.abs(got - root).min() <= 1e-13 * max(1.0, abs(root))
+
+    def test_preimages_at_the_extremes(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = linalg._pole_preimages(np.array([complex(-1e300, -1e200)]))
+        # omega0 = 1e200 + 1e300 i: 4 omega0^2 would overflow
+        assert np.all(np.isfinite(got))
+        assert np.abs(got[0] * got[1] + 1.0) < 1e-14
+        # omega0 = i/2 is the branch point: a double root at t = i, which
+        # np.roots resolves only to about sqrt(eps)
+        assert np.array_equal(linalg._pole_preimages(np.array([-0.5 + 0j])), [1j, 1j])
+
+    @pytest.mark.parametrize("name", sorted(PLAN_POLES))
+    def test_starting_panels_tile_the_unit_interval_in_order(self, name):
+        lo, hi = linalg._panel_plan(np.array(PLAN_POLES[name], dtype=complex))
+        assert lo[0] == 0.0 and hi[-1] == 1.0
+        assert np.array_equal(hi[:-1], lo[1:])
+        assert np.all(hi > lo)
+        if name == "none":
+            assert np.array_equal(lo, np.linspace(0.0, 1.0, 9)[:-1])
+
+    @pytest.mark.parametrize("name", sorted(PLAN_POLES))
+    def test_no_panel_has_a_pole_preimage_inside_its_ellipse(self, name):
+        points = preimages_by_roots(PLAN_POLES[name])
+        lo, hi = linalg._panel_plan(np.array(PLAN_POLES[name], dtype=complex))
+        if points.size:
+            assert bernstein_rho(points, lo, hi).min() >= linalg._PLAN_RHO * (1 - 1e-12)
+        # and no panel was split without need: the parent of every split
+        # panel held a preimage inside its ellipse
+        width = hi - lo
+        split = width < 0.125
+        parent_lo = np.floor(lo[split] / (2 * width[split])) * (2 * width[split])
+        parent_hi = parent_lo + 2 * width[split]
+        if split.any():
+            rho = bernstein_rho(points, parent_lo, parent_hi)
+            assert np.all(rho.min(axis=1) < linalg._PLAN_RHO)
+
+    def test_narrow_poles_grade_the_panels_toward_them(self):
+        lo, hi = linalg._panel_plan(np.array(PLAN_POLES["high-700"]))
+        t = linalg._omega_to_t(700.0)
+        nearest = np.argmin(np.abs(0.5 * (lo + hi) - t))
+        assert hi[nearest] - lo[nearest] < 1e-9
+        assert len(lo) < 200
+
+    def test_plan_above_the_panel_cap_is_refused_before_any_panel(self, monkeypatch):
+        monkeypatch.setattr(linalg, "QUADRATURE_MAX_PANELS", 16)
+        calls = []
+
+        def f(w):
+            calls.append(w.size)
+            return narrow_resonance(w)
+
+        with pytest.raises(NumericsError, match="starting panels"):
+            integrate_spectrum(f, poles=[NARROW_POLE])
+        assert calls == []
+
+    @pytest.mark.parametrize("centre", [0.0, 0.07, 3.3, 40.0, 700.0, 3000.0])
+    @pytest.mark.parametrize("half_width", [1e-9, 1e-6, 1e-3, 1.0])
+    def test_lorentzians_are_within_tolerance_or_refused(self, half_width, centre):
+        # h/(h^2 + (omega -+ c)^2) over the half-line: exactly 1/2
+        def f(w):
+            return half_width * (
+                1.0 / (half_width**2 + (w - centre) ** 2)
+                + 1.0 / (half_width**2 + (w + centre) ** 2)
+            )
+
+        abs_tol = 1e-8
+        try:
+            value = integrate_spectrum(
+                f, abs_tol=abs_tol, poles=lorentzian_pair(half_width, centre)
+            )
+        except NumericsError:
+            assert half_width < 1e-3  # wide poles converge
+            return
+        assert abs(value - 0.5) <= abs_tol
 
 
 class TestGoldenSection:

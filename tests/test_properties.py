@@ -1,5 +1,6 @@
 """Property tests of the frame-change path, of passivity and of the
-commutator budget over random network draws."""
+commutator budget over random network draws, and of the spectral route
+over random Lorentzians."""
 
 import dataclasses
 import math
@@ -10,12 +11,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bosonet.budget import budget_via_spectrum, compute_budget, verify_sum_rules
-from bosonet.errors import FrameError
+from bosonet.errors import FrameError, NumericsError
 from bosonet.network import (
+    BathSpec,
     InputMoments,
     MomentTransform,
+    NetworkSpec,
     build_state_space,
     degenerate_parametric,
+    detuning,
     is_passive,
     passive_state_space,
 )
@@ -121,3 +125,21 @@ def test_time_and_frequency_domain_budgets_agree(seed, nonpassive):
     direct = compute_budget(ss).per_channel_w
     spectral = budget_via_spectrum(ss, abs_tol=1e-7).per_channel_w
     assert np.abs(direct - spectral).max() <= 1e-6
+
+
+@PROPERTY_SETTINGS
+@given(
+    log_gamma=st.floats(min_value=-12.0, max_value=0.0),
+    detuned=st.floats(min_value=-3000.0, max_value=3000.0),
+)
+def test_lorentzian_is_within_tolerance_or_refused(log_gamma, detuned):
+    # a single mode damped at gamma and detuned: the spectral route
+    # returns within abs_tol of the Lyapunov route or raises NumericsError
+    spec = NetworkSpec(1, [BathSpec(10.0**log_gamma)], [detuning(detuned, 0)])
+    ss = build_state_space(spec)
+    abs_tol = 1e-7
+    try:
+        spectral = budget_via_spectrum(ss, abs_tol=abs_tol).per_channel_w
+    except NumericsError:
+        return
+    assert np.abs(spectral - compute_budget(ss).per_channel_w).max() <= abs_tol

@@ -229,7 +229,7 @@ def test_route_agreement_has_the_bits_of_the_per_draw_loop():
 
 def test_route_agreement_integrates_one_half_line(monkeypatch):
     # the two-sided plan took 54,915 kernel frequencies at the default
-    # seed, the half-line plan 27,825
+    # seed, the five-edge half-line plan 27,825, the pole-graded one 12,330
     nodes = []
     real = budget_module.integrate_spectrum
 
@@ -238,7 +238,7 @@ def test_route_agreement_integrates_one_half_line(monkeypatch):
 
     monkeypatch.setattr(budget_module, "integrate_spectrum", counting)
     suite_route_agreement(suite_rng(suite_route_agreement))
-    assert sum(nodes) <= 28_000
+    assert sum(nodes) <= 13_000
 
 
 def unstable(n_modes, amplitude):
