@@ -24,7 +24,7 @@ from .linalg import (
     require_stable,
     solve_lyapunov,
 )
-from .network import StateSpace, metric, passive_drifts
+from .network import StateSpace, mirror_defect, mirrored, metric, passive_drifts
 
 _IMAG_LEAK_TOL = 1e-10
 
@@ -125,13 +125,6 @@ def compute_budgets(ss: StateSpace) -> list[CommutatorBudget]:
     ]
 
 
-def _mirrored(m: np.ndarray) -> np.ndarray:
-    """Sigma_x conj(m) Sigma_x, with Sigma_x the swap of the a and a^dagger
-    blocks, of each doubled matrix (..., 2N, 2N)."""
-    half = m.shape[-1] // 2
-    return np.roll(m.conj(), (half, half), axis=(-2, -1))
-
-
 def budget_via_spectrum(
     ss: StateSpace, abs_tol: float = QUADRATURE_ABS_TOL
 ) -> CommutatorBudget:
@@ -154,7 +147,7 @@ def budget_via_spectrum(
     """
     require_abs_tol(abs_tol)
     for name, m in (("drift", ss.drift), ("input", ss.input)):
-        if not np.array_equal(m, _mirrored(m), equal_nan=True):
+        if not np.all(mirror_defect(m) == 0):  # NaN fails
             raise ValidationError(
                 f"the {name} matrix is not conjugation-symmetric "
                 "(Sigma_x conj(M) Sigma_x != M), so the spectral route cannot "
@@ -173,7 +166,7 @@ def budget_via_spectrum(
         return (x * [1.0, -1.0]) @ x.conj().swapaxes(-2, -1)
 
     half_line = integrate_spectrum(kernel, abs_tol=0.5 * abs_tol, poles=spectrum)
-    ws = half_line - _mirrored(half_line)
+    ws = half_line - mirrored(half_line)
     return _budget_from_kernels(ws, ss.gammas, passive_drifts(ss))
 
 

@@ -298,19 +298,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _boundary_chunks(n_os: list, n_ms: list):
-    """The (n_o values, n_m values) blocks of a boundary grid in row order
-    (n_o the outer loop), at most GRID_CHUNK points each."""
-    if len(n_ms) >= GRID_CHUNK:
-        for n_o in n_os:
-            for start in range(0, len(n_ms), GRID_CHUNK):
-                yield [n_o], n_ms[start : start + GRID_CHUNK]
-    else:
-        step = GRID_CHUNK // len(n_ms)
-        for start in range(0, len(n_os), step):
-            yield n_os[start : start + step], n_ms
-
-
 def cmd_boundary(args) -> int:
     if args.g_script is not None:
         if args.g_plus is not None or args.g_minus is not None:
@@ -350,11 +337,12 @@ def cmd_boundary(args) -> int:
     line = separability_boundary(params, budget)
     # the scheme is mirror-symmetric in omega, so the search runs at |omega|
     opt = optimal_coupling(params.kappa, abs(params.omega), params.gamma_m, params.xi)
-    rows = [
-        row
-        for n_os, n_ms in _boundary_chunks(grids["n_o"], grids["n_m"])
-        for row in fig3_rows(params, budget, n_os, n_ms)
-    ]
+    # the grid in row order, n_o the outer loop
+    grid = [(n_o, n_m) for n_o in grids["n_o"] for n_m in grids["n_m"]]
+    rows = []
+    for start in range(0, len(grid), GRID_CHUNK):
+        n_os, n_ms = zip(*grid[start : start + GRID_CHUNK])
+        rows.extend(fig3_rows(params, budget, n_os, n_ms))
     payload = {
         "boundary": {
             "slope": line.slope,

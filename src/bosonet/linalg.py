@@ -556,27 +556,3 @@ def golden_sections_max(
     x = [0.5 * (p + q) for p, q in zip(a, b)]
     return x, list(fn(every, x))
 
-
-def golden_section_max(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    rel_tol: float = 1e-6,
-) -> tuple[float, float]:
-    """Bracketed golden-section maximization of a unimodal scalar function.
-
-    Returns (argmax, max value). The one-search call of
-    golden_sections_max.
-    """
-    x, fx = golden_sections_max(lambda live, xs: [fn(xs[0])], [lo], [hi], rel_tol)
-    return x[0], fx[0]
-
-
-def golden_section_min(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    rel_tol: float = 1e-6,
-) -> tuple[float, float]:
-    x, neg = golden_section_max(lambda t: -fn(t), lo, hi, rel_tol)
-    return x, -neg

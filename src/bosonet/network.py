@@ -322,6 +322,20 @@ def _doubled(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
+def mirrored(m: np.ndarray) -> np.ndarray:
+    """Sigma_x conj(m) Sigma_x, with Sigma_x the swap of the a and a^dagger
+    blocks, of each doubled matrix (..., 2N, 2N). A matrix of the doubled
+    conjugation structure (see _doubled) is its own mirror."""
+    half = m.shape[-1] // 2
+    return np.roll(m.conj(), (half, half), axis=(-2, -1))
+
+
+def mirror_defect(m: np.ndarray) -> np.ndarray:
+    """max |m - mirrored(m)| of each doubled matrix (..., 2N, 2N); NaN
+    where m has a non-finite entry."""
+    return np.abs(m - mirrored(m)).max(axis=(-2, -1), initial=0.0)
+
+
 def build_state_space(spec: NetworkSpec) -> StateSpace:
     """Assemble the Heisenberg-Langevin drift and input matrices.
 
@@ -557,10 +571,7 @@ class MomentTransform:
             raise ValidationError("transform entries must be finite")
         sig = metric(n)
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            structure = np.maximum(
-                np.abs(m[..., n:, n:] - m[..., :n, :n].conj()).max(axis=(-2, -1), initial=0.0),
-                np.abs(m[..., n:, :n] - m[..., :n, n:].conj()).max(axis=(-2, -1), initial=0.0),
-            )
+            structure = mirror_defect(m)
             residual = np.abs(m @ sig @ m.conj().swapaxes(-2, -1) - sig).max(axis=(-2, -1))
             size = np.maximum(1.0, np.abs(m).max(axis=(-2, -1))) ** 2
         if not np.all(structure <= 1e-12):

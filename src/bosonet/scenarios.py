@@ -22,8 +22,12 @@ solve per stage, and every check runs at every point; the first failing
 point raises. Each per-point function (two_mode_squeezing_power,
 parametric_variance_check, three_mode_budget, duan_quantity, fig1_point,
 fig2_point) is the one-point call of its array form, so a grid row has
-the bits of its point. optimal_couplings runs its coupling searches in
-lockstep, one stacked frame budget per golden-section step, and
+the bits of its point. three_mode_budgets returns one stacked
+ThreeModeBudget, and the Duan values of a stack of schemes or of one
+scheme's occupancy columns come from one evaluation of that record.
+fig3_rows broadcasts its occupancies as fig1_rows and fig2_rows do.
+optimal_couplings runs its coupling searches in lockstep, reading eta_e
+off one stacked frame budget per golden-section step, and
 optimal_coupling is its one-point call.
 """
 
@@ -38,11 +42,12 @@ import numpy as np
 from .errors import (
     ApplicabilityError,
     BosonetError,
+    DimensionError,
     NumericsError,
     StabilityError,
     ValidationError,
 )
-from .linalg import first_failure, golden_section_min, golden_sections_max, solve_lyapunov
+from .linalg import first_failure, golden_sections_max, solve_lyapunov
 from .network import (
     BathSpec,
     InputMoments,
@@ -149,14 +154,6 @@ class ParametricParams:
     @property
     def delta_eta(self) -> float:
         return self.eta1 - self.eta2
-
-    @property
-    def g_sum(self) -> float:
-        return self.g_minus + self.g_plus
-
-    @property
-    def g_diff(self) -> float:
-        return self.g_minus - self.g_plus
 
 
 @dataclass(frozen=True)
@@ -446,9 +443,12 @@ def parametric_optimum(gamma1: float, gamma2: float) -> ParametricOptimum:
     star = s * (r1 - r2) / (r1 + r2)
     value = 0.5 + r1 * r2 / s
     edge = s * (1.0 - 1e-9)
-    _, numeric_value = golden_section_min(
-        lambda de: _pair_bound(gamma1, gamma2, de), -edge, edge, rel_tol=1e-12
+    # the minimum is the maximum of the negated bound, from one search
+    _, (neg_value,) = golden_sections_max(
+        lambda live, des: [-_pair_bound(gamma1, gamma2, de) for de in des],
+        [-edge], [edge], rel_tol=1e-12,
     )
+    numeric_value = -neg_value
     if not abs(numeric_value - value) <= 1e-9:
         raise NumericsError(
             "numeric minimization disagrees with the closed-form optimum",
@@ -578,12 +578,14 @@ class ThreeModeBudget:
     transfer is the frame-channel transfer matrix I, ordered (cavity,
     Sigma, Delta); eta_e and mechanical are its two figures of merit
     (see three_mode_budget); physical is the physical-frame state space
-    the frame was derived from.
+    the frame was derived from. The record of P schemes
+    (three_mode_budgets) carries the leading axis: transfer (P, 3, 3),
+    eta_e and mechanical (P,), and the stacked state space.
     """
 
     transfer: np.ndarray
-    eta_e: float
-    mechanical: float
+    eta_e: float | np.ndarray
+    mechanical: float | np.ndarray
     physical: StateSpace
 
 
@@ -607,48 +609,49 @@ def three_mode_budget(p: ThreeModeParams) -> ThreeModeBudget:
 
     This is the one-point call of three_mode_budgets.
     """
-    return three_mode_budgets([p])[0]
+    stack = three_mode_budgets([p])
+    (physical,) = stack.physical.members()
+    return ThreeModeBudget(
+        transfer=stack.transfer[0],
+        eta_e=float(stack.eta_e[0]),
+        mechanical=float(stack.mechanical[0]),
+        physical=physical,
+    )
 
 
-def three_mode_budgets(ps: Sequence[ThreeModeParams]) -> list[ThreeModeBudget]:
-    """three_mode_budget at every point, as one batch.
+def three_mode_budgets(ps: Sequence[ThreeModeParams]) -> ThreeModeBudget:
+    """three_mode_budget of P schemes, as one stacked record.
 
     The physical drifts, their frames and the frame budgets are stacks,
     each solved in one call; the sum rules are checked at every point,
-    and the first failing point raises.
+    and the first failing point raises. An empty sequence raises
+    DimensionError.
     """
     if not ps:
-        return []
+        raise DimensionError("three_mode_budgets needs at least one scheme")
     return _three_mode_budgets(ps, three_mode_transform([p.xi for p in ps]))
 
 
 def _three_mode_budgets(
     ps: Sequence[ThreeModeParams], frame: MomentTransform
-) -> list[ThreeModeBudget]:
+) -> ThreeModeBudget:
     """three_mode_budgets with the frame transform of the points' xi
     given, for the coupling searches of optimal_couplings, which hold the
     transforms of their fixed xi. The sum rules of the whole stack are
     checked in one call."""
     physical = build_state_spaces([three_mode_physical_network(p) for p in ps])
     stack = compute_budget(frame.apply_to_state_space(physical))
-    results = []
-    for rules, shares, member in zip(
-        verify_sum_rules(stack), stack.transfer, physical.members()
-    ):
-        if not rules.passed:
-            worst = max(rules.completeness_residual, rules.metric_residual)
-            raise NumericsError("budget sum rules failed in the frame", estimate=worst)
-        results.append(
-            ThreeModeBudget(
-                transfer=shares,
-                eta_e=float(shares[1, 0] + shares[2, 0]),
-                mechanical=float(
-                    shares[1, 1] + shares[1, 2] + shares[2, 1] + shares[2, 2]
-                ),
-                physical=member,
-            )
-        )
-    return results
+    failed = next((rules for rules in verify_sum_rules(stack) if not rules.passed), None)
+    if failed is not None:
+        worst = max(failed.completeness_residual, failed.metric_residual)
+        raise NumericsError("budget sum rules failed in the frame", estimate=worst)
+    shares = stack.transfer
+    return ThreeModeBudget(
+        transfer=shares,
+        eta_e=shares[:, 1, 0] + shares[:, 2, 0],
+        mechanical=shares[:, 1, 1] + shares[:, 1, 2] + shares[:, 2, 1] + shares[:, 2, 2],
+        physical=physical,
+    )
 
 
 @dataclass(frozen=True)
@@ -690,29 +693,23 @@ def duan_quantities(ps: Sequence[ThreeModeParams]) -> list[DuanResult]:
     point checked against its own budget."""
     if not ps:
         return []
-    budgets = three_mode_budgets(ps)
-    physical = StateSpace(
-        drift=np.stack([b.physical.drift for b in budgets]),
-        input=np.stack([b.physical.input for b in budgets]),
-        n_modes=3,
+    return _duan(
+        three_mode_budgets(ps),
+        [p.xi for p in ps],
+        np.array([p.n_o for p in ps]),
+        np.array([p.n_m for p in ps]),
     )
-    return _duan_points(ps, budgets, physical)
 
 
-def _duan_points(
-    points: Sequence[ThreeModeParams],
-    budgets: Sequence[ThreeModeBudget],
-    physical: StateSpace,
-) -> list[DuanResult]:
-    """The Duan values of the points, point i with budget i. ``physical``
-    holds the points' drift (one for a grid of one scheme) or one drift
-    per point. Every point keeps its checks, the 1e-8 agreement of the
-    direct route with the budget included; the first failing point
-    raises."""
-    if not points:
-        return []
-    inputs = InputMoments.thermal([(q.n_o, q.n_m, q.n_m) for q in points])
-    vq = steady_covariance(physical, inputs).quadrature_matrix()
+def _duan(budget: ThreeModeBudget, xi, n_o: np.ndarray, n_m: np.ndarray) -> list[DuanResult]:
+    """The Duan values at the occupancy columns n_o and n_m (P,), which
+    are valid occupancies. ``budget`` is one scheme's, whose drift then
+    serves every point, or a stack of P, point i with member i; ``xi`` is
+    that scheme's or one per point. Every point keeps its checks, the
+    1e-8 agreement of the direct route with the budget included; the
+    first failing point raises."""
+    inputs = InputMoments.thermal(np.stack([n_o, n_m, n_m], axis=-1))
+    vq = steady_covariance(budget.physical, inputs).quadrature_matrix()
     r = 1.0 / math.sqrt(2.0)
     # quadrature ordering (X1, X2, X3, Y1, Y2, Y3)
     x_sigma = _collective_variances(vq, {1: r, 2: r})
@@ -723,12 +720,8 @@ def _duan_points(
     second = p_sigma + x_delta
     quiet = first <= second
     direct = np.where(quiet, first, second)
-    n_o = np.array([q.n_o for q in points])
-    n_m = np.array([q.n_m for q in points])
-    mechanical = np.array([b.mechanical for b in budgets])
-    eta_e = np.array([b.eta_e for b in budgets])
-    decay = np.array([math.exp(-2.0 * q.xi) for q in points])
-    budget_value = mechanical * (n_m + 0.5) + eta_e * (n_o + 0.5) * decay
+    decay = np.array([math.exp(-2.0 * x) for x in np.ravel(xi)])
+    budget_value = budget.mechanical * (n_m + 0.5) + budget.eta_e * (n_o + 0.5) * decay
     gap = np.abs(budget_value - direct)
     failed = first_failure(gap <= DUAN_AGREEMENT_TOL)
     if failed is not None:
@@ -881,7 +874,7 @@ def _coupling_searches(points) -> list[OptimalCoupling]:
         key = tuple(live)
         if key not in stacks:
             stacks[key] = MomentTransform(transforms.matrix[live])
-        return [b.eta_e for b in _three_mode_budgets(searches, stacks[key])]
+        return _three_mode_budgets(searches, stacks[key]).eta_e.tolist()
 
     g_formulas = [
         math.sqrt(0.5 * p.omega * math.hypot(p.kappa, 2.0 * p.omega)) for p in base
@@ -979,20 +972,23 @@ def fig2_rows(
     ]
 
 
-def fig3_rows(
-    p: ThreeModeParams, budget: ThreeModeBudget, n_os, n_ms
-) -> list[tuple]:
-    """Duan-plane rows over the grid n_os x n_ms, n_o the outer loop.
+def fig3_rows(p: ThreeModeParams, budget: ThreeModeBudget, n_o, n_m) -> list[tuple]:
+    """Duan-plane rows at the occupancies (n_o, n_m); each is a number or
+    a sequence, broadcast as in fig1_rows. The first negative or
+    non-finite occupancy, in row order, raises ValidationError.
 
     ``budget`` is three_mode_budget(p). Its shares and physical state
     space depend on the scheme only, never on (n_o, n_m), so they serve
     every row, and the rows are one batch: one drift with a thermal
     source per row, each row checked against the budget.
     """
-    grid = [(n_o, n_m) for n_o in n_os for n_m in n_ms]
-    points = [replace(p, n_o=n_o, n_m=n_m) for n_o, n_m in grid]
-    results = _duan_points(points, [budget] * len(points), budget.physical)
+    points = [
+        (_nonnegative("n_o", a), _nonnegative("n_m", b)) for a, b in _grid_points(n_o, n_m)
+    ]
+    if not points:
+        return []
+    n_os, n_ms = (np.array(column) for column in zip(*points))
     return [
-        (n_o, n_m, result.direct, result.budget, result.entangled)
-        for (n_o, n_m), result in zip(grid, results)
+        (a, b, result.direct, result.budget, result.entangled)
+        for (a, b), result in zip(points, _duan(budget, p.xi, n_os, n_ms))
     ]

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ApplicabilityError, DimensionError, NumericsError
 from .linalg import LYAPUNOV_RESIDUAL_TOL, first_failure, solve_lyapunov
-from .network import InputMoments, StateSpace, metric, passive_state_space
+from .network import InputMoments, StateSpace, mirror_defect, metric, passive_state_space
 from .budget import CommutatorBudget
 
 _HERMITICITY_LEAK = 1e-9
@@ -122,10 +122,8 @@ def steady_covariance(ss: StateSpace, inputs: InputMoments) -> CovarianceState:
         q = np.broadcast_to(q, ss.drift.shape)
     v = solve_lyapunov(ss.drift, q)
     n = ss.n_modes
-    # the exact V[n:] is conj V[:n] with its two column blocks swapped
-    swapped = np.concatenate((v[..., :n, n:], v[..., :n, :n]), axis=-1).conj()
     scale = np.maximum(1.0, np.abs(v).max(axis=(-2, -1)))
-    defect = np.abs(v[..., n:, :] - swapped).max(axis=(-2, -1)) / scale
+    defect = mirror_defect(v) / scale
     failed = first_failure(defect <= _STRUCTURE_LIMIT)
     if failed is not None:
         worst = float(defect.flat[failed])

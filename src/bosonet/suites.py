@@ -43,6 +43,7 @@ from .network import (
     check_physical_realizability,
     degenerate_parametric,
     detuning,
+    passive_drifts,
     passive_state_space,
     two_mode_squeeze,
 )
@@ -450,11 +451,9 @@ def suite_boundary_flip(
             0.9 * n_o * norm / max(-line.slope, 1e-12),
         )
         # rows are (n_o, n_m, direct, budget, entangled)
-        (below,) = fig3_rows(
-            params, budget, [n_o + offset * line.slope / norm], [n_m - offset / norm]
-        )
-        (above,) = fig3_rows(
-            params, budget, [n_o - offset * line.slope / norm], [n_m + offset / norm]
+        step_o, step_m = offset * line.slope / norm, offset / norm
+        below, above = fig3_rows(
+            params, budget, [n_o + step_o, n_o - step_o], [n_m - step_m, n_m + step_m]
         )
         if below[4] and not above[4]:
             flips += 1
@@ -510,7 +509,7 @@ def _steady_checks(draws: list) -> list[tuple]:
         axis=-1,
     )
     splits = [None] * len(draws)
-    passive = np.array([passive_state_space(member) for member in ss.members()])
+    passive = passive_drifts(ss)
     if passive.any():
         sub = StateSpace(drift=ss.drift[passive], input=ss.input[passive], n_modes=ss.n_modes)
         sub_inputs = InputMoments.thermal(inputs.occupancy[passive])

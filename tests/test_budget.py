@@ -37,6 +37,7 @@ from bosonet.network import (
     build_state_spaces,
     detuning,
     metric,
+    mirrored,
     StateSpace,
     two_mode_squeeze,
 )
@@ -413,6 +414,19 @@ class TestHalfLineRoute:
         assert seen["integrands"] == []
 
 
+    @pytest.mark.parametrize("which", ["drift", "input"])
+    def test_non_finite_state_space_is_refused_before_any_panel(self, which, monkeypatch):
+        ss = squeezer_pair(1.0, 0.5)
+        matrices = {"drift": ss.drift.copy(), "input": ss.input.copy()}
+        # entries that are each other's mirror images, so only NaN breaks it
+        matrices[which][0, 0] = matrices[which][2, 2] = np.nan
+        seen = capture_integrand(monkeypatch)
+        broken = StateSpace(n_modes=2, **matrices)
+        with pytest.raises(ValidationError, match=f"{which} matrix is not conjugation"):
+            budget_via_spectrum(broken)
+        assert seen["integrands"] == []
+
+
 def five_edge_integrate(f, abs_tol, spectrum):
     """The half-line quadrature that the pole-graded plan replaced, kept
     here as the reference: 8 uniform panels in t plus edges at the
@@ -468,7 +482,7 @@ def route_errors(ss, abs_tol, monkeypatch):
     def reference():
         kernel, options = seen["integrands"][0]
         half = five_edge_integrate(kernel, options["abs_tol"], options["poles"])
-        return half - budget_module._mirrored(half)
+        return half - mirrored(half)
 
     one = error(lambda: budget_via_spectrum(ss, abs_tol).per_channel_w)
     if not seen["integrands"]:

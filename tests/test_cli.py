@@ -433,19 +433,26 @@ class TestSweepBatches:
     def test_batch_size_does_not_change_boundary(self, tmp_path, monkeypatch):
         from bosonet import cli
 
-        def boundary_bytes():
+        def boundary_bytes(n_m_grid="n_m:0:0.5:4"):
             argv = [
                 "boundary", "--g-script", "0.9", "--xi", "0.4", "--grid", "n_o:0:2:5",
-                "--grid", "n_m:0:0.5:4", "--out", str(tmp_path / "b.json"),
+                "--grid", n_m_grid, "--out", str(tmp_path / "b.json"),
             ]
             assert cli.main(argv) == 0
             return (tmp_path / "b.json").read_bytes(), (tmp_path / "b.csv").read_bytes()
 
+        default = cli.GRID_CHUNK
         whole = boundary_bytes()
-        # blocks of several n_o rows, then n_m pieces of one row
+        # chunks of several n_o rows, and chunks that end inside a row
         for chunk in (9, 3):
             monkeypatch.setattr(cli, "GRID_CHUNK", chunk)
             assert boundary_bytes() == whole
+        # an n_m grid longer than the default chunk, against one chunk
+        long_grid = f"n_m:0:0.5:{default + 44}"
+        monkeypatch.setattr(cli, "GRID_CHUNK", 5 * (default + 44))
+        whole = boundary_bytes(long_grid)
+        monkeypatch.setattr(cli, "GRID_CHUNK", default)
+        assert boundary_bytes(long_grid) == whole
 
 
 class TestBoundary:
@@ -665,6 +672,16 @@ class TestBoundary:
         )
         assert proc.returncode == 3
         assert "disagree on the Duan quantity" in proc.stderr
+        assert not (tmp_path / "b.json").exists()
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_negative_occupancy_writes_nothing(self, tmp_path):
+        proc = run_cli(
+            "boundary", "--g-script", "1", "--xi", "0.5", "--grid", "n_o:-1:1:3",
+            "--grid", "n_m:0:1:2", "--out", str(tmp_path / "b.json"),
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == "error: n_o must be nonnegative, got -1.0\n"
         assert not (tmp_path / "b.json").exists()
         assert not (tmp_path / "b.csv").exists()
 

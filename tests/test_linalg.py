@@ -15,8 +15,6 @@ from bosonet.suites import random_network
 from bosonet.linalg import (
     QUADRATURE_ABS_TOL,
     eigenvalues,
-    golden_section_max,
-    golden_section_min,
     golden_sections_max,
     hermitian_defect,
     integrate_spectrum,
@@ -719,16 +717,23 @@ class TestPanelPlan:
         assert abs(value - 0.5) <= abs_tol
 
 
+def one_search(fn, lo, hi, rel_tol=1e-6):
+    """golden_sections_max with one bracket, for a scalar objective."""
+    (x,), (fx,) = golden_sections_max(lambda live, xs: [fn(xs[0])], [lo], [hi], rel_tol)
+    return x, fx
+
+
 class TestGoldenSection:
     def test_max_of_concave_quadratic(self):
-        x, fx = golden_section_max(lambda t: -(t - 1.3) ** 2 + 2.0, 0.0, 3.0)
+        x, fx = one_search(lambda t: -(t - 1.3) ** 2 + 2.0, 0.0, 3.0)
         assert abs(x - 1.3) < 1e-5
         assert abs(fx - 2.0) < 1e-10
 
     def test_min_of_convex_quadratic(self):
-        x, fx = golden_section_min(lambda t: (t + 0.4) ** 2 - 1.0, -2.0, 2.0)
+        # a minimum is the maximum of the negated function
+        x, neg = one_search(lambda t: -((t + 0.4) ** 2 - 1.0), -2.0, 2.0)
         assert abs(x + 0.4) < 1e-5
-        assert abs(fx + 1.0) < 1e-10
+        assert abs(-neg + 1.0) < 1e-10
 
 
 def scalar_golden_max(fn, lo, hi, rel_tol=1e-6):
@@ -824,9 +829,10 @@ class TestLockstepGoldenSection:
 
     def test_one_search_calls_are_the_scalar_loop(self):
         for fn, (lo, hi) in zip(self.FNS, self.BRACKETS):
-            assert golden_section_max(fn, lo, hi) == scalar_golden_max(fn, lo, hi)
+            assert one_search(fn, lo, hi) == scalar_golden_max(fn, lo, hi)
+            # the search for a minimum, as parametric_optimum runs it
             neg = scalar_golden_max(lambda t: -fn(t), lo, hi, 1e-12)
-            assert golden_section_min(fn, lo, hi, 1e-12) == (neg[0], -neg[1])
+            assert one_search(lambda t: -fn(t), lo, hi, 1e-12) == neg
 
     @pytest.mark.parametrize(
         "lo, hi",
@@ -834,7 +840,7 @@ class TestLockstepGoldenSection:
     )
     def test_bad_brackets_are_refused(self, lo, hi):
         with pytest.raises(ValidationError, match="brackets must be finite"):
-            golden_section_max(lambda t: t, lo, hi)
+            one_search(lambda t: t, lo, hi)
         with pytest.raises(ValidationError, match="brackets must be finite"):
             golden_sections_max(lambda live, xs: xs, [0.0, lo], [1.0, hi])
 

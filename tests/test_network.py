@@ -24,6 +24,8 @@ from bosonet.network import (
     hyperbolic_frame,
     is_passive,
     metric,
+    mirror_defect,
+    mirrored,
     network_from_json,
     network_to_json,
     passive_state_space,
@@ -226,6 +228,36 @@ class TestDrift:
         # the state space holds no constants: the metric comes from n_modes
         ss = build_state_space(bs_pair())
         assert [f.name for f in dataclasses.fields(ss)] == ["drift", "input", "n_modes"]
+
+
+class TestMirror:
+    def test_built_matrices_are_their_own_mirror(self):
+        ss = build_state_spaces([squeezer_pair(), squeezer_pair(0.3, 0.2, gamma2=2.0)])
+        for m in (ss.drift, ss.input):
+            assert np.array_equal(mirrored(m), m)
+            assert np.array_equal(mirror_defect(m), [0.0, 0.0])
+
+    def test_defect_is_the_largest_lower_block_mismatch(self):
+        # each lower block against the conjugate of the upper block it
+        # mirrors, the comparison the checks wrote out by hand before
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3):
+            shape = (40, 2 * n, 2 * n)
+            m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            near = mirrored(m) + m + 1e-13 * rng.normal(size=shape)
+            for stack in (m, near):
+                blocks = np.maximum(
+                    np.abs(stack[:, n:, n:] - stack[:, :n, :n].conj()).max(axis=(-2, -1)),
+                    np.abs(stack[:, n:, :n] - stack[:, :n, n:].conj()).max(axis=(-2, -1)),
+                )
+                assert mirror_defect(stack).tobytes() == blocks.tobytes()
+
+    def test_non_finite_entry_gives_a_nan_defect(self):
+        ss = build_state_spaces([squeezer_pair(), squeezer_pair()])
+        drift = ss.drift.copy()
+        drift[1, 0, 0] = drift[1, 2, 2] = np.nan  # mirror images of each other
+        defect = mirror_defect(drift)
+        assert defect[0] == 0.0 and np.isnan(defect[1])
 
 
 class TestRealizability:

@@ -8,6 +8,7 @@ import pytest
 from bosonet import scenarios
 from bosonet.errors import (
     ApplicabilityError,
+    DimensionError,
     FrameError,
     NumericsError,
     StabilityError,
@@ -264,7 +265,7 @@ class TestParametricOptimum:
 
     def test_nan_numeric_minimum_rejected(self, monkeypatch):
         monkeypatch.setattr(
-            scenarios, "golden_section_min", lambda *args, **kwargs: (0.0, math.nan)
+            scenarios, "golden_sections_max", lambda *args, **kwargs: ([0.0], [math.nan])
         )
         with pytest.raises(NumericsError):
             parametric_optimum(4.0, 1.0)
@@ -686,14 +687,41 @@ class TestFig3Rows:
     N_OS = np.linspace(0.0, 2.0, 5)
     N_MS = np.linspace(0.0, 0.5, 5)
 
+    def grid(self, side=5):
+        """The (n_o, n_m) columns of the side x side grid, n_o-major."""
+        n_o, n_m = np.meshgrid(self.N_OS[:side], self.N_MS[:side], indexing="ij")
+        return n_o.ravel(), n_m.ravel()
+
     def test_rows_equal_per_point_duan(self):
+        n_os, n_ms = self.grid()
         expected = []
-        for n_o in self.N_OS:
-            for n_m in self.N_MS:
-                r = duan_quantity(replace(THREE_MODE, n_o=n_o, n_m=n_m))
-                expected.append((n_o, n_m, r.direct, r.budget, r.entangled))
+        for n_o, n_m in zip(n_os, n_ms):
+            r = duan_quantity(replace(THREE_MODE, n_o=n_o, n_m=n_m))
+            expected.append((n_o, n_m, r.direct, r.budget, r.entangled))
         budget = three_mode_budget(THREE_MODE)
-        assert fig3_rows(THREE_MODE, budget, self.N_OS, self.N_MS) == expected
+        assert fig3_rows(THREE_MODE, budget, n_os, n_ms) == expected
+
+    def test_occupancies_broadcast(self):
+        budget = three_mode_budget(THREE_MODE)
+        rows = fig3_rows(THREE_MODE, budget, 0.3, self.N_MS)
+        assert rows == fig3_rows(THREE_MODE, budget, [0.3] * len(self.N_MS), self.N_MS)
+        assert [row[:2] for row in rows] == [(0.3, n_m) for n_m in self.N_MS]
+
+    @pytest.mark.parametrize(
+        "n_o, n_m, first_bad",
+        [
+            ([0.0, -1.0], 0.2, (-1.0, 0.2)),
+            (0.0, [0.5, math.nan, -2.0], (0.0, math.nan)),
+            ([-1.0, 0.0], [math.inf, 0.0], (-1.0, math.inf)),
+        ],
+    )
+    def test_invalid_occupancy_is_refused_as_by_the_params(self, n_o, n_m, first_bad):
+        # the first bad point in row order raises, its n_o checked first
+        with pytest.raises(ValidationError) as params:
+            replace(THREE_MODE, n_o=first_bad[0], n_m=first_bad[1])
+        with pytest.raises(ValidationError) as rows:
+            fig3_rows(THREE_MODE, three_mode_budget(THREE_MODE), n_o, n_m)
+        assert str(rows.value) == str(params.value)
 
     def test_one_budget_per_grid(self, monkeypatch):
         # the caller's one budget serves the grid; the rows compute none
@@ -705,7 +733,7 @@ class TestFig3Rows:
             return three_mode_budget(p)
 
         monkeypatch.setattr(scenarios, "three_mode_budget", counting)
-        rows = fig3_rows(THREE_MODE, budget, self.N_OS, self.N_MS)
+        rows = fig3_rows(THREE_MODE, budget, *self.grid())
         assert len(rows) == 25
         assert len(calls) == 0
 
@@ -729,7 +757,7 @@ class TestFig3Rows:
         for side in (1, 5):
             builds.clear()
             solved.clear()
-            fig3_rows(THREE_MODE, budget, self.N_OS[:side], self.N_MS[:side])
+            fig3_rows(THREE_MODE, budget, *self.grid(side))
             counts.append(len(builds))
             # the grid is one steady-state solve on the shared drift, with a
             # thermal source per row
@@ -827,13 +855,19 @@ class TestThreeModeBatches:
         points = random_three_mode_points(20, 5) + [
             replace(THREE_MODE, xi=0.0), replace(THREE_MODE, gamma_m=1e-8, xi=1.1),
         ]
-        for member, p in zip(three_mode_budgets(points), points):
+        stack = three_mode_budgets(points)
+        assert stack.transfer.shape == (len(points), 3, 3)
+        assert stack.eta_e.shape == stack.mechanical.shape == (len(points),)
+        assert stack.physical.drift.shape == (len(points), 6, 6)
+        for i, p in enumerate(points):
             single = three_mode_budget(p)
-            assert bits(member.transfer) == bits(single.transfer)
-            assert repr(member.eta_e) == repr(single.eta_e)
-            assert repr(member.mechanical) == repr(single.mechanical)
-            assert bits(member.physical.drift) == bits(single.physical.drift)
-        assert three_mode_budgets([]) == []
+            assert type(single.eta_e) is type(single.mechanical) is float
+            assert bits(stack.transfer[i]) == bits(single.transfer)
+            assert repr(float(stack.eta_e[i])) == repr(single.eta_e)
+            assert repr(float(stack.mechanical[i])) == repr(single.mechanical)
+            assert bits(stack.physical.drift[i]) == bits(single.physical.drift)
+        with pytest.raises(DimensionError):
+            three_mode_budgets([])
 
     def test_one_point_call_has_the_bits_of_the_direct_solve(self):
         # the per-point route: one drift, its own transform, one budget
@@ -848,9 +882,9 @@ class TestThreeModeBatches:
         frame = three_mode_transform(THREE_MODE.xi)
         for g in (0.1, 0.8, 2.5):
             p = replace(THREE_MODE, g_script=g)
-            (held,), built = scenarios._three_mode_budgets([p], frame), three_mode_budget(p)
-            assert bits(held.transfer) == bits(built.transfer)
-            assert repr(held.eta_e) == repr(built.eta_e)
+            held, built = scenarios._three_mode_budgets([p], frame), three_mode_budget(p)
+            assert bits(held.transfer[0]) == bits(built.transfer)
+            assert repr(float(held.eta_e[0])) == repr(built.eta_e)
 
     def test_duan_quantities_equal_the_points(self):
         points = random_three_mode_points(15, 7)
