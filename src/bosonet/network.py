@@ -15,6 +15,10 @@ Grids are evaluated as stacks: a ``StateSpace`` may hold P drifts and
 input matrices of shape (P, 2N, 2N), ``InputMoments`` P channel sets of
 shape (P, N), and a ``MomentTransform`` P matrices. Every check then
 runs for every member of the stack, and the first failing one raises.
+A stack of networks of one structure is built from coefficient columns
+by family_state_space (coupling slots, one amplitude column per slot,
+the dampings), the one holder of the coupling kinds' entry rules;
+build_state_spaces gathers the columns of its specs and calls it.
 """
 
 from __future__ import annotations
@@ -349,35 +353,90 @@ def build_state_space(spec: NetworkSpec) -> StateSpace:
 
 def build_state_spaces(specs: Sequence[NetworkSpec]) -> StateSpace:
     """build_state_space of every spec of a grid (one mode count), as one
-    stacked state space of P drifts and input matrices."""
+    stacked state space of P drifts and input matrices.
+
+    The specs are one family (family_state_space) whose slots are the
+    (position k, kind, modes) of their couplings, sorted: the k-th
+    coupling of a spec fills its slot among those of position k, and the
+    specs without that coupling give the slot amplitude 0, which adds
+    exact zeros. Each spec's terms therefore enter in its own order."""
     counts = {spec.n_modes for spec in specs}
     if len(counts) != 1:
         raise DimensionError(f"cannot stack networks of mode counts {sorted(counts)}")
-    n = counts.pop()
-    ann = np.zeros((len(specs), n, n), dtype=complex)  # a <- a
-    mix = np.zeros((len(specs), n, n), dtype=complex)  # a <- adag
-    for spec, a, m in zip(specs, ann, mix):
-        for i, b in enumerate(spec.baths):
-            a[i, i] -= 0.5 * b.gamma
-        for c in spec.couplings:
-            if c.kind == "beam_splitter":
-                i, j = c.modes
-                a[i, j] += -1j * c.amplitude
-                a[j, i] += -1j * c.amplitude.conjugate()
-            elif c.kind == "two_mode_squeeze":
-                i, j = c.modes
-                m[i, j] += -1j * c.amplitude
-                m[j, i] += -1j * c.amplitude
-            elif c.kind == "detuning":
-                (i,) = c.modes
-                a[i, i] += -1j * c.amplitude.real
-            else:  # degenerate_parametric
-                (i,) = c.modes
-                m[i, i] += -2j * c.amplitude.conjugate()
-    root = np.sqrt([spec.gammas for spec in specs])
-    inp = np.zeros((len(specs), 2 * n, 2 * n), dtype=complex)
-    inp[:, np.eye(2 * n, dtype=bool)] = np.concatenate([root, root], axis=1)
-    return StateSpace(drift=_doubled(ann, mix), input=inp, n_modes=n)
+    cells = [
+        ((k, c.kind, c.modes), row, c.amplitude)
+        for row, spec in enumerate(specs)
+        for k, c in enumerate(spec.couplings)
+    ]
+    slots = sorted({slot for slot, _, _ in cells})
+    index = {slot: s for s, slot in enumerate(slots)}
+    amplitudes = np.zeros((len(slots), len(specs)), dtype=complex)
+    if cells:
+        keys, rows, values = zip(*cells)
+        amplitudes[[index[key] for key in keys], rows] = values
+    return family_state_space(
+        [slot[1:] for slot in slots],
+        amplitudes,
+        [[b.gamma for b in spec.baths] for spec in specs],
+    )
+
+
+# the factors of the four terms of an amplitude (family_state_space)
+_TERM_FACTORS = np.array([-1j, -1j, -1j, -2j])[:, None, None]
+
+
+def family_state_space(
+    structure: Sequence[tuple[str, tuple[int, ...]]],
+    amplitudes: Sequence[np.ndarray],
+    gammas: np.ndarray,
+) -> StateSpace:
+    """The stacked state space of P networks of one structure.
+
+    ``structure`` lists the coupling slots (kind, modes), in spec order;
+    ``amplitudes`` holds one amplitude column (P,) per slot, and
+    ``gammas`` is the (P, N) damping array. The damping enters first,
+    then every slot in order, each amplitude as -1j times it (the
+    Hamiltonian coefficient; a detuning takes its real part, and a
+    degenerate parametric term -2j times its conjugate), summed into the
+    annihilation (a <- a) and mixing (a <- adag) blocks as the terms of
+    one spec are. A zero amplitude adds exact zeros, so a slot of zero
+    amplitude leaves the bytes of a network without that term. This
+    builder is the one place that holds the entry rules of the coupling
+    kinds.
+    """
+    gammas = np.asarray(gammas, dtype=float)
+    count, n = gammas.shape
+    amplitude = np.asarray(amplitudes, dtype=complex).reshape(len(structure), count)
+    # the terms a slot adds: -1j times its amplitude (0) or the conjugate
+    # (1), -1j times its real part (2), -2j times the conjugate (3)
+    conj = amplitude.conj()
+    values = _TERM_FACTORS * np.array([amplitude, conj, amplitude.real, conj])
+    # the blocks a <- a (0) and a <- adag (1), the stack axis last
+    blocks = np.zeros((2, n, n, count), dtype=complex)
+    blocks.reshape(2, n * n, count)[0, :: n + 1] -= 0.5 * gammas.T
+    adds = []  # (block, row, column, term, slot), in slot order
+    for s, (kind, modes) in enumerate(structure):
+        if kind == "beam_splitter":
+            i, j = modes
+            adds += [(0, i, j, 0, s), (0, j, i, 1, s)]
+        elif kind == "two_mode_squeeze":
+            i, j = modes
+            adds += [(1, i, j, 0, s), (1, j, i, 0, s)]
+        elif kind == "detuning":
+            (i,) = modes
+            adds.append((0, i, i, 2, s))
+        else:  # degenerate_parametric
+            (i,) = modes
+            adds.append((1, i, i, 3, s))
+    if adds:
+        block, row, column, term, slot = zip(*adds)
+        # unbuffered: the adds to one entry are summed in the order given
+        np.add.at(blocks, (block, row, column), values[term, slot])
+    stacked = blocks.transpose(0, 3, 1, 2)
+    root = np.sqrt(gammas)
+    inp = np.zeros((count, 2 * n, 2 * n), dtype=complex)
+    inp.reshape(count, 4 * n * n)[:, :: 2 * n + 1] = np.concatenate([root, root], axis=1)
+    return StateSpace(drift=_doubled(stacked[0], stacked[1]), input=inp, n_modes=n)
 
 
 def passive_drifts(ss: StateSpace) -> np.ndarray:

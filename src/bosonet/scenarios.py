@@ -22,19 +22,35 @@ solve per stage, and every check runs at every point; the first failing
 point raises. Each per-point function (two_mode_squeezing_power,
 parametric_variance_check, three_mode_budget, duan_quantity, fig1_point,
 fig2_point) is the one-point call of its array form, so a grid row has
-the bits of its point. three_mode_budgets returns one stacked
-ThreeModeBudget, and the Duan values of a stack of schemes or of one
-scheme's occupancy columns come from one evaluation of that record.
-fig3_rows broadcasts its occupancies as fig1_rows and fig2_rows do.
-optimal_couplings runs its coupling searches in lockstep, reading eta_e
-off one stacked frame budget per golden-section step, and
-optimal_coupling is its one-point call.
+the bits of its point.
+
+A grid is a family of coefficient columns, not a list of records.
+fig1_rows, fig2_rows, fig3_rows and the optimal_couplings search build
+no parameter record or network per point, and the functions that take
+records read their fields in one pass. Each column is checked once with
+its record field's check (_check_columns), and the first invalid point
+in row order raises its record's error. The drifts come from
+network.family_state_space, given the coupling slots of the setup
+(_TWO_MODE_SLOTS, _THREE_MODE_SLOTS) and amplitude columns formed with
+the arithmetic of the per-point network; the networks of single points
+(two_mode_network, parametric_network, three_mode_physical_network)
+use the same slots and amplitudes, so a family's drift has their bytes.
+The fig2 quadrature blocks come from the same columns.
+
+three_mode_budgets returns one stacked ThreeModeBudget, and the Duan
+values of a stack of schemes or of one scheme's occupancy columns come
+from one evaluation of that record. fig3_rows broadcasts its
+occupancies as fig1_rows and fig2_rows do. optimal_couplings runs its
+coupling searches in lockstep, reading eta_e off one stacked frame
+budget per golden-section step, and optimal_coupling is its one-point
+call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -50,17 +66,14 @@ from .errors import (
 from .linalg import first_failure, golden_sections_max, solve_lyapunov
 from .network import (
     BathSpec,
+    CouplingTerm,
     InputMoments,
     MomentTransform,
     NetworkSpec,
     StateSpace,
-    beam_splitter,
-    build_state_spaces,
     cosh_sinh,
-    degenerate_parametric,
-    detuning,
+    family_state_space,
     hyperbolic_frame,
-    two_mode_squeeze,
 )
 from .budget import compute_budget, verify_sum_rules
 from .steady import min_variances, steady_covariance, variance_decomposition
@@ -90,17 +103,119 @@ def _nonnegative(name: str, value: float) -> float:
     return value
 
 
-def _grid_points(*columns) -> list[tuple]:
-    """The points of a grid given per parameter as a number or a sequence:
-    sequences broadcast against each other and numbers repeat."""
-    arrays = np.broadcast_arrays(*(np.asarray(column) for column in columns))
-    return list(zip(*(array.ravel().tolist() for array in arrays)))
+# each field check, as the test that a column (P,) passes it point by point
+_PASSES = {
+    _finite: np.isfinite,
+    _positive: lambda column: np.isfinite(column) & (column > 0),
+    _nonnegative: lambda column: np.isfinite(column) & (column >= 0),
+}
 
 
-def _check_fields(record, **checks) -> None:
+def _grid_columns(*columns) -> list[np.ndarray]:
+    """The float columns (P,) of a grid given per parameter as a number or
+    a sequence: sequences broadcast against each other and numbers repeat."""
+    arrays = np.broadcast_arrays(*(np.asarray(column, dtype=float) for column in columns))
+    return [array.ravel() for array in arrays]
+
+
+def _columns(records: Sequence, fields) -> np.ndarray:
+    """The named fields of the records, read in one pass, as an array
+    (F, P) of float columns."""
+    get = attrgetter(*fields)
+    rows = [get(record) for record in records]
+    return np.array(rows, dtype=float).reshape(len(records), len(fields)).T
+
+
+def _check_columns(checks: dict, columns: Sequence[np.ndarray], before=None) -> None:
+    """Check the columns (P,) of a grid as P records check their fields:
+    ``checks`` maps each field name, in field order, to its check, and
+    ``columns`` holds one column per field. Each column is tested once;
+    the first failing point, in row order, raises its check's error for
+    its first failing field, after ``before(k)`` of that point k, if given."""
+    passed = np.logical_and.reduce(
+        [_PASSES[check](column) for check, column in zip(checks.values(), columns)]
+    )
+    k = first_failure(passed)
+    if k is not None:
+        if before is not None:
+            before(k)
+        for (name, check), column in zip(checks.items(), columns):
+            check(name, column[k])
+
+
+def _check_fields(record, checks: dict) -> None:
     """Replace each named field of a frozen record by ``check(name, value)``."""
     for name, check in checks.items():
         object.__setattr__(record, name, check(name, getattr(record, name)))
+
+
+def _network(slots, amplitudes, baths) -> NetworkSpec:
+    """One point of a family (family_state_space) as a network: a coupling
+    per slot (kind, modes) of nonzero amplitude, in slot order."""
+    return NetworkSpec(
+        n_modes=len(baths),
+        baths=tuple(baths),
+        couplings=tuple(
+            CouplingTerm(kind, amplitude, modes)
+            for (kind, modes), amplitude in zip(slots, amplitudes)
+            if amplitude
+        ),
+    )
+
+
+# The coupling slots of the three setups. The network of one point and
+# the family of a grid take the same slots and amplitude arithmetic, so
+# their drifts have the same bytes.
+_TWO_MODE_SLOTS = (("beam_splitter", (0, 1)), ("two_mode_squeeze", (0, 1)))
+_PARAMETRIC_SLOTS = _TWO_MODE_SLOTS + (
+    ("degenerate_parametric", (0,)),
+    ("degenerate_parametric", (1,)),
+)
+_THREE_MODE_SLOTS = (
+    ("beam_splitter", (0, 1)),
+    ("two_mode_squeeze", (0, 1)),
+    ("beam_splitter", (0, 2)),
+    ("two_mode_squeeze", (0, 2)),
+    ("detuning", (1,)),
+    ("detuning", (2,)),
+)
+
+
+def _three_mode_amplitudes(g_script, omega, cosh, sinh) -> tuple:
+    """The matched pair g_script (cosh, sinh) / sqrt2 on each mechanical
+    mode, with cosh and sinh of xi from cosh_sinh, and the detunings
+    +-omega / 2."""
+    g_minus = g_script * cosh / math.sqrt(2.0)
+    g_plus = g_script * sinh / math.sqrt(2.0)
+    return g_minus, g_plus, g_minus, g_plus, 0.5 * omega, -0.5 * omega
+
+
+def _cosh_sinh_columns(xi: np.ndarray) -> np.ndarray:
+    """cosh_sinh of each xi (P,), as the columns (2, P) of cosh and sinh;
+    inf where they overflow, at the points where cosh_sinh raises."""
+    pairs = []
+    for x in xi.tolist():
+        try:
+            pairs.append(cosh_sinh(x))
+        except NumericsError:
+            pairs.append((math.inf, math.inf))
+    return np.array(pairs, dtype=float).reshape(-1, 2).T
+
+
+# The fields of each parameter record, in field order, with their checks;
+# the array forms check their columns with the same table.
+_TWO_MODE_FIELDS = dict(
+    g_plus=_nonnegative, g_minus=_nonnegative, gamma1=_positive, gamma2=_positive,
+    n1=_nonnegative, n2=_nonnegative,
+)
+_PARAMETRIC_FIELDS = dict(
+    g_plus=_nonnegative, g_minus=_nonnegative, gamma1=_positive, gamma2=_positive,
+    eta1=_finite, eta2=_finite, n1=_nonnegative, n2=_nonnegative,
+)
+_THREE_MODE_FIELDS = dict(
+    g_script=_nonnegative, omega=_finite, kappa=_positive, gamma_m=_positive,
+    xi=_nonnegative, n_o=_nonnegative, n_m=_nonnegative,
+)
 
 
 @dataclass(frozen=True)
@@ -115,10 +230,7 @@ class TwoModeParams:
     n2: float = 0.0
 
     def __post_init__(self):
-        _check_fields(
-            self, g_plus=_nonnegative, g_minus=_nonnegative, gamma1=_positive,
-            gamma2=_positive, n1=_nonnegative, n2=_nonnegative,
-        )
+        _check_fields(self, _TWO_MODE_FIELDS)
 
     @property
     def g_script(self) -> float:
@@ -145,11 +257,7 @@ class ParametricParams:
     n2: float = 0.0
 
     def __post_init__(self):
-        _check_fields(
-            self, g_plus=_nonnegative, g_minus=_nonnegative, gamma1=_positive,
-            gamma2=_positive, eta1=_finite, eta2=_finite, n1=_nonnegative,
-            n2=_nonnegative,
-        )
+        _check_fields(self, _PARAMETRIC_FIELDS)
 
     @property
     def delta_eta(self) -> float:
@@ -175,10 +283,7 @@ class ThreeModeParams:
     n_m: float = 0.0
 
     def __post_init__(self):
-        _check_fields(
-            self, g_script=_nonnegative, omega=_finite, kappa=_positive,
-            gamma_m=_positive, xi=_nonnegative, n_o=_nonnegative, n_m=_nonnegative,
-        )
+        _check_fields(self, _THREE_MODE_FIELDS)
 
     @classmethod
     def from_sidebands(
@@ -208,15 +313,10 @@ class ThreeModeParams:
 
 def two_mode_network(p: TwoModeParams | ParametricParams) -> NetworkSpec:
     """The physical two-mode network with thermal baths."""
-    couplings = []
-    if p.g_minus:
-        couplings.append(beam_splitter(p.g_minus, 0, 1))
-    if p.g_plus:
-        couplings.append(two_mode_squeeze(p.g_plus, 0, 1))
-    return NetworkSpec(
-        n_modes=2,
-        baths=(BathSpec(p.gamma1, p.n1), BathSpec(p.gamma2, p.n2)),
-        couplings=tuple(couplings),
+    return _network(
+        _TWO_MODE_SLOTS,
+        (p.g_minus, p.g_plus),
+        (BathSpec(p.gamma1, p.n1), BathSpec(p.gamma2, p.n2)),
     )
 
 
@@ -227,13 +327,11 @@ def parametric_network(p: ParametricParams) -> NetworkSpec:
     corresponds to the Hamiltonian coefficient -i eta / 4 in the
     degenerate-parametric convention used by the builder.
     """
-    base = two_mode_network(p)
-    couplings = list(base.couplings)
-    if p.eta1:
-        couplings.append(degenerate_parametric(-0.25j * p.eta1, 0))
-    if p.eta2:
-        couplings.append(degenerate_parametric(-0.25j * p.eta2, 1))
-    return NetworkSpec(n_modes=2, baths=base.baths, couplings=tuple(couplings))
+    return _network(
+        _PARAMETRIC_SLOTS,
+        (p.g_minus, p.g_plus, -0.25j * p.eta1, -0.25j * p.eta2),
+        (BathSpec(p.gamma1, p.n1), BathSpec(p.gamma2, p.n2)),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,25 +356,25 @@ def parametric_blocks(p) -> tuple[QuadratureBlock, QuadratureBlock]:
     blocks of shape (P, 2, 2).
     """
     single = isinstance(p, ParametricParams)
-    points = [p] if single else list(p)
+    blocks = _quadrature_blocks(*_columns([p] if single else list(p), _PARAMETRIC_FIELDS))
+    if single:
+        return tuple(replace(b, drift=b.drift[0], noise=b.noise[0]) for b in blocks)
+    return blocks
 
-    def column(name: str) -> np.ndarray:
-        return np.array([getattr(point, name) for point in points])
 
-    gamma1, gamma2 = column("gamma1"), column("gamma2")
-    eta1, eta2 = column("eta1"), column("eta2")
-    g_minus, g_plus = column("g_minus"), column("g_plus")
+def _quadrature_blocks(
+    g_plus, g_minus, gamma1, gamma2, eta1, eta2, n1, n2
+) -> tuple[QuadratureBlock, QuadratureBlock]:
+    """parametric_blocks of the columns (P,) of ParametricParams' fields."""
     gs, gd = g_minus + g_plus, g_minus - g_plus
-    v1, v2 = column("n1") + 0.5, column("n2") + 0.5
+    v1, v2 = n1 + 0.5, n2 + 0.5
 
     def block(decay_x, decay_y, noise_x, noise_y, labels) -> QuadratureBlock:
-        drift = np.empty((len(points), 2, 2))
+        drift = np.empty((len(gs), 2, 2))
         drift[:, 0, 0], drift[:, 0, 1] = -decay_x / 2.0, gd
         drift[:, 1, 0], drift[:, 1, 1] = -gs, -decay_y / 2.0
-        noise = np.zeros((len(points), 2, 2))
+        noise = np.zeros((len(gs), 2, 2))
         noise[:, 0, 0], noise[:, 1, 1] = noise_x, noise_y
-        if single:
-            drift, noise = drift[0], noise[0]
         return QuadratureBlock(drift=drift, noise=noise, labels=labels)
 
     return (
@@ -343,12 +441,30 @@ def squeezing_powers(ps: Sequence[TwoModeParams]) -> list[SqueezingPowerResult]:
     """
     if not ps:
         return []
-    xis = [p.xi for p in ps]
-    ss = build_state_spaces([two_mode_network(p) for p in ps])
-    inputs = InputMoments.thermal([(p.n1, p.n2) for p in ps])
+    norm_var1, norm_var2, alpha_ratio = _squeezing(*_columns(ps, _TWO_MODE_FIELDS))
+    total = norm_var1 + norm_var2
+    return [
+        SqueezingPowerResult(
+            norm_var1=a, norm_var2=b, sum=t, slack=slack, alpha_normalized_variance=r
+        )
+        for a, b, t, slack, r in zip(
+            norm_var1.tolist(), norm_var2.tolist(), total.tolist(),
+            (total - 1.0).tolist(), alpha_ratio.tolist(),
+        )
+    ]
+
+
+def _squeezing(g_plus, g_minus, gamma1, gamma2, n1, n2) -> tuple[np.ndarray, ...]:
+    """(norm_var1, norm_var2, alpha_normalized_variance) of squeezing_powers
+    at the valid columns (P,) of TwoModeParams' fields, P >= 1."""
+    xis = [hyperbolic_frame(gp, gm)[1] for gp, gm in zip(g_plus.tolist(), g_minus.tolist())]
+    ss = family_state_space(
+        _TWO_MODE_SLOTS, (g_minus, g_plus), np.stack([gamma1, gamma2], axis=-1)
+    )
+    occupancy = np.stack([n1, n2], axis=-1)
+    inputs = InputMoments(occupancy, np.zeros(occupancy.shape, dtype=complex))
     cov = steady_covariance(ss, inputs)
-    v1 = np.array([p.n1 for p in ps]) + 0.5
-    v2 = np.array([p.n2 for p in ps]) + 0.5
+    v1, v2 = n1 + 0.5, n2 + 0.5
     norm_var1 = min_variances(cov, 0) / v1
     norm_var2 = min_variances(cov, 1) / v2
 
@@ -370,17 +486,7 @@ def squeezing_powers(ps: Sequence[TwoModeParams]) -> list[SqueezingPowerResult]:
             estimate=float(gap[failed]),
         )
     alpha_ratio = split[:, 1] / (v2 * np.array([math.exp(-2.0 * xi) for xi in xis]))
-
-    total = norm_var1 + norm_var2
-    return [
-        SqueezingPowerResult(
-            norm_var1=a, norm_var2=b, sum=t, slack=slack, alpha_normalized_variance=r
-        )
-        for a, b, t, slack, r in zip(
-            norm_var1.tolist(), norm_var2.tolist(), total.tolist(),
-            (total - 1.0).tolist(), alpha_ratio.tolist(),
-        )
-    ]
+    return norm_var1, norm_var2, alpha_ratio
 
 
 def _pair_bound(gamma1, gamma2, de):
@@ -497,8 +603,18 @@ def parametric_variance_checks(
     pair is one stacked solve, and the first unstable point raises."""
     if not ps:
         return []
+    columns = _paired_variances(*_columns(ps, _PARAMETRIC_FIELDS))
+    return [PairedVarianceReport(*row) for row in zip(*(c.tolist() for c in columns))]
+
+
+def _paired_variances(
+    g_plus, g_minus, gamma1, gamma2, eta1, eta2, n1, n2
+) -> tuple[np.ndarray, ...]:
+    """The fields of parametric_variance_checks' reports, as columns (P,),
+    at the valid columns (P,) of ParametricParams' fields, P >= 1."""
     variances = {}
-    for block in parametric_blocks(ps):
+    blocks = _quadrature_blocks(g_plus, g_minus, gamma1, gamma2, eta1, eta2, n1, n2)
+    for block in blocks:
         try:
             w = solve_lyapunov(block.drift, block.noise.astype(complex))
         except StabilityError as exc:
@@ -507,14 +623,11 @@ def parametric_variance_checks(
             ) from exc
         variances[block.labels[0]] = w[:, 0, 0].real
         variances[block.labels[1]] = w[:, 1, 1].real
-    gamma1 = np.array([p.gamma1 for p in ps])
-    gamma2 = np.array([p.gamma2 for p in ps])
-    v1 = np.array([p.n1 for p in ps]) + 0.5
-    v2 = np.array([p.n2 for p in ps]) + 0.5
+    v1, v2 = n1 + 0.5, n2 + 0.5
     x1, y1 = variances["X1"] / v1, variances["Y1"] / v1
     x2, y2 = variances["X2"] / v2, variances["Y2"] / v2
     s = gamma1 + gamma2
-    de = np.array([p.delta_eta for p in ps])
+    de = eta1 - eta2
     sum_x, sum_y = x1 + x2, y1 + y2
     sum_x_bound = _pair_bound(gamma1, gamma2, -de)
     sum_y_bound = _pair_bound(gamma1, gamma2, de)
@@ -526,37 +639,31 @@ def parametric_variance_checks(
         sum_x - sum_x_bound,
         sum_y - sum_y_bound,
     ], axis=0)
-    return [
-        PairedVarianceReport(*row)
-        for row in zip(
-            x1.tolist(), y1.tolist(), sum_x.tolist(), sum_y.tolist(),
-            sum_x_bound.tolist(), sum_y_bound.tolist(), min_slack.tolist(),
-        )
-    ]
+    return x1, y1, sum_x, sum_y, sum_x_bound, sum_y_bound, min_slack
 
 
 def three_mode_physical_network(p: ThreeModeParams) -> NetworkSpec:
     """Cavity (mode 0) driving two detuned mechanical modes (1, 2)."""
     cosh, sinh = cosh_sinh(p.xi)
-    g_minus = p.g_script * cosh / math.sqrt(2.0)
-    g_plus = p.g_script * sinh / math.sqrt(2.0)
-    couplings = []
-    for mech in (1, 2):
-        if g_minus:
-            couplings.append(beam_splitter(g_minus, 0, mech))
-        if g_plus:
-            couplings.append(two_mode_squeeze(g_plus, 0, mech))
-    if p.omega:
-        couplings.append(detuning(+0.5 * p.omega, 1))
-        couplings.append(detuning(-0.5 * p.omega, 2))
-    return NetworkSpec(
-        n_modes=3,
-        baths=(
+    return _network(
+        _THREE_MODE_SLOTS,
+        _three_mode_amplitudes(p.g_script, p.omega, cosh, sinh),
+        (
             BathSpec(p.kappa, p.n_o),
             BathSpec(p.gamma_m, p.n_m),
             BathSpec(p.gamma_m, p.n_m),
         ),
-        couplings=tuple(couplings),
+    )
+
+
+def _three_mode_physical(g_script, omega, kappa, gamma_m, cosh, sinh) -> StateSpace:
+    """The state spaces of three_mode_physical_network at the columns (P,)
+    of the schemes' fields, stacked; cosh and sinh are cosh_sinh of each
+    scheme's xi (_cosh_sinh_columns)."""
+    return family_state_space(
+        _THREE_MODE_SLOTS,
+        _three_mode_amplitudes(g_script, omega, cosh, sinh),
+        np.stack([kappa, gamma_m, gamma_m], axis=-1),
     )
 
 
@@ -629,17 +736,21 @@ def three_mode_budgets(ps: Sequence[ThreeModeParams]) -> ThreeModeBudget:
     """
     if not ps:
         raise DimensionError("three_mode_budgets needs at least one scheme")
-    return _three_mode_budgets(ps, three_mode_transform([p.xi for p in ps]))
+    return _scheme_budgets(*_columns(ps, ("g_script", "omega", "kappa", "gamma_m", "xi")))
 
 
-def _three_mode_budgets(
-    ps: Sequence[ThreeModeParams], frame: MomentTransform
-) -> ThreeModeBudget:
-    """three_mode_budgets with the frame transform of the points' xi
-    given, for the coupling searches of optimal_couplings, which hold the
-    transforms of their fixed xi. The sum rules of the whole stack are
-    checked in one call."""
-    physical = build_state_spaces([three_mode_physical_network(p) for p in ps])
+def _scheme_budgets(g_script, omega, kappa, gamma_m, xi) -> ThreeModeBudget:
+    """three_mode_budgets at the valid columns (P,) of the schemes' fields."""
+    frame = three_mode_transform(xi.tolist())
+    physical = _three_mode_physical(g_script, omega, kappa, gamma_m, *_cosh_sinh_columns(xi))
+    return _three_mode_budgets(physical, frame)
+
+
+def _three_mode_budgets(physical: StateSpace, frame: MomentTransform) -> ThreeModeBudget:
+    """three_mode_budgets of the stacked physical state spaces, with the
+    frame transform of the schemes' xi given, for the coupling searches of
+    optimal_couplings, which hold the transforms of their fixed xi. The
+    sum rules of the whole stack are checked in one call."""
     stack = compute_budget(frame.apply_to_state_space(physical))
     failed = next((rules for rules in verify_sum_rules(stack) if not rules.passed), None)
     if failed is not None:
@@ -693,12 +804,8 @@ def duan_quantities(ps: Sequence[ThreeModeParams]) -> list[DuanResult]:
     point checked against its own budget."""
     if not ps:
         return []
-    return _duan(
-        three_mode_budgets(ps),
-        [p.xi for p in ps],
-        np.array([p.n_o for p in ps]),
-        np.array([p.n_m for p in ps]),
-    )
+    g_script, omega, kappa, gamma_m, xi, n_o, n_m = _columns(ps, _THREE_MODE_FIELDS)
+    return _duan(_scheme_budgets(g_script, omega, kappa, gamma_m, xi), xi, n_o, n_m)
 
 
 def _duan(budget: ThreeModeBudget, xi, n_o: np.ndarray, n_m: np.ndarray) -> list[DuanResult]:
@@ -804,6 +911,10 @@ def separability_boundary(p: ThreeModeParams, budget: ThreeModeBudget) -> Bounda
     return _line(budget.eta_e, budget.mechanical, p.xi)
 
 
+# the fields of an optimal_couplings point, with their checks
+_SEARCH_FIELDS = dict(kappa=_positive, omega=_positive, gamma_m=_positive, xi=_nonnegative)
+
+
 @dataclass(frozen=True)
 class OptimalCoupling:
     g_formula: float
@@ -852,36 +963,36 @@ def optimal_couplings(
 
 def _coupling_searches(points) -> list[OptimalCoupling]:
     """optimal_couplings without the one-at-a-time retry."""
-    base = [
-        ThreeModeParams(
-            g_script=0.0,
-            kappa=_positive("kappa", kappa),
-            omega=_positive("omega", omega),
-            gamma_m=_positive("gamma_m", gamma_m),
-            xi=_nonnegative("xi", xi),
-        )
-        for kappa, omega, gamma_m, xi in points
-    ]
-    if not base:
+    columns = np.array(points, dtype=float).reshape(len(points), 4).T
+    _check_columns(_SEARCH_FIELDS, columns)
+    if not len(points):
         return []
-    every = list(range(len(base)))
-    transforms = three_mode_transform([p.xi for p in base])  # xi is fixed along a search
+    kappa, omega, gamma_m, xi = columns
+    every = list(range(len(points)))
+    transforms = three_mode_transform(xi.tolist())  # xi is fixed along a search
+    cosh, sinh = _cosh_sinh_columns(xi)
     # the transforms of each set of running searches, validated once per set
     stacks = {tuple(every): transforms}
 
     def etas_at(live, gs) -> list[float]:
-        searches = [replace(base[i], g_script=g) for i, g in zip(live, gs)]
         key = tuple(live)
         if key not in stacks:
             stacks[key] = MomentTransform(transforms.matrix[live])
-        return _three_mode_budgets(searches, stacks[key]).eta_e.tolist()
+        physical = _three_mode_physical(
+            np.array(gs, dtype=float), omega[live], kappa[live], gamma_m[live],
+            cosh[live], sinh[live],
+        )
+        return _three_mode_budgets(physical, stacks[key]).eta_e.tolist()
 
     g_formulas = [
-        math.sqrt(0.5 * p.omega * math.hypot(p.kappa, 2.0 * p.omega)) for p in base
+        math.sqrt(0.5 * w * math.hypot(k, 2.0 * w))
+        for k, w in zip(kappa.tolist(), omega.tolist())
     ]
-    his = [8.0 * max(g, p.omega, p.kappa) for g, p in zip(g_formulas, base)]
+    his = [
+        8.0 * max(g, w, k) for g, k, w in zip(g_formulas, kappa.tolist(), omega.tolist())
+    ]
     g_numerics, eta_numerics = golden_sections_max(
-        etas_at, [0.0] * len(base), his, rel_tol=1e-6
+        etas_at, [0.0] * len(points), his, rel_tol=1e-6
     )
     eta_formulas = etas_at(every, g_formulas)
     return [
@@ -919,18 +1030,21 @@ def fig1_rows(g_script, xi, gamma1, gamma2, n1=0.0, n2=0.0) -> list[tuple]:
     """fig1_point over a grid, as one batch (squeezing_powers). Each
     argument is a number or a sequence; sequences broadcast against each
     other and numbers repeat, so one swept parameter gives its rows in
-    order."""
-    points = _grid_points(g_script, xi, gamma1, gamma2, n1, n2)
-
-    def params(g, x, a, b, c, d) -> TwoModeParams:
-        cosh, sinh = cosh_sinh(x)
-        return TwoModeParams(g_plus=g * sinh, g_minus=g * cosh, gamma1=a, gamma2=b, n1=c, n2=d)
-
-    results = squeezing_powers([params(*point) for point in points])
-    return [
-        (g, x, a, b, result.norm_var1, result.norm_var2, result.sum)
-        for (g, x, a, b, _, _), result in zip(points, results)
-    ]
+    order. The point (g_script, xi, ...) is the TwoModeParams with
+    g_plus = g_script sinh xi and g_minus = g_script cosh xi, and the
+    first invalid point, in row order, raises as its record would."""
+    g, x, a, b, c, d = _grid_columns(g_script, xi, gamma1, gamma2, n1, n2)
+    cosh, sinh = _cosh_sinh_columns(x)
+    columns = (g * sinh, g * cosh, a, b, c, d)
+    _check_columns(_TWO_MODE_FIELDS, columns, before=lambda k: cosh_sinh(float(x[k])))
+    if not g.size:
+        return []
+    norm_var1, norm_var2, _ = _squeezing(*columns)
+    total = norm_var1 + norm_var2
+    return list(zip(
+        g.tolist(), x.tolist(), a.tolist(), b.tolist(),
+        norm_var1.tolist(), norm_var2.tolist(), total.tolist(),
+    ))
 
 
 def fig2_point(
@@ -951,25 +1065,20 @@ def fig2_rows(
     delta_eta, gamma1, gamma2, g_minus, g_plus=0.0, n1=0.0, n2=0.0
 ) -> list[tuple]:
     """fig2_point over a grid, as one batch (parametric_variance_checks);
-    arguments broadcast as in fig1_rows."""
-    points = _grid_points(delta_eta, gamma1, gamma2, g_minus, g_plus, n1, n2)
-    reports = parametric_variance_checks([
-        ParametricParams(
-            g_plus=gp,
-            g_minus=gm,
-            gamma1=a,
-            gamma2=b,
-            eta1=+0.5 * de,
-            eta2=-0.5 * de,
-            n1=c,
-            n2=d,
-        )
-        for de, a, b, gm, gp, c, d in points
-    ])
-    return [
-        (de, a, b, report.sum_y_bound, report.sum_y)
-        for (de, a, b, _, _, _, _), report in zip(points, reports)
-    ]
+    arguments broadcast as in fig1_rows. The point is the ParametricParams
+    with eta1 = +delta_eta / 2 and eta2 = -delta_eta / 2, and the first
+    invalid point, in row order, raises as its record would."""
+    de, a, b, gm, gp, c, d = _grid_columns(
+        delta_eta, gamma1, gamma2, g_minus, g_plus, n1, n2
+    )
+    columns = (gp, gm, a, b, 0.5 * de, -0.5 * de, c, d)
+    _check_columns(_PARAMETRIC_FIELDS, columns)
+    if not de.size:
+        return []
+    _, _, _, sum_y, _, sum_y_bound, _ = _paired_variances(*columns)
+    return list(zip(
+        de.tolist(), a.tolist(), b.tolist(), sum_y_bound.tolist(), sum_y.tolist()
+    ))
 
 
 def fig3_rows(p: ThreeModeParams, budget: ThreeModeBudget, n_o, n_m) -> list[tuple]:
@@ -982,13 +1091,11 @@ def fig3_rows(p: ThreeModeParams, budget: ThreeModeBudget, n_o, n_m) -> list[tup
     every row, and the rows are one batch: one drift with a thermal
     source per row, each row checked against the budget.
     """
-    points = [
-        (_nonnegative("n_o", a), _nonnegative("n_m", b)) for a, b in _grid_points(n_o, n_m)
-    ]
-    if not points:
+    n_os, n_ms = _grid_columns(n_o, n_m)
+    _check_columns(dict(n_o=_nonnegative, n_m=_nonnegative), (n_os, n_ms))
+    if not n_os.size:
         return []
-    n_os, n_ms = (np.array(column) for column in zip(*points))
     return [
         (a, b, result.direct, result.budget, result.entangled)
-        for (a, b), result in zip(points, _duan(budget, p.xi, n_os, n_ms))
+        for a, b, result in zip(n_os.tolist(), n_ms.tolist(), _duan(budget, p.xi, n_os, n_ms))
     ]

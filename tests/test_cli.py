@@ -256,6 +256,29 @@ class TestSweep:
         assert "sweep point skipped" not in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["fig1", "--grid", "g_script:1:-1:5"], "g_plus must be nonnegative, got -0.26"),
+            (["fig1", "--grid", "xi:0.5:-0.5:5"], "g_plus must be nonnegative, got -0.25"),
+            (["fig1", "--grid", "g_script:1:2:5", "--n2", "-0.5"], "n2 must be nonnegative"),
+            (["fig2", "--grid", "delta_eta:-1:1:5", "--gamma2", "-1"], "gamma2 must be positive"),
+            (["fig2", "--grid", "delta_eta:-1:1:5", "--g-plus", "-0.1"], "g_plus must be nonnegative"),
+            (["fig2", "--grid", "delta_eta:-1:1:5", "--n1", "-1"], "n1 must be nonnegative"),
+        ],
+    )
+    def test_invalid_point_exits_3(self, tmp_path, monkeypatch, capsys, args, message):
+        from bosonet import cli
+
+        # in batches of two, the first invalid grid value (row 3) is in the second
+        monkeypatch.setattr(cli, "GRID_CHUNK", 2)
+        out = tmp_path / "x.csv"
+        assert cli.main(["sweep", "--scenario", *args, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert message in err
+        assert "sweep point skipped" not in err
+        assert not out.exists()
+
     def test_grid_count_too_small_exits_3(self, tmp_path):
         proc = run_cli(
             "sweep",
@@ -643,9 +666,9 @@ class TestBoundary:
         searching = []
 
         # every frame budget, stacked or not, is one _three_mode_budgets call
-        def counting(ps, frame):
+        def counting(physical, frame):
             calls.append(bool(searching))
-            return real_budgets(ps, frame)
+            return real_budgets(physical, frame)
 
         def search(*args):
             searching.append(True)

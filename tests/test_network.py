@@ -51,6 +51,49 @@ def squeezer_pair(g_minus=1.0, g_plus=0.5, gamma1=1.0, gamma2=1.0):
     )
 
 
+def per_spec_state_spaces(specs):
+    """The stacked (drift, input) of the per-spec build that the family
+    builder replaced: one spec at a time, the dampings first, then each
+    coupling in spec order. The reference for the builder's bits."""
+    n = specs[0].n_modes
+    ann = np.zeros((len(specs), n, n), dtype=complex)
+    mix = np.zeros((len(specs), n, n), dtype=complex)
+    for spec, a, m in zip(specs, ann, mix):
+        for i, b in enumerate(spec.baths):
+            a[i, i] -= 0.5 * b.gamma
+        for c in spec.couplings:
+            if c.kind == "beam_splitter":
+                i, j = c.modes
+                a[i, j] += -1j * c.amplitude
+                a[j, i] += -1j * c.amplitude.conjugate()
+            elif c.kind == "two_mode_squeeze":
+                i, j = c.modes
+                m[i, j] += -1j * c.amplitude
+                m[j, i] += -1j * c.amplitude
+            elif c.kind == "detuning":
+                (i,) = c.modes
+                a[i, i] += -1j * c.amplitude.real
+            else:
+                (i,) = c.modes
+                m[i, i] += -2j * c.amplitude.conjugate()
+    drift = np.concatenate(
+        [np.concatenate([ann, mix], axis=2), np.concatenate([mix.conj(), ann.conj()], axis=2)],
+        axis=1,
+    )
+    root = np.sqrt([spec.gammas for spec in specs])
+    inp = np.zeros((len(specs), 2 * n, 2 * n), dtype=complex)
+    inp[:, np.eye(2 * n, dtype=bool)] = np.concatenate([root, root], axis=1)
+    return drift, inp
+
+
+def assert_per_spec_bits(ss, specs):
+    """ss holds the bits of the per-spec build of specs."""
+    drift, inp = per_spec_state_spaces(specs)
+    assert ss.n_modes == specs[0].n_modes
+    assert ss.drift.tobytes() == drift.tobytes()
+    assert ss.input.tobytes() == inp.tobytes()
+
+
 def hyperbolic(ss, mode, xi):
     """The dynamics in the frame alpha = cosh(xi) a + sinh(xi) adag on one mode."""
     return MomentTransform.bogoliubov(ss.n_modes, mode, xi).apply_to_state_space(ss)
@@ -717,6 +760,58 @@ class TestTransformNetwork:
         b = turn.apply_to_inputs(frame.apply_to_inputs(vacuum))
         assert np.abs(a.occupancy - b.occupancy).max() < 1e-12
         assert np.abs(a.anomalous - b.anomalous).max() < 1e-12
+
+
+class TestFamilyBuilder:
+    """build_state_spaces is one family build, with the bits of the
+    per-spec build."""
+
+    @staticmethod
+    def draws(seed, nonpassive):
+        from bosonet.suites import random_network
+
+        rng = np.random.default_rng(seed)
+        return [random_network(rng, nonpassive=nonpassive) for _ in range(60)]
+
+    @pytest.mark.parametrize("nonpassive", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_draws_of_each_mode_count(self, seed, nonpassive):
+        specs = self.draws(seed, nonpassive)
+        counts = sorted({spec.n_modes for spec in specs})
+        assert counts == [1, 2, 3, 4, 5]
+        for n in counts:
+            group = [spec for spec in specs if spec.n_modes == n]
+            assert_per_spec_bits(build_state_spaces(group), group)
+            for spec in group[:3]:
+                assert_per_spec_bits(build_state_spaces([spec]), [spec])
+
+    def test_terms_sharing_an_entry_keep_their_order(self):
+        # (1 + 1e-16) + 1e-16 rounds to 1, and (1e-16 + 1e-16) + 1 does not
+        small, large = [1e-16, 1e-16], [1.0]
+        baths = [BathSpec(1.0), BathSpec(0.3)]
+        specs = [
+            NetworkSpec(2, baths, [beam_splitter(g, 0, 1) for g in small + large]
+                        + [detuning(d, 0) for d in small + large]),
+            NetworkSpec(2, baths, [beam_splitter(g, 0, 1) for g in large + small]
+                        + [detuning(d, 0) for d in large + small]),
+            bs_pair(),
+            NetworkSpec(2, [BathSpec(0.5), BathSpec(4.0)]),
+        ]
+        ss = build_state_spaces(specs)
+        assert_per_spec_bits(ss, specs)
+        assert ss.drift[0, 0, 1] != ss.drift[1, 0, 1]
+        assert ss.drift[0, 0, 0] != ss.drift[1, 0, 0]
+
+    def test_zero_amplitudes_leave_the_bits_of_absent_terms(self):
+        zero = NetworkSpec(2, [BathSpec(1.0), BathSpec(2.0)], [
+            beam_splitter(0.0, 0, 1), two_mode_squeeze(0.0, 0, 1),
+            detuning(-0.0, 1), degenerate_parametric(0.0, 0),
+        ])
+        bare = NetworkSpec(2, [BathSpec(1.0), BathSpec(2.0)])
+        assert build_state_spaces([zero]).drift.tobytes() == (
+            build_state_spaces([bare]).drift.tobytes()
+        )
+        assert passive_state_space(build_state_spaces([zero]))
 
 
 class TestStacks:

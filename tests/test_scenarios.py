@@ -21,6 +21,8 @@ from bosonet.network import (
     NetworkSpec,
     beam_splitter,
     build_state_space,
+    build_state_spaces,
+    cosh_sinh,
     hyperbolic_frame,
     is_passive,
     passive_state_space,
@@ -739,19 +741,19 @@ class TestFig3Rows:
 
     def test_rows_share_one_physical_state_space(self, monkeypatch):
         builds, solved = [], []
-        real_build = scenarios.build_state_spaces
+        real_build = scenarios.family_state_space
         real_steady = scenarios.steady_covariance
 
-        def counting_build(specs):
-            builds.append(specs)
-            return real_build(specs)
+        def counting_build(*args):
+            builds.append(args)
+            return real_build(*args)
 
         def recording_steady(ss, inputs):
             solved.append((ss, inputs.occupancy.shape))
             return real_steady(ss, inputs)
 
         budget = three_mode_budget(THREE_MODE)
-        monkeypatch.setattr(scenarios, "build_state_spaces", counting_build)
+        monkeypatch.setattr(scenarios, "family_state_space", counting_build)
         monkeypatch.setattr(scenarios, "steady_covariance", recording_steady)
         counts = []
         for side in (1, 5):
@@ -882,7 +884,8 @@ class TestThreeModeBatches:
         frame = three_mode_transform(THREE_MODE.xi)
         for g in (0.1, 0.8, 2.5):
             p = replace(THREE_MODE, g_script=g)
-            held, built = scenarios._three_mode_budgets([p], frame), three_mode_budget(p)
+            physical = build_state_spaces([three_mode_physical_network(p)])
+            held, built = scenarios._three_mode_budgets(physical, frame), three_mode_budget(p)
             assert bits(held.transfer[0]) == bits(built.transfer)
             assert repr(float(held.eta_e[0])) == repr(built.eta_e)
 
@@ -1008,18 +1011,19 @@ class TestCouplingSearchLockstep:
         assert optimal_coupling(*point) == scalar_optimal_coupling(*point)
 
     def test_first_failing_search_raises_its_own_error(self, monkeypatch):
-        real = scenarios.three_mode_physical_network
+        real = scenarios._three_mode_physical
         evaluations = {}
 
-        def failing(p):
-            count = evaluations[p.kappa] = evaluations.get(p.kappa, 0) + 1
-            # the search at kappa = 1 fails at its fifth point, the one at
-            # kappa = 3 at its first, which is in the first lockstep step
-            if (p.kappa == 1.0 and count == 5) or p.kappa == 3.0:
-                raise NumericsError(f"made to fail at kappa = {p.kappa:g}")
-            return real(p)
+        def failing(g_script, omega, kappa, gamma_m, cosh, sinh):
+            for value in kappa.tolist():
+                count = evaluations[value] = evaluations.get(value, 0) + 1
+                # the search at kappa = 1 fails at its fifth point, the one
+                # at kappa = 3 at its first, which is in the first lockstep step
+                if (value == 1.0 and count == 5) or value == 3.0:
+                    raise NumericsError(f"made to fail at kappa = {value:g}")
+            return real(g_script, omega, kappa, gamma_m, cosh, sinh)
 
-        monkeypatch.setattr(scenarios, "three_mode_physical_network", failing)
+        monkeypatch.setattr(scenarios, "_three_mode_physical", failing)
         points = [(0.5, 1.0, 0.01, 0.0), (1.0, 1.0, 0.01, 0.0), (3.0, 1.0, 0.03, 0.0)]
         with pytest.raises(NumericsError, match="kappa = 1$"):
             optimal_couplings(points)
@@ -1031,3 +1035,205 @@ class TestCouplingSearchLockstep:
         with pytest.raises(ValidationError, match="kappa must be positive"):
             optimal_couplings([(0.0, 1.0, 0.01, 0.0), (1.0, 1.0, 0.01, -0.5)])
         assert optimal_couplings([]) == []
+
+
+def fig1_params(g_script, xi, gamma1, gamma2, n1=0.0, n2=0.0):
+    """The record of one fig1_rows point."""
+    cosh, sinh = cosh_sinh(xi)
+    return TwoModeParams(
+        g_plus=g_script * sinh, g_minus=g_script * cosh,
+        gamma1=gamma1, gamma2=gamma2, n1=n1, n2=n2,
+    )
+
+
+def fig2_params(delta_eta, gamma1, gamma2, g_minus, g_plus=0.0, n1=0.0, n2=0.0):
+    """The record of one fig2_rows point."""
+    return ParametricParams(
+        g_plus=g_plus, g_minus=g_minus, gamma1=gamma1, gamma2=gamma2,
+        eta1=+0.5 * delta_eta, eta2=-0.5 * delta_eta, n1=n1, n2=n2,
+    )
+
+
+class TestColumnPaths:
+    """The array forms build their drifts from coefficient columns: the
+    bits of the records' networks, and no record per point."""
+
+    @staticmethod
+    def recorded(monkeypatch, name):
+        """The results of every call of scenarios.<name>, as it runs."""
+        real, results = getattr(scenarios, name), []
+
+        def recording(*args):
+            results.append((args, real(*args)))
+            return results[-1][1]
+
+        monkeypatch.setattr(scenarios, name, recording)
+        return results
+
+    def test_fig1_drifts_have_the_bits_of_the_records(self, monkeypatch):
+        from test_network import assert_per_spec_bits
+
+        # zero g_plus and g_minus columns, and xi = 0
+        columns = (
+            [0.0, 0.0, 0.7, 2.0, 0.3, 1e-3],
+            [0.0, 0.9, 0.0, 0.5, 1.3, 2.0],
+            [1.0, 2.0, 0.5, 1.0, 3.0, 1.0],
+            1.5,
+        )
+        builds = self.recorded(monkeypatch, "family_state_space")
+        rows = fig1_rows(*columns, n2=0.2)
+        ((_, ss),) = builds
+        points = list(zip(*columns[:3]))
+        assert_per_spec_bits(
+            ss, [two_mode_network(fig1_params(*p, 1.5, n2=0.2)) for p in points]
+        )
+        assert rows == [fig1_point(*p, 1.5, n2=0.2) for p in points]
+
+    def test_parametric_family_has_the_bits_of_the_records(self):
+        from test_network import assert_per_spec_bits
+
+        g_plus = np.array([0.0, 0.4, 0.0, 0.2])
+        g_minus = np.array([0.0, 0.0, 1.5, 3.0])
+        eta1 = np.array([0.0, 0.3, -0.7, 0.0])
+        eta2 = np.array([0.0, 0.0, 0.2, -1.1])
+        gammas = np.array([[1.0, 2.0], [0.5, 0.5], [4.0, 1.0], [2.0, 3.0]])
+        ss = scenarios.family_state_space(
+            scenarios._PARAMETRIC_SLOTS,
+            (g_minus, g_plus, -0.25j * eta1, -0.25j * eta2),
+            gammas,
+        )
+        records = [
+            ParametricParams(gp, gm, a, b, e1, e2)
+            for gp, gm, (a, b), e1, e2 in zip(g_plus, g_minus, gammas, eta1, eta2)
+        ]
+        assert_per_spec_bits(ss, [parametric_network(p) for p in records])
+
+    def test_three_mode_drifts_have_the_bits_of_the_records(self):
+        from test_network import assert_per_spec_bits
+
+        # zero g_script and omega columns, and xi = 0
+        points = random_three_mode_points(6, 11) + [
+            replace(THREE_MODE, g_script=0.0),
+            replace(THREE_MODE, omega=0.0),
+            replace(THREE_MODE, xi=0.0),
+            replace(THREE_MODE, g_script=0.0, omega=0.0, xi=0.0),
+            replace(THREE_MODE, omega=-0.7),
+        ]
+        physical = three_mode_budgets(points).physical
+        assert_per_spec_bits(physical, [three_mode_physical_network(p) for p in points])
+
+    @pytest.mark.parametrize("xi", [0.0, 0.5])
+    def test_search_drifts_have_the_bits_of_the_records(self, monkeypatch, xi):
+        from test_network import assert_per_spec_bits
+
+        builds = self.recorded(monkeypatch, "_three_mode_physical")
+        optimal_couplings([(1.0, 1.0, 0.01, xi), (0.3, 2.0, 0.003, xi)])
+        assert len(builds) > 20
+        for (g_script, omega, kappa, gamma_m, _, _), ss in builds:
+            records = [
+                ThreeModeParams(g_script=g, omega=w, kappa=k, gamma_m=m, xi=xi)
+                for g, w, k, m in zip(g_script, omega, kappa, gamma_m)
+            ]
+            assert_per_spec_bits(ss, [three_mode_physical_network(p) for p in records])
+
+    def test_squeezing_powers_rows_equal_fig1_rows(self):
+        g, x = np.meshgrid(np.geomspace(0.2, 30.0, 7), np.linspace(0.0, 2.0, 6), indexing="ij")
+        rows = fig1_rows(g, x, 1.3, 0.8, 0.1, 0.6)
+        records = [fig1_params(a, b, 1.3, 0.8, 0.1, 0.6) for a, b in zip(g.ravel(), x.ravel())]
+        assert [row[4:] for row in rows] == [
+            (r.norm_var1, r.norm_var2, r.sum) for r in squeezing_powers(records)
+        ]
+
+    def test_no_record_per_point(self, monkeypatch):
+        made = []
+        for record in (NetworkSpec, TwoModeParams, ParametricParams, ThreeModeParams):
+            def counting(self, real=record.__post_init__):
+                made.append(type(self).__name__)
+                real(self)
+
+            monkeypatch.setattr(record, "__post_init__", counting)
+        TwoModeParams(0.1, 1.0, 1.0, 1.0)
+        assert made == ["TwoModeParams"]  # the count sees a record
+        made.clear()
+        assert len(fig1_rows(np.geomspace(0.5, 50.0, 400), 0.6, 1.3, 0.8)) == 400
+        assert made == []
+        assert len(fig2_rows(np.linspace(-4.9, 4.9, 400), 4.0, 1.0, 3.0)) == 400
+        assert made == []
+        optimal_couplings([(1.0, 1.0, 0.01, 0.5), (0.3, 2.0, 0.003, 0.0)])
+        assert made == []
+
+
+BAD_VALUES = [-1.0, math.nan, math.inf]
+# a grid of four valid points; a bad value goes in at row 2
+FIG1_COLUMNS = ([0.5, 1.0, 2.0, 0.7], [0.1, 0.4, 0.2, 0.8], 1.0, 2.0, 0.0, 0.3)
+FIG2_COLUMNS = ([-1.0, 0.0, 0.5, 2.0], 4.0, 1.0, 3.0, 0.2, 0.1, 0.0)
+
+
+def with_bad_value(columns, field, value, row=2):
+    """columns with ``value`` at ``row`` of column ``field``."""
+    column = np.broadcast_to(np.asarray(columns[field], dtype=float), (4,)).copy()
+    column[row] = value
+    return columns[:field] + (column,) + columns[field + 1:]
+
+
+def record_error(make, columns, row=2):
+    """The error that the record of point ``row`` of the grid raises."""
+    point = [np.broadcast_to(np.asarray(c, dtype=float), (4,))[row] for c in columns]
+    with pytest.raises(ValidationError) as error:
+        make(*[float(value) for value in point])
+    return str(error.value)
+
+
+class TestColumnValidation:
+    """Each column is checked once; the first invalid point, in row order,
+    raises the error its record raises, for its first failing field."""
+
+    @pytest.mark.parametrize("value", BAD_VALUES)
+    @pytest.mark.parametrize("field", range(6))
+    def test_fig1_rows(self, field, value):
+        columns = with_bad_value(FIG1_COLUMNS, field, value)
+        expected = record_error(fig1_params, columns)
+        with pytest.raises(ValidationError) as rows:
+            fig1_rows(*columns)
+        assert str(rows.value) == expected
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [(0, math.nan), (0, math.inf)]
+        + [(field, value) for field in range(1, 7) for value in BAD_VALUES],
+    )
+    def test_fig2_rows(self, field, value):
+        # a negative delta_eta is valid
+        columns = with_bad_value(FIG2_COLUMNS, field, value)
+        expected = record_error(fig2_params, columns)
+        with pytest.raises(ValidationError) as rows:
+            fig2_rows(*columns)
+        assert str(rows.value) == expected
+
+    def test_first_point_then_first_field(self):
+        # row 1 fails in n2 and gamma1, row 2 in g_script: gamma1 of row 1
+        columns = with_bad_value(with_bad_value(FIG1_COLUMNS, 5, -1.0, row=1), 2, math.nan, row=1)
+        columns = with_bad_value(columns, 0, -1.0)
+        with pytest.raises(ValidationError, match="^gamma1 must be finite, got nan$"):
+            fig1_rows(*columns)
+        # xi beyond the float range of cosh raises where its point stands
+        with pytest.raises(NumericsError, match="overflow a float"):
+            fig1_rows(1.0, [0.5, 800.0, -1.0], 1.0, 1.0)
+        with pytest.raises(ValidationError, match="g_plus must be nonnegative"):
+            fig1_rows(1.0, [0.5, -1.0, 800.0], 1.0, 1.0)
+
+    @pytest.mark.parametrize("value", BAD_VALUES)
+    @pytest.mark.parametrize("field", ["kappa", "omega", "gamma_m", "xi"])
+    def test_optimal_couplings(self, field, value):
+        points = [dict(kappa=1.0, omega=1.0, gamma_m=0.01, xi=0.5) for _ in range(3)]
+        points[1][field] = value
+        points[2]["kappa"] = -2.0  # a later bad point does not raise first
+        if not math.isfinite(value):
+            expected = f"{field} must be finite, got {value}"
+        elif field == "xi":
+            expected = "xi must be nonnegative, got -1.0"
+        else:
+            expected = f"{field} must be positive, got -1.0"
+        with pytest.raises(ValidationError) as search:
+            optimal_couplings([tuple(p.values()) for p in points])
+        assert str(search.value) == expected
