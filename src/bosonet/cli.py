@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from .errors import BosonetError, StabilityError, ValidationError
-from .linalg import eigenvalues
+from .linalg import batch_or_each, eigenvalues
 from .network import (
     DOUBLED_ORDERING,
     InputMoments,
@@ -242,19 +242,11 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _sweep_rows(rows_of, header: tuple, fixed: dict, var: str, values: list) -> list:
-    """The rows of one batch of a sweep. If the batch raises, it is re-run
-    one point at a time, so each failing point reports itself in grid
-    order: a point that fails for stability, frame or numerics reasons
-    keeps its parameter columns, the rest nan, with one warning line;
-    invalid parameters raise (exit code 3)."""
-    try:
-        return rows_of(**fixed, **{var: values})
-    except BosonetError:
-        return [_sweep_row(rows_of, header, {**fixed, var: value}, var) for value in values]
-
-
 def _sweep_row(rows_of, header: tuple, params: dict, var: str) -> tuple:
+    """The row of one sweep point, for a batch that raised: a point that
+    fails for stability, frame or numerics reasons keeps its parameter
+    columns, the rest nan, with one warning line; invalid parameters
+    raise (exit code 3)."""
     try:
         return rows_of(**params)[0]
     except ValidationError:
@@ -292,8 +284,13 @@ def cmd_sweep(args) -> int:
     }
     rows = []
     for start in range(0, len(values), GRID_CHUNK):
-        chunk = values[start : start + GRID_CHUNK]
-        rows.extend(_sweep_rows(rows_of, header, fixed, var, chunk))
+        # a batch that raises is re-run one point at a time, so each
+        # failing point reports itself in grid order
+        rows.extend(batch_or_each(
+            values[start : start + GRID_CHUNK],
+            lambda chunk: rows_of(**fixed, **{var: chunk}),
+            lambda value: _sweep_row(rows_of, header, {**fixed, var: value}, var),
+        ))
     _write_csv(args.out, header, rows)
     return 0
 

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, NumericsError, StabilityError, ValidationError
+from .errors import BosonetError, DimensionError, NumericsError, StabilityError, ValidationError
 
 MAX_SPECTRUM_DIM = 64
 # Smallest drift dimension (four modes) that solve_lyapunov solves by
@@ -49,6 +49,17 @@ def first_failure(passed) -> int | None:
     stack (a NaN comparison is False, so NaN fails), or None if all pass."""
     failed = np.flatnonzero(~np.asarray(passed))
     return int(failed[0]) if failed.size else None
+
+
+def batch_or_each(items: Sequence, batch: Callable, one: Callable) -> Iterable:
+    """``batch(items)``, the results of the items evaluated as one batch;
+    if that raises a package error, ``one(item)`` for each item instead,
+    lazily and in order, so the first failing item raises its own error
+    after the items before it have been evaluated."""
+    try:
+        return batch(items)
+    except BosonetError:
+        return map(one, items)
 
 
 def _as_square(m, stack: bool = False) -> np.ndarray:
@@ -504,7 +515,7 @@ _GOLDEN_MAX_ITER = 400
 
 
 def golden_sections_max(
-    fn: Callable[[list[int], list[float]], Sequence[float]],
+    fn: Callable[[list[float]], Sequence[float]],
     lo: Sequence[float],
     hi: Sequence[float],
     rel_tol: float = 1e-6,
@@ -512,15 +523,16 @@ def golden_sections_max(
     """Bracketed golden-section maximization of unimodal functions, one
     search per bracket (lo[i], hi[i]), in lockstep.
 
-    ``fn(live, xs)`` gets the indices of the searches still running and
-    one point for each, and returns one value per point, so every step
-    is one call. Each search shrinks its bracket until the width falls
-    below ``rel_tol`` relative to the bracket magnitude, or for at most
-    _GOLDEN_MAX_ITER steps, and then stops. A search's bookkeeping is
-    plain float arithmetic, so it visits the points it would visit run
-    alone, in the same order, and its result has the same bits. Returns
-    the lists (argmax, max value). Every bracket must be finite with
-    hi > lo (else ValidationError).
+    ``fn(xs)`` gets one point per search and returns one value per point,
+    so every step is one call of a fixed size. Each search shrinks its
+    bracket until the width falls below ``rel_tol`` relative to the
+    bracket magnitude, or for at most _GOLDEN_MAX_ITER steps, and then
+    stops; a stopped search is handed again the last point it was handed,
+    and that value is ignored. A search's bookkeeping is plain float
+    arithmetic, so it visits the points it would visit run alone, in the
+    same order, and its result has the same bits. Returns the lists
+    (argmax, max value). Every bracket must be finite with hi > lo (else
+    ValidationError).
     """
     a, b = [float(x) for x in lo], [float(x) for x in hi]
     if len(a) != len(b) or not all(
@@ -529,9 +541,9 @@ def golden_sections_max(
         raise ValidationError("golden-section brackets must be finite with hi > lo")
     c = [y - _INV_PHI * (y - x) for x, y in zip(a, b)]
     d = [x + _INV_PHI * (y - x) for x, y in zip(a, b)]
-    every = list(range(len(a)))
-    fc, fd = list(fn(every, c)), list(fn(every, d))
-    live = every
+    fc, fd = list(fn(c)), list(fn(d))
+    xs = list(d)
+    live = range(len(a))
     for _ in range(_GOLDEN_MAX_ITER):
         live = [
             i for i in live
@@ -543,16 +555,15 @@ def golden_sections_max(
         for i, left in zip(live, lefts):
             if left:
                 b[i], d[i], fd[i] = d[i], c[i], fc[i]
-                c[i] = b[i] - _INV_PHI * (b[i] - a[i])
+                c[i] = xs[i] = b[i] - _INV_PHI * (b[i] - a[i])
             else:
                 a[i], c[i], fc[i] = c[i], d[i], fd[i]
-                d[i] = a[i] + _INV_PHI * (b[i] - a[i])
-        values = fn(live, [c[i] if left else d[i] for i, left in zip(live, lefts)])
-        for i, left, value in zip(live, lefts, values):
+                d[i] = xs[i] = a[i] + _INV_PHI * (b[i] - a[i])
+        values = fn(xs)
+        for i, left in zip(live, lefts):
             if left:
-                fc[i] = value
+                fc[i] = values[i]
             else:
-                fd[i] = value
+                fd[i] = values[i]
     x = [0.5 * (p + q) for p, q in zip(a, b)]
-    return x, list(fn(every, x))
-
+    return x, list(fn(x))

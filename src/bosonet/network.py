@@ -27,7 +27,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -536,8 +536,10 @@ class InputMoments:
         return cls(np.zeros(n_channels), np.zeros(n_channels, dtype=complex))
 
     @classmethod
-    def thermal(cls, occupancies: Iterable[float]) -> "InputMoments":
-        occ = np.asarray(list(occupancies), dtype=float)
+    def thermal(cls, occupancies: Sequence | np.ndarray) -> "InputMoments":
+        """Thermal channels of the occupancies (N,), or a stack (P, N), with
+        no anomalous moments."""
+        occ = np.asarray(occupancies, dtype=float)
         return cls(occ, np.zeros_like(occ, dtype=complex))
 
     @classmethod

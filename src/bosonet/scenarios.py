@@ -22,7 +22,9 @@ solve per stage, and every check runs at every point; the first failing
 point raises. Each per-point function (two_mode_squeezing_power,
 parametric_variance_check, three_mode_budget, duan_quantity, fig1_point,
 fig2_point) is the one-point call of its array form, so a grid row has
-the bits of its point.
+the bits of its point. Every three-mode frame budget, of a grid or of a
+coupling search step, comes from one function (_scheme_budgets), given
+the frame pieces of the schemes' xi.
 
 A grid is a family of coefficient columns, not a list of records.
 fig1_rows, fig2_rows, fig3_rows and the optimal_couplings search build
@@ -42,8 +44,8 @@ values of a stack of schemes or of one scheme's occupancy columns come
 from one evaluation of that record. fig3_rows broadcasts its
 occupancies as fig1_rows and fig2_rows do. optimal_couplings runs its
 coupling searches in lockstep, reading eta_e off one stacked frame
-budget per golden-section step, and optimal_coupling is its one-point
-call.
+budget of every search per golden-section step, and optimal_coupling is
+its one-point call.
 """
 
 from __future__ import annotations
@@ -57,13 +59,12 @@ import numpy as np
 
 from .errors import (
     ApplicabilityError,
-    BosonetError,
     DimensionError,
     NumericsError,
     StabilityError,
     ValidationError,
 )
-from .linalg import first_failure, golden_sections_max, solve_lyapunov
+from .linalg import batch_or_each, first_failure, golden_sections_max, solve_lyapunov
 from .network import (
     BathSpec,
     CouplingTerm,
@@ -551,7 +552,7 @@ def parametric_optimum(gamma1: float, gamma2: float) -> ParametricOptimum:
     edge = s * (1.0 - 1e-9)
     # the minimum is the maximum of the negated bound, from one search
     _, (neg_value,) = golden_sections_max(
-        lambda live, des: [-_pair_bound(gamma1, gamma2, de) for de in des],
+        lambda des: [-_pair_bound(gamma1, gamma2, de) for de in des],
         [-edge], [edge], rel_tol=1e-12,
     )
     numeric_value = -neg_value
@@ -656,17 +657,6 @@ def three_mode_physical_network(p: ThreeModeParams) -> NetworkSpec:
     )
 
 
-def _three_mode_physical(g_script, omega, kappa, gamma_m, cosh, sinh) -> StateSpace:
-    """The state spaces of three_mode_physical_network at the columns (P,)
-    of the schemes' fields, stacked; cosh and sinh are cosh_sinh of each
-    scheme's xi (_cosh_sinh_columns)."""
-    return family_state_space(
-        _THREE_MODE_SLOTS,
-        _three_mode_amplitudes(g_script, omega, cosh, sinh),
-        np.stack([kappa, gamma_m, gamma_m], axis=-1),
-    )
-
-
 def three_mode_transform(xi: float) -> MomentTransform:
     """Physical (a1, a2, a3) to frame (a1, alpha_Sigma, alpha_Delta).
 
@@ -736,21 +726,26 @@ def three_mode_budgets(ps: Sequence[ThreeModeParams]) -> ThreeModeBudget:
     """
     if not ps:
         raise DimensionError("three_mode_budgets needs at least one scheme")
-    return _scheme_budgets(*_columns(ps, ("g_script", "omega", "kappa", "gamma_m", "xi")))
+    g_script, omega, kappa, gamma_m, xi = _columns(
+        ps, ("g_script", "omega", "kappa", "gamma_m", "xi")
+    )
+    return _scheme_budgets(
+        g_script, omega, kappa, gamma_m, three_mode_transform(xi.tolist()),
+        *_cosh_sinh_columns(xi),
+    )
 
 
-def _scheme_budgets(g_script, omega, kappa, gamma_m, xi) -> ThreeModeBudget:
-    """three_mode_budgets at the valid columns (P,) of the schemes' fields."""
-    frame = three_mode_transform(xi.tolist())
-    physical = _three_mode_physical(g_script, omega, kappa, gamma_m, *_cosh_sinh_columns(xi))
-    return _three_mode_budgets(physical, frame)
-
-
-def _three_mode_budgets(physical: StateSpace, frame: MomentTransform) -> ThreeModeBudget:
-    """three_mode_budgets of the stacked physical state spaces, with the
-    frame transform of the schemes' xi given, for the coupling searches of
-    optimal_couplings, which hold the transforms of their fixed xi. The
-    sum rules of the whole stack are checked in one call."""
+def _scheme_budgets(g_script, omega, kappa, gamma_m, frame, cosh, sinh) -> ThreeModeBudget:
+    """three_mode_budgets at the valid columns (P,) of the schemes' fields,
+    given the frame pieces of their xi: ``frame`` is three_mode_transform
+    of the xi column, and cosh and sinh its _cosh_sinh_columns. The pieces
+    depend on xi alone, so a coupling search builds them once. The sum
+    rules of the whole stack are checked in one call."""
+    physical = family_state_space(
+        _THREE_MODE_SLOTS,
+        _three_mode_amplitudes(g_script, omega, cosh, sinh),
+        np.stack([kappa, gamma_m, gamma_m], axis=-1),
+    )
     stack = compute_budget(frame.apply_to_state_space(physical))
     failed = next((rules for rules in verify_sum_rules(stack) if not rules.passed), None)
     if failed is not None:
@@ -804,8 +799,8 @@ def duan_quantities(ps: Sequence[ThreeModeParams]) -> list[DuanResult]:
     point checked against its own budget."""
     if not ps:
         return []
-    g_script, omega, kappa, gamma_m, xi, n_o, n_m = _columns(ps, _THREE_MODE_FIELDS)
-    return _duan(_scheme_budgets(g_script, omega, kappa, gamma_m, xi), xi, n_o, n_m)
+    xi, n_o, n_m = _columns(ps, ("xi", "n_o", "n_m"))
+    return _duan(three_mode_budgets(ps), xi, n_o, n_m)
 
 
 def _duan(budget: ThreeModeBudget, xi, n_o: np.ndarray, n_m: np.ndarray) -> list[DuanResult]:
@@ -946,43 +941,32 @@ def optimal_couplings(
     """optimal_coupling at every point (kappa, omega, gamma_m, xi).
 
     The golden sections run in lockstep (golden_sections_max): each step
-    evaluates the couplings of every search still running as one
-    stacked frame budget, with the frame transforms of the points' xi
-    built once, and the formula couplings take one more stacked budget.
-    Each search visits the points it would visit alone, so its result
-    has the same bits. If a step raises, the searches are re-run one at
-    a time, in order, so the first failing point raises its own error.
+    evaluates one coupling per search, stopped searches included, as one
+    stacked frame budget of fixed size, whose frame pieces are built once
+    from the points' xi; the formula couplings take one more stacked
+    budget. Each search visits the points it would visit alone, so its
+    result has the same bits. If the batch raises, the searches are re-run
+    one at a time, in order (batch_or_each), so the first failing point
+    raises its own error.
     """
-    try:
-        return _coupling_searches(points)
-    except BosonetError:
-        if len(points) < 2:
-            raise
-        return [_coupling_searches([point])[0] for point in points]
+    return list(
+        batch_or_each(points, _coupling_searches, lambda point: _coupling_searches([point])[0])
+    )
 
 
 def _coupling_searches(points) -> list[OptimalCoupling]:
-    """optimal_couplings without the one-at-a-time retry."""
+    """optimal_couplings as one batch."""
     columns = np.array(points, dtype=float).reshape(len(points), 4).T
     _check_columns(_SEARCH_FIELDS, columns)
     if not len(points):
         return []
     kappa, omega, gamma_m, xi = columns
-    every = list(range(len(points)))
-    transforms = three_mode_transform(xi.tolist())  # xi is fixed along a search
-    cosh, sinh = _cosh_sinh_columns(xi)
-    # the transforms of each set of running searches, validated once per set
-    stacks = {tuple(every): transforms}
+    # xi is fixed along a search, so the frame pieces serve every step
+    pieces = (three_mode_transform(xi.tolist()), *_cosh_sinh_columns(xi))
 
-    def etas_at(live, gs) -> list[float]:
-        key = tuple(live)
-        if key not in stacks:
-            stacks[key] = MomentTransform(transforms.matrix[live])
-        physical = _three_mode_physical(
-            np.array(gs, dtype=float), omega[live], kappa[live], gamma_m[live],
-            cosh[live], sinh[live],
-        )
-        return _three_mode_budgets(physical, stacks[key]).eta_e.tolist()
+    def etas_at(gs) -> list[float]:
+        g_script = np.array(gs, dtype=float)
+        return _scheme_budgets(g_script, omega, kappa, gamma_m, *pieces).eta_e.tolist()
 
     g_formulas = [
         math.sqrt(0.5 * w * math.hypot(k, 2.0 * w))
@@ -994,7 +978,7 @@ def _coupling_searches(points) -> list[OptimalCoupling]:
     g_numerics, eta_numerics = golden_sections_max(
         etas_at, [0.0] * len(points), his, rel_tol=1e-6
     )
-    eta_formulas = etas_at(every, g_formulas)
+    eta_formulas = etas_at(g_formulas)
     return [
         OptimalCoupling(
             g_formula=g_formula,

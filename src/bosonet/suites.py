@@ -15,12 +15,14 @@ determinism) ignore the override.
 Suites draw all of their cases first, in the order of a per-draw loop,
 and then evaluate the draws in batches, one stack per mode count (see
 _batched); every per-draw check still runs on every draw, in draw
-order. sum_rules checks each group's stacked budget in one
+order, and a batch that raises is replayed draw by draw
+(linalg.batch_or_each). sum_rules checks each group's stacked budget in one
 verify_sum_rules call. route_agreement solves its time-domain budgets
 as such stacks, but its quadrature is adaptive per draw, so it runs
 one draw at a time; boundary_flip draws as it goes (its rejection step
 needs each line before the next draw), so it stays per draw. The g_opt
-searches run in lockstep (optimal_couplings).
+searches run in lockstep, one stack of all ten per step
+(optimal_couplings).
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BosonetError
 from .network import (
     BathSpec,
     CouplingTerm,
@@ -47,7 +48,7 @@ from .network import (
     passive_state_space,
     two_mode_squeeze,
 )
-from .linalg import is_stable
+from .linalg import batch_or_each, is_stable
 from .budget import (
     budget_via_spectrum,
     compute_budget,
@@ -159,24 +160,22 @@ def _batched(draws, solve, size=lambda draw: draw.n_modes):
     ``solve(group)`` evaluates a group of draws as one batch and returns
     one result per draw; the draws are grouped by ``size`` (the mode
     count, as a stack holds one shape). If a group raises, the draws are
-    evaluated one at a time, in draw order, as the caller consumes them:
-    the first failing draw then raises its own error, after the checks of
-    the draws before it, as in a per-draw loop.
+    evaluated one at a time, in draw order, as the caller consumes them
+    (batch_or_each): the first failing draw then raises its own error,
+    after the checks of the draws before it, as in a per-draw loop.
     """
-    groups: dict = {}
-    for index, draw in enumerate(draws):
-        groups.setdefault(size(draw), []).append(index)
-    results = [None] * len(draws)
-    try:
+
+    def grouped(items) -> list:
+        groups: dict = {}
+        for index, item in enumerate(items):
+            groups.setdefault(size(item), []).append(index)
+        results = [None] * len(items)
         for indices in groups.values():
-            solved = solve([draws[i] for i in indices])
-            for index, result in zip(indices, solved):
+            for index, result in zip(indices, solve([items[i] for i in indices])):
                 results[index] = result
-    except BosonetError:
-        for draw in draws:
-            yield draw, solve([draw])[0]
-        return
-    yield from zip(draws, results)
+        return results
+
+    return zip(draws, batch_or_each(draws, grouped, lambda draw: solve([draw])[0]))
 
 
 def _budgets(specs: list[NetworkSpec]) -> list:

@@ -660,15 +660,15 @@ class TestBoundary:
     def test_one_frame_budget_per_command(self, tmp_path, monkeypatch):
         from bosonet import cli, scenarios
 
-        real_budgets = scenarios._three_mode_budgets
+        real_budgets = scenarios._scheme_budgets
         real_search = cli.optimal_coupling
         calls = []
         searching = []
 
-        # every frame budget, stacked or not, is one _three_mode_budgets call
-        def counting(physical, frame):
+        # every frame budget, stacked or not, is one _scheme_budgets call
+        def counting(*columns_and_pieces):
             calls.append(bool(searching))
-            return real_budgets(physical, frame)
+            return real_budgets(*columns_and_pieces)
 
         def search(*args):
             searching.append(True)
@@ -677,7 +677,7 @@ class TestBoundary:
             finally:
                 searching.pop()
 
-        monkeypatch.setattr(scenarios, "_three_mode_budgets", counting)
+        monkeypatch.setattr(scenarios, "_scheme_budgets", counting)
         monkeypatch.setattr(cli, "optimal_coupling", search)
         code = cli.main([
             "boundary", "--g-script", "0.8", "--grid", "n_o:0:1:4",

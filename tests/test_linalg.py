@@ -14,6 +14,7 @@ from bosonet.network import build_state_space
 from bosonet.suites import random_network
 from bosonet.linalg import (
     QUADRATURE_ABS_TOL,
+    batch_or_each,
     eigenvalues,
     golden_sections_max,
     hermitian_defect,
@@ -238,6 +239,29 @@ class TestLyapunovEngine:
         assert calls == [3]
         for q, w in zip(qs, ws):
             assert np.abs(w - kronecker_lyapunov(a, q)).max() <= 1e-12
+
+    def test_failed_factorization_sends_every_source_to_kronecker(self, monkeypatch):
+        calls = self.spy_on_fallback(monkeypatch)
+
+        def singular(m):
+            raise np.linalg.LinAlgError("made singular")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        rng = np.random.default_rng(12)
+        a = random_stable(rng, 8)
+        qs = random_hermitian(rng, 8, k=3)
+        ws = solve_lyapunov(a, qs)
+        assert calls == [3]
+        for q, w in zip(qs, ws):
+            assert np.abs(w - kronecker_lyapunov(a, q)).max() <= 1e-12
+        # the stability test moves to the drift's spectrum, before any solve
+        unstable = np.zeros((8, 8), dtype=complex)
+        unstable[:4, :4] = UNSTABLE_DRIFT
+        unstable[4:, 4:] = -np.eye(4)
+        with pytest.raises(StabilityError) as err:
+            solve_lyapunov(unstable, np.eye(8))
+        assert abs(err.value.eigenvalue - 0.5) < 1e-10
+        assert calls == [3]
 
     def test_drift_above_the_dimension_cap_rejected(self):
         dim = linalg.MAX_SPECTRUM_DIM + 2
@@ -717,9 +741,40 @@ class TestPanelPlan:
         assert abs(value - 0.5) <= abs_tol
 
 
+class TestBatchOrEach:
+    def test_a_batch_that_succeeds_is_returned(self):
+        assert batch_or_each([1, 2], lambda items: [0, 0], None) == [0, 0]
+
+    def test_a_failed_batch_is_replayed_lazily_in_order(self):
+        evaluated = []
+
+        def one(item):
+            evaluated.append(item)
+            if item == 2:
+                raise StabilityError(f"item {item}")
+            return 10 * item
+
+        def failing(items):
+            raise NumericsError("batch")
+
+        results = batch_or_each([1, 2, 3], failing, one)
+        assert evaluated == []
+        assert next(results) == 10
+        with pytest.raises(StabilityError, match="item 2"):
+            next(results)
+        assert evaluated == [1, 2]
+
+    def test_other_errors_are_not_replayed(self):
+        def failing(items):
+            raise ZeroDivisionError
+
+        with pytest.raises(ZeroDivisionError):
+            batch_or_each([1], failing, lambda item: item)
+
+
 def one_search(fn, lo, hi, rel_tol=1e-6):
     """golden_sections_max with one bracket, for a scalar objective."""
-    (x,), (fx,) = golden_sections_max(lambda live, xs: [fn(xs[0])], [lo], [hi], rel_tol)
+    (x,), (fx,) = golden_sections_max(lambda xs: [fn(xs[0])], [lo], [hi], rel_tol)
     return x, fx
 
 
@@ -770,21 +825,6 @@ class TestLockstepGoldenSection:
         lambda t: -math.cosh(t - 31.0),
     ]
 
-    def run_lockstep(self, fns, brackets, rel_tol=1e-6):
-        visits = [[] for _ in fns]
-        calls = []
-
-        def objective(live, xs):
-            calls.append(list(live))
-            values = []
-            for i, x in zip(live, xs):
-                visits[i].append(x)
-                values.append(fns[i](x))
-            return values
-
-        lo, hi = zip(*brackets)
-        return golden_sections_max(objective, lo, hi, rel_tol), visits, calls
-
     def scalar_visits(self, fn, lo, hi, rel_tol=1e-6):
         visits = []
 
@@ -794,38 +834,54 @@ class TestLockstepGoldenSection:
 
         return scalar_golden_max(objective, lo, hi, rel_tol), visits
 
+    def assert_lockstep_is_each_scalar_loop(self, fns, brackets, rel_tol=1e-6):
+        """Run the searches in lockstep and check each against the scalar
+        loop: the same new points in the same order, the same bits, and
+        after it stops only points it was handed before, whose values
+        (made inf here) are ignored."""
+        alone = [self.scalar_visits(fn, lo, hi, rel_tol) for fn, (lo, hi) in zip(fns, brackets)]
+        # the scalar loop's visits: two probes, one per step, the midpoint
+        last_step = [len(visits) - 1 for _, visits in alone]
+        handed = [[] for _ in fns]
+        sizes = []
+
+        def objective(xs):
+            sizes.append(len(xs))
+            call = len(sizes) - 1
+            for i, x in enumerate(xs):
+                handed[i].append(x)
+            return [
+                math.inf if last_step[i] <= call < max(last_step) else fns[i](x)
+                for i, x in enumerate(xs)
+            ]
+
+        lo, hi = zip(*brackets)
+        xs, values = golden_sections_max(objective, lo, hi, rel_tol)
+        # one call of every search per step, up to the last search's midpoint
+        assert sizes == [len(fns)] * (max(last_step) + 1)
+        for i, ((x, fx), visits) in enumerate(alone):
+            assert xs[i] == x
+            assert values[i] == fx or (math.isnan(values[i]) and math.isnan(fx))
+            new, stopped = handed[i][: last_step[i]], handed[i][last_step[i] : -1]
+            assert new + handed[i][-1:] == visits
+            assert all(point in new for point in stopped)
+        return last_step
+
     @pytest.mark.parametrize("rel_tol", [1e-6, 1e-12])
     def test_each_search_has_the_bits_and_path_of_the_scalar_loop(self, rel_tol):
-        (xs, values), visits, calls = self.run_lockstep(self.FNS, self.BRACKETS, rel_tol)
-        steps = set()
-        for i, (fn, (lo, hi)) in enumerate(zip(self.FNS, self.BRACKETS)):
-            (x, fx), alone = self.scalar_visits(fn, lo, hi, rel_tol)
-            assert (xs[i], values[i]) == (x, fx)
-            assert visits[i] == alone
-            steps.add(len(alone))
-        assert len(steps) > 1  # the searches stop after different step counts
-        # one objective call per step: two probes, the steps, the midpoints
-        assert len(calls) == max(steps)
-        assert all(calls[k] == sorted(calls[k]) for k in range(len(calls)))
+        last_step = self.assert_lockstep_is_each_scalar_loop(self.FNS, self.BRACKETS, rel_tol)
+        assert len(set(last_step)) > 1  # the searches stop after different step counts
 
     def test_flat_and_nan_objectives(self):
         fns = [lambda t: 1.0, lambda t: math.nan, lambda t: 0.0 if t < 0.3 else math.nan]
-        brackets = [(0.0, 1.0), (-1.0, 2.0), (0.0, 1.0)]
-        (xs, values), visits, _ = self.run_lockstep(fns, brackets)
-        for i, (fn, (lo, hi)) in enumerate(zip(fns, brackets)):
-            (x, fx), alone = self.scalar_visits(fn, lo, hi)
-            assert xs[i] == x
-            assert values[i] == fx or (math.isnan(values[i]) and math.isnan(fx))
-            assert visits[i] == alone
+        self.assert_lockstep_is_each_scalar_loop(fns, [(0.0, 1.0), (-1.0, 2.0), (0.0, 1.0)])
 
     def test_step_cap(self):
         # a negative tolerance never stops a search, so the cap ends it
-        (xs, values), visits, _ = self.run_lockstep(self.FNS[:2], self.BRACKETS[:2], -1.0)
-        for i in range(2):
-            assert len(visits[i]) == 2 + 400 + 1
-            (x, fx), alone = self.scalar_visits(self.FNS[i], *self.BRACKETS[i], -1.0)
-            assert (xs[i], values[i]) == (x, fx)
-            assert visits[i] == alone
+        last_step = self.assert_lockstep_is_each_scalar_loop(
+            self.FNS[:2], self.BRACKETS[:2], -1.0
+        )
+        assert last_step == [2 + 400, 2 + 400]
 
     def test_one_search_calls_are_the_scalar_loop(self):
         for fn, (lo, hi) in zip(self.FNS, self.BRACKETS):
@@ -842,7 +898,7 @@ class TestLockstepGoldenSection:
         with pytest.raises(ValidationError, match="brackets must be finite"):
             one_search(lambda t: t, lo, hi)
         with pytest.raises(ValidationError, match="brackets must be finite"):
-            golden_sections_max(lambda live, xs: xs, [0.0, lo], [1.0, hi])
+            golden_sections_max(lambda xs: xs, [0.0, lo], [1.0, hi])
 
     def test_no_searches(self):
-        assert golden_sections_max(lambda live, xs: [], [], []) == ([], [])
+        assert golden_sections_max(lambda xs: [], [], []) == ([], [])

@@ -427,6 +427,14 @@ class TestInputMoments:
         assert np.array_equal(t.occupancy, [0.5, 2.0])
         assert np.array_equal(t.anomalous, np.zeros(2))
 
+    def test_thermal_stack_from_lists_and_arrays(self):
+        rows = [[0.5, 2.0, 0.0], [1.0, 0.25, 3.0]]
+        for given in (rows, np.array(rows), [np.array(row) for row in rows]):
+            t = InputMoments.thermal(given)
+            assert t.occupancy.shape == t.anomalous.shape == (2, 3)
+            assert t.occupancy.tobytes() == np.array(rows).tobytes()
+            assert t.anomalous.tobytes() == np.zeros((2, 3), dtype=complex).tobytes()
+
     def test_from_baths_reads_moments(self):
         spec = NetworkSpec(
             1, [BathSpec(1.0, occupancy=2.0, anomalous=0.5 + 0.5j)]

@@ -18,6 +18,7 @@ from bosonet.linalg import solve_lyapunov
 from bosonet.network import (
     BathSpec,
     InputMoments,
+    MomentTransform,
     NetworkSpec,
     beam_splitter,
     build_state_space,
@@ -880,14 +881,35 @@ class TestThreeModeBatches:
             assert repr(budget.eta_e) == repr(float(transfer[1, 0] + transfer[2, 0]))
 
     def test_a_held_frame_gives_the_same_bits(self):
-        # the coupling search holds one frame for its xi
-        frame = three_mode_transform(THREE_MODE.xi)
+        # the coupling search holds the frame pieces of its xi
+        xi = np.array([THREE_MODE.xi])
+        pieces = (three_mode_transform(xi.tolist()), *scenarios._cosh_sinh_columns(xi))
         for g in (0.1, 0.8, 2.5):
             p = replace(THREE_MODE, g_script=g)
+            columns = [np.array([value]) for value in (g, p.omega, p.kappa, p.gamma_m)]
+            held, built = scenarios._scheme_budgets(*columns, *pieces), three_mode_budget(p)
             physical = build_state_spaces([three_mode_physical_network(p)])
-            held, built = scenarios._three_mode_budgets(physical, frame), three_mode_budget(p)
+            assert bits(held.physical.drift) == bits(physical.drift)
             assert bits(held.transfer[0]) == bits(built.transfer)
             assert repr(float(held.eta_e[0])) == repr(built.eta_e)
+
+    def test_frame_sum_rule_failure_is_refused(self, monkeypatch):
+        real = scenarios.verify_sum_rules
+
+        def failing_second(stack):
+            reports = real(stack)
+            reports[1] = replace(
+                reports[1], passed=False, completeness_residual=2e-7, metric_residual=3e-8
+            )
+            return reports
+
+        monkeypatch.setattr(scenarios, "verify_sum_rules", failing_second)
+        points = random_three_mode_points(3, 8)
+        with pytest.raises(NumericsError, match="^budget sum rules failed in the frame$") as err:
+            three_mode_budgets(points)
+        assert err.value.estimate == 2e-7
+        with pytest.raises(NumericsError, match="budget sum rules failed in the frame"):
+            duan_quantities(points)
 
     def test_duan_quantities_equal_the_points(self):
         points = random_three_mode_points(15, 7)
@@ -1011,23 +1033,41 @@ class TestCouplingSearchLockstep:
         assert optimal_coupling(*point) == scalar_optimal_coupling(*point)
 
     def test_first_failing_search_raises_its_own_error(self, monkeypatch):
-        real = scenarios._three_mode_physical
+        real = scenarios._scheme_budgets
         evaluations = {}
 
-        def failing(g_script, omega, kappa, gamma_m, cosh, sinh):
+        def failing(g_script, omega, kappa, gamma_m, *pieces):
             for value in kappa.tolist():
                 count = evaluations[value] = evaluations.get(value, 0) + 1
                 # the search at kappa = 1 fails at its fifth point, the one
                 # at kappa = 3 at its first, which is in the first lockstep step
                 if (value == 1.0 and count == 5) or value == 3.0:
                     raise NumericsError(f"made to fail at kappa = {value:g}")
-            return real(g_script, omega, kappa, gamma_m, cosh, sinh)
+            return real(g_script, omega, kappa, gamma_m, *pieces)
 
-        monkeypatch.setattr(scenarios, "_three_mode_physical", failing)
+        monkeypatch.setattr(scenarios, "_scheme_budgets", failing)
         points = [(0.5, 1.0, 0.01, 0.0), (1.0, 1.0, 0.01, 0.0), (3.0, 1.0, 0.03, 0.0)]
         with pytest.raises(NumericsError, match="kappa = 1$"):
             optimal_couplings(points)
         assert evaluations[0.5] > 20  # the search before it ran to its end
+
+    def test_one_frame_per_search_batch(self, monkeypatch):
+        # the three transforms of one three_mode_transform call (two
+        # factors and their product), and none inside the search loop
+        made = []
+        real = MomentTransform.__post_init__
+
+        def counting(self):
+            made.append(self.matrix.shape)
+            real(self)
+
+        monkeypatch.setattr(MomentTransform, "__post_init__", counting)
+        optimal_couplings(self.G_OPT_POINTS)
+        searched = list(made)
+        made.clear()
+        three_mode_transform([xi for *_, xi in self.G_OPT_POINTS])
+        assert searched == made
+        assert len(made) == 3
 
     def test_points_are_validated_in_order(self):
         with pytest.raises(ValidationError, match="xi must be nonnegative"):
@@ -1126,15 +1166,17 @@ class TestColumnPaths:
     def test_search_drifts_have_the_bits_of_the_records(self, monkeypatch, xi):
         from test_network import assert_per_spec_bits
 
-        builds = self.recorded(monkeypatch, "_three_mode_physical")
+        builds = self.recorded(monkeypatch, "_scheme_budgets")
         optimal_couplings([(1.0, 1.0, 0.01, xi), (0.3, 2.0, 0.003, xi)])
         assert len(builds) > 20
-        for (g_script, omega, kappa, gamma_m, _, _), ss in builds:
+        for (g_script, omega, kappa, gamma_m, *_), budget in builds:
             records = [
                 ThreeModeParams(g_script=g, omega=w, kappa=k, gamma_m=m, xi=xi)
                 for g, w, k, m in zip(g_script, omega, kappa, gamma_m)
             ]
-            assert_per_spec_bits(ss, [three_mode_physical_network(p) for p in records])
+            assert_per_spec_bits(
+                budget.physical, [three_mode_physical_network(p) for p in records]
+            )
 
     def test_squeezing_powers_rows_equal_fig1_rows(self):
         g, x = np.meshgrid(np.geomspace(0.2, 30.0, 7), np.linspace(0.0, 2.0, 6), indexing="ij")
