@@ -19,6 +19,7 @@ from .errors import ApplicabilityError, DimensionError, NumericsError, Validatio
 from .linalg import (
     QUADRATURE_ABS_TOL,
     first_failure,
+    integrate_spectra,
     integrate_spectrum,
     require_abs_tol,
     require_stable,
@@ -144,6 +145,13 @@ def budget_via_spectrum(
     are the kernel's poles, so they grade the starting panels and narrow
     resonances are not stepped over; a resonance too narrow for the
     frequency map raises NumericsError (see integrate_spectrum).
+
+    A stacked state space (see ``network``) gives a stack of budgets, as
+    compute_budget does: its members are integrated in lockstep by
+    integrate_spectra, and member i has the bits of budget_via_spectrum
+    of drift i alone. Every drift is checked for stability, in order,
+    before any panel is evaluated. A single state space goes through
+    integrate_spectrum.
     """
     require_abs_tol(abs_tol)
     for name, m in (("drift", ss.drift), ("input", ss.input)):
@@ -154,20 +162,35 @@ def budget_via_spectrum(
                 "mirror its half-line integral"
             )
     n = ss.n_modes
-    spectrum = require_stable(ss.drift)
+    drifts = ss.drift.reshape((-1, 2 * n, 2 * n))
+    inputs = np.broadcast_to(ss.input, ss.drift.shape).reshape(drifts.shape)
+    spectra = np.array([require_stable(drift) for drift in drifts]).reshape(-1, 2 * n)
     eye = np.eye(2 * n, dtype=complex)
 
-    def kernel(omegas: np.ndarray) -> np.ndarray:
-        shift = -1j * omegas[:, None, None] * eye - ss.drift
-        t = np.linalg.solve(shift, np.broadcast_to(ss.input, shift.shape))
+    def kernel(members: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+        t = np.linalg.solve(
+            -1j * omegas[:, None, None] * eye - drifts[members], inputs[members]
+        )
         # channel j: x[:, j] holds T's columns j and N + j, and its kernel
         # col_j col_j^H - col_{N+j} col_{N+j}^H is one signed product
         x = t.reshape(len(omegas), 2 * n, 2, n).transpose(0, 3, 1, 2)
-        return (x * [1.0, -1.0]) @ x.conj().swapaxes(-2, -1)
+        # x views T: deleting t and rebinding x free T before the product
+        # allocates the kernel
+        del t
+        signed, x = x * [1.0, -1.0], x.conj()
+        return signed @ x.swapaxes(-2, -1)
 
-    half_line = integrate_spectrum(kernel, abs_tol=0.5 * abs_tol, poles=spectrum)
+    if ss.drift.ndim == 2:
+        half_line = integrate_spectrum(
+            lambda omegas: kernel(np.zeros(len(omegas), dtype=int), omegas),
+            abs_tol=0.5 * abs_tol,
+            poles=spectra[0],
+        )
+    else:
+        half_line = integrate_spectra(kernel, 0.5 * abs_tol, spectra)
     ws = half_line - mirrored(half_line)
-    return _budget_from_kernels(ws, ss.gammas, passive_drifts(ss))
+    gammas = np.broadcast_to(ss.gammas, ss.drift.shape[:-2] + (n,))
+    return _budget_from_kernels(ws, gammas, passive_drifts(ss))
 
 
 @dataclass(frozen=True)

@@ -823,4 +823,7 @@ def hyperbolic_frame(g_plus: float, g_minus: float) -> tuple[float, float]:
             f"no hyperbolic frame: g_plus = {g_plus:g} must be below "
             f"g_minus = {g_minus:g}"
         )
-    return math.sqrt(g_minus**2 - g_plus**2), math.atanh(g_plus / g_minus)
+    # |g_minus| sqrt(1 - r^2), without squaring g_minus, which overflows
+    # above about 1e154
+    r = g_plus / g_minus
+    return abs(g_minus) * math.sqrt((1.0 - r) * (1.0 + r)), math.atanh(r)

@@ -16,12 +16,12 @@ Suites draw all of their cases first, in the order of a per-draw loop,
 and then evaluate the draws in batches, one stack per mode count (see
 _batched); every per-draw check still runs on every draw, in draw
 order, and a batch that raises is replayed draw by draw
-(linalg.batch_or_each). sum_rules checks each group's stacked budget in one
-verify_sum_rules call. route_agreement solves its time-domain budgets
-as such stacks, but its quadrature is adaptive per draw, so it runs
-one draw at a time; boundary_flip draws as it goes (its rejection step
-needs each line before the next draw), so it stays per draw. The g_opt
-searches run in lockstep, one stack of all ten per step
+(linalg.batch_or_each). sum_rules checks each group's stacked budget in
+one verify_sum_rules call, and route_agreement solves both of its routes
+per group: one stacked budget solve and one lockstep quadrature
+(linalg.integrate_spectra). boundary_flip draws as it goes (its
+rejection step needs each line before the next draw), so it stays per
+draw. The g_opt searches run in lockstep, one stack of all ten per step
 (optimal_couplings).
 """
 
@@ -45,7 +45,6 @@ from .network import (
     degenerate_parametric,
     detuning,
     passive_drifts,
-    passive_state_space,
     two_mode_squeeze,
 )
 from .linalg import batch_or_each, is_stable
@@ -179,10 +178,9 @@ def _batched(draws, solve, size=lambda draw: draw.n_modes):
 
 
 def _budgets(specs: list[NetworkSpec]) -> list:
-    """(state space, budget) of each network of one mode count, from one
-    stacked build and one stacked budget solve."""
-    ss = build_state_spaces(specs)
-    return list(zip(ss.members(), compute_budgets(ss)))
+    """The budget of each network of one mode count, from one stacked
+    build and one stacked budget solve."""
+    return compute_budgets(build_state_spaces(specs))
 
 
 def _sum_rule_checks(specs: list[NetworkSpec]) -> list:
@@ -230,23 +228,30 @@ def suite_sum_rules(rng: np.random.Generator, tol: float | None = None) -> Suite
     )
 
 
+def _route_checks(specs: list[NetworkSpec]) -> list:
+    """(non-passive, largest entry difference of the two routes' kernels)
+    of each network of one mode count, from one stacked build, one stacked
+    budget solve and one lockstep quadrature."""
+    ss = build_state_spaces(specs)
+    direct = compute_budget(ss)
+    spectral = budget_via_spectrum(ss, abs_tol=1e-7)
+    diffs = np.abs(direct.per_channel_w - spectral.per_channel_w).max(axis=(1, 2, 3))
+    return list(zip((~passive_drifts(ss)).tolist(), diffs.tolist()))
+
+
 def suite_route_agreement(
     rng: np.random.Generator, tol: float | None = None
 ) -> SuiteResult:
     """Time-domain vs frequency-domain budgets, every third draw active.
-    The time-domain budgets are one stacked solve per mode count; the
-    quadrature is adaptive, so it runs per draw."""
+    Both routes solve one stack per mode count."""
     tol = 1e-6 if tol is None else tol
     count = 100
     worst = 0.0
     active = 0
     specs = [random_network(rng, nonpassive=k % 3 == 2) for k in range(count)]
-    for _, (ss, direct) in _batched(specs, _budgets):
-        active += 0 if passive_state_space(ss) else 1
-        spectral = budget_via_spectrum(ss, abs_tol=1e-7)
-        worst = max(
-            worst, float(np.abs(direct.per_channel_w - spectral.per_channel_w).max())
-        )
+    for _, (nonpassive, diff) in _batched(specs, _route_checks):
+        active += 1 if nonpassive else 0
+        worst = max(worst, diff)
     return SuiteResult(
         name="route_agreement",
         passed=worst < tol,
@@ -278,7 +283,7 @@ def suite_reciprocity(
             CouplingTerm(c.kind, abs(c.amplitude), c.modes) for c in spec.couplings
         )
         specs.append(NetworkSpec(spec.n_modes, spec.baths, real_couplings))
-    for _, (_, budget) in _batched(specs, _budgets):
+    for _, budget in _batched(specs, _budgets):
         report = verify_reciprocity(budget)
         worst = max(worst, report.max_residual)
         count += 1
@@ -308,7 +313,7 @@ def suite_ix_bound(rng: np.random.Generator, tol: float | None = None) -> SuiteR
                     couplings=terms,
                 )
             )
-    for _, (_, budget) in _batched(specs, _budgets):
+    for _, budget in _batched(specs, _budgets):
         report = two_mode_ix_bound(budget)
         min_slack = min(min_slack, report.slack)
         min_diag = min(min_diag, report.diagonal_sum)

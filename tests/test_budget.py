@@ -331,6 +331,122 @@ class TestSpectralRoute:
         assert peak < 2 * kernel_bytes
 
 
+def five_mode_stack():
+    """Eight five-mode draws, active and passive in turn, as one stacked
+    state space: enough panels to fill the quadrature's batches."""
+    specs = [
+        random_network(np.random.default_rng(seed), nonpassive=k % 2 == 0)
+        for k, seed in enumerate((0, 2, 3, 7, 13, 15, 18, 20))
+    ]
+    assert {spec.n_modes for spec in specs} == {5}
+    return build_state_spaces(specs)
+
+
+def two_mode_stack():
+    """Two-mode networks that refine for different numbers of rounds: a
+    detuned pair whose poles sit far out, an exceptional point and an
+    active pair."""
+    members = [
+        build_state_space(
+            NetworkSpec(
+                2,
+                [BathSpec(0.2), BathSpec(0.2)],
+                [beam_splitter(0.4, 0, 1), detuning(30.0, 0), detuning(30.0, 1)],
+            )
+        ),
+        exchange_pair(0.25, 2.0, 1.0),
+        squeezer_pair(1.0, 0.5),
+    ]
+    return StateSpace(
+        drift=np.stack([m.drift for m in members]),
+        input=np.stack([m.input for m in members]),
+        n_modes=2,
+    )
+
+
+class TestStackedSpectralRoute:
+    @pytest.mark.parametrize("build", [five_mode_stack, two_mode_stack])
+    def test_members_have_the_bits_of_one_drift_calls(self, build, monkeypatch):
+        ss = build()
+        stack = budget_via_spectrum(ss, abs_tol=1e-7)
+        for i, member in enumerate(ss.members()):
+            one = budget_via_spectrum(member, abs_tol=1e-7)
+            assert np.array_equal(stack.per_channel_w[i], one.per_channel_w)
+            assert np.array_equal(stack.transfer[i], one.transfer)
+            assert np.array_equal(stack.gammas[i], one.gammas)
+            assert stack.member_passive[i] == one.passive
+        # with no batch bound each round is one kernel call: the members
+        # converge after different numbers of rounds
+        monkeypatch.setattr(linalg, "QUADRATURE_BATCH_NODES", 10**9)
+        rounds = []
+        for member in ss.members():
+            seen = capture_integrand(monkeypatch)
+            budget_via_spectrum(member, abs_tol=1e-7)
+            rounds.append(len(seen["nodes"]))
+        assert len(set(rounds)) > 1, rounds
+
+    def test_stack_goes_through_the_lockstep_quadrature(self, monkeypatch):
+        seen = capture_integrand(monkeypatch)
+        calls = []
+        real = linalg.integrate_spectra
+
+        def counting(f, abs_tol, poles):
+            calls.append(np.shape(poles))
+            return real(f, abs_tol, poles)
+
+        monkeypatch.setattr(budget_module, "integrate_spectra", counting)
+        budget_via_spectrum(five_mode_stack())
+        assert calls == [(8, 10)]
+        assert seen["integrands"] == []
+
+    def test_no_integrand_call_exceeds_the_batch_bound(self, monkeypatch):
+        sizes = []
+        gk_panels = linalg._gk_panels
+
+        def recorded(f, lo, hi):
+            return gk_panels(lambda w: sizes.append(w.size) or f(w), lo, hi)
+
+        monkeypatch.setattr(linalg, "_gk_panels", recorded)
+        budget_via_spectrum(five_mode_stack())
+        assert max(sizes) == linalg.QUADRATURE_BATCH_NODES
+        assert len(sizes) > 2
+
+    def test_peak_memory_is_one_bounded_batch(self):
+        # one bounded batch of kernel values and the members' panel values,
+        # not the kernel values of every frequency of the stack
+        ss = five_mode_stack()
+        n = ss.n_modes
+        budget_via_spectrum(ss)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            budget_via_spectrum(ss)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        batch_bytes = linalg.QUADRATURE_BATCH_NODES * n * (2 * n) ** 2 * 16
+        assert peak < 2 * batch_bytes
+
+    def test_first_unstable_member_raises_before_any_panel(self, monkeypatch):
+        ss = two_mode_stack()
+        drift = ss.drift.copy()
+        # the second and third members are pushed past marginal stability
+        drift[1] += 3.0 * np.eye(4)
+        drift[2] += 5.0 * np.eye(4)
+        sizes = []
+        gk_panels = linalg._gk_panels
+        monkeypatch.setattr(
+            linalg, "_gk_panels", lambda f, lo, hi: sizes.append(len(lo)) or gk_panels(f, lo, hi)
+        )
+        broken = StateSpace(drift=drift, input=ss.input, n_modes=2)
+        with pytest.raises(StabilityError) as err:
+            budget_via_spectrum(broken)
+        top = max(np.linalg.eigvals(drift[1]), key=lambda z: z.real)
+        assert err.value.eigenvalue == pytest.approx(top, abs=1e-6)
+        assert sizes == []
+
+
 def swap_blocks(n_modes):
     """Sigma_x, the permutation that swaps the a and a^dagger blocks."""
     eye = np.eye(n_modes)

@@ -747,6 +747,19 @@ class TestOverflowingParameters:
             "parameter xi = 800 overflow a float"
         )
 
+    @pytest.mark.parametrize("top", ["1e150", "1e200"])
+    def test_g_script_past_the_square_of_a_float(self, tmp_path, top):
+        # g_minus^2 overflows above about 1.3e154; the frame rate must not
+        # square it, so both sweeps skip their unstable points alike
+        proc, lines = self.sweep(
+            tmp_path, "--scenario", "fig1", "--grid", f"g_script:0.5:{top}:3"
+        )
+        assert proc.returncode == 0
+        assert lines[1] == "0.5,0.5,1,1,0.841969860293,0.841969860293,1.68393972059"
+        assert [line.split(",")[4:] for line in lines[2:]] == [["nan"] * 3] * 2
+        assert proc.stderr.count("sweep point skipped") == 2
+        assert proc.stderr.count("is not strictly stable") == 2
+
     def test_fixed_xi_past_cosh_range(self, tmp_path):
         proc, lines = self.sweep(
             tmp_path, "--scenario", "fig1", "--grid", "g_script:1:3:3", "--xi", "800"

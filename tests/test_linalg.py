@@ -683,7 +683,7 @@ class TestPanelPlan:
         assert np.array_equal(hi[:-1], lo[1:])
         assert np.all(hi > lo)
         if name == "none":
-            assert np.array_equal(lo, np.linspace(0.0, 1.0, 9)[:-1])
+            assert np.array_equal(lo, [0.0, 0.5]) and np.array_equal(hi, [0.5, 1.0])
 
     @pytest.mark.parametrize("name", sorted(PLAN_POLES))
     def test_no_panel_has_a_pole_preimage_inside_its_ellipse(self, name):
@@ -692,9 +692,10 @@ class TestPanelPlan:
         if points.size:
             assert bernstein_rho(points, lo, hi).min() >= linalg._PLAN_RHO * (1 - 1e-12)
         # and no panel was split without need: the parent of every split
-        # panel held a preimage inside its ellipse
+        # panel (every panel narrower than the uniform start) held a
+        # preimage inside its ellipse
         width = hi - lo
-        split = width < 0.125
+        split = width < 0.5
         parent_lo = np.floor(lo[split] / (2 * width[split])) * (2 * width[split])
         parent_hi = parent_lo + 2 * width[split]
         if split.any():
@@ -709,7 +710,9 @@ class TestPanelPlan:
         assert len(lo) < 200
 
     def test_plan_above_the_panel_cap_is_refused_before_any_panel(self, monkeypatch):
-        monkeypatch.setattr(linalg, "QUADRATURE_MAX_PANELS", 16)
+        size = len(linalg._panel_plan(np.array([NARROW_POLE]))[0])
+        assert size > 2  # the pole splits the uniform start
+        monkeypatch.setattr(linalg, "QUADRATURE_MAX_PANELS", size - 1)
         calls = []
 
         def f(w):
@@ -739,6 +742,125 @@ class TestPanelPlan:
             assert half_width < 1e-3  # wide poles converge
             return
         assert abs(value - 0.5) <= abs_tol
+
+
+def lorentzian(half_width, centre):
+    """h/(h^2 + (omega -+ c)^2) folded onto the half-line, whose integral
+    is exactly 1/2."""
+    h = half_width
+    return lambda w: h * (
+        1.0 / (h * h + (w - centre) ** 2) + 1.0 / (h * h + (w + centre) ** 2)
+    )
+
+
+# members of one lockstep quadrature with their poles: the wide ones
+# converge on their starting panels, the narrow ones refine for more rounds
+SPECTRA = [
+    (lorentzian(1.0, 0.3), lorentzian_pair(1.0, 0.3)),
+    (lorentzian(0.05, 40.0), lorentzian_pair(0.05, 40.0)),
+    (lorentzian(1e-3, 3.3), lorentzian_pair(1e-3, 3.3)),
+    (lorentzian(0.5, 0.0), lorentzian_pair(0.5, 0.0)),
+    (lorentzian(1e-3, 700.0), lorentzian_pair(1e-3, 700.0)),
+]
+
+
+def members_of(functions, sizes=None):
+    """One integrand f(members, omegas) that evaluates every member's own
+    function at its own frequencies, recording each call's size."""
+
+    def f(members, omegas):
+        if sizes is not None:
+            sizes.append(omegas.size)
+        out = np.empty(omegas.shape)
+        for m, fn in enumerate(functions):
+            at = members == m
+            out[at] = fn(omegas[at])
+        return out
+
+    return f
+
+
+class TestIntegrateSpectra:
+    def test_each_member_has_the_bits_of_its_lone_call(self, monkeypatch):
+        functions, poles = zip(*SPECTRA)
+        stacked = linalg.integrate_spectra(members_of(functions), 1e-8, np.array(poles))
+        assert stacked.shape == (len(SPECTRA),)
+        for m, (fn, pole) in enumerate(SPECTRA):
+            value = integrate_spectrum(fn, 1e-8, pole)
+            assert np.array_equal(stacked[m], value)
+            assert abs(value - 0.5) <= 1e-8
+        # with no batch bound each round is one call: the members converge
+        # after different numbers of rounds
+        monkeypatch.setattr(linalg, "QUADRATURE_BATCH_NODES", 10**9)
+        rounds = []
+        for fn, pole in SPECTRA:
+            calls = []
+            integrate_spectrum(lambda w: calls.append(w.size) or fn(w), 1e-8, pole)
+            rounds.append(len(calls))
+        assert len(set(rounds)) > 1, rounds
+
+    def test_members_are_evaluated_together(self):
+        functions, poles = zip(*SPECTRA)
+        sizes = []
+        linalg.integrate_spectra(members_of(functions, sizes), 1e-8, np.array(poles))
+        lone = []
+        for fn, pole in SPECTRA:
+            integrate_spectrum(lambda w: lone.append(w.size) or fn(w), 1e-8, pole)
+        assert sum(sizes) == sum(lone)  # the same panels
+        assert len(sizes) < len(lone)  # in fewer calls
+        assert max(sizes) == linalg.QUADRATURE_BATCH_NODES
+
+    def test_matrix_valued_members(self):
+        functions = [
+            folded(matrix_with_narrow_entry),
+            lambda w: 2.0 * folded(matrix_with_narrow_entry)(w),
+        ]
+        poles = np.array([[complex(-0.1, -3.0), complex(-0.1, 3.0)]] * 2)
+
+        def f(members, omegas):
+            out = np.empty((omegas.size, 2, 2), dtype=complex)
+            for m, fn in enumerate(functions):
+                out[members == m] = fn(omegas[members == m])
+            return out
+
+        stacked = linalg.integrate_spectra(f, 1e-8, poles)
+        assert stacked.shape == (2, 2, 2)
+        for m, fn in enumerate(functions):
+            assert np.array_equal(stacked[m], integrate_spectrum(fn, 1e-8, poles[m]))
+
+    @pytest.mark.parametrize("bound", [15, 45, 240])
+    def test_no_call_exceeds_the_batch_bound(self, bound, monkeypatch):
+        monkeypatch.setattr(linalg, "QUADRATURE_BATCH_NODES", bound)
+        functions, poles = zip(*SPECTRA)
+        sizes = []
+        stacked = linalg.integrate_spectra(members_of(functions, sizes), 1e-8, np.array(poles))
+        assert max(sizes) == bound
+        lone = [integrate_spectrum(fn, 1e-8, pole) for fn, pole in SPECTRA]
+        assert np.array_equal(stacked, lone)
+
+    def test_refusals_come_member_by_member_before_any_panel(self):
+        sizes = []
+        f = members_of([lorentzian(1.0, 0.0)] * 3, sizes)
+        unresolved = complex(-1e-12, -1000.0)
+        with pytest.raises(NumericsError, match="narrower than the frequency map"):
+            linalg.integrate_spectra(f, 1e-8, [[-0.5, -0.5], [-0.5, unresolved], [math.nan, -0.5]])
+        with pytest.raises(ValidationError, match="poles must be finite"):
+            linalg.integrate_spectra(f, 1e-8, [[-0.5, -0.5], [math.nan, -0.5], [-0.5, unresolved]])
+        with pytest.raises(ValidationError, match="abs_tol"):
+            linalg.integrate_spectra(f, math.nan, [[-0.5]])
+        assert sizes == []
+
+    @pytest.mark.parametrize("poles", [[-0.5, -1.0], np.zeros((0, 2)), np.zeros((1, 2, 2))])
+    def test_poles_must_be_a_stack_of_members(self, poles):
+        with pytest.raises(DimensionError, match="stack"):
+            linalg.integrate_spectra(members_of([]), 1e-8, poles)
+
+    def test_a_member_that_cannot_converge_raises(self, monkeypatch):
+        monkeypatch.setattr(linalg, "QUADRATURE_MAX_PANELS", 8)
+        f = members_of([lorentzian(1.0, 0.0), lorentzian(0.5, 0.0)])
+        with pytest.raises(NumericsError, match="did not converge") as err:
+            linalg.integrate_spectra(f, 1e-15, [[], []])
+        assert err.value.estimate > 1e-15
 
 
 class TestBatchOrEach:

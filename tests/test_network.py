@@ -627,6 +627,14 @@ class TestBogoliubovFrame:
         with pytest.raises(FrameError):
             hyperbolic_frame(math.nan, 0.0)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e200, 1e-200])
+    def test_frame_rate_does_not_square_the_amplitudes(self, scale):
+        # sqrt(g_minus^2 - g_plus^2) overflowed above about 1.3e154
+        g_script, xi = hyperbolic_frame(0.5 * scale, scale)
+        assert abs(g_script - math.sqrt(0.75) * scale) <= 1e-15 * scale
+        assert abs(xi - math.atanh(0.5)) <= 1e-15
+        assert hyperbolic_frame(-0.5 * scale, scale) == (g_script, -xi)
+
     def test_explicit_xi_composes_additively(self):
         ss = build_state_space(squeezer_pair(1.0, 0.5))
         two = hyperbolic(hyperbolic(ss, 1, 0.2), 1, 0.3)

@@ -594,6 +594,15 @@ class TestSidebandConstruction:
         assert abs(p.g_script - math.sqrt(0.75)) < 1e-12
         assert abs(p.xi - math.atanh(0.5)) < 1e-12
 
+    def test_amplitudes_whose_square_overflows(self):
+        two = TwoModeParams(g_plus=1e200, g_minus=2e200, gamma1=1.0, gamma2=1.0)
+        three = ThreeModeParams.from_sidebands(
+            g_plus=1e200, g_minus=2e200, omega=1.0, kappa=1.0, gamma_m=0.01
+        )
+        for p in (two, three):
+            assert abs(p.g_script - math.sqrt(0.75) * 2e200) <= 1e-15 * 2e200
+            assert abs(p.xi - math.atanh(0.5)) <= 1e-15
+
     def test_from_sidebands_rejects_dominant_squeeze(self):
         with pytest.raises(FrameError):
             ThreeModeParams.from_sidebands(

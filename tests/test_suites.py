@@ -229,16 +229,21 @@ def test_route_agreement_has_the_bits_of_the_per_draw_loop():
 
 def test_route_agreement_integrates_one_half_line(monkeypatch):
     # the two-sided plan took 54,915 kernel frequencies at the default
-    # seed, the five-edge half-line plan 27,825, the pole-graded one 12,330
-    nodes = []
-    real = budget_module.integrate_spectrum
+    # seed, the five-edge half-line plan 27,825, the pole-graded one from
+    # 8 uniform panels 12,330, and from 2 uniform panels 8,295
+    nodes, lone = [], []
+    real = budget_module.integrate_spectra
 
-    def counting(f, **options):
-        return real(lambda w: nodes.append(w.size) or f(w), **options)
+    def counting(f, abs_tol, poles):
+        return real(lambda members, w: nodes.append(w.size) or f(members, w), abs_tol, poles)
 
-    monkeypatch.setattr(budget_module, "integrate_spectrum", counting)
+    monkeypatch.setattr(budget_module, "integrate_spectra", counting)
+    monkeypatch.setattr(
+        budget_module, "integrate_spectrum", lambda *args, **kwargs: lone.append(args)
+    )
     suite_route_agreement(suite_rng(suite_route_agreement))
-    assert sum(nodes) <= 13_000
+    assert lone == []  # every draw goes through the stacked entry
+    assert 0 < sum(nodes) <= 8_500
 
 
 def unstable(n_modes, amplitude):
