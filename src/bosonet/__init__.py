@@ -1,5 +1,11 @@
 """Stable linear bosonic networks: commutator budgets, steady-state
-variances, squeezing bounds, and separability boundaries."""
+variances, squeezing bounds, and separability boundaries.
+
+The core layers (errors, linalg, network, budget, steady) are imported
+with the package. The scenario layer (the fig1, fig2 and three-mode
+scenarios) is imported on first access of one of its names through the
+package, and the suites layer only by ``bosonet.suites`` or ``verify``.
+"""
 
 from .errors import (
     ApplicabilityError,
@@ -68,45 +74,63 @@ from .steady import (
     steady_covariance,
     variance_decomposition,
 )
-from .scenarios import (
-    FIG1_HEADER,
-    FIG2_HEADER,
-    FIG3_HEADER,
-    BoundaryLine,
-    DuanResult,
-    OptimalCoupling,
-    PairedVarianceReport,
-    ParametricOptimum,
-    ParametricParams,
-    QuadratureBlock,
-    SqueezingPowerResult,
-    ThreeModeBudget,
-    ThreeModeParams,
-    TwoModeParams,
-    boundary_line,
-    duan_quantities,
-    duan_quantity,
-    fig1_point,
-    fig1_rows,
-    fig2_point,
-    fig2_rows,
-    fig3_rows,
-    optimal_coupling,
-    optimal_couplings,
-    parametric_blocks,
-    parametric_bound,
-    parametric_network,
-    parametric_optimum,
-    parametric_variance_check,
-    parametric_variance_checks,
-    separability_boundary,
-    squeezing_powers,
-    three_mode_budget,
-    three_mode_budgets,
-    three_mode_physical_network,
-    three_mode_transform,
-    two_mode_network,
-    two_mode_squeezing_power,
-)
 
 __version__ = "0.1.0"
+
+# The scenario layer loads on first use: ``analyze`` never needs it, and
+# without a bytecode cache compiling it is a large share of a fresh start.
+# Each name is looked up in bosonet.scenarios on every access and never
+# stored here, so a name replaced there (by a test or a tracer) is what
+# bosonet.X returns.
+_SCENARIO_NAMES = frozenset({
+    "FIG1_HEADER",
+    "FIG2_HEADER",
+    "FIG3_HEADER",
+    "BoundaryLine",
+    "DuanResult",
+    "OptimalCoupling",
+    "PairedVarianceReport",
+    "ParametricOptimum",
+    "ParametricParams",
+    "QuadratureBlock",
+    "SqueezingPowerResult",
+    "ThreeModeBudget",
+    "ThreeModeParams",
+    "TwoModeParams",
+    "boundary_line",
+    "duan_quantities",
+    "duan_quantity",
+    "fig1_point",
+    "fig1_rows",
+    "fig2_point",
+    "fig2_rows",
+    "fig3_rows",
+    "optimal_coupling",
+    "optimal_couplings",
+    "parametric_blocks",
+    "parametric_bound",
+    "parametric_network",
+    "parametric_optimum",
+    "parametric_variance_check",
+    "parametric_variance_checks",
+    "separability_boundary",
+    "squeezing_powers",
+    "three_mode_budget",
+    "three_mode_budgets",
+    "three_mode_physical_network",
+    "three_mode_transform",
+    "two_mode_network",
+    "two_mode_squeezing_power",
+})
+
+
+def __getattr__(name):
+    if name in _SCENARIO_NAMES:
+        from . import scenarios
+
+        return getattr(scenarios, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _SCENARIO_NAMES)

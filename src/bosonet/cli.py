@@ -13,6 +13,11 @@ arguments, same bytes. Numbers in CSV carry 12 significant digits.
 Grids run as batches of at most GRID_CHUNK points through the array
 forms of the scenarios, with every per-point check kept; a row is the
 same whichever batch it falls in.
+
+Importing this module loads only the core layers, which ``analyze``
+needs. ``sweep`` and ``boundary`` import the scenario layer when they
+run, and ``verify`` the scenario and suites layers, so a fresh
+``analyze`` compiles neither.
 """
 
 from __future__ import annotations
@@ -38,19 +43,6 @@ from .network import (
 )
 from .budget import budget_report, compute_budget
 from .steady import min_quadrature_variance, quadrature_variance, steady_covariance
-from .scenarios import (
-    FIG1_HEADER,
-    FIG2_HEADER,
-    FIG3_HEADER,
-    ThreeModeParams,
-    fig1_rows,
-    fig2_rows,
-    fig3_rows,
-    optimal_coupling,
-    separability_boundary,
-    three_mode_budget,
-)
-from .suites import DEFAULT_SEED, run_all
 
 FRAME_CONVENTION = (
     "alpha = cosh(xi) a + sinh(xi) a_dagger; "
@@ -73,11 +65,17 @@ _FIG2_DEFAULTS = {
     "n1": 0.0,
     "n2": 0.0,
 }
-# scenario: (rows function, CSV header, parameter defaults, grid variables)
-_SCENARIOS = {
-    "fig1": (fig1_rows, FIG1_HEADER, _FIG1_DEFAULTS, ("g_script", "xi")),
-    "fig2": (fig2_rows, FIG2_HEADER, _FIG2_DEFAULTS, ("delta_eta",)),
-}
+
+
+def _scenarios() -> dict:
+    """scenario: (rows function, CSV header, parameter defaults, grid
+    variables)."""
+    from .scenarios import FIG1_HEADER, FIG2_HEADER, fig1_rows, fig2_rows
+
+    return {
+        "fig1": (fig1_rows, FIG1_HEADER, _FIG1_DEFAULTS, ("g_script", "xi")),
+        "fig2": (fig2_rows, FIG2_HEADER, _FIG2_DEFAULTS, ("delta_eta",)),
+    }
 
 
 class _Parser(argparse.ArgumentParser):
@@ -264,7 +262,7 @@ def cmd_sweep(args) -> int:
     if args.workers < 1:
         raise ValidationError("--workers must be at least 1")
     var, values = _parse_grid(args.grid)
-    rows_of, header, defaults, grid_vars = _SCENARIOS[args.scenario]
+    rows_of, header, defaults, grid_vars = _scenarios()[args.scenario]
     if var not in grid_vars:
         raise ValidationError(
             f"scenario {args.scenario} can only sweep {sorted(grid_vars)}, got {var!r}"
@@ -296,6 +294,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_boundary(args) -> int:
+    from .scenarios import (
+        FIG3_HEADER,
+        ThreeModeParams,
+        fig3_rows,
+        optimal_coupling,
+        separability_boundary,
+        three_mode_budget,
+    )
+
     if args.g_script is not None:
         if args.g_plus is not None or args.g_minus is not None:
             raise ValidationError("give either --g-script or --g-plus/--g-minus, not both")
@@ -380,11 +387,14 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .suites import DEFAULT_SEED, run_all
+
     if args.tol is not None and not args.tol > 0:
         raise ValidationError(f"--tol must be positive, got {args.tol:g}")
-    results, passed = run_all(args.seed, args.tol)
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    results, passed = run_all(seed, args.tol)
     payload = {
-        "seed": int(args.seed),
+        "seed": int(seed),
         "tol": args.tol,
         "passed": passed,
         "suites": [
@@ -433,7 +443,7 @@ def build_parser() -> _Parser:
     boundary.set_defaults(handler=cmd_boundary)
 
     verify = sub.add_parser("verify", help="run the seeded verification suites")
-    verify.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+    verify.add_argument("--seed", type=_seed, default=None)
     verify.add_argument(
         "--tol", type=finite_float, default=None, help="override residual thresholds"
     )

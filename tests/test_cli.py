@@ -405,7 +405,7 @@ class TestSweepBatches:
         from bosonet.errors import BosonetError, ValidationError
 
         point = {"fig1": scenarios.fig1_point, "fig2": scenarios.fig2_point}[scenario]
-        _, header, defaults, _ = cli._SCENARIOS[scenario]
+        _, header, defaults, _ = cli._scenarios()[scenario]
         var, values = cli._parse_grid(flags[1])
         fixed = {k: v for k, v in defaults.items() if k != var}
         for name, value in zip(flags[2::2], flags[3::2]):
@@ -661,7 +661,7 @@ class TestBoundary:
         from bosonet import cli, scenarios
 
         real_budgets = scenarios._scheme_budgets
-        real_search = cli.optimal_coupling
+        real_search = scenarios.optimal_coupling
         calls = []
         searching = []
 
@@ -678,7 +678,7 @@ class TestBoundary:
                 searching.pop()
 
         monkeypatch.setattr(scenarios, "_scheme_budgets", counting)
-        monkeypatch.setattr(cli, "optimal_coupling", search)
+        monkeypatch.setattr(scenarios, "optimal_coupling", search)
         code = cli.main([
             "boundary", "--g-script", "0.8", "--grid", "n_o:0:1:4",
             "--grid", "n_m:0:0.4:4", "--out", str(tmp_path / "b.json"),
@@ -807,9 +807,12 @@ class TestOverflowingParameters:
 
 class TestVerify:
     def test_default_run_passes(self):
+        from bosonet.suites import DEFAULT_SEED
+
         proc = run_cli("verify")
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
+        assert payload["seed"] == DEFAULT_SEED
         assert payload["passed"] is True
         assert len(payload["suites"]) == 11
         assert all(s["passed"] for s in payload["suites"])
@@ -863,6 +866,22 @@ class TestTopLevel:
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_analyze_loads_neither_scenarios_nor_suites(self, tmp_path):
+        # a fresh analyze imports only the core layers; building the
+        # parser, verify's --seed default included, imports nothing more
+        spec = write_json(tmp_path / "net.json", BS_NETWORK)
+        out = str(tmp_path / "report.json")
+        script = (
+            "import sys, bosonet.cli; "
+            f"code = bosonet.cli.main(['analyze', '--spec', {spec!r}, '--out', {out!r}]); "
+            "assert code == 0, code; "
+            "loaded = [m for m in ('bosonet.scenarios', 'bosonet.suites') if m in sys.modules]; "
+            "assert loaded == [], loaded"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "report.json").read_text())["stability"]["stable"]
 
 
 class TestNonFiniteInputs:

@@ -3,9 +3,28 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import bosonet
+from bosonet import scenarios
 
 PACKAGE = Path(bosonet.__file__).parent
+
+# the names bosonet re-exports from the scenario layer, loaded on first use
+SCENARIO_NAMES = (
+    "FIG1_HEADER", "FIG2_HEADER", "FIG3_HEADER", "BoundaryLine", "DuanResult",
+    "OptimalCoupling", "PairedVarianceReport", "ParametricOptimum",
+    "ParametricParams", "QuadratureBlock", "SqueezingPowerResult",
+    "ThreeModeBudget", "ThreeModeParams", "TwoModeParams", "boundary_line",
+    "duan_quantities", "duan_quantity", "fig1_point", "fig1_rows", "fig2_point",
+    "fig2_rows", "fig3_rows", "optimal_coupling", "optimal_couplings",
+    "parametric_blocks", "parametric_bound", "parametric_network",
+    "parametric_optimum", "parametric_variance_check",
+    "parametric_variance_checks", "separability_boundary", "squeezing_powers",
+    "three_mode_budget", "three_mode_budgets", "three_mode_physical_network",
+    "three_mode_transform", "two_mode_network", "two_mode_squeezing_power",
+)
+CORE_LAYERS = ("errors", "linalg", "network", "budget", "steady")
 
 
 def test_no_module_imports_another_modules_private_names():
@@ -91,3 +110,92 @@ def test_one_quadrature_refinement_loop():
     assert evaluates == one
     assert loops == one
     assert refusals == one
+
+
+def test_scenario_names_resolve_through_the_package():
+    assert len(set(SCENARIO_NAMES)) == 38
+    listed = dir(bosonet)
+    for name in SCENARIO_NAMES:
+        assert getattr(bosonet, name) is getattr(scenarios, name)
+        assert name in listed
+        assert name not in vars(bosonet)  # looked up on every access
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bosonet.no_such_name
+
+
+def test_a_name_replaced_in_scenarios_shows_through_the_package(monkeypatch):
+    def replacement():
+        pass
+
+    monkeypatch.setattr(scenarios, "fig1_rows", replacement)
+    assert bosonet.fig1_rows is replacement
+
+
+def imported_modules(node):
+    """The package modules an import statement names (``bosonet`` itself
+    is not one)."""
+    if isinstance(node, ast.Import):
+        return {
+            alias.name.split(".")[1]
+            for alias in node.names
+            if alias.name.startswith("bosonet.")
+        }
+    if not isinstance(node, ast.ImportFrom):
+        return set()
+    if node.level == 1:
+        path = node.module.split(".") if node.module else []
+    elif node.level == 0 and node.module and node.module.split(".")[0] == "bosonet":
+        path = node.module.split(".")[1:]
+    else:
+        return set()
+    return {path[0]} if path else {alias.name for alias in node.names}
+
+
+def module_imports(name):
+    """(function, line, modules) of every import statement of package
+    module ``name`` that names a package module, with the innermost
+    function that holds it (None at module level)."""
+    path = PACKAGE / f"{name}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        (function, node.lineno, imported_modules(node))
+        for function, node in nodes_by_function(tree)
+        if imported_modules(node)
+    ]
+
+
+def test_imported_modules_reads_every_import_form():
+    forms = {
+        "from .scenarios import fig1_rows": {"scenarios"},
+        "from . import suites, network": {"suites", "network"},
+        "from bosonet.cli import main": {"cli"},
+        "from bosonet import scenarios": {"scenarios"},
+        "import bosonet.suites": {"suites"},
+        "import bosonet": set(),
+        "from math import pi": set(),
+    }
+    for source, modules in forms.items():
+        assert imported_modules(ast.parse(source).body[0]) == modules, source
+
+
+def test_core_layers_import_no_scenario_suite_or_cli_module():
+    # every command needs the core layers; they must not pull in the rest
+    offenders = [
+        (name, line, modules)
+        for name in CORE_LAYERS
+        for _, line, modules in module_imports(name)
+        if modules & {"scenarios", "suites", "cli"}
+    ]
+    assert offenders == []
+
+
+def test_package_and_cli_load_scenarios_and_suites_in_functions_only():
+    # a top-level import would make every fresh start, analyze included,
+    # compile both layers
+    offenders = [
+        (name, line, modules)
+        for name in ("__init__", "cli")
+        for function, line, modules in module_imports(name)
+        if function is None and modules & {"scenarios", "suites"}
+    ]
+    assert offenders == []
