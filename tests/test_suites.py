@@ -230,7 +230,8 @@ def test_route_agreement_has_the_bits_of_the_per_draw_loop():
 def test_route_agreement_integrates_one_half_line(monkeypatch):
     # the two-sided plan took 54,915 kernel frequencies at the default
     # seed, the five-edge half-line plan 27,825, the pole-graded one from
-    # 8 uniform panels 12,330, and from 2 uniform panels 8,295
+    # 8 uniform panels 12,330, and from 2 uniform panels 8,295 at plan
+    # parameter 2 and 6,210 at 3
     nodes, lone = [], []
     real = budget_module.integrate_spectra
 
@@ -243,7 +244,7 @@ def test_route_agreement_integrates_one_half_line(monkeypatch):
     )
     suite_route_agreement(suite_rng(suite_route_agreement))
     assert lone == []  # every draw goes through the stacked entry
-    assert 0 < sum(nodes) <= 8_500
+    assert 0 < sum(nodes) <= 6_500
 
 
 def unstable(n_modes, amplitude):
