@@ -22,7 +22,7 @@ from .linalg import (
     integrate_spectra,
     integrate_spectrum,
     require_abs_tol,
-    require_stable,
+    require_stable_drifts,
     solve_lyapunov,
 )
 from .network import StateSpace, mirror_defect, mirrored, metric, passive_drifts
@@ -164,7 +164,7 @@ def budget_via_spectrum(
     n = ss.n_modes
     drifts = ss.drift.reshape((-1, 2 * n, 2 * n))
     inputs = np.broadcast_to(ss.input, ss.drift.shape).reshape(drifts.shape)
-    spectra = np.array([require_stable(drift) for drift in drifts]).reshape(-1, 2 * n)
+    spectra = require_stable_drifts(drifts)
     eye = np.eye(2 * n, dtype=complex)
 
     def kernel(members: np.ndarray, omegas: np.ndarray) -> np.ndarray:

@@ -114,7 +114,8 @@ def eigenvalues(m) -> np.ndarray:
 
 
 def _sort_spectrum(vals: np.ndarray) -> np.ndarray:
-    return vals[np.lexsort((-vals.imag, -vals.real))]
+    """A spectrum, or each row of a stack of them, in eigenvalues' order."""
+    return np.take_along_axis(vals, np.lexsort((-vals.imag, -vals.real)), axis=-1)
 
 
 def is_stable(m, margin: float = 0.0) -> bool:
@@ -140,13 +141,23 @@ def _raise_if_unstable(top: complex, context: str) -> None:
         )
 
 
-def _require_stable_drifts(drifts: np.ndarray) -> None:
-    """require_stable for every drift of a stack (P, n, n), from one
-    batched spectrum; the first unstable drift raises."""
+def require_stable_drifts(drifts) -> np.ndarray:
+    """require_stable for every drift of a stack (P, n, n): the spectra
+    (P, n), each row sorted as eigenvalues sorts it, from one batched
+    eigenvalue call. The first unstable drift raises. The package does
+    not export it; its stacked callers are inside the package."""
+    a = _as_drift(drifts, stack=True)
+    return _sort_spectrum(_stable_spectra(a.reshape((-1,) + a.shape[-2:])))
+
+
+def _stable_spectra(drifts: np.ndarray) -> np.ndarray:
+    """The unsorted spectra of a stack (P, n, n) of drifts, from one
+    batched call; the first unstable drift raises."""
     spectra = _spectra(drifts)
     unstable = first_failure(spectra.real.max(axis=-1) < 0)
     if unstable is not None:
         _raise_if_unstable(_sort_spectrum(spectra[unstable])[0], "drift")
+    return spectra
 
 
 def solve_lyapunov(a, q) -> np.ndarray:
@@ -197,7 +208,7 @@ def solve_lyapunov(a, q) -> np.ndarray:
     if am.shape[-1] >= _EIGEN_MIN_DIM:
         ws = np.stack([_eigen_route(*args) for args in zip(drifts, sources, qmaxes)])
     else:
-        _require_stable_drifts(drifts)
+        _stable_spectra(drifts)
         ws = _kronecker_solves(drifts, sources, qmaxes)
     return ws.reshape(qs.shape)
 
@@ -246,7 +257,7 @@ def _eigen_route(am, qs, qmaxes) -> np.ndarray:
     Kronecker solve."""
     ws = _eigen_solve(am, qs)
     if ws is None:
-        _require_stable_drifts(am[None])
+        _stable_spectra(am[None])
         return _kronecker_solves(am, qs, qmaxes)
     with np.errstate(all="ignore"):
         redo = np.flatnonzero(~_residual_check(am, ws, qs, qmaxes)[0])

@@ -21,6 +21,7 @@ from bosonet.linalg import (
     integrate_spectrum,
     is_stable,
     require_stable,
+    require_stable_drifts,
     solve_lyapunov,
 )
 
@@ -92,6 +93,28 @@ class TestIsStable:
             require_stable(UNSTABLE_DRIFT, context="test drift")
         assert err.value.eigenvalue is not None
         assert err.value.eigenvalue.real >= 0.0
+
+    def test_stacked_spectra_have_the_bits_of_one_drift_calls(self):
+        rng = np.random.default_rng(11)
+        by_size = {}
+        for k in range(40):
+            drift = build_state_space(random_network(rng, nonpassive=k % 3 == 2)).drift
+            by_size.setdefault(len(drift), []).append(drift)
+        assert len(by_size) > 1
+        for drifts in by_size.values():
+            spectra = require_stable_drifts(np.array(drifts))
+            assert spectra.shape == (len(drifts), len(drifts[0]))
+            for row, drift in zip(spectra, drifts):
+                assert np.array_equal(row, require_stable(drift))
+
+    def test_stacked_spectra_raise_at_the_first_unstable_drift(self):
+        stack = np.array([-np.eye(4), UNSTABLE_DRIFT, UNSTABLE_DRIFT - 0.25 * np.eye(4)])
+        with pytest.raises(StabilityError) as err:
+            require_stable_drifts(stack)
+        with pytest.raises(StabilityError) as alone:
+            require_stable(UNSTABLE_DRIFT)
+        assert err.value.eigenvalue == alone.value.eigenvalue
+        assert str(err.value) == str(alone.value)
 
 
 class TestSolveLyapunov:
