@@ -122,6 +122,8 @@ _SCENARIO_NAMES = frozenset({
     "two_mode_network",
     "two_mode_squeezing_power",
 })
+# a star import still brings every public name, the scenario names too
+__all__ = sorted(n for n in globals() if not n.startswith("_")) + sorted(_SCENARIO_NAMES)
 
 
 def __getattr__(name):

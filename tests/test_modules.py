@@ -112,23 +112,21 @@ def test_one_quadrature_refinement_loop():
     assert refusals == one
 
 
-def test_scenario_names_resolve_through_the_package():
+def test_scenario_names_resolve_through_the_package(monkeypatch):
     assert len(set(SCENARIO_NAMES)) == 38
     listed = dir(bosonet)
     for name in SCENARIO_NAMES:
         assert getattr(bosonet, name) is getattr(scenarios, name)
         assert name in listed
-        assert name not in vars(bosonet)  # looked up on every access
+    # looked up on every access, so a replacement in scenarios shows
+    monkeypatch.setattr(scenarios, "fig1_rows", lambda: None)
+    assert bosonet.fig1_rows is scenarios.fig1_rows
     with pytest.raises(AttributeError, match="no_such_name"):
         bosonet.no_such_name
-
-
-def test_a_name_replaced_in_scenarios_shows_through_the_package(monkeypatch):
-    def replacement():
-        pass
-
-    monkeypatch.setattr(scenarios, "fig1_rows", replacement)
-    assert bosonet.fig1_rows is replacement
+    star = {}
+    exec("from bosonet import *", star)
+    assert set(SCENARIO_NAMES) <= set(star)
+    assert {"compute_budget", "solve_lyapunov", "NetworkSpec"} <= set(star)
 
 
 def imported_modules(node):
