@@ -144,8 +144,8 @@ def _raise_if_unstable(top: complex, context: str) -> None:
 def require_stable_drifts(drifts) -> np.ndarray:
     """require_stable for every drift of a stack (P, n, n): the spectra
     (P, n), each row sorted as eigenvalues sorts it, from one batched
-    eigenvalue call. The first unstable drift raises. The package does
-    not export it; its stacked callers are inside the package."""
+    eigenvalue call. The first unstable drift raises. Not exported by
+    the package."""
     a = _as_drift(drifts, stack=True)
     return _sort_spectrum(_stable_spectra(a.reshape((-1,) + a.shape[-2:])))
 
