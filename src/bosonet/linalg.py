@@ -10,11 +10,16 @@ own them.
 
 ``solve_lyapunov`` documents its two routes: one eigendecomposition per
 drift from four modes up, the exact Kronecker system below and wherever
-the eigen route fails its residual check.
+the eigen route fails its residual check. The Kronecker route takes
+stability from the Gershgorin bound of the drift's Hermitian part where
+that bound certifies it (every passive drift with positive dampings),
+and from the spectrum otherwise; it assembles each system by index.
+Neither step changes a value.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -26,7 +31,15 @@ MAX_SPECTRUM_DIM = 64
 # Smallest drift dimension (four modes) that solve_lyapunov solves by
 # eigendecomposition; below it every source takes the Kronecker solve.
 _EIGEN_MIN_DIM = 8
-# Relative residual every Lyapunov solve must reach (see _residual_error).
+# A drift is certified stable when the Gershgorin bound of a + a^H lies
+# below -_CERTIFY_MARGIN n ||a||_max (see _uncertified). The bound's own
+# rounding is about (n + 1) eps n ||a||_max at most. The spectrum that
+# eigvals computes is exact for some a + E, and twice its real parts
+# exceed the exact bound by at most 2 ||E||_2, so 128 eps leaves
+# 63 eps n ||a||_max for that backward error at MAX_SPECTRUM_DIM, and
+# more below it: a certified drift is one eigvals finds stable.
+_CERTIFY_MARGIN = 128.0 * np.finfo(float).eps
+# Relative residual every Lyapunov solve must reach (see _residual_check).
 LYAPUNOV_RESIDUAL_TOL = 1e-10
 # Relative anti-Hermitian part a Lyapunov source may carry.
 HERMITICITY_TOL = 1e-12
@@ -160,6 +173,41 @@ def _stable_spectra(drifts: np.ndarray) -> np.ndarray:
     return spectra
 
 
+def _uncertified(drifts: np.ndarray) -> np.ndarray:
+    """Which drifts of a stack (P, n, n) the Hermitian-part bound leaves
+    uncertified (a bool mask (P,)).
+
+    Every eigenvalue of a has real part at most the largest eigenvalue
+    of (a + a^H) / 2 (Bendixson), and that is at most the largest
+    Gershgorin row bound h_ii + sum_{j != i} |h_ij| of h = a + a^H, over
+    two. A bound below -_CERTIFY_MARGIN n ||a||_max proves the drift
+    stable, with room for the bound's rounding and for that of eigvals:
+    a certified drift is one whose spectrum eigvals would also find
+    stable. For a passive drift h = -diag(gamma), so every positive
+    damping certifies. NaN or Inf leaves a drift uncertified.
+    """
+    p, n = drifts.shape[:2]
+    h = drifts + drifts.conj().swapaxes(-2, -1)
+    rows = np.abs(h)
+    # h_ii = 2 Re a_ii is real and exact
+    rows.reshape(p, n * n)[:, :: n + 1] = h.real.reshape(p, n * n)[:, :: n + 1]
+    bound = rows.sum(axis=-1).max(axis=-1)
+    amax = np.abs(drifts).reshape(p, n * n).max(axis=-1)
+    return ~(bound < amax * (-_CERTIFY_MARGIN * n))
+
+
+def _check_stability(drifts: np.ndarray) -> None:
+    """The stability test of the Lyapunov solves, for a stack (P, n, n):
+    the drifts the Hermitian-part bound certifies skip the spectrum, and
+    the others take _stable_spectra in stack order. A certified drift is
+    stable, so the first unstable drift raises the StabilityError, with
+    the eigenvalue, that a spectrum of the whole stack raises, and a
+    non-finite drift the same NumericsError."""
+    uncertified = _uncertified(drifts)
+    if uncertified.any():
+        _stable_spectra(drifts[uncertified])
+
+
 def solve_lyapunov(a, q) -> np.ndarray:
     """Solve a W + W a^H + q = 0 for Hermitian q and strictly stable a.
 
@@ -182,6 +230,13 @@ def solve_lyapunov(a, q) -> np.ndarray:
     symmetrized. Every drift is tested for stability and every solution
     passes the residual check of ``_residual_check``; both guards fail on
     NaN, and in a stack the first failing drift or source raises.
+
+    On the Kronecker route a drift's stability comes from the Gershgorin
+    bound of its Hermitian part (a + a^H) / 2 where that bound proves it,
+    which it does for every passive drift with positive dampings, and
+    from its spectrum otherwise; each system is assembled by index from
+    the entries of a and conj a. Neither step changes a value of W or
+    which error a failing stack raises.
 
     Raises:
         DimensionError: if ``a`` exceeds ``MAX_SPECTRUM_DIM`` or the
@@ -208,7 +263,7 @@ def solve_lyapunov(a, q) -> np.ndarray:
     if am.shape[-1] >= _EIGEN_MIN_DIM:
         ws = np.stack([_eigen_route(*args) for args in zip(drifts, sources, qmaxes)])
     else:
-        _stable_spectra(drifts)
+        _check_stability(drifts)
         ws = _kronecker_solves(drifts, sources, qmaxes)
     return ws.reshape(qs.shape)
 
@@ -257,7 +312,7 @@ def _eigen_route(am, qs, qmaxes) -> np.ndarray:
     Kronecker solve."""
     ws = _eigen_solve(am, qs)
     if ws is None:
-        _stable_spectra(am[None])
+        _check_stability(am[None])
         return _kronecker_solves(am, qs, qmaxes)
     with np.errstate(all="ignore"):
         redo = np.flatnonzero(~_residual_check(am, ws, qs, qmaxes)[0])
@@ -289,13 +344,7 @@ def _kronecker_solves(am, sources, qmaxes) -> np.ndarray:
     ``sources`` (..., k, n, n) and ``qmaxes`` (..., k): one batched solve
     factors each drift's system once for all of its sources."""
     n = am.shape[-1]
-    eye = np.eye(n)
-    # kron(eye, a) + kron(conj a, eye), multiplied exactly as np.kron does
-    # (the same bits) without its per-call overhead
-    system = (
-        eye[:, None, :, None] * am[..., None, :, None, :]
-        + am.conj()[..., :, None, :, None] * eye[None, :, None, :]
-    ).reshape(am.shape[:-2] + (n * n, n * n))
+    system = _kronecker_system(am)
     # column k holds source k stacked column by column (Fortran order)
     rhs = (-sources).swapaxes(-2, -1).reshape(sources.shape[:-2] + (n * n,))
     try:
@@ -306,6 +355,43 @@ def _kronecker_solves(am, sources, qmaxes) -> np.ndarray:
     ws = 0.5 * (ws + ws.conj().swapaxes(-2, -1))
     _raise_first_residual_failure(*_residual_check(am, ws, sources, qmaxes))
     return ws
+
+
+def _kronecker_system(am: np.ndarray) -> np.ndarray:
+    """kron(eye, a) + kron(conj a, eye) of a drift (n, n) or of each of a
+    stack (..., n, n), scattered into zeros at _kronecker_indices: every
+    entry has the value of the two products summed (on the diagonal,
+    a_qq + conj a_pp in that order), and only the signs of exact zeros
+    can differ."""
+    n = am.shape[-1]
+    lead, n2 = am.shape[:-2], n * n
+    source, kron_a, kron_conj = _kronecker_indices(n)
+    system = np.zeros(lead + (n2 * n2,), dtype=complex)
+    off = am.reshape(lead + (n2,))[..., source]
+    system[..., kron_a] = off
+    system[..., kron_conj] = off.conj()
+    d = np.diagonal(am, axis1=-2, axis2=-1)
+    system[..., :: n2 + 1] = (d[..., None, :] + d.conj()[..., :, None]).reshape(lead + (n2,))
+    return system.reshape(lead + (n2, n2))
+
+
+@functools.lru_cache(maxsize=8)
+def _kronecker_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices of the off-diagonal entries a_yz (y != z) in the
+    drift, and of where kron(eye, a) and kron(conj a, eye) put them in
+    the flattened n^2 x n^2 system: kron(eye, a) holds a_yz at row
+    (x, y), column (x, z), and kron(conj a, eye) holds conj a_yz at row
+    (y, x), column (z, x), for every x. Built from the n^2 (n - 1)
+    triples (x, y, z), never from an n^4 mask, as the eigen route's
+    fallback reaches n = MAX_SPECTRUM_DIM."""
+    x, y, z = np.indices((n, n, n)).reshape(3, -1)
+    off = y != z
+    x, y, z = x[off], y[off], z[off]
+    n2 = n * n
+    indices = (y * n + z, (x * n + y) * n2 + x * n + z, (y * n + x) * n2 + z * n + x)
+    for index in indices:
+        index.flags.writeable = False
+    return indices
 
 
 # 15-point Kronrod extension of the 7-point Gauss rule, nodes ascending.

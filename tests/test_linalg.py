@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 from bosonet import linalg
 from bosonet.budget import compute_budget
 from bosonet.errors import DimensionError, NumericsError, StabilityError, ValidationError
-from bosonet.network import build_state_space
+from bosonet.network import (
+    CouplingTerm,
+    MomentTransform,
+    NetworkSpec,
+    StateSpace,
+    build_state_space,
+    family_state_space,
+)
 from bosonet.suites import random_network
 from bosonet.linalg import (
     QUADRATURE_ABS_TOL,
@@ -414,6 +421,230 @@ class TestStackedDrifts:
         drifts = np.stack([-np.eye(2), -np.eye(2), -np.eye(2)]).astype(complex)
         with pytest.raises(NumericsError, match="Lyapunov residual"):
             solve_lyapunov(drifts, np.broadcast_to(np.eye(2), (3, 2, 2)))
+
+
+def spy_on_spectra(monkeypatch):
+    """Record every stack of drifts whose spectra linalg computes."""
+    seen = []
+    spectra = linalg._spectra
+
+    def spy(a):
+        seen.append(np.array(a))
+        return spectra(a)
+
+    monkeypatch.setattr(linalg, "_spectra", spy)
+    return seen
+
+
+def strong_coupling(spec, factor):
+    """The network with every coupling amplitude scaled by ``factor``."""
+    couplings = tuple(
+        CouplingTerm(c.kind, c.amplitude * factor, c.modes) for c in spec.couplings
+    )
+    return NetworkSpec(n_modes=spec.n_modes, baths=spec.baths, couplings=couplings)
+
+
+def fig1_frame_state_space(points=40, xi=0.7, gammas=(0.8, 1.3)):
+    """The stacked hyperbolic-frame state space of a fig1 sweep over
+    g_script, built as the sweep builds it: the physical drifts, then the
+    frame rotation(2, 1, pi/2) o bogoliubov(2, 1, xi)."""
+    g = np.geomspace(0.5, 50.0, points)
+    slots = (("beam_splitter", (0, 1)), ("two_mode_squeeze", (0, 1)))
+    physical = family_state_space(
+        slots, (g * math.cosh(xi), g * math.sinh(xi)), np.tile(gammas, (points, 1))
+    )
+    frame = MomentTransform.rotation(2, 1, math.pi / 2.0).compose(
+        MomentTransform.bogoliubov(2, 1, [xi] * points)
+    )
+    return frame.apply_to_state_space(physical)
+
+
+def stacked_state_space(specs):
+    """One stacked state space of specs of one mode count."""
+    spaces = [build_state_space(spec) for spec in specs]
+    return StateSpace(
+        drift=np.stack([ss.drift for ss in spaces]),
+        input=np.stack([ss.input for ss in spaces]),
+        n_modes=specs[0].n_modes,
+    )
+
+
+DRIFT_KINDS = ("passive", "nonpassive", "strong", "dense_stable", "dense_unstable")
+
+
+def drawn_drift(seed, kind):
+    """A drift of one of DRIFT_KINDS: random_network draws (strong ones
+    with couplings 10 to 1e4 times their draw, so g >> gamma), or dense
+    complex matrices shifted left of or just short of stability."""
+    rng = np.random.default_rng(seed)
+    if kind in ("passive", "nonpassive", "strong"):
+        spec = random_network(rng, max_modes=6, nonpassive=kind == "nonpassive")
+        if kind == "strong":
+            spec = strong_coupling(spec, 10.0 ** rng.uniform(1.0, 4.0))
+        return build_state_space(spec).drift
+    dim = int(rng.integers(1, 13))
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    top = np.linalg.eigvals(raw).real.max()
+    if kind == "dense_stable":
+        # from just left of the axis to well inside the Gershgorin bound
+        shift = top + 10.0 ** rng.uniform(-3.0, 1.5)
+    else:
+        shift = top - 10.0 ** rng.uniform(-3.0, 0.0)
+    return raw - shift * np.eye(dim)
+
+
+def certified(drift):
+    return not linalg._uncertified(np.asarray(drift, dtype=complex)[None])[0]
+
+
+class TestStabilityCertificate:
+    """Drifts that the Hermitian part proves stable skip their spectrum;
+    every verdict and error is the spectrum's."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), kind=st.sampled_from(DRIFT_KINDS))
+    def test_a_certified_drift_has_a_stable_spectrum(self, seed, kind):
+        drift = drawn_drift(seed, kind)
+        if kind in ("passive", "strong"):
+            assert certified(drift)
+        if certified(drift):
+            assert np.linalg.eigvals(drift).real.max() < 0
+        if kind == "dense_unstable":
+            assert not certified(drift)
+        if kind == "dense_unstable" and len(drift) < linalg._EIGEN_MIN_DIM:
+            # the Kronecker route's error is the spectrum's (the eigen
+            # route reads its own eig)
+            with pytest.raises(StabilityError) as alone:
+                require_stable(drift)
+            stack = np.stack([-np.eye(len(drift)), drift, -2.0 * np.eye(len(drift))])
+            with pytest.raises(StabilityError) as err:
+                solve_lyapunov(stack, np.broadcast_to(np.eye(len(drift)), stack.shape))
+            assert str(err.value) == str(alone.value)
+            assert err.value.eigenvalue == alone.value.eigenvalue
+
+    def test_the_bound_certifies_each_kind_somewhere(self):
+        # the property above is not vacuous: every kind has certified draws,
+        # and the dense stable ones also have uncertified draws
+        verdicts = {
+            kind: {certified(drawn_drift(seed, kind)) for seed in range(40)}
+            for kind in DRIFT_KINDS
+        }
+        assert verdicts["passive"] == verdicts["strong"] == {True}
+        assert verdicts["nonpassive"] == verdicts["dense_stable"] == {True, False}
+        assert verdicts["dense_unstable"] == {False}
+
+    def test_an_unstable_drift_after_certified_ones_raises_its_own_error(self, monkeypatch):
+        seen = spy_on_spectra(monkeypatch)
+        passive = [build_state_space(random_network(np.random.default_rng(k), max_modes=2)) for k in range(30)]
+        passive = [ss.drift for ss in passive if ss.n_modes == 2][:3]
+        stack = np.stack(passive + [UNSTABLE_DRIFT, UNSTABLE_DRIFT - 0.25 * np.eye(4)])
+        with pytest.raises(StabilityError) as alone:
+            require_stable(UNSTABLE_DRIFT)
+        seen.clear()
+        with pytest.raises(StabilityError) as err:
+            solve_lyapunov(stack, np.broadcast_to(np.eye(4), stack.shape))
+        assert str(err.value) == str(alone.value)
+        assert err.value.eigenvalue == alone.value.eigenvalue
+        # only the two uncertified members took a spectrum, in stack order
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], stack[3:])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_non_finite_drift_raises_as_its_spectrum_does(self, bad):
+        broken = -np.eye(4, dtype=complex)
+        broken[1, 2] = bad
+        assert not certified(broken)
+        with pytest.raises(NumericsError) as alone:
+            eigenvalues(broken)
+        for stack in (
+            np.stack([-np.eye(4), broken]),
+            np.stack([-np.eye(4), UNSTABLE_DRIFT, broken]),
+        ):
+            with pytest.raises(NumericsError) as err:
+                solve_lyapunov(stack, np.broadcast_to(np.eye(4), stack.shape))
+            assert str(err.value) == str(alone.value)
+
+    def test_passive_stacks_take_no_spectrum(self, monkeypatch):
+        seen = spy_on_spectra(monkeypatch)
+        frame = fig1_frame_state_space()
+        budget = compute_budget(frame)
+        assert budget.passive
+        rng = np.random.default_rng(4)
+        by_size = {}
+        for _ in range(60):
+            spec = random_network(rng, max_modes=3)
+            by_size.setdefault(spec.n_modes, []).append(spec)
+        assert sorted(by_size) == [1, 2, 3]
+        for specs in by_size.values():
+            compute_budget(stacked_state_space(specs))
+        assert seen == []
+
+    def test_a_mixed_stack_takes_the_spectra_of_its_uncertified_members(self, monkeypatch):
+        seen = spy_on_spectra(monkeypatch)
+        rng = np.random.default_rng(6)
+        specs = []
+        while len(specs) < 12:
+            spec = random_network(rng, max_modes=3, nonpassive=len(specs) % 3 == 1)
+            if spec.n_modes == 3:
+                specs.append(spec)
+        ss = stacked_state_space(specs)
+        drifts = ss.drift
+        # an independent Gershgorin bound of each Hermitian part
+        h = drifts + drifts.conj().swapaxes(-2, -1)
+        rows = [
+            max(h[k, i, i].real + sum(abs(h[k, i, j]) for j in range(6) if j != i) for i in range(6))
+            for k in range(len(drifts))
+        ]
+        expected = [k for k, bound in enumerate(rows) if bound >= 0]
+        assert 0 < len(expected) < len(drifts)
+        assert all(bound < -1e-3 for k, bound in enumerate(rows) if k not in expected)
+        seen.clear()  # the draws test their own stability
+        budget = compute_budget(ss)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], drifts[expected])
+        # the same budgets as one drift at a time
+        for k, spec in enumerate(specs):
+            np.testing.assert_array_equal(
+                budget.per_channel_w[k], compute_budget(build_state_space(spec)).per_channel_w
+            )
+
+
+def exceptional_pair_drift():
+    """The doubled drift of the two-mode exceptional point (gamma = (2, 1),
+    beam splitter 0.25)."""
+    return embedded_exceptional_drift(0.25)[:4, :4]
+
+
+class TestKroneckerAssembly:
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    def test_the_indexed_system_is_the_kronecker_sum(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        drifts = [random_stable(rng, dim) for _ in range(4)]
+        if dim == 4:
+            drifts.append(exceptional_pair_drift())
+        eye = np.eye(dim)
+        expected = [np.kron(eye, a) + np.kron(a.conj(), eye) for a in drifts]
+        for a, system in zip(drifts, expected):
+            np.testing.assert_array_equal(linalg._kronecker_system(a), system)
+        np.testing.assert_array_equal(linalg._kronecker_system(np.stack(drifts)), np.stack(expected))
+
+    def test_no_index_array_has_n4_entries(self, monkeypatch):
+        # the eigen route's fallback at dimension 8, forced by a failed
+        # factorization, assembles its system from n^2 (n - 1) triples
+        def singular(m):
+            raise np.linalg.LinAlgError("made singular")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        linalg._kronecker_indices.cache_clear()
+        rng = np.random.default_rng(44)
+        a = random_stable(rng, 8)
+        qs = random_hermitian(rng, 8, k=2)
+        ws = solve_lyapunov(a, qs)
+        for q, w in zip(qs, ws):
+            np.testing.assert_array_equal(w, kronecker_lyapunov(a, q))
+        assert linalg._kronecker_indices.cache_info().currsize == 1
+        for index in linalg._kronecker_indices(8):
+            assert index.size == 8 * 8 * 7
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -112,6 +112,18 @@ def test_one_quadrature_refinement_loop():
     assert refusals == one
 
 
+def test_only_linalg_computes_spectra():
+    # stability is decided in one place: every np.linalg.eig or eigvals
+    # call sits in linalg, which certifies drifts or takes their spectra
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for function, node in nodes_by_function(tree):
+            if isinstance(node, ast.Call) and (calls(node, "eig") or calls(node, "eigvals")):
+                callers.add((path.name, function))
+    assert callers == {("linalg.py", "_spectra"), ("linalg.py", "_eigen_solve")}
+
+
 def test_scenario_names_resolve_through_the_package(monkeypatch):
     assert len(set(SCENARIO_NAMES)) == 38
     listed = dir(bosonet)
