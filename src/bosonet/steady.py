@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ApplicabilityError, DimensionError, NumericsError
+from .errors import ApplicabilityError, DimensionError, NumericsError, ValidationError
 from .linalg import LYAPUNOV_RESIDUAL_TOL, first_failure, solve_lyapunov
 from .network import InputMoments, StateSpace, mirror_defect, metric, passive_state_space
 from .budget import CommutatorBudget
@@ -157,10 +157,18 @@ def quadrature_variance(state: CovarianceState, mode: int, theta: float) -> floa
     return float(quadrature_variances(state, mode, [theta])[0])
 
 
+def _require_finite_angle(theta) -> None:
+    if not math.isfinite(theta):
+        raise ValidationError(f"quadrature angle must be finite, got {theta}")
+
+
 def quadrature_variances(state: CovarianceState, mode: int, thetas) -> np.ndarray:
     """quadrature_variance at each angle of ``thetas``, shape (...,
     len(thetas)) for a state or a stack of them, with the cosines and
-    sines from the math module."""
+    sines from the math module. A non-finite angle raises
+    ValidationError."""
+    for theta in thetas:
+        _require_finite_angle(theta)
     block = state.mode_block(mode)[..., None]
     c = np.array([math.cos(theta) for theta in thetas])
     s = np.array([math.sin(theta) for theta in thetas])
@@ -210,10 +218,13 @@ def variance_decomposition(
     the covariance route when it applies (one row per member of a stack).
 
     Exactness requires either a passive network with thermal inputs, or
-    a real doubled drift when anomalous inputs are present.
+    a real doubled drift when anomalous inputs are present; a drift with
+    a NaN imaginary part counts as not real. A non-finite ``theta``
+    raises ValidationError.
     """
     if inputs.n_channels != ss.n_modes:
         raise DimensionError("input moments do not match the network size")
+    _require_finite_angle(theta)
     anomalous_present = np.abs(inputs.anomalous).max(axis=-1, initial=0.0) > 1e-14
     if not passive_state_space(ss):
         raise ApplicabilityError(
@@ -222,7 +233,7 @@ def variance_decomposition(
         )
     drift_imag = np.abs(ss.drift.imag).max(axis=(-2, -1))
     drift_scale = np.maximum(1.0, np.abs(ss.drift).max(axis=(-2, -1)))
-    if np.any(anomalous_present & (drift_imag > 1e-12 * drift_scale)):
+    if np.any(anomalous_present & ~(drift_imag <= 1e-12 * drift_scale)):  # NaN fails
         raise ApplicabilityError(
             "anomalous inputs split exactly only when the drift is real; "
             "rotate the mode phases into that gauge first"

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from bosonet.budget import compute_budget
-from bosonet.errors import ApplicabilityError, NumericsError, StabilityError
+from bosonet.errors import ApplicabilityError, NumericsError, StabilityError, ValidationError
 from bosonet.network import (
     BathSpec,
     InputMoments,
     MomentTransform,
     NetworkSpec,
+    StateSpace,
     beam_splitter,
     build_state_space,
     build_state_spaces,
@@ -246,6 +247,15 @@ class TestQuadratureExtraction:
         assert best.value < 0.5
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_quadrature_variances_reject_non_finite_angles(theta):
+    state = single_mode_state(occupancy=1.0)
+    with pytest.raises(ValidationError, match="angle must be finite"):
+        quadrature_variance(state, 0, theta)
+    with pytest.raises(ValidationError, match="angle must be finite"):
+        quadrature_variances(state, 0, [0.0, theta])
+
+
 class TestVarianceDecomposition:
     def test_matches_direct_variance_for_exchange(self):
         ss, inputs = bs_system()
@@ -299,6 +309,25 @@ class TestVarianceDecomposition:
             variance_decomposition(
                 ss, compute_budget(ss), frame.apply_to_inputs(InputMoments.vacuum(2))
             )
+
+    def test_nan_imaginary_drift_part_is_not_real(self):
+        # NaN > limit is False: a guard in that form let this drift through
+        # and returned [0.6625, 0.6875]
+        ss = build_state_space(
+            NetworkSpec(2, [BathSpec(1.0), BathSpec(1.0)], [beam_splitter(0.5j, 0, 1)])
+        )
+        budget = compute_budget(ss)
+        drift = ss.drift.copy()
+        drift[0, 1] = drift[0, 1].real + 1j * math.nan
+        bad = StateSpace(drift=drift, input=ss.input, n_modes=2)
+        with pytest.raises(ApplicabilityError, match="drift is real"):
+            variance_decomposition(bad, budget, InputMoments([0.1, 0.2], [0.05, 0.0]))
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, theta):
+        ss, inputs = bs_system()
+        with pytest.raises(ValidationError, match="angle must be finite"):
+            variance_decomposition(ss, compute_budget(ss), inputs, theta=theta)
 
     def test_rejects_nonpassive_network(self):
         spec = NetworkSpec(
