@@ -11,6 +11,7 @@ the time-domain solve.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,6 +208,16 @@ POSITIVITY_FLOOR = -1e-10
 RECIPROCITY_TOL = 1e-10
 
 
+@functools.lru_cache(maxsize=8)
+def _sum_rule_targets(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only identity and commutator metric that the completeness
+    and metric rules of n modes compare against."""
+    targets = np.eye(n), metric(n)
+    for target in targets:
+        target.flags.writeable = False
+    return targets
+
+
 def verify_sum_rules(budget: CommutatorBudget) -> SumRuleReport | list[SumRuleReport]:
     """Check the exact identities the channel decomposition must satisfy.
 
@@ -224,8 +235,9 @@ def verify_sum_rules(budget: CommutatorBudget) -> SumRuleReport | list[SumRuleRe
     n = budget.n_modes
     ks = budget.per_channel_k.reshape((-1, n) + budget.per_channel_k.shape[-2:])
     ws = budget.per_channel_w.reshape((-1, n) + budget.per_channel_w.shape[-2:])
-    completeness = np.abs(ks.sum(axis=1) - np.eye(n)).max(axis=(-2, -1))
-    metric_residual = np.abs(ws.sum(axis=1) - metric(n)).max(axis=(-2, -1))
+    identity, sigma = _sum_rule_targets(n)
+    completeness = np.abs(ks.sum(axis=1) - identity).max(axis=(-2, -1))
+    metric_residual = np.abs(ws.sum(axis=1) - sigma).max(axis=(-2, -1))
     passed = (completeness <= SUM_RULE_TOL) & (metric_residual <= SUM_RULE_TOL)
     gamma_rows = [None] * len(ks)
     min_eigs = [None] * len(ks)

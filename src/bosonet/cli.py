@@ -85,15 +85,32 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    return format(float(value), ".12g")
+_BOOL_WORDS = {False: "false", True: "true"}
+
+
+def _row_format(kinds: tuple) -> tuple[str, tuple[int, ...]]:
+    """The template of a CSV row whose values have the types ``kinds``,
+    and the positions of its bool values, which it writes as true/false.
+    Every other value is written as a float to 12 significant digits:
+    '%.12g' % x has the bytes of format(float(x), '.12g'), nan and +-inf
+    included."""
+    bools = tuple(i for i, kind in enumerate(kinds) if issubclass(kind, (bool, np.bool_)))
+    return ",".join("%s" if i in bools else "%.12g" for i in range(len(kinds))), bools
 
 
 def _write_csv(path: str, header: tuple, rows) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    formats = {}  # one template per pattern of value types
+    for row in rows:
+        kinds = (*map(type, row),)  # sized exactly, unlike tuple(map(...))
+        if kinds not in formats:
+            formats[kinds] = _row_format(kinds)
+        template, bools = formats[kinds]
+        if bools:
+            row = list(row)
+            for i in bools:
+                row[i] = _BOOL_WORDS[row[i]]
+        lines.append(template % tuple(row))
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -239,8 +239,9 @@ def solve_lyapunov(a, q) -> np.ndarray:
     which error a failing stack raises.
 
     Raises:
-        DimensionError: if ``a`` exceeds ``MAX_SPECTRUM_DIM`` or the
-            shapes do not match.
+        DimensionError: if ``a`` exceeds ``MAX_SPECTRUM_DIM``, the
+            shapes do not match, or either is empty (an empty stack, a
+            drift of dimension 0 or no source).
         StabilityError: if ``a`` has an eigenvalue with nonnegative
             real part (the offending eigenvalue is attached).
         ValidationError: if a source is not Hermitian within tolerance.
@@ -256,6 +257,8 @@ def solve_lyapunov(a, q) -> np.ndarray:
         or qs.shape[-2:] != am.shape[-2:]
     ):
         raise DimensionError(f"shape mismatch: a is {am.shape}, q is {qs.shape}")
+    if not qs.size:  # no drift, a drift of dimension 0, or no source
+        raise DimensionError(f"nothing to solve: a is {am.shape}, q is {qs.shape}")
     # canonical stacks: drifts (P, n, n), sources (P, k, n, n)
     drifts = am.reshape((-1,) + am.shape[-2:])
     sources = qs.reshape(drifts.shape[:1] + (-1,) + am.shape[-2:])

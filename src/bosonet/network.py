@@ -24,6 +24,7 @@ build_state_spaces gathers the columns of its specs and calls it.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -375,7 +376,7 @@ def build_state_spaces(specs: Sequence[NetworkSpec]) -> StateSpace:
         keys, rows, values = zip(*cells)
         amplitudes[[index[key] for key in keys], rows] = values
     return family_state_space(
-        [slot[1:] for slot in slots],
+        tuple(slot[1:] for slot in slots),
         amplitudes,
         [[b.gamma for b in spec.baths] for spec in specs],
     )
@@ -385,36 +386,14 @@ def build_state_spaces(specs: Sequence[NetworkSpec]) -> StateSpace:
 _TERM_FACTORS = np.array([-1j, -1j, -1j, -2j])[:, None, None]
 
 
-def family_state_space(
-    structure: Sequence[tuple[str, tuple[int, ...]]],
-    amplitudes: Sequence[np.ndarray],
-    gammas: np.ndarray,
-) -> StateSpace:
-    """The stacked state space of P networks of one structure.
-
-    ``structure`` lists the coupling slots (kind, modes), in spec order;
-    ``amplitudes`` holds one amplitude column (P,) per slot, and
-    ``gammas`` is the (P, N) damping array. The damping enters first,
-    then every slot in order, each amplitude as -1j times it (the
-    Hamiltonian coefficient; a detuning takes its real part, and a
-    degenerate parametric term -2j times its conjugate), summed into the
-    annihilation (a <- a) and mixing (a <- adag) blocks as the terms of
-    one spec are. A zero amplitude adds exact zeros, so a slot of zero
-    amplitude leaves the bytes of a network without that term. This
-    builder is the one place that holds the entry rules of the coupling
-    kinds.
-    """
-    gammas = np.asarray(gammas, dtype=float)
-    count, n = gammas.shape
-    amplitude = np.asarray(amplitudes, dtype=complex).reshape(len(structure), count)
-    # the terms a slot adds: -1j times its amplitude (0) or the conjugate
-    # (1), -1j times its real part (2), -2j times the conjugate (3)
-    conj = amplitude.conj()
-    values = _TERM_FACTORS * np.array([amplitude, conj, amplitude.real, conj])
-    # the blocks a <- a (0) and a <- adag (1), the stack axis last
-    blocks = np.zeros((2, n, n, count), dtype=complex)
-    blocks.reshape(2, n * n, count)[0, :: n + 1] -= 0.5 * gammas.T
-    adds = []  # (block, row, column, term, slot), in slot order
+@functools.lru_cache(maxsize=32)
+def _scatter_table(structure: tuple) -> tuple[np.ndarray, ...] | None:
+    """The adds of family_state_space for one structure: the read-only
+    index arrays (block, row, column, term, slot), in slot order, or None
+    for a structure without slots. Block 0 is a <- a and block 1 a <- adag;
+    term 0 is -1j times the amplitude, 1 its conjugate, 2 its real part,
+    and 3 -2j times the conjugate."""
+    adds = []
     for s, (kind, modes) in enumerate(structure):
         if kind == "beam_splitter":
             i, j = modes
@@ -428,8 +407,45 @@ def family_state_space(
         else:  # degenerate_parametric
             (i,) = modes
             adds.append((1, i, i, 3, s))
-    if adds:
-        block, row, column, term, slot = zip(*adds)
+    if not adds:
+        return None
+    table = tuple(np.array(column) for column in zip(*adds))
+    for column in table:
+        column.flags.writeable = False
+    return table
+
+
+def family_state_space(
+    structure: Sequence[tuple[str, tuple[int, ...]]],
+    amplitudes: Sequence[np.ndarray],
+    gammas: np.ndarray,
+) -> StateSpace:
+    """The stacked state space of P networks of one structure.
+
+    ``structure`` lists the coupling slots (kind, modes) as tuples, in
+    spec order; ``amplitudes`` holds one amplitude column (P,) per slot,
+    and ``gammas`` is the (P, N) damping array. The damping enters first,
+    then every slot in order, each amplitude as -1j times it (the
+    Hamiltonian coefficient; a detuning takes its real part, and a
+    degenerate parametric term -2j times its conjugate), summed into the
+    annihilation (a <- a) and mixing (a <- adag) blocks as the terms of
+    one spec are. A zero amplitude adds exact zeros, so a slot of zero
+    amplitude leaves the bytes of a network without that term. This
+    builder is the one place that holds the entry rules of the coupling
+    kinds; the index table of a structure's adds is built once and kept.
+    """
+    gammas = np.asarray(gammas, dtype=float)
+    count, n = gammas.shape
+    amplitude = np.asarray(amplitudes, dtype=complex).reshape(len(structure), count)
+    # the terms a slot adds, by _scatter_table's term index
+    conj = amplitude.conj()
+    values = _TERM_FACTORS * np.array([amplitude, conj, amplitude.real, conj])
+    # the blocks a <- a (0) and a <- adag (1), the stack axis last
+    blocks = np.zeros((2, n, n, count), dtype=complex)
+    blocks.reshape(2, n * n, count)[0, :: n + 1] -= 0.5 * gammas.T
+    table = _scatter_table(tuple(structure))
+    if table is not None:
+        block, row, column, term, slot = table
         # unbuffered: the adds to one entry are summed in the order given
         np.add.at(blocks, (block, row, column), values[term, slot])
     stacked = blocks.transpose(0, 3, 1, 2)
@@ -604,6 +620,16 @@ def cosh_sinh(xi: float) -> tuple[float, float]:
         ) from None
 
 
+@functools.lru_cache(maxsize=8)
+def _lower_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only masks (n, n) of the entries on and below the diagonal
+    and of those below it: np.triu(m, 1) and np.triu(m) zero them."""
+    masks = np.tri(n, k=0, dtype=bool), np.tri(n, k=-1, dtype=bool)
+    for mask in masks:
+        mask.flags.writeable = False
+    return masks
+
+
 @dataclass(frozen=True, eq=False)
 class MomentTransform:
     """A change of frame xi' = matrix @ xi in the doubled basis.
@@ -623,7 +649,10 @@ class MomentTransform:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        # a read-only view: no write through the transform can undo the
+        # checks below or leave its kept inverse stale
+        m = np.asarray(self.matrix, dtype=complex).view()
+        m.flags.writeable = False
         if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1] or m.shape[-1] % 2:
             raise DimensionError("transform matrix must be square of even dimension")
         object.__setattr__(self, "matrix", m)
@@ -649,6 +678,20 @@ class MomentTransform:
             )
         if not np.all(residual <= 1e-10 * size):
             raise ValidationError("transform does not preserve the commutator metric")
+        # the size the metric check judged by, which apply_to_state_space
+        # scales its defect check with
+        size = np.asarray(size)
+        size.flags.writeable = False
+        object.__setattr__(self, "_size", size)
+
+    @functools.cached_property
+    def _inverse(self) -> np.ndarray:
+        """T^-1 = sigma T^H sigma (T is symplectic), read-only; formed on
+        the first apply_to_state_space and kept."""
+        sig = metric(self.n_modes)
+        inverse = sig @ self.matrix.conj().swapaxes(-2, -1) @ sig
+        inverse.flags.writeable = False
+        return inverse
 
     @property
     def n_modes(self) -> int:
@@ -720,16 +763,18 @@ class MomentTransform:
         after mixing channels of unequal damping. A finite drift whose
         scale overflows raises NumericsError. The input matrix is kept,
         which the defect condition makes exact.
+
+        ||T||_max^2 comes from the construction's metric check, T^-1 is
+        formed on the first call and kept, and the triangle masks are kept
+        per mode count, so a call forms only what depends on A: the
+        product, its projection and the checks, which run at every call.
         """
         n = self.n_modes
         if ss.n_modes != n:
             raise DimensionError("transform and state space differ in their mode count")
-        t = self.matrix
-        sig = metric(n)
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            drift = t @ ss.drift @ (sig @ t.conj().swapaxes(-2, -1) @ sig)
-            size = np.maximum(1.0, np.abs(t).max(axis=(-2, -1))) ** 2
-            scale = np.maximum(1.0, np.abs(drift).max(axis=(-2, -1))) * size
+            drift = self.matrix @ ss.drift @ self._inverse
+            scale = np.maximum(1.0, np.abs(drift).max(axis=(-2, -1))) * self._size
         # a finite drift whose product overflows is refused here; a
         # non-finite drift fails the defect check below
         finite_input = np.isfinite(ss.drift).all(axis=(-2, -1))
@@ -742,13 +787,16 @@ class MomentTransform:
         kept = np.where(np.abs(drift[..., :n, :]) > cutoff, drift[..., :n, :], 0.0)
         shifts = np.diagonal(drift, axis1=-2, axis2=-1)[..., :n].imag
         shifts = np.where(np.abs(shifts) > cutoff[..., 0], shifts, 0.0)
-        upper, mix = np.triu(kept[..., :n], 1), np.triu(kept[..., n:])
+        # np.triu(m, 1) and np.triu(m), with the masks they zero
+        on_and_below, below = _lower_masks(n)
+        upper = np.where(on_and_below, 0j, kept[..., :n])
+        mix = np.where(below, 0j, kept[..., n:])
         p = upper - upper.conj().swapaxes(-2, -1)
         diagonal = np.diag_indices(n)
         p[(...,) + diagonal] = (
             np.diagonal(ss.drift, axis1=-2, axis2=-1)[..., :n].real + 1j * shifts
         )
-        frame = _doubled(p, mix + np.triu(mix, 1).swapaxes(-2, -1))
+        frame = _doubled(p, mix + np.where(on_and_below, 0j, mix).swapaxes(-2, -1))
         defect = np.abs(frame - drift).max(axis=(-2, -1))
         failed = first_failure(defect <= 1e-10 * scale)
         if failed is not None:

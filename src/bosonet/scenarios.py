@@ -23,8 +23,9 @@ point raises. Each per-point function (two_mode_squeezing_power,
 parametric_variance_check, three_mode_budget, duan_quantity, fig1_point,
 fig2_point) is the one-point call of its array form, so a grid row has
 the bits of its point. Every three-mode frame budget, of a grid or of a
-coupling search step, comes from one function (_scheme_budgets), given
-the frame pieces of the schemes' xi.
+coupling search step, comes from one prepared stack of schemes
+(_Schemes), built once from the columns no coupling changes and
+evaluated at g_script.
 
 A grid is a family of coefficient columns, not a list of records.
 fig1_rows, fig2_rows, fig3_rows and the optimal_couplings search build
@@ -719,45 +720,63 @@ def three_mode_budget(p: ThreeModeParams) -> ThreeModeBudget:
 def three_mode_budgets(ps: Sequence[ThreeModeParams]) -> ThreeModeBudget:
     """three_mode_budget of P schemes, as one stacked record.
 
-    The physical drifts, their frames and the frame budgets are stacks,
-    each solved in one call; the sum rules are checked at every point,
-    and the first failing point raises. An empty sequence raises
-    DimensionError.
+    The schemes are prepared once (_Schemes: the frame transform of their
+    xi, cosh and sinh of xi, the dampings) and evaluated once at their
+    g_script, as a coupling search evaluates them at every step. The
+    physical drifts, their frames and the frame budgets are stacks, each
+    solved in one call; the sum rules are checked at every point, and the
+    first failing point raises. An empty sequence raises DimensionError.
     """
     if not ps:
         raise DimensionError("three_mode_budgets needs at least one scheme")
     g_script, omega, kappa, gamma_m, xi = _columns(
         ps, ("g_script", "omega", "kappa", "gamma_m", "xi")
     )
-    return _scheme_budgets(
-        g_script, omega, kappa, gamma_m, three_mode_transform(xi.tolist()),
-        *_cosh_sinh_columns(xi),
-    )
+    return _Schemes(omega, kappa, gamma_m, xi).budgets(g_script)
 
 
-def _scheme_budgets(g_script, omega, kappa, gamma_m, frame, cosh, sinh) -> ThreeModeBudget:
-    """three_mode_budgets at the valid columns (P,) of the schemes' fields,
-    given the frame pieces of their xi: ``frame`` is three_mode_transform
-    of the xi column, and cosh and sinh its _cosh_sinh_columns. The pieces
-    depend on xi alone, so a coupling search builds them once. The sum
-    rules of the whole stack are checked in one call."""
-    physical = family_state_space(
-        _THREE_MODE_SLOTS,
-        _three_mode_amplitudes(g_script, omega, cosh, sinh),
-        np.stack([kappa, gamma_m, gamma_m], axis=-1),
-    )
-    stack = compute_budget(frame.apply_to_state_space(physical))
-    failed = next((rules for rules in verify_sum_rules(stack) if not rules.passed), None)
-    if failed is not None:
-        worst = max(failed.completeness_residual, failed.metric_residual)
-        raise NumericsError("budget sum rules failed in the frame", estimate=worst)
-    shares = stack.transfer
-    return ThreeModeBudget(
-        transfer=shares,
-        eta_e=shares[:, 1, 0] + shares[:, 2, 0],
-        mechanical=shares[:, 1, 1] + shares[:, 1, 2] + shares[:, 2, 1] + shares[:, 2, 2],
-        physical=physical,
-    )
+class _Schemes:
+    """P three-mode schemes prepared for their coupling g_script: the one
+    source of every three-mode frame budget, of a grid or of a coupling
+    search step.
+
+    Built from the valid columns (P,) of omega, kappa, gamma_m and xi, it
+    holds what no coupling changes: the frame transform of xi
+    (three_mode_transform, which keeps its inverse and size), the
+    _cosh_sinh_columns of xi, and the dampings (P, 3). ``budgets`` forms
+    what depends on g_script: the physical drifts, their frames, the
+    budget solve and the sum rules of the whole stack, with every check
+    of each, so a search step has the bits and the refusals of a budget
+    built from scratch.
+    """
+
+    def __init__(self, omega, kappa, gamma_m, xi):
+        self.omega = omega
+        self.frame = three_mode_transform(xi.tolist())
+        self.cosh, self.sinh = _cosh_sinh_columns(xi)
+        self.gammas = np.stack([kappa, gamma_m, gamma_m], axis=-1)
+        for held in (self.omega, self.cosh, self.sinh, self.gammas):
+            held.flags.writeable = False
+
+    def budgets(self, g_script) -> ThreeModeBudget:
+        """The stacked ThreeModeBudget at the couplings g_script (P,)."""
+        physical = family_state_space(
+            _THREE_MODE_SLOTS,
+            _three_mode_amplitudes(g_script, self.omega, self.cosh, self.sinh),
+            self.gammas,
+        )
+        stack = compute_budget(self.frame.apply_to_state_space(physical))
+        failed = next((rules for rules in verify_sum_rules(stack) if not rules.passed), None)
+        if failed is not None:
+            worst = max(failed.completeness_residual, failed.metric_residual)
+            raise NumericsError("budget sum rules failed in the frame", estimate=worst)
+        shares = stack.transfer
+        return ThreeModeBudget(
+            transfer=shares,
+            eta_e=shares[:, 1, 0] + shares[:, 2, 0],
+            mechanical=shares[:, 1, 1] + shares[:, 1, 2] + shares[:, 2, 1] + shares[:, 2, 2],
+            physical=physical,
+        )
 
 
 @dataclass(frozen=True)
@@ -942,12 +961,15 @@ def optimal_couplings(
 
     The golden sections run in lockstep (golden_sections_max): each step
     evaluates one coupling per search, stopped searches included, as one
-    stacked frame budget of fixed size, whose frame pieces are built once
-    from the points' xi; the formula couplings take one more stacked
-    budget. Each search visits the points it would visit alone, so its
-    result has the same bits. If the batch raises, the searches are re-run
-    one at a time, in order (batch_or_each), so the first failing point
-    raises its own error.
+    stacked frame budget of fixed size; the formula couplings take one
+    more stacked budget. The schemes are prepared once per call
+    (_Schemes: the frame transform of xi with its inverse and size, cosh
+    and sinh of xi, the dampings), and a step forms only what depends on
+    the coupling: the physical drifts, their frames, the budget solve and
+    the sum rules, with every check of each. Each search visits the
+    points it would visit alone, so its result has the same bits. If the
+    batch raises, the searches are re-run one at a time, in order
+    (batch_or_each), so the first failing point raises its own error.
     """
     return list(
         batch_or_each(points, _coupling_searches, lambda point: _coupling_searches([point])[0])
@@ -961,12 +983,12 @@ def _coupling_searches(points) -> list[OptimalCoupling]:
     if not len(points):
         return []
     kappa, omega, gamma_m, xi = columns
-    # xi is fixed along a search, so the frame pieces serve every step
-    pieces = (three_mode_transform(xi.tolist()), *_cosh_sinh_columns(xi))
+    # only g_script changes along a search: every step evaluates one
+    # prepared stack of schemes
+    schemes = _Schemes(omega, kappa, gamma_m, xi)
 
     def etas_at(gs) -> list[float]:
-        g_script = np.array(gs, dtype=float)
-        return _scheme_budgets(g_script, omega, kappa, gamma_m, *pieces).eta_e.tolist()
+        return schemes.budgets(np.array(gs, dtype=float)).eta_e.tolist()
 
     g_formulas = [
         math.sqrt(0.5 * w * math.hypot(k, 2.0 * w))

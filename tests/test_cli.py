@@ -38,6 +38,16 @@ def write_json(path, doc):
     return str(path)
 
 
+def csv_value(value):
+    """The CSV text of one value, one call per value: bools as true/false,
+    everything else as a float to 12 significant digits."""
+    import numpy as np
+
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    return format(float(value), ".12g")
+
+
 class TestAnalyze:
     def test_single_mode(self, tmp_path):
         spec = write_json(
@@ -420,7 +430,7 @@ class TestSweepBatches:
             except BosonetError as exc:
                 err += f"warning: sweep point skipped: {var}={value:.12g}: {exc}\n"
                 rows.append(tuple(params.get(c, math.nan) for c in header))
-        lines = [",".join(header)] + [",".join(cli._fmt(v) for v in row) for row in rows]
+        lines = [",".join(header)] + [",".join(csv_value(v) for v in row) for row in rows]
         return "\n".join(lines) + "\n", err, 0
 
     @pytest.mark.parametrize("scenario, flags", GRIDS)
@@ -500,6 +510,23 @@ class TestBoundary:
             str(tmp_path / "b.json"),
             *extra,
         )
+
+    def test_two_runs_in_one_process_write_the_same_bytes(self, tmp_path):
+        # the second run finds every kept table and transform piece made
+        from bosonet import cli
+
+        argv = [
+            "boundary", "--kappa", "1.3", "--omega", "0.9", "--gamma-m", "1e-8",
+            "--g-script", "0.8", "--xi", "0.4", "--grid", "n_o:0:2:5",
+            "--grid", "n_m:0:0.5:4",
+        ]
+        written = []
+        for run in ("first", "second"):
+            out = tmp_path / f"{run}.json"
+            assert cli.main(argv + ["--out", str(out)]) == 0
+            written.append((out.read_bytes(), (tmp_path / f"{run}.csv").read_bytes()))
+        assert written[0] == written[1]
+        assert written[0][1].count(b"\n") == 21
 
     def test_report_and_grid(self, tmp_path):
         proc = self.common_args(tmp_path)
@@ -660,15 +687,16 @@ class TestBoundary:
     def test_one_frame_budget_per_command(self, tmp_path, monkeypatch):
         from bosonet import cli, scenarios
 
-        real_budgets = scenarios._scheme_budgets
+        real_budgets = scenarios._Schemes.budgets
         real_search = scenarios.optimal_coupling
         calls = []
         searching = []
 
-        # every frame budget, stacked or not, is one _scheme_budgets call
-        def counting(*columns_and_pieces):
+        # every frame budget, stacked or not, is one call of the budgets
+        # of prepared schemes
+        def counting(schemes, g_script):
             calls.append(bool(searching))
-            return real_budgets(*columns_and_pieces)
+            return real_budgets(schemes, g_script)
 
         def search(*args):
             searching.append(True)
@@ -677,7 +705,7 @@ class TestBoundary:
             finally:
                 searching.pop()
 
-        monkeypatch.setattr(scenarios, "_scheme_budgets", counting)
+        monkeypatch.setattr(scenarios._Schemes, "budgets", counting)
         monkeypatch.setattr(scenarios, "optimal_coupling", search)
         code = cli.main([
             "boundary", "--g-script", "0.8", "--grid", "n_o:0:1:4",
@@ -882,6 +910,44 @@ class TestTopLevel:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert json.loads((tmp_path / "report.json").read_text())["stability"]["stable"]
+
+
+class TestCsv:
+    EDGES = (
+        math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 5e-324, 1.7976931348623157e308,
+        0.1, -2.5e-7, 123456789012.5, 3, -7, 10**20,
+    )
+
+    def test_rows_have_the_bytes_of_one_call_per_value(self, tmp_path):
+        import numpy as np
+
+        from bosonet import cli
+
+        header = ("a", "b", "flag", "c")
+        rows = [
+            (x, np.float64(y), flag, np.int64(k))
+            for k, (x, y, flag) in enumerate(zip(
+                self.EDGES, self.EDGES[::-1],
+                [True, False, np.bool_(True), np.bool_(False)] * 4,
+            ))
+        ]
+        # rows whose types differ from the others', one with no bool
+        rows += [(True, 1.0, np.float32(0.1), np.bool_(False)), (1.0, 2.0, 3.0, 4.0)]
+        path = tmp_path / "rows.csv"
+        cli._write_csv(str(path), header, rows)
+        expected = [",".join(header)] + [",".join(csv_value(v) for v in row) for row in rows]
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode("ascii")
+        text = path.read_text()
+        assert "\nnan,1e+20,true,0\n" in text and "\n1e+20,nan,false,13\n" in text
+        assert "\ninf,-7,false,1\n-inf,3,true,2\n-0," in text
+        assert "1e+16" in text and "4.94065645841e-324" in text
+
+    def test_empty_grid_writes_the_header(self, tmp_path):
+        from bosonet import cli
+
+        path = tmp_path / "rows.csv"
+        cli._write_csv(str(path), ("a", "b"), [])
+        assert path.read_bytes() == b"a,b\n"
 
 
 class TestNonFiniteInputs:

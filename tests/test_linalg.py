@@ -409,6 +409,20 @@ class TestStackedDrifts:
         with pytest.raises(DimensionError):
             solve_lyapunov(np.zeros((2, 2, 3)), np.zeros((2, 2, 3)))
 
+    @pytest.mark.parametrize(
+        "a_shape, q_shape",
+        [
+            ((0, 2, 2), (0, 2, 2)),  # an empty stack of drifts
+            ((0, 2, 2), (0, 3, 2, 2)),
+            ((0, 0), (0, 0)),  # a drift of dimension 0
+            ((3, 0, 0), (3, 0, 0)),
+            ((2, 2), (0, 2, 2)),  # no source
+        ],
+    )
+    def test_empty_shapes_raise_dimension_error(self, a_shape, q_shape):
+        with pytest.raises(DimensionError, match="nothing to solve"):
+            solve_lyapunov(np.zeros(a_shape), np.zeros(q_shape))
+
     def test_residual_is_checked_for_every_member(self, monkeypatch):
         real_solve = np.linalg.solve
 

@@ -890,13 +890,15 @@ class TestThreeModeBatches:
             assert repr(budget.eta_e) == repr(float(transfer[1, 0] + transfer[2, 0]))
 
     def test_a_held_frame_gives_the_same_bits(self):
-        # the coupling search holds the frame pieces of its xi
-        xi = np.array([THREE_MODE.xi])
-        pieces = (three_mode_transform(xi.tolist()), *scenarios._cosh_sinh_columns(xi))
-        for g in (0.1, 0.8, 2.5):
+        # the coupling search prepares its schemes once and evaluates them
+        # at every step
+        p = THREE_MODE
+        schemes = scenarios._Schemes(
+            *(np.array([value]) for value in (p.omega, p.kappa, p.gamma_m, p.xi))
+        )
+        for g in (0.1, 0.8, 2.5, 0.8):
             p = replace(THREE_MODE, g_script=g)
-            columns = [np.array([value]) for value in (g, p.omega, p.kappa, p.gamma_m)]
-            held, built = scenarios._scheme_budgets(*columns, *pieces), three_mode_budget(p)
+            held, built = schemes.budgets(np.array([g])), three_mode_budget(p)
             physical = build_state_spaces([three_mode_physical_network(p)])
             assert bits(held.physical.drift) == bits(physical.drift)
             assert bits(held.transfer[0]) == bits(built.transfer)
@@ -1042,19 +1044,19 @@ class TestCouplingSearchLockstep:
         assert optimal_coupling(*point) == scalar_optimal_coupling(*point)
 
     def test_first_failing_search_raises_its_own_error(self, monkeypatch):
-        real = scenarios._scheme_budgets
+        real = scenarios._Schemes.budgets
         evaluations = {}
 
-        def failing(g_script, omega, kappa, gamma_m, *pieces):
-            for value in kappa.tolist():
+        def failing(schemes, g_script):
+            for value in schemes.gammas[:, 0].tolist():
                 count = evaluations[value] = evaluations.get(value, 0) + 1
                 # the search at kappa = 1 fails at its fifth point, the one
                 # at kappa = 3 at its first, which is in the first lockstep step
                 if (value == 1.0 and count == 5) or value == 3.0:
                     raise NumericsError(f"made to fail at kappa = {value:g}")
-            return real(g_script, omega, kappa, gamma_m, *pieces)
+            return real(schemes, g_script)
 
-        monkeypatch.setattr(scenarios, "_scheme_budgets", failing)
+        monkeypatch.setattr(scenarios._Schemes, "budgets", failing)
         points = [(0.5, 1.0, 0.01, 0.0), (1.0, 1.0, 0.01, 0.0), (3.0, 1.0, 0.03, 0.0)]
         with pytest.raises(NumericsError, match="kappa = 1$"):
             optimal_couplings(points)
@@ -1084,6 +1086,108 @@ class TestCouplingSearchLockstep:
         with pytest.raises(ValidationError, match="kappa must be positive"):
             optimal_couplings([(0.0, 1.0, 0.01, 0.0), (1.0, 1.0, 0.01, -0.5)])
         assert optimal_couplings([]) == []
+
+
+def public_eta_e(kappa, omega, gamma_m, xi, g_script):
+    """eta_e of one scheme, built the public way: its network, a one-member
+    stack of its drift, its frame transform, the budget and its sum rules."""
+    p = ThreeModeParams(g_script=g_script, omega=omega, kappa=kappa, gamma_m=gamma_m, xi=xi)
+    physical = build_state_spaces([three_mode_physical_network(p)])
+    budget = scenarios.compute_budget(three_mode_transform(xi).apply_to_state_space(physical))
+    assert all(rules.passed for rules in scenarios.verify_sum_rules(budget))
+    return float(budget.transfer[0, 1, 0] + budget.transfer[0, 2, 0])
+
+
+class TestPreparedSchemes:
+    """A coupling search prepares its schemes once (_Schemes) and evaluates
+    only the coupling-dependent work at every step."""
+
+    # verify's g_opt suite, and a high-Q scheme in a squeezed frame
+    POINTS = TestCouplingSearchLockstep.G_OPT_POINTS + [(1.0, 1.0, 1e-8, 0.5)]
+
+    def test_searches_equal_a_search_over_public_budgets(self):
+        from test_linalg import scalar_golden_max
+
+        found = optimal_couplings(self.POINTS)
+        for (kappa, omega, gamma_m, xi), result in zip(self.POINTS, found):
+            def eta_at(g):
+                return public_eta_e(kappa, omega, gamma_m, xi, g)
+
+            g_formula = math.sqrt(0.5 * omega * math.hypot(kappa, 2.0 * omega))
+            hi = 8.0 * max(g_formula, omega, kappa)
+            g_numeric, eta_numeric = scalar_golden_max(eta_at, 0.0, hi, rel_tol=1e-6)
+            expected = (g_formula, g_numeric, eta_at(g_formula), eta_numeric)
+            assert [repr(value) for value in expected] == [
+                repr(result.g_formula), repr(result.g_numeric),
+                repr(result.eta_e_formula), repr(result.eta_e_numeric),
+            ]
+
+    def test_a_sum_rule_failure_at_one_step_raises(self, monkeypatch):
+        real = scenarios.verify_sum_rules
+        steps = []
+
+        # the fifth distinct step of the search fails, whenever it is
+        # evaluated, so the one-point replay fails there too
+        def failing_fifth_step(stack):
+            reports = real(stack)
+            key = stack.transfer.tobytes()
+            if key not in steps:
+                steps.append(key)
+            if steps.index(key) == 4:
+                reports[0] = replace(reports[0], passed=False, metric_residual=3e-8)
+            return reports
+
+        monkeypatch.setattr(scenarios, "verify_sum_rules", failing_fifth_step)
+        with pytest.raises(NumericsError, match="^budget sum rules failed in the frame$") as err:
+            optimal_coupling(1.0, 1.0, 0.01, 0.5)
+        assert err.value.estimate == 3e-8
+        assert len(steps) == 5
+
+    def test_held_arrays_are_read_only(self):
+        from bosonet import budget, network
+
+        schemes = scenarios._Schemes(*(np.array([0.7, 1.3]) for _ in range(4)))
+        transform = schemes.frame
+        held = [
+            schemes.omega, schemes.cosh, schemes.sinh, schemes.gammas,
+            transform.matrix, transform._inverse, transform._size,
+            *network._lower_masks(3), *network._scatter_table(scenarios._THREE_MODE_SLOTS),
+            *budget._sum_rule_targets(3),
+        ]
+        for array in held:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    def test_frame_steps_form_no_constant_anew(self, monkeypatch):
+        from bosonet import budget, network
+
+        schemes = scenarios._Schemes(*(np.array([value]) for value in (1.0, 1.0, 0.01, 0.5)))
+        schemes.budgets(np.array([0.8]))
+        made = []
+        for module, name in ((network, "metric"), (budget, "metric"), (np, "triu"), (np, "eye")):
+            real = getattr(module, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                made.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        for g in (0.3, 0.8, 2.0):
+            schemes.budgets(np.array([g]))
+        assert made == []
+
+    def test_one_scatter_table_per_structure(self):
+        from bosonet import network
+
+        three_mode_budgets([THREE_MODE])
+        before = network._scatter_table.cache_info()
+        optimal_coupling(1.0, 1.0, 0.01, 0.5)
+        after = network._scatter_table.cache_info()
+        # every step finds the three-mode table made before the search
+        assert after.misses == before.misses
+        assert after.hits - before.hits > 20
+        assert network._scatter_table(()) is None
 
 
 def fig1_params(g_script, xi, gamma1, gamma2, n1=0.0, n2=0.0):
@@ -1175,13 +1279,20 @@ class TestColumnPaths:
     def test_search_drifts_have_the_bits_of_the_records(self, monkeypatch, xi):
         from test_network import assert_per_spec_bits
 
-        builds = self.recorded(monkeypatch, "_scheme_budgets")
+        real, builds = scenarios._Schemes.budgets, []
+
+        def recording(schemes, g_script):
+            builds.append((schemes, g_script, real(schemes, g_script)))
+            return builds[-1][-1]
+
+        monkeypatch.setattr(scenarios._Schemes, "budgets", recording)
         optimal_couplings([(1.0, 1.0, 0.01, xi), (0.3, 2.0, 0.003, xi)])
         assert len(builds) > 20
-        for (g_script, omega, kappa, gamma_m, *_), budget in builds:
+        for schemes, g_script, budget in builds:
+            kappa, gamma_m = schemes.gammas[:, 0], schemes.gammas[:, 1]
             records = [
                 ThreeModeParams(g_script=g, omega=w, kappa=k, gamma_m=m, xi=xi)
-                for g, w, k, m in zip(g_script, omega, kappa, gamma_m)
+                for g, w, k, m in zip(g_script, schemes.omega, kappa, gamma_m)
             ]
             assert_per_spec_bits(
                 budget.physical, [three_mode_physical_network(p) for p in records]
