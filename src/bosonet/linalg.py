@@ -8,13 +8,16 @@ are the module constants below; guards on derived quantities (imaginary
 leaks, route agreement) keep their own constants in the modules that
 own them.
 
-``solve_lyapunov`` documents its two routes: one eigendecomposition per
-drift from four modes up, the exact Kronecker system below and wherever
-the eigen route fails its residual check. The Kronecker route takes
-stability from the Gershgorin bound of the drift's Hermitian part where
-that bound certifies it (every passive drift with positive dampings),
-and from the spectrum otherwise; it assembles each system by index.
-Neither step changes a value.
+``solve_lyapunov`` documents its two routes: from four modes up, one
+batched eigendecomposition of the whole stack of drifts, and the exact
+Kronecker system below and wherever the eigen route fails its residual
+check. The Kronecker route takes stability from the Gershgorin bound of
+the drift's Hermitian part where that bound certifies it (every passive
+drift with positive dampings), and from the spectrum otherwise; it
+assembles each system by index. ``integrate_spectra`` plans and refines
+all members of a lockstep quadrature on flat arrays of their panels.
+None of these steps changes a value: each drift and each member keeps
+the bits of its lone call.
 """
 
 from __future__ import annotations
@@ -109,8 +112,24 @@ def _as_drift(m, stack: bool = False) -> np.ndarray:
     return a
 
 
+def _require_finite(drifts: np.ndarray, first: int = 0) -> None:
+    """Refuse a drift (n, n), or a stack (P, n, n) of drifts numbered from
+    ``first``, that holds a NaN or Inf: NumericsError naming the first
+    such drift and entry."""
+    if np.isfinite(drifts).all():
+        return
+    bad = np.argwhere(~np.isfinite(drifts))[0]
+    which = f"drift {first + int(bad[0])}" if drifts.ndim == 3 else "the drift"
+    raise NumericsError(
+        f"{which} has the non-finite entry {drifts[tuple(bad)]} at "
+        f"({int(bad[-2])}, {int(bad[-1])})"
+    )
+
+
 def _spectra(a: np.ndarray) -> np.ndarray:
-    """Unsorted spectra of a matrix or a stack of matrices."""
+    """Unsorted spectra of a matrix or a stack of matrices; a non-finite
+    entry is refused before any iteration (see _require_finite)."""
+    _require_finite(a)
     try:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
@@ -196,15 +215,18 @@ def _uncertified(drifts: np.ndarray) -> np.ndarray:
     return ~(bound < amax * (-_CERTIFY_MARGIN * n))
 
 
-def _check_stability(drifts: np.ndarray) -> None:
-    """The stability test of the Lyapunov solves, for a stack (P, n, n):
-    the drifts the Hermitian-part bound certifies skip the spectrum, and
-    the others take _stable_spectra in stack order. A certified drift is
-    stable, so the first unstable drift raises the StabilityError, with
-    the eigenvalue, that a spectrum of the whole stack raises, and a
-    non-finite drift the same NumericsError."""
+def _check_stability(drifts: np.ndarray, first: int = 0) -> None:
+    """The stability test of the Lyapunov solves, for a stack (P, n, n)
+    of drifts numbered from ``first``: the drifts the Hermitian-part
+    bound certifies skip the spectrum, and the others take _stable_spectra
+    in stack order. A certified drift is stable, so the first unstable
+    drift raises the StabilityError, with the eigenvalue, that a spectrum
+    of the whole stack raises. A non-finite drift is never certified, and
+    the first one raises the NumericsError of _require_finite before any
+    spectrum, as a spectrum of the whole stack would."""
     uncertified = _uncertified(drifts)
     if uncertified.any():
+        _require_finite(drifts, first)
         _stable_spectra(drifts[uncertified])
 
 
@@ -220,12 +242,17 @@ def solve_lyapunov(a, q) -> np.ndarray:
     one eigendecomposition a = V diag(lam) V^-1 shared by every source of
     that drift, W = V [(-V^-1 q V^-H) / (lam_i + conj lam_j)] V^H,
     followed by one refinement step that solves for the residual with
-    the same factors. Smaller drifts, and every source whose eigen
-    solution fails the residual check (near an exceptional point V is
-    ill-conditioned) or whose factorization fails, take the
-    Kronecker-vectorized linear system, which is exact up to roundoff at
-    these dimensions: one batched solve serves every drift of the stack
-    and all of its sources. The split at dimension 8 keeps the two- and
+    the same factors. A stack takes one batched ``eig`` and one batched
+    ``inv``, its solves and residual checks run as stacked products, and
+    then its drifts are walked in order: an unstable drift raises, and
+    its failing sources take the Kronecker solve. If the stacked
+    factorization fails, each drift is factored alone. Each drift's
+    result has the bits of its lone call. Smaller drifts, and every
+    source whose eigen solution fails the residual check (near an
+    exceptional point V is ill-conditioned) or whose factorization
+    fails, take the Kronecker-vectorized linear system, which is exact
+    up to roundoff at these dimensions: one batched solve serves every
+    drift of the stack and all of its sources. The split at dimension 8 keeps the two- and
     three-mode scenarios on the Kronecker solve. Each result is
     symmetrized. Every drift is tested for stability and every solution
     passes the residual check of ``_residual_check``; both guards fail on
@@ -264,7 +291,7 @@ def solve_lyapunov(a, q) -> np.ndarray:
     sources = qs.reshape(drifts.shape[:1] + (-1,) + am.shape[-2:])
     qmaxes = _hermitian_source_maxes(sources)
     if am.shape[-1] >= _EIGEN_MIN_DIM:
-        ws = np.stack([_eigen_route(*args) for args in zip(drifts, sources, qmaxes)])
+        ws = _eigen_routes(drifts, sources, qmaxes)
     else:
         _check_stability(drifts)
         ws = _kronecker_solves(drifts, sources, qmaxes)
@@ -309,36 +336,70 @@ def _raise_first_residual_failure(passed, residual, scale) -> None:
         )
 
 
-def _eigen_route(am, qs, qmaxes) -> np.ndarray:
-    """The sources (k, n, n) of one drift by the refined eigen route, each
-    failing source (or all of them, if the factorization fails) by the
-    Kronecker solve."""
-    ws = _eigen_solve(am, qs)
-    if ws is None:
-        _check_stability(am[None])
-        return _kronecker_solves(am, qs, qmaxes)
+def _eigen_routes(drifts, sources, qmaxes, first: int = 0) -> np.ndarray:
+    """The sources (P, k, n, n) of a stack of drifts (P, n, n), numbered
+    from ``first``, by the refined eigen route.
+
+    One factorization serves the whole stack. Then the drifts are walked
+    in order: each unstable drift raises, and each source that fails its
+    residual check takes its drift's Kronecker solve, so a stack raises
+    the error of its first failing drift or source. If the stacked
+    factorization fails, each drift is factored alone; a drift whose own
+    factorization fails takes its stability test from its Hermitian part
+    or spectrum and every source the Kronecker solve."""
+    solved = _eigen_solve(drifts, sources)
+    if solved is None:
+        if len(drifts) > 1:
+            return np.concatenate([
+                _eigen_routes(drifts[p : p + 1], sources[p : p + 1], qmaxes[p : p + 1], first + p)
+                for p in range(len(drifts))
+            ])
+        _check_stability(drifts, first)
+        return _kronecker_solves(drifts[0], sources[0], qmaxes[0])[None]
+    vals, ws = solved
     with np.errstate(all="ignore"):
-        redo = np.flatnonzero(~_residual_check(am, ws, qs, qmaxes)[0])
-    if redo.size:
-        ws[redo] = _kronecker_solves(am, qs[redo], qmaxes[redo])
+        passed = _residual_check(drifts, ws, sources, qmaxes)[0]
+    unstable = vals.real.max(axis=-1) >= 0
+    for p in np.flatnonzero(unstable | ~passed.all(axis=-1)):
+        if unstable[p]:
+            _raise_if_unstable(_sort_spectrum(vals[p])[0], "drift")
+        redo = np.flatnonzero(~passed[p])
+        ws[p, redo] = _kronecker_solves(drifts[p], sources[p, redo], qmaxes[p, redo])
     return ws
 
 
-def _eigen_solve(am, qs):
-    """Refined eigen-route solutions for a stack of sources, or None if
-    the factorization fails; the spectrum it yields decides stability."""
+def _eigen_solve(drifts, sources):
+    """The refined eigen-route solutions of a stack of drifts (P, n, n)
+    and their sources (P, k, n, n), from one batched eigendecomposition
+    and one batched inverse, as (spectra (P, n), solutions); None if the
+    stacked factorization fails. The spectra decide stability: the
+    solutions of an unstable drift mean nothing."""
     try:
-        vals, v = np.linalg.eig(am)
+        vals, v = np.linalg.eig(drifts)
         vinv = np.linalg.inv(v)
     except np.linalg.LinAlgError:
         return None
-    _raise_if_unstable(_sort_spectrum(vals)[0], "drift")
-    vh, vinv_h, ah = v.conj().T, vinv.conj().T, am.conj().T
-    neg_denom = -(vals[:, None] + vals.conj()[None, :])
+    # every drift's factors, broadcast over its sources
+    v, vinv, am = v[:, None], vinv[:, None], drifts[:, None]
+    vh, vinv_h, ah = (m.conj().swapaxes(-2, -1) for m in (v, vinv, am))
+    neg_denom = -(vals[:, None, :, None] + vals.conj()[:, None, None, :])
+    # in place where a fresh array would only be divided, added to or
+    # scaled: the same operations in the same order, fewer stack-sized
+    # temporaries (each new one grows the heap)
     with np.errstate(all="ignore"):
-        ws = v @ ((vinv @ qs @ vinv_h) / neg_denom) @ vh
-        ws += v @ ((vinv @ (am @ ws + ws @ ah + qs) @ vinv_h) / neg_denom) @ vh
-        return 0.5 * (ws + ws.conj().transpose(0, 2, 1))
+        x = vinv @ sources @ vinv_h
+        x /= neg_denom
+        ws = v @ x @ vh
+        # the residual a W + W a^H + q, solved with the same factors
+        x = am @ ws
+        x += ws @ ah
+        x += sources
+        x = vinv @ x @ vinv_h
+        x /= neg_denom
+        ws += v @ x @ vh
+        ws += ws.conj().swapaxes(-2, -1)
+        ws *= 0.5
+        return vals, ws
 
 
 def _kronecker_solves(am, sources, qmaxes) -> np.ndarray:
@@ -432,10 +493,11 @@ def require_abs_tol(abs_tol: float) -> None:
         raise ValidationError(f"abs_tol must be positive and finite, got {abs_tol}")
 
 
-def _omega_to_t(omega: float) -> float:
+def _omega_to_t(omega):
     # inverse of omega = t / (1 - t^2) on (-1, 1), written without the
-    # cancellation of (-1 + sqrt(1 + 4 omega^2)) / (2 omega) at small omega
-    return 2.0 * omega / (1.0 + math.hypot(1.0, 2.0 * omega))
+    # cancellation of (-1 + sqrt(1 + 4 omega^2)) / (2 omega) at small
+    # omega; elementwise on an array
+    return 2.0 * omega / (1.0 + np.hypot(1.0, 2.0 * omega))
 
 
 def require_resolved_poles(poles: Iterable[complex]) -> None:
@@ -446,24 +508,34 @@ def require_resolved_poles(poles: Iterable[complex]) -> None:
     (1-t^2)^2/(1+t^2). Below POLE_MIN_SPACINGS float spacings at t, the
     panels around the pole hold too few representable nodes: the Kronrod
     and Gauss sums agree on a wrong value, and the error estimate reports
-    convergence. Such a pole raises NumericsError.
+    convergence. The first such pole, in order, raises NumericsError; so
+    does a NaN or Inf pole.
     """
-    for pole in poles:
-        omega = -pole.imag
-        t = abs(_omega_to_t(omega))
-        half_width = abs(pole.real) * (1.0 - t * t) ** 2 / (1.0 + t * t)
-        if not half_width >= POLE_MIN_SPACINGS * np.spacing(t):  # NaN fails
-            raise NumericsError(
-                f"resonance at omega = {omega:.6g} with half-width "
-                f"{abs(pole.real):.3g} is narrower than the frequency map "
-                f"resolves ({half_width / np.spacing(t):.3g} float spacings "
-                f"in t, need {POLE_MIN_SPACINGS:g})"
-            )
+    poles = np.asarray(list(poles), dtype=complex)
+    half_width, spacing = _pole_widths(poles)
+    bad = first_failure(half_width >= POLE_MIN_SPACINGS * spacing)  # NaN fails
+    if bad is not None:
+        raise NumericsError(
+            f"resonance at omega = {-poles[bad].imag:.6g} with half-width "
+            f"{abs(poles[bad].real):.3g} is narrower than the frequency map "
+            f"resolves ({half_width[bad] / spacing[bad]:.3g} float spacings "
+            f"in t, need {POLE_MIN_SPACINGS:g})"
+        )
+
+
+def _pole_widths(poles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The half-width of every pole at its t, and the float spacing at
+    that t (see require_resolved_poles); NaN for a NaN or Inf pole."""
+    with np.errstate(all="ignore"):
+        t = np.abs(_omega_to_t(-poles.imag))
+        return np.abs(poles.real) * (1.0 - t * t) ** 2 / (1.0 + t * t), np.spacing(t)
 
 
 def _pole_preimages(poles: np.ndarray) -> np.ndarray:
     """Both preimages t and -1/t, under omega = t/(1-t^2), of the complex
-    frequency omega0 = -Im lambda + i|Re lambda| of every pole lambda.
+    frequency omega0 = -Im lambda + i|Re lambda| of every pole lambda of a
+    row (m,) or a stack (..., m): (..., 2m), the m preimages t, then the
+    m preimages -1/t.
 
     The preimages are the roots of omega0 t^2 + t - omega0 = 0. For
     |omega0| <= 1/2 they are 2 omega0/(1 + s) and -(1 + s)/(2 omega0) with
@@ -476,49 +548,78 @@ def _pole_preimages(poles: np.ndarray) -> np.ndarray:
     omega = -poles.imag + 1j * np.abs(poles.real)
     small = np.abs(omega) <= 0.5
     with np.errstate(all="ignore"):
-        z = 2.0 * omega[small]
+        z = 2.0 * omega
         one_plus_s = 1.0 + np.sqrt(1.0 + z * z)
-        u = 0.5 / omega[~small]
+        u = 0.5 / omega
         r = np.sqrt(1.0 + u * u)
         return np.concatenate(
-            [z / one_plus_s, -one_plus_s / z, 1.0 / (u + r), 1.0 / (u - r)]
+            [np.where(small, z / one_plus_s, 1.0 / (u + r)),
+             np.where(small, -one_plus_s / z, 1.0 / (u - r))],
+            axis=-1,
         )
 
 
-def _panel_plan(poles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The starting panels (lo, hi) in t, in order, tiling [0, 1).
+def _panel_plans(poles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The starting panels of every member of a stack (P, m) of poles, as
+    flat arrays (lo, hi, owner) in t sorted by owner, then lo: each
+    member's panels tile [0, 1).
 
-    The 2 uniform panels are halved until no pole preimage lies inside
-    the Bernstein ellipse of parameter _PLAN_RHO around any panel: the
-    ellipse with foci lo and hi whose sum of focal distances is
-    (rho + 1/rho) (hi - lo) / 2. Outside it the mapped integrand is
-    analytic, so the Gauss-Kronrod error estimate of the panel can be
-    trusted. Both preimages count, because the map is two-to-one: a
-    narrow pole at omega = -700 also sits just beyond t = 1, next to the
-    panels that hold omega -> +infinity. A plan above
-    QUADRATURE_MAX_PANELS raises NumericsError.
+    Each member's 2 uniform panels are halved until no pole preimage of
+    that member lies inside the Bernstein ellipse of parameter _PLAN_RHO
+    around any of its panels: the ellipse with foci lo and hi whose sum
+    of focal distances is (rho + 1/rho) (hi - lo) / 2. Outside it the
+    mapped integrand is analytic, so the Gauss-Kronrod error estimate of
+    the panel can be trusted. Both preimages count, because the map is
+    two-to-one: a narrow pole at omega = -700 also sits just beyond
+    t = 1, next to the panels that hold omega -> +infinity. A member
+    whose plan exceeds QUADRATURE_MAX_PANELS raises NumericsError.
 
     Outside the ellipses the estimate holds whatever the panel width, so
     a smooth stretch needs no floor of uniform panels: the refinement
     splits it only where its own estimate asks.
+
+    All members are halved together, one depth level per pass, and only
+    the panels made in the last pass are tested again: a panel that was
+    clear stays clear. Each member gets the panels it would get alone.
     """
     points = _pole_preimages(poles)
     focal_sum = 0.5 * (_PLAN_RHO + 1.0 / _PLAN_RHO)
-    edges = np.linspace(0.0, 1.0, 3)
+    members = len(poles)
+    lo = 0.5 * (np.arange(2 * members) % 2)
+    hi = lo + 0.5
+    owner = np.repeat(np.arange(members), 2)
+    fresh = np.arange(len(lo))
     while True:
-        lo, hi = edges[:-1], edges[1:]
-        focal = np.abs(points[None, :] - lo[:, None]) + np.abs(
-            points[None, :] - hi[:, None]
-        )
+        a, b, near_of = lo[fresh], hi[fresh], points[owner[fresh]]
+        focal = np.abs(near_of - a[:, None]) + np.abs(near_of - b[:, None])
         # a NaN distance (a root at infinity) compares False: not near
-        near = np.flatnonzero((focal < focal_sum * (hi - lo)[:, None]).any(axis=1))
+        near = fresh[(focal < focal_sum * (b - a)[:, None]).any(axis=1)]
         if not near.size:
-            return lo, hi
-        if len(lo) + near.size > QUADRATURE_MAX_PANELS:
+            return lo, hi, owner
+        # no member can pass the cap while all of them together stay below it
+        if len(lo) + len(near) > QUADRATURE_MAX_PANELS and (
+            np.bincount(owner, minlength=members) + np.bincount(owner[near], minlength=members)
+            > QUADRATURE_MAX_PANELS
+        ).any():
             raise NumericsError(
                 f"the poles need more than {QUADRATURE_MAX_PANELS} starting panels"
             )
-        edges = np.insert(edges, near + 1, 0.5 * (lo[near] + hi[near]))
+        # each near panel becomes (lo, mid), (mid, hi) in its place
+        pieces = np.ones(len(lo), dtype=int)
+        pieces[near] = 2
+        first = near + np.arange(len(near))
+        mid = 0.5 * (lo[near] + hi[near])
+        lo, hi, owner = (np.repeat(x, pieces) for x in (lo, hi, owner))
+        hi[first], lo[first + 1] = mid, mid
+        fresh = np.repeat(first, 2)
+        fresh[1::2] += 1
+
+
+def _panel_plan(poles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The starting panels (lo, hi) of one member's poles (m,), in order
+    (see _panel_plans)."""
+    lo, hi, _ = _panel_plans(poles[None])
+    return lo, hi
 
 
 def _gk_panels(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
@@ -577,7 +678,7 @@ def integrate_spectrum(
     conjugation-closed spectrum holds the poles of f(omega) and of
     f(-omega) alike). The starting panels are the 2 uniform panels in
     t, halved until every pole lies outside each panel's Bernstein
-    ellipse (see _panel_plan); without poles a feature much narrower
+    ellipse (see _panel_plans); without poles a feature much narrower
     than those panels can escape the error estimate entirely.
     ``abs_tol`` must be positive and finite, and so must every pole
     (else ValidationError); a pole narrower than the map resolves
@@ -610,6 +711,14 @@ def integrate_spectra(
     together, at most QUADRATURE_BATCH_NODES frequencies per call of
     ``f``, so a stack costs one call per batch, not one per member.
 
+    The members are planned and refined on flat arrays of all their
+    panels, each tagged with its owner and kept in owner order: each
+    member's kept panels, then its new ones, as in a lone call. Each
+    round forms every member's Kronrod and error sums left to right,
+    with one vectorized add per position in the members' panel lists,
+    and splits, caps and retires members with array operations, so a
+    round costs numpy calls per position, not per member.
+
     The refusals of integrate_spectrum come before any panel is
     evaluated, member by member in order, so the first member that would
     refuse alone raises its error. A member that cannot converge raises
@@ -622,80 +731,111 @@ def integrate_spectra(
         raise DimensionError(
             f"poles must be a stack (P, m) of P >= 1 members, got shape {stack.shape}"
         )
-    plans = [_member_plan(row) for row in stack]
-    # each member's kept panels, with their kronrod values and estimates
-    lo = [np.empty(0)] * len(stack)
-    hi = list(lo)
-    vals = [None] * len(stack)
-    errs = [None] * len(stack)
-    results = [None] * len(stack)
-    live = list(range(len(stack)))
-    new_lo = [plan[0] for plan in plans]
-    new_hi = [plan[1] for plan in plans]
+    lo, hi, owner = _starting_panels(stack)
     raw_tol = abs_tol * 2.0 * math.pi
     per_batch = max(1, QUADRATURE_BATCH_NODES // len(_GK_NODES))
-    while live:
-        # the new panels of every live member, in bounded batches; each
-        # batch is copied into the round's arrays, so its sums do not
-        # outlive it
-        counts = [len(panels) for panels in new_lo]
-        owner = np.repeat(live, counts)
-        round_lo, round_hi = np.concatenate(new_lo), np.concatenate(new_hi)
-        for start in range(0, len(round_lo), per_batch):
+    kept = results = None
+    # flat arrays over every live member's panels, sorted by owner; lo, hi
+    # and owner start each round as its new panels
+    while len(lo):
+        # in bounded batches; each batch is copied into the round's
+        # arrays, so its sums do not outlive it
+        for start in range(0, len(lo), per_batch):
             batch = slice(start, start + per_batch)
             nodes_of = np.repeat(owner[batch], len(_GK_NODES))
-            v, e = _gk_panels(
-                lambda omegas: f(nodes_of, omegas), round_lo[batch], round_hi[batch]
-            )
+            v, e = _gk_panels(lambda omegas: f(nodes_of, omegas), lo[batch], hi[batch])
             if not start:
-                round_vals = np.empty((len(round_lo),) + v.shape[1:], v.dtype)
-                round_errs = np.empty((len(round_lo),) + e.shape[1:], e.dtype)
-            round_vals[batch], round_errs[batch] = v, e
+                vals = np.empty((len(lo),) + v.shape[1:], v.dtype)
+                errs = np.empty((len(lo),) + e.shape[1:], e.dtype)
+            vals[batch], errs[batch] = v, e
+        del v, e
+        if kept is not None:
+            # each member's kept panels, then its new ones, as in a lone call
+            order = np.argsort(np.concatenate([kept[2], owner]), kind="stable")
+            lo, hi, owner, vals, errs = (
+                np.concatenate([old, new])[order]
+                for old, new in zip(kept, (lo, hi, owner, vals, errs))
+            )
+        counts = np.bincount(owner)
+        counts = counts[counts > 0]
+        starts = np.cumsum(counts) - counts
+        segment = np.repeat(np.arange(len(starts)), counts)
+        total_err = _segment_sums(errs, starts, counts).reshape(len(starts), -1).max(axis=1)
+        converged = total_err <= raw_tol
+        if converged.any():
+            if results is None:
+                results = np.empty((len(stack),) + vals.shape[1:], vals.dtype)
+            results[owner[starts[converged]]] = (
+                _segment_sums(vals, starts[converged], counts[converged]) / (2.0 * math.pi)
+            )
+        # every member still refining splits a panel: were none of its L
+        # panels above raw_tol / 2L, its total would be below raw_tol
+        worst = errs.reshape(len(errs), -1).max(axis=1)
+        split = worst > raw_tol / (2.0 * counts[segment])
+        grown = counts + np.add.reduceat(split, starts, dtype=int)
+        capped = first_failure(converged | (grown <= QUADRATURE_MAX_PANELS))
+        if capped is not None:
+            raise NumericsError(
+                f"quadrature did not converge below {abs_tol:.1e} within "
+                f"{QUADRATURE_MAX_PANELS} panels",
+                estimate=float(total_err[capped]) / (2.0 * math.pi),
+            )
+        # each split panel becomes (lo, mid), (mid, hi), after the kept ones
+        live = ~converged[segment]
+        keep, split = live & ~split, live & split
+        kept = lo[keep], hi[keep], owner[keep], vals[keep], errs[keep]
+        mid = 0.5 * (lo[split] + hi[split])
+        lo, hi = (
+            np.stack(pair, axis=1).reshape(-1) for pair in ((lo[split], mid), (mid, hi[split]))
+        )
+        owner = np.repeat(owner[split], 2)
+        # the kept panels hold copies, so the round's arrays can go
+        del vals, errs
 
-        ends = np.cumsum(counts).tolist()
-        rounds = zip(live, new_lo, new_hi, ends, counts)
-        live, new_lo, new_hi = [], [], []
-        for m, a, b, end, count in rounds:
-            # the kept panels, then the new ones, as in a lone call
-            v, e = round_vals[end - count : end], round_errs[end - count : end]
-            lo[m], hi[m] = np.concatenate([lo[m], a]), np.concatenate([hi[m], b])
-            vals[m] = v.copy() if vals[m] is None else np.concatenate([vals[m], v])
-            errs[m] = e.copy() if errs[m] is None else np.concatenate([errs[m], e])
-            # Python's sum adds the panels left to right, as the result does
-            total_err = float(np.max(sum(errs[m])))
-            if total_err <= raw_tol:
-                results[m] = sum(vals[m]) / (2.0 * math.pi)
-                continue
-            worst = errs[m].reshape(len(lo[m]), -1).max(axis=1)
-            split = worst > raw_tol / (2.0 * len(lo[m]))
-            if not split.any():
-                split[np.argmax(worst)] = True
-            if len(lo[m]) + int(split.sum()) > QUADRATURE_MAX_PANELS:
-                raise NumericsError(
-                    f"quadrature did not converge below {abs_tol:.1e} within "
-                    f"{QUADRATURE_MAX_PANELS} panels",
-                    estimate=total_err / (2.0 * math.pi),
-                )
-            # each split panel becomes (lo, mid), (mid, hi), after the kept ones
-            mid = 0.5 * (lo[m][split] + hi[m][split])
-            live.append(m)
-            new_lo.append(np.stack([lo[m][split], mid], axis=1).reshape(-1))
-            new_hi.append(np.stack([mid, hi[m][split]], axis=1).reshape(-1))
-            lo[m], hi[m] = lo[m][~split], hi[m][~split]
-            vals[m], errs[m] = vals[m][~split], errs[m][~split]
-        # every member holds copies, so the round's arrays can go
-        del round_vals, round_errs, v, e
-
-    return np.stack(results)
+    return results
 
 
-def _member_plan(poles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The refusals of one member's poles, then its starting panels."""
-    bad = poles[~np.isfinite(poles)]
-    if bad.size:
-        raise ValidationError(f"poles must be finite, got {bad[0]}")
-    require_resolved_poles(poles)
-    return _panel_plan(poles)
+def _segment_sums(x: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The sum of every segment x[start : start + count] of a flat array,
+    added left to right from zero, as Python's sum adds one member's
+    panels. Longest segments first, the ones still adding at a position
+    are a prefix: one gather into a reused buffer and one add in place
+    per position, until one segment is left, whose other terms one
+    cumsum adds in order."""
+    order = np.argsort(-counts, kind="stable")
+    starts, counts = starts[order], counts[order]
+    total = np.zeros((len(starts),) + x.shape[1:], x.dtype)
+    buf = np.empty_like(total)
+    for j in range(counts[0]):
+        k = np.count_nonzero(counts > j)
+        if k == 1:
+            rest = x[starts[0] + j : starts[0] + counts[0]]
+            total[0] = np.cumsum(np.concatenate([total[0][None], rest]), axis=0)[-1]
+            break
+        np.take(x, starts[:k] + j, axis=0, out=buf[:k])
+        total[:k] += buf[:k]
+    sums = np.empty_like(total)
+    sums[order] = total
+    return sums
+
+
+def _starting_panels(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The starting panels of every member of a stack (P, m) of poles,
+    flat (see _panel_plans), after the refusals of integrate_spectrum:
+    the first member that would refuse alone raises its own error."""
+    half_width, spacing = _pole_widths(stack)
+    accepted = (np.isfinite(stack) & (half_width >= POLE_MIN_SPACINGS * spacing)).all(axis=1)
+    refused = first_failure(accepted)
+    if refused is not None:
+        # the members before it can refuse only by the panel cap, whose
+        # error names no member
+        _panel_plans(stack[:refused])
+        poles = stack[refused]
+        bad = poles[~np.isfinite(poles)]
+        if bad.size:
+            raise ValidationError(f"poles must be finite, got {bad[0]}")
+        require_resolved_poles(poles)
+    return _panel_plans(stack)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

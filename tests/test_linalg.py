@@ -18,7 +18,7 @@ from bosonet.network import (
     build_state_space,
     family_state_space,
 )
-from bosonet.suites import random_network
+from bosonet.suites import DEFAULT_SEED, SUITES, random_network, suite_route_agreement
 from bosonet.linalg import (
     QUADRATURE_ABS_TOL,
     batch_or_each,
@@ -261,7 +261,12 @@ class TestLyapunovEngine:
     def test_inaccurate_eigen_route_sends_every_source_to_kronecker(self, monkeypatch):
         calls = self.spy_on_fallback(monkeypatch)
         eigen = linalg._eigen_solve
-        monkeypatch.setattr(linalg, "_eigen_solve", lambda am, qs: eigen(am, qs) + 1e-6)
+
+        def inaccurate(drifts, sources):
+            spectra, ws = eigen(drifts, sources)
+            return spectra, ws + 1e-6
+
+        monkeypatch.setattr(linalg, "_eigen_solve", inaccurate)
         rng = np.random.default_rng(10)
         a = random_stable(rng, 8)
         qs = random_hermitian(rng, 8, k=3)
@@ -436,6 +441,112 @@ class TestStackedDrifts:
         with pytest.raises(NumericsError, match="Lyapunov residual"):
             solve_lyapunov(drifts, np.broadcast_to(np.eye(2), (3, 2, 2)))
 
+    @pytest.mark.parametrize("dim", [8, 10])
+    def test_eigen_stack_is_one_eig_and_one_inv(self, dim, monkeypatch):
+        calls = {"eig": 0, "inv": 0}
+        real = {name: getattr(np.linalg, name) for name in calls}
+
+        def counting(name):
+            def wrapper(m):
+                calls[name] += 1
+                return real[name](m)
+            return wrapper
+
+        rng = np.random.default_rng(50 + dim)
+        drifts = np.stack([random_stable(rng, dim) for _ in range(6)])
+        sources = np.stack([random_hermitian(rng, dim, k=3) for _ in range(6)])
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        stacked = solve_lyapunov(drifts, sources)
+        assert calls == {"eig": 1, "inv": 1}
+        for a, qs, ws in zip(drifts, sources, stacked):
+            np.testing.assert_array_equal(ws, solve_lyapunov(a, qs))
+
+    def test_an_exceptional_member_keeps_the_bits_of_its_lone_call(self, monkeypatch):
+        redone = []
+        kronecker = linalg._kronecker_solves
+
+        def spy(am, sources, qmaxes):
+            redone.append(len(sources))
+            return kronecker(am, sources, qmaxes)
+
+        monkeypatch.setattr(linalg, "_kronecker_solves", spy)
+        rng = np.random.default_rng(60)
+        drifts = np.stack([
+            random_stable(rng, 8), embedded_exceptional_drift(0.25), random_stable(rng, 8),
+        ])
+        sources = np.stack([
+            random_hermitian(rng, 8, k=2),
+            np.stack([EXCEPTIONAL_SOURCE, np.eye(8, dtype=complex)]),
+            random_hermitian(rng, 8, k=2),
+        ])
+        stacked = solve_lyapunov(drifts, sources)
+        assert redone == [2]  # both sources of the exceptional drift
+        for a, qs, ws in zip(drifts, sources, stacked):
+            np.testing.assert_array_equal(ws, solve_lyapunov(a, qs))
+        assert redone == [2, 2]
+
+    def test_first_failing_member_raises_on_the_eigen_route(self):
+        rng = np.random.default_rng(70)
+        stable = random_stable(rng, 8)
+        unstable = np.zeros((8, 8), dtype=complex)
+        unstable[:4, :4] = UNSTABLE_DRIFT
+        unstable[4:, 4:] = -np.eye(4)
+        broken = stable.copy()
+        broken[3, 5] = np.nan
+        with pytest.raises(StabilityError) as alone:
+            solve_lyapunov(unstable, np.eye(8))
+        sources = np.broadcast_to(np.eye(8, dtype=complex), (3, 8, 8))
+        with pytest.raises(StabilityError) as err:
+            solve_lyapunov(np.stack([stable, unstable, broken]), sources)
+        assert str(err.value) == str(alone.value)
+        assert err.value.eigenvalue == alone.value.eigenvalue
+        named = r"drift 0 has the non-finite entry \(nan\+0j\) at \(3, 5\)"
+        with pytest.raises(NumericsError, match=named):
+            solve_lyapunov(np.stack([broken, unstable]), sources[:2])
+
+    def test_a_failed_stacked_factorization_falls_back_drift_by_drift(self, monkeypatch):
+        rng = np.random.default_rng(80)
+        drifts = np.stack([random_stable(rng, 8) for _ in range(4)])
+        drifts[2] = embedded_exceptional_drift(0.25)
+        sources = np.stack([random_hermitian(rng, 8, k=2) for _ in range(4)])
+        sources[2, 0] = EXCEPTIONAL_SOURCE
+        expected = solve_lyapunov(drifts, sources)
+        sizes = []
+        real_eig = np.linalg.eig
+
+        def stacks_fail(m):
+            sizes.append(len(m))
+            if len(m) > 1:
+                raise np.linalg.LinAlgError("made to fail on stacks")
+            return real_eig(m)
+
+        monkeypatch.setattr(np.linalg, "eig", stacks_fail)
+        np.testing.assert_array_equal(solve_lyapunov(drifts, sources), expected)
+        assert sizes == [4, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize("dim", [4, 8])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_non_finite_drift_names_its_index_and_entry(self, dim, bad):
+        # no eigenvalue iteration ran: the message says what is wrong
+        broken = -np.eye(dim, dtype=complex)
+        broken[1, 2] = bad
+        entry = f"non-finite entry {complex(bad, 0.0)} at (1, 2)"
+        with pytest.raises(NumericsError) as err:
+            eigenvalues(broken)
+        assert str(err.value) == f"the drift has the {entry}"
+        with pytest.raises(NumericsError) as err:
+            solve_lyapunov(broken, np.eye(dim))
+        assert str(err.value) == f"drift 0 has the {entry}"
+        stack = np.stack([-np.eye(dim), -2.0 * np.eye(dim), broken])
+        for attempt in (
+            lambda: solve_lyapunov(stack, np.broadcast_to(np.eye(dim), stack.shape)),
+            lambda: require_stable_drifts(stack),
+        ):
+            with pytest.raises(NumericsError) as err:
+                attempt()
+            assert str(err.value) == f"drift 2 has the {entry}"
+
 
 def spy_on_spectra(monkeypatch):
     """Record every stack of drifts whose spectra linalg computes."""
@@ -576,7 +687,9 @@ class TestStabilityCertificate:
         ):
             with pytest.raises(NumericsError) as err:
                 solve_lyapunov(stack, np.broadcast_to(np.eye(4), stack.shape))
-            assert str(err.value) == str(alone.value)
+            # the same entry, named with its drift's index in the stack
+            named = str(alone.value).replace("the drift", f"drift {len(stack) - 1}")
+            assert str(err.value) == named
 
     def test_passive_stacks_take_no_spectrum(self, monkeypatch):
         seen = spy_on_spectra(monkeypatch)
@@ -904,6 +1017,56 @@ PLAN_POLES = {
 }
 
 
+def reference_panel_plan(poles):
+    """One member's starting panels as integrate_spectrum planned them
+    member by member: the preimages of that member's poles alone, and
+    the halving loop over its edges, every panel tested every pass."""
+    omega = -poles.imag + 1j * np.abs(poles.real)
+    small = np.abs(omega) <= 0.5
+    with np.errstate(all="ignore"):
+        z = 2.0 * omega[small]
+        one_plus_s = 1.0 + np.sqrt(1.0 + z * z)
+        u = 0.5 / omega[~small]
+        r = np.sqrt(1.0 + u * u)
+        points = np.concatenate([z / one_plus_s, -one_plus_s / z, 1.0 / (u + r), 1.0 / (u - r)])
+    focal_sum = 0.5 * (linalg._PLAN_RHO + 1.0 / linalg._PLAN_RHO)
+    edges = np.linspace(0.0, 1.0, 3)
+    while True:
+        lo, hi = edges[:-1], edges[1:]
+        focal = np.abs(points[None, :] - lo[:, None]) + np.abs(points[None, :] - hi[:, None])
+        near = np.flatnonzero((focal < focal_sum * (hi - lo)[:, None]).any(axis=1))
+        if not near.size:
+            return lo, hi
+        edges = np.insert(edges, near + 1, 0.5 * (lo[near] + hi[near]))
+
+
+def route_check_spectra():
+    """The drift spectra of verify's route check at its default seed, one
+    stack (P, 2N) per mode count."""
+    rng = np.random.default_rng([DEFAULT_SEED, SUITES.index(suite_route_agreement)])
+    by_size = {}
+    for k in range(100):
+        drift = build_state_space(random_network(rng, nonpassive=k % 3 == 2)).drift
+        by_size.setdefault(len(drift), []).append(drift)
+    return [require_stable_drifts(np.array(drifts)) for _, drifts in sorted(by_size.items())]
+
+
+def narrow_pole_stacks():
+    """Stacks of random poles, wide and narrow (half-widths 1e-7 to 1),
+    at centres from 0 to 3000, some members without a narrow pole."""
+    rng = np.random.default_rng(90)
+    stacks = []
+    for members, pairs in ((1, 1), (5, 2), (9, 3)):
+        stack = []
+        for _ in range(members):
+            half_widths = 10.0 ** rng.uniform(-7.0, 0.0, size=pairs)
+            far = 10.0 ** rng.uniform(-2.0, 3.5, size=pairs)
+            centres = np.where(rng.random(pairs) < 0.2, 0.0, far)
+            stack.append(sum((lorentzian_pair(h, c) for h, c in zip(half_widths, centres)), []))
+        stacks.append(np.array(stack))
+    return stacks
+
+
 class TestPanelPlan:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("exponent", range(-12, 13))
@@ -969,6 +1132,25 @@ class TestPanelPlan:
         if split.any():
             rho = bernstein_rho(points, parent_lo, parent_hi)
             assert np.all(rho.min(axis=1) < linalg._PLAN_RHO)
+
+    def assert_stacked_plans_are_per_member_plans(self, stack):
+        lo, hi, owner = linalg._panel_plans(stack)
+        assert np.all(np.diff(owner) >= 0)
+        for m, poles in enumerate(stack):
+            ref_lo, ref_hi = reference_panel_plan(poles)
+            np.testing.assert_array_equal(lo[owner == m], ref_lo)
+            np.testing.assert_array_equal(hi[owner == m], ref_hi)
+        return len(lo)
+
+    def test_stacked_plans_of_the_route_check_are_its_per_member_plans(self):
+        stacks = route_check_spectra()
+        assert sum(len(stack) for stack in stacks) == 100
+        for stack in stacks:
+            self.assert_stacked_plans_are_per_member_plans(stack)
+
+    def test_stacked_plans_of_narrow_poles_are_their_per_member_plans(self):
+        sizes = [self.assert_stacked_plans_are_per_member_plans(s) for s in narrow_pole_stacks()]
+        assert max(sizes) > 100  # the narrow poles grade their members deeply
 
     def test_narrow_poles_grade_the_panels_toward_them(self):
         lo, hi = linalg._panel_plan(np.array(PLAN_POLES["high-700"]))
@@ -1116,6 +1298,18 @@ class TestIntegrateSpectra:
             linalg.integrate_spectra(f, 1e-8, [[-0.5, -0.5], [math.nan, -0.5], [-0.5, unresolved]])
         with pytest.raises(ValidationError, match="abs_tol"):
             linalg.integrate_spectra(f, math.nan, [[-0.5]])
+        assert sizes == []
+
+    def test_a_member_over_the_cap_refuses_before_a_later_non_finite_one(self, monkeypatch):
+        size = len(linalg._panel_plan(np.array([NARROW_POLE, NARROW_POLE]))[0])
+        monkeypatch.setattr(linalg, "QUADRATURE_MAX_PANELS", size - 1)
+        sizes = []
+        f = members_of([narrow_resonance, lorentzian(1.0, 0.0)], sizes)
+        with pytest.raises(NumericsError, match="starting panels"):
+            linalg.integrate_spectra(f, 1e-8, [[NARROW_POLE, NARROW_POLE], [math.nan, -0.5]])
+        # and the other way round, the non-finite member raises its own error
+        with pytest.raises(ValidationError, match="poles must be finite"):
+            linalg.integrate_spectra(f, 1e-8, [[math.nan, -0.5], [NARROW_POLE, NARROW_POLE]])
         assert sizes == []
 
     @pytest.mark.parametrize("poles", [[-0.5, -1.0], np.zeros((0, 2)), np.zeros((1, 2, 2))])
