@@ -184,11 +184,16 @@ def require_stable_drifts(drifts) -> np.ndarray:
 
 def _stable_spectra(drifts: np.ndarray) -> np.ndarray:
     """The unsorted spectra of a stack (P, n, n) of drifts, from one
-    batched call; the first unstable drift raises."""
-    spectra = _spectra(drifts)
+    batched call; the first failing drift raises. An unstable drift
+    raises its StabilityError, and a non-finite one the NumericsError of
+    _require_finite only if no drift before it is unstable, so the
+    spectra are taken of the drifts before the first non-finite one."""
+    bad = first_failure(np.isfinite(drifts).all(axis=(-2, -1)))
+    spectra = _spectra(drifts[:bad])
     unstable = first_failure(spectra.real.max(axis=-1) < 0)
     if unstable is not None:
         _raise_if_unstable(_sort_spectrum(spectra[unstable])[0], "drift")
+    _require_finite(drifts)
     return spectra
 
 
@@ -219,15 +224,16 @@ def _check_stability(drifts: np.ndarray, first: int = 0) -> None:
     """The stability test of the Lyapunov solves, for a stack (P, n, n)
     of drifts numbered from ``first``: the drifts the Hermitian-part
     bound certifies skip the spectrum, and the others take _stable_spectra
-    in stack order. A certified drift is stable, so the first unstable
-    drift raises the StabilityError, with the eigenvalue, that a spectrum
-    of the whole stack raises. A non-finite drift is never certified, and
-    the first one raises the NumericsError of _require_finite before any
-    spectrum, as a spectrum of the whole stack would."""
+    in stack order. A certified drift is stable, so the first failing
+    drift raises the error that _stable_spectra of the whole stack
+    raises: a non-finite drift is never certified, and it raises the
+    NumericsError of _require_finite only if no drift before it is
+    unstable."""
     uncertified = _uncertified(drifts)
     if uncertified.any():
+        bad = first_failure(np.isfinite(drifts).all(axis=(-2, -1)))
+        _stable_spectra(drifts[:bad][uncertified[:bad]])
         _require_finite(drifts, first)
-        _stable_spectra(drifts[uncertified])
 
 
 def solve_lyapunov(a, q) -> np.ndarray:

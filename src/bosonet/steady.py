@@ -6,6 +6,14 @@ variances for X(theta) = (a exp(-i theta) + adag exp(i theta)) / sqrt 2
 follow from the per-mode normal and anomalous second moments; the
 minimizing angle has the closed form used below.
 
+The exact V is its own mirror Sigma_x conj(V) Sigma_x, but the solve
+does not impose that. Every per-mode observable (nu, mu, mode_block,
+min_variances, quadrature_variances, min_quadrature_variance) comes from
+one read, CovarianceState._moments, which takes the mean of each entry
+and its mirror: the doubled quadratic form that defines a quadrature
+variance, from which the mirror-odd part of V's forward error drops out.
+V itself is kept as solved.
+
 variance_decomposition splits a mode's variance over input channels
 using the commutator-budget shares. That split is exact for thermal
 inputs into passive networks, and for anomalous inputs only when the
@@ -33,9 +41,10 @@ from .budget import CommutatorBudget
 
 _HERMITICITY_LEAK = 1e-9
 # Largest doubled-structure defect of a steady covariance, relative to
-# max(1, ||V||_max). Measured: at most 1.7e-9 in the tests (two modes at
-# xi = 5, G = 50) and 1.2e-13 in the benchmark, against 2e-4 for a
-# near-marginal two-mode drift at damping 1e-10 whose variances are 1.3% off.
+# max(1, ||V||_max). Measured: at most 7.5e-7 in the tests (the fig1 sweep
+# at xi = 7.5, G = 15.8), 6.1e-8 where they check the closed form (xi = 7,
+# G = 5) and 1.2e-13 in the benchmark, against 2e-4 for a near-marginal
+# two-mode drift at damping 1e-10 whose variances are 1.3% off.
 _STRUCTURE_LIMIT = 1e-6
 # Largest violation of the uncertainty relation V + sigma/2 >= 0, relative
 # to max(1, ||V||_max), that a steady covariance may show as roundoff.
@@ -46,28 +55,24 @@ _BONA_FIDE_LIMIT = 1e-9
 @dataclass(frozen=True, eq=False)
 class CovarianceState:
     """Stationary symmetrized covariance in the doubled basis; ``v`` may be
-    a stack (P, 2N, 2N), which nu and mu do not take."""
+    a stack (P, 2N, 2N), which nu and mu do not take. ``v`` is kept as
+    solved; each per-mode read is the mirror mean of _moments."""
 
     v: np.ndarray
     n_modes: int
 
     def nu(self, mode: int) -> float:
         """Symmetrized number moment <{a, adag}>/2 of one mode."""
-        self._check(mode)
-        return float(self.v[mode, mode].real)
+        return float(self._moments(mode)[0])
 
     def mu(self, mode: int) -> complex:
         """Anomalous moment <a a> of one mode."""
-        self._check(mode)
-        return complex(self.v[mode, self.n_modes + mode])
+        return complex(self._moments(mode)[1])
 
     def mode_block(self, mode: int) -> np.ndarray:
         """2x2 (X, Y) covariance of one mode at theta = 0 (of each member
         of a stack, shape (P, 2, 2))."""
-        self._check(mode)
-        # [()] makes numpy scalars of a single state's 0-d entries
-        nu = self.v[..., mode, mode].real[()]
-        mu = self.v[..., mode, self.n_modes + mode][()]
+        nu, mu = self._moments(mode)
         block = np.empty(np.shape(nu) + (2, 2))
         block[..., 0, 0], block[..., 1, 1] = nu + mu.real, nu - mu.real
         block[..., 0, 1] = block[..., 1, 0] = mu.imag
@@ -91,9 +96,20 @@ class CovarianceState:
             )
         return vq.real
 
-    def _check(self, mode: int) -> None:
+    def _moments(self, mode: int) -> tuple[np.ndarray, np.ndarray]:
+        """(nu, mu) of one mode, numpy scalars for a state or arrays (P,)
+        for a stack: the only read of V per mode. Each is the mean of an
+        entry and its mirror, nu = Re(V[j, j] + V[N+j, N+j]) / 2 and
+        mu = (V[j, N+j] + conj V[N+j, j]) / 2, so the mirror-odd part of
+        V's forward error, which is not physical, drops out exactly as it
+        does from the doubled form u V u^H on (X_j, Y_j)."""
         if not 0 <= mode < self.n_modes:
             raise DimensionError(f"mode {mode} out of range for {self.n_modes} modes")
+        j, k = mode, self.n_modes + mode
+        # [()] makes numpy scalars of a single state's 0-d entries
+        nu = 0.5 * (self.v[..., j, j].real + self.v[..., k, k].real)[()]
+        mu = 0.5 * (self.v[..., j, k] + self.v[..., k, j].conj())[()]
+        return nu, mu
 
 
 def steady_covariance(ss: StateSpace, inputs: InputMoments) -> CovarianceState:
@@ -178,10 +194,9 @@ def quadrature_variances(state: CovarianceState, mode: int, thetas) -> np.ndarra
 def min_variances(state: CovarianceState, mode: int) -> np.ndarray:
     """nu - |mu|, the least variance over angle of one mode's quadrature
     (see min_quadrature_variance), for a state or each state of a stack."""
-    state._check(mode)
-    mu = state.v[..., mode, state.n_modes + mode]
+    nu, mu = state._moments(mode)
     # np.hypot has the bits of abs() of a Python complex
-    return state.v[..., mode, mode].real - np.hypot(mu.real, mu.imag)
+    return nu - np.hypot(mu.real, mu.imag)
 
 
 def min_quadrature_variance(state: CovarianceState, mode: int) -> QuadratureVariance:
@@ -194,15 +209,13 @@ def min_quadrature_variance(state: CovarianceState, mode: int) -> QuadratureVari
     accuracy, and its angle is reported as 0 rather than read from the
     phase of roundoff.
     """
-    nu = state.nu(mode)
-    mu = state.mu(mode)
+    nu, mu = state._moments(mode)
+    nu, mu = float(nu), complex(mu)
     if abs(mu) <= LYAPUNOV_RESIDUAL_TOL * nu:
         theta = 0.0
     else:
         theta = 0.5 * math.atan2(-mu.imag, -mu.real) % math.pi
-    return QuadratureVariance(
-        mode=mode, theta=float(theta), value=float(min_variances(state, mode))
-    )
+    return QuadratureVariance(mode=mode, theta=float(theta), value=nu - abs(mu))
 
 
 def variance_decomposition(

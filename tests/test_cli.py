@@ -388,8 +388,8 @@ class TestSweepBatches:
 
     # (scenario, grid flags, point function, fixed parameters)
     GRIDS = [
-        # route-agreement failures between good points
-        ("fig1", ["--grid", "g_script:0.5:50:9:log", "--xi", "4.5"]),
+        # route-agreement and doubled-structure failures around good points
+        ("fig1", ["--grid", "g_script:0.5:50:9:log", "--xi", "7.5"]),
         # good points, numerics failures, then no frame from xi = 20 on
         ("fig1", ["--grid", "xi:0:22:12"]),
         # unstable at both ends, good in between

@@ -676,20 +676,36 @@ class TestStabilityCertificate:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_a_non_finite_drift_raises_as_its_spectrum_does(self, bad):
-        broken = -np.eye(4, dtype=complex)
-        broken[1, 2] = bad
-        assert not certified(broken)
-        with pytest.raises(NumericsError) as alone:
-            eigenvalues(broken)
-        for stack in (
-            np.stack([-np.eye(4), broken]),
-            np.stack([-np.eye(4), UNSTABLE_DRIFT, broken]),
-        ):
-            with pytest.raises(NumericsError) as err:
-                solve_lyapunov(stack, np.broadcast_to(np.eye(4), stack.shape))
-            # the same entry, named with its drift's index in the stack
-            named = str(alone.value).replace("the drift", f"drift {len(stack) - 1}")
-            assert str(err.value) == named
+        # on every stability path (the Kronecker route at n = 4, the eigen
+        # route at n = 8 and require_stable_drifts at both) the first
+        # failing drift of a stack raises: a non-finite drift only if no
+        # drift before it is unstable
+        for n in (4, 8):
+            stable = -np.eye(n, dtype=complex)
+            broken, unstable = stable.copy(), stable.copy()
+            broken[1, 2] = bad
+            unstable[:4, :4] = UNSTABLE_DRIFT
+            assert not certified(broken)
+            with pytest.raises(NumericsError) as alone:
+                eigenvalues(broken)
+            with pytest.raises(StabilityError) as unstable_alone:
+                require_stable(unstable)
+            checks = (
+                lambda stack: solve_lyapunov(stack, np.broadcast_to(np.eye(n), stack.shape)),
+                require_stable_drifts,
+            )
+            for check in checks:
+                for stack, index in (
+                    (np.stack([stable, broken]), 1),
+                    (np.stack([broken, unstable]), 0),
+                ):
+                    with pytest.raises(NumericsError) as err:
+                        check(stack)
+                    # the same entry, named with its drift's index in the stack
+                    assert str(err.value) == str(alone.value).replace("the drift", f"drift {index}")
+                with pytest.raises(StabilityError) as err:
+                    check(np.stack([stable, unstable, broken]))
+                assert str(err.value) == str(unstable_alone.value)
 
     def test_passive_stacks_take_no_spectrum(self, monkeypatch):
         seen = spy_on_spectra(monkeypatch)

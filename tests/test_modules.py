@@ -124,6 +124,21 @@ def test_only_linalg_computes_spectra():
     assert callers == {("linalg.py", "_spectra"), ("linalg.py", "_eigen_solve")}
 
 
+def test_one_per_mode_read_of_the_covariance():
+    # CovarianceState._moments alone indexes V per mode; every other read
+    # of a state's V takes the whole matrix (quadrature_matrix)
+    reads, indexes = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for function, node in nodes_by_function(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "v":
+                reads.add((path.name, function))
+            if isinstance(node, ast.Subscript) and getattr(node.value, "attr", None) == "v":
+                indexes.add((path.name, function))
+    assert indexes == {("steady.py", "_moments")}
+    assert reads == {("steady.py", "_moments"), ("steady.py", "quadrature_matrix")}
+
+
 def test_scenario_names_resolve_through_the_package(monkeypatch):
     assert len(set(SCENARIO_NAMES)) == 38
     listed = dir(bosonet)

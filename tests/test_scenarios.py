@@ -209,12 +209,24 @@ class TestSqueezingPower:
         # g_script = 0 has the identity frame: the closed form at G = 0
         assert fig1_point(0.0, 0.5, 1.0, 1.0) == (0.0, 0.5, 1.0, 1.0, 1.0, 1.0, 2.0)
 
-    @pytest.mark.parametrize("g_script, xi", [(0.5, 6.0), (1.0, 6.0), (5.0, 6.0), (5.0, 5.0)])
-    def test_strong_squeezing_fails_on_route_agreement(self, g_script, xi):
-        # the frame drift is passive here; what fails is the fixed route
-        # tolerance against the accuracy of the physical-frame solve
-        with pytest.raises(NumericsError, match="routes disagree"):
-            fig1_point(g_script, xi, 1.0, 1.0)
+    @pytest.mark.parametrize("g_script, xi", [
+        (g, xi) for xi in (4.5, 5.0, 6.0, 7.0) for g in (0.5, 1.0, 5.0, 50.0)
+        if (g, xi) != (50.0, 7.0)
+    ])
+    def test_strong_squeezing_answers_within_the_closed_form(self, g_script, xi):
+        # the per-mode reads drop the mirror-odd part of V's forward error,
+        # so the direct route keeps the frame route's 1e-10 here
+        row = fig1_point(g_script, xi, 1.0, 1.0)
+        g2 = 4.0 * g_script * g_script
+        norm_var1 = (0.5 * g2 * (1.0 + math.exp(-2.0 * xi)) + 1.0) / (g2 + 1.0)
+        assert abs(row[4] - norm_var1) < 1e-10
+        # the sum adds norm_var2's error: at most 1.1e-10 at xi = 7
+        assert abs(row[6] - equal_damping_sum(g_script, xi)) < 2e-10
+
+    def test_strong_squeezing_past_the_structure_limit_is_refused(self):
+        # G = 50 at xi = 7: V's doubled-structure defect is about 2.1e-6
+        with pytest.raises(NumericsError, match="breaks the doubled structure"):
+            fig1_point(50.0, 7.0, 1.0, 1.0)
 
     def test_bound_is_never_violated_for_thermal_inputs(self):
         result = two_mode_squeezing_power(
@@ -833,14 +845,24 @@ class TestBatches:
         assert str(batch.value) == str(point.value)
         assert "quadrature block ('X1', 'Y2')" in str(batch.value)
 
-    def test_route_checks_run_at_every_point(self):
-        # G = 0.889 at xi = 4.5 fails the 1e-10 route agreement between
-        # points that pass it
-        fig1_point(0.5, 4.5, 1.0, 1.0)
-        with pytest.raises(NumericsError, match="routes disagree"):
-            fig1_point(0.8891397050194614, 4.5, 1.0, 1.0)
-        with pytest.raises(NumericsError, match="routes disagree"):
-            fig1_rows([0.5, 0.8891397050194614, 1.5811388300841898], 4.5, 1.0, 1.0)
+    def test_route_checks_run_at_every_point(self, monkeypatch):
+        # the frame route of every member from the first slipped one on
+        # slips by (k + 1) 1e-9: the grid raises at the first of them, whose
+        # gap (over v1 = 1/2) names it
+        grid = [0.5, 5.0, 50.0]
+        assert fig1_rows(grid, 6.0, 1.0, 1.0) == [fig1_point(g, 6.0, 1.0, 1.0) for g in grid]
+        split = scenarios.variance_decomposition
+
+        for first in range(len(grid)):
+            def slipped(*args, **kwargs):
+                out = split(*args, **kwargs)
+                out[first:, 0] += 1e-9 * np.arange(first + 1, len(grid) + 1)
+                return out
+
+            monkeypatch.setattr(scenarios, "variance_decomposition", slipped)
+            with pytest.raises(NumericsError, match="routes disagree") as err:
+                fig1_rows(grid, 6.0, 1.0, 1.0)
+            assert err.value.estimate == pytest.approx(2e-9 * (first + 1), rel=0.05)
 
     def test_invalid_parameter_raises_validation_error(self):
         with pytest.raises(ValidationError, match="g_plus must be nonnegative"):

@@ -17,6 +17,7 @@ from bosonet.network import (
     degenerate_parametric,
     detuning,
     hyperbolic_frame,
+    mirrored,
     two_mode_squeeze,
 )
 from bosonet.steady import (
@@ -28,6 +29,7 @@ from bosonet.steady import (
     steady_covariance,
     variance_decomposition,
 )
+from bosonet.suites import random_network
 
 
 def single_mode_state(occupancy=0.0):
@@ -426,3 +428,63 @@ class TestStackedStates:
                 ]
                 assert grid[k].tolist() == [float(v) for v in loop]
                 assert grid[k].tolist() == [quadrature_variance(single, mode, t) for t in angles]
+
+
+class TestMirrorOddError:
+    """The exact V is its own mirror Sigma_x conj(V) Sigma_x. Every per-mode
+    observable reads the mean of an entry and its mirror, so a mirror-odd
+    error E = -Sigma_x conj(E) Sigma_x, which is not physical, drops out."""
+
+    ANGLES = (0.0, 0.4, 2.0)
+
+    @staticmethod
+    def bent(state, rng):
+        f = rng.normal(size=state.v.shape) + 1j * rng.normal(size=state.v.shape)
+        odd = f - mirrored(f)
+        odd *= 1e-6 / np.abs(odd).max()
+        return CovarianceState(v=state.v + odd, n_modes=state.n_modes)
+
+    def states_by_size(self):
+        rng = np.random.default_rng(11)
+        by_size = {}
+        for draw in range(24):
+            spec = random_network(rng, max_modes=3, nonpassive=draw % 2 == 1)
+            by_size.setdefault(spec.n_modes, []).append(spec)
+        assert sorted(by_size) == [1, 2, 3]
+        for n, specs in sorted(by_size.items()):
+            occupancy = rng.uniform(0.0, 2.0, size=(len(specs), n))
+            yield steady_covariance(build_state_spaces(specs), InputMoments.thermal(occupancy)), rng
+
+    def test_single_states_ignore_it(self):
+        for stack, rng in self.states_by_size():
+            for v in stack.v:
+                state = CovarianceState(v=v, n_modes=stack.n_modes)
+                bent = self.bent(state, rng)
+                tol = 1e-15 * max(1.0, np.abs(v).max())
+                for mode in range(state.n_modes):
+                    assert abs(bent.nu(mode) - state.nu(mode)) <= tol
+                    assert abs(bent.mu(mode) - state.mu(mode)) <= tol
+                    assert np.abs(bent.mode_block(mode) - state.mode_block(mode)).max() <= tol
+                    assert abs(min_variances(bent, mode) - min_variances(state, mode)) <= tol
+                    got = quadrature_variances(bent, mode, self.ANGLES)
+                    assert np.abs(got - quadrature_variances(state, mode, self.ANGLES)).max() <= tol
+                    best, quiet = min_quadrature_variance(bent, mode), min_quadrature_variance(state, mode)
+                    assert abs(best.value - quiet.value) <= tol
+                    # the angle moves by the mu error over |mu|
+                    assert abs(best.theta - quiet.theta) * abs(state.mu(mode)) <= tol
+
+    def test_stacks_ignore_it(self):
+        for stack, rng in self.states_by_size():
+            bent = self.bent(stack, rng)
+            tol = 1e-15 * np.maximum(1.0, np.abs(stack.v).max(axis=(-2, -1)))
+            for mode in range(stack.n_modes):
+                gaps = [
+                    np.abs(bent.mode_block(mode) - stack.mode_block(mode)).max(axis=(-2, -1)),
+                    np.abs(min_variances(bent, mode) - min_variances(stack, mode)),
+                    np.abs(
+                        quadrature_variances(bent, mode, self.ANGLES)
+                        - quadrature_variances(stack, mode, self.ANGLES)
+                    ).max(axis=-1),
+                ]
+                for gap in gaps:
+                    assert np.all(gap <= tol)
