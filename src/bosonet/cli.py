@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from .errors import BosonetError, StabilityError, ValidationError
-from .linalg import batch_or_each, eigenvalues
+from .linalg import batch_or_each
 from .network import (
     DOUBLED_ORDERING,
     InputMoments,
@@ -188,7 +188,9 @@ def _parse_grid(text: str) -> tuple[str, list[float]]:
 def cmd_analyze(args) -> int:
     spec = network_from_json(_load_json(args.spec))
     ss = build_state_space(spec)
-    spectrum = eigenvalues(ss.drift)
+    # the spectrum from the state space's Lyapunov operator, whose
+    # factors the budget and the steady covariance then solve with
+    spectrum = ss._lyapunov.spectra()[0]
     stable = bool(spectrum[0].real < 0)  # sorted by descending real part
     pr = check_physical_realizability(ss)
     report = {

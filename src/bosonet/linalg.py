@@ -14,10 +14,15 @@ Kronecker system below and wherever the eigen route fails its residual
 check. The Kronecker route takes stability from the Gershgorin bound of
 the drift's Hermitian part where that bound certifies it (every passive
 drift with positive dampings), and from the spectrum otherwise; it
-assembles each system by index. ``integrate_spectra`` plans and refines
-all members of a lockstep quadrature on flat arrays of their panels.
-None of these steps changes a value: each drift and each member keeps
-the bits of its lone call.
+assembles each system by index. ``LyapunovOperator`` is the one place
+that factors a drift: it keeps that certificate, the spectra and the
+eigen factors of a drift or a stack, formed on first use, for every
+solve on it (``solve``, and ``adjoint`` for a^H L + L a + c = 0).
+``solve_lyapunov`` is its one-shot call, and each StateSpace holds the
+operator of its drift. ``integrate_spectra`` plans
+and refines all members of a lockstep quadrature on flat arrays of
+their panels. None of these steps changes a value: each drift and each
+member keeps the bits of its lone call.
 """
 
 from __future__ import annotations
@@ -190,11 +195,17 @@ def _stable_spectra(drifts: np.ndarray) -> np.ndarray:
     spectra are taken of the drifts before the first non-finite one."""
     bad = first_failure(np.isfinite(drifts).all(axis=(-2, -1)))
     spectra = _spectra(drifts[:bad])
+    _raise_first_unstable(spectra)
+    _require_finite(drifts)
+    return spectra
+
+
+def _raise_first_unstable(spectra: np.ndarray) -> None:
+    """Raise the StabilityError of the first unstable row of a stack
+    (P, n) of the spectra of finite drifts."""
     unstable = first_failure(spectra.real.max(axis=-1) < 0)
     if unstable is not None:
         _raise_if_unstable(_sort_spectrum(spectra[unstable])[0], "drift")
-    _require_finite(drifts)
-    return spectra
 
 
 def _uncertified(drifts: np.ndarray) -> np.ndarray:
@@ -220,20 +231,216 @@ def _uncertified(drifts: np.ndarray) -> np.ndarray:
     return ~(bound < amax * (-_CERTIFY_MARGIN * n))
 
 
-def _check_stability(drifts: np.ndarray, first: int = 0) -> None:
+def _check_stability(drifts: np.ndarray, uncertified: np.ndarray, first: int = 0) -> None:
     """The stability test of the Lyapunov solves, for a stack (P, n, n)
-    of drifts numbered from ``first``: the drifts the Hermitian-part
-    bound certifies skip the spectrum, and the others take _stable_spectra
-    in stack order. A certified drift is stable, so the first failing
-    drift raises the error that _stable_spectra of the whole stack
-    raises: a non-finite drift is never certified, and it raises the
-    NumericsError of _require_finite only if no drift before it is
-    unstable."""
-    uncertified = _uncertified(drifts)
+    of drifts numbered from ``first`` and its mask (P,) of the drifts
+    the Hermitian-part bound leaves uncertified (_uncertified): the
+    certified drifts skip the spectrum, and the others take
+    _stable_spectra in stack order. A certified drift is stable, so the
+    first failing drift raises the error that _stable_spectra of the
+    whole stack raises: a non-finite drift is never certified, and it
+    raises the NumericsError of _require_finite only if no drift before
+    it is unstable."""
     if uncertified.any():
         bad = first_failure(np.isfinite(drifts).all(axis=(-2, -1)))
         _stable_spectra(drifts[:bad][uncertified[:bad]])
         _require_finite(drifts, first)
+
+
+class LyapunovOperator:
+    """A drift (n, n) or a stack of P drifts (P, n, n), factored once for
+    every Lyapunov solve on it: ``solve`` (a W + W a^H + q = 0, the
+    routine of solve_lyapunov) and ``adjoint`` (a^H L + L a + c = 0).
+
+    It keeps what each solve_lyapunov call recomputes, each formed on
+    first use: the mask of the drifts the Hermitian-part bound leaves
+    uncertified, the verdict of the Kronecker route's stability test,
+    the spectra, and from dimension _EIGEN_MIN_DIM up the factors of
+    every drift, a = V diag(lam) V^-1 with V^-1, from one batched ``eig``
+    and one batched ``inv`` (each drift alone where the stacked
+    factorization fails). Nothing is formed that a call does not need:
+    below _EIGEN_MIN_DIM a certified drift never takes a spectrum, and
+    no Kronecker system is kept. ``spectra`` reads the spectra, from the
+    factors where there are factors. Every value has the bits of the
+    one-shot calls it replaces.
+
+    A StateSpace holds the operator of its drift (StateSpace._lyapunov),
+    so the budget, the covariance and the spectrum of one state space
+    share it. Not exported by the package; the drifts must not change
+    while it is in use.
+    """
+
+    def __init__(self, a):
+        am = _as_drift(a, stack=True)
+        self._a = am
+        self.shape = am.shape
+        # canonical stack (P, n, n); math.prod, as an empty stack cannot
+        # be reshaped with -1
+        self.drifts = am.reshape((math.prod(am.shape[:-2]),) + am.shape[-2:])
+        self._uncertified = None
+        self._stable = False
+        self._vals = None
+        self._factors = None
+
+    def __getitem__(self, members) -> "LyapunovOperator":
+        """The operator of the drifts ``members`` (an index array or a
+        mask over the stack), holding what this one has formed for them."""
+        sub = LyapunovOperator(self.drifts[members])
+        if self._uncertified is not None:
+            sub._uncertified = self._uncertified[members]
+        if self._vals is not None:
+            sub._vals = self._vals[members]
+        if self._factors is not None:
+            sub._factors = tuple(x[members] for x in self._factors)
+        sub._stable = self._stable
+        return sub
+
+    @property
+    def uncertified(self) -> np.ndarray:
+        """The mask (P,) of the drifts the Hermitian-part bound leaves
+        uncertified (see _uncertified)."""
+        if self._uncertified is None:
+            self._uncertified = _uncertified(self.drifts)
+        return self._uncertified
+
+    def spectra(self) -> np.ndarray:
+        """The spectra (P, n) of the drifts, each row sorted as eigenvalues
+        sorts it. From dimension _EIGEN_MIN_DIM up they are the factors'
+        eigenvalues (factoring the drifts if no solve has), which have the
+        bits of eigvals; below, and if a drift's factorization fails, they
+        come from eigvals. Stability is not tested; a non-finite drift
+        raises the NumericsError that eigenvalues raises."""
+        if self._vals is None and self.shape[-1] >= _EIGEN_MIN_DIM:
+            self._factored()
+        if self._vals is None:
+            self._vals = _spectra(self._a).reshape(self.drifts.shape[:-1])
+        return _sort_spectrum(self._vals)
+
+    def stable_spectra(self) -> np.ndarray:
+        """require_stable_drifts of the drifts: their spectra as spectra()
+        gives them, where the first failing drift raises, an unstable one
+        its StabilityError and a non-finite one its NumericsError."""
+        if self._vals is None and self.shape[-1] >= _EIGEN_MIN_DIM:
+            self._factored()
+        if self._vals is None:  # below _EIGEN_MIN_DIM, or a drift did not factor
+            self._vals = _stable_spectra(self.drifts)
+        else:  # the spectra of every drift, which is finite
+            _raise_first_unstable(self._vals)
+        return _sort_spectrum(self._vals)
+
+    def solve(self, q) -> np.ndarray:
+        """solve_lyapunov(a, q) with this operator's drifts a: the same
+        shapes, routes, guards and refusals, in the same order, and the
+        same bits."""
+        sources, qmaxes = self._sources(q)
+        return self._route(self.drifts, self._factored, sources, qmaxes).reshape(np.shape(q))
+
+    def adjoint(self, c) -> np.ndarray:
+        """Solve a^H L + L a + c = 0, the adjoint equation, with the same
+        factors: the eigenvectors of a^H are V^-H, with inverse V^H and
+        eigenvalues conj lam. It is the Lyapunov equation of the drift
+        a^H, with the shapes, guards and fallbacks of ``solve``; its
+        Kronecker route solves the system of a^H. For W = solve(q) and
+        L = adjoint(c), <L, q> = <c, W>."""
+
+        def factors():
+            vals, v, vinv, ok = self._factored()
+            return vals.conj(), vinv.conj().swapaxes(-2, -1), v.conj().swapaxes(-2, -1), ok
+
+        sources, qmaxes = self._sources(c)
+        drifts = self.drifts.conj().swapaxes(-2, -1)
+        return self._route(drifts, factors, sources, qmaxes).reshape(np.shape(c))
+
+    def _sources(self, q) -> tuple[np.ndarray, np.ndarray]:
+        """The sources as the canonical stack (P, k, n, n), with their
+        ||q||_max (P, k); each must be Hermitian within HERMITICITY_TOL."""
+        qs = np.asarray(q, dtype=complex)
+        lead = self.shape[:-2]
+        if (
+            qs.ndim - len(lead) not in (2, 3)
+            or qs.shape[: len(lead)] != lead
+            or qs.shape[-2:] != self.shape[-2:]
+        ):
+            raise DimensionError(f"shape mismatch: a is {self.shape}, q is {qs.shape}")
+        if not qs.size:  # no drift, a drift of dimension 0, or no source
+            raise DimensionError(f"nothing to solve: a is {self.shape}, q is {qs.shape}")
+        sources = qs.reshape(self.drifts.shape[:1] + (-1,) + self.shape[-2:])
+        qmaxes = np.abs(sources).max(axis=(-2, -1), initial=0.0)
+        defects = np.abs(sources - sources.conj().swapaxes(-2, -1)).max(
+            axis=(-2, -1), initial=0.0
+        )
+        if not np.all(defects <= HERMITICITY_TOL * np.maximum(1.0, qmaxes)):
+            raise ValidationError("q must be Hermitian within tolerance")
+        return sources, qmaxes
+
+    def _factored(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The factors (lam (P, n), V, V^-1, ok (P,)), formed once; the
+        spectra are kept with them when every drift factored."""
+        if self._factors is None:
+            self._factors = self._factor(self.drifts)
+            if self._factors[3].all():
+                self._vals = self._factors[0]
+        return self._factors
+
+    @staticmethod
+    def _factor(drifts) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(lam, V, V^-1, ok) of a stack of drifts from one batched eig and
+        one batched inv. If that fails, each drift is factored alone; ok
+        marks the drifts whose own factorization succeeded, and the
+        others hold NaN."""
+        try:
+            vals, v = np.linalg.eig(drifts)
+            return vals, v, np.linalg.inv(v), np.ones(len(drifts), dtype=bool)
+        except np.linalg.LinAlgError:
+            if len(drifts) > 1:
+                parts = [LyapunovOperator._factor(drifts[p : p + 1]) for p in range(len(drifts))]
+                return tuple(np.concatenate(x) for x in zip(*parts))
+            v = np.full(drifts.shape, np.nan, dtype=complex)
+            return v[..., 0], v, v, np.zeros(1, dtype=bool)
+
+    def _route(self, drifts, factors, sources, qmaxes) -> np.ndarray:
+        """The solutions (P, k, n, n) of the sources of ``drifts`` (this
+        operator's drifts or their adjoints), whose factors ``factors()``
+        gives.
+
+        Below _EIGEN_MIN_DIM every source takes its drift's Kronecker
+        solve, after the stability test. From it up, the factored drifts
+        are solved as one stack by the refined eigen route, and then the
+        drifts are walked in order: a drift whose factorization failed
+        takes its stability test from its Hermitian part or spectrum and
+        every source the Kronecker solve; an unstable drift raises; and
+        each source that fails its residual check takes its drift's
+        Kronecker solve. A stack raises the error of its first failing
+        drift or source; an unstable drift raises the error of its own
+        spectrum for the adjoint as well."""
+        if self.shape[-1] < _EIGEN_MIN_DIM:
+            if not self._stable:
+                if self._vals is None:
+                    _check_stability(self.drifts, self.uncertified)
+                else:  # the spectra of every drift, which is finite
+                    _raise_first_unstable(self._vals)
+                self._stable = True
+            return _kronecker_solves(drifts, sources, qmaxes)
+        vals, v, vinv, ok = factors()
+        if ok.all():
+            ws = _eigen_solve(drifts, (vals, v, vinv), sources)
+        else:
+            ws = np.zeros(sources.shape, dtype=complex)
+            if ok.any():
+                ws[ok] = _eigen_solve(drifts[ok], (vals[ok], v[ok], vinv[ok]), sources[ok])
+        with np.errstate(all="ignore"):
+            passed = _residual_check(drifts, ws, sources, qmaxes)[0]
+        unstable = vals.real.max(axis=-1) >= 0  # NaN, for an unfactored drift, is not
+        for p in np.flatnonzero(~ok | unstable | ~passed.all(axis=-1)):
+            if not ok[p]:
+                _check_stability(self.drifts[p : p + 1], self.uncertified[p : p + 1], p)
+                redo = slice(None)
+            else:
+                if unstable[p]:  # with the drift's eigenvalue, for the adjoint too
+                    _raise_if_unstable(_sort_spectrum(self._factors[0][p])[0], "drift")
+                redo = np.flatnonzero(~passed[p])
+            ws[p, redo] = _kronecker_solves(drifts[p], sources[p, redo], qmaxes[p, redo])
+        return ws
 
 
 def solve_lyapunov(a, q) -> np.ndarray:
@@ -243,6 +450,12 @@ def solve_lyapunov(a, q) -> np.ndarray:
     One drift takes one source (n, n) or a stack of k sources (k, n, n);
     a stack of drifts takes one source per drift (P, n, n) or k per
     drift (P, k, n, n). The result has the shape of ``q``.
+
+    This is the one-shot call of LyapunovOperator(a).solve(q). The
+    budget, covariance and spectral routes of a StateSpace solve with the
+    operator the state space holds instead, so a drift that ``analyze``
+    or ``verify`` solves more than once is certified, factored and given
+    its spectrum once.
 
     Drifts of dimension 8 and above (four or more modes) are solved from
     one eigendecomposition a = V diag(lam) V^-1 shared by every source of
@@ -258,11 +471,12 @@ def solve_lyapunov(a, q) -> np.ndarray:
     exceptional point V is ill-conditioned) or whose factorization
     fails, take the Kronecker-vectorized linear system, which is exact
     up to roundoff at these dimensions: one batched solve serves every
-    drift of the stack and all of its sources. The split at dimension 8 keeps the two- and
-    three-mode scenarios on the Kronecker solve. Each result is
-    symmetrized. Every drift is tested for stability and every solution
-    passes the residual check of ``_residual_check``; both guards fail on
-    NaN, and in a stack the first failing drift or source raises.
+    drift of the stack and all of its sources. The split at dimension 8
+    keeps the two- and three-mode scenarios on the Kronecker solve. Each
+    result is symmetrized. Every drift is tested for stability and every
+    solution passes the residual check of ``_residual_check``; both
+    guards fail on NaN, and in a stack the first failing drift or source
+    raises.
 
     On the Kronecker route a drift's stability comes from the Gershgorin
     bound of its Hermitian part (a + a^H) / 2 where that bound proves it,
@@ -281,39 +495,7 @@ def solve_lyapunov(a, q) -> np.ndarray:
         NumericsError: if the linear system is singular or the residual
             check fails.
     """
-    am = _as_drift(a, stack=True)
-    qs = np.asarray(q, dtype=complex)
-    lead = am.shape[:-2]
-    if (
-        qs.ndim - len(lead) not in (2, 3)
-        or qs.shape[: len(lead)] != lead
-        or qs.shape[-2:] != am.shape[-2:]
-    ):
-        raise DimensionError(f"shape mismatch: a is {am.shape}, q is {qs.shape}")
-    if not qs.size:  # no drift, a drift of dimension 0, or no source
-        raise DimensionError(f"nothing to solve: a is {am.shape}, q is {qs.shape}")
-    # canonical stacks: drifts (P, n, n), sources (P, k, n, n)
-    drifts = am.reshape((-1,) + am.shape[-2:])
-    sources = qs.reshape(drifts.shape[:1] + (-1,) + am.shape[-2:])
-    qmaxes = _hermitian_source_maxes(sources)
-    if am.shape[-1] >= _EIGEN_MIN_DIM:
-        ws = _eigen_routes(drifts, sources, qmaxes)
-    else:
-        _check_stability(drifts)
-        ws = _kronecker_solves(drifts, sources, qmaxes)
-    return ws.reshape(qs.shape)
-
-
-def _hermitian_source_maxes(sources: np.ndarray) -> np.ndarray:
-    """||q||_max of every source of a stack; each must be Hermitian within
-    tolerance."""
-    qmaxes = np.abs(sources).max(axis=(-2, -1), initial=0.0)
-    defects = np.abs(sources - sources.conj().swapaxes(-2, -1)).max(
-        axis=(-2, -1), initial=0.0
-    )
-    if not np.all(defects <= HERMITICITY_TOL * np.maximum(1.0, qmaxes)):
-        raise ValidationError("q must be Hermitian within tolerance")
-    return qmaxes
+    return LyapunovOperator(a).solve(q)
 
 
 def _residual_check(am, ws, qs, qmaxes):
@@ -342,49 +524,12 @@ def _raise_first_residual_failure(passed, residual, scale) -> None:
         )
 
 
-def _eigen_routes(drifts, sources, qmaxes, first: int = 0) -> np.ndarray:
-    """The sources (P, k, n, n) of a stack of drifts (P, n, n), numbered
-    from ``first``, by the refined eigen route.
-
-    One factorization serves the whole stack. Then the drifts are walked
-    in order: each unstable drift raises, and each source that fails its
-    residual check takes its drift's Kronecker solve, so a stack raises
-    the error of its first failing drift or source. If the stacked
-    factorization fails, each drift is factored alone; a drift whose own
-    factorization fails takes its stability test from its Hermitian part
-    or spectrum and every source the Kronecker solve."""
-    solved = _eigen_solve(drifts, sources)
-    if solved is None:
-        if len(drifts) > 1:
-            return np.concatenate([
-                _eigen_routes(drifts[p : p + 1], sources[p : p + 1], qmaxes[p : p + 1], first + p)
-                for p in range(len(drifts))
-            ])
-        _check_stability(drifts, first)
-        return _kronecker_solves(drifts[0], sources[0], qmaxes[0])[None]
-    vals, ws = solved
-    with np.errstate(all="ignore"):
-        passed = _residual_check(drifts, ws, sources, qmaxes)[0]
-    unstable = vals.real.max(axis=-1) >= 0
-    for p in np.flatnonzero(unstable | ~passed.all(axis=-1)):
-        if unstable[p]:
-            _raise_if_unstable(_sort_spectrum(vals[p])[0], "drift")
-        redo = np.flatnonzero(~passed[p])
-        ws[p, redo] = _kronecker_solves(drifts[p], sources[p, redo], qmaxes[p, redo])
-    return ws
-
-
-def _eigen_solve(drifts, sources):
+def _eigen_solve(drifts, factors, sources) -> np.ndarray:
     """The refined eigen-route solutions of a stack of drifts (P, n, n)
-    and their sources (P, k, n, n), from one batched eigendecomposition
-    and one batched inverse, as (spectra (P, n), solutions); None if the
-    stacked factorization fails. The spectra decide stability: the
-    solutions of an unstable drift mean nothing."""
-    try:
-        vals, v = np.linalg.eig(drifts)
-        vinv = np.linalg.inv(v)
-    except np.linalg.LinAlgError:
-        return None
+    and their sources (P, k, n, n), with the drifts' factors (lam (P, n),
+    V, V^-1). The eigenvalues decide stability: the solutions of an
+    unstable drift mean nothing."""
+    vals, v, vinv = factors
     # every drift's factors, broadcast over its sources
     v, vinv, am = v[:, None], vinv[:, None], drifts[:, None]
     vh, vinv_h, ah = (m.conj().swapaxes(-2, -1) for m in (v, vinv, am))
@@ -405,7 +550,7 @@ def _eigen_solve(drifts, sources):
         ws += v @ x @ vh
         ws += ws.conj().swapaxes(-2, -1)
         ws *= 0.5
-        return vals, ws
+        return ws
 
 
 def _kronecker_solves(am, sources, qmaxes) -> np.ndarray:

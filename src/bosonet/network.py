@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, FrameError, NumericsError, ValidationError
-from .linalg import first_failure
+from .linalg import LyapunovOperator, first_failure
 
 COUPLING_KINDS = (
     "beam_splitter",
@@ -287,11 +287,33 @@ def moments_from_json(doc: dict, n_modes: int) -> InputMoments:
 class StateSpace:
     """Doubled-space drift and input matrices, ordered as DOUBLED_ORDERING;
     the commutator metric is metric(n_modes). Either matrix may be a
-    stack (P, 2N, 2N); gammas then has shape (P, N)."""
+    stack (P, 2N, 2N); gammas then has shape (P, N).
+
+    The budget, the steady covariance and the spectral route of a state
+    space solve with the Lyapunov operator it holds (``_lyapunov``,
+    formed on first use), so its drift is factored once for all of them;
+    the drift must not change after."""
 
     drift: np.ndarray
     input: np.ndarray
     n_modes: int
+
+    @functools.cached_property
+    def _lyapunov(self) -> LyapunovOperator:
+        return LyapunovOperator(self.drift)
+
+    def _select(self, members) -> "StateSpace":
+        """The state space of the drifts ``members`` (an index array or a
+        mask) of a stack, holding what this one's operator has formed of
+        them."""
+        sub = StateSpace(
+            drift=self.drift[members],
+            input=np.broadcast_to(self.input, self.drift.shape)[members],
+            n_modes=self.n_modes,
+        )
+        if "_lyapunov" in vars(self):  # formed: share its factors
+            vars(sub)["_lyapunov"] = self._lyapunov[members]
+        return sub
 
     @property
     def gammas(self) -> np.ndarray:

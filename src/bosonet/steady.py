@@ -35,16 +35,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ApplicabilityError, DimensionError, NumericsError, ValidationError
-from .linalg import LYAPUNOV_RESIDUAL_TOL, first_failure, solve_lyapunov
+from .linalg import LYAPUNOV_RESIDUAL_TOL, first_failure
 from .network import InputMoments, StateSpace, mirror_defect, metric, passive_state_space
 from .budget import CommutatorBudget
 
-_HERMITICITY_LEAK = 1e-9
 # Largest doubled-structure defect of a steady covariance, relative to
 # max(1, ||V||_max). Measured: at most 7.5e-7 in the tests (the fig1 sweep
 # at xi = 7.5, G = 15.8), 6.1e-8 where they check the closed form (xi = 7,
 # G = 5) and 1.2e-13 in the benchmark, against 2e-4 for a near-marginal
-# two-mode drift at damping 1e-10 whose variances are 1.3% off.
+# two-mode drift at damping 1e-10 whose variances are 1.3% off. It also
+# bounds the imaginary leak of quadrature_matrix, which is the image of
+# that defect.
 _STRUCTURE_LIMIT = 1e-6
 # Largest violation of the uncertainty relation V + sigma/2 >= 0, relative
 # to max(1, ||V||_max), that a steady covariance may show as roundoff.
@@ -79,16 +80,22 @@ class CovarianceState:
         return block
 
     def quadrature_matrix(self) -> np.ndarray:
-        """Full 2N x 2N real covariance in the (X_1..X_N, Y_1..Y_N) basis;
-        the imaginary leak must stay within 1e-9 max(1, ||v||_max), as
-        roundoff grows with the occupancies (NaN fails)."""
+        """Full 2N x 2N real covariance in the (X_1..X_N, Y_1..Y_N) basis.
+
+        With u the quadrature map, conj(u V u^H) = u M(V) u^H for the
+        mirror M(V) = Sigma_x conj(V) Sigma_x, so the real part returned
+        is u [(V + M(V)) / 2] u^H, the mirror-mean read of _moments, and
+        the imaginary leak is the image of V's mirror-odd part, at most
+        its defect. The leak must therefore stay within the structure
+        limit of steady_covariance, _STRUCTURE_LIMIT max(1, ||v||_max)
+        (NaN fails): every state that steady_covariance accepts answers."""
         n = self.n_modes
         eye = np.eye(n)
         u = np.block([[eye, eye], [-1j * eye, 1j * eye]]) / math.sqrt(2.0)
         vq = u @ self.v @ u.conj().T
         leak = np.abs(vq.imag).max(axis=(-2, -1))
         scale = np.maximum(1.0, np.abs(self.v).max(axis=(-2, -1)))
-        failed = first_failure(leak <= _HERMITICITY_LEAK * scale)
+        failed = first_failure(leak <= _STRUCTURE_LIMIT * scale)
         if failed is not None:
             raise NumericsError(
                 "quadrature covariance picked up an imaginary part",
@@ -136,7 +143,7 @@ def steady_covariance(ss: StateSpace, inputs: InputMoments) -> CovarianceState:
     q = ss.input @ inputs.noise_matrix() @ ss.input.conj().swapaxes(-2, -1)
     if ss.drift.ndim == 3:  # a stack of drifts takes one source each
         q = np.broadcast_to(q, ss.drift.shape)
-    v = solve_lyapunov(ss.drift, q)
+    v = ss._lyapunov.solve(q)
     n = ss.n_modes
     scale = np.maximum(1.0, np.abs(v).max(axis=(-2, -1)))
     defect = mirror_defect(v) / scale

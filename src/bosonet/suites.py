@@ -37,7 +37,6 @@ from .network import (
     CouplingTerm,
     InputMoments,
     NetworkSpec,
-    StateSpace,
     beam_splitter,
     build_state_space,
     build_state_spaces,
@@ -231,7 +230,8 @@ def suite_sum_rules(rng: np.random.Generator, tol: float | None = None) -> Suite
 def _route_checks(specs: list[NetworkSpec]) -> list:
     """(non-passive, largest entry difference of the two routes' kernels)
     of each network of one mode count, from one stacked build, one stacked
-    budget solve and one lockstep quadrature."""
+    budget solve and one lockstep quadrature, whose poles are the spectra
+    the budget solve factored (the state space's Lyapunov operator)."""
     ss = build_state_spaces(specs)
     direct = compute_budget(ss)
     spectral = budget_via_spectrum(ss, abs_tol=1e-7)
@@ -486,7 +486,8 @@ _SPLIT_ANGLES = np.linspace(0.0, math.pi, 8, endpoint=False)
 def _steady_checks(draws: list) -> list[tuple]:
     """The checks of suite_steady_physics on draws (spec, occupancies) of
     one mode count, as one batch: one stacked steady solve, and one
-    stacked budget solve for the passive draws. Per draw: the least
+    stacked budget solve for the passive draws with the steady solve's
+    factors of those drifts (StateSpace._select). Per draw: the least
     covariance eigenvalue, each mode's Heisenberg product and minimality
     gap against the 64-angle scan, and for a passive draw the largest
     split difference over the 8 angles (None otherwise)."""
@@ -506,7 +507,7 @@ def _steady_checks(draws: list) -> list[tuple]:
     splits = [None] * len(draws)
     passive = passive_drifts(ss)
     if passive.any():
-        sub = StateSpace(drift=ss.drift[passive], input=ss.input[passive], n_modes=ss.n_modes)
+        sub = ss._select(passive)
         sub_inputs = InputMoments.thermal(inputs.occupancy[passive])
         budget = compute_budget(sub)
         split = np.stack(

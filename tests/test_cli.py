@@ -149,6 +149,61 @@ class TestAnalyze:
         )
         assert proc.returncode == 3
 
+    @staticmethod
+    def drawn_spec(modes, nonpassive):
+        """The first random_network draw of ``modes`` modes from seed ``modes``."""
+        import numpy as np
+        from bosonet.network import network_to_json
+        from bosonet.suites import random_network
+
+        rng = np.random.default_rng(modes)
+        while True:
+            spec = random_network(rng, max_modes=modes, nonpassive=nonpassive)
+            if spec.n_modes == modes:
+                return network_to_json(spec)
+
+    @pytest.mark.parametrize("modes, nonpassive", [(8, False), (8, True), (16, True)])
+    def test_one_factorization_serves_the_whole_report(self, modes, nonpassive, tmp_path, monkeypatch):
+        import numpy as np
+        from bosonet import cli
+        from bosonet.linalg import eigenvalues, solve_lyapunov
+        from bosonet.network import StateSpace
+
+        spec = write_json(tmp_path / "net.json", self.drawn_spec(modes, nonpassive))
+        calls = {"eig": 0, "eigvals": 0}
+        real = {name: getattr(np.linalg, name) for name in calls}
+
+        def counting(name):
+            def wrapper(m):
+                calls[name] += 1
+                return real[name](m)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        shared = tmp_path / "shared.json"
+        assert cli.main(["analyze", "--spec", spec, "--out", str(shared)]) == 0
+        assert calls == {"eig": 1, "eigvals": 0}
+        monkeypatch.undo()
+
+        class OneShot:
+            """A state space's operator that shares nothing: the spectrum of
+            eigenvalues, and every solve a solve_lyapunov call."""
+
+            def __init__(self, ss):
+                self.drift = ss.drift
+
+            def spectra(self):
+                return eigenvalues(self.drift)[None]
+
+            def solve(self, q):
+                return solve_lyapunov(self.drift, q)
+
+        monkeypatch.setattr(StateSpace, "_lyapunov", property(OneShot))
+        separate = tmp_path / "separate.json"
+        assert cli.main(["analyze", "--spec", spec, "--out", str(separate)]) == 0
+        assert shared.read_bytes() == separate.read_bytes()
+
 
 class TestSweep:
     def test_fig1_log_grid(self, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bosonet import linalg
-from bosonet.budget import compute_budget
+from bosonet.budget import budget_via_spectrum, compute_budget
 from bosonet.errors import DimensionError, NumericsError, StabilityError, ValidationError
 from bosonet.network import (
     CouplingTerm,
@@ -16,6 +16,7 @@ from bosonet.network import (
     NetworkSpec,
     StateSpace,
     build_state_space,
+    build_state_spaces,
     family_state_space,
 )
 from bosonet.suites import DEFAULT_SEED, SUITES, random_network, suite_route_agreement
@@ -262,9 +263,8 @@ class TestLyapunovEngine:
         calls = self.spy_on_fallback(monkeypatch)
         eigen = linalg._eigen_solve
 
-        def inaccurate(drifts, sources):
-            spectra, ws = eigen(drifts, sources)
-            return spectra, ws + 1e-6
+        def inaccurate(drifts, factors, sources):
+            return eigen(drifts, factors, sources) + 1e-6
 
         monkeypatch.setattr(linalg, "_eigen_solve", inaccurate)
         rng = np.random.default_rng(10)
@@ -756,6 +756,171 @@ def exceptional_pair_drift():
     """The doubled drift of the two-mode exceptional point (gamma = (2, 1),
     beam splitter 0.25)."""
     return embedded_exceptional_drift(0.25)[:4, :4]
+
+
+class TestLyapunovOperator:
+    """One operator per drift: every solve, spectrum and subset has the
+    bits of the one-shot calls, and the factors are formed once."""
+
+    @staticmethod
+    def spy_on(monkeypatch, name):
+        """Count the calls of np.linalg.``name``, by the stack size passed."""
+        sizes = []
+        real = getattr(np.linalg, name)
+
+        def spy(m):
+            sizes.append(len(m))
+            return real(m)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+        return sizes
+
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8, 16])
+    def test_solves_have_the_bits_of_one_shot_calls(self, dim, monkeypatch):
+        rng = np.random.default_rng(90 + dim)
+        drifts = np.stack([random_stable(rng, dim) for _ in range(4)])
+        sources = np.stack([random_hermitian(rng, dim, k=2) for _ in range(4)])
+        if dim == 4:
+            drifts[1] = exceptional_pair_drift()
+        if dim == 8:
+            drifts[1] = embedded_exceptional_drift(0.25)
+            sources[1, 0] = EXCEPTIONAL_SOURCE
+        redone = []
+        kronecker = linalg._kronecker_solves
+
+        def spy(am, sources, qmaxes):
+            redone.append(len(sources))
+            return kronecker(am, sources, qmaxes)
+
+        monkeypatch.setattr(linalg, "_kronecker_solves", spy)
+        eigs = self.spy_on(monkeypatch, "eig")
+        op = linalg.LyapunovOperator(drifts)
+        spectra = op.spectra()
+        first = op.solve(sources)
+        again = op.solve(sources[:, ::-1])
+        mask = np.array([True, False, True, True])
+        subset = op[mask].solve(sources[mask])
+        # one stacked factorization served the spectra, both solves and
+        # the subset; the exceptional source took its Kronecker redo
+        assert eigs == ([4] if dim >= 8 else [])
+        if dim == 8:
+            assert redone[:2] == [2, 2]
+        for p in range(4):
+            np.testing.assert_array_equal(spectra[p], eigenvalues(drifts[p]))
+            np.testing.assert_array_equal(first[p], solve_lyapunov(drifts[p], sources[p]))
+            np.testing.assert_array_equal(again[p], solve_lyapunov(drifts[p], sources[p, ::-1]))
+        np.testing.assert_array_equal(subset, first[mask])
+
+    def test_a_failed_stacked_eig_is_factored_once_drift_by_drift(self, monkeypatch):
+        rng = np.random.default_rng(81)
+        drifts = np.stack([random_stable(rng, 8) for _ in range(3)])
+        sources = np.stack([random_hermitian(rng, 8, k=2) for _ in range(3)])
+        expected = solve_lyapunov(drifts, sources)
+        sizes = []
+        real_eig = np.linalg.eig
+
+        def stacks_fail(m):
+            sizes.append(len(m))
+            if len(m) > 1:
+                raise np.linalg.LinAlgError("made to fail on stacks")
+            return real_eig(m)
+
+        monkeypatch.setattr(np.linalg, "eig", stacks_fail)
+        op = linalg.LyapunovOperator(drifts)
+        np.testing.assert_array_equal(op.solve(sources), expected)
+        np.testing.assert_array_equal(op.solve(sources), expected)
+        assert sizes == [3, 1, 1, 1]
+
+    @pytest.mark.parametrize("dim", [4, 8])
+    def test_the_first_failing_drift_raises(self, dim):
+        stable, unstable, broken = (-np.eye(dim, dtype=complex) for _ in range(3))
+        unstable[:4, :4] = UNSTABLE_DRIFT
+        broken[1, 2] = math.nan
+        with pytest.raises(StabilityError) as alone:
+            require_stable(unstable)
+        drifts = np.stack([stable, unstable, broken])
+        op = linalg.LyapunovOperator(drifts)
+        sources = np.broadcast_to(np.eye(dim, dtype=complex), (3, dim, dim))
+        # the spectra before any solve, each solve, and the spectra after
+        for call in (
+            linalg.LyapunovOperator(drifts).stable_spectra,
+            lambda: op.solve(sources),
+            lambda: op.adjoint(sources),
+            lambda: op.solve(sources),
+            op.stable_spectra,
+        ):
+            with pytest.raises(StabilityError) as err:
+                call()
+            assert str(err.value) == str(alone.value)
+
+    @pytest.mark.parametrize("nonpassive", [False, True])
+    def test_adjoint_duality_on_networks(self, nonpassive):
+        # A W + W A^H + Q = 0 and A^H L + L A + C = 0 give <L, Q> = <C, W>
+        rng = np.random.default_rng(7 + nonpassive)
+        dims = set()
+        for _ in range(40):
+            a = build_state_space(random_network(rng, max_modes=8, nonpassive=nonpassive)).drift
+            q, c = random_hermitian(rng, len(a)), random_hermitian(rng, len(a))
+            op = linalg.LyapunovOperator(a)
+            w, l = op.solve(q), op.adjoint(c)
+            lhs, rhs = np.vdot(l, q), np.vdot(c, w)
+            assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+            dims.add(len(a))
+        assert min(dims) < linalg._EIGEN_MIN_DIM <= max(dims)
+
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8, 16])
+    def test_adjoint_solves_the_equation_of_the_adjoint_drift(self, dim):
+        rng = np.random.default_rng(30 + dim)
+        drifts = np.stack([random_stable(rng, dim) for _ in range(3)])
+        cs = np.stack([random_hermitian(rng, dim, k=2) for _ in range(3)])
+        op = linalg.LyapunovOperator(drifts)
+        ls = op.adjoint(cs)
+        for a, c, l in zip(drifts, cs, ls):
+            direct = solve_lyapunov(a.conj().T, c)
+            assert np.abs(l - direct).max() <= 1e-12 * max(1.0, np.abs(direct).max())
+            # and its duality with solve
+            q = random_hermitian(rng, dim)
+            w = solve_lyapunov(a, q)
+            for lk, ck in zip(l, c):
+                lhs, rhs = np.vdot(lk, q), np.vdot(ck, w)
+                assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+
+    def test_a_state_space_factors_its_drift_once(self, monkeypatch):
+        # its budget, its spectral route's poles and the budget of some of
+        # its members share one stacked factorization, with the bits of
+        # state spaces that share nothing
+        rng = np.random.default_rng(5)
+        specs = []
+        while len(specs) < 4:
+            spec = random_network(rng, max_modes=4, nonpassive=len(specs) % 2 == 1)
+            if spec.n_modes == 4:
+                specs.append(spec)
+        mask = np.array([True, False, False, True])
+        apart = build_state_spaces(specs)
+        expected = (
+            compute_budget(apart).per_channel_w,
+            budget_via_spectrum(build_state_spaces(specs), abs_tol=1e-7).per_channel_w,
+            compute_budget(StateSpace(apart.drift[mask], apart.input[mask], 4)).per_channel_w,
+        )
+        eigs = self.spy_on(monkeypatch, "eig")
+        ss = build_state_spaces(specs)
+        shared = (
+            compute_budget(ss).per_channel_w,
+            budget_via_spectrum(ss, abs_tol=1e-7).per_channel_w,
+            compute_budget(ss._select(mask)).per_channel_w,
+        )
+        assert eigs == [4]
+        for got, want in zip(shared, expected):
+            np.testing.assert_array_equal(got, want)
+
+    def test_a_certified_stack_takes_no_spectrum(self, monkeypatch):
+        seen = spy_on_spectra(monkeypatch)
+        frame = fig1_frame_state_space()
+        op = linalg.LyapunovOperator(frame.drift)
+        op.solve(np.broadcast_to(np.eye(4), frame.drift.shape))
+        op.adjoint(np.broadcast_to(np.eye(4), frame.drift.shape))
+        assert seen == []
+        assert not op.uncertified.any()
 
 
 class TestKroneckerAssembly:

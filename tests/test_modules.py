@@ -121,7 +121,57 @@ def test_only_linalg_computes_spectra():
         for function, node in nodes_by_function(tree):
             if isinstance(node, ast.Call) and (calls(node, "eig") or calls(node, "eigvals")):
                 callers.add((path.name, function))
-    assert callers == {("linalg.py", "_spectra"), ("linalg.py", "_eigen_solve")}
+    assert callers == {("linalg.py", "_spectra"), ("linalg.py", "_factor")}
+
+
+def calls_by_method(tree):
+    """(class, function, call) of every call of the tree, with the
+    innermost class and function that hold it (None outside any)."""
+    found = []
+
+    def visit(node, cls, function):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            found.append((cls, function, node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, function)
+
+    visit(tree, None, None)
+    return found
+
+
+def test_only_the_lyapunov_operator_factors_drifts():
+    # np.linalg.eig and the Kronecker solves run in LyapunovOperator's
+    # methods alone, and eigvals in _spectra, which serves the operator's
+    # spectra, the one-shot spectrum calls and the stability test
+    sites = {
+        "eig": set(), "eigvals": set(), "_kronecker_solves": set(), "_spectra": set(),
+        "LyapunovOperator": set(),
+    }
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for cls, function, node in calls_by_method(tree):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in sites:
+                sites[name].add((path.name, cls, function))
+    assert sites["eig"] == {("linalg.py", "LyapunovOperator", "_factor")}
+    assert sites["_kronecker_solves"] == {("linalg.py", "LyapunovOperator", "_route")}
+    assert sites["eigvals"] == {("linalg.py", None, "_spectra")}
+    assert sites["_spectra"] == {
+        ("linalg.py", "LyapunovOperator", "spectra"),
+        ("linalg.py", None, "eigenvalues"),
+        ("linalg.py", None, "_stable_spectra"),
+    }
+    # an operator is made by solve_lyapunov, by slicing one, and by the
+    # state space that holds the operator of its drift
+    assert sites["LyapunovOperator"] == {
+        ("linalg.py", None, "solve_lyapunov"),
+        ("linalg.py", "LyapunovOperator", "__getitem__"),
+        ("network.py", "StateSpace", "_lyapunov"),
+    }
 
 
 def test_one_per_mode_read_of_the_covariance():

@@ -29,6 +29,7 @@ from bosonet.steady import (
     steady_covariance,
     variance_decomposition,
 )
+from bosonet.scenarios import TwoModeParams, two_mode_network
 from bosonet.suites import random_network
 
 
@@ -177,10 +178,32 @@ class TestQuadratureExtraction:
             CovarianceState(v, 1).quadrature_matrix()
 
     def test_leak_at_unit_scale_rejected(self):
-        # the leak is judged against max(1, ||v||_max): 2e-9 at unit scale fails
-        v = np.array([[0.6, 2e-9j], [2e-9j, 0.6]])
+        # the leak is judged against the structure limit of steady_covariance,
+        # 1e-6 max(1, ||v||_max): 2e-6 at unit scale fails, 5e-7 answers
+        v = np.array([[0.6, 2e-6j], [2e-6j, 0.6]])
         with pytest.raises(NumericsError):
             CovarianceState(v, 1).quadrature_matrix()
+        v = np.array([[0.6, 5e-7j], [5e-7j, 0.6]])
+        vq = CovarianceState(v, 1).quadrature_matrix()
+        assert np.abs(vq - 0.6 * np.eye(2)).max() < 1e-15
+
+    @pytest.mark.parametrize("g_script, xi", [(50.0, 4.5), (50.0, 6.0), (5.0, 7.0)])
+    def test_strong_squeezing_reads_the_quadrature_matrix(self, g_script, xi):
+        # vacuum at gamma = 1: V's mirror-odd part, and so the leak, is
+        # 1.7e-9 to 6.1e-8 of ||V||_max here, which a 1e-9 leak limit
+        # refused; the real part is the mirror-mean read of mode_block
+        spec = two_mode_network(TwoModeParams(
+            g_plus=g_script * math.sinh(xi), g_minus=g_script * math.cosh(xi),
+            gamma1=1.0, gamma2=1.0,
+        ))
+        state = steady_covariance(build_state_space(spec), InputMoments.from_baths(spec))
+        vq = state.quadrature_matrix()
+        scale = max(1.0, float(np.abs(state.v).max()))
+        assert scale > 1e3
+        for mode in range(2):
+            block = vq[np.ix_([mode, mode + 2], [mode, mode + 2])]
+            gap = np.linalg.eigvalsh(block) - np.linalg.eigvalsh(state.mode_block(mode))
+            assert np.abs(gap).max() <= 1e-10 * scale
 
     def test_real_anomalous_moment(self):
         # mode block diag(0.3, 0.9): nu = 0.6, mu = -0.3
