@@ -44,7 +44,7 @@ class CommutatorBudget:
     array. member_passive says which members come from passive drifts
     (0-d for a single budget), and ``passive`` holds iff all of them do.
     verify_sum_rules takes a single budget or a stack; the other checks
-    below take single budgets.
+    below take single budgets and refuse a stack with DimensionError.
     """
 
     per_channel_w: np.ndarray
@@ -280,6 +280,15 @@ class ReciprocityReport:
     passed: bool
 
 
+def _require_single(budget: CommutatorBudget, check: str) -> None:
+    """Refuse a stack of budgets for a check that takes one budget."""
+    if budget.transfer.ndim != 2:
+        raise DimensionError(
+            f"{check} takes a single budget, got a stack of shape "
+            f"{budget.transfer.shape[:-2]}: split it with compute_budgets"
+        )
+
+
 def verify_reciprocity(budget: CommutatorBudget) -> ReciprocityReport:
     """Check detailed balance of shares: gamma_j I_ji = gamma_i I_ij, to
     RECIPROCITY_TOL.
@@ -288,6 +297,7 @@ def verify_reciprocity(budget: CommutatorBudget) -> ReciprocityReport:
     networks with real coupling amplitudes; with complex loops the flux
     pattern can be chiral and the check is expected to fail.
     """
+    _require_single(budget, "verify_reciprocity")
     g = budget.gammas
     # entry (i, j) compares gamma_i I_ij with gamma_j I_ji
     flux = g[:, None] * budget.transfer
@@ -317,6 +327,7 @@ def two_mode_ix_bound(budget: CommutatorBudget) -> IxBoundReport:
     obeys the same bound by reciprocity. Equivalently the diagonal
     shares satisfy I_11 + I_22 >= 1.
     """
+    _require_single(budget, "two_mode_ix_bound")
     if budget.n_modes != 2:
         raise ApplicabilityError("the exchange bound is a two-mode statement")
     if not budget.passive:
@@ -340,7 +351,8 @@ def two_mode_ix_bound(budget: CommutatorBudget) -> IxBoundReport:
 
 
 def budget_report(budget: CommutatorBudget) -> dict:
-    """JSON-ready summary of the budget and its identity checks."""
+    """JSON-ready summary of a single budget and its identity checks."""
+    _require_single(budget, "budget_report")
     rules = verify_sum_rules(budget)
     recip = verify_reciprocity(budget)
     return {

@@ -15,14 +15,15 @@ check. The Kronecker route takes stability from the Gershgorin bound of
 the drift's Hermitian part where that bound certifies it (every passive
 drift with positive dampings), and from the spectrum otherwise; it
 assembles each system by index. ``LyapunovOperator`` is the one place
-that factors a drift: it keeps that certificate, the spectra and the
-eigen factors of a drift or a stack, formed on first use, for every
-solve on it (``solve``, and ``adjoint`` for a^H L + L a + c = 0).
+that factors a drift and tests it for stability, by one rule
+(_stable_spectra): it keeps that certificate, the spectra and the eigen
+factors of a drift or a stack, formed on first use, for every solve on
+it (``solve``, and ``adjoint`` for a^H L + L a + c = 0).
 ``solve_lyapunov`` is its one-shot call, and each StateSpace holds the
-operator of its drift. ``integrate_spectra`` plans
-and refines all members of a lockstep quadrature on flat arrays of
-their panels. None of these steps changes a value: each drift and each
-member keeps the bits of its lone call.
+operator of its drift. ``integrate_spectra`` plans and refines all
+members of a lockstep quadrature on flat arrays of their panels. None
+of these steps changes a value: each drift and each member keeps the
+bits of its lone call.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ QUADRATURE_BATCH_NODES = 240
 # converge or returned errors of 4e-7 up to 0.97 with no error raised.
 POLE_MIN_SPACINGS = 1e4
 # Least Bernstein-ellipse parameter of every starting panel of
-# integrate_spectrum about every pole (see _panel_plan). On the 100 draws
+# integrate_spectrum about every pole (see _panel_plans). On the 100 draws
 # of verify's route check, from 8 uniform panels, 1.5 to 3 gave 12,150 to
 # 12,360 frequencies; from 2, 1.5, 2, 2.5 and 3 give 9,285, 8,295, 7,380
 # and 6,210. At 3 the route check's largest gap between the two budget
@@ -178,34 +179,20 @@ def _raise_if_unstable(top: complex, context: str) -> None:
         )
 
 
-def require_stable_drifts(drifts) -> np.ndarray:
-    """require_stable for every drift of a stack (P, n, n): the spectra
-    (P, n), each row sorted as eigenvalues sorts it, from one batched
-    eigenvalue call. The first unstable drift raises. Not exported by
-    the package."""
-    a = _as_drift(drifts, stack=True)
-    return _sort_spectrum(_stable_spectra(a.reshape((-1,) + a.shape[-2:])))
-
-
-def _stable_spectra(drifts: np.ndarray) -> np.ndarray:
-    """The unsorted spectra of a stack (P, n, n) of drifts, from one
-    batched call; the first failing drift raises. An unstable drift
-    raises its StabilityError, and a non-finite one the NumericsError of
-    _require_finite only if no drift before it is unstable, so the
-    spectra are taken of the drifts before the first non-finite one."""
+def _stable_spectra(drifts: np.ndarray, checked=None, first: int = 0) -> np.ndarray:
+    """The stability rule of a stack (P, n, n) of drifts numbered from
+    ``first``: the unsorted spectra, from one batched call, of the drifts
+    the mask ``checked`` (P,) marks (default all; the others are known to
+    be stable). The first failing drift raises: a marked unstable one its
+    StabilityError, a non-finite one the NumericsError of _require_finite
+    only if no drift before it is unstable."""
     bad = first_failure(np.isfinite(drifts).all(axis=(-2, -1)))
-    spectra = _spectra(drifts[:bad])
-    _raise_first_unstable(spectra)
-    _require_finite(drifts)
-    return spectra
-
-
-def _raise_first_unstable(spectra: np.ndarray) -> None:
-    """Raise the StabilityError of the first unstable row of a stack
-    (P, n) of the spectra of finite drifts."""
+    spectra = _spectra(drifts[:bad] if checked is None else drifts[:bad][checked[:bad]])
     unstable = first_failure(spectra.real.max(axis=-1) < 0)
     if unstable is not None:
         _raise_if_unstable(_sort_spectrum(spectra[unstable])[0], "drift")
+    _require_finite(drifts, first)
+    return spectra
 
 
 def _uncertified(drifts: np.ndarray) -> np.ndarray:
@@ -231,22 +218,6 @@ def _uncertified(drifts: np.ndarray) -> np.ndarray:
     return ~(bound < amax * (-_CERTIFY_MARGIN * n))
 
 
-def _check_stability(drifts: np.ndarray, uncertified: np.ndarray, first: int = 0) -> None:
-    """The stability test of the Lyapunov solves, for a stack (P, n, n)
-    of drifts numbered from ``first`` and its mask (P,) of the drifts
-    the Hermitian-part bound leaves uncertified (_uncertified): the
-    certified drifts skip the spectrum, and the others take
-    _stable_spectra in stack order. A certified drift is stable, so the
-    first failing drift raises the error that _stable_spectra of the
-    whole stack raises: a non-finite drift is never certified, and it
-    raises the NumericsError of _require_finite only if no drift before
-    it is unstable."""
-    if uncertified.any():
-        bad = first_failure(np.isfinite(drifts).all(axis=(-2, -1)))
-        _stable_spectra(drifts[:bad][uncertified[:bad]])
-        _require_finite(drifts, first)
-
-
 class LyapunovOperator:
     """A drift (n, n) or a stack of P drifts (P, n, n), factored once for
     every Lyapunov solve on it: ``solve`` (a W + W a^H + q = 0, the
@@ -254,13 +225,14 @@ class LyapunovOperator:
 
     It keeps what each solve_lyapunov call recomputes, each formed on
     first use: the mask of the drifts the Hermitian-part bound leaves
-    uncertified, the verdict of the Kronecker route's stability test,
-    the spectra, and from dimension _EIGEN_MIN_DIM up the factors of
-    every drift, a = V diag(lam) V^-1 with V^-1, from one batched ``eig``
-    and one batched ``inv`` (each drift alone where the stacked
-    factorization fails). Nothing is formed that a call does not need:
-    below _EIGEN_MIN_DIM a certified drift never takes a spectrum, and
-    no Kronecker system is kept. ``spectra`` reads the spectra, from the
+    uncertified, the verdict of the stability test that stable_spectra
+    and both routes share (_require_stable), the spectra, and from
+    dimension _EIGEN_MIN_DIM up the factors of every drift,
+    a = V diag(lam) V^-1 with V^-1, from one batched ``eig`` and one
+    batched ``inv`` (each drift alone where the stacked factorization
+    fails). Nothing is formed that a call does not need: below
+    _EIGEN_MIN_DIM a certified drift never takes a spectrum, and no
+    Kronecker system is kept. ``spectra`` reads the spectra, from the
     factors where there are factors. Every value has the bits of the
     one-shot calls it replaces.
 
@@ -317,16 +289,40 @@ class LyapunovOperator:
         return _sort_spectrum(self._vals)
 
     def stable_spectra(self) -> np.ndarray:
-        """require_stable_drifts of the drifts: their spectra as spectra()
-        gives them, where the first failing drift raises, an unstable one
+        """spectra() of drifts that pass the stability test of the solves
+        (_require_stable): the first failing drift raises, an unstable one
         its StabilityError and a non-finite one its NumericsError."""
-        if self._vals is None and self.shape[-1] >= _EIGEN_MIN_DIM:
+        if self.shape[-1] >= _EIGEN_MIN_DIM:
             self._factored()
-        if self._vals is None:  # below _EIGEN_MIN_DIM, or a drift did not factor
+        self._require_stable(every=True)
+        return self.spectra()
+
+    def _require_stable(self, p=None, every=False) -> None:
+        """The stability test of stable_spectra and of both solve routes,
+        of every drift or of drift ``p`` alone, by the rule of
+        _stable_spectra on the whole stack. A drift takes no spectrum if
+        the one held for it (its factors', or spectra()'s) is stable, or
+        if none is and the Hermitian-part bound certifies it; with
+        ``every`` and none held, every drift takes one, kept as the
+        spectra. The verdict of the whole stack is formed once."""
+        if self._stable:
+            return
+        rows = slice(None) if p is None else slice(p, p + 1)
+        held = self._vals if self._factors is None else self._factors[0]
+        if held is None and every:
             self._vals = _stable_spectra(self.drifts)
-        else:  # the spectra of every drift, which is finite
-            _raise_first_unstable(self._vals)
-        return _sort_spectrum(self._vals)
+        else:
+            if held is None:
+                checked = self.uncertified[rows]
+            else:  # an unstable drift raises with the spectrum it takes
+                top = held[rows].real.max(axis=-1)
+                checked = top >= 0
+                if np.isnan(top).any():  # a drift that did not factor
+                    checked |= np.isnan(top) & self.uncertified[rows]
+            if checked.any():
+                _stable_spectra(self.drifts[rows], checked, rows.start or 0)
+        if p is None:
+            self._stable = True
 
     def solve(self, q) -> np.ndarray:
         """solve_lyapunov(a, q) with this operator's drifts a: the same
@@ -406,20 +402,14 @@ class LyapunovOperator:
         Below _EIGEN_MIN_DIM every source takes its drift's Kronecker
         solve, after the stability test. From it up, the factored drifts
         are solved as one stack by the refined eigen route, and then the
-        drifts are walked in order: a drift whose factorization failed
-        takes its stability test from its Hermitian part or spectrum and
-        every source the Kronecker solve; an unstable drift raises; and
-        each source that fails its residual check takes its drift's
-        Kronecker solve. A stack raises the error of its first failing
-        drift or source; an unstable drift raises the error of its own
-        spectrum for the adjoint as well."""
+        drifts are walked in order: a drift whose factorization failed,
+        or that is unstable, takes the stability test alone (an unstable
+        one raises the error of its own spectrum, for the adjoint too);
+        every source of an unfactored drift, and each source that fails
+        its residual check, takes its drift's Kronecker solve. A stack
+        raises the error of its first failing drift or source."""
         if self.shape[-1] < _EIGEN_MIN_DIM:
-            if not self._stable:
-                if self._vals is None:
-                    _check_stability(self.drifts, self.uncertified)
-                else:  # the spectra of every drift, which is finite
-                    _raise_first_unstable(self._vals)
-                self._stable = True
+            self._require_stable()
             return _kronecker_solves(drifts, sources, qmaxes)
         vals, v, vinv, ok = factors()
         if ok.all():
@@ -432,13 +422,9 @@ class LyapunovOperator:
             passed = _residual_check(drifts, ws, sources, qmaxes)[0]
         unstable = vals.real.max(axis=-1) >= 0  # NaN, for an unfactored drift, is not
         for p in np.flatnonzero(~ok | unstable | ~passed.all(axis=-1)):
-            if not ok[p]:
-                _check_stability(self.drifts[p : p + 1], self.uncertified[p : p + 1], p)
-                redo = slice(None)
-            else:
-                if unstable[p]:  # with the drift's eigenvalue, for the adjoint too
-                    _raise_if_unstable(_sort_spectrum(self._factors[0][p])[0], "drift")
-                redo = np.flatnonzero(~passed[p])
+            if not ok[p] or unstable[p]:
+                self._require_stable(p)
+            redo = np.flatnonzero(~passed[p]) if ok[p] else slice(None)
             ws[p, redo] = _kronecker_solves(drifts[p], sources[p, redo], qmaxes[p, redo])
         return ws
 
@@ -764,13 +750,6 @@ def _panel_plans(poles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         hi[first], lo[first + 1] = mid, mid
         fresh = np.repeat(first, 2)
         fresh[1::2] += 1
-
-
-def _panel_plan(poles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The starting panels (lo, hi) of one member's poles (m,), in order
-    (see _panel_plans)."""
-    lo, hi, _ = _panel_plans(poles[None])
-    return lo, hi
 
 
 def _gk_panels(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):

@@ -24,6 +24,7 @@ from bosonet.budget import (
 from bosonet.errors import (
     ApplicabilityError,
     BosonetError,
+    DimensionError,
     NumericsError,
     StabilityError,
     ValidationError,
@@ -780,7 +781,27 @@ class TestStackedSumRules:
         assert not report.passed
 
 
+def passive_pair_specs():
+    """Two passive two-mode networks: their stacked budget has P = N = 2,
+    so a single-budget check could read its leading axis as a mode."""
+    return [
+        NetworkSpec(2, [BathSpec(1.0), BathSpec(2.0)], [beam_splitter(0.7, 0, 1)]),
+        NetworkSpec(2, [BathSpec(1.5), BathSpec(0.5)], [beam_splitter(0.3j, 0, 1)]),
+    ]
+
+
+def passive_pair_stack():
+    return compute_budget(build_state_spaces(passive_pair_specs()))
+
+
 class TestReciprocity:
+    def test_a_stacked_budget_is_refused(self):
+        with pytest.raises(DimensionError, match="verify_reciprocity.*compute_budgets"):
+            verify_reciprocity(passive_pair_stack())
+        # each member alone is reciprocal
+        for member in compute_budgets(build_state_spaces(passive_pair_specs())):
+            assert verify_reciprocity(member).max_residual < 1e-15
+
     def test_balanced_exchange_fluxes(self):
         budget = compute_budget(exchange_pair(0.5))
         report = verify_reciprocity(budget)
@@ -851,6 +872,10 @@ class TestIxBound:
         with pytest.raises(ApplicabilityError):
             two_mode_ix_bound(compute_budget(squeezer_pair()))
 
+    def test_a_stacked_budget_is_refused(self):
+        with pytest.raises(DimensionError, match="two_mode_ix_bound.*compute_budgets"):
+            two_mode_ix_bound(passive_pair_stack())
+
 
 class TestBudgetReport:
     def test_key_set_and_json_safety(self):
@@ -875,3 +900,7 @@ class TestBudgetReport:
         assert report["gamma_rule_residuals"] is None
         assert report["positivity_min_eigs"] is None
         assert report["passive"] is False
+
+    def test_a_stacked_budget_is_refused(self):
+        with pytest.raises(DimensionError, match="budget_report.*compute_budgets"):
+            budget_report(passive_pair_stack())

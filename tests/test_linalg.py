@@ -29,7 +29,6 @@ from bosonet.linalg import (
     integrate_spectrum,
     is_stable,
     require_stable,
-    require_stable_drifts,
     solve_lyapunov,
 )
 
@@ -110,7 +109,7 @@ class TestIsStable:
             by_size.setdefault(len(drift), []).append(drift)
         assert len(by_size) > 1
         for drifts in by_size.values():
-            spectra = require_stable_drifts(np.array(drifts))
+            spectra = linalg.LyapunovOperator(np.array(drifts)).stable_spectra()
             assert spectra.shape == (len(drifts), len(drifts[0]))
             for row, drift in zip(spectra, drifts):
                 assert np.array_equal(row, require_stable(drift))
@@ -118,7 +117,7 @@ class TestIsStable:
     def test_stacked_spectra_raise_at_the_first_unstable_drift(self):
         stack = np.array([-np.eye(4), UNSTABLE_DRIFT, UNSTABLE_DRIFT - 0.25 * np.eye(4)])
         with pytest.raises(StabilityError) as err:
-            require_stable_drifts(stack)
+            linalg.LyapunovOperator(stack).stable_spectra()
         with pytest.raises(StabilityError) as alone:
             require_stable(UNSTABLE_DRIFT)
         assert err.value.eigenvalue == alone.value.eigenvalue
@@ -541,7 +540,7 @@ class TestStackedDrifts:
         stack = np.stack([-np.eye(dim), -2.0 * np.eye(dim), broken])
         for attempt in (
             lambda: solve_lyapunov(stack, np.broadcast_to(np.eye(dim), stack.shape)),
-            lambda: require_stable_drifts(stack),
+            lambda: linalg.LyapunovOperator(stack).stable_spectra(),
         ):
             with pytest.raises(NumericsError) as err:
                 attempt()
@@ -677,7 +676,7 @@ class TestStabilityCertificate:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_a_non_finite_drift_raises_as_its_spectrum_does(self, bad):
         # on every stability path (the Kronecker route at n = 4, the eigen
-        # route at n = 8 and require_stable_drifts at both) the first
+        # route at n = 8 and the operator's stable_spectra at both) the first
         # failing drift of a stack raises: a non-finite drift only if no
         # drift before it is unstable
         for n in (4, 8):
@@ -692,7 +691,7 @@ class TestStabilityCertificate:
                 require_stable(unstable)
             checks = (
                 lambda stack: solve_lyapunov(stack, np.broadcast_to(np.eye(n), stack.shape)),
-                require_stable_drifts,
+                lambda stack: linalg.LyapunovOperator(stack).stable_spectra(),
             )
             for check in checks:
                 for stack, index in (
@@ -750,6 +749,40 @@ class TestStabilityCertificate:
             np.testing.assert_array_equal(
                 budget.per_channel_w[k], compute_budget(build_state_space(spec)).per_channel_w
             )
+
+    @pytest.mark.parametrize("modes", [2, 4])
+    @pytest.mark.parametrize("nonpassive", [False, True])
+    def test_the_budget_and_its_spectral_route_share_the_spectra(
+        self, modes, nonpassive, monkeypatch
+    ):
+        # compute_budget then budget_via_spectrum on one stacked state
+        # space: below 2N = 8 the budget takes one spectrum of its
+        # uncertified members (none if every member is certified) and the
+        # spectral route one of the whole stack; at 2N = 8 the factors of
+        # the budget's solve serve both, and no spectrum is taken
+        seen = spy_on_spectra(monkeypatch)
+        rng = np.random.default_rng(18)
+        specs = []
+        while len(specs) < 4:
+            spec = random_network(rng, max_modes=modes, nonpassive=nonpassive and len(specs) % 2 == 1)
+            if spec.n_modes == modes:
+                specs.append(spec)
+        ss = build_state_spaces(specs)
+        uncertified = [k for k, drift in enumerate(ss.drift) if not certified(drift)]
+        assert bool(uncertified) == nonpassive
+        seen.clear()
+        compute_budget(ss)
+        budget_stage = list(seen)
+        seen.clear()
+        budget_via_spectrum(ss, abs_tol=1e-7)
+        if 2 * modes >= linalg._EIGEN_MIN_DIM:
+            assert budget_stage == seen == []
+            return
+        assert len(budget_stage) == (1 if uncertified else 0)
+        if uncertified:
+            np.testing.assert_array_equal(budget_stage[0], ss.drift[uncertified])
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], ss.drift)
 
 
 def exceptional_pair_drift():
@@ -1229,7 +1262,10 @@ def route_check_spectra():
     for k in range(100):
         drift = build_state_space(random_network(rng, nonpassive=k % 3 == 2)).drift
         by_size.setdefault(len(drift), []).append(drift)
-    return [require_stable_drifts(np.array(drifts)) for _, drifts in sorted(by_size.items())]
+    return [
+        linalg.LyapunovOperator(np.array(drifts)).stable_spectra()
+        for _, drifts in sorted(by_size.items())
+    ]
 
 
 def narrow_pole_stacks():
@@ -1290,7 +1326,7 @@ class TestPanelPlan:
 
     @pytest.mark.parametrize("name", sorted(PLAN_POLES))
     def test_starting_panels_tile_the_unit_interval_in_order(self, name):
-        lo, hi = linalg._panel_plan(np.array(PLAN_POLES[name], dtype=complex))
+        lo, hi = linalg._panel_plans(np.array(PLAN_POLES[name], dtype=complex)[None])[:2]
         assert lo[0] == 0.0 and hi[-1] == 1.0
         assert np.array_equal(hi[:-1], lo[1:])
         assert np.all(hi > lo)
@@ -1300,7 +1336,7 @@ class TestPanelPlan:
     @pytest.mark.parametrize("name", sorted(PLAN_POLES))
     def test_no_panel_has_a_pole_preimage_inside_its_ellipse(self, name):
         points = preimages_by_roots(PLAN_POLES[name])
-        lo, hi = linalg._panel_plan(np.array(PLAN_POLES[name], dtype=complex))
+        lo, hi = linalg._panel_plans(np.array(PLAN_POLES[name], dtype=complex)[None])[:2]
         if points.size:
             assert bernstein_rho(points, lo, hi).min() >= linalg._PLAN_RHO * (1 - 1e-12)
         # and no panel was split without need: the parent of every split
@@ -1334,14 +1370,14 @@ class TestPanelPlan:
         assert max(sizes) > 100  # the narrow poles grade their members deeply
 
     def test_narrow_poles_grade_the_panels_toward_them(self):
-        lo, hi = linalg._panel_plan(np.array(PLAN_POLES["high-700"]))
+        lo, hi = linalg._panel_plans(np.array(PLAN_POLES["high-700"])[None])[:2]
         t = linalg._omega_to_t(700.0)
         nearest = np.argmin(np.abs(0.5 * (lo + hi) - t))
         assert hi[nearest] - lo[nearest] < 1e-9
         assert len(lo) < 200
 
     def test_plan_above_the_panel_cap_is_refused_before_any_panel(self, monkeypatch):
-        size = len(linalg._panel_plan(np.array([NARROW_POLE]))[0])
+        size = len(linalg._panel_plans(np.array([NARROW_POLE])[None])[0])
         assert size > 2  # the pole splits the uniform start
         monkeypatch.setattr(linalg, "QUADRATURE_MAX_PANELS", size - 1)
         calls = []
@@ -1482,7 +1518,7 @@ class TestIntegrateSpectra:
         assert sizes == []
 
     def test_a_member_over_the_cap_refuses_before_a_later_non_finite_one(self, monkeypatch):
-        size = len(linalg._panel_plan(np.array([NARROW_POLE, NARROW_POLE]))[0])
+        size = len(linalg._panel_plans(np.array([NARROW_POLE, NARROW_POLE])[None])[0])
         monkeypatch.setattr(linalg, "QUADRATURE_MAX_PANELS", size - 1)
         sizes = []
         f = members_of([narrow_resonance, lorentzian(1.0, 0.0)], sizes)

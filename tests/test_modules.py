@@ -149,7 +149,7 @@ def test_only_the_lyapunov_operator_factors_drifts():
     # spectra, the one-shot spectrum calls and the stability test
     sites = {
         "eig": set(), "eigvals": set(), "_kronecker_solves": set(), "_spectra": set(),
-        "LyapunovOperator": set(),
+        "LyapunovOperator": set(), "_stable_spectra": set(), "_raise_if_unstable": set(),
     }
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -163,6 +163,13 @@ def test_only_the_lyapunov_operator_factors_drifts():
     assert sites["_spectra"] == {
         ("linalg.py", "LyapunovOperator", "spectra"),
         ("linalg.py", None, "eigenvalues"),
+        ("linalg.py", None, "_stable_spectra"),
+    }
+    # one rule decides which drift of a stack raises, and one operator
+    # method applies it for stable_spectra and both solve routes
+    assert sites["_stable_spectra"] == {("linalg.py", "LyapunovOperator", "_require_stable")}
+    assert sites["_raise_if_unstable"] == {
+        ("linalg.py", None, "require_stable"),
         ("linalg.py", None, "_stable_spectra"),
     }
     # an operator is made by solve_lyapunov, by slicing one, and by the
