@@ -45,8 +45,9 @@ values of a stack of schemes or of one scheme's occupancy columns come
 from one evaluation of that record. fig3_rows broadcasts its
 occupancies as fig1_rows and fig2_rows do. optimal_couplings runs its
 coupling searches in lockstep, reading eta_e off one stacked frame
-budget of every search per golden-section step, and optimal_coupling is
-its one-point call.
+budget of the couplings every search is handed per golden-section call
+(a lone search is handed the tree of its next three steps), and
+optimal_coupling is its one-point call.
 """
 
 from __future__ import annotations
@@ -561,7 +562,7 @@ def parametric_optimum(gamma1: float, gamma2: float) -> ParametricOptimum:
     edge = s * (1.0 - 1e-9)
     # the minimum is the maximum of the negated bound, from one search
     _, (neg_value,) = golden_sections_max(
-        lambda des: [-_pair_bound(gamma1, gamma2, de) for de in des],
+        lambda des: (-_pair_bound(gamma1, gamma2, np.array(des))).tolist(),
         [-edge], [edge], rel_tol=1e-12,
     )
     numeric_value = -neg_value
@@ -765,15 +766,27 @@ class _Schemes:
         self.gammas = np.stack([kappa, gamma_m, gamma_m], axis=-1)
         for held in (self.omega, self.cosh, self.sinh, self.gammas):
             held.flags.writeable = False
+        # the frame of k stacks of the schemes, by k
+        self._frames = {1: self.frame}
 
     def budgets(self, g_script) -> ThreeModeBudget:
-        """The stacked ThreeModeBudget at the couplings g_script (P,)."""
+        """The stacked ThreeModeBudget at the couplings g_script (k P,):
+        k stacks of the P schemes, coupling j P + i on scheme i. The held
+        columns are tiled k times; the frame of one scheme broadcasts, and
+        that of P > 1 schemes is tiled once per k and kept."""
+        k = len(g_script) // len(self.omega)
+        if k not in self._frames:
+            self._frames[k] = (
+                self.frame if len(self.omega) == 1
+                else MomentTransform(np.tile(self.frame.matrix, (k, 1, 1)))
+            )
+        omega, cosh, sinh = (np.tile(held, k) for held in (self.omega, self.cosh, self.sinh))
         physical = family_state_space(
             _THREE_MODE_SLOTS,
-            _three_mode_amplitudes(g_script, self.omega, self.cosh, self.sinh),
-            self.gammas,
+            _three_mode_amplitudes(g_script, omega, cosh, sinh),
+            np.tile(self.gammas, (k, 1)),
         )
-        stack = compute_budget(self.frame.apply_to_state_space(physical))
+        stack = compute_budget(self._frames[k].apply_to_state_space(physical))
         failed = next((rules for rules in verify_sum_rules(stack) if not rules.passed), None)
         if failed is not None:
             worst = max(failed.completeness_residual, failed.metric_residual)
@@ -957,7 +970,10 @@ def optimal_coupling(
     ``g_numeric`` is accurate only to the search's rel_tol of 1e-6: the
     maximum is flat, so roundoff-level changes in eta_e move the argmax
     by about that much, and its digits beyond the sixth carry no meaning.
-    This is the one-point call of optimal_couplings.
+    This is the one-point call of optimal_couplings: a lone search looks
+    three steps ahead (golden_sections_max), so each stacked frame budget
+    holds the seven couplings its next three steps may visit, and the
+    search visits the points, and has the bits, of the scalar loop.
     """
     return optimal_couplings([(kappa, omega, gamma_m, xi)])[0]
 
@@ -967,17 +983,19 @@ def optimal_couplings(
 ) -> list[OptimalCoupling]:
     """optimal_coupling at every point (kappa, omega, gamma_m, xi).
 
-    The golden sections run in lockstep (golden_sections_max): each step
-    evaluates one coupling per search, stopped searches included, as one
-    stacked frame budget of fixed size; the formula couplings take one
-    more stacked budget. The schemes are prepared once per call
-    (_Schemes: the frame transform of xi with its inverse and size, cosh
-    and sinh of xi, the dampings), and a step forms only what depends on
-    the coupling: the physical drifts, their frames, the budget solve and
-    the sum rules, with every check of each. Each search visits the
-    points it would visit alone, so its result has the same bits. If the
-    batch raises, the searches are re-run one at a time, in order
-    (batch_or_each), so the first failing point raises its own error.
+    The golden sections run in lockstep (golden_sections_max): each call
+    evaluates k couplings of every search, stopped searches included, as
+    one stacked frame budget of k P members (k = 7 for one search, the
+    tree of its next three steps; 3 for two; 1, one step, from three on);
+    the formula couplings take one more stacked budget. The schemes are
+    prepared once per call (_Schemes: the frame transform of xi with its
+    inverse and size, cosh and sinh of xi, the dampings, tiled for the k
+    stacks), and a call forms only what depends on the coupling: the
+    physical drifts, their frames, the budget solve and the sum rules,
+    with every check of each. Each search visits the points it would
+    visit alone, so its result has the same bits. If the batch raises,
+    the searches are re-run one at a time, in order (batch_or_each), so
+    the first failing point raises its own error.
     """
     return list(
         batch_or_each(points, _coupling_searches, lambda point: _coupling_searches([point])[0])
@@ -996,6 +1014,7 @@ def _coupling_searches(points) -> list[OptimalCoupling]:
     schemes = _Schemes(omega, kappa, gamma_m, xi)
 
     def etas_at(gs) -> list[float]:
+        # k stacks of the P schemes, coupling j P + i on scheme i
         return schemes.budgets(np.array(gs, dtype=float)).eta_e.tolist()
 
     g_formulas = [

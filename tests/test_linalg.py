@@ -1575,7 +1575,7 @@ class TestBatchOrEach:
 
 def one_search(fn, lo, hi, rel_tol=1e-6):
     """golden_sections_max with one bracket, for a scalar objective."""
-    (x,), (fx,) = golden_sections_max(lambda xs: [fn(xs[0])], [lo], [hi], rel_tol)
+    (x,), (fx,) = golden_sections_max(lambda xs: [fn(x) for x in xs], [lo], [hi], rel_tol)
     return x, fx
 
 
@@ -1637,35 +1637,50 @@ class TestLockstepGoldenSection:
 
     def assert_lockstep_is_each_scalar_loop(self, fns, brackets, rel_tol=1e-6):
         """Run the searches in lockstep and check each against the scalar
-        loop: the same new points in the same order, the same bits, and
-        after it stops only points it was handed before, whose values
-        (made inf here) are ignored."""
+        loop: it visits the same points in the same order, with the same
+        bits, each call's along one path from the root of the tree the
+        search was handed there (the children of point j are points 2j + 1
+        and 2j + 2); every other point it is handed gets the value inf,
+        which must be ignored, and after it stops it is handed only points
+        it was handed before."""
         alone = [self.scalar_visits(fn, lo, hi, rel_tol) for fn, (lo, hi) in zip(fns, brackets)]
         # the scalar loop's visits: two probes, one per step, the midpoint
         last_step = [len(visits) - 1 for _, visits in alone]
+        pending = [list(visits) for _, visits in alone]
+        m = len(fns)
         handed = [[] for _ in fns]
         sizes = []
 
         def objective(xs):
             sizes.append(len(xs))
-            call = len(sizes) - 1
-            for i, x in enumerate(xs):
-                handed[i].append(x)
-            return [
-                math.inf if last_step[i] <= call < max(last_step) else fns[i](x)
-                for i, x in enumerate(xs)
-            ]
+            values = [math.inf] * len(xs)
+            for i in range(m):
+                points = xs[i::m]
+                if len(pending[i]) == 1 and points != pending[i]:  # stopped
+                    assert all(point in handed[i] for point in points)
+                node = 0
+                while node < len(points) and pending[i] and points[node] == pending[i][0]:
+                    values[node * m + i] = fns[i](pending[i].pop(0))
+                    node = next(
+                        (child for child in (2 * node + 1, 2 * node + 2)
+                         if child < len(points) and pending[i][:1] == [points[child]]),
+                        len(points),
+                    )
+                handed[i].extend(points)
+            return values
 
         lo, hi = zip(*brackets)
         xs, values = golden_sections_max(objective, lo, hi, rel_tol)
-        # one call of every search per step, up to the last search's midpoint
-        assert sizes == [len(fns)] * (max(last_step) + 1)
-        for i, ((x, fx), visits) in enumerate(alone):
+        assert pending == [[] for _ in fns]
+        # m searches look d steps ahead, 2^d - 1 points each, at most 8 in all
+        depth = {1: 3, 2: 2}.get(m, 1)
+        steps = max(last_step) - 2
+        probes = [2 * m] if depth > 1 else [m, m]
+        rounds = [m * (2 ** min(depth, 400 - s) - 1) for s in range(0, steps, depth)]
+        assert sizes == probes + rounds + [m]
+        for i, (x, fx) in enumerate(r for r, _ in alone):
             assert xs[i] == x
             assert values[i] == fx or (math.isnan(values[i]) and math.isnan(fx))
-            new, stopped = handed[i][: last_step[i]], handed[i][last_step[i] : -1]
-            assert new + handed[i][-1:] == visits
-            assert all(point in new for point in stopped)
         return last_step
 
     @pytest.mark.parametrize("rel_tol", [1e-6, 1e-12])
@@ -1703,3 +1718,122 @@ class TestLockstepGoldenSection:
 
     def test_no_searches(self):
         assert golden_sections_max(lambda xs: [], [], []) == ([], [])
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-12])
+    def test_lookahead_searches_have_the_bits_and_path_of_the_scalar_loop(self, m, rel_tol):
+        # one search looks 3 steps ahead, two look 2, and three look 1
+        for start in range(len(self.FNS)):
+            group = [(start + j) % len(self.FNS) for j in range(m)]
+            self.assert_lockstep_is_each_scalar_loop(
+                [self.FNS[j] for j in group], [self.BRACKETS[j] for j in group], rel_tol
+            )
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_flat_and_nan_objectives_with_lookahead(self, m):
+        fns = [lambda t: 1.0, lambda t: math.nan, lambda t: 0.0 if t < 0.3 else math.nan]
+        brackets = [(0.0, 1.0), (-1.0, 2.0), (0.0, 1.0)]
+        for start in range(len(fns)):
+            group = [(start + j) % len(fns) for j in range(m)]
+            self.assert_lockstep_is_each_scalar_loop(
+                [fns[j] for j in group], [brackets[j] for j in group]
+            )
+
+    def test_a_search_stops_inside_a_tree(self):
+        # 31 steps: the last tree of 3 steps is left after its first
+        (last_step,) = self.assert_lockstep_is_each_scalar_loop(
+            self.FNS[:1], self.BRACKETS[:1]
+        )
+        assert (last_step - 2) % 3 == 1
+        # and the two searches of a pair stop after different step counts
+        steps = self.assert_lockstep_is_each_scalar_loop(self.FNS[:2], self.BRACKETS[:2])
+        assert len(set(steps)) > 1
+
+    def test_step_cap_inside_a_tree(self):
+        # 400 steps, 3 at a time: the 134th tree is cut to the one step the
+        # cap leaves
+        last_step = self.assert_lockstep_is_each_scalar_loop(
+            self.FNS[:1], self.BRACKETS[:1], -1.0
+        )
+        assert last_step == [2 + 400]
+
+    def objective_and_visits(self, fn, lo, hi):
+        """A recording objective of one search, and the scalar loop's
+        visits."""
+        handed = []
+
+        def objective(xs):
+            handed.append(list(xs))
+            return [fn(x) for x in xs]
+
+        _, visits = self.scalar_visits(fn, lo, hi)
+        return objective, handed, visits
+
+    @pytest.mark.parametrize("which", [0, 5, -1])
+    def test_an_error_off_the_path_is_not_raised(self, which):
+        # the objective raises at one point of a branch not taken: that call
+        # is made again without lookahead, and the search ends as the scalar
+        # loop does
+        fn, (lo, hi) = self.FNS[0], self.BRACKETS[0]
+        objective, handed, visits = self.objective_and_visits(fn, lo, hi)
+        golden_sections_max(objective, [lo], [hi])
+        off_path = [x for call in handed for x in call if x not in visits]
+        assert len(off_path) > 20
+        bad = off_path[which]
+        failed = []
+
+        def failing(xs):
+            if bad in xs:
+                failed.append((len(handed), len(xs)))
+                raise NumericsError(f"made to fail at {bad!r}")
+            return objective(xs)
+
+        handed.clear()
+        x, fx = scalar_golden_max(fn, lo, hi)
+        assert golden_sections_max(failing, [lo], [hi]) == ([x], [fx])
+        # the lookahead call failed once; from there on every call is one
+        # point, each a point the scalar loop visits
+        ((at, size),) = failed
+        assert size == 7 and len(handed) - at > 1
+        assert all(len(call) == 1 and call[0] in visits for call in handed[at:])
+
+    def test_an_error_off_every_path_is_not_raised(self):
+        # every point off the scalar loop's path raises, and the first tree
+        # holds such points: the search finishes without lookahead
+        for fn, (lo, hi) in zip(self.FNS, self.BRACKETS):
+            _, visits = self.scalar_visits(fn, lo, hi)
+
+            def strict(xs):
+                if any(x not in visits for x in xs):
+                    raise NumericsError("off the path")
+                return [fn(x) for x in xs]
+
+            (x,), (fx,) = golden_sections_max(strict, [lo], [hi])
+            assert (x, fx) == scalar_golden_max(fn, lo, hi)
+
+    @pytest.mark.parametrize("which", [0, 1, 5, -2, -1])
+    def test_an_error_on_the_path_is_the_scalar_loops(self, which):
+        fn, (lo, hi) = self.FNS[1], self.BRACKETS[1]
+        _, visits = self.scalar_visits(fn, lo, hi)
+        bad = visits[which]
+
+        def failing(x):
+            if x == bad:
+                raise NumericsError(f"made to fail at {x!r}")
+            return fn(x)
+
+        with pytest.raises(NumericsError) as scalar:
+            scalar_golden_max(failing, lo, hi)
+        with pytest.raises(NumericsError) as lockstep:
+            one_search(failing, lo, hi)
+        assert str(lockstep.value) == str(scalar.value) == f"made to fail at {bad!r}"
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_a_result_of_the_wrong_length_is_refused(self, m):
+        # a lookahead call that fails is made again one point per search,
+        # and that call raises
+        lo, hi = [0.0] * m, [1.0] * m
+        with pytest.raises(DimensionError, match=f"returned {m + 1} values for {m} points$"):
+            golden_sections_max(lambda xs: list(xs) + [99.0], lo, hi)
+        with pytest.raises(DimensionError, match=f"returned {m - 1} values for {m} points$"):
+            golden_sections_max(lambda xs: list(xs)[:-1], lo, hi)

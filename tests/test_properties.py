@@ -23,7 +23,7 @@ from bosonet.network import (
     is_passive,
     passive_state_space,
 )
-from bosonet.steady import steady_covariance
+from bosonet.steady import min_quadrature_variance, steady_covariance
 from bosonet.suites import random_network
 
 PROPERTY_SETTINGS = settings(
@@ -125,6 +125,40 @@ def test_time_and_frequency_domain_budgets_agree(seed, nonpassive):
     direct = compute_budget(ss).per_channel_w
     spectral = budget_via_spectrum(ss, abs_tol=1e-7).per_channel_w
     assert np.abs(direct - spectral).max() <= 1e-6
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, nonpassive=st.booleans())
+def test_the_budget_bounds_the_noise_of_the_quietest_pair(seed, nonpassive):
+    # With thermal inputs of occupancies n_j, the pair u = X_theta and
+    # v = X_theta+pi/2 of a mode at its least-variance angle obeys
+    # Var(u) Var(v) >= (sum_j (n_j + 1/2) |w_j|)^2, where w_j =
+    # c_u^T (q W_j q^H) c_v is channel j's share of the pair's commutator
+    # (q maps the doubled basis to the quadratures), with equality for a
+    # passive network, whose noise is its budget.
+    rng = np.random.default_rng(seed)
+    spec = random_network(rng, max_modes=4, nonpassive=nonpassive)
+    n = spec.n_modes
+    occupancies = rng.exponential(2.0, size=n)
+    ss = build_state_space(spec)
+    state = steady_covariance(ss, InputMoments.thermal(occupancies))
+    eye = np.eye(n)
+    q = np.block([[eye, eye], [-1j * eye, 1j * eye]]) / math.sqrt(2.0)
+    shares = q @ compute_budget(ss).per_channel_w @ q.conj().T
+    vq = state.quadrature_matrix()
+    for mode in range(n):
+        theta = min_quadrature_variance(state, mode).theta
+        c_u, c_v = np.zeros(2 * n), np.zeros(2 * n)
+        c_u[[mode, n + mode]] = math.cos(theta), math.sin(theta)
+        c_v[[mode, n + mode]] = -math.sin(theta), math.cos(theta)
+        w = c_u @ shares @ c_v
+        # the pair is conjugate: its shares sum to i
+        assert abs(abs(w.sum()) - 1.0) <= 1e-12
+        product = (c_u @ vq @ c_u) * (c_v @ vq @ c_v)
+        floor = np.sum((occupancies + 0.5) * np.abs(w)) ** 2
+        assert product >= floor * (1.0 - 1e-12)
+        if not nonpassive:
+            assert abs(product - floor) <= 1e-12 * floor
 
 
 @PROPERTY_SETTINGS

@@ -1028,19 +1028,43 @@ class TestOverflow:
             optimal_coupling(1.0, 1.0, 0.01, 400.0)
 
 
-def scalar_optimal_coupling(kappa, omega, gamma_m, xi):
+def scalar_optimal_coupling(kappa, omega, gamma_m, xi, visits=None):
     """The per-search coupling search that optimal_couplings replaced: the
-    scalar golden-section loop over one-point frame budgets."""
+    scalar golden-section loop over one-point frame budgets. The couplings
+    the loop visits, in order, go to the list ``visits``."""
     from test_linalg import scalar_golden_max
 
     def eta_at(g):
         p = ThreeModeParams(g_script=g, omega=omega, kappa=kappa, gamma_m=gamma_m, xi=xi)
         return three_mode_budget(p).eta_e
 
+    def visit(g):
+        if visits is not None:
+            visits.append(g)
+        return eta_at(g)
+
     g_formula = math.sqrt(0.5 * omega * math.hypot(kappa, 2.0 * omega))
     hi = 8.0 * max(g_formula, omega, kappa)
-    g_numeric, eta_numeric = scalar_golden_max(eta_at, 0.0, hi, rel_tol=1e-6)
+    g_numeric, eta_numeric = scalar_golden_max(visit, 0.0, hi, rel_tol=1e-6)
     return OptimalCoupling(g_formula, g_numeric, eta_at(g_formula), eta_numeric)
+
+
+def boundary_search_points():
+    """The coupling searches (kappa, |omega|, gamma_m, xi) of the boundary
+    commands of the ten grids benchmark reference sets, read from bench/."""
+    from bosonet.cli import build_parser
+    from test_bench_refs import BENCH, capture
+
+    points = []
+    for seed in range(10):
+        refs = capture.load(BENCH / "refs" / f"grids-{seed}-full.json.gz")
+        for command in refs["commands"]:
+            if command["name"] == "boundary":
+                args = build_parser().parse_args(command["argv"])
+                xi = 0.5 if args.xi is None else args.xi
+                points.append((args.kappa, abs(args.omega), args.gamma_m, xi))
+    assert len(points) == 10
+    return points
 
 
 class TestCouplingSearchLockstep:
@@ -1053,14 +1077,30 @@ class TestCouplingSearchLockstep:
         for ratio in (1e-3, 1e-2)
     ]
 
-    def test_lockstep_has_the_bits_of_each_search_alone(self):
+    def test_lockstep_has_the_bits_of_each_search_alone(self, monkeypatch):
         points = self.G_OPT_POINTS + [
             (kappa, 1.0, ratio * kappa, 0.5) for kappa in (0.3, 3.0) for ratio in (1e-3, 1e-2)
         ]
-        assert optimal_couplings(points) == [optimal_coupling(*p) for p in points]
+        alone = [optimal_coupling(*p) for p in points]
+        assert optimal_couplings(points) == alone
+        # two searches look two steps ahead, on tiled schemes, as one batch
+        real, sizes = scenarios._Schemes.budgets, []
+
+        def recording(schemes, g_script):
+            sizes.append(len(g_script))
+            return real(schemes, g_script)
+
+        monkeypatch.setattr(scenarios._Schemes, "budgets", recording)
+        pair = [points[0], points[-1]]
+        assert scenarios._coupling_searches(pair) == [alone[0], alone[-1]]
+        # both probes, trees of 3 points each, the midpoints and the formula
+        # couplings: no lookahead call failed
+        assert sizes[0] == 4 and set(sizes[1:-2]) == {6} and sizes[-2:] == [2, 2]
 
     @pytest.mark.parametrize(
-        "point", [(1.0, 1.0, 0.01, 0.0), (1.0, 1.0, 0.01, 0.5), (0.1, 1.0, 1e-4, 0.0)]
+        "point",
+        [(1.0, 1.0, 0.01, 0.0), (1.0, 1.0, 0.01, 0.5), (0.1, 1.0, 1e-4, 0.0), (1.0, 1.0, 1e-8, 0.5)]
+        + boundary_search_points(),
     )
     def test_a_search_has_the_bits_of_the_scalar_search(self, point):
         assert optimal_coupling(*point) == scalar_optimal_coupling(*point)
@@ -1068,13 +1108,18 @@ class TestCouplingSearchLockstep:
     def test_first_failing_search_raises_its_own_error(self, monkeypatch):
         real = scenarios._Schemes.budgets
         evaluations = {}
+        visits = []
+        scalar_optimal_coupling(1.0, 1.0, 0.01, 0.0, visits)
 
         def failing(schemes, g_script):
-            for value in schemes.gammas[:, 0].tolist():
-                count = evaluations[value] = evaluations.get(value, 0) + 1
-                # the search at kappa = 1 fails at its fifth point, the one
-                # at kappa = 3 at its first, which is in the first lockstep step
-                if (value == 1.0 and count == 5) or value == 3.0:
+            # coupling j P + i is on scheme i
+            kappas = np.tile(schemes.gammas[:, 0], len(g_script) // len(schemes.gammas))
+            for value, g in zip(kappas.tolist(), np.asarray(g_script).tolist()):
+                evaluations[value] = evaluations.get(value, 0) + 1
+                # the search at kappa = 1 fails at the fifth point it visits,
+                # the one at kappa = 3 at its first, which is in the first
+                # lockstep step
+                if (value == 1.0 and g == visits[4]) or value == 3.0:
                     raise NumericsError(f"made to fail at kappa = {value:g}")
             return real(schemes, g_script)
 
@@ -1146,24 +1191,50 @@ class TestPreparedSchemes:
 
     def test_a_sum_rule_failure_at_one_step_raises(self, monkeypatch):
         real = scenarios.verify_sum_rules
-        steps = []
+        real_budgets = scenarios._Schemes.budgets
+        visits, calls = [], []
+        scalar_optimal_coupling(1.0, 1.0, 0.01, 0.5, visits)
 
-        # the fifth distinct step of the search fails, whenever it is
+        def recording(schemes, g_script):
+            calls.append(np.asarray(g_script).tolist())
+            return real_budgets(schemes, g_script)
+
+        # the fifth point the search visits fails, whenever it is
         # evaluated, so the one-point replay fails there too
         def failing_fifth_step(stack):
             reports = real(stack)
-            key = stack.transfer.tobytes()
-            if key not in steps:
-                steps.append(key)
-            if steps.index(key) == 4:
-                reports[0] = replace(reports[0], passed=False, metric_residual=3e-8)
+            if visits[4] in calls[-1]:
+                k = calls[-1].index(visits[4])
+                reports[k] = replace(reports[k], passed=False, metric_residual=3e-8)
             return reports
 
+        monkeypatch.setattr(scenarios._Schemes, "budgets", recording)
         monkeypatch.setattr(scenarios, "verify_sum_rules", failing_fifth_step)
         with pytest.raises(NumericsError, match="^budget sum rules failed in the frame$") as err:
             optimal_coupling(1.0, 1.0, 0.01, 0.5)
         assert err.value.estimate == 3e-8
-        assert len(steps) == 5
+        # the search reached its first five points and no later one, and
+        # it raised in a call of that one point
+        assert {g for call in calls for g in call} & set(visits) == set(visits[:5])
+        assert calls[-1] == [visits[4]]
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_k_stacks_have_the_bits_of_each_stack(self, count):
+        # the couplings j P + i of a call of k stacks are on scheme i: the
+        # held columns and the frame are tiled (or, for one scheme,
+        # broadcast), and each stack has the bits of its own call
+        kappa, omega, gamma_m, xi = (
+            np.array(column[:count]) for column in ([0.3, 1.0, 3.0], [1.0, 2.0, 0.7],
+                                                    [1e-3, 0.01, 0.03], [0.0, 0.5, 1.2])
+        )
+        schemes = scenarios._Schemes(omega, kappa, gamma_m, xi)
+        g = np.linspace(0.2, 2.0, 7 * count)
+        stacked = schemes.budgets(g)
+        for j in range(7):
+            one = schemes.budgets(g[j * count:(j + 1) * count])
+            members = slice(j * count, (j + 1) * count)
+            assert np.array_equal(stacked.physical.drift[members], one.physical.drift)
+            assert np.array_equal(stacked.transfer[members], one.transfer)
 
     def test_held_arrays_are_read_only(self):
         from bosonet import budget, network
@@ -1199,16 +1270,24 @@ class TestPreparedSchemes:
             schemes.budgets(np.array([g]))
         assert made == []
 
-    def test_one_scatter_table_per_structure(self):
+    def test_one_scatter_table_per_structure(self, monkeypatch):
         from bosonet import network
 
         three_mode_budgets([THREE_MODE])
+        real = scenarios._Schemes.budgets
+        calls = []
+
+        def counting(schemes, g_script):
+            calls.append(len(g_script))
+            return real(schemes, g_script)
+
+        monkeypatch.setattr(scenarios._Schemes, "budgets", counting)
         before = network._scatter_table.cache_info()
         optimal_coupling(1.0, 1.0, 0.01, 0.5)
         after = network._scatter_table.cache_info()
-        # every step finds the three-mode table made before the search
+        # every call of the search finds the three-mode table made before it
         assert after.misses == before.misses
-        assert after.hits - before.hits > 20
+        assert after.hits - before.hits == len(calls) > 10
         assert network._scatter_table(()) is None
 
 
@@ -1309,13 +1388,17 @@ class TestColumnPaths:
 
         monkeypatch.setattr(scenarios._Schemes, "budgets", recording)
         optimal_couplings([(1.0, 1.0, 0.01, xi), (0.3, 2.0, 0.003, xi)])
-        assert len(builds) > 20
+        # more than 20 points of each search
+        assert sum(len(g_script) for _, g_script, _ in builds) > 40
         for schemes, g_script, budget in builds:
-            kappa, gamma_m = schemes.gammas[:, 0], schemes.gammas[:, 1]
+            # coupling j P + i is on scheme i
+            k = len(g_script) // len(schemes.omega)
+            kappa, gamma_m = np.tile(schemes.gammas[:, 0], k), np.tile(schemes.gammas[:, 1], k)
             records = [
                 ThreeModeParams(g_script=g, omega=w, kappa=k, gamma_m=m, xi=xi)
-                for g, w, k, m in zip(g_script, schemes.omega, kappa, gamma_m)
+                for g, w, k, m in zip(g_script, np.tile(schemes.omega, k), kappa, gamma_m)
             ]
+            assert len(records) == len(g_script)
             assert_per_spec_bits(
                 budget.physical, [three_mode_physical_network(p) for p in records]
             )
