@@ -766,27 +766,33 @@ class _Schemes:
         self.gammas = np.stack([kappa, gamma_m, gamma_m], axis=-1)
         for held in (self.omega, self.cosh, self.sinh, self.gammas):
             held.flags.writeable = False
-        # the frame of k stacks of the schemes, by k
-        self._frames = {1: self.frame}
+        # the held columns and the frame of k stacks of the schemes, by k
+        self._stacks = {1: (self.omega, self.cosh, self.sinh, self.gammas, self.frame)}
 
-    def budgets(self, g_script) -> ThreeModeBudget:
-        """The stacked ThreeModeBudget at the couplings g_script (k P,):
-        k stacks of the P schemes, coupling j P + i on scheme i. The held
-        columns are tiled k times; the frame of one scheme broadcasts, and
-        that of P > 1 schemes is tiled once per k and kept."""
-        k = len(g_script) // len(self.omega)
-        if k not in self._frames:
-            self._frames[k] = (
+    def _stack(self, k: int) -> tuple:
+        """The held columns tiled k times, and the frame of k stacks: the
+        held one for one scheme, where it broadcasts, else the tiled one;
+        formed once per k and kept, read-only."""
+        if k not in self._stacks:
+            omega, cosh, sinh = (np.tile(held, k) for held in (self.omega, self.cosh, self.sinh))
+            gammas = np.tile(self.gammas, (k, 1))
+            for held in (omega, cosh, sinh, gammas):
+                held.flags.writeable = False
+            frame = (
                 self.frame if len(self.omega) == 1
                 else MomentTransform(np.tile(self.frame.matrix, (k, 1, 1)))
             )
-        omega, cosh, sinh = (np.tile(held, k) for held in (self.omega, self.cosh, self.sinh))
+            self._stacks[k] = (omega, cosh, sinh, gammas, frame)
+        return self._stacks[k]
+
+    def budgets(self, g_script) -> ThreeModeBudget:
+        """The stacked ThreeModeBudget at the couplings g_script (k P,):
+        k stacks of the P schemes, coupling j P + i on scheme i (_stack)."""
+        omega, cosh, sinh, gammas, frame = self._stack(len(g_script) // len(self.omega))
         physical = family_state_space(
-            _THREE_MODE_SLOTS,
-            _three_mode_amplitudes(g_script, omega, cosh, sinh),
-            np.tile(self.gammas, (k, 1)),
+            _THREE_MODE_SLOTS, _three_mode_amplitudes(g_script, omega, cosh, sinh), gammas
         )
-        stack = compute_budget(self._frames[k].apply_to_state_space(physical))
+        stack = compute_budget(frame.apply_to_state_space(physical))
         failed = next((rules for rules in verify_sum_rules(stack) if not rules.passed), None)
         if failed is not None:
             worst = max(failed.completeness_residual, failed.metric_residual)
