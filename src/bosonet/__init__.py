@@ -72,6 +72,7 @@ from .steady import (
     quadrature_variance,
     quadrature_variances,
     steady_covariance,
+    thermal_covariance,
     variance_decomposition,
 )
 

@@ -292,7 +292,9 @@ class StateSpace:
     The budget, the steady covariance and the spectral route of a state
     space solve with the Lyapunov operator it holds (``_lyapunov``,
     formed on first use), so its drift is factored once for all of them;
-    the drift must not change after."""
+    the drift must not change after. It also holds the thermal channel
+    kernels of its drift (``_thermal_kernels``), which steady's
+    thermal_covariance contracts for any occupancies."""
 
     drift: np.ndarray
     input: np.ndarray
@@ -301,6 +303,22 @@ class StateSpace:
     @functools.cached_property
     def _lyapunov(self) -> LyapunovOperator:
         return LyapunovOperator(self.drift)
+
+    @functools.cached_property
+    def _thermal_kernels(self) -> np.ndarray:
+        """S_j solving A S_j + S_j A^H + D (e_j e_j^H + e_{N+j} e_{N+j}^H) D^H
+        = 0 for each channel j, shape (N, 2N, 2N), or (P, N, 2N, 2N) for a
+        stack: one Hermitian source per channel on ``_lyapunov``, formed
+        on first use and kept, read-only. The source is its own mirror, so
+        each S_j keeps the mirror defect as a witness of the solve."""
+        n = self.n_modes
+        cols = self.input.swapaxes(-2, -1)  # row k is the column d_k of D
+        a, b = cols[..., :n, :, None], cols[..., n:, :, None]
+        sources = a * a.conj().swapaxes(-2, -1) + b * b.conj().swapaxes(-2, -1)
+        lead = np.broadcast_shapes(self.drift.shape[:-2], sources.shape[:-3])
+        kernels = self._lyapunov.solve(np.broadcast_to(sources, lead + sources.shape[-3:]))
+        kernels.flags.writeable = False
+        return kernels
 
     def _select(self, members) -> "StateSpace":
         """The state space of the drifts ``members`` (an index array or a

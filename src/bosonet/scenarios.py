@@ -42,12 +42,15 @@ The fig2 quadrature blocks come from the same columns.
 
 three_mode_budgets returns one stacked ThreeModeBudget, and the Duan
 values of a stack of schemes or of one scheme's occupancy columns come
-from one evaluation of that record. fig3_rows broadcasts its
+from one evaluation of that record, whose physical state space keeps
+the thermal channel kernels the direct route sums (steady's
+thermal_covariance). fig3_rows broadcasts its
 occupancies as fig1_rows and fig2_rows do. optimal_couplings runs its
 coupling searches in lockstep, reading eta_e off one stacked frame
 budget of the couplings every search is handed per golden-section call
 (a lone search is handed the tree of its next three steps), and
-optimal_coupling is its one-point call.
+optimal_coupling is its one-point call; a lone search that fails raises
+at once, without the replay a batch of searches takes.
 """
 
 from __future__ import annotations
@@ -79,7 +82,12 @@ from .network import (
     hyperbolic_frame,
 )
 from .budget import compute_budget, verify_sum_rules
-from .steady import min_variances, steady_covariance, variance_decomposition
+from .steady import (
+    min_variances,
+    steady_covariance,
+    thermal_covariance,
+    variance_decomposition,
+)
 
 ROUTE_AGREEMENT_TOL = 1e-10
 DUAN_AGREEMENT_TOL = 1e-8
@@ -841,8 +849,9 @@ def duan_quantity(p: ThreeModeParams) -> DuanResult:
 
 def duan_quantities(ps: Sequence[ThreeModeParams]) -> list[DuanResult]:
     """duan_quantity at every point, as one batch: one stacked frame
-    budget (three_mode_budgets) and one stacked steady solve, with every
-    point checked against its own budget."""
+    budget (three_mode_budgets) and one stacked solve of the channel
+    kernels of the physical drifts (thermal_covariance), with every point
+    checked against its own budget."""
     if not ps:
         return []
     xi, n_o, n_m = _columns(ps, ("xi", "n_o", "n_m"))
@@ -853,11 +862,14 @@ def _duan(budget: ThreeModeBudget, xi, n_o: np.ndarray, n_m: np.ndarray) -> list
     """The Duan values at the occupancy columns n_o and n_m (P,), which
     are valid occupancies. ``budget`` is one scheme's, whose drift then
     serves every point, or a stack of P, point i with member i; ``xi`` is
-    that scheme's or one per point. Every point keeps its checks, the
+    that scheme's or one per point. The direct route reads V off the
+    thermal channel kernels of the physical drift (thermal_covariance),
+    which the state space keeps, so the batches of one grid solve them
+    once. Every point keeps its checks, the steady state's guards and the
     1e-8 agreement of the direct route with the budget included; the
     first failing point raises."""
     inputs = InputMoments.thermal(np.stack([n_o, n_m, n_m], axis=-1))
-    vq = steady_covariance(budget.physical, inputs).quadrature_matrix()
+    vq = thermal_covariance(budget.physical, inputs).quadrature_matrix()
     r = 1.0 / math.sqrt(2.0)
     # quadrature ordering (X1, X2, X3, Y1, Y2, Y3)
     x_sigma = _collective_variances(vq, {1: r, 2: r})
@@ -999,10 +1011,13 @@ def optimal_couplings(
     stacks), and a call forms only what depends on the coupling: the
     physical drifts, their frames, the budget solve and the sum rules,
     with every check of each. Each search visits the points it would
-    visit alone, so its result has the same bits. If the batch raises,
-    the searches are re-run one at a time, in order (batch_or_each), so
-    the first failing point raises its own error.
+    visit alone, so its result has the same bits. If a batch of several
+    searches raises, the searches are re-run one at a time, in order
+    (batch_or_each), so the first failing point raises its own error; a
+    lone search raises its error at once, without a second run.
     """
+    if len(points) == 1:
+        return _coupling_searches(points)
     return list(
         batch_or_each(points, _coupling_searches, lambda point: _coupling_searches([point])[0])
     )
@@ -1127,8 +1142,9 @@ def fig3_rows(p: ThreeModeParams, budget: ThreeModeBudget, n_o, n_m) -> list[tup
 
     ``budget`` is three_mode_budget(p). Its shares and physical state
     space depend on the scheme only, never on (n_o, n_m), so they serve
-    every row, and the rows are one batch: one drift with a thermal
-    source per row, each row checked against the budget.
+    every row, and the rows are one batch: one read of the thermal
+    channel kernels of the physical drift, solved once for every batch
+    of the grid, each row checked against the budget.
     """
     n_os, n_ms = _grid_columns(n_o, n_m)
     _check_columns(dict(n_o=_nonnegative, n_m=_nonnegative), (n_os, n_ms))

@@ -14,6 +14,20 @@ and its mirror: the doubled quadratic form that defines a quadrature
 variance, from which the mirror-odd part of V's forward error drops out.
 V itself is kept as solved.
 
+With thermal inputs V is linear in the occupancies: V = sum_j (n_j +
+1/2) S_j, where the channel kernel S_j solves the Lyapunov equation of
+the Hermitian source D (e_j e_j^H + e_{N+j} e_{N+j}^H) D^H and depends
+on the drift alone. thermal_covariance reads V that way: the N kernels
+are solved, with their residual checks, once per state space, which
+keeps them (StateSpace._thermal_kernels) for every later read, and each
+occupancy row only sums them. That is how a Duan grid (scenarios._duan)
+reads V, for the rows of one scheme or a stack of schemes. Each source
+is its own mirror, as V's is, so the summed V's mirror defect still
+witnesses the solve's error, and every row passes the structure and
+bona-fide guards of steady_covariance (one helper, _guarded_state, runs
+them for both) and, when read, the imaginary-leak guard of
+quadrature_matrix. The residual check runs per kernel, not per row.
+
 variance_decomposition splits a mode's variance over input channels
 using the commutator-budget shares. That split is exact for thermal
 inputs into passive networks, and for anomalous inputs only when the
@@ -21,10 +35,11 @@ doubled drift is real (then the phase-sensitive transfer collapses onto
 the same shares); outside those regimes it refuses rather than
 approximates.
 
-steady_covariance, min_variances, quadrature_variances,
-CovarianceState.mode_block, CovarianceState.quadrature_matrix and
-variance_decomposition also take stacks (see ``network``): every guard
-runs for every member, and the first failing one raises.
+steady_covariance, thermal_covariance, min_variances,
+quadrature_variances, CovarianceState.mode_block,
+CovarianceState.quadrature_matrix and variance_decomposition also take
+stacks (see ``network``): every guard runs for every member, and the
+first failing one raises.
 """
 
 from __future__ import annotations
@@ -143,8 +158,49 @@ def steady_covariance(ss: StateSpace, inputs: InputMoments) -> CovarianceState:
     q = ss.input @ inputs.noise_matrix() @ ss.input.conj().swapaxes(-2, -1)
     if ss.drift.ndim == 3:  # a stack of drifts takes one source each
         q = np.broadcast_to(q, ss.drift.shape)
-    v = ss._lyapunov.solve(q)
-    n = ss.n_modes
+    return _guarded_state(ss._lyapunov.solve(q), ss.n_modes)
+
+
+def thermal_covariance(ss: StateSpace, inputs: InputMoments) -> CovarianceState:
+    """steady_covariance for thermal inputs, read off the channel kernels.
+
+    With no anomalous moments V = sum_j (n_j + 1/2) S_j, where S_j solves
+    the Lyapunov equation of the Hermitian source
+    D (e_j e_j^H + e_{N+j} e_{N+j}^H) D^H and depends on the drift alone
+    (StateSpace._thermal_kernels: N sources, solved and residual-checked
+    once per state space and kept). A state space of one drift serves a
+    stack of P occupancy rows (P, N); a stack of P drifts takes one row,
+    or one row per drift. Each V is summed channel by channel, so a row
+    has the bits of its lone call, and it passes the structure and
+    bona-fide guards of steady_covariance (the first failing row raises
+    its own error). It agrees with steady_covariance's solve to roundoff.
+    Anomalous inputs raise ApplicabilityError.
+    """
+    if inputs.n_channels != ss.n_modes:
+        raise DimensionError(
+            f"{inputs.n_channels} input channels for {ss.n_modes} modes"
+        )
+    if np.any(inputs.anomalous):
+        raise ApplicabilityError("the channel kernels take thermal inputs only")
+    try:
+        np.broadcast_shapes(inputs.occupancy.shape[:-1], ss.drift.shape[:-2])
+    except ValueError:
+        raise DimensionError(
+            f"{inputs.occupancy.shape[:-1]} occupancy rows for drifts of shape "
+            f"{ss.drift.shape}"
+        ) from None
+    kernels = ss._thermal_kernels
+    weights = inputs.occupancy + 0.5
+    v = weights[..., 0, None, None] * kernels[..., 0, :, :]
+    for j in range(1, ss.n_modes):
+        v = v + weights[..., j, None, None] * kernels[..., j, :, :]
+    return _guarded_state(v, ss.n_modes)
+
+
+def _guarded_state(v: np.ndarray, n_modes: int) -> CovarianceState:
+    """The state of the steady covariance v (or a stack of them) once it
+    passes the structure and bona-fide guards of steady_covariance, each
+    over every member; the first failing member of a guard raises."""
     scale = np.maximum(1.0, np.abs(v).max(axis=(-2, -1)))
     defect = mirror_defect(v) / scale
     failed = first_failure(defect <= _STRUCTURE_LIMIT)
@@ -155,7 +211,7 @@ def steady_covariance(ss: StateSpace, inputs: InputMoments) -> CovarianceState:
             f"(limit {_STRUCTURE_LIMIT:.0e}); the drift is too ill-conditioned",
             estimate=worst,
         )
-    lowest = np.linalg.eigvalsh(v + 0.5 * metric(n))[..., 0]
+    lowest = np.linalg.eigvalsh(v + 0.5 * metric(n_modes))[..., 0]
     failed = first_failure(lowest >= -_BONA_FIDE_LIMIT * scale)
     if failed is not None:
         worst = float(lowest.flat[failed])
@@ -164,7 +220,7 @@ def steady_covariance(ss: StateSpace, inputs: InputMoments) -> CovarianceState:
             f"eigenvalue of V + sigma/2 is {worst:.3e}",
             estimate=worst,
         )
-    return CovarianceState(v=v, n_modes=ss.n_modes)
+    return CovarianceState(v=v, n_modes=n_modes)
 
 
 @dataclass(frozen=True)

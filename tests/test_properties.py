@@ -1,6 +1,6 @@
-"""Property tests of the frame-change path, of passivity and of the
-commutator budget over random network draws, and of the spectral route
-over random Lorentzians."""
+"""Property tests of the frame-change path, of passivity, of the
+commutator budget and of the thermal channel kernels over random network
+draws, and of the spectral route over random Lorentzians."""
 
 import dataclasses
 import math
@@ -23,8 +23,9 @@ from bosonet.network import (
     is_passive,
     passive_state_space,
 )
-from bosonet.steady import min_quadrature_variance, steady_covariance
-from bosonet.suites import random_network
+from bosonet.scenarios import three_mode_budget
+from bosonet.steady import min_quadrature_variance, steady_covariance, thermal_covariance
+from bosonet.suites import random_network, random_three_mode
 
 PROPERTY_SETTINGS = settings(
     max_examples=60, deadline=None, derandomize=True, database=None
@@ -159,6 +160,42 @@ def test_the_budget_bounds_the_noise_of_the_quietest_pair(seed, nonpassive):
         assert product >= floor * (1.0 - 1e-12)
         if not nonpassive:
             assert abs(product - floor) <= 1e-12 * floor
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, nonpassive=st.booleans())
+def test_the_channel_kernels_give_the_steady_covariance(seed, nonpassive):
+    # V = sum_j (n_j + 1/2) S_j with the kernels of the drift alone, for a
+    # stack of occupancy rows on one drift as for one row
+    rng = np.random.default_rng(seed)
+    spec = random_network(rng, max_modes=4, nonpassive=nonpassive)
+    rows = rng.exponential(2.0, size=(3, spec.n_modes))
+    ss = build_state_space(spec)
+    contracted = thermal_covariance(ss, InputMoments.thermal(rows)).v
+    direct = steady_covariance(ss, InputMoments.thermal(rows)).v
+    scale = np.maximum(1.0, np.abs(direct).max(axis=(-2, -1)))
+    assert np.all(np.abs(contracted - direct).max(axis=(-2, -1)) <= 1e-12 * scale)
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds)
+def test_the_kernels_split_the_duan_sum_by_channel(seed):
+    # On the pair (X_Sigma, P_Delta) of the three-mode scheme, channel j's
+    # Duan weight d_j = c_u^T S_j c_u + c_v^T S_j c_v (S_j its kernel in the
+    # quadrature basis) is the budget's: d_0 = eta_e e^(-2 xi) for the
+    # cavity, and d_1 + d_2 = mechanical for the two mechanical channels.
+    p = random_three_mode(np.random.default_rng(seed))
+    budget = three_mode_budget(p)
+    eye = np.eye(3)
+    q = np.block([[eye, eye], [-1j * eye, 1j * eye]]) / math.sqrt(2.0)
+    kernels = (q @ budget.physical._thermal_kernels @ q.conj().T).real
+    r = 1.0 / math.sqrt(2.0)
+    c_u = np.array([0.0, r, r, 0.0, 0.0, 0.0])  # X_Sigma
+    c_v = np.array([0.0, 0.0, 0.0, 0.0, r, -r])  # P_Delta
+    d = kernels @ c_u @ c_u + kernels @ c_v @ c_v
+    cavity = budget.eta_e * math.exp(-2.0 * p.xi)
+    assert abs(d[0] - cavity) <= 1e-12 * cavity
+    assert abs(d[1] + d[2] - budget.mechanical) <= 1e-12 * budget.mechanical
 
 
 @PROPERTY_SETTINGS

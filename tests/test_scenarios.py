@@ -762,33 +762,44 @@ class TestFig3Rows:
         assert len(calls) == 0
 
     def test_rows_share_one_physical_state_space(self, monkeypatch):
-        builds, solved = [], []
+        builds, read, solved = [], [], []
         real_build = scenarios.family_state_space
-        real_steady = scenarios.steady_covariance
+        real_read = scenarios.thermal_covariance
 
         def counting_build(*args):
             builds.append(args)
             return real_build(*args)
 
-        def recording_steady(ss, inputs):
-            solved.append((ss, inputs.occupancy.shape))
-            return real_steady(ss, inputs)
+        def recording_read(ss, inputs):
+            read.append((ss, inputs.occupancy.shape))
+            return real_read(ss, inputs)
 
         budget = three_mode_budget(THREE_MODE)
+        operator = budget.physical._lyapunov
+        real_solve = operator.solve
+
+        def recording_solve(q):
+            solved.append(np.shape(q))
+            return real_solve(q)
+
         monkeypatch.setattr(scenarios, "family_state_space", counting_build)
-        monkeypatch.setattr(scenarios, "steady_covariance", recording_steady)
+        monkeypatch.setattr(scenarios, "thermal_covariance", recording_read)
+        monkeypatch.setattr(operator, "solve", recording_solve)
         counts = []
         for side in (1, 5):
             builds.clear()
-            solved.clear()
+            read.clear()
             fig3_rows(THREE_MODE, budget, *self.grid(side))
             counts.append(len(builds))
-            # the grid is one steady-state solve on the shared drift, with a
-            # thermal source per row
-            assert len(solved) == 1
-            assert solved[0][0] is budget.physical
-            assert solved[0][1] == (side * side, 3)
+            # each grid is one read of the shared drift, with a thermal
+            # occupancy row per grid row
+            assert len(read) == 1
+            assert read[0][0] is budget.physical
+            assert read[0][1] == (side * side, 3)
         assert counts[0] == counts[1]
+        # both grids contract the kernels of one solve on the physical drift,
+        # one source per channel, not one per row
+        assert solved == [(3, 6, 6)]
 
     def test_rows_check_the_direct_route_against_the_budget(self):
         budget = three_mode_budget(THREE_MODE)
@@ -1217,6 +1228,46 @@ class TestPreparedSchemes:
         # it raised in a call of that one point
         assert {g for call in calls for g in call} & set(visits) == set(visits[:5])
         assert calls[-1] == [visits[4]]
+
+    def test_a_failing_lone_search_runs_once(self, monkeypatch):
+        # a lone search that raises is not run a second time before its
+        # error: the 21st visited coupling fails, whenever it is evaluated
+        real = scenarios.verify_sum_rules
+        real_budgets = scenarios._Schemes.budgets
+        visits, calls = [], []
+        scalar_optimal_coupling(1.0, 1.0, 0.01, 0.5, visits)
+        assert len(visits) > 21
+
+        def recording(schemes, g_script):
+            calls.append(np.asarray(g_script).tolist())
+            return real_budgets(schemes, g_script)
+
+        def failing_21st_visit(stack):
+            reports = real(stack)
+            if visits[20] in calls[-1]:
+                k = calls[-1].index(visits[20])
+                reports[k] = replace(
+                    reports[k], passed=False, completeness_residual=4e-8, metric_residual=1e-9
+                )
+            return reports
+
+        monkeypatch.setattr(scenarios._Schemes, "budgets", recording)
+        monkeypatch.setattr(scenarios, "verify_sum_rules", failing_21st_visit)
+        for search in (
+            lambda: optimal_coupling(1.0, 1.0, 0.01, 0.5),
+            lambda: optimal_couplings([(1.0, 1.0, 0.01, 0.5)])[0],
+        ):
+            calls.clear()
+            with pytest.raises(
+                NumericsError, match="^budget sum rules failed in the frame$"
+            ) as err:
+                search()
+            assert err.value.estimate == 4e-8
+            # every coupling visited before the failing one was evaluated
+            # exactly once, and the error came from a call of that one point
+            evaluated = [g for call in calls for g in call]
+            assert [evaluated.count(g) for g in visits[:20]] == [1] * 20
+            assert calls[-1] == [visits[20]]
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_k_stacks_have_the_bits_of_each_stack(self, count):

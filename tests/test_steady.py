@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from bosonet.budget import compute_budget
-from bosonet.errors import ApplicabilityError, NumericsError, StabilityError, ValidationError
+from bosonet.errors import (
+    ApplicabilityError,
+    DimensionError,
+    NumericsError,
+    StabilityError,
+    ValidationError,
+)
 from bosonet.network import (
     BathSpec,
     InputMoments,
@@ -27,6 +33,7 @@ from bosonet.steady import (
     quadrature_variance,
     quadrature_variances,
     steady_covariance,
+    thermal_covariance,
     variance_decomposition,
 )
 from bosonet.scenarios import TwoModeParams, two_mode_network
@@ -511,3 +518,120 @@ class TestMirrorOddError:
                 ]
                 for gap in gaps:
                     assert np.all(gap <= tol)
+
+
+class TestThermalCovariance:
+    """Thermal inputs read V off the channel kernels of the drift, with the
+    guards of steady_covariance."""
+
+    def test_a_stack_of_rows_on_one_drift(self):
+        ss, _ = bs_system()
+        rows = InputMoments.thermal([[0.0, 2.0], [1.0, 0.5], [3.0, 0.0]])
+        stacked = thermal_covariance(ss, rows)
+        assert stacked.v.shape == (3, 4, 4)
+        for k in range(3):
+            inputs = InputMoments.thermal(rows.occupancy[k])
+            single = thermal_covariance(ss, inputs)
+            assert stacked.v[k].tobytes() == single.v.tobytes()
+            direct = steady_covariance(ss, inputs).v
+            assert np.abs(single.v - direct).max() <= 1e-14 * np.abs(direct).max()
+
+    def test_a_stack_of_drifts(self):
+        specs = TestStackedStates.SPECS
+        ss = build_state_spaces(specs)
+        rows = InputMoments.thermal([[0.0, 2.0], [1.0, 0.5], [3.0, 0.0]])
+        stacked = thermal_covariance(ss, rows)
+        for k, spec in enumerate(specs):
+            single = thermal_covariance(
+                build_state_space(spec), InputMoments.thermal(rows.occupancy[k])
+            )
+            assert stacked.v[k].tobytes() == single.v.tobytes()
+        # one row serves every drift
+        shared = thermal_covariance(ss, InputMoments.thermal([0.5, 1.0]))
+        assert shared.v.shape == (3, 4, 4)
+
+    def test_the_kernels_are_solved_once(self, monkeypatch):
+        ss, _ = bs_system()
+        solved = []
+        real = ss._lyapunov.solve
+
+        def recording(q):
+            solved.append(np.shape(q))
+            return real(q)
+
+        monkeypatch.setattr(ss._lyapunov, "solve", recording)
+        for rows in ([0.0, 2.0], [[1.0, 0.5], [3.0, 0.0]]):
+            thermal_covariance(ss, InputMoments.thermal(rows))
+        # one Hermitian source per channel, whatever the rows
+        assert solved == [(2, 4, 4)]
+        assert not ss._thermal_kernels.flags.writeable
+
+    def test_the_marginal_network_is_refused_as_by_the_solve(self):
+        for gamma in (1e-6, 1e-8):
+            ss, inputs = TestDoubledStructureGuard.near_marginal(gamma)
+            v = thermal_covariance(ss, inputs).v
+            direct = steady_covariance(ss, inputs).v
+            assert np.abs(v - direct).max() <= 1e-12 * np.abs(direct).max()
+        for gamma in (1e-10, 1e-12):
+            ss, inputs = TestDoubledStructureGuard.near_marginal(gamma)
+            with pytest.raises(NumericsError, match="doubled structure") as contracted:
+                thermal_covariance(ss, inputs)
+            with pytest.raises(NumericsError) as solved:
+                steady_covariance(ss, inputs)
+            assert contracted.value.estimate > 1e-6
+            assert contracted.value.estimate == pytest.approx(solved.value.estimate, rel=1e-6)
+
+    def test_the_first_failing_row_raises_its_own_error(self):
+        # accurate, swamped at 1e-12, swamped at 1e-10: the 1e-12 row raises
+        specs = [TestDoubledStructureGuard.spec(g) for g in (1e-6, 1e-12, 1e-10)]
+        rows = InputMoments.thermal([[0.087, 0.0]] * 3)
+        errors = []
+        for spec in specs[1:]:
+            with pytest.raises(NumericsError) as alone:
+                thermal_covariance(build_state_space(spec), InputMoments.from_baths(spec))
+            errors.append(alone.value)
+        assert errors[0].estimate != errors[1].estimate
+        with pytest.raises(NumericsError) as stacked:
+            thermal_covariance(build_state_spaces(specs), rows)
+        assert str(stacked.value) == str(errors[0])
+        assert stacked.value.estimate == errors[0].estimate
+
+    def test_inputs_it_does_not_take(self):
+        ss, _ = bs_system()
+        with pytest.raises(ApplicabilityError, match="thermal inputs only"):
+            thermal_covariance(ss, InputMoments(np.array([1.0, 0.0]), np.array([0.5, 0.0])))
+        with pytest.raises(DimensionError, match="3 input channels for 2 modes"):
+            thermal_covariance(ss, InputMoments.thermal([0.0, 0.0, 0.0]))
+        stack = build_state_spaces(TestStackedStates.SPECS)
+        with pytest.raises(DimensionError, match="occupancy rows"):
+            thermal_covariance(stack, InputMoments.thermal([[0.0, 1.0], [1.0, 0.0]]))
+
+
+class TestForwardErrorBound:
+    """||E||_2 <= ||R||_2 ||P||_2 for the error E of a solved V, where R =
+    A V + V A^H + Q is its residual and P solves A P + P A^H + I = 0
+    (Hewer and Kenney, SIAM J. Control Optim. 26, 321 (1988)). A mode's
+    least variance is a minimum over unit-vector forms of V, so its error
+    is at most ||E||_2."""
+
+    @pytest.mark.parametrize("xi", [3.0, 4.5, 5.0, 6.0])
+    def test_the_bound_covers_each_modes_variance_error(self, xi):
+        # fig1's family at equal damping gamma = 1 with vacuum inputs, G = 50:
+        # each mode's least variance is (G^2 (1 + e^(-2 xi)) + 1/2) / (4 G^2 + 1)
+        g_script = 50.0
+        spec = two_mode_network(TwoModeParams(
+            g_plus=g_script * math.sinh(xi), g_minus=g_script * math.cosh(xi),
+            gamma1=1.0, gamma2=1.0,
+        ))
+        ss, inputs = build_state_space(spec), InputMoments.from_baths(spec)
+        state = steady_covariance(ss, inputs)
+        a, v = ss.drift, state.v
+        q = ss.input @ inputs.noise_matrix() @ ss.input.conj().T
+        residual = a @ v + v @ a.conj().T + q
+        p = ss._lyapunov.solve(np.eye(4, dtype=complex))
+        bound = np.linalg.norm(residual, 2) * np.linalg.norm(p, 2)
+        g2 = g_script * g_script
+        exact = (g2 * (1.0 + math.exp(-2.0 * xi)) + 0.5) / (4.0 * g2 + 1.0)
+        for mode in (0, 1):
+            error = abs(float(min_variances(state, mode)) - exact)
+            assert bound >= error
