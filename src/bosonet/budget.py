@@ -21,7 +21,6 @@ from .linalg import (
     QUADRATURE_ABS_TOL,
     first_failure,
     integrate_spectra,
-    integrate_spectrum,
     require_abs_tol,
     # not called here: bench/selftest.py finds the tracer's wrapper of
     # solve_lyapunov under this name, as an import into another layer
@@ -149,14 +148,14 @@ def budget_via_spectrum(
     resonances are not stepped over; a resonance too narrow for the
     frequency map raises NumericsError (see integrate_spectrum).
 
-    A stacked state space (see ``network``) gives a stack of budgets, as
-    compute_budget does: its members are integrated in lockstep by
-    integrate_spectra, and member i has the bits of budget_via_spectrum
-    of drift i alone. Every drift is checked for stability, in order,
+    Every state space goes through integrate_spectra, a single one as a
+    stack of one member. A stacked state space (see ``network``) gives a
+    stack of budgets, as compute_budget does: its members are integrated
+    in lockstep, and member i has the bits of budget_via_spectrum of
+    drift i alone. Every drift is checked for stability, in order,
     before any panel is evaluated, by the state space's Lyapunov
     operator: after compute_budget of the same state space the poles
-    are the spectra of that solve's factors. A single state space goes
-    through integrate_spectrum.
+    are the spectra of that solve's factors.
     """
     require_abs_tol(abs_tol)
     for name, m in (("drift", ss.drift), ("input", ss.input)):
@@ -185,14 +184,8 @@ def budget_via_spectrum(
         signed, x = x * [1.0, -1.0], x.conj()
         return signed @ x.swapaxes(-2, -1)
 
-    if ss.drift.ndim == 2:
-        half_line = integrate_spectrum(
-            lambda omegas: kernel(np.zeros(len(omegas), dtype=int), omegas),
-            abs_tol=0.5 * abs_tol,
-            poles=spectra[0],
-        )
-    else:
-        half_line = integrate_spectra(kernel, 0.5 * abs_tol, spectra)
+    half_line = integrate_spectra(kernel, 0.5 * abs_tol, spectra)
+    half_line = half_line.reshape(ss.drift.shape[:-2] + half_line.shape[1:])
     ws = half_line - mirrored(half_line)
     gammas = np.broadcast_to(ss.gammas, ss.drift.shape[:-2] + (n,))
     return _budget_from_kernels(ws, gammas, passive_drifts(ss))

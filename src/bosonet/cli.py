@@ -149,7 +149,8 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-# Largest grid COUNT accepted; checked before any grid is allocated.
+# Largest grid COUNT accepted, and largest n_o x n_m product of a boundary
+# grid; each is checked before that grid is allocated.
 MAX_GRID_COUNT = 1_000_000
 # Most grid points evaluated as one batch; it bounds the stacked arrays of
 # a batch to a few MB whatever the grid size.
@@ -354,18 +355,23 @@ def cmd_boundary(args) -> int:
         grids[var] = values
     if set(grids) != {"n_o", "n_m"}:
         raise ValidationError("boundary needs one n_o grid and one n_m grid")
+    count = len(grids["n_o"]) * len(grids["n_m"])
+    if count > MAX_GRID_COUNT:
+        raise ValidationError(
+            f"the n_o x n_m grid must have at most {MAX_GRID_COUNT} points, got {count}"
+        )
     # one frame budget serves the line and every row; nothing is written
     # until all of them, and the coupling search, have succeeded
     budget = three_mode_budget(params)
     line = separability_boundary(params, budget)
     # the scheme is mirror-symmetric in omega, so the search runs at |omega|
     opt = optimal_coupling(params.kappa, abs(params.omega), params.gamma_m, params.xi)
-    # the grid in row order, n_o the outer loop
-    grid = [(n_o, n_m) for n_o in grids["n_o"] for n_m in grids["n_m"]]
+    # the grid's columns in row order, n_o the outer loop
+    n_os, n_ms = (c.ravel() for c in np.meshgrid(grids["n_o"], grids["n_m"], indexing="ij"))
     rows = []
-    for start in range(0, len(grid), GRID_CHUNK):
-        n_os, n_ms = zip(*grid[start : start + GRID_CHUNK])
-        rows.extend(fig3_rows(params, budget, n_os, n_ms))
+    for start in range(0, n_os.size, GRID_CHUNK):
+        chunk = slice(start, start + GRID_CHUNK)
+        rows.extend(fig3_rows(params, budget, n_os[chunk], n_ms[chunk]))
     payload = {
         "boundary": {
             "slope": line.slope,

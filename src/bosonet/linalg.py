@@ -255,19 +255,6 @@ class LyapunovOperator:
         self._vals = None
         self._factors = None
 
-    def __getitem__(self, members) -> "LyapunovOperator":
-        """The operator of the drifts ``members`` (an index array or a
-        mask over the stack), holding what this one has formed for them."""
-        sub = LyapunovOperator(self.drifts[members])
-        if self._uncertified is not None:
-            sub._uncertified = self._uncertified[members]
-        if self._vals is not None:
-            sub._vals = self._vals[members]
-        if self._factors is not None:
-            sub._factors = tuple(x[members] for x in self._factors)
-        sub._stable = self._stable
-        return sub
-
     @property
     def uncertified(self) -> np.ndarray:
         """The mask (P,) of the drifts the Hermitian-part bound leaves
@@ -707,10 +694,11 @@ def _panel_plans(poles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     around any of its panels: the ellipse with foci lo and hi whose sum
     of focal distances is (rho + 1/rho) (hi - lo) / 2. Outside it the
     mapped integrand is analytic, so the Gauss-Kronrod error estimate of
-    the panel can be trusted. Both preimages count, because the map is
-    two-to-one: a narrow pole at omega = -700 also sits just beyond
-    t = 1, next to the panels that hold omega -> +infinity. A member
-    whose plan exceeds QUADRATURE_MAX_PANELS raises NumericsError.
+    the panel can be trusted (Trefethen, SIAM Review 50, 67 (2008)). Both
+    preimages count, because the map is two-to-one: a narrow pole at
+    omega = -700 also sits just beyond t = 1, next to the panels that
+    hold omega -> +infinity. A member whose plan exceeds
+    QUADRATURE_MAX_PANELS raises NumericsError.
 
     Outside the ellipses the estimate holds whatever the panel width, so
     a smooth stretch needs no floor of uniform panels: the refinement

@@ -41,16 +41,16 @@ use the same slots and amplitudes, so a family's drift has their bytes.
 The fig2 quadrature blocks come from the same columns.
 
 three_mode_budgets returns one stacked ThreeModeBudget, and the Duan
-values of a stack of schemes or of one scheme's occupancy columns come
-from one evaluation of that record, whose physical state space keeps
-the thermal channel kernels the direct route sums (steady's
-thermal_covariance). fig3_rows broadcasts its
-occupancies as fig1_rows and fig2_rows do. optimal_couplings runs its
-coupling searches in lockstep, reading eta_e off one stacked frame
-budget of the couplings every search is handed per golden-section call
-(a lone search is handed the tree of its next three steps), and
-optimal_coupling is its one-point call; a lone search that fails raises
-at once, without the replay a batch of searches takes.
+values of a stack of schemes or of one scheme's occupancy columns come,
+as value columns, from one evaluation of that record (_duan), whose
+physical state space keeps the thermal channel kernels the direct route
+sums (steady's thermal_covariance). fig3_rows zips its rows from those
+columns and broadcasts its occupancies as fig1_rows and fig2_rows do.
+optimal_couplings runs its coupling searches in lockstep, reading eta_e
+off one stacked frame budget of the couplings every search is handed
+per golden-section call (a lone search is handed the tree of its next
+three steps), and optimal_coupling is its one-point call; a lone search
+that fails raises at once, without the replay a batch of searches takes.
 """
 
 from __future__ import annotations
@@ -855,19 +855,29 @@ def duan_quantities(ps: Sequence[ThreeModeParams]) -> list[DuanResult]:
     if not ps:
         return []
     xi, n_o, n_m = _columns(ps, ("xi", "n_o", "n_m"))
-    return _duan(three_mode_budgets(ps), xi, n_o, n_m)
+    direct, budget, quiet = _duan(three_mode_budgets(ps), xi, n_o, n_m)
+    return [
+        DuanResult(
+            direct=value,
+            budget=total,
+            entangled=value < 1.0,
+            pairing="x_sigma_p_delta" if first else "p_sigma_x_delta",
+        )
+        for value, total, first in zip(direct.tolist(), budget.tolist(), quiet.tolist())
+    ]
 
 
-def _duan(budget: ThreeModeBudget, xi, n_o: np.ndarray, n_m: np.ndarray) -> list[DuanResult]:
-    """The Duan values at the occupancy columns n_o and n_m (P,), which
-    are valid occupancies. ``budget`` is one scheme's, whose drift then
-    serves every point, or a stack of P, point i with member i; ``xi`` is
-    that scheme's or one per point. The direct route reads V off the
-    thermal channel kernels of the physical drift (thermal_covariance),
-    which the state space keeps, so the batches of one grid solve them
-    once. Every point keeps its checks, the steady state's guards and the
-    1e-8 agreement of the direct route with the budget included; the
-    first failing point raises."""
+def _duan(budget: ThreeModeBudget, xi, n_o: np.ndarray, n_m: np.ndarray) -> tuple:
+    """The columns (P,) of the direct Duan value, the budget value and
+    whether (X_Sigma, P_Delta) is the quieter pairing, at the occupancy
+    columns n_o and n_m (P,), which are valid occupancies. ``budget`` is
+    one scheme's, whose drift then serves every point, or a stack of P,
+    point i with member i; ``xi`` is that scheme's or one per point. The
+    direct route reads V off the thermal channel kernels of the physical
+    drift (thermal_covariance), which the state space keeps, so the
+    batches of one grid solve them once. Every point keeps its checks,
+    the steady state's guards and the 1e-8 agreement of the direct route
+    with the budget included; the first failing point raises."""
     inputs = InputMoments.thermal(np.stack([n_o, n_m, n_m], axis=-1))
     vq = thermal_covariance(budget.physical, inputs).quadrature_matrix()
     r = 1.0 / math.sqrt(2.0)
@@ -889,17 +899,7 @@ def _duan(budget: ThreeModeBudget, xi, n_o: np.ndarray, n_m: np.ndarray) -> list
             "direct and budget routes disagree on the Duan quantity",
             estimate=float(gap[failed]),
         )
-    return [
-        DuanResult(
-            direct=value,
-            budget=total,
-            entangled=value < 1.0,
-            pairing="x_sigma_p_delta" if quiet else "p_sigma_x_delta",
-        )
-        for value, total, quiet in zip(
-            direct.tolist(), budget_value.tolist(), quiet.tolist()
-        )
-    ]
+    return direct, budget_value, quiet
 
 
 @dataclass(frozen=True)
@@ -1150,7 +1150,7 @@ def fig3_rows(p: ThreeModeParams, budget: ThreeModeBudget, n_o, n_m) -> list[tup
     _check_columns(dict(n_o=_nonnegative, n_m=_nonnegative), (n_os, n_ms))
     if not n_os.size:
         return []
-    return [
-        (a, b, result.direct, result.budget, result.entangled)
-        for a, b, result in zip(n_os.tolist(), n_ms.tolist(), _duan(budget, p.xi, n_os, n_ms))
-    ]
+    direct, total, _ = _duan(budget, p.xi, n_os, n_ms)
+    return list(zip(
+        n_os.tolist(), n_ms.tolist(), direct.tolist(), total.tolist(), (direct < 1.0).tolist()
+    ))

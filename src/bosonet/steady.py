@@ -39,7 +39,9 @@ steady_covariance, thermal_covariance, min_variances,
 quadrature_variances, CovarianceState.mode_block,
 CovarianceState.quadrature_matrix and variance_decomposition also take
 stacks (see ``network``): every guard runs for every member, and the
-first failing one raises.
+first failing one raises. CovarianceState.nu, CovarianceState.mu,
+min_quadrature_variance and quadrature_variance read one state and
+refuse a stack with DimensionError.
 """
 
 from __future__ import annotations
@@ -71,7 +73,8 @@ _BONA_FIDE_LIMIT = 1e-9
 @dataclass(frozen=True, eq=False)
 class CovarianceState:
     """Stationary symmetrized covariance in the doubled basis; ``v`` may be
-    a stack (P, 2N, 2N), which nu and mu do not take. ``v`` is kept as
+    a stack (P, 2N, 2N), which nu and mu refuse with DimensionError (as
+    do min_quadrature_variance and quadrature_variance). ``v`` is kept as
     solved; each per-mode read is the mirror mean of _moments."""
 
     v: np.ndarray
@@ -79,11 +82,11 @@ class CovarianceState:
 
     def nu(self, mode: int) -> float:
         """Symmetrized number moment <{a, adag}>/2 of one mode."""
-        return float(self._moments(mode)[0])
+        return float(self._single_moments(mode, "nu")[0])
 
     def mu(self, mode: int) -> complex:
         """Anomalous moment <a a> of one mode."""
-        return complex(self._moments(mode)[1])
+        return complex(self._single_moments(mode, "mu")[1])
 
     def mode_block(self, mode: int) -> np.ndarray:
         """2x2 (X, Y) covariance of one mode at theta = 0 (of each member
@@ -131,6 +134,18 @@ class CovarianceState:
         # [()] makes numpy scalars of a single state's 0-d entries
         nu = 0.5 * (self.v[..., j, j].real + self.v[..., k, k].real)[()]
         mu = 0.5 * (self.v[..., j, k] + self.v[..., k, j].conj())[()]
+        return nu, mu
+
+    def _single_moments(self, mode: int, reader: str) -> tuple[np.generic, np.generic]:
+        """_moments of a single state, for ``reader``, which reads one
+        state: the one check of nu, mu, min_quadrature_variance and
+        quadrature_variance. A stack raises DimensionError."""
+        nu, mu = self._moments(mode)
+        if np.ndim(nu):
+            raise DimensionError(
+                f"{reader} reads one state, not a stack of {np.size(nu)}; "
+                "min_variances, quadrature_variances and mode_block take stacks"
+            )
         return nu, mu
 
 
@@ -233,6 +248,7 @@ class QuadratureVariance:
 def quadrature_variance(state: CovarianceState, mode: int, theta: float) -> float:
     """Variance of X_mode(theta) from the mode's 2x2 quadrature block:
     the one-angle call of quadrature_variances."""
+    state._single_moments(mode, "quadrature_variance")
     return float(quadrature_variances(state, mode, [theta])[0])
 
 
@@ -272,7 +288,7 @@ def min_quadrature_variance(state: CovarianceState, mode: int) -> QuadratureVari
     accuracy, and its angle is reported as 0 rather than read from the
     phase of roundoff.
     """
-    nu, mu = state._moments(mode)
+    nu, mu = state._single_moments(mode, "min_quadrature_variance")
     nu, mu = float(nu), complex(mu)
     if abs(mu) <= LYAPUNOV_RESIDUAL_TOL * nu:
         theta = 0.0

@@ -17,11 +17,12 @@ and then evaluate the draws in batches, one stack per mode count (see
 _batched); every per-draw check still runs on every draw, in draw
 order, and a batch that raises is replayed draw by draw
 (linalg.batch_or_each). sum_rules checks each group's stacked budget in
-one verify_sum_rules call, and route_agreement solves both of its routes
-per group: one stacked budget solve and one lockstep quadrature
-(linalg.integrate_spectra). boundary_flip draws as it goes (its
-rejection step needs each line before the next draw), so it stays per
-draw. The g_opt searches run in lockstep, one stack of all ten per step
+one verify_sum_rules call and its stacked state space in one
+check_physical_realizability call, and route_agreement solves both of
+its routes per group: one stacked budget solve and one lockstep
+quadrature (linalg.integrate_spectra). boundary_flip draws as it goes
+(its rejection step needs each line before the next draw), so it stays
+per draw. The g_opt searches run in lockstep, one stack of all ten per step
 (optimal_couplings).
 """
 
@@ -37,6 +38,7 @@ from .network import (
     CouplingTerm,
     InputMoments,
     NetworkSpec,
+    StateSpace,
     beam_splitter,
     build_state_space,
     build_state_spaces,
@@ -184,14 +186,11 @@ def _budgets(specs: list[NetworkSpec]) -> list:
 
 def _sum_rule_checks(specs: list[NetworkSpec]) -> list:
     """(realizability report, sum-rule report) of each network of one mode
-    count, from one stacked build, one stacked budget solve and one
-    stacked sum-rule check."""
+    count, from one stacked build, one stacked budget solve, one stacked
+    sum-rule check and one stacked realizability check."""
     ss = build_state_spaces(specs)
     reports = verify_sum_rules(compute_budget(ss))
-    return [
-        (check_physical_realizability(member), rules)
-        for member, rules in zip(ss.members(), reports)
-    ]
+    return list(zip(check_physical_realizability(ss), reports))
 
 
 def suite_sum_rules(rng: np.random.Generator, tol: float | None = None) -> SuiteResult:
@@ -486,11 +485,10 @@ _SPLIT_ANGLES = np.linspace(0.0, math.pi, 8, endpoint=False)
 def _steady_checks(draws: list) -> list[tuple]:
     """The checks of suite_steady_physics on draws (spec, occupancies) of
     one mode count, as one batch: one stacked steady solve, and one
-    stacked budget solve for the passive draws with the steady solve's
-    factors of those drifts (StateSpace._select). Per draw: the least
-    covariance eigenvalue, each mode's Heisenberg product and minimality
-    gap against the 64-angle scan, and for a passive draw the largest
-    split difference over the 8 angles (None otherwise)."""
+    stacked budget solve of the state space of the passive draws. Per
+    draw: the least covariance eigenvalue, each mode's Heisenberg product
+    and minimality gap against the 64-angle scan, and for a passive draw
+    the largest split difference over the 8 angles (None otherwise)."""
     ss = build_state_spaces([spec for spec, _ in draws])
     inputs = InputMoments.thermal([occupancy for _, occupancy in draws])
     cov = steady_covariance(ss, inputs)
@@ -507,7 +505,7 @@ def _steady_checks(draws: list) -> list[tuple]:
     splits = [None] * len(draws)
     passive = passive_drifts(ss)
     if passive.any():
-        sub = ss._select(passive)
+        sub = StateSpace(ss.drift[passive], ss.input[passive], ss.n_modes)
         sub_inputs = InputMoments.thermal(inputs.occupancy[passive])
         budget = compute_budget(sub)
         split = np.stack(

@@ -9,10 +9,11 @@ the checker's 1e-10 fails here as well as in the benchmark. Only
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bosonet.cli
-from bosonet import budget, linalg
+from bosonet import linalg
 from bosonet.network import BathSpec, NetworkSpec, beam_splitter, build_state_space, detuning
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -32,12 +33,15 @@ workloads = _bench_module("workloads")
 
 
 def _cases():
-    # every command of seed 0, and every grids command of the other nine
+    # every command of seed 0, every grids command of the other nine
     # seeds: the boundary digits (eta_e, slope, intercept) are the outputs
     # most sensitive to how the frame shares are summed, and the fig1 and
-    # fig2 sweeps pin the batched grids
+    # fig2 sweeps pin the batched grids; and every analyze command of the
+    # other nine ladder_verify seeds (their verify runs set 0's seed)
     sets = [("grids-0-full", None), ("ladder_verify-0-full", None)]
     sets += [(f"grids-{seed}-full", ("fig1", "fig2", "boundary")) for seed in range(1, 10)]
+    analyze = tuple(f"analyze_{size}" for size in ("n2", "n4", "n8", "n12", "n16", "ep"))
+    sets += [(f"ladder_verify-{seed}-full", analyze) for seed in range(1, 10)]
     for ref_name, only in sets:
         refs = capture.load(BENCH / "refs" / f"{ref_name}.json.gz")
         for command in refs["commands"]:
@@ -74,10 +78,17 @@ def test_tracer_counts_every_quadrature_node(monkeypatch):
             [beam_splitter(0.4, 0, 1), detuning(30.0, 0), detuning(30.0, 1)],
         )
     )
+    eye = np.eye(2 * ss.n_modes)
+
+    def resolvent(omegas):
+        # T T^H with T = (-i omega - A)^-1 D: its poles are the drift's
+        t = np.linalg.solve(-1j * omegas[:, None, None] * eye - ss.drift, ss.input)
+        return t @ t.conj().swapaxes(-2, -1)
+
     traced = tracer.Tracer()
     traced.install()
     try:
-        budget.budget_via_spectrum(ss)
+        linalg.integrate_spectrum(resolvent, poles=linalg.eigenvalues(ss.drift))
     finally:
         traced.uninstall()
     table, counters = traced.take()

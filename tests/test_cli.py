@@ -781,6 +781,30 @@ class TestBoundary:
         assert not (tmp_path / "b.json").exists()
         assert not (tmp_path / "b.csv").exists()
 
+    def test_oversized_grid_product_is_refused_before_any_work(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # each grid is legal alone, their 4 x 4 product is not
+        from bosonet import cli, scenarios
+
+        monkeypatch.setattr(cli, "MAX_GRID_COUNT", 15)
+        budgets = []
+        real_budget = scenarios.three_mode_budget
+        monkeypatch.setattr(
+            scenarios, "three_mode_budget", lambda p: budgets.append(p) or real_budget(p)
+        )
+        code = cli.main([
+            "boundary", "--g-script", "1", "--xi", "0.5", "--grid", "n_o:0:1:4",
+            "--grid", "n_m:0:1:4", "--out", str(tmp_path / "b.json"),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: the n_o x n_m grid must have at most 15 points, got 16\n"
+        )
+        assert budgets == []
+        assert not (tmp_path / "b.json").exists()
+        assert not (tmp_path / "b.csv").exists()
+
     def test_negative_occupancy_writes_nothing(self, tmp_path):
         proc = run_cli(
             "boundary", "--g-script", "1", "--xi", "0.5", "--grid", "n_o:-1:1:3",

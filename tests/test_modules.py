@@ -172,11 +172,10 @@ def test_only_the_lyapunov_operator_factors_drifts():
         ("linalg.py", None, "require_stable"),
         ("linalg.py", None, "_stable_spectra"),
     }
-    # an operator is made by solve_lyapunov, by slicing one, and by the
-    # state space that holds the operator of its drift
+    # an operator is made by solve_lyapunov and by the state space that
+    # holds the operator of its drift
     assert sites["LyapunovOperator"] == {
         ("linalg.py", None, "solve_lyapunov"),
-        ("linalg.py", "LyapunovOperator", "__getitem__"),
         ("network.py", "StateSpace", "_lyapunov"),
     }
 

@@ -31,6 +31,7 @@ from bosonet.network import (
     passive_state_space,
     two_mode_squeeze,
 )
+from bosonet.suites import random_network
 
 
 def single_mode(gamma=1.0):
@@ -348,6 +349,25 @@ class TestRealizability:
         drift = ss.drift.copy()
         drift[0, 1] = math.nan
         assert not check_physical_realizability(dataclasses.replace(ss, drift=drift)).passed
+
+    @pytest.mark.parametrize("count", [4, 3], ids=["P=2N", "P!=2N"])
+    def test_a_stack_gets_the_report_of_each_member(self, count):
+        # four two-mode draws: a transpose of the whole stack reported
+        # residual 4.02 and failed; three raised a broadcasting ValueError
+        rng = np.random.default_rng(3)
+        specs = [random_network(rng, max_modes=2) for _ in range(12)]
+        specs = [spec for spec in specs if spec.n_modes == 2][:count]
+        assert len(specs) == count
+        ss = build_state_spaces(specs)
+        assert ss.drift.shape == (count, 4, 4)
+        reports = check_physical_realizability(ss)
+        assert reports == [check_physical_realizability(member) for member in ss.members()]
+        assert all(report.passed for report in reports)
+        # a broken member fails alone
+        inputs = ss.input.copy()
+        inputs[1, 0, 0] *= 1.1
+        reports = check_physical_realizability(dataclasses.replace(ss, input=inputs))
+        assert [report.passed for report in reports] == [k != 1 for k in range(count)]
 
 
 class TestPassivity:

@@ -459,6 +459,26 @@ class TestStackedStates:
                 assert grid[k].tolist() == [float(v) for v in loop]
                 assert grid[k].tolist() == [quadrature_variance(single, mode, t) for t in angles]
 
+    @pytest.mark.parametrize(
+        "reader",
+        [
+            lambda state: state.nu(1),
+            lambda state: state.mu(1),
+            lambda state: min_quadrature_variance(state, 1),
+            lambda state: quadrature_variance(state, 1, 0.3),
+        ],
+        ids=["nu", "mu", "min_quadrature_variance", "quadrature_variance"],
+    )
+    def test_single_state_readers_refuse_a_stack(self, reader):
+        inputs = InputMoments.thermal([[0.0, 2.0], [1.0, 0.5], [3.0, 0.0]])
+        stacked = steady_covariance(build_state_spaces(self.SPECS), inputs)
+        with pytest.raises(
+            DimensionError, match="min_variances, quadrature_variances and mode_block take stacks"
+        ):
+            reader(stacked)
+        # each member, read as a single state, still answers
+        reader(CovarianceState(v=stacked.v[2], n_modes=2))
+
 
 class TestMirrorOddError:
     """The exact V is its own mirror Sigma_x conj(V) Sigma_x. Every per-mode
