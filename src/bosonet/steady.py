@@ -82,11 +82,11 @@ class CovarianceState:
 
     def nu(self, mode: int) -> float:
         """Symmetrized number moment <{a, adag}>/2 of one mode."""
-        return float(self._single_moments(mode, "nu")[0])
+        return float(_single(self._moments(mode)[0], "nu"))
 
     def mu(self, mode: int) -> complex:
         """Anomalous moment <a a> of one mode."""
-        return complex(self._single_moments(mode, "mu")[1])
+        return complex(_single(self._moments(mode)[1], "mu"))
 
     def mode_block(self, mode: int) -> np.ndarray:
         """2x2 (X, Y) covariance of one mode at theta = 0 (of each member
@@ -136,17 +136,17 @@ class CovarianceState:
         mu = 0.5 * (self.v[..., j, k] + self.v[..., k, j].conj())[()]
         return nu, mu
 
-    def _single_moments(self, mode: int, reader: str) -> tuple[np.generic, np.generic]:
-        """_moments of a single state, for ``reader``, which reads one
-        state: the one check of nu, mu, min_quadrature_variance and
-        quadrature_variance. A stack raises DimensionError."""
-        nu, mu = self._moments(mode)
-        if np.ndim(nu):
-            raise DimensionError(
-                f"{reader} reads one state, not a stack of {np.size(nu)}; "
-                "min_variances, quadrature_variances and mode_block take stacks"
-            )
-        return nu, mu
+
+def _single(value, reader: str):
+    """The ``value`` that ``reader`` read off one state: the one check of
+    nu, mu, min_quadrature_variance and quadrature_variance. A value read
+    off a stack of states (an array) raises DimensionError."""
+    if value.ndim:
+        raise DimensionError(
+            f"{reader} reads one state, not a stack of {value.size}; "
+            "min_variances, quadrature_variances and mode_block take stacks"
+        )
+    return value
 
 
 def steady_covariance(ss: StateSpace, inputs: InputMoments) -> CovarianceState:
@@ -248,8 +248,7 @@ class QuadratureVariance:
 def quadrature_variance(state: CovarianceState, mode: int, theta: float) -> float:
     """Variance of X_mode(theta) from the mode's 2x2 quadrature block:
     the one-angle call of quadrature_variances."""
-    state._single_moments(mode, "quadrature_variance")
-    return float(quadrature_variances(state, mode, [theta])[0])
+    return float(_single(quadrature_variances(state, mode, [theta])[..., 0], "quadrature_variance"))
 
 
 def _require_finite_angle(theta) -> None:
@@ -288,8 +287,8 @@ def min_quadrature_variance(state: CovarianceState, mode: int) -> QuadratureVari
     accuracy, and its angle is reported as 0 rather than read from the
     phase of roundoff.
     """
-    nu, mu = state._single_moments(mode, "min_quadrature_variance")
-    nu, mu = float(nu), complex(mu)
+    nu, mu = state._moments(mode)
+    nu, mu = float(_single(nu, "min_quadrature_variance")), complex(mu)
     if abs(mu) <= LYAPUNOV_RESIDUAL_TOL * nu:
         theta = 0.0
     else:
