@@ -18,6 +18,10 @@ Importing this module loads only the core layers, which ``analyze``
 needs. ``sweep`` and ``boundary`` import the scenario layer when they
 run, and ``verify`` the scenario and suites layers, so a fresh
 ``analyze`` compiles neither.
+
+One process builds the argument parser once, on its first ``main``
+call, and every later call reuses it; each call finds its handler,
+``cmd_<command>``, by name when it runs.
 """
 
 from __future__ import annotations
@@ -116,9 +120,10 @@ def _write_csv(path: str, header: tuple, rows) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
+    # one encode and one write: json.dump would stream every token
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _load_json(path: str):
@@ -129,6 +134,10 @@ def _load_json(path: str):
         raise ValidationError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"{path}: JSON nested too deeply") from exc
     except OSError as exc:
         raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
 
@@ -360,6 +369,14 @@ def cmd_boundary(args) -> int:
         raise ValidationError(
             f"the n_o x n_m grid must have at most {MAX_GRID_COUNT} points, got {count}"
         )
+    if args.out_csv is not None:
+        csv_path = args.out_csv
+    elif args.out.endswith(".json"):
+        csv_path = args.out[: -len(".json")] + ".csv"
+    else:
+        csv_path = args.out + ".csv"
+    if os.path.realpath(csv_path) == os.path.realpath(args.out):
+        raise ValidationError(f"--out-csv {csv_path!r} names the report file --out {args.out!r}")
     # one frame budget serves the line and every row; nothing is written
     # until all of them, and the coupling search, have succeeded
     budget = three_mode_budget(params)
@@ -396,12 +413,6 @@ def cmd_boundary(args) -> int:
             "xi": params.xi,
         },
     }
-    if args.out_csv is not None:
-        csv_path = args.out_csv
-    elif args.out.endswith(".json"):
-        csv_path = args.out[: -len(".json")] + ".csv"
-    else:
-        csv_path = args.out + ".csv"
     _write_json(args.out, payload)
     try:
         _write_csv(csv_path, FIG3_HEADER, rows)
@@ -438,7 +449,6 @@ def build_parser() -> _Parser:
     analyze.add_argument("--spec", required=True, help="network spec JSON file")
     analyze.add_argument("--inputs", help="input moments JSON file (default: bath moments)")
     analyze.add_argument("--out", required=True, help="report JSON path")
-    analyze.set_defaults(handler=cmd_analyze)
 
     sweep = sub.add_parser("sweep", help="evaluate a scenario over a grid, write CSV")
     sweep.add_argument("--scenario", required=True, choices=("fig1", "fig2"))
@@ -447,7 +457,6 @@ def build_parser() -> _Parser:
     sweep.add_argument("--workers", type=int, default=1, help="accepted; no effect")
     for flag in ("gamma1", "gamma2", "xi", "g-script", "g-minus", "g-plus", "n1", "n2"):
         sweep.add_argument(f"--{flag}", type=finite_float, default=None)
-    sweep.set_defaults(handler=cmd_sweep)
 
     boundary = sub.add_parser("boundary", help="separability line and Duan grid")
     boundary.add_argument("--kappa", type=finite_float, default=1.0)
@@ -465,22 +474,26 @@ def build_parser() -> _Parser:
     )
     boundary.add_argument("--out", required=True, help="report JSON path")
     boundary.add_argument("--out-csv", default=None, help="grid CSV path (default: derived)")
-    boundary.set_defaults(handler=cmd_boundary)
 
     verify = sub.add_parser("verify", help="run the seeded verification suites")
     verify.add_argument("--seed", type=_seed, default=None)
     verify.add_argument(
         "--tol", type=finite_float, default=None, help="override residual thresholds"
     )
-    verify.set_defaults(handler=cmd_verify)
     return parser
 
 
+_parser = None  # built by the first main call, then shared by every later one
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.handler(args)
+        args = _parser.parse_args(argv)
+        # looked up per call, so a replaced cmd_* is the one that runs
+        return globals()["cmd_" + args.command](args)
     except StabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +132,26 @@ class TestAnalyze:
         proc = run_cli("analyze", "--spec", str(bad), "--out", str(tmp_path / "r.json"))
         assert proc.returncode == 3
         assert "line" in proc.stderr
+
+    @pytest.mark.parametrize("flag", ["--spec", "--inputs"])
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b"\xff\xfe", "not UTF-8 text at byte 0"), (b"[" * 100_000, "JSON nested too deeply")],
+        ids=["not_utf8", "deeply_nested"],
+    )
+    def test_unreadable_json_exits_3_naming_the_file(
+        self, tmp_path, capsys, flag, content, message
+    ):
+        from bosonet import cli
+
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        spec = write_json(tmp_path / "net.json", BS_NETWORK)
+        given = {"--spec": ["--spec", str(bad)], "--inputs": ["--spec", spec, "--inputs", str(bad)]}
+        out = tmp_path / "r.json"
+        assert cli.main(["analyze", *given[flag], "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not out.exists()
 
     def test_unknown_key_exits_3(self, tmp_path):
         doc = json.loads(json.dumps(BS_NETWORK))
@@ -828,6 +849,33 @@ class TestBoundary:
         assert (tmp_path / "elsewhere.csv").exists()
         assert not (tmp_path / "b.csv").exists()
 
+    @pytest.mark.parametrize("spelling", ["same", "dotdot", "symlink"])
+    def test_csv_path_naming_the_report_exits_3_before_any_work(
+        self, tmp_path, monkeypatch, capsys, spelling
+    ):
+        from bosonet import cli, scenarios
+
+        out = tmp_path / "b.json"
+        csv = {
+            "same": str(out),
+            "dotdot": str(tmp_path / "sub" / ".." / "b.json"),
+            "symlink": str(tmp_path / "alias.csv"),
+        }[spelling]
+        (tmp_path / "alias.csv").symlink_to(out)
+        budgets = []
+        real_budget = scenarios.three_mode_budget
+        monkeypatch.setattr(
+            scenarios, "three_mode_budget", lambda p: budgets.append(p) or real_budget(p)
+        )
+        code = cli.main([
+            "boundary", "--g-script", "1", "--xi", "0.5", "--grid", "n_o:0:1:2",
+            "--grid", "n_m:0:1:2", "--out", str(out), "--out-csv", csv,
+        ])
+        assert code == 3
+        assert "names the report file" in capsys.readouterr().err
+        assert budgets == []
+        assert not out.exists()
+
 
 class TestOverflowingParameters:
     """Parameters beyond the float range of cosh, sinh or S^2 fail like
@@ -975,12 +1023,14 @@ class TestTopLevel:
         assert proc.returncode == 0, proc.stderr
 
     def test_analyze_loads_neither_scenarios_nor_suites(self, tmp_path):
-        # a fresh analyze imports only the core layers; building the
-        # parser, verify's --seed default included, imports nothing more
+        # a fresh analyze imports only the core layers; importing the CLI
+        # builds no parser, and building it on the first call, verify's
+        # --seed default included, imports nothing more
         spec = write_json(tmp_path / "net.json", BS_NETWORK)
         out = str(tmp_path / "report.json")
         script = (
             "import sys, bosonet.cli; "
+            "assert bosonet.cli._parser is None, 'parser built at import'; "
             f"code = bosonet.cli.main(['analyze', '--spec', {spec!r}, '--out', {out!r}]); "
             "assert code == 0, code; "
             "loaded = [m for m in ('bosonet.scenarios', 'bosonet.suites') if m in sys.modules]; "
@@ -989,6 +1039,83 @@ class TestTopLevel:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert json.loads((tmp_path / "report.json").read_text())["stability"]["stable"]
+
+
+class TestParserPerProcess:
+    """main builds its parser on its first call and finds each handler
+    when it runs."""
+
+    SPEC = str(Path(__file__).with_name("analyze_n8_nonpassive.json"))
+
+    def test_three_calls_build_one_parser(self, tmp_path, monkeypatch):
+        from bosonet import cli
+
+        built = []
+
+        class Spy(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs["prog"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", Spy)
+        monkeypatch.setattr(cli, "_parser", None)
+        out = str(tmp_path / "r.json")
+        assert cli.main(["analyze", "--spec", self.SPEC, "--out", out]) == 0
+        assert cli.main(["verify", "--tol", "nan"]) == 3
+        assert cli.main(["frobnicate"]) == 3
+        # the top-level parser and its four subcommand parsers, once
+        commands = ("analyze", "sweep", "boundary", "verify")
+        assert built == ["bosonet", *(f"bosonet {c}" for c in commands)]
+
+    def test_shared_parser_runs_as_fresh_parsers_do(self, tmp_path, monkeypatch, capsys):
+        from bosonet import cli
+
+        commands = [
+            ["analyze", "--spec", self.SPEC, "--out", "a.json"],
+            ["sweep", "--scenario", "fig2", "--grid", "delta_eta:-1:1:5", "--out", "s.csv"],
+            ["boundary", "--g-script", "1", "--xi", "0.5", "--grid", "n_o:0:1:2",
+             "--grid", "n_m:0:1:2", "--out", "b.json"],
+            ["verify", "--tol", "nan"],
+            # the grids of the earlier boundary must not stick to the
+            # parser's shared --grid default
+            ["boundary", "--g-script", "1", "--xi", "0.5", "--out", "c.json"],
+        ]
+
+        def run(fresh):
+            work = tmp_path / ("fresh" if fresh else "shared")
+            work.mkdir()
+            monkeypatch.chdir(work)
+            results, parsers = [], []
+            for i, argv in enumerate(commands):
+                if fresh or i == 0:
+                    monkeypatch.setattr(cli, "_parser", None)
+                code = cli.main(argv)
+                results.append((code, *capsys.readouterr()))
+                parsers.append(cli._parser)
+            files = {path.name: path.read_bytes() for path in work.iterdir()}
+            return results, files, parsers
+
+        results, files, parsers = run(fresh=False)
+        assert all(parser is parsers[0] for parser in parsers)
+        assert [code for code, _, _ in results] == [0, 0, 0, 3, 3]
+        assert "needs one n_o grid and one n_m grid" in results[-1][2]
+        assert sorted(files) == ["a.json", "b.csv", "b.json", "s.csv"]
+        fresh_results, fresh_files, fresh_parsers = run(fresh=True)
+        assert len({id(parser) for parser in fresh_parsers}) == len(commands)
+        assert fresh_results == results
+        assert fresh_files == files
+
+    def test_handler_replaced_after_the_first_call_runs(self, tmp_path, monkeypatch):
+        from bosonet import cli
+
+        monkeypatch.setattr(cli, "_parser", None)
+        out = str(tmp_path / "r.json")
+        assert cli.main(["analyze", "--spec", self.SPEC, "--out", out]) == 0
+        assert cli._parser is not None
+        seen = []
+        monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(args.spec) or 7)
+        assert cli.main(["analyze", "--spec", "net.json", "--out", out]) == 7
+        assert seen == ["net.json"]
 
 
 class TestCsv:
